@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion; a failed assertion marks the criterion FAILED.
 """
 
+import json
 import math
 import random
 import time
@@ -30,6 +31,7 @@ from chamberlab.poly import SpatialPoly
 from chamberlab.reduction import build_bundle, curvature_expr_pair, verify_reference_example
 from chamberlab.resultant import determinant_bareiss, determinant_cofactor, \
     sylvester_matrix, sylvester_resultant
+from golden import RESULTANT_HASHES, resultant_sha256
 
 
 def _report(criterion: int, message: str) -> None:
@@ -54,6 +56,8 @@ def test_criterion_1_reference_example_golden():
 
 
 def test_criterion_2_certification_sweep(all_cases):
+    golden = json.loads(RESULTANT_HASHES.read_text())
+    assert sorted(golden) == sorted(case.label for case in all_cases)
     worst = 0.0
     for case in all_cases:
         start = time.monotonic()
@@ -64,9 +68,11 @@ def test_criterion_2_certification_sweep(all_cases):
         assert not report.identically_zero, case.label
         assert report.homogeneous, case.label
         assert report.degree == expected, (case.label, report.degree, expected)
+        assert resultant_sha256(report.poly) == golden[case.label], case.label
         assert elapsed < 300.0, f"{case.label} took {elapsed:.1f}s"
     _report(2, f"all {len(all_cases)} registry cases: resultant homogeneous of "
-               f"degree 27(d-1), nonzero; slowest case {worst:.1f}s")
+               f"degree 27(d-1), nonzero, equal to the golden resultant; "
+               f"slowest case {worst:.1f}s")
 
 
 def test_criterion_3_curvature_formula_equivalence(all_cases):

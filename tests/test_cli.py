@@ -1,6 +1,7 @@
 import json
 
 from chamberlab.cli import EXIT_OK, EXIT_USER_ERROR, main
+from golden import CERTIFICATES, without_volatile_lines
 
 
 def test_cases_listing(capsys):
@@ -92,9 +93,13 @@ def test_certify_all_with_worker_pool(tmp_path, capsys):
     assert code == EXIT_OK
     files = sorted(tmp_path.glob("*.certificate.json"))
     assert len(files) == 14
+    assert [p.name for p in files] == sorted(p.name for p in CERTIFICATES.iterdir())
     by_case = {}
     for path in files:
-        cert = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+        golden = (CERTIFICATES / path.name).read_text(encoding="utf-8")
+        assert without_volatile_lines(text) == golden, path.name
+        cert = json.loads(text)
         by_case[cert["case"]] = cert
         assert cert["conclusion"] == "nonexistence-certified", cert["label"]
         assert cert["resultant_degree"] == 27 * (cert["d"] - 1)

@@ -3,7 +3,7 @@
 The package reduces the geometry of isometry-group-invariant hypersurfaces to
 exact polynomial data over the planar orbit space: wall forms and volume
 polynomials over Q(sqrt2, sqrt3), a formal arclength differentiation engine,
-Sylvester resultants with fraction-free determinants, machine-readable
+Sylvester resultants by fraction-free elimination over Z[u], machine-readable
 per-case nonexistence certificates, and an RK4 profile-curve integrator that
 cross-validates the symbolic pipeline.
 """
@@ -21,7 +21,7 @@ from .poly import ReducedExpr, SpatialPoly, VelocityForm, arc_derivative
 from .reduction import ReductionBundle, assemble_A, assemble_C, build_bundle, \
     build_chamber_data, build_R, build_T12, build_T345, build_walls, \
     derive_R_derivatives, verify_reference_example
-from .resultant import determinant_bareiss, determinant_cofactor, sylvester_resultant
+from .resultant import determinant_bareiss, sylvester_resultant
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "build_bundle", "build_chamber_data", "build_walls", "certify_case",
     "chamber_root_scan", "classify_line_minimality", "compute_resultant",
     "default_cases", "derive_R_derivatives", "determinant_bareiss",
-    "determinant_cofactor", "embed_real", "expected_resultant_degree",
+    "embed_real", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",
     "load_registry", "minimal_line_angles", "normal_residual",
     "principal_curvatures", "registry_case", "state_from_angle",

@@ -8,7 +8,9 @@ parameters plus explicit bounds.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -64,14 +66,58 @@ class CaseTemplate:
         return {name: default for name, _, default in self.param_specs}
 
 
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
+_COMPARE_OPS = {ast.Eq: operator.eq, ast.NotEq: operator.ne,
+                ast.Lt: operator.lt, ast.LtE: operator.le,
+                ast.Gt: operator.gt, ast.GtE: operator.ge}
+
+
+def _evaluate(expr: str, params: dict[str, int], where: str):
+    """Value of a registry expression over the case parameters.
+
+    Only integer literals, parameter names, ``+ - * //``, unary minus,
+    comparisons and ``and`` are accepted; anything else (attribute access,
+    calls, subscripts, other literals) is a RegistryError, so registry data
+    cannot run code.
+    """
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.Name) and node.id in params:
+            return params[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -walk(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.Compare) and all(type(op) in _COMPARE_OPS
+                                                 for op in node.ops):
+            values = [walk(node.left)] + [walk(c) for c in node.comparators]
+            return all(_COMPARE_OPS[type(op)](lhs, rhs)
+                       for op, lhs, rhs in zip(node.ops, values, values[1:]))
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            # A list, not a generator: every operand is checked, even after
+            # a false one.
+            return all([walk(v) for v in node.values])
+        what = (f"unknown name {node.id!r}" if isinstance(node, ast.Name)
+                else f"{ast.unparse(node)!r} is not allowed")
+        raise RegistryError(f"{where}: cannot evaluate {expr!r}: {what}")
+
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise RegistryError(f"{where}: cannot parse {expr!r}: {exc}") from exc
+    try:
+        return walk(tree.body)
+    except ZeroDivisionError as exc:
+        raise RegistryError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
+
+
 def _eval_int(expr, params: dict[str, int], where: str) -> int:
     if isinstance(expr, int):
         return expr
-    try:
-        value = eval(expr, {"__builtins__": {}}, dict(params))
-    except Exception as exc:
-        raise RegistryError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
-    if not isinstance(value, int):
+    value = _evaluate(expr, params, where)
+    if type(value) is not int:
         raise RegistryError(f"{where}: expression {expr!r} is not an integer")
     return value
 
@@ -129,10 +175,9 @@ def instantiate_case(template: CaseTemplate, params: dict[str, int] | None = Non
             raise BoundError(f"case {template.name} has no parameter {key!r}")
         values[key] = int(val)
     for bound in template.bounds:
-        try:
-            ok = eval(bound, {"__builtins__": {}}, dict(values))
-        except Exception as exc:
-            raise RegistryError(f"case {template.name}: bad bound {bound!r}: {exc}") from exc
+        ok = _evaluate(bound, values, f"case {template.name} (bound)")
+        if type(ok) is not bool:
+            raise RegistryError(f"case {template.name}: bound {bound!r} is not a condition")
         if not ok:
             raise BoundError(f"case {template.name}: bound '{bound}' violated by {values}")
     for name, minimum, _ in template.param_specs:

@@ -21,7 +21,7 @@ import mpmath
 
 from .cases import CaseSpec
 from .errors import PipelineError, PoleProximityError
-from .field import embed_real
+from .field import FieldScalar, embed_real, format_rational
 from .poly import NOT_HOMOGENEOUS, SpatialPoly, ZERO_POLY
 from .reduction import ReductionBundle, build_bundle
 from .resultant import sylvester_resultant
@@ -46,6 +46,41 @@ class ResultantReport:
     homogeneous: bool
 
 
+def _integer_lists(polys: list[SpatialPoly], label: str,
+                   name: str) -> tuple[list[list[int]], int, int]:
+    """Dense Z[u] lists (u = x/y) of one coefficient list, denominators cleared.
+
+    Returns ``(lists, degree, scale)``: ``lists[j]`` is ``scale * polys[j]`` at
+    y = 1, low to high, where ``scale`` is the lcm of every coefficient's
+    denominator and ``degree`` the common homogeneous degree of the nonzero
+    entries.  Irrational coefficients and mixed degrees raise PipelineError.
+    """
+    degree = None
+    scale = 1
+    for poly in polys:
+        if poly.is_zero:
+            continue
+        hdeg = poly.homogeneous_degree()
+        if hdeg == NOT_HOMOGENEOUS or degree not in (None, hdeg):
+            raise PipelineError(f"{label}: the {name} coefficients are not "
+                                f"homogeneous of one common degree")
+        degree = hdeg
+        for coeff in poly.terms.values():
+            if not coeff.is_rational:
+                raise PipelineError(f"{label}: {name} coefficient {coeff.to_text()} "
+                                    f"is not rational")
+            scale = math.lcm(scale, int(coeff.a.denominator))
+    lists = []
+    for poly in polys:
+        dense = [0] * (degree + 1)
+        for (a, _), coeff in poly.terms.items():
+            dense[a] = int(coeff.a.numerator) * (scale // int(coeff.a.denominator))
+        while dense and not dense[-1]:
+            dense.pop()
+        lists.append(dense)
+    return lists, degree, scale
+
+
 def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     """Resultant of the cubic and quintic coefficient lists at formal degrees (3, 5).
 
@@ -54,6 +89,11 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     direction xd = 0, which the slope chart excludes).  That common formal
     root is removed by trimming one leading coefficient from each list until
     at least one of them is nonzero; the count of trimmed pairs is recorded.
+
+    The determinant itself runs in Z[u]: each list must be rational and
+    homogeneous of one degree (DA for A, DC for C), its denominators are
+    cleared, and the integer resultant is divided by the scale this puts on
+    the Sylvester rows and rehomogenized at degree deg_a*DC + deg_c*DA.
     """
     pa = list(bundle.a_coeffs)
     pc = list(bundle.c_coeffs)
@@ -62,17 +102,25 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
         pa.pop()
         pc.pop()
         trimmed += 1
+    formal = (len(pa) - 1, len(pc) - 1)
     if all(p.is_zero for p in pa) or all(p.is_zero for p in pc) \
             or len(pa) < 2 or len(pc) < 2:
-        return ResultantReport(SpatialPoly.zero(), (len(pa) - 1, len(pc) - 1),
-                               trimmed, None, True, True)
-    res = sylvester_resultant(pa, pc)
+        return ResultantReport(SpatialPoly.zero(), formal, trimmed, None, True, True)
+    label = bundle.case.label
+    int_a, hdeg_a, scale_a = _integer_lists(pa, label, "A")
+    int_c, hdeg_c, scale_c = _integer_lists(pc, label, "C")
+    deg_a, deg_c = formal
+    dense = sylvester_resultant(int_a, int_c)
+    total = deg_a * hdeg_c + deg_c * hdeg_a
+    scale = scale_a ** deg_c * scale_c ** deg_a
+    res = SpatialPoly({(a, total - a): FieldScalar.rational(c, scale)
+                       for a, c in enumerate(dense) if c})
     hdeg = res.homogeneous_degree()
     if hdeg == ZERO_POLY:
-        return ResultantReport(res, (len(pa) - 1, len(pc) - 1), trimmed, None, True, True)
+        return ResultantReport(res, formal, trimmed, None, True, True)
     if hdeg == NOT_HOMOGENEOUS:
-        raise PipelineError(f"{bundle.case.label}: resultant is not homogeneous")
-    return ResultantReport(res, (len(pa) - 1, len(pc) - 1), trimmed, hdeg, False, True)
+        raise PipelineError(f"{label}: resultant is not homogeneous")
+    return ResultantReport(res, formal, trimmed, hdeg, False, True)
 
 
 @dataclass
@@ -275,8 +323,6 @@ def emit_certificate(case: CaseSpec, report: ResultantReport,
             samples.append({"sigma": sigma, "z": math.tan(sigma),
                             "value": float(ev.value(sigma))})
         # Exact nonvanishing witnesses, machine checkable with no rounding.
-        from .field import FieldScalar, format_rational
-
         for px, py in ((2, 1), (3, 2)):
             value = report.poly.eval_exact(FieldScalar.rational(px),
                                            FieldScalar.rational(py))

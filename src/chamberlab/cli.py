@@ -1,8 +1,9 @@
 """Command-line front end: cases, derive, certify, integrate, verify-paper-example.
 
-Exit codes: 0 success, 2 user error (unknown case, bad parameters, bad start
-state), 3 internal pipeline invariant violation.  All outputs are reproducible
-run to run except timestamp and duration metadata.
+Exit codes: 0 success, 1 some case not certified (every certificate and the
+table are still written), 2 user error (unknown case, bad parameters, bad
+start state), 3 internal pipeline invariant violation.  All outputs are
+reproducible run to run except timestamp and duration metadata.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .reduction import build_bundle, bundle_to_json, verify_reference_example
 ENV_OUT_DIR = "CHAMBERLAB_OUT"
 
 EXIT_OK = 0
+EXIT_NOT_CERTIFIED = 1
 EXIT_USER_ERROR = 2
 EXIT_PIPELINE_ERROR = 3
 
@@ -186,6 +188,7 @@ def _cmd_certify(args) -> int:
             failures += 1
     if failures:
         print(f"{failures} case(s) not certified", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     return EXIT_OK
 
 

@@ -10,6 +10,12 @@ Three layers:
 * :class:`ReducedExpr` - a VelocityForm divided by a power of the chamber
   product polynomial; :func:`arc_derivative` differentiates these along
   arclength under the candidate-curve substitution rules.
+
+These types carry the derivation from the walls to the cubic and quintic
+coefficients and every serialized polynomial.  The resultant does not run on
+them: :func:`chamberlab.certify.compute_resultant` converts the rational,
+homogeneous coefficient lists to dense integer lists in u = x/y for
+:mod:`chamberlab.resultant` and converts the result back to a SpatialPoly.
 """
 
 from __future__ import annotations

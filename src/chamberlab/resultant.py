@@ -1,19 +1,75 @@
-"""Sylvester resultants with fraction-free determinant evaluation.
+"""Sylvester resultants over Z[u] by fraction-free (Bareiss) elimination.
+
+The entries are dense integer coefficient lists in one variable u, low to
+high, with trailing zeros stripped, so ``[]`` is the zero polynomial.  Every
+resultant chamberlab certifies has homogeneous rational coefficients in
+(x, y); :func:`chamberlab.certify.compute_resultant` clears denominators,
+sets u = x/y and rehomogenizes the result, which keeps this module to plain
+integer arithmetic.
 
 The Sylvester matrix is built from formal degrees (the supplied coefficient
 lists fix them), so vanishing leading coefficients are kept as zero entries.
 Row layout puts the second polynomial's coefficient block first, which fixes
-the sign convention: resultant of (t - x, t - y) at formal degrees (1, 1) is
-y - x.
+the sign convention: the resultant of (t - u, t - 1) at formal degrees (1, 1)
+is 1 - u.
 """
 
 from __future__ import annotations
 
-from .poly import SpatialPoly
+from .errors import ExactDivisionError
+
+IntPoly = list[int]
 
 
-def sylvester_matrix(pa: list[SpatialPoly], pc: list[SpatialPoly]) -> list[list[SpatialPoly]]:
-    """8x8-style Sylvester matrix for coefficient lists given low-to-high.
+def _sub_products(p: IntPoly, q: IntPoly, r: IntPoly, s: IntPoly) -> IntPoly:
+    """p*q - r*s, trailing zeros stripped."""
+    n = max(len(p) + len(q), len(r) + len(s)) - 1
+    if n <= 0:
+        return []
+    out = [0] * n
+    if p and q:
+        for i, a in enumerate(p):
+            if a:
+                for j, b in enumerate(q, i):
+                    out[j] += a * b
+    if r and s:
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(s, i):
+                    out[j] -= a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
+    """Exact quotient p / d in Z[u]; raises ExactDivisionError otherwise."""
+    if not d:
+        raise ExactDivisionError("division by the zero polynomial")
+    if not p:
+        return []
+    shift = len(p) - len(d)
+    if shift < 0:
+        raise ExactDivisionError("division left a remainder")
+    lead = d[-1]
+    rem = list(p)
+    quot = [0] * (shift + 1)
+    for k in range(shift, -1, -1):
+        top = rem[k + len(d) - 1]
+        if top:
+            qk, r = divmod(top, lead)
+            if r:
+                raise ExactDivisionError("division left a remainder")
+            quot[k] = qk
+            for j, c in enumerate(d, k):
+                rem[j] -= qk * c
+    if any(rem):
+        raise ExactDivisionError("division left a remainder")
+    return quot
+
+
+def sylvester_matrix(pa: list[IntPoly], pc: list[IntPoly]) -> list[list[IntPoly]]:
+    """Sylvester matrix for coefficient lists given low-to-high.
 
     ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1.
     The first len(pa)-1 rows carry pc's coefficients, the remaining rows pa's.
@@ -23,24 +79,22 @@ def sylvester_matrix(pa: list[SpatialPoly], pc: list[SpatialPoly]) -> list[list[
     if deg_a < 1 or deg_c < 1:
         raise ValueError("both polynomials need formal degree at least 1")
     size = deg_a + deg_c
-    zero = SpatialPoly.zero()
     matrix = []
     desc_c = list(reversed(pc))
     desc_a = list(reversed(pa))
     for shift in range(deg_a):
-        row = [zero] * shift + desc_c + [zero] * (size - shift - deg_c - 1)
-        matrix.append(row)
+        matrix.append([[]] * shift + desc_c + [[]] * (size - shift - deg_c - 1))
     for shift in range(deg_c):
-        row = [zero] * shift + desc_a + [zero] * (size - shift - deg_a - 1)
-        matrix.append(row)
+        matrix.append([[]] * shift + desc_a + [[]] * (size - shift - deg_a - 1))
     return matrix
 
 
-def determinant_bareiss(matrix: list[list[SpatialPoly]]) -> SpatialPoly:
-    """Fraction-free Bareiss determinant over the polynomial integral domain.
+def determinant_bareiss(matrix: list[list[IntPoly]]) -> IntPoly:
+    """Fraction-free Bareiss determinant over Z[u].
 
     Every division is exact (the intermediate entries are minors of the row
-    permuted matrix); row swaps flip the sign.
+    permuted matrix); a zero pivot is replaced by the first nonzero entry
+    below it, and each such row swap flips the sign.
     """
     n = len(matrix)
     m = [row[:] for row in matrix]
@@ -51,43 +105,29 @@ def determinant_bareiss(matrix: list[list[SpatialPoly]]) -> SpatialPoly:
     sign = 1
     prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return SpatialPoly.zero()
+                return []
         pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, n):
-                entry = pivot * row_i[j] - head * m[k][j]
+                entry = _sub_products(pivot, row_i[j], head, row_k[j])
                 if prev is not None:
-                    entry = entry.divide_exact(prev)
+                    entry = divide_exact(entry, prev)
                 row_i[j] = entry
         prev = pivot
     det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return [-c for c in det] if sign < 0 else det
 
 
-def determinant_cofactor(matrix: list[list[SpatialPoly]]) -> SpatialPoly:
-    """Naive cofactor expansion along the first row (test oracle)."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = SpatialPoly.zero()
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = entry * determinant_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def sylvester_resultant(pa: list[SpatialPoly], pc: list[SpatialPoly]) -> SpatialPoly:
+def sylvester_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
     """Resultant of the two coefficient lists (low-to-high) at formal degrees."""
     return determinant_bareiss(sylvester_matrix(pa, pc))

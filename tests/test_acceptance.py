@@ -29,9 +29,9 @@ from chamberlab.numerics import (
 )
 from chamberlab.poly import SpatialPoly
 from chamberlab.reduction import build_bundle, curvature_expr_pair, verify_reference_example
-from chamberlab.resultant import determinant_bareiss, determinant_cofactor, \
-    sylvester_matrix, sylvester_resultant
+from chamberlab.resultant import determinant_bareiss, sylvester_matrix, sylvester_resultant
 from golden import RESULTANT_HASHES, resultant_sha256
+from resultant_oracle import at_y_equal_one, determinant_cofactor, t_multiply
 
 
 def _report(criterion: int, message: str) -> None:
@@ -174,31 +174,31 @@ def _random_linear(rng):
                               FieldScalar.rational(rng.randint(-5, 5)))
 
 
-def _poly_multiply(p, q):
-    out = [SpatialPoly.zero()] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] = out[i + j] + pi * qj
-    return out
+def _at_y_equal_one(polys):
+    return [at_y_equal_one(p) for p in polys]
 
 
 def test_criterion_8_resultant_sanity():
+    # The pairs are drawn in Z[x, y] and mapped entry by entry to Z[u] by the
+    # ring map y = 1, which keeps common factors and commutes with
+    # determinants; the random entries are homogeneous, so it also keeps
+    # nonzero determinants nonzero.
     rng = random.Random(8)
     for _ in range(100):
-        shared = [_random_linear(rng), SpatialPoly.constant(1)]
-        pa = _poly_multiply(shared, [_random_linear(rng) for _ in range(3)])
-        pc = _poly_multiply(shared, [_random_linear(rng) for _ in range(5)])
-        assert sylvester_resultant(pa, pc).is_zero
+        shared = _at_y_equal_one([_random_linear(rng), SpatialPoly.constant(1)])
+        pa = t_multiply(shared, _at_y_equal_one([_random_linear(rng) for _ in range(3)]))
+        pc = t_multiply(shared, _at_y_equal_one([_random_linear(rng) for _ in range(5)]))
+        assert sylvester_resultant(pa, pc) == []
 
     nonzero = 0
     for _ in range(100):
-        pa = [_random_linear(rng) for _ in range(3)]
-        pc = [_random_linear(rng) for _ in range(4)]
+        pa = _at_y_equal_one([_random_linear(rng) for _ in range(3)])
+        pc = _at_y_equal_one([_random_linear(rng) for _ in range(4)])
         matrix = sylvester_matrix(pa, pc)
         bareiss = determinant_bareiss(matrix)
         cofactor = determinant_cofactor(matrix)
         assert bareiss == cofactor
-        if not bareiss.is_zero:
+        if bareiss:
             nonzero += 1
     assert nonzero >= 90  # random pairs are coprime with high probability
     _report(8, f"100 planted-common-root pairs gave zero resultants; 100 random "

@@ -119,3 +119,79 @@ def test_case_label_and_params():
     case = registry_case("SOpxSOq", {"p": 3, "q": 5})
     assert case.label == "SOpxSOq(p=3,q=5)"
     assert case.params_dict == {"p": 3, "q": 5}
+
+
+# (label, n, multiplicities) of every row at its defaults and of one draw per
+# parametric row, as the registry instantiated them when expressions were
+# evaluated by Python's eval.
+INSTANTIATED = [
+    ("SOn-1(n=3)", 3, (1,)), ("SOpxSOq(p=2,q=2)", 4, (1, 1)),
+    ("SO3", 5, (1, 1, 1)), ("SU3", 8, (2, 2, 2)), ("Sp3", 14, (4, 4, 4)),
+    ("F4", 26, (8, 8, 8)), ("SO5", 10, (2, 2, 2, 2)),
+    ("SO2xSOm(m=3)", 6, (1, 1, 1, 1)), ("SU2xUm(m=2)", 8, (1, 2, 1, 2)),
+    ("Sp2xSpm(m=2)", 16, (3, 4, 3, 4)), ("U5", 20, (5, 4, 5, 4)),
+    ("U1xSpin10", 32, (9, 6, 9, 6)), ("G2", 14, (2, 2, 2, 2, 2, 2)),
+    ("SO4", 8, (1, 1, 1, 1, 1, 1)),
+]
+INSTANTIATED_PARAMETRIC = [
+    ("SOpxSOq", {"p": 38, "q": 6}, 44, (5, 37)),
+    ("Sp2xSpm", {"m": 18}, 144, (67, 4, 67, 4)),
+    ("SU2xUm", {"m": 7}, 28, (11, 2, 11, 2)),
+    ("SO2xSOm", {"m": 9}, 18, (7, 1, 7, 1)),
+    ("SOn-1", {"n": 11}, 11, (9,)),
+]
+
+
+def test_rows_instantiate_unchanged(all_cases):
+    assert [(c.label, c.n, c.multiplicities) for c in all_cases] == INSTANTIATED
+    for name, params, n, mults in INSTANTIATED_PARAMETRIC:
+        case = registry_case(name, params)
+        assert (case.n, case.multiplicities) == (n, mults), name
+
+
+ESCAPE = "().__class__.__mro__[1].__subclasses__().__len__()"
+
+
+def _one_row_registry(tmp_path, **row):
+    doc = {"cases": [{"name": "x", "group": "g", "d": 1, "n": "n",
+                      "multiplicities": ["n - 2"],
+                      "params": [{"name": "n", "min": 3, "default": 3}], **row}]}
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(doc))
+    return load_registry(path)
+
+
+@pytest.mark.parametrize("row", [
+    {"n": ESCAPE},
+    {"multiplicities": [ESCAPE]},
+    {"bounds": [f"{ESCAPE} > 0"]},
+])
+def test_registry_expressions_cannot_run_code(tmp_path, row):
+    registry = _one_row_registry(tmp_path, **row)
+    with pytest.raises(RegistryError, match="not allowed"):
+        registry_case("x", registry=registry)
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("n ** 2", "not allowed"),
+    ("n / 2", "not allowed"),
+    ("len(n)", "not allowed"),
+    ("m + 1", "unknown name 'm'"),
+    ("n // 0", "division"),
+    ("n +", "cannot parse"),
+    ("n >= 3", "not an integer"),
+])
+def test_registry_expression_whitelist(tmp_path, expr, message):
+    registry = _one_row_registry(tmp_path, n=expr)
+    with pytest.raises(RegistryError, match=message):
+        registry_case("x", registry=registry)
+
+
+def test_registry_bounds_use_comparisons_and_conjunctions(tmp_path):
+    registry = _one_row_registry(tmp_path, n="2 * n - -1 - n - 1",
+                                 bounds=["3 <= n < 10 and n != 7", "-n // 2 < 0"])
+    assert registry_case("x", {"n": 4}, registry=registry).n == 4
+    with pytest.raises(BoundError, match="n != 7"):
+        registry_case("x", {"n": 7}, registry=registry)
+    with pytest.raises(RegistryError, match="not a condition"):
+        registry_case("x", registry=_one_row_registry(tmp_path, bounds=["n - 3"]))

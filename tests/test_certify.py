@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,7 @@ from chamberlab.certify import (
     minimal_line_angles,
     write_certificate,
 )
-from chamberlab.errors import PoleProximityError
+from chamberlab.errors import PipelineError, PoleProximityError
 from chamberlab.field import FieldScalar
 from chamberlab.poly import SpatialPoly, X, Y
 from chamberlab.reduction import build_bundle
@@ -73,16 +74,50 @@ def test_planted_common_root_resultant_is_zero(u5):
     bundle = build_bundle(u5)
     report = compute_resultant(bundle)
 
-    class FakeBundle:
-        case = bundle.case
-        # both forms share the factor (t - x): resultant must vanish
-        a_coeffs = (-X, SpatialPoly.constant(1), SpatialPoly.zero(), SpatialPoly.zero())
-        c_coeffs = (-X, SpatialPoly.constant(1), SpatialPoly.zero(),
-                    SpatialPoly.zero(), SpatialPoly.zero(), SpatialPoly.zero())
-
-    fake = compute_resultant(FakeBundle())
+    # both forms share the factor (y*t - x): resultant must vanish
+    zero = SpatialPoly.zero()
+    fake = compute_resultant(_fake_bundle(bundle.case, (-X, Y, zero, zero),
+                                          (-X, Y, zero, zero, zero, zero)))
     assert fake.identically_zero
     assert not report.identically_zero
+
+
+def _fake_bundle(case, a_coeffs, c_coeffs):
+    return SimpleNamespace(case=case, a_coeffs=a_coeffs, c_coeffs=c_coeffs)
+
+
+def test_resultant_rejects_irrational_coefficients(u5):
+    sqrt2 = SpatialPoly.monomial(1, 0, FieldScalar(0, 1))
+    bundle = _fake_bundle(u5, (-X, Y, Y * 2, Y * 3),
+                          (X, Y, sqrt2, Y, SpatialPoly.zero(), X))
+    with pytest.raises(PipelineError, match="not rational"):
+        compute_resultant(bundle)
+
+
+def test_resultant_rejects_mixed_degrees(u5):
+    bundle = _fake_bundle(u5, (-X, Y, X * Y, Y),
+                          (X, Y, X, Y, SpatialPoly.zero(), X))
+    with pytest.raises(PipelineError, match="one common degree"):
+        compute_resultant(bundle)
+    bundle = _fake_bundle(u5, (-X, Y, X, Y),
+                          (X, Y, X + 1, Y, SpatialPoly.zero(), X))
+    with pytest.raises(PipelineError, match="one common degree"):
+        compute_resultant(bundle)
+
+
+def test_resultant_rational_boundary_scales_back(u5):
+    # Denominators are cleared per list and divided out again: halving every
+    # A coefficient and thirding every C coefficient scales the resultant by
+    # (1/2)^5 * (1/3)^3 (five rows of A, three of C).
+    a = (-X, Y, X * 2, Y * 3)
+    c = (X, Y * 5, X, -Y, SpatialPoly.zero(), X * 7)
+    whole = compute_resultant(_fake_bundle(u5, a, c))
+    half = FieldScalar.rational(1, 2)
+    third = FieldScalar.rational(1, 3)
+    scaled = compute_resultant(_fake_bundle(u5, tuple(p * half for p in a),
+                                            tuple(p * third for p in c)))
+    assert whole.degree == scaled.degree == 3 * 1 + 5 * 1
+    assert scaled.poly == whole.poly * FieldScalar.rational(1, 2 ** 5 * 3 ** 3)
 
 
 def test_root_scan_symmetric_quadratic():

@@ -1,6 +1,6 @@
 import json
 
-from chamberlab.cli import EXIT_OK, EXIT_USER_ERROR, main
+from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USER_ERROR, main
 from golden import CERTIFICATES, without_volatile_lines
 
 
@@ -70,6 +70,19 @@ def test_certify_single_case(tmp_path, capsys):
     assert cert["resultant_degree"] == 27
     out = capsys.readouterr().out
     assert "nonexistence-certified" in out
+
+
+def test_certify_failure_sets_exit_status(tmp_path, capsys):
+    # At n=5 the single-wall quintic cancels identically, so the case is
+    # inconclusive: the certificate and the table are written, the exit
+    # status says the sweep did not certify.
+    code = main(["certify", "--case", "SOn-1", "--param", "n=5", "--out", str(tmp_path)])
+    assert code == EXIT_NOT_CERTIFIED
+    (path,) = tmp_path.glob("*.certificate.json")
+    assert json.loads(path.read_text())["conclusion"] == "inconclusive-resultant-vanishes"
+    captured = capsys.readouterr()
+    assert "inconclusive-resultant-vanishes" in captured.out
+    assert "1 case(s) not certified" in captured.err
 
 
 def test_certify_rerun_is_deterministic(tmp_path):

@@ -2,99 +2,109 @@ import random
 
 import pytest
 
-from chamberlab.field import FieldScalar
-from chamberlab.poly import SpatialPoly, X, Y
+from chamberlab.errors import ExactDivisionError
 from chamberlab.resultant import (
     determinant_bareiss,
-    determinant_cofactor,
+    divide_exact,
     sylvester_matrix,
     sylvester_resultant,
 )
+from resultant_oracle import determinant_cofactor, poly_mul, t_multiply
 
-
-def _const(v):
-    return SpatialPoly.constant(v)
+# Dense integer polynomials in u, low to high: U is u, ONE is 1, [] is zero.
+U = [0, 1]
+ONE = [1]
 
 
 def _random_linear(rng):
-    return SpatialPoly.linear(FieldScalar.rational(rng.randint(-4, 4)),
-                              FieldScalar.rational(rng.randint(-4, 4)))
+    return [rng.randint(-4, 4), rng.randint(-4, 4)]
+
+
+def _stripped(p):
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
 
 
 def _random_coeffs(rng, count):
     while True:
-        coeffs = [_random_linear(rng) for _ in range(count)]
-        if not coeffs[-1].is_zero:
+        coeffs = [_stripped(_random_linear(rng)) for _ in range(count)]
+        if coeffs[-1]:
             return coeffs
 
 
-def _poly_multiply(p, q):
-    """Coefficient lists (low-to-high) of the product of two t-polynomials."""
-    out = [SpatialPoly.zero()] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] = out[i + j] + pi * qj
-    return out
-
-
 def test_linear_resultant_sign_convention():
-    # coefficient lists for t - x and t - y, low-to-high
-    pa = [-X, _const(1)]
-    pc = [-Y, _const(1)]
-    assert sylvester_resultant(pa, pc) == Y - X
+    # coefficient lists for t - u and t - 1, low-to-high
+    pa = [[0, -1], ONE]
+    pc = [[-1], ONE]
+    assert sylvester_resultant(pa, pc) == [1, -1]  # 1 - u
 
 
 def test_shared_linear_factor_gives_zero():
     rng = random.Random(7)
     for _ in range(10):
-        shared = [_random_linear(rng), _const(1)]  # t - l(x, y) shape
-        pa = _poly_multiply(shared, _random_coeffs(rng, 3))
-        pc = _poly_multiply(shared, _random_coeffs(rng, 5))
-        assert sylvester_resultant(pa, pc).is_zero
+        shared = [_stripped(_random_linear(rng)), ONE]  # t - l(u) shape
+        pa = t_multiply(shared, _random_coeffs(rng, 3))
+        pc = t_multiply(shared, _random_coeffs(rng, 5))
+        assert sylvester_resultant(pa, pc) == []
 
 
 def test_sylvester_matrix_shape():
-    pa = [_const(1), _const(2), _const(3), _const(4)]
-    pc = [_const(1), _const(2), _const(3), _const(4), _const(5), _const(6)]
+    pa = [[1], [2], [3], [4]]
+    pc = [[1], [2], [3], [4], [5], [6]]
     m = sylvester_matrix(pa, pc)
     assert len(m) == 8 and all(len(row) == 8 for row in m)
+    assert m[0][:6] == [[6], [5], [4], [3], [2], [1]]  # pc block first
+    assert m[3][:4] == [[4], [3], [2], [1]]
 
 
 def test_bareiss_matches_cofactor_on_random_matrices():
     rng = random.Random(11)
     for _ in range(25):
         n = rng.choice([2, 3, 4])
-        matrix = [[_random_linear(rng) for _ in range(n)] for _ in range(n)]
+        matrix = [[_stripped(_random_linear(rng)) for _ in range(n)] for _ in range(n)]
         assert determinant_bareiss(matrix) == determinant_cofactor(matrix)
 
 
 def test_bareiss_handles_zero_pivot():
-    z = SpatialPoly.zero()
-    matrix = [[z, _const(1)], [_const(1), z]]
-    assert determinant_bareiss(matrix) == _const(-1)
-    singular = [[z, z], [_const(1), _const(1)]]
-    assert determinant_bareiss(singular).is_zero
+    matrix = [[[], ONE], [ONE, []]]
+    assert determinant_bareiss(matrix) == [-1]
+    singular = [[[], []], [ONE, ONE]]
+    assert determinant_bareiss(singular) == []
 
 
 def test_resultant_of_coprime_constants():
     # Res at formal degrees (1, 1) of (t - 2, t - 5) is 5 - 2 up to the
     # pinned sign convention.
-    pa = [_const(-2), _const(1)]
-    pc = [_const(-5), _const(1)]
-    assert sylvester_resultant(pa, pc) == _const(3)
+    pa = [[-2], ONE]
+    pc = [[-5], ONE]
+    assert sylvester_resultant(pa, pc) == [3]
 
 
 def test_resultant_homogeneous_for_homogeneous_inputs():
     # x*(2t^3 + 1) and y*(3t^5 + 1) are coprime in t, so the determinant is a
-    # nonzero homogeneous polynomial of degree 5*1 + 3*1.
-    z = SpatialPoly.zero()
-    pa = [X, z, z, X * 2]
-    pc = [Y, z, z, z, z, Y * 3]
+    # nonzero homogeneous polynomial of degree 5*1 + 3*1, which is
+    # c * x^5 * y^3 (one x per row of the cubic's block, one y per row of the
+    # quintic's).  At y = 1, x = u that is the single monomial c * u^5.
+    pa = [U, [], [], [0, 2]]
+    pc = [ONE, [], [], [], [], [3]]
     res = sylvester_resultant(pa, pc)
-    assert not res.is_zero
-    assert res.homogeneous_degree() == 8
+    assert len(res) == 6 and res[:5] == [0] * 5 and res[5] != 0
+
+
+def test_exact_division():
+    p = [1, 2, 3]
+    q = [-4, 0, 5, 7]
+    assert divide_exact(poly_mul(p, q), q) == p
+    assert divide_exact([], q) == []
+    with pytest.raises(ExactDivisionError):
+        divide_exact([1, 0, 1], [1, 1])  # (u^2 + 1) / (u + 1)
+    with pytest.raises(ExactDivisionError):
+        divide_exact([1, 1], [0, 2])  # (u + 1) / (2u): quotient not integral
+    with pytest.raises(ExactDivisionError):
+        divide_exact(U, [])
 
 
 def test_rejects_degenerate_degrees():
     with pytest.raises(ValueError):
-        sylvester_matrix([_const(1)], [_const(1), _const(1)])
+        sylvester_matrix([ONE], [ONE, ONE])

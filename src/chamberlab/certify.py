@@ -7,11 +7,21 @@ directions in the open chamber where it vanishes and whether each such
 direction is a minimal line.  The logical step from "nonzero resultant of the
 right degree" to nonexistence of proper solutions is referenced, not
 recomputed.
+
+The chamber directions come from sign changes of P(cot s), P the resultant
+in u = x/y, with u = cot s rounded to ``precision_bits``.  Each sign is the
+exact sign of P at that rounded cotangent: a fixed-point Horner scheme on
+P's integer coefficients with ``precision_bits`` + 64 fraction bits, whose
+error with n coefficients and |u| < 2**b (b >= 0) is below n * 2**(b*n)
+units of its last place, decides whenever its result lies outside that
+bound, and exact integer evaluation decides otherwise (see _ArcEvaluator).
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -21,7 +31,7 @@ import mpmath
 
 from .cases import CaseSpec
 from .errors import PipelineError, PoleProximityError
-from .field import FieldScalar, embed_real, format_rational
+from .field import FieldScalar, format_rational
 from .poly import NOT_HOMOGENEOUS, SpatialPoly, ZERO_POLY
 from .reduction import ReductionBundle, build_bundle
 from .resultant import sylvester_resultant
@@ -133,38 +143,83 @@ class RootScan:
     warnings: list[str] = field(default_factory=list)
 
 
-class _ArcEvaluator:
-    """Evaluates a homogeneous polynomial at (cos s, sin s), normalized.
+def _homogeneous_horner(coeffs: list[int], x: int, y: int) -> int:
+    """Exact sum of coeffs[i] * x**(n-i) * y**i, n = len(coeffs) - 1 (high first)."""
+    acc = 0
+    ypow = 1
+    for c in coeffs:
+        acc = acc * x + c * ypow
+        ypow *= y
+    return acc
 
-    Coefficients are divided by the largest magnitude so residual thresholds
-    are scale free.  On (0, pi) the sign equals the sign of the cotangent
-    Horner form, which is what the bisection uses.
+
+class _ArcEvaluator:
+    """Evaluates a homogeneous rational polynomial at (cos s, sin s), normalized.
+
+    On (0, pi) the polynomial has the sign of its dehomogenization P(u) at
+    u = cot s.  The coefficients are held as one dense integer list (P times
+    the lcm of their denominators; an irrational coefficient is a
+    PipelineError), and u is ``mpmath.cot(s)`` at ``precision_bits``, an exact
+    dyadic man * 2**exp.
+
+    P(u) runs as a fixed-point Horner scheme with g = precision_bits + 64
+    fraction bits, ``acc = ((acc * U) >> g) + (c << g)`` with U = u * 2**g.
+    When U is exact (exp >= -g) each of the n - 1 shifts truncates by less
+    than one unit, so with n coefficients and |u| < 2**b, b >= 0, the
+    accumulated error is below sum(|u|**k, k < n - 1) <= n * 2**(b*n) units
+    of 2**-g.  An accumulator outside that bound has the sign of P(u);
+    otherwise, or when U is not exact, the sign comes from the exact integer
+    form sum(c_k * man**k * 2**(-exp*(n-1-k))), which is P(u) times a power
+    of two (for exp >= 0, the plain integer Horner at u).  Either way
+    ``cot_form`` returns the exact sign of P at the precision_bits cotangent.
+
+    ``value`` divides the accumulator by the largest coefficient magnitude, so
+    residual thresholds are scale free, and rounds at precision_bits (for
+    |u| < 2**-64, U is truncated to g bits, far below that rounding).
     """
 
     def __init__(self, poly: SpatialPoly, degree: int, precision_bits: int):
         self.degree = degree
         self.precision_bits = precision_bits
-        with mpmath.workprec(precision_bits):
-            coeffs = {}
-            for (a, b), c in poly.terms.items():
-                coeffs[a] = embed_real(c, precision_bits)
-            top = max(abs(v) for v in coeffs.values())
-            self.horner = [coeffs.get(a, mpmath.mpf(0)) / top
-                           for a in range(degree, -1, -1)]
+        self.guard = precision_bits + 64
+        (dense,), _, self.scale = _integer_lists([poly], "arc evaluator", "polynomial")
+        dense += [0] * (degree + 1 - len(dense))
+        self.coeffs = dense[::-1]
+        self.shifted = [c << self.guard for c in self.coeffs]
+        self.top = max(abs(c) for c in dense)
 
-    def cot_form(self, sigma) -> mpmath.mpf:
-        """P(cot sigma); same sign as the polynomial on (0, pi)."""
+    def _fixed_horner(self, sigma) -> tuple[int, int, int]:
+        """(man, exp, acc): cot sigma = man * 2**exp, acc the fixed-point P(cot sigma)."""
         with mpmath.workprec(self.precision_bits):
-            u = mpmath.cot(sigma)
-            acc = mpmath.mpf(0)
-            for coeff in self.horner:
-                acc = acc * u + coeff
-            return acc
+            man, exp = mpmath.cot(sigma).man_exp
+        g = self.guard
+        shift = exp + g
+        big_u = man << shift if shift >= 0 else man >> -shift
+        acc = 0
+        for c in self.shifted:
+            acc = ((acc * big_u) >> g) + c
+        return man, exp, acc
+
+    def cot_form(self, sigma) -> int:
+        """Sign (-1, 0 or 1) of P(cot sigma), the polynomial's sign on (0, pi)."""
+        man, exp, acc = self._fixed_horner(sigma)
+        n = len(self.coeffs)
+        if exp + self.guard < 0 or \
+                abs(acc) <= n << (max(abs(man).bit_length() + exp, 0) * n):
+            x, y = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+            acc = _homogeneous_horner(self.coeffs, x, y)
+        return (acc > 0) - (acc < 0)
 
     def value(self, sigma) -> mpmath.mpf:
         """Normalized polynomial value at (cos sigma, sin sigma)."""
+        _, _, acc = self._fixed_horner(sigma)
         with mpmath.workprec(self.precision_bits):
-            return self.cot_form(sigma) * mpmath.sin(sigma) ** self.degree
+            return mpmath.mpf((acc, -self.guard)) / self.top \
+                * mpmath.sin(sigma) ** self.degree
+
+    def exact_value(self, x: int, y: int) -> FieldScalar:
+        """The polynomial at the integer point (x, y), exactly."""
+        return FieldScalar.rational(_homogeneous_horner(self.coeffs, x, y), self.scale)
 
 
 def chamber_root_scan(res: SpatialPoly, d: int,
@@ -324,8 +379,7 @@ def emit_certificate(case: CaseSpec, report: ResultantReport,
                             "value": float(ev.value(sigma))})
         # Exact nonvanishing witnesses, machine checkable with no rounding.
         for px, py in ((2, 1), (3, 2)):
-            value = report.poly.eval_exact(FieldScalar.rational(px),
-                                           FieldScalar.rational(py))
+            value = ev.exact_value(px, py)
             exact_samples.append({"x": format_rational(FieldScalar.rational(px).a),
                                   "y": format_rational(FieldScalar.rational(py).a),
                                   "value": value.to_text()})
@@ -367,15 +421,29 @@ def certify_case(case: CaseSpec,
     return emit_certificate(case, report, scan, precision_bits, duration_ms)
 
 
+def write_json_atomic(path: Path, document) -> None:
+    """Write document as indented, key-sorted JSON, replacing path in one step.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces path by ``os.replace``: a failed write leaves no partial file and
+    an existing file untouched.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_certificate(certificate: dict, directory: str | Path) -> Path:
     """Write one certificate JSON; the filename is derived from the case label."""
-    import json
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     safe = certificate["label"].replace("(", "_").replace(")", "").replace(",", "_")
     path = directory / f"{safe}.certificate.json"
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(certificate, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json_atomic(path, certificate)
     return path

@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .cases import CaseSpec, default_cases, instantiate_case, load_registry
-from .certify import DEFAULT_PRECISION_BITS, certify_case, write_certificate
+from .certify import DEFAULT_PRECISION_BITS, certify_case, write_certificate, \
+    write_json_atomic
 from .errors import BoundaryError, BoundError, PipelineError, RegistryError
 from .numerics import MODES, IntegratorConfig, integrate_curve, state_from_angle
 from .reduction import build_bundle, bundle_to_json, verify_reference_example
@@ -143,9 +144,7 @@ def _cmd_derive(args) -> int:
         doc = bundle_to_json(bundle)
         safe = case.label.replace("(", "_").replace(")", "").replace(",", "_")
         path = out_dir / f"{safe}.bundle.json"
-        with path.open("w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json_atomic(path, doc)
         if args.format == "text":
             print(f"# {case.label}")
             for j, a in enumerate(bundle.a_coeffs):

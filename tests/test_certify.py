@@ -2,8 +2,11 @@ import json
 import math
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 
+from arc_oracle import MpmathArcEvaluator
+from chamberlab import certify
 from chamberlab.cases import registry_case
 from chamberlab.certify import (
     DEFAULT_PRECISION_BITS,
@@ -270,3 +273,92 @@ def test_arc_evaluator_normalizes():
     assert float(ev.value(math.pi / 4)) == pytest.approx(0.0, abs=1e-15)
     assert float(ev.value(0.1)) == pytest.approx(math.cos(0.1) ** 2 - math.sin(0.1) ** 2,
                                                  abs=1e-12)
+
+
+def _chamber_grid(d, points):
+    hi = math.pi / d
+    margin = 1e-8 * hi
+    return [margin + (hi - 2 * margin) * k / (points - 1) for k in range(points)]
+
+
+def test_arc_evaluator_matches_mpmath_oracle(all_cases):
+    # The oracle evaluates P at the same precision_bits cotangent, with a
+    # Horner loop at twice the precision: signs agree exactly and values to
+    # the evaluator's few final roundings.
+    bits = DEFAULT_PRECISION_BITS
+    tol = mpmath.mpf(2) ** (8 - bits)
+    checked = 0
+    for case in all_cases:
+        report = compute_resultant(build_bundle(case))
+        if not report.degree:
+            continue
+        ev = _ArcEvaluator(report.poly, report.degree, bits)
+        oracle = MpmathArcEvaluator(report.poly, report.degree, bits, 2 * bits)
+        for sigma in _chamber_grid(case.d, 512):
+            expected = oracle.value(sigma)
+            assert ev.cot_form(sigma) == mpmath.sign(expected), (case.label, sigma)
+            assert abs(ev.value(sigma) - expected) <= tol * abs(expected), (case.label, sigma)
+        checked += 1
+    assert checked == 13
+
+
+def test_arc_evaluator_exact_fallback(monkeypatch):
+    # Values far below the fixed-point error bound: (X - Y)^2 and (X - Y)^3
+    # next to the root at pi/4, and X next to pi/2, where cot sigma < 2**-264
+    # has no exact fixed-point image.  Each sign must come from the exact
+    # integer form and agree with a 400-bit Horner loop at the same cotangent.
+    calls = []
+    exact = certify._homogeneous_horner
+    monkeypatch.setattr(certify, "_homogeneous_horner",
+                        lambda *args: calls.append(args) or exact(*args))
+    bits = DEFAULT_PRECISION_BITS
+    with mpmath.workprec(4 * bits):
+        two = mpmath.mpf(2)
+        quarter, half = mpmath.pi / 4, mpmath.pi / 2
+        points = [((X - Y) * (X - Y), 2, quarter + two ** -150),
+                  ((X - Y) * (X - Y), 2, quarter - two ** -150),
+                  ((X - Y) ** 3, 3, quarter + two ** -100),
+                  ((X - Y) ** 3, 3, quarter - two ** -100),
+                  (X, 1, half - two ** -300)]
+    signs = []
+    for poly, degree, sigma in points:
+        oracle = MpmathArcEvaluator(poly, degree, bits, 2 * bits)
+        before = len(calls)
+        sign = _ArcEvaluator(poly, degree, bits).cot_form(sigma)
+        assert len(calls) == before + 1
+        assert sign == mpmath.sign(oracle.cot_form(sigma))
+        signs.append(sign)
+    assert signs == [1, 1, -1, 1, 1]
+
+
+def test_arc_evaluator_rejects_irrational_coefficients():
+    sqrt2_y2 = SpatialPoly.monomial(0, 2, FieldScalar(0, 1))
+    with pytest.raises(PipelineError, match="not rational"):
+        _ArcEvaluator(X * X - sqrt2_y2, 2, DEFAULT_PRECISION_BITS)
+
+
+@pytest.mark.parametrize("name", ["SOn-1", "U5"])
+def test_arc_evaluator_exact_value_matches_eval_exact(name):
+    poly = compute_resultant(build_bundle(registry_case(name))).poly
+    ev = _ArcEvaluator(poly, poly.homogeneous_degree(), DEFAULT_PRECISION_BITS)
+    for px, py in ((2, 1), (3, 2), (-5, 7), (0, 1)):
+        assert ev.exact_value(px, py) == poly.eval_exact(FieldScalar.rational(px),
+                                                         FieldScalar.rational(py))
+
+
+def test_failed_certificate_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    cert = {"label": "U5", "conclusion": "nonexistence-certified"}
+    path = write_certificate(cert, tmp_path)
+    written = path.read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"case": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        write_certificate(dict(cert, label="SU3"), tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        write_certificate(cert, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == written

@@ -9,9 +9,11 @@ This writes ``tests/fixtures/certificates/<label>.certificate.json`` for
 every registry row at its default parameters, with the volatile fields
 ``duration_ms`` and ``created_utc`` removed, and
 ``tests/fixtures/resultant_sha256.json``, which maps each case label to the
-SHA-256 of ``json.dumps(report.poly.to_json())``.  The tests compare the
-current code against these files, so regenerate only when a change of output
-is intended.
+SHA-256 of ``json.dumps(report.poly.to_json())``, and
+``tests/fixtures/bundle_sha256.json``, which maps each case label to the
+SHA-256 of its bundle file as ``chamberlab derive`` writes it.  The tests
+compare the current code against these files, so regenerate only when a
+change of output is intended.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from pathlib import Path
 
 from chamberlab import certify
 from chamberlab.cases import default_cases
+from chamberlab.reduction import build_bundle, bundle_to_json
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 CERTIFICATES = FIXTURES / "certificates"
 RESULTANT_HASHES = FIXTURES / "resultant_sha256.json"
+BUNDLE_HASHES = FIXTURES / "bundle_sha256.json"
 VOLATILE = ("duration_ms", "created_utc")
 
 
@@ -50,6 +54,17 @@ def resultant_sha256(poly) -> str:
     return hashlib.sha256(json.dumps(poly.to_json()).encode("utf-8")).hexdigest()
 
 
+def bundle_sha256(bundle) -> str:
+    """SHA-256 of the bundle file text that ``chamberlab derive`` writes."""
+    text = json.dumps(bundle_to_json(bundle), indent=1, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _write_hashes(path: Path, hashes: dict) -> None:
+    path.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
 def main() -> int:
     reports = []
     compute = certify.compute_resultant
@@ -61,15 +76,17 @@ def main() -> int:
 
     certify.compute_resultant = recording
     hashes = {}
+    bundle_hashes = {}
     CERTIFICATES.mkdir(parents=True, exist_ok=True)
     for case in default_cases():
         certificate = certify.certify_case(case)
         path = certify.write_certificate(certificate, CERTIFICATES)
         path.write_text(stable_certificate_text(certificate), encoding="utf-8")
         hashes[case.label] = resultant_sha256(reports[-1].poly)
+        bundle_hashes[case.label] = bundle_sha256(build_bundle(case))
         print(f"{case.label}: {certificate['conclusion']}", file=sys.stderr)
-    RESULTANT_HASHES.write_text(
-        json.dumps(hashes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    _write_hashes(RESULTANT_HASHES, hashes)
+    _write_hashes(BUNDLE_HASHES, bundle_hashes)
     return 0
 
 

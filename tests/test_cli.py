@@ -1,7 +1,8 @@
+import hashlib
 import json
 
 from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USER_ERROR, main
-from golden import CERTIFICATES, without_volatile_lines
+from golden import BUNDLE_HASHES, CERTIFICATES, without_volatile_lines
 
 
 def test_cases_listing(capsys):
@@ -47,7 +48,10 @@ def test_derive_text_format_prints_coefficients(tmp_path, capsys):
 
 def test_derive_all_cases(tmp_path):
     assert main(["derive", "--case", "all", "--out", str(tmp_path)]) == EXIT_OK
-    assert len(list(tmp_path.glob("*.bundle.json"))) == 14
+    paths = list(tmp_path.glob("*.bundle.json"))
+    assert len(paths) == 14
+    written = {hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert written == set(json.loads(BUNDLE_HASHES.read_text()).values())
 
 
 def test_unknown_case_is_user_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from chamberlab.reduction import (
     reference_example_polys,
     verify_reference_example,
 )
+from golden import BUNDLE_HASHES, bundle_sha256
 
 
 def _rat(p, q=1):
@@ -264,6 +266,13 @@ def test_curvature_formula_equivalence_exact(all_cases):
         for i in range(case.d):
             form_log, form_direct = curvature_expr_pair(case, i)
             assert form_log == form_direct, (case.label, i)
+
+
+def test_bundles_match_golden_hashes(all_cases):
+    golden = json.loads(BUNDLE_HASHES.read_text())
+    assert sorted(golden) == sorted(case.label for case in all_cases)
+    for case in all_cases:
+        assert bundle_sha256(build_bundle(case)) == golden[case.label], case.label
 
 
 def test_pipeline_error_on_invalid_case():

@@ -18,9 +18,8 @@ from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL
     geometric_scalars, integrate_curve, normal_residual, principal_curvatures, \
     state_from_angle, step_candidate, step_minimal
 from .poly import ReducedExpr, SpatialPoly, VelocityForm, arc_derivative
-from .reduction import ReductionBundle, assemble_A, assemble_C, build_bundle, \
-    build_chamber_data, build_R, build_T12, build_T345, build_walls, \
-    derive_R_derivatives, verify_reference_example
+from .reduction import ReductionBundle, build_bundle, build_walls, \
+    verify_reference_example
 from .resultant import determinant_bareiss, sylvester_resultant
 
 __version__ = "0.1.0"
@@ -29,10 +28,9 @@ __all__ = [
     "CaseSpec", "ChamberlabError", "CurveState", "FieldScalar",
     "IntegratorConfig", "MODE_CANDIDATE", "MODE_MINIMAL", "Rat", "ReducedExpr",
     "ReductionBundle", "SpatialPoly", "VelocityForm", "arc_derivative",
-    "assemble_A", "assemble_C", "build_R", "build_T12", "build_T345",
-    "build_bundle", "build_chamber_data", "build_walls", "certify_case",
+    "build_bundle", "build_walls", "certify_case",
     "chamber_root_scan", "classify_line_minimality", "compute_resultant",
-    "default_cases", "derive_R_derivatives", "determinant_bareiss",
+    "default_cases", "determinant_bareiss",
     "embed_real", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",
     "load_registry", "minimal_line_angles", "normal_residual",

@@ -143,6 +143,22 @@ class CaseLab:
                 + self.t4(st.x, st.y) * st.xd * st.yd
                 + self.t5(st.x, st.y) * st.yd**2)
 
+    def ode_form_value(self, st: CurveState, r_dot: float, r_ddot: float) -> float:
+        """Denominator-cleared normal equation rebuilt from given values of R', R''."""
+        q = self.qd(st.x, st.y)
+        vol_num = self.t1(st.x, st.y) * st.xd + self.t2(st.x, st.y) * st.yd
+        quad_num = self.quadratic_term_value(st)
+        r_num = -self.t2(st.x, st.y) * st.xd + self.t1(st.x, st.y) * st.yd
+        return q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
+
+    def f_value(self, kd: float, wall_ks: list[float]) -> float:
+        """Mean-curvature sum f = kd + sum m_i k_i."""
+        return kd + sum(m * k for m, k in zip(self.case.multiplicities, wall_ks))
+
+    def a2_value(self, kd: float, wall_ks: list[float]) -> float:
+        """Squared second fundamental form |A|^2 = kd^2 + sum m_i k_i^2."""
+        return kd * kd + sum(m * k * k for m, k in zip(self.case.multiplicities, wall_ks))
+
     def mode_kd(self, mode: str, st: CurveState) -> float:
         """Planar curvature imposed by the active mode's constraint."""
         return -_MODE_COEFF[mode] * self.R(st.x, st.y, st.xd, st.yd)
@@ -192,15 +208,12 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     laplacian(f) = -f'' - (volume log-derivative) * f'.
     """
     lab = get_lab(case)
-    curvatures = principal_curvatures(st, case, kd, wall_epsilon)
-    wall_part = curvatures[:-1]
-    f = kd + sum(m * k for m, k in zip(case.multiplicities, wall_part))
-    a2 = kd * kd + sum(m * k * k for m, k in zip(case.multiplicities, wall_part))
+    wall_part = principal_curvatures(st, case, kd, wall_epsilon)[:-1]
+    f = lab.f_value(kd, wall_part)
+    a2 = lab.a2_value(kd, wall_part)
 
     def f_at(state: CurveState) -> float:
-        k_mode = lab.mode_kd(mode, state)
-        ks = lab.wall_curvatures(state)
-        return k_mode + sum(m * k for m, k in zip(case.multiplicities, ks))
+        return lab.f_value(lab.mode_kd(mode, state), lab.wall_curvatures(state))
 
     plus = _rk4_step(lab, mode, st, h_fd)
     minus = _rk4_step(lab, mode, st, -h_fd)
@@ -282,12 +295,7 @@ def normal_residual(st: CurveState, case: CaseSpec,
     r_minus = lab.R(minus.x, minus.y, minus.xd, minus.yd)
     r_dot = (r_plus - r_minus) / (2 * h_fd)
     r_ddot = (r_plus - 2 * r_mid + r_minus) / (h_fd * h_fd)
-    q = lab.qd(st.x, st.y)
-    vol_num = lab.t1(st.x, st.y) * st.xd + lab.t2(st.x, st.y) * st.yd
-    quad_num = lab.quadratic_term_value(st)
-    r_num = -lab.t2(st.x, st.y) * st.xd + lab.t1(st.x, st.y) * st.yd
-    ode_value = q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
-    return poly_value, ode_value
+    return poly_value, lab.ode_form_value(st, r_dot, r_ddot)
 
 
 @dataclass
@@ -363,19 +371,15 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
         else:
             kd = lab.mode_kd(cfg.mode, s)
         wall_ks = lab.wall_curvatures(s)
-        f = kd + sum(m * k for m, k in zip(case.multiplicities, wall_ks))
-        a2 = kd * kd + sum(m * k * k for m, k in zip(case.multiplicities, wall_ks))
+        f = lab.f_value(kd, wall_ks)
+        a2 = lab.a2_value(kd, wall_ks)
         if interior:
             max_abs_f = max(max_abs_f, abs(f))
         res_poly = lab.cubic_form_value(s)
         if interior:
             r_dot = (r_values[idx + 1] - r_values[idx - 1]) / (2 * h)
             r_ddot = (r_values[idx + 1] - 2 * r_values[idx] + r_values[idx - 1]) / (h * h)
-            q = lab.qd(s.x, s.y)
-            vol_num = lab.t1(s.x, s.y) * s.xd + lab.t2(s.x, s.y) * s.yd
-            quad_num = lab.quadratic_term_value(s)
-            r_num = -lab.t2(s.x, s.y) * s.xd + lab.t1(s.x, s.y) * s.yd
-            res_ode = q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
+            res_ode = lab.ode_form_value(s, r_dot, r_ddot)
             residual_pairs.append((res_poly, res_ode))
         else:
             res_ode = float("nan")

@@ -1,12 +1,14 @@
 """Symbolic pipeline from a case to its compatibility polynomials.
 
-For a case with chamber type d and multiplicities (m_0 .. m_{d-1}) this builds,
-in order: the d linear wall forms, their product qd, the squared orbit-volume
-polynomial, the volume-derivative coefficients t1, t2, the quadratic-term
-coefficients t3, t4, t5, the wall-curvature sum R with its first and second
-arclength derivatives, and finally the velocity-cubic coefficients A0..A3 and
-the slope-quintic coefficients C0..C5 whose common root structure the
-certificate module interrogates.
+For a case with chamber type d and multiplicities (m_0 .. m_{d-1}),
+``build_bundle`` derives, in one pass and each stage once: the d linear wall
+forms, their product qd and the squared orbit-volume polynomial, the
+quotients qd/w_i, the volume-derivative coefficients t1, t2, the
+quadratic-term coefficients t3, t4, t5, the wall-curvature sum R with its
+first and second arclength derivatives, and finally the velocity-cubic
+coefficients A0..A3 and the slope-quintic coefficients C0..C5 whose common
+root structure the certificate module interrogates.  Every consumer reads
+these from the cached ``ReductionBundle``.
 
 All arithmetic is exact; every degree claim is asserted and a violation raises
 PipelineError (it would indicate a bug, not bad input).
@@ -67,92 +69,12 @@ def build_walls(case: CaseSpec) -> list[SpatialPoly]:
     return walls
 
 
-def build_chamber_data(case: CaseSpec) -> tuple[SpatialPoly, SpatialPoly]:
-    """(qd, volume_sq): plain products over the walls, no renormalization."""
-    walls = build_walls(case)
-    qd = SpatialPoly.constant(1)
-    for w in walls:
-        qd = qd * w
-    volume_sq = SpatialPoly.constant(1)
-    for w, m in zip(walls, case.multiplicities):
-        volume_sq = volume_sq * w ** (2 * m)
-    return qd, volume_sq
-
-
-def wall_quotients(case: CaseSpec) -> list[SpatialPoly]:
-    """qd / w_i for each wall; the divisions are remainder-free by construction."""
-    walls = build_walls(case)
-    qd, _ = build_chamber_data(case)
-    return [qd.divide_exact(w) for w in walls]
-
-
-def build_T12(case: CaseSpec) -> tuple[SpatialPoly, SpatialPoly]:
-    """Coefficients of the arclength derivative of log(volume_sq) times qd/2."""
-    quotients = wall_quotients(case)
-    t1 = SpatialPoly.zero()
-    t2 = SpatialPoly.zero()
-    for i, (m, quot) in enumerate(zip(case.multiplicities, quotients)):
-        s, c = trig_pair(case.d, i)
-        t1 = t1 + quot * (s * FieldScalar.rational(m))
-        t2 = t2 - quot * (c * FieldScalar.rational(m))
-    return t1, t2
-
-
-def build_R(case: CaseSpec) -> ReducedExpr:
-    """Wall-curvature sum as (-t2*xd + t1*yd) / qd."""
-    t1, t2 = build_T12(case)
-    qd, _ = build_chamber_data(case)
-    return ReducedExpr(VelocityForm.velocity_linear(-t2, t1), 1, qd)
-
-
-def build_T345(case: CaseSpec) -> tuple[SpatialPoly, SpatialPoly, SpatialPoly]:
-    """Coefficients of the velocity-quadratic term (R^2/9 + weighted curvature squares)."""
-    t1, t2 = build_T12(case)
-    quotients = wall_quotients(case)
-    t3 = t2 * t2 * _NINTH
-    t4 = t1 * t2 * FieldScalar.rational(-2, 9)
-    t5 = t1 * t1 * _NINTH
-    for i, (m, quot) in enumerate(zip(case.multiplicities, quotients)):
-        s, c = trig_pair(case.d, i)
-        quot_sq = quot * quot
-        mf = FieldScalar.rational(m)
-        t3 = t3 + quot_sq * (c * c * mf)
-        t4 = t4 + quot_sq * (s * c * (mf + mf))
-        t5 = t5 + quot_sq * (s * s * mf)
-    return t3, t4, t5
-
-
-def derive_R_derivatives(case: CaseSpec) -> tuple[ReducedExpr, ReducedExpr]:
-    """First and second arclength derivatives of the wall-curvature sum."""
-    r = build_R(case)
-    r_dot = arc_derivative(r, r)
-    r_ddot = arc_derivative(r_dot, r)
-    return r_dot, r_ddot
-
-
 def _check_homogeneous(poly: SpatialPoly, degree: int, what: str, case: CaseSpec):
     got = poly.homogeneous_degree()
     if got == "zero":
         return
     if got != degree:
         raise PipelineError(f"{case.label}: {what} has degree {got!r}, expected {degree}")
-
-
-def assemble_A(case: CaseSpec) -> tuple[SpatialPoly, SpatialPoly, SpatialPoly, SpatialPoly]:
-    """Velocity-cubic coefficients of the normal equation cleared of denominators.
-
-    The three contributions (second derivative of R, volume term times first
-    derivative, quadratic term times R) are each velocity-cubic once multiplied
-    by qd^3, so collection is purely syntactic.
-    """
-    bundle = _core_bundle(case)
-    return bundle[0]
-
-
-def assemble_C(case: CaseSpec) -> tuple[SpatialPoly, ...]:
-    """Slope-quintic coefficients obtained from the x-derivative of the cubic."""
-    bundle = _core_bundle(case)
-    return bundle[1]
 
 
 def quintic_table(qd: SpatialPoly, t1: SpatialPoly, t2: SpatialPoly,
@@ -179,51 +101,60 @@ def quintic_table(qd: SpatialPoly, t1: SpatialPoly, t2: SpatialPoly,
 
 
 @lru_cache(maxsize=None)
-def _core_bundle(case: CaseSpec):
-    t1, t2 = build_T12(case)
-    t3, t4, t5 = build_T345(case)
-    qd, _ = build_chamber_data(case)
-    r = build_R(case)
-    r_dot = arc_derivative(r, r)
-    r_ddot = arc_derivative(r_dot, r)
-
-    volume_term = VelocityForm.velocity_linear(t1, t2)
-    quad_term = VelocityForm(2, {(2, 0): t3, (1, 1): t4, (0, 2): t5})
-    cubic = r_ddot.num + volume_term * r_dot.num - quad_term * r.num
-    if cubic.vdeg != 3:
-        raise PipelineError(f"{case.label}: assembled form has velocity degree {cubic.vdeg}")
-    a = tuple(cubic.coefficient(3 - j, j) for j in range(4))
-    c = quintic_table(qd, t1, t2, a)
-
-    deg_a = 3 * (case.d - 1)
-    deg_c = 4 * (case.d - 1)
-    for j, poly in enumerate(a):
-        _check_homogeneous(poly, deg_a, f"A{j}", case)
-    for j, poly in enumerate(c):
-        _check_homogeneous(poly, deg_c, f"C{j}", case)
-    return a, c
-
-
-@lru_cache(maxsize=None)
 def build_bundle(case: CaseSpec) -> ReductionBundle:
-    """Run the whole symbolic pipeline for one case, with degree checks."""
+    """Run the whole symbolic pipeline for one case, each stage once, with degree checks."""
     violations = validate_case(case)
     if violations:
         raise PipelineError(f"{case.label}: invalid case: {violations}")
+    d = case.d
+    mults = case.multiplicities
+
+    # qd and volume_sq: plain products over the walls, no renormalization.
     walls = build_walls(case)
-    qd, volume_sq = build_chamber_data(case)
-    t1, t2 = build_T12(case)
-    t3, t4, t5 = build_T345(case)
-    r = build_R(case)
+    qd = SpatialPoly.constant(1)
+    volume_sq = SpatialPoly.constant(1)
+    for w, m in zip(walls, mults):
+        qd = qd * w
+        volume_sq = volume_sq * w ** (2 * m)
+
+    # t1, t2: the arclength derivative of log(volume_sq) times qd/2.
+    # t3, t4, t5: the velocity-quadratic term, weighted curvature squares
+    # plus R^2/9.  Each qd / w_i is remainder-free by construction.
+    t1 = t2 = t3 = t4 = t5 = SpatialPoly.zero()
+    for i, (w, m) in enumerate(zip(walls, mults)):
+        s, c = trig_pair(d, i)
+        mf = FieldScalar.rational(m)
+        quot = qd.divide_exact(w)
+        quot_sq = quot * quot
+        t1 = t1 + quot * (s * mf)
+        t2 = t2 - quot * (c * mf)
+        t3 = t3 + quot_sq * (c * c * mf)
+        t4 = t4 + quot_sq * (s * c * (mf + mf))
+        t5 = t5 + quot_sq * (s * s * mf)
+    t3 = t3 + t2 * t2 * _NINTH
+    t4 = t4 + t1 * t2 * FieldScalar.rational(-2, 9)
+    t5 = t5 + t1 * t1 * _NINTH
+
+    # The wall-curvature sum R = (-t2*xd + t1*yd) / qd and its first and
+    # second arclength derivatives.
+    r = ReducedExpr(VelocityForm.velocity_linear(-t2, t1), 1, qd)
     r_dot = arc_derivative(r, r)
     r_ddot = arc_derivative(r_dot, r)
-    a, c = _core_bundle(case)
 
-    d = case.d
+    # The normal equation cleared of denominators.  Its three contributions
+    # (second derivative of R, volume term times first derivative, quadratic
+    # term times R) are each velocity-cubic over qd^3, so collecting A is
+    # purely syntactic; C follows from the x-derivative of the cubic.
+    volume_term = VelocityForm.velocity_linear(t1, t2)
+    quad_term = VelocityForm(2, {(2, 0): t3, (1, 1): t4, (0, 2): t5})
+    cubic = r_ddot.num + volume_term * r_dot.num - quad_term * r.num
+    a = tuple(cubic.coefficient(3 - j, j) for j in range(4))
+    c = quintic_table(qd, t1, t2, a)
+
     for i, w in enumerate(walls):
         _check_homogeneous(w, 1, f"wall {i}", case)
     _check_homogeneous(qd, d, "qd", case)
-    _check_homogeneous(volume_sq, 2 * sum(case.multiplicities), "volume_sq", case)
+    _check_homogeneous(volume_sq, 2 * sum(mults), "volume_sq", case)
     _check_homogeneous(t1, d - 1, "t1", case)
     _check_homogeneous(t2, d - 1, "t2", case)
     for name, poly in (("t3", t3), ("t4", t4), ("t5", t5)):
@@ -234,6 +165,12 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
                                 f"(vdeg={expr.velocity_degree}, qd_power={expr.qd_power})")
         for (p, q), poly in expr.num.terms.items():
             _check_homogeneous(poly, power * (d - 1), f"{label} coeff xd^{p} yd^{q}", case)
+    if cubic.vdeg != 3:
+        raise PipelineError(f"{case.label}: assembled form has velocity degree {cubic.vdeg}")
+    for j, poly in enumerate(a):
+        _check_homogeneous(poly, 3 * (d - 1), f"A{j}", case)
+    for j, poly in enumerate(c):
+        _check_homogeneous(poly, 4 * (d - 1), f"C{j}", case)
 
     return ReductionBundle(
         case=case, walls=walls, qd=qd, volume_sq=volume_sq,
@@ -250,9 +187,9 @@ def curvature_expr_pair(case: CaseSpec, i: int) -> tuple[ReducedExpr, ReducedExp
     second is the direct ratio w_i(yd, -xd) / w_i(x, y).  Both are returned as
     reduced expressions over powers of qd so equality is decidable exactly.
     """
-    walls = build_walls(case)
-    qd, _ = build_chamber_data(case)
-    w = walls[i]
+    bundle = build_bundle(case)
+    qd = bundle.qd
+    w = bundle.walls[i]
     quot = qd.divide_exact(w)
 
     # Directional derivative along nu = (-yd, xd): nu(P) has xd-coefficient
@@ -299,7 +236,7 @@ def verify_reference_example() -> dict:
     from .cases import registry_case
 
     case = registry_case("U5")
-    a = assemble_A(case)
+    a = build_bundle(case).a_coeffs
     ref = reference_example_polys()
 
     anchor = (9, 0)

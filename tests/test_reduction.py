@@ -6,17 +6,11 @@ import pytest
 from chamberlab.cases import registry_case
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar, HALF, ONE, SQRT2, ZERO
-from chamberlab.poly import SpatialPoly, VelocityForm, X, Y
+from chamberlab.poly import SpatialPoly, VelocityForm, X, Y, arc_derivative
 from chamberlab.reduction import (
-    assemble_A,
     build_bundle,
-    build_chamber_data,
-    build_R,
-    build_T12,
-    build_T345,
     build_walls,
     curvature_expr_pair,
-    derive_R_derivatives,
     reference_example_polys,
     verify_reference_example,
 )
@@ -50,7 +44,8 @@ def test_walls_low_types():
 
 
 def test_chamber_data_u5(u5):
-    qd, vol = build_chamber_data(u5)
+    b = build_bundle(u5)
+    qd, vol = b.qd, b.volume_sq
     assert qd == X * Y * (X * X - Y * Y) * _rat(-1, 2)
     expected = (X ** 10) * (Y ** 10) * ((X * X - Y * Y) ** 8) * _rat(1, 256)
     assert vol == expected
@@ -58,14 +53,15 @@ def test_chamber_data_u5(u5):
 
 def test_chamber_data_d2():
     case = registry_case("SOpxSOq", {"p": 2, "q": 2})
-    qd, vol = build_chamber_data(case)
+    b = build_bundle(case)
+    qd, vol = b.qd, b.volume_sq
     assert qd == -(X * Y)
     assert vol == X * X * Y * Y
 
 
 def test_volume_sq_vanishes_on_wall(u5):
     # (1, 1) lies on the x = y wall of the quarter-cone chamber.
-    _, vol = build_chamber_data(u5)
+    vol = build_bundle(u5).volume_sq
     assert vol.eval_exact(ONE, ONE) == ZERO
     assert vol.eval_float(1.0, 1.0) == 0.0
 
@@ -86,27 +82,31 @@ def test_chamber_sign_pattern_on_arc(all_cases):
 
 
 def test_t12_single_wall():
-    t1, t2 = build_T12(registry_case("SOn-1"))
+    b = build_bundle(registry_case("SOn-1"))
+    t1, t2 = b.t1, b.t2
     assert t1.is_zero
     assert t2 == SpatialPoly.constant(-1)
 
 
 def test_t12_d2_parametric():
-    t1, t2 = build_T12(registry_case("SOpxSOq", {"p": 2, "q": 3}))
+    b = build_bundle(registry_case("SOpxSOq", {"p": 2, "q": 3}))
+    t1, t2 = b.t1, b.t2
     assert t1 == -Y          # -(p-1) y
     assert t2 == X * _rat(-2)  # -(q-1) x
 
 
 def test_t12_degrees(all_cases):
     for case in all_cases:
-        t1, t2 = build_T12(case)
+        b = build_bundle(case)
+        t1, t2 = b.t1, b.t2
         if not t1.is_zero:
             assert t1.homogeneous_degree() == case.d - 1, case.label
         assert t2.homogeneous_degree() == case.d - 1, case.label
 
 
 def test_t345_single_wall():
-    t3, t4, t5 = build_T345(registry_case("SOn-1"))
+    b = build_bundle(registry_case("SOn-1"))
+    t3, t4, t5 = b.t3, b.t4, b.t5
     assert t3 == SpatialPoly.constant(_rat(10, 9))
     assert t4.is_zero and t5.is_zero
 
@@ -114,7 +114,8 @@ def test_t345_single_wall():
 def test_t345_d2():
     # Independently derived with a computer-algebra prototype of the same
     # formulas (frozen oracle).
-    t3, t4, t5 = build_T345(registry_case("SOpxSOq", {"p": 2, "q": 2}))
+    b = build_bundle(registry_case("SOpxSOq", {"p": 2, "q": 2}))
+    t3, t4, t5 = b.t3, b.t4, b.t5
     assert t3 == X * X * _rat(10, 9)
     assert t4 == X * Y * _rat(-2, 9)
     assert t5 == Y * Y * _rat(10, 9)
@@ -123,14 +124,16 @@ def test_t345_d2():
 def test_t345_mirror_symmetry_u5(u5):
     # Empirical check for the mirror-symmetric multiplicity pattern; nothing
     # in the pipeline assumes it.
-    t3, t4, t5 = build_T345(u5)
+    b = build_bundle(u5)
+    t3, t4, t5 = b.t3, b.t4, b.t5
     assert t3.swap_variables() == t5
     assert t4.swap_variables() == t4
 
 
 def test_t345_degrees(all_cases):
     for case in all_cases:
-        for t in build_T345(case):
+        b = build_bundle(case)
+        for t in (b.t3, b.t4, b.t5):
             if not t.is_zero:
                 assert t.homogeneous_degree() == 2 * case.d - 2, case.label
 
@@ -139,13 +142,13 @@ def test_t345_degrees(all_cases):
 
 
 def test_r_single_wall_is_minus_xd_over_y():
-    r = build_R(registry_case("SOn-1"))
+    r = build_bundle(registry_case("SOn-1")).r
     value = r.eval_exact(_rat(3), _rat(2), ONE, ZERO)
     assert value == _rat(-1, 2)
 
 
 def test_r_equals_weighted_curvature_sum_u5(u5):
-    r = build_R(u5)
+    r = build_bundle(u5).r
     x, y = _rat(2), _rat(1)
     xd, yd = _rat(3, 5), _rat(4, 5)
     walls = build_walls(u5)
@@ -161,7 +164,8 @@ def test_r_equals_weighted_curvature_sum_u5(u5):
 
 def test_r_derivative_shapes(all_cases):
     for case in all_cases:
-        r_dot, r_ddot = derive_R_derivatives(case)
+        b = build_bundle(case)
+        r_dot, r_ddot = b.r_dot, b.r_ddot
         assert (r_dot.velocity_degree, r_dot.qd_power) == (2, 2), case.label
         assert (r_ddot.velocity_degree, r_ddot.qd_power) == (3, 3), case.label
         for expr, stage in ((r_dot, 2), (r_ddot, 3)):
@@ -170,7 +174,7 @@ def test_r_derivative_shapes(all_cases):
 
 
 def test_r_dot_single_wall():
-    r_dot, _ = derive_R_derivatives(registry_case("SOn-1"))
+    r_dot = build_bundle(registry_case("SOn-1")).r_dot
     expected = VelocityForm(2, {(1, 1): SpatialPoly.constant(_rat(4, 3))})
     assert r_dot.num == expected
 
@@ -179,7 +183,7 @@ def test_r_dot_single_wall():
 
 
 def test_assemble_a_single_wall():
-    a = assemble_A(registry_case("SOn-1"))
+    a = build_bundle(registry_case("SOn-1")).a_coeffs
     assert [p.to_json() for p in a] == [
         [[0, 0, _rat(-14, 9).to_text()]],
         [],
@@ -190,7 +194,7 @@ def test_assemble_a_single_wall():
 
 def test_assemble_a_d2():
     # Frozen oracle from an independent computer-algebra run of the pipeline.
-    a = assemble_A(registry_case("SOpxSOq", {"p": 2, "q": 2}))
+    a = build_bundle(registry_case("SOpxSOq", {"p": 2, "q": 2})).a_coeffs
     assert a[0] == _poly({(3, 0): (-14, 9), (1, 2): (4, 9)})
     assert a[1] == _poly({(2, 1): (8, 9), (0, 3): (-16, 9)})
     assert a[2] == _poly({(3, 0): (16, 9), (1, 2): (-8, 9)})
@@ -275,6 +279,27 @@ def test_bundles_match_golden_hashes(all_cases):
         assert bundle_sha256(build_bundle(case)) == golden[case.label], case.label
 
 
+def test_bundle_derives_each_stage_once(monkeypatch, u5):
+    # R' and R'' are two arclength derivatives, taken through the module
+    # global so that profilers can wrap it.
+    from chamberlab import reduction
+
+    calls = []
+
+    def counting(expr, r):
+        calls.append(expr)
+        return arc_derivative(expr, r)
+
+    monkeypatch.setattr(reduction, "arc_derivative", counting)
+    build_bundle.cache_clear()
+    try:
+        bundle = build_bundle(u5)
+    finally:
+        build_bundle.cache_clear()
+    assert len(calls) == 2
+    assert calls == [bundle.r, bundle.r_dot]
+
+
 def test_pipeline_error_on_invalid_case():
     from chamberlab.cases import CaseSpec
 
@@ -303,8 +328,10 @@ def test_reference_example_detects_tampering(monkeypatch, u5):
     from chamberlab import cases as cases_module
     from chamberlab.cases import CaseSpec
 
+    # One more on the third multiplicity, one less on n: a valid case whose
+    # cubic differs from the published one.
     tampered = CaseSpec(name="U5", group=u5.group, action=u5.action,
-                        n=u5.n, d=u5.d, multiplicities=(4, 4, 5, 4))
+                        n=u5.n - 1, d=u5.d, multiplicities=(4, 4, 5, 4))
     monkeypatch.setattr(cases_module, "registry_case",
                         lambda name, params=None, registry=None: tampered)
     report = verify_reference_example()
@@ -312,8 +339,21 @@ def test_reference_example_detects_tampering(monkeypatch, u5):
     assert report["diffs"]
 
 
+def test_reference_example_rejects_inconsistent_case(monkeypatch, u5):
+    from chamberlab import cases as cases_module
+    from chamberlab.cases import CaseSpec
+
+    # The multiplicities no longer satisfy 1 + sum(m) = n - 1.
+    inconsistent = CaseSpec(name="U5", group=u5.group, action=u5.action,
+                            n=u5.n, d=u5.d, multiplicities=(4, 4, 5, 4))
+    monkeypatch.setattr(cases_module, "registry_case",
+                        lambda name, params=None, registry=None: inconsistent)
+    with pytest.raises(PipelineError, match="invalid case"):
+        verify_reference_example()
+
+
 def test_u5_mirror_symmetry_of_derived_coefficients(u5):
-    a = assemble_A(u5)
+    a = build_bundle(u5).a_coeffs
     assert a[0].swap_variables() == a[3]
     assert a[1].swap_variables() == a[2]
 
@@ -322,5 +362,5 @@ def test_mirror_symmetry_only_for_symmetric_multiplicities():
     # Not assumed by the pipeline; checked empirically where multiplicities
     # are mirror symmetric (m_i == m_{d-1-i} fails for SOpxSOq p != q).
     asym = registry_case("SOpxSOq", {"p": 2, "q": 4})
-    a = assemble_A(asym)
+    a = build_bundle(asym).a_coeffs
     assert a[0].swap_variables() != a[3]

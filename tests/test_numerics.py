@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 
@@ -22,6 +23,7 @@ from chamberlab.numerics import (
     step_candidate,
     step_minimal,
 )
+from golden import TRAJECTORY_HASHES, trajectory_hashes
 
 
 def _random_interior_state(case, rng, radius=(0.7, 1.5)):
@@ -266,3 +268,9 @@ def test_integrator_config_validation():
         IntegratorConfig(mode="fancy")
     with pytest.raises(ValueError):
         IntegratorConfig(wall_epsilon=-1.0)
+
+
+def test_trajectories_match_golden_hashes():
+    # SOpxSOq, SU3, SO5 and G2 in both modes, 1000 RK4 steps each: every CSV
+    # byte must match the fixture written by tests/golden.py.
+    assert trajectory_hashes() == json.loads(TRAJECTORY_HASHES.read_text())

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 some case not certified (every certificate and the
 table are still written), 2 user error (unknown case, bad parameters, bad
-start state), 3 internal pipeline invariant violation.  All outputs are
-reproducible run to run except timestamp and duration metadata.
+start state, bad integrator setting), 3 internal pipeline invariant
+violation.  All outputs are reproducible run to run except timestamp and
+duration metadata.
 """
 
 from __future__ import annotations
@@ -193,8 +194,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_integrate(args) -> int:
     (case,) = _select_cases(args.case, _parse_params(args.param), allow_all=False)
-    cfg = IntegratorConfig(step=args.step_size, max_steps=args.steps,
-                           wall_epsilon=args.wall_epsilon, mode=args.mode)
+    try:
+        cfg = IntegratorConfig(step=args.step_size, max_steps=args.steps,
+                               wall_epsilon=args.wall_epsilon, mode=args.mode)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
     init = state_from_angle(args.x0, args.y0, args.angle)
     trajectory = integrate_curve(init, cfg, case)
     if args.out == "-":

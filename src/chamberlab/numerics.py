@@ -7,11 +7,20 @@ the finite-difference oracles that cross-validate the symbolic pipeline.
 Unit speed is never renormalized: the drift is one of the measured
 diagnostics.  Curvatures blow up like 1/w near a wall, so integration stops
 at the configured wall tolerance rather than continuing into garbage.
+
+Evaluation order is part of the output: every polynomial is compiled once per
+case into a straight-line function that adds its terms left to right in
+``float_terms()`` order (see :func:`_float_poly`), and every other float sum
+here is an explicit left-to-right loop rather than builtin ``sum``, which
+compensates on Python 3.12+.  So a trajectory's CSV bytes depend only on the
+float coefficients, not on the Python version.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,24 +61,38 @@ class IntegratorConfig:
     mode: str = MODE_MINIMAL
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.wall_epsilon <= 0:
-            raise ValueError("wall_epsilon must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+        if not (math.isfinite(self.wall_epsilon) and self.wall_epsilon > 0):
+            raise ValueError(f"wall_epsilon must be positive and finite, got {self.wall_epsilon}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
 
-class _FloatPoly:
-    """A SpatialPoly compiled to double-precision terms."""
+def _float_poly(poly) -> Callable[[float, float], float]:
+    """Compile a SpatialPoly into one straight-line double-precision function.
 
-    __slots__ = ("terms",)
-
-    def __init__(self, poly):
-        self.terms = poly.float_terms()
-
-    def __call__(self, x: float, y: float) -> float:
-        return sum(c * x**a * y**b for a, b, c in self.terms)
+    Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms of
+    ``poly.float_terms()`` in that order, the function computes
+    ``0 + c_0 * x**a_0 * y**b_0 + c_1 * x**a_1 * y**b_1 + ...``, each product
+    and each sum left to right, so every call rounds exactly as the plain
+    left-to-right loop does, on any Python version (builtin ``sum`` of floats
+    compensates since 3.12).  The zero polynomial returns the int 0.  The
+    function is built from ``ast`` nodes with the coefficients as float
+    constants: no source text is formatted or parsed.
+    """
+    x, y = ast.Name("x", ast.Load()), ast.Name("y", ast.Load())
+    body = ast.Constant(0)
+    for a, b, c in poly.float_terms():
+        term = ast.BinOp(ast.Constant(c), ast.Mult(), ast.BinOp(x, ast.Pow(), ast.Constant(a)))
+        term = ast.BinOp(term, ast.Mult(), ast.BinOp(y, ast.Pow(), ast.Constant(b)))
+        body = ast.BinOp(body, ast.Add(), term)
+    params = ast.arguments(posonlyargs=[], args=[ast.arg("x"), ast.arg("y")],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
+    return eval(compile(tree, "<float_poly>", "eval"), {"__builtins__": {}})
 
 
 class CaseLab:
@@ -79,15 +102,15 @@ class CaseLab:
         self.case = case
         bundle = build_bundle(case)
         self.bundle = bundle
-        self.walls = [_FloatPoly(w) for w in bundle.walls]
-        self.qd = _FloatPoly(bundle.qd)
-        self.t1 = _FloatPoly(bundle.t1)
-        self.t2 = _FloatPoly(bundle.t2)
-        self.t3 = _FloatPoly(bundle.t3)
-        self.t4 = _FloatPoly(bundle.t4)
-        self.t5 = _FloatPoly(bundle.t5)
-        self.a_coeffs = [_FloatPoly(a) for a in bundle.a_coeffs]
-        self.r_dot_terms = [(p, q, _FloatPoly(poly))
+        self.walls = [_float_poly(w) for w in bundle.walls]
+        self.qd = _float_poly(bundle.qd)
+        self.t1 = _float_poly(bundle.t1)
+        self.t2 = _float_poly(bundle.t2)
+        self.t3 = _float_poly(bundle.t3)
+        self.t4 = _float_poly(bundle.t4)
+        self.t5 = _float_poly(bundle.t5)
+        self.a_coeffs = [_float_poly(a) for a in bundle.a_coeffs]
+        self.r_dot_terms = [(p, q, _float_poly(poly))
                             for (p, q), poly in bundle.r_dot.num.terms.items()]
 
     # -- chamber geometry ----------------------------------------------------
@@ -122,8 +145,9 @@ class CaseLab:
     def r_dot_symbolic(self, st: CurveState) -> float:
         """Float evaluation of the exact first arclength derivative of R."""
         q = self.qd(st.x, st.y)
-        num = sum(poly(st.x, st.y) * st.xd**p * st.yd**q_exp
-                  for p, q_exp, poly in self.r_dot_terms)
+        num = 0
+        for p, q_exp, poly in self.r_dot_terms:
+            num += poly(st.x, st.y) * st.xd**p * st.yd**q_exp
         return num / (q * q)
 
     def volume_log_derivative(self, st: CurveState) -> float:
@@ -146,18 +170,26 @@ class CaseLab:
     def ode_form_value(self, st: CurveState, r_dot: float, r_ddot: float) -> float:
         """Denominator-cleared normal equation rebuilt from given values of R', R''."""
         q = self.qd(st.x, st.y)
-        vol_num = self.t1(st.x, st.y) * st.xd + self.t2(st.x, st.y) * st.yd
+        t1 = self.t1(st.x, st.y)
+        t2 = self.t2(st.x, st.y)
+        vol_num = t1 * st.xd + t2 * st.yd
         quad_num = self.quadratic_term_value(st)
-        r_num = -self.t2(st.x, st.y) * st.xd + self.t1(st.x, st.y) * st.yd
+        r_num = -t2 * st.xd + t1 * st.yd
         return q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
 
     def f_value(self, kd: float, wall_ks: list[float]) -> float:
         """Mean-curvature sum f = kd + sum m_i k_i."""
-        return kd + sum(m * k for m, k in zip(self.case.multiplicities, wall_ks))
+        total = 0
+        for m, k in zip(self.case.multiplicities, wall_ks):
+            total += m * k
+        return kd + total
 
     def a2_value(self, kd: float, wall_ks: list[float]) -> float:
         """Squared second fundamental form |A|^2 = kd^2 + sum m_i k_i^2."""
-        return kd * kd + sum(m * k * k for m, k in zip(self.case.multiplicities, wall_ks))
+        total = 0
+        for m, k in zip(self.case.multiplicities, wall_ks):
+            total += m * k * k
+        return kd * kd + total
 
     def mode_kd(self, mode: str, st: CurveState) -> float:
         """Planar curvature imposed by the active mode's constraint."""
@@ -232,13 +264,19 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
 
 
 def _rk4_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
-    coeff = _MODE_COEFF[mode]
+    return _rk4_advance(lab, _MODE_COEFF[mode], st, h, lab.R(st.x, st.y, st.xd, st.yd))
+
+
+def _rk4_advance(lab: CaseLab, coeff: float, st: CurveState, h: float,
+                 r0: float) -> CurveState:
+    """One RK4 step whose k1 stage uses r0, the value of R at st."""
 
     def rhs(x, y, xd, yd):
         w = coeff * lab.R(x, y, xd, yd)
         return xd, yd, w * yd, -w * xd
 
-    k1 = rhs(st.x, st.y, st.xd, st.yd)
+    w0 = coeff * r0
+    k1 = st.xd, st.yd, w0 * st.yd, -w0 * st.xd
     k2 = rhs(st.x + 0.5 * h * k1[0], st.y + 0.5 * h * k1[1],
              st.xd + 0.5 * h * k1[2], st.yd + 0.5 * h * k1[3])
     k3 = rhs(st.x + 0.5 * h * k2[0], st.y + 0.5 * h * k2[1],
@@ -338,25 +376,32 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     integrator error instead of being hidden by the mode constraint.  At the
     endpoints (no neighbors) the mode constraint value is used.  res_ode needs
     the same neighbors and is NaN at the endpoints.
+
+    R is evaluated once per state: the value that serves as the RK4 step's k1
+    stage is kept for the finite differences of the post-pass.
     """
     lab = get_lab(case)
     if not lab.inside(init.x, init.y, cfg.wall_epsilon):
         raise BoundaryError(
             f"initial state ({init.x}, {init.y}) is not strictly inside the chamber")
+    coeff = _MODE_COEFF[cfg.mode]
+    h = cfg.step
     states = [init]
+    r_values = []
     stop_reason = "max_steps"
     st = init
     for _ in range(cfg.max_steps):
-        nxt = _rk4_step(lab, cfg.mode, st, cfg.step)
+        r_values.append(lab.R(st.x, st.y, st.xd, st.yd))
+        nxt = _rk4_advance(lab, coeff, st, h, r_values[-1])
         if not lab.inside(nxt.x, nxt.y, cfg.wall_epsilon):
             stop_reason = "boundary"
             break
         states.append(nxt)
         st = nxt
+    if len(r_values) < len(states):
+        r_values.append(lab.R(st.x, st.y, st.xd, st.yd))
 
-    r_values = [lab.R(s.x, s.y, s.xd, s.yd) for s in states]
     n = len(states)
-    h = cfg.step
     rows = []
     residual_pairs = []
     max_abs_f = 0.0
@@ -369,7 +414,7 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
             ydd = (states[idx + 1].yd - states[idx - 1].yd) / (2 * h)
             kd = ydd * s.xd - xdd * s.yd
         else:
-            kd = lab.mode_kd(cfg.mode, s)
+            kd = -coeff * r_values[idx]
         wall_ks = lab.wall_curvatures(s)
         f = lab.f_value(kd, wall_ks)
         a2 = lab.a2_value(kd, wall_ks)

@@ -159,6 +159,19 @@ def test_integrate_outside_chamber_is_user_error(tmp_path, capsys):
     assert "chamber" in capsys.readouterr().err
 
 
+def test_integrate_bad_setting_is_user_error(tmp_path, capsys):
+    # A rejected integrator setting is reported, not raised: exit 2, no CSV.
+    for flag, value in (("--step-size", "0"), ("--step-size", "nan"),
+                        ("--steps", "-3"), ("--wall-epsilon", "inf")):
+        out = tmp_path / "x.csv"
+        code = main(["integrate", "--case", "SU3", "--mode", "minimal",
+                     "--x0", "1", "--y0", "0.3", "--angle", "0.7",
+                     flag, value, "--out", str(out)])
+        assert code == EXIT_USER_ERROR, (flag, value)
+        assert capsys.readouterr().err.startswith("error: "), (flag, value)
+        assert not out.exists()
+
+
 def test_verify_reference_example_passes(capsys):
     assert main(["verify-paper-example"]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out

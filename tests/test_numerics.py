@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from chamberlab import numerics
 from chamberlab.cases import registry_case
 from chamberlab.certify import minimal_line_angles
 from chamberlab.errors import BoundaryError
 from chamberlab.numerics import (
     CSV_HEADER,
+    CaseLab,
     CurveState,
     IntegratorConfig,
     MODE_CANDIDATE,
@@ -23,6 +25,8 @@ from chamberlab.numerics import (
     step_candidate,
     step_minimal,
 )
+from chamberlab.poly import SpatialPoly
+from float_poly_oracle import float_poly_value
 from golden import TRAJECTORY_HASHES, trajectory_hashes
 
 
@@ -268,9 +272,67 @@ def test_integrator_config_validation():
         IntegratorConfig(mode="fancy")
     with pytest.raises(ValueError):
         IntegratorConfig(wall_epsilon=-1.0)
+    for bad in ({"step": math.nan}, {"step": math.inf}, {"step": -math.inf},
+                {"wall_epsilon": math.nan}, {"wall_epsilon": math.inf},
+                {"max_steps": -3}, {"max_steps": -1}):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**bad)
+    assert IntegratorConfig(max_steps=0).max_steps == 0
 
 
 def test_trajectories_match_golden_hashes():
     # SOpxSOq, SU3, SO5 and G2 in both modes, 1000 RK4 steps each: every CSV
     # byte must match the fixture written by tests/golden.py.
     assert trajectory_hashes() == json.loads(TRAJECTORY_HASHES.read_text())
+
+
+def _lab_polynomials(lab):
+    """(compiled evaluator, source polynomial) for every polynomial of a lab."""
+    b = lab.bundle
+    pairs = list(zip(lab.walls, b.walls))
+    pairs += [(lab.qd, b.qd), (lab.t1, b.t1), (lab.t2, b.t2), (lab.t3, b.t3),
+              (lab.t4, b.t4), (lab.t5, b.t5)]
+    pairs += list(zip(lab.a_coeffs, b.a_coeffs))
+    pairs += [(fn, b.r_dot.num.terms[(p, q)]) for p, q, fn in lab.r_dot_terms]
+    return pairs
+
+
+def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
+    # walls, qd, t1..t5, A0..A3 and the r_dot terms of every default row, at
+    # random chamber points: the compiled value equals the term loop's exactly.
+    rng = random.Random(6)
+    for case in all_cases:
+        lab = get_lab(case)
+        pairs = _lab_polynomials(lab)
+        assert len(pairs) == case.d + 10 + len(lab.r_dot_terms)
+        for _ in range(20):
+            st = _random_interior_state(case, rng, radius=(0.2, 5.0))
+            for fn, poly in pairs:
+                assert fn(st.x, st.y) == float_poly_value(poly, st.x, st.y), case.label
+    zero = numerics._float_poly(SpatialPoly.zero())
+    assert zero(1.5, -0.25) == 0 and float_poly_value(SpatialPoly.zero(), 1.5, -0.25) == 0
+
+
+def test_integration_evaluates_each_state_once(monkeypatch, su3):
+    # RK4 evaluates t1, t2 and qd four times per step; the post-pass adds one
+    # evaluation at each interior state (ode_form_value) and reuses the k1
+    # values of R.
+    lab = CaseLab(su3)
+    counts = {}
+
+    def counting(name):
+        fn = getattr(lab, name)
+
+        def wrapper(x, y):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(x, y)
+        return wrapper
+
+    for name in ("t1", "t2", "qd"):
+        setattr(lab, name, counting(name))
+    monkeypatch.setattr(numerics, "get_lab", lambda case: lab)
+    cfg = IntegratorConfig(step=1e-4, max_steps=1000, mode=MODE_CANDIDATE)
+    trajectory = integrate_curve(state_from_angle(1.0, 0.3, 0.7), cfg, su3)
+    assert len(trajectory.states) == 1001
+    for name in ("t1", "t2", "qd"):
+        assert counts[name] <= 5 * len(trajectory.states), (name, counts[name])

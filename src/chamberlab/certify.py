@@ -8,17 +8,19 @@ direction is a minimal line.  The logical step from "nonzero resultant of the
 right degree" to nonexistence of proper solutions is referenced, not
 recomputed.
 
-The chamber directions come from sign changes of P(cot s), P the resultant
-in u = x/y, with u = cot s rounded to ``precision_bits``.  Each sign is the
-exact sign of P at that rounded cotangent: a fixed-point Horner scheme on
-P's integer coefficients with ``precision_bits`` + 64 fraction bits, whose
-error with n coefficients and |u| < 2**b (b >= 0) is below n * 2**(b*n)
-units of its last place, decides whenever its result lies outside that
-bound, and exact integer evaluation decides otherwise (see _ArcEvaluator).
+The resultant is kept as Bareiss returns it, a dense integer list P in
+u = x/y over one denominator.  The chamber directions come from sign changes
+of P(cot s), u = cot s rounded to 200 bits.  Each sign is the exact sign of P
+at that rounded cotangent: a fixed-point Horner scheme with 264 fraction
+bits, whose error with n coefficients and |u| < 2**b (b >= 0) is below
+n * 2**(b*n) units of its last place, decides outside that bound, and exact
+integer evaluation inside it (see _ArcEvaluator).  Precision, scan and
+minimality settings are constants: a certificate depends on its case alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,11 +34,15 @@ import mpmath
 from .cases import CaseSpec
 from .errors import PipelineError, PoleProximityError
 from .field import FieldScalar, format_rational
-from .poly import NOT_HOMOGENEOUS, SpatialPoly, ZERO_POLY
+from .poly import NOT_HOMOGENEOUS, SpatialPoly
 from .reduction import ReductionBundle, build_bundle
 from .resultant import sylvester_resultant
 
+# The cotangent precision (recorded in certificates) and fixed-point fraction bits.
 DEFAULT_PRECISION_BITS = 200
+_GUARD_BITS = DEFAULT_PRECISION_BITS + 64
+# Grid doublings the root scan may spend confirming its root set.
+MAX_DOUBLINGS = 5
 
 
 def expected_resultant_degree(d: int) -> int:
@@ -46,14 +52,29 @@ def expected_resultant_degree(d: int) -> int:
 
 @dataclass
 class ResultantReport:
-    """Outcome of the resultant computation for one case."""
+    """Outcome of the resultant computation for one case.
 
-    poly: SpatialPoly
+    The resultant is sum(coeffs[a] * x**a * y**(degree - a)) / scale, coeffs
+    and scale coprime; it is identically zero when coeffs == [].
+    """
+
+    coeffs: list[int]
+    scale: int
     formal_degrees: tuple[int, int]
     trimmed_pairs: int
     degree: int | None
     identically_zero: bool
-    homogeneous: bool
+
+    @property
+    def poly(self) -> SpatialPoly:
+        """The resultant as a homogeneous SpatialPoly with rational coefficients."""
+        return SpatialPoly({(a, self.degree - a): FieldScalar.rational(c, self.scale)
+                            for a, c in enumerate(self.coeffs) if c})
+
+    def exact_value(self, x: int, y: int) -> FieldScalar:
+        """The resultant at the integer point (x, y), exactly."""
+        return FieldScalar.rational(_homogeneous_horner(self.coeffs[::-1], x, y),
+                                    self.scale)
 
 
 def _integer_lists(polys: list[SpatialPoly], label: str,
@@ -101,9 +122,10 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     at least one of them is nonzero; the count of trimmed pairs is recorded.
 
     The determinant itself runs in Z[u]: each list must be rational and
-    homogeneous of one degree (DA for A, DC for C), its denominators are
-    cleared, and the integer resultant is divided by the scale this puts on
-    the Sylvester rows and rehomogenized at degree deg_a*DC + deg_c*DA.
+    homogeneous of one degree (DA for A, DC for C) and its denominators are
+    cleared.  The integer resultant is kept as it comes, over the scale this
+    puts on the Sylvester rows, at degree deg_a*DC + deg_c*DA; both are
+    divided by their gcd.
     """
     pa = list(bundle.a_coeffs)
     pc = list(bundle.c_coeffs)
@@ -115,22 +137,19 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     formal = (len(pa) - 1, len(pc) - 1)
     if all(p.is_zero for p in pa) or all(p.is_zero for p in pc) \
             or len(pa) < 2 or len(pc) < 2:
-        return ResultantReport(SpatialPoly.zero(), formal, trimmed, None, True, True)
+        return ResultantReport([], 1, formal, trimmed, None, True)
     label = bundle.case.label
     int_a, hdeg_a, scale_a = _integer_lists(pa, label, "A")
     int_c, hdeg_c, scale_c = _integer_lists(pc, label, "C")
     deg_a, deg_c = formal
     dense = sylvester_resultant(int_a, int_c)
-    total = deg_a * hdeg_c + deg_c * hdeg_a
+    if not dense:
+        return ResultantReport([], 1, formal, trimmed, None, True)
+    degree = deg_a * hdeg_c + deg_c * hdeg_a
     scale = scale_a ** deg_c * scale_c ** deg_a
-    res = SpatialPoly({(a, total - a): FieldScalar.rational(c, scale)
-                       for a, c in enumerate(dense) if c})
-    hdeg = res.homogeneous_degree()
-    if hdeg == ZERO_POLY:
-        return ResultantReport(res, formal, trimmed, None, True, True)
-    if hdeg == NOT_HOMOGENEOUS:
-        raise PipelineError(f"{label}: resultant is not homogeneous")
-    return ResultantReport(res, formal, trimmed, hdeg, False, True)
+    g = math.gcd(scale, *dense)
+    coeffs = [c // g for c in dense] + [0] * (degree + 1 - len(dense))
+    return ResultantReport(coeffs, scale // g, formal, trimmed, degree, False)
 
 
 @dataclass
@@ -154,15 +173,15 @@ def _homogeneous_horner(coeffs: list[int], x: int, y: int) -> int:
 
 
 class _ArcEvaluator:
-    """Evaluates a homogeneous rational polynomial at (cos s, sin s), normalized.
+    """Evaluates a homogeneous integer polynomial at (cos s, sin s), normalized.
 
-    On (0, pi) the polynomial has the sign of its dehomogenization P(u) at
-    u = cot s.  The coefficients are held as one dense integer list (P times
-    the lcm of their denominators; an irrational coefficient is a
-    PipelineError), and u is ``mpmath.cot(s)`` at ``precision_bits``, an exact
-    dyadic man * 2**exp.
+    ``coeffs`` is dense and low to high, as ResultantReport.coeffs: the
+    polynomial is sum(coeffs[a] * x**a * y**(n-a)), n = len(coeffs) - 1, and
+    on (0, pi) it has the sign of its dehomogenization P(u) at u = cot s.  u
+    is ``mpmath.cot(s)`` at DEFAULT_PRECISION_BITS, an exact dyadic
+    man * 2**exp.
 
-    P(u) runs as a fixed-point Horner scheme with g = precision_bits + 64
+    P(u) runs as a fixed-point Horner scheme with g = _GUARD_BITS
     fraction bits, ``acc = ((acc * U) >> g) + (c << g)`` with U = u * 2**g.
     When U is exact (exp >= -g) each of the n - 1 shifts truncates by less
     than one unit, so with n coefficients and |u| < 2**b, b >= 0, the
@@ -171,28 +190,24 @@ class _ArcEvaluator:
     otherwise, or when U is not exact, the sign comes from the exact integer
     form sum(c_k * man**k * 2**(-exp*(n-1-k))), which is P(u) times a power
     of two (for exp >= 0, the plain integer Horner at u).  Either way
-    ``cot_form`` returns the exact sign of P at the precision_bits cotangent.
+    ``cot_form`` returns the exact sign of P at the 200-bit cotangent.
 
     ``value`` divides the accumulator by the largest coefficient magnitude, so
-    residual thresholds are scale free, and rounds at precision_bits (for
-    |u| < 2**-64, U is truncated to g bits, far below that rounding).
+    residual thresholds are scale free, and rounds at DEFAULT_PRECISION_BITS
+    (for |u| < 2**-64, U is truncated to g bits, far below that rounding).
     """
 
-    def __init__(self, poly: SpatialPoly, degree: int, precision_bits: int):
-        self.degree = degree
-        self.precision_bits = precision_bits
-        self.guard = precision_bits + 64
-        (dense,), _, self.scale = _integer_lists([poly], "arc evaluator", "polynomial")
-        dense += [0] * (degree + 1 - len(dense))
-        self.coeffs = dense[::-1]
-        self.shifted = [c << self.guard for c in self.coeffs]
-        self.top = max(abs(c) for c in dense)
+    def __init__(self, coeffs: list[int]):
+        self.degree = len(coeffs) - 1
+        self.coeffs = coeffs[::-1]
+        self.shifted = [c << _GUARD_BITS for c in self.coeffs]
+        self.top = max(abs(c) for c in coeffs)
 
     def _fixed_horner(self, sigma) -> tuple[int, int, int]:
         """(man, exp, acc): cot sigma = man * 2**exp, acc the fixed-point P(cot sigma)."""
-        with mpmath.workprec(self.precision_bits):
+        with mpmath.workprec(DEFAULT_PRECISION_BITS):
             man, exp = mpmath.cot(sigma).man_exp
-        g = self.guard
+        g = _GUARD_BITS
         shift = exp + g
         big_u = man << shift if shift >= 0 else man >> -shift
         acc = 0
@@ -204,7 +219,7 @@ class _ArcEvaluator:
         """Sign (-1, 0 or 1) of P(cot sigma), the polynomial's sign on (0, pi)."""
         man, exp, acc = self._fixed_horner(sigma)
         n = len(self.coeffs)
-        if exp + self.guard < 0 or \
+        if exp + _GUARD_BITS < 0 or \
                 abs(acc) <= n << (max(abs(man).bit_length() + exp, 0) * n):
             x, y = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
             acc = _homogeneous_horner(self.coeffs, x, y)
@@ -213,37 +228,26 @@ class _ArcEvaluator:
     def value(self, sigma) -> mpmath.mpf:
         """Normalized polynomial value at (cos sigma, sin sigma)."""
         _, _, acc = self._fixed_horner(sigma)
-        with mpmath.workprec(self.precision_bits):
-            return mpmath.mpf((acc, -self.guard)) / self.top \
+        with mpmath.workprec(DEFAULT_PRECISION_BITS):
+            return mpmath.mpf((acc, -_GUARD_BITS)) / self.top \
                 * mpmath.sin(sigma) ** self.degree
 
-    def exact_value(self, x: int, y: int) -> FieldScalar:
-        """The polynomial at the integer point (x, y), exactly."""
-        return FieldScalar.rational(_homogeneous_horner(self.coeffs, x, y), self.scale)
 
+def chamber_root_scan(ev: _ArcEvaluator, d: int) -> RootScan:
+    """All sign-change roots of ev's polynomial at (cos s, sin s) on the open chamber arc.
 
-def chamber_root_scan(res: SpatialPoly, d: int,
-                      precision_bits: int = DEFAULT_PRECISION_BITS,
-                      initial_grid: int | None = None,
-                      max_doublings: int = 5,
-                      refine_tol: float = 1e-12) -> RootScan:
-    """All sign-change roots of res(cos s, sin s) for s in the open chamber arc.
-
-    Scans a grid on (0, pi/d), bisects each sign change to within refine_tol,
-    and accepts once a doubled grid finds the same root set; if the root count
-    keeps changing up to the doubling cap an unresolved-root-cluster warning
-    is attached.
+    Scans a grid on (0, pi/d), bisects each sign change to within 1e-12, and
+    accepts once a doubled grid finds the same root set; if the root count
+    keeps changing for MAX_DOUBLINGS doublings an unresolved-root-cluster
+    warning is attached.  Each angle is evaluated once per scan.
     """
-    degree = res.homogeneous_degree()
-    if degree in (ZERO_POLY, NOT_HOMOGENEOUS):
-        raise ValueError("root scan needs a nonzero homogeneous polynomial")
-    ev = _ArcEvaluator(res, degree, precision_bits)
     hi = math.pi / d
     margin = 1e-8 * hi
+    sign = functools.cache(ev.cot_form)
 
     def scan(n: int) -> list[float]:
         grid = [margin + (hi - 2 * margin) * k / n for k in range(n + 1)]
-        values = [ev.cot_form(s) for s in grid]
+        values = [sign(s) for s in grid]
         roots = []
         for idx in range(n):
             v0, v1 = values[idx], values[idx + 1]
@@ -253,9 +257,9 @@ def chamber_root_scan(res: SpatialPoly, d: int,
             if (v0 < 0) == (v1 < 0) or v1 == 0:
                 continue
             lo_s, hi_s, lo_v = grid[idx], grid[idx + 1], v0
-            while hi_s - lo_s > refine_tol:
+            while hi_s - lo_s > 1e-12:
                 mid = 0.5 * (lo_s + hi_s)
-                mv = ev.cot_form(mid)
+                mv = sign(mid)
                 if mv == 0:
                     lo_s = hi_s = mid
                     break
@@ -268,10 +272,10 @@ def chamber_root_scan(res: SpatialPoly, d: int,
             roots.append(grid[-1])
         return roots
 
-    n = initial_grid or max(256, 4 * degree)
+    n = max(256, 4 * ev.degree)
     warnings = []
     roots = scan(n)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         n *= 2
         refined = scan(n)
         if len(refined) == len(roots) and all(
@@ -286,41 +290,38 @@ def chamber_root_scan(res: SpatialPoly, d: int,
     return RootScan(roots=roots, residuals=residuals, grid_size=n, warnings=warnings)
 
 
-def line_cotangent_sum(case: CaseSpec, sigma: float,
-                       pole_margin: float = 1e-9) -> float:
+def line_cotangent_sum(case: CaseSpec, sigma: float) -> float:
     """S(sigma) = sum of m_i * cot(sigma - i*pi/d); zero iff the line is minimal."""
     total = 0.0
     for i, m in enumerate(case.multiplicities):
         arg = sigma - i * math.pi / case.d
         dist = abs(arg - math.pi * round(arg / math.pi))
-        if dist < pole_margin:
+        if dist < 1e-9:
             raise PoleProximityError(
-                f"sigma={sigma!r} within {pole_margin} of a cotangent pole")
+                f"sigma={sigma!r} within 1e-09 of a cotangent pole")
         total += m / math.tan(arg)
     return total
 
 
-def classify_line_minimality(case: CaseSpec, sigma: float,
-                             tol_base: float = 1e-8,
-                             pole_margin: float = 1e-9) -> tuple[bool, float]:
+def classify_line_minimality(case: CaseSpec, sigma: float) -> tuple[bool, float]:
     """Whether the line through the origin at angle sigma is a minimal direction.
 
-    The test threshold scales with sum(m_i)/sin^2(margin), the natural size of
+    The test threshold is 1e-8 * sum(m_i)/sin^2(margin), the natural size of
     the derivative of the cotangent sum near the evaluation point, so root
     refinement error cannot flip the verdict.
     """
     if not 0 < sigma < math.pi / case.d:
         raise ValueError(f"sigma={sigma} outside the open chamber arc")
-    value = line_cotangent_sum(case, sigma, pole_margin)
+    value = line_cotangent_sum(case, sigma)
     margin = min(abs(sigma - i * math.pi / case.d -
                      math.pi * round((sigma - i * math.pi / case.d) / math.pi))
                  for i in range(case.d))
     scale = sum(case.multiplicities) / math.sin(margin) ** 2
-    return abs(value) < tol_base * scale, value
+    return abs(value) < 1e-8 * scale, value
 
 
-def minimal_line_angles(case: CaseSpec, tol: float = 1e-14) -> list[float]:
-    """Roots of the cotangent sum in the open chamber arc, by bisection.
+def minimal_line_angles(case: CaseSpec) -> list[float]:
+    """Roots of the cotangent sum in the open chamber arc, by bisection to 1e-14.
 
     The sum is strictly decreasing from +inf to -inf on the arc, so there is
     exactly one root; a list is returned for interface symmetry with the
@@ -332,7 +333,7 @@ def minimal_line_angles(case: CaseSpec, tol: float = 1e-14) -> list[float]:
     f_hi = line_cotangent_sum(case, hi)
     if f_lo < 0 or f_hi > 0:  # pragma: no cover - monotone structure
         raise ArithmeticError("cotangent sum does not bracket a root")
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if line_cotangent_sum(case, mid) > 0:
             lo = mid
@@ -342,9 +343,9 @@ def minimal_line_angles(case: CaseSpec, tol: float = 1e-14) -> list[float]:
 
 
 def emit_certificate(case: CaseSpec, report: ResultantReport,
-                     scan: RootScan | None,
-                     precision_bits: int, duration_ms: float) -> dict:
-    """Assemble the certificate document (stable field names)."""
+                     ev: _ArcEvaluator | None, scan: RootScan | None,
+                     duration_ms: float) -> dict:
+    """Assemble the certificate document (stable field names); ev evaluates report."""
     expected = expected_resultant_degree(case.d)
     if report.identically_zero:
         conclusion = "inconclusive-resultant-vanishes"
@@ -356,10 +357,7 @@ def emit_certificate(case: CaseSpec, report: ResultantReport,
     roots = []
     if scan is not None:
         for sigma, residual in zip(scan.roots, scan.residuals):
-            try:
-                minimal, s_value = classify_line_minimality(case, sigma)
-            except PoleProximityError:
-                minimal, s_value = False, None
+            minimal, s_value = classify_line_minimality(case, sigma)
             z = math.tan(sigma)
             roots.append({
                 "sigma": sigma,
@@ -372,14 +370,13 @@ def emit_certificate(case: CaseSpec, report: ResultantReport,
     samples = []
     exact_samples = []
     if not report.identically_zero:
-        ev = _ArcEvaluator(report.poly, report.degree, precision_bits)
         for frac in (0.3, 0.5, 0.7):
             sigma = frac * math.pi / case.d
             samples.append({"sigma": sigma, "z": math.tan(sigma),
                             "value": float(ev.value(sigma))})
         # Exact nonvanishing witnesses, machine checkable with no rounding.
         for px, py in ((2, 1), (3, 2)):
-            value = ev.exact_value(px, py)
+            value = report.exact_value(px, py)
             exact_samples.append({"x": format_rational(FieldScalar.rational(px).a),
                                   "y": format_rational(FieldScalar.rational(py).a),
                                   "value": value.to_text()})
@@ -402,23 +399,24 @@ def emit_certificate(case: CaseSpec, report: ResultantReport,
         "exact_samples": exact_samples,
         "scan_warnings": list(scan.warnings) if scan else [],
         "conclusion": conclusion,
-        "precision_bits": precision_bits,
+        "precision_bits": DEFAULT_PRECISION_BITS,
         "duration_ms": duration_ms,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
 
 
-def certify_case(case: CaseSpec,
-                 precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
+def certify_case(case: CaseSpec) -> dict:
     """Full certification pipeline for one case."""
     start = time.monotonic()
     bundle = build_bundle(case)
     report = compute_resultant(bundle)
-    scan = None
-    if not report.identically_zero and report.degree > 0:
-        scan = chamber_root_scan(report.poly, case.d, precision_bits)
+    ev = scan = None
+    if not report.identically_zero:
+        ev = _ArcEvaluator(report.coeffs)
+        if report.degree > 0:
+            scan = chamber_root_scan(ev, case.d)
     duration_ms = (time.monotonic() - start) * 1000.0
-    return emit_certificate(case, report, scan, precision_bits, duration_ms)
+    return emit_certificate(case, report, ev, scan, duration_ms)
 
 
 def write_json_atomic(path: Path, document) -> None:
@@ -439,11 +437,16 @@ def write_json_atomic(path: Path, document) -> None:
         raise
 
 
+def output_path(directory: str | Path, label: str, kind: str) -> Path:
+    """``directory/<label>.<kind>.json``, with the case label made filename safe."""
+    safe = label.replace("(", "_").replace(")", "").replace(",", "_")
+    return Path(directory) / f"{safe}.{kind}.json"
+
+
 def write_certificate(certificate: dict, directory: str | Path) -> Path:
     """Write one certificate JSON; the filename is derived from the case label."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    safe = certificate["label"].replace("(", "_").replace(")", "").replace(",", "_")
-    path = directory / f"{safe}.certificate.json"
+    path = output_path(directory, certificate["label"], "certificate")
     write_json_atomic(path, certificate)
     return path

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 some case not certified (every certificate and the
 table are still written), 2 user error (unknown case, bad parameters, bad
-start state, bad integrator setting), 3 internal pipeline invariant
-violation.  All outputs are reproducible run to run except timestamp and
-duration metadata.
+start state, bad integrator setting, --jobs below 1), 3 internal pipeline
+invariant violation.  All outputs are reproducible run to run except
+timestamp and duration metadata.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .cases import CaseSpec, default_cases, instantiate_case, load_registry
-from .certify import DEFAULT_PRECISION_BITS, certify_case, write_certificate, \
-    write_json_atomic
+from .cases import CaseSpec, default_cases, load_registry, registry_case
+from .certify import certify_case, output_path, write_certificate, write_json_atomic
 from .errors import BoundaryError, BoundError, PipelineError, RegistryError
 from .numerics import MODES, IntegratorConfig, integrate_curve, state_from_angle
 from .reduction import build_bundle, bundle_to_json, verify_reference_example
@@ -49,9 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="write per-case resultant certificates")
     _case_args(p_cert)
     p_cert.add_argument("--out", default=None, help="output directory")
-    p_cert.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p_cert.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --case all")
+                        help="worker processes for --case all (at most one per case)")
 
     p_int = sub.add_parser("integrate", help="integrate one profile curve to CSV")
     _case_args(p_int, allow_all=False)
@@ -101,11 +99,7 @@ def _select_cases(name: str, params: dict[str, int],
         if params:
             raise BoundError("--param cannot be combined with --case all")
         return default_cases(registry)
-    for template in registry:
-        if template.name.lower() == name.lower():
-            return [instantiate_case(template, params)]
-    known = ", ".join(t.name for t in registry)
-    raise RegistryError(f"unknown case {name!r}; known cases: {known}")
+    return [registry_case(name, params, registry)]
 
 
 def _out_dir(flag_value: str | None) -> Path:
@@ -143,8 +137,7 @@ def _cmd_derive(args) -> int:
     for case in cases:
         bundle = build_bundle(case)
         doc = bundle_to_json(bundle)
-        safe = case.label.replace("(", "_").replace(")", "").replace(",", "_")
-        path = out_dir / f"{safe}.bundle.json"
+        path = output_path(out_dir, case.label, "bundle")
         write_json_atomic(path, doc)
         if args.format == "text":
             print(f"# {case.label}")
@@ -157,19 +150,23 @@ def _cmd_derive(args) -> int:
 
 
 def _certify_one(payload):
-    case, precision_bits, out_dir = payload
-    certificate = certify_case(case, precision_bits)
+    case, out_dir = payload
+    certificate = certify_case(case)
     path = write_certificate(certificate, out_dir)
     return certificate, str(path)
 
 
 def _cmd_certify(args) -> int:
+    if args.jobs < 1:
+        raise BoundError(f"--jobs must be at least 1, got {args.jobs}")
     cases = _select_cases(args.case, _parse_params(args.param))
     out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [(case, args.precision_bits, out_dir) for case in cases]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    payloads = [(case, out_dir) for case in cases]
+    # The pool starts all its workers at the first submit: no more than cases.
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_certify_one, payloads))
     else:
         results = [_certify_one(p) for p in payloads]

@@ -236,9 +236,6 @@ class SpatialPoly:
         """Terms with double-precision coefficients, in canonical order."""
         return [(a, b, to_float(c)) for (a, b), c in self.sorted_terms()]
 
-    def eval_float(self, px: float, py: float) -> float:
-        return sum(f * px**a * py**b for a, b, f in self.float_terms())
-
     def divide_exact(self, divisor: "SpatialPoly") -> "SpatialPoly":
         """Exact quotient self / divisor; raises ExactDivisionError otherwise.
 

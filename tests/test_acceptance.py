@@ -66,7 +66,6 @@ def test_criterion_2_certification_sweep(all_cases):
         worst = max(worst, elapsed)
         expected = expected_resultant_degree(case.d)
         assert not report.identically_zero, case.label
-        assert report.homogeneous, case.label
         assert report.degree == expected, (case.label, report.degree, expected)
         assert resultant_sha256(report.poly) == golden[case.label], case.label
         assert elapsed < 300.0, f"{case.label} took {elapsed:.1f}s"

@@ -123,22 +123,29 @@ def test_resultant_rational_boundary_scales_back(u5):
     assert scaled.poly == whole.poly * FieldScalar.rational(1, 2 ** 5 * 3 ** 3)
 
 
+def _spatial(coeffs):
+    """An integer list, low to high in x, as a homogeneous SpatialPoly."""
+    n = len(coeffs) - 1
+    return SpatialPoly({(a, n - a): FieldScalar.rational(c)
+                        for a, c in enumerate(coeffs) if c})
+
+
 def test_root_scan_symmetric_quadratic():
-    res = X * X - Y * Y
-    scan = chamber_root_scan(res, 2)
+    # X^2 - Y^2
+    scan = chamber_root_scan(_ArcEvaluator([-1, 0, 1]), 2)
     assert len(scan.roots) == 1
     assert scan.roots[0] == pytest.approx(math.pi / 4, abs=1e-11)
 
 
 def test_root_scan_positive_definite_is_empty():
-    res = X * X + Y * Y
-    scan = chamber_root_scan(res, 2)
+    # X^2 + Y^2
+    scan = chamber_root_scan(_ArcEvaluator([1, 0, 1]), 2)
     assert scan.roots == []
 
 
 def test_root_scan_d2_matches_independent_run():
     report = compute_resultant(build_bundle(registry_case("SOpxSOq")))
-    scan = chamber_root_scan(report.poly, 2)
+    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 2)
     assert len(scan.roots) == len(D2_ROOTS)
     for found, expected in zip(scan.roots, D2_ROOTS):
         assert found == pytest.approx(expected, abs=1e-10)
@@ -149,7 +156,7 @@ def test_u5_root_scan_golden(u5):
     # Frozen from a pipeline run: a single interior root, the minimal line
     # with slope 1/sqrt(5).
     report = compute_resultant(build_bundle(u5))
-    scan = chamber_root_scan(report.poly, 4)
+    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 4)
     assert len(scan.roots) == 1
     assert scan.roots[0] == pytest.approx(0.4205343352841455, abs=1e-10)
     assert math.tan(scan.roots[0]) == pytest.approx(1 / math.sqrt(5), abs=1e-10)
@@ -159,7 +166,7 @@ def test_u5_root_scan_golden(u5):
 
 def test_root_residuals_meet_threshold(u5):
     report = compute_resultant(build_bundle(u5))
-    scan = chamber_root_scan(report.poly, 4, DEFAULT_PRECISION_BITS)
+    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 4)
     # residuals are measured on max-normalized coefficients
     assert all(r < 1e-10 for r in scan.residuals)
 
@@ -233,16 +240,16 @@ def test_certificate_conclusion_logic(u5):
     bundle = build_bundle(u5)
     report = compute_resultant(bundle)
 
-    zero_like = type(report)(poly=SpatialPoly.zero(), formal_degrees=(3, 5),
-                             trimmed_pairs=0, degree=None, identically_zero=True,
-                             homogeneous=True)
-    cert = emit_certificate(u5, zero_like, None, 200, 0.0)
+    zero_like = type(report)(coeffs=[], scale=1, formal_degrees=(3, 5),
+                             trimmed_pairs=0, degree=None, identically_zero=True)
+    assert zero_like.poly == SpatialPoly.zero()
+    cert = emit_certificate(u5, zero_like, None, None, 0.0)
     assert cert["conclusion"] == "inconclusive-resultant-vanishes"
 
-    tampered = type(report)(poly=report.poly, formal_degrees=(3, 5),
-                            trimmed_pairs=0, degree=80, identically_zero=False,
-                            homogeneous=True)
-    cert = emit_certificate(u5, tampered, None, 200, 0.0)
+    tampered = type(report)(coeffs=report.coeffs, scale=report.scale,
+                            formal_degrees=(3, 5), trimmed_pairs=0, degree=80,
+                            identically_zero=False)
+    cert = emit_certificate(u5, tampered, _ArcEvaluator(report.coeffs), None, 0.0)
     assert cert["conclusion"] == "degree-mismatch"
 
 
@@ -254,21 +261,31 @@ def test_certificate_determinism(su3):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_precision_bits_recorded(su3):
-    cert = certify_case(su3, precision_bits=300)
-    assert cert["precision_bits"] == 300
-
-
-def test_scan_warning_when_doubling_disabled():
+def test_scan_warning_when_doubling_disabled(monkeypatch):
     # With no confirmation doubling allowed the scan cannot establish a
     # stable root set and must say so.
-    scan = chamber_root_scan(X * X - Y * Y, 2, max_doublings=0)
+    monkeypatch.setattr(certify, "MAX_DOUBLINGS", 0)
+    scan = chamber_root_scan(_ArcEvaluator([-1, 0, 1]), 2)
     assert any("unresolved-root-cluster" in w for w in scan.warnings)
     assert scan.roots and scan.roots[0] == pytest.approx(math.pi / 4, abs=1e-11)
 
 
+def test_root_scan_evaluates_each_angle_once(monkeypatch):
+    # Every doubled grid repeats the grid before it, and a bisection can land
+    # on a grid point; each angle's sign is still computed once per scan.
+    angles = []
+    cot_form = _ArcEvaluator.cot_form
+    monkeypatch.setattr(_ArcEvaluator, "cot_form",
+                        lambda ev, sigma: angles.append(sigma) or cot_form(ev, sigma))
+    report = compute_resultant(build_bundle(registry_case("G2")))
+    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 6)
+    assert len(scan.roots) == 2
+    assert len(angles) == len(set(angles)) == 1141
+
+
 def test_arc_evaluator_normalizes():
-    ev = _ArcEvaluator(X * X - Y * Y, 2, 100)
+    # X^2 - Y^2
+    ev = _ArcEvaluator([-1, 0, 1])
     # the double-precision angle is only within ~1e-17 of the exact root
     assert float(ev.value(math.pi / 4)) == pytest.approx(0.0, abs=1e-15)
     assert float(ev.value(0.1)) == pytest.approx(math.cos(0.1) ** 2 - math.sin(0.1) ** 2,
@@ -292,7 +309,7 @@ def test_arc_evaluator_matches_mpmath_oracle(all_cases):
         report = compute_resultant(build_bundle(case))
         if not report.degree:
             continue
-        ev = _ArcEvaluator(report.poly, report.degree, bits)
+        ev = _ArcEvaluator(report.coeffs)
         oracle = MpmathArcEvaluator(report.poly, report.degree, bits, 2 * bits)
         for sigma in _chamber_grid(case.d, 512):
             expected = oracle.value(sigma)
@@ -305,8 +322,9 @@ def test_arc_evaluator_matches_mpmath_oracle(all_cases):
 def test_arc_evaluator_exact_fallback(monkeypatch):
     # Values far below the fixed-point error bound: (X - Y)^2 and (X - Y)^3
     # next to the root at pi/4, and X next to pi/2, where cot sigma < 2**-264
-    # has no exact fixed-point image.  Each sign must come from the exact
-    # integer form and agree with a 400-bit Horner loop at the same cotangent.
+    # has no exact fixed-point image (integer lists, low to high in X).  Each
+    # sign must come from the exact integer form and agree with a 400-bit
+    # Horner loop at the same cotangent.
     calls = []
     exact = certify._homogeneous_horner
     monkeypatch.setattr(certify, "_homogeneous_horner",
@@ -315,35 +333,31 @@ def test_arc_evaluator_exact_fallback(monkeypatch):
     with mpmath.workprec(4 * bits):
         two = mpmath.mpf(2)
         quarter, half = mpmath.pi / 4, mpmath.pi / 2
-        points = [((X - Y) * (X - Y), 2, quarter + two ** -150),
-                  ((X - Y) * (X - Y), 2, quarter - two ** -150),
-                  ((X - Y) ** 3, 3, quarter + two ** -100),
-                  ((X - Y) ** 3, 3, quarter - two ** -100),
-                  (X, 1, half - two ** -300)]
+        points = [([1, -2, 1], quarter + two ** -150),
+                  ([1, -2, 1], quarter - two ** -150),
+                  ([-1, 3, -3, 1], quarter + two ** -100),
+                  ([-1, 3, -3, 1], quarter - two ** -100),
+                  ([0, 1], half - two ** -300)]
     signs = []
-    for poly, degree, sigma in points:
-        oracle = MpmathArcEvaluator(poly, degree, bits, 2 * bits)
+    for coeffs, sigma in points:
+        oracle = MpmathArcEvaluator(_spatial(coeffs), len(coeffs) - 1, bits, 2 * bits)
         before = len(calls)
-        sign = _ArcEvaluator(poly, degree, bits).cot_form(sigma)
+        sign = _ArcEvaluator(coeffs).cot_form(sigma)
         assert len(calls) == before + 1
         assert sign == mpmath.sign(oracle.cot_form(sigma))
         signs.append(sign)
     assert signs == [1, 1, -1, 1, 1]
 
 
-def test_arc_evaluator_rejects_irrational_coefficients():
-    sqrt2_y2 = SpatialPoly.monomial(0, 2, FieldScalar(0, 1))
-    with pytest.raises(PipelineError, match="not rational"):
-        _ArcEvaluator(X * X - sqrt2_y2, 2, DEFAULT_PRECISION_BITS)
-
-
 @pytest.mark.parametrize("name", ["SOn-1", "U5"])
-def test_arc_evaluator_exact_value_matches_eval_exact(name):
-    poly = compute_resultant(build_bundle(registry_case(name))).poly
-    ev = _ArcEvaluator(poly, poly.homogeneous_degree(), DEFAULT_PRECISION_BITS)
+def test_resultant_exact_value_matches_eval_exact(name):
+    report = compute_resultant(build_bundle(registry_case(name)))
+    poly = report.poly
+    assert math.gcd(report.scale, *report.coeffs) == 1
+    assert len(report.coeffs) == report.degree + 1
     for px, py in ((2, 1), (3, 2), (-5, 7), (0, 1)):
-        assert ev.exact_value(px, py) == poly.eval_exact(FieldScalar.rational(px),
-                                                         FieldScalar.rational(py))
+        assert report.exact_value(px, py) == poly.eval_exact(FieldScalar.rational(px),
+                                                             FieldScalar.rational(py))
 
 
 def test_failed_certificate_write_leaves_no_partial_file(tmp_path, monkeypatch):

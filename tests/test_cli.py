@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+from chamberlab import cli
 from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USER_ERROR, main
 from golden import BUNDLE_HASHES, CERTIFICATES, without_volatile_lines
 
@@ -127,6 +128,50 @@ def test_certify_all_with_worker_pool(tmp_path, capsys):
     assert by_case["G2"]["resultant_degree"] == 135
     out = capsys.readouterr().out
     assert out.count("nonexistence-certified") == 14
+
+
+def _recording_pool(monkeypatch):
+    """Replace the process pool by one that records max_workers and starts nothing."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_certify_jobs_capped_at_case_count(tmp_path, monkeypatch):
+    # The pool forks all its workers at the first submit, so --jobs may not
+    # ask for more workers than there are cases.
+    sizes = _recording_pool(monkeypatch)
+    code = main(["certify", "--case", "all", "--out", str(tmp_path), "--jobs", "500"])
+    assert code == EXIT_OK
+    assert sizes == [14]
+    assert len(list(tmp_path.glob("*.certificate.json"))) == 14
+    assert main(["certify", "--case", "SOn-1", "--out", str(tmp_path),
+                 "--jobs", "500"]) == EXIT_OK
+    assert sizes == [14]
+
+
+def test_certify_jobs_below_one_is_user_error(tmp_path, monkeypatch, capsys):
+    sizes = _recording_pool(monkeypatch)
+    for jobs in ("0", "-3"):
+        code = main(["certify", "--case", "all", "--out", str(tmp_path), "--jobs", jobs])
+        assert code == EXIT_USER_ERROR, jobs
+        assert capsys.readouterr().err.startswith("error: --jobs"), jobs
+    assert sizes == []
+    assert not any(tmp_path.iterdir())
 
 
 def test_integrate_writes_csv_and_summary(tmp_path, capsys):

@@ -5,6 +5,14 @@ lies in Q(sqrt2, sqrt3), so all chamber data downstream can be represented
 without rounding.  A :class:`FieldScalar` stores the four rational coordinates
 of an element with respect to the basis (1, sqrt2, sqrt3, sqrt6).
 
+Arithmetic costs what the nonzero coordinates cost: numbering the basis
+1, sqrt2, sqrt3, sqrt6 as 0..3, basis i times basis j is basis ``i ^ j`` times
+``(1, 2, 3, 6)[i & j]``, so a product multiplies only pairs of nonzero
+coordinates (one rational multiply for rational times rational, sixteen for
+two dense elements), and sums, differences and negations do no rational work
+on coordinates that are zero on both sides.  Every polynomial from the
+quotient qd onward is rational, so this is the common case.
+
 Rationals are ``gmpy2.mpq`` when available (much faster on large operands),
 otherwise ``fractions.Fraction``; both keep values reduced with a positive
 denominator.
@@ -27,6 +35,8 @@ ADMISSIBLE_D = (1, 2, 3, 4, 6)
 
 _R0 = Rat(0)
 _R1 = Rat(1)
+# sqrt(k) * sqrt(k) = k for the basis elements 1, sqrt2, sqrt3, sqrt6.
+_BASIS_SQUARES = (1, 2, 3, 6)
 
 
 def _rat(value) -> Rat:
@@ -36,6 +46,22 @@ def _rat(value) -> Rat:
     if isinstance(value, Fraction):
         return Rat(value.numerator, value.denominator)
     return Rat(value)
+
+
+def _add(x, y):
+    if not x:
+        return y
+    return x + y if y else x
+
+
+def _sub(x, y):
+    if not y:
+        return x
+    return x - y if x else -y
+
+
+def _neg(x):
+    return -x if x else x
 
 
 class FieldScalar:
@@ -95,7 +121,8 @@ class FieldScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldScalar._raw(self.a + o.a, self.b + o.b, self.c + o.c, self.e + o.e)
+        return FieldScalar._raw(_add(self.a, o.a), _add(self.b, o.b),
+                                _add(self.c, o.c), _add(self.e, o.e))
 
     __radd__ = __add__
 
@@ -103,37 +130,47 @@ class FieldScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldScalar._raw(self.a - o.a, self.b - o.b, self.c - o.c, self.e - o.e)
+        return FieldScalar._raw(_sub(self.a, o.a), _sub(self.b, o.b),
+                                _sub(self.c, o.c), _sub(self.e, o.e))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldScalar._raw(-self.a, -self.b, -self.c, -self.e)
+        return FieldScalar._raw(_neg(self.a), _neg(self.b), _neg(self.c), _neg(self.e))
 
     def __mul__(self, other):
+        """Product over the pairs of nonzero coordinates only.
+
+        Basis i times basis j (0..3 for 1, sqrt2, sqrt3, sqrt6) is basis
+        ``i ^ j`` times ``_BASIS_SQUARES[i & j]``: sqrt2*sqrt3 = sqrt6,
+        sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2, sqrtk*sqrtk = k.
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, e1 = self.a, self.b, self.c, self.e
-        a2, b2, c2, e2 = o.a, o.b, o.c, o.e
-        # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        return FieldScalar._raw(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * e1 * e2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * e2 + e1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * e2 + e1 * b2),
-            a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
-        )
+        right = [(j, y) for j, y in enumerate((o.a, o.b, o.c, o.e)) if y]
+        out = [_R0, _R0, _R0, _R0]  # _R0 itself marks "no term yet"
+        for i, x in enumerate((self.a, self.b, self.c, self.e)):
+            if not x:
+                continue
+            for j, y in right:
+                term = x * y
+                if i & j:
+                    term *= _BASIS_SQUARES[i & j]
+                k = i ^ j
+                out[k] = term if out[k] is _R0 else out[k] + term
+        return FieldScalar._raw(*out)
 
     __rmul__ = __mul__
 
     def conj_sqrt2(self) -> "FieldScalar":
         """Galois conjugate sending sqrt2 -> -sqrt2 (fixes sqrt3)."""
-        return FieldScalar._raw(self.a, -self.b, self.c, -self.e)
+        return FieldScalar._raw(self.a, _neg(self.b), self.c, _neg(self.e))
 
     def conj_sqrt3(self) -> "FieldScalar":
         """Galois conjugate sending sqrt3 -> -sqrt3 (fixes sqrt2)."""
-        return FieldScalar._raw(self.a, self.b, -self.c, -self.e)
+        return FieldScalar._raw(self.a, self.b, _neg(self.c), _neg(self.e))
 
     def inverse(self) -> "FieldScalar":
         """Multiplicative inverse via the product of the three conjugates.
@@ -147,9 +184,7 @@ class FieldScalar:
         norm = self * conj
         if norm.b or norm.c or norm.e:  # pragma: no cover - algebraic identity
             raise ArithmeticError("field norm is not rational")
-        inv_norm = _R1 / norm.a
-        return FieldScalar._raw(conj.a * inv_norm, conj.b * inv_norm,
-                                conj.c * inv_norm, conj.e * inv_norm)
+        return conj * (_R1 / norm.a)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -188,6 +223,10 @@ class FieldScalar:
                 and self.c == o.c and self.e == o.e)
 
     def __hash__(self):
+        # A rational element equals its Rat (and an equal int), so it must
+        # hash like one.
+        if self.is_rational:
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.e))
 
     # -- rendering -----------------------------------------------------------
@@ -235,7 +274,10 @@ def parse_rational(text: str) -> Rat:
     num, sep, den = text.partition("/")
     if not sep:
         return Rat(int(num))
-    return Rat(int(num), int(den))
+    denominator = int(den)
+    if denominator == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Rat(int(num), denominator)
 
 
 # Exact (sin, cos) pairs keyed by the reduced fraction i/d of the angle i*pi/d.

@@ -3,7 +3,8 @@
 The registry ships as a versioned JSON document (``data/registry.json``) so
 hypothetical (d, multiplicities) combinations can be explored by editing data
 rather than code.  Parametric rows carry integer expressions in their
-parameters plus explicit bounds.
+parameters; each parameter's ``min`` is its bound, and the minimums are the
+only bounds a row has.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class CaseTemplate:
     n_expr: object
     multiplicity_exprs: tuple
     param_specs: tuple[tuple[str, int, int], ...] = ()  # (name, min, default)
-    bounds: tuple[str, ...] = ()
     notes: str = ""
     metadata: dict = field(default_factory=dict, compare=False)
 
@@ -68,18 +68,17 @@ class CaseTemplate:
 
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
-_COMPARE_OPS = {ast.Eq: operator.eq, ast.NotEq: operator.ne,
-                ast.Lt: operator.lt, ast.LtE: operator.le,
-                ast.Gt: operator.gt, ast.GtE: operator.ge}
+_ROW_KEYS = {"name", "group", "action", "d", "n", "multiplicities", "params",
+             "notes", "metadata"}
 
 
-def _evaluate(expr: str, params: dict[str, int], where: str):
-    """Value of a registry expression over the case parameters.
+def _evaluate(expr: str, params: dict[str, int], where: str) -> int:
+    """Integer value of a registry expression over the case parameters.
 
-    Only integer literals, parameter names, ``+ - * //``, unary minus,
-    comparisons and ``and`` are accepted; anything else (attribute access,
-    calls, subscripts, other literals) is a RegistryError, so registry data
-    cannot run code.
+    Only integer literals, parameter names, ``+ - * //`` and unary minus are
+    accepted; anything else (comparisons, attribute access, calls,
+    subscripts, other literals) is a RegistryError, so registry data cannot
+    run code.  Bounds are not expressions: they are the parameter minimums.
     """
     def walk(node):
         if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -90,15 +89,6 @@ def _evaluate(expr: str, params: dict[str, int], where: str):
             return -walk(node.operand)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
             return _BINARY_OPS[type(node.op)](walk(node.left), walk(node.right))
-        if isinstance(node, ast.Compare) and all(type(op) in _COMPARE_OPS
-                                                 for op in node.ops):
-            values = [walk(node.left)] + [walk(c) for c in node.comparators]
-            return all(_COMPARE_OPS[type(op)](lhs, rhs)
-                       for op, lhs, rhs in zip(node.ops, values, values[1:]))
-        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-            # A list, not a generator: every operand is checked, even after
-            # a false one.
-            return all([walk(v) for v in node.values])
         what = (f"unknown name {node.id!r}" if isinstance(node, ast.Name)
                 else f"{ast.unparse(node)!r} is not allowed")
         raise RegistryError(f"{where}: cannot evaluate {expr!r}: {what}")
@@ -114,12 +104,7 @@ def _evaluate(expr: str, params: dict[str, int], where: str):
 
 
 def _eval_int(expr, params: dict[str, int], where: str) -> int:
-    if isinstance(expr, int):
-        return expr
-    value = _evaluate(expr, params, where)
-    if type(value) is not int:
-        raise RegistryError(f"{where}: expression {expr!r} is not an integer")
-    return value
+    return expr if isinstance(expr, int) else _evaluate(expr, params, where)
 
 
 def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
@@ -141,6 +126,9 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
     for idx, row in enumerate(doc["cases"]):
         where_row = f"{where}: case[{idx}]"
         try:
+            unknown = sorted(set(row) - _ROW_KEYS)
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
             template = CaseTemplate(
                 name=row["name"],
                 group=row["group"],
@@ -150,7 +138,6 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
                 multiplicity_exprs=tuple(row["multiplicities"]),
                 param_specs=tuple((p["name"], int(p["min"]), int(p["default"]))
                                   for p in row.get("params", [])),
-                bounds=tuple(row.get("bounds", [])),
                 notes=row.get("notes", ""),
                 metadata=row.get("metadata", {}),
             )
@@ -168,18 +155,12 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
 
 
 def instantiate_case(template: CaseTemplate, params: dict[str, int] | None = None) -> CaseSpec:
-    """Fill a template's parameters (defaults where omitted) and check bounds."""
+    """Fill a template's parameters (defaults where omitted) and check their minimums."""
     values = template.default_params()
     for key, val in (params or {}).items():
         if key not in values:
             raise BoundError(f"case {template.name} has no parameter {key!r}")
         values[key] = int(val)
-    for bound in template.bounds:
-        ok = _evaluate(bound, values, f"case {template.name} (bound)")
-        if type(ok) is not bool:
-            raise RegistryError(f"case {template.name}: bound {bound!r} is not a condition")
-        if not ok:
-            raise BoundError(f"case {template.name}: bound '{bound}' violated by {values}")
     for name, minimum, _ in template.param_specs:
         if values[name] < minimum:
             raise BoundError(f"case {template.name}: bound '{name} >= {minimum}' "

@@ -63,7 +63,10 @@ class ResultantReport:
     formal_degrees: tuple[int, int]
     trimmed_pairs: int
     degree: int | None
-    identically_zero: bool
+
+    @property
+    def identically_zero(self) -> bool:
+        return not self.coeffs
 
     @property
     def poly(self) -> SpatialPoly:
@@ -84,7 +87,8 @@ def _integer_lists(polys: list[SpatialPoly], label: str,
     Returns ``(lists, degree, scale)``: ``lists[j]`` is ``scale * polys[j]`` at
     y = 1, low to high, where ``scale`` is the lcm of every coefficient's
     denominator and ``degree`` the common homogeneous degree of the nonzero
-    entries.  Irrational coefficients and mixed degrees raise PipelineError.
+    entries (None if there are none; every list is then ``[]``).  Irrational
+    coefficients and mixed degrees raise PipelineError.
     """
     degree = None
     scale = 1
@@ -103,7 +107,7 @@ def _integer_lists(polys: list[SpatialPoly], label: str,
             scale = math.lcm(scale, int(coeff.a.denominator))
     lists = []
     for poly in polys:
-        dense = [0] * (degree + 1)
+        dense = [0] * (0 if poly.is_zero else degree + 1)
         for (a, _), coeff in poly.terms.items():
             dense[a] = int(coeff.a.numerator) * (scale // int(coeff.a.denominator))
         while dense and not dense[-1]:
@@ -119,13 +123,16 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     Sylvester determinant is trivially zero (the two velocity forms share the
     direction xd = 0, which the slope chart excludes).  That common formal
     root is removed by trimming one leading coefficient from each list until
-    at least one of them is nonzero; the count of trimmed pairs is recorded.
+    one leading coefficient is nonzero or one list is down to its constant;
+    the count of trimmed pairs is recorded.  The determinant at the formal degrees left then decides every
+    case: a constant a0 against an all-zero quintic gives a0**deg_c.
 
     The determinant itself runs in Z[u]: each list must be rational and
     homogeneous of one degree (DA for A, DC for C) and its denominators are
     cleared.  The integer resultant is kept as it comes, over the scale this
     puts on the Sylvester rows, at degree deg_a*DC + deg_c*DA; both are
-    divided by their gcd.
+    divided by their gcd.  An all-zero list has no degree; a nonzero
+    determinant multiplies it by a formal degree of 0.
     """
     pa = list(bundle.a_coeffs)
     pc = list(bundle.c_coeffs)
@@ -135,21 +142,18 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
         pc.pop()
         trimmed += 1
     formal = (len(pa) - 1, len(pc) - 1)
-    if all(p.is_zero for p in pa) or all(p.is_zero for p in pc) \
-            or len(pa) < 2 or len(pc) < 2:
-        return ResultantReport([], 1, formal, trimmed, None, True)
     label = bundle.case.label
     int_a, hdeg_a, scale_a = _integer_lists(pa, label, "A")
     int_c, hdeg_c, scale_c = _integer_lists(pc, label, "C")
     deg_a, deg_c = formal
     dense = sylvester_resultant(int_a, int_c)
     if not dense:
-        return ResultantReport([], 1, formal, trimmed, None, True)
-    degree = deg_a * hdeg_c + deg_c * hdeg_a
+        return ResultantReport([], 1, formal, trimmed, None)
+    degree = (deg_a and deg_a * hdeg_c) + (deg_c and deg_c * hdeg_a)
     scale = scale_a ** deg_c * scale_c ** deg_a
     g = math.gcd(scale, *dense)
     coeffs = [c // g for c in dense] + [0] * (degree + 1 - len(dense))
-    return ResultantReport(coeffs, scale // g, formal, trimmed, degree, False)
+    return ResultantReport(coeffs, scale // g, formal, trimmed, degree)
 
 
 @dataclass

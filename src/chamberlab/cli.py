@@ -1,9 +1,9 @@
 """Command-line front end: cases, derive, certify, integrate, verify-paper-example.
 
 Exit codes: 0 success, 1 some case not certified (every certificate and the
-table are still written), 2 user error (unknown case, bad parameters, bad
-start state, bad integrator setting, --jobs below 1), 3 internal pipeline
-invariant violation.  All outputs are reproducible run to run except
+table are still written), 2 user error (unknown case, bad parameters, bad or
+non-finite start state, bad integrator setting, --jobs below 1), 3 internal
+pipeline invariant violation.  All outputs are reproducible run to run except
 timestamp and duration metadata.
 """
 
@@ -119,7 +119,6 @@ def _cmd_cases(args) -> int:
             "n": t.n_expr, "multiplicities": list(t.multiplicity_exprs),
             "params": [{"name": n, "min": lo, "default": df}
                        for n, lo, df in t.param_specs],
-            "bounds": list(t.bounds),
         } for t in registry]
         print(json.dumps(rows, indent=1))
     else:
@@ -194,20 +193,23 @@ def _cmd_integrate(args) -> int:
     try:
         cfg = IntegratorConfig(step=args.step_size, max_steps=args.steps,
                                wall_epsilon=args.wall_epsilon, mode=args.mode)
+        init = state_from_angle(args.x0, args.y0, args.angle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    init = state_from_angle(args.x0, args.y0, args.angle)
     trajectory = integrate_curve(init, cfg, case)
+    summary = sys.stdout
     if args.out == "-":
         trajectory.write_csv(sys.stdout)
+        summary = sys.stderr  # keeps the CSV on stdout clean
     else:
         out = Path(args.out) if args.out else _out_dir(None) / f"{case.name}.trajectory.csv"
         out.parent.mkdir(parents=True, exist_ok=True)
         trajectory.write_csv(str(out))
         print(f"wrote {out}")
     print(f"steps={len(trajectory.states) - 1} stop={trajectory.stop_reason} "
-          f"max|f|={trajectory.max_abs_f:.3e} speed_drift={trajectory.speed_drift:.3e}")
+          f"max|f|={trajectory.max_abs_f:.3e} speed_drift={trajectory.speed_drift:.3e}",
+          file=summary)
     return EXIT_OK
 
 

@@ -208,7 +208,9 @@ def get_lab(case: CaseSpec) -> CaseLab:
 
 
 def state_from_angle(x0: float, y0: float, angle: float, s0: float = 0.0) -> CurveState:
-    """Initial state at (x0, y0) with unit tangent at the given angle."""
+    """Initial state at (x0, y0) with unit tangent at the given angle, all finite."""
+    if not all(map(math.isfinite, (x0, y0, angle))):
+        raise ValueError(f"x0, y0 and angle must be finite, got {x0}, {y0}, {angle}")
     return CurveState(s=s0, x=x0, y=y0, xd=math.cos(angle), yd=math.sin(angle))
 
 

@@ -9,9 +9,10 @@ integer arithmetic.
 
 The Sylvester matrix is built from formal degrees (the supplied coefficient
 lists fix them), so vanishing leading coefficients are kept as zero entries.
-Row layout puts the second polynomial's coefficient block first, which fixes
-the sign convention: the resultant of (t - u, t - 1) at formal degrees (1, 1)
-is 1 - u.
+One side may have formal degree 0: the matrix is then its constant a0 on the
+diagonal, and Res(a0, C) = a0**k for C of formal degree k.  Row layout puts
+the second polynomial's coefficient block first, which fixes the sign
+convention: the resultant of (t - u, t - 1) at formal degrees (1, 1) is 1 - u.
 """
 
 from __future__ import annotations
@@ -71,13 +72,14 @@ def divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
 def sylvester_matrix(pa: list[IntPoly], pc: list[IntPoly]) -> list[list[IntPoly]]:
     """Sylvester matrix for coefficient lists given low-to-high.
 
-    ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1.
-    The first len(pa)-1 rows carry pc's coefficients, the remaining rows pa's.
+    ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1;
+    either may be 0, not both.  The first len(pa)-1 rows carry pc's
+    coefficients, the remaining rows pa's.
     """
     deg_a = len(pa) - 1
     deg_c = len(pc) - 1
-    if deg_a < 1 or deg_c < 1:
-        raise ValueError("both polynomials need formal degree at least 1")
+    if min(deg_a, deg_c) < 0 or deg_a + deg_c < 1:
+        raise ValueError("formal degrees must be at least 0 and not both 0")
     size = deg_a + deg_c
     matrix = []
     desc_c = list(reversed(pc))

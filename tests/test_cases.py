@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from chamberlab.cases import CaseSpec, load_registry, registry_case, validate_case
+from chamberlab.cases import (
+    CaseSpec,
+    instantiate_case,
+    load_registry,
+    registry_case,
+    validate_case,
+)
 from chamberlab.errors import BoundError, RegistryError
 
 EXPECTED_NAMES = {
@@ -167,6 +173,13 @@ def _one_row_registry(tmp_path, **row):
     {"bounds": [f"{ESCAPE} > 0"]},
 ])
 def test_registry_expressions_cannot_run_code(tmp_path, row):
+    if "bounds" in row:
+        # Bounds are the parameter minimums: a row with a bounds list, or
+        # any other unknown key, is rejected when the registry is loaded.
+        for extra in (row, {"limits": ["n < 9"]}):
+            with pytest.raises(RegistryError, match="unknown keys"):
+                _one_row_registry(tmp_path, **extra)
+        return
     registry = _one_row_registry(tmp_path, **row)
     with pytest.raises(RegistryError, match="not allowed"):
         registry_case("x", registry=registry)
@@ -179,7 +192,8 @@ def test_registry_expressions_cannot_run_code(tmp_path, row):
     ("m + 1", "unknown name 'm'"),
     ("n // 0", "division"),
     ("n +", "cannot parse"),
-    ("n >= 3", "not an integer"),
+    ("n >= 3", "not allowed"),
+    ("n > 2 and n", "not allowed"),
 ])
 def test_registry_expression_whitelist(tmp_path, expr, message):
     registry = _one_row_registry(tmp_path, n=expr)
@@ -187,11 +201,37 @@ def test_registry_expression_whitelist(tmp_path, expr, message):
         registry_case("x", registry=registry)
 
 
-def test_registry_bounds_use_comparisons_and_conjunctions(tmp_path):
+# The registry's expressions, written out: (n, d, multiplicities) per row.
+PARAMETRIC_ROWS = {
+    "SOn-1": lambda n: (n, 1, (n - 2,)),
+    "SOpxSOq": lambda p, q: (p + q, 2, (q - 1, p - 1)),
+    "SO2xSOm": lambda m: (2 * m, 4, (m - 2, 1, m - 2, 1)),
+    "SU2xUm": lambda m: (4 * m, 4, (2 * m - 3, 2, 2 * m - 3, 2)),
+    "Sp2xSpm": lambda m: (8 * m, 4, (4 * m - 5, 4, 4 * m - 5, 4)),
+}
+
+
+def test_parametric_rows_instantiate_from_minimum_to_40(registry):
+    parametric = [t for t in registry if t.is_parametric]
+    assert {t.name for t in parametric} == set(PARAMETRIC_ROWS)
+    for template in parametric:
+        expected = PARAMETRIC_ROWS[template.name]
+        names = [name for name, _, _ in template.param_specs]
+        grid = [{}]
+        for name, minimum, _ in template.param_specs:
+            grid = [dict(g, **{name: v}) for g in grid for v in range(minimum, 41)]
+        for params in grid:
+            case = instantiate_case(template, params)
+            assert (case.n, case.d, case.multiplicities) == \
+                expected(*(params[k] for k in names)), (template.name, params)
+        for name, minimum, _ in template.param_specs:
+            for value in range(minimum - 3, minimum):
+                with pytest.raises(BoundError, match=f"'{name} >= {minimum}'"):
+                    instantiate_case(template, {name: value})
+
+
+def test_registry_expression_arithmetic(tmp_path):
     registry = _one_row_registry(tmp_path, n="2 * n - -1 - n - 1",
-                                 bounds=["3 <= n < 10 and n != 7", "-n // 2 < 0"])
-    assert registry_case("x", {"n": 4}, registry=registry).n == 4
-    with pytest.raises(BoundError, match="n != 7"):
-        registry_case("x", {"n": 7}, registry=registry)
-    with pytest.raises(RegistryError, match="not a condition"):
-        registry_case("x", registry=_one_row_registry(tmp_path, bounds=["n - 3"]))
+                                 multiplicities=["-(2 - n) // 1"])
+    case = registry_case("x", {"n": 7}, registry=registry)
+    assert (case.n, case.multiplicities) == (7, (5,))

@@ -48,12 +48,26 @@ def test_single_wall_resultant_constant():
     assert report.poly == SpatialPoly.constant(FieldScalar.rational(-22937600, 531441))
 
 
-def test_degenerate_quintic_is_inconclusive():
-    # At n=5 the single-wall cubic is a nonzero constant and the quintic table
-    # cancels identically; any resultant convention degenerates.
-    bundle = build_bundle(registry_case("SOn-1", {"n": 5}))
-    report = compute_resultant(bundle)
-    assert report.identically_zero
+def test_degenerate_quintic_certifies_by_determinant():
+    # At n=5 the single-wall cubic is the nonzero constant -18 and the quintic
+    # table cancels identically.  Trimming the shared direction xd = 0 leaves
+    # formal degrees (0, 2), whose Sylvester determinant is (-18)**2.
+    case = registry_case("SOn-1", {"n": 5})
+    report = compute_resultant(build_bundle(case))
+    assert report.formal_degrees == (0, 2)
+    assert report.trimmed_pairs == 3
+    assert report.degree == 0
+    assert report.poly == SpatialPoly.constant(FieldScalar.rational(324))
+    cert = certify_case(case)
+    assert cert["conclusion"] == "nonexistence-certified"
+    assert [w["value"] for w in cert["exact_samples"]] == \
+        [FieldScalar.rational(324).to_text()] * 2
+
+
+def test_every_single_wall_instance_certifies():
+    for n in range(3, 41):
+        cert = certify_case(registry_case("SOn-1", {"n": n}))
+        assert cert["conclusion"] == "nonexistence-certified", n
 
 
 def test_u5_resultant_degree_and_value(u5):
@@ -241,14 +255,14 @@ def test_certificate_conclusion_logic(u5):
     report = compute_resultant(bundle)
 
     zero_like = type(report)(coeffs=[], scale=1, formal_degrees=(3, 5),
-                             trimmed_pairs=0, degree=None, identically_zero=True)
+                             trimmed_pairs=0, degree=None)
+    assert zero_like.identically_zero
     assert zero_like.poly == SpatialPoly.zero()
     cert = emit_certificate(u5, zero_like, None, None, 0.0)
     assert cert["conclusion"] == "inconclusive-resultant-vanishes"
 
     tampered = type(report)(coeffs=report.coeffs, scale=report.scale,
-                            formal_degrees=(3, 5), trimmed_pairs=0, degree=80,
-                            identically_zero=False)
+                            formal_degrees=(3, 5), trimmed_pairs=0, degree=80)
     cert = emit_certificate(u5, tampered, _ArcEvaluator(report.coeffs), None, 0.0)
     assert cert["conclusion"] == "degree-mismatch"
 

@@ -1,7 +1,8 @@
+import dataclasses
 import hashlib
 import json
 
-from chamberlab import cli
+from chamberlab import certify, cli
 from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USER_ERROR, main
 from golden import BUNDLE_HASHES, CERTIFICATES, without_volatile_lines
 
@@ -77,16 +78,22 @@ def test_certify_single_case(tmp_path, capsys):
     assert "nonexistence-certified" in out
 
 
-def test_certify_failure_sets_exit_status(tmp_path, capsys):
-    # At n=5 the single-wall quintic cancels identically, so the case is
-    # inconclusive: the certificate and the table are written, the exit
-    # status says the sweep did not certify.
-    code = main(["certify", "--case", "SOn-1", "--param", "n=5", "--out", str(tmp_path)])
+def test_certify_failure_sets_exit_status(tmp_path, capsys, monkeypatch):
+    # A resultant of the wrong degree does not certify: the certificate and
+    # the table are written, the exit status says the sweep did not certify.
+    compute = certify.compute_resultant
+
+    def mismatched(bundle):
+        report = compute(bundle)
+        return dataclasses.replace(report, degree=report.degree + 1)
+
+    monkeypatch.setattr(certify, "compute_resultant", mismatched)
+    code = main(["certify", "--case", "SOn-1", "--out", str(tmp_path)])
     assert code == EXIT_NOT_CERTIFIED
     (path,) = tmp_path.glob("*.certificate.json")
-    assert json.loads(path.read_text())["conclusion"] == "inconclusive-resultant-vanishes"
+    assert json.loads(path.read_text())["conclusion"] == "degree-mismatch"
     captured = capsys.readouterr()
-    assert "inconclusive-resultant-vanishes" in captured.out
+    assert "degree-mismatch" in captured.out
     assert "1 case(s) not certified" in captured.err
 
 
@@ -187,6 +194,19 @@ def test_integrate_writes_csv_and_summary(tmp_path, capsys):
     assert "max|f|=" in summary and "stop=max_steps" in summary
 
 
+def test_integrate_csv_to_stdout_keeps_summary_on_stderr(capsys):
+    code = main(["integrate", "--case", "SU3", "--mode", "minimal",
+                 "--x0", "1", "--y0", "0.3", "--angle", "0.7",
+                 "--steps", "20", "--out", "-"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "s,x,y,xd,yd,f,A2,res_poly,res_ode"
+    assert len(lines) == 22
+    assert all(len(line.split(",")) == 9 for line in lines)
+    assert "steps=20 stop=max_steps" in captured.err
+
+
 def test_integrate_zero_steps(tmp_path):
     out = tmp_path / "single.csv"
     code = main(["integrate", "--case", "SU3", "--mode", "biharmonic-candidate",
@@ -205,9 +225,12 @@ def test_integrate_outside_chamber_is_user_error(tmp_path, capsys):
 
 
 def test_integrate_bad_setting_is_user_error(tmp_path, capsys):
-    # A rejected integrator setting is reported, not raised: exit 2, no CSV.
+    # A rejected integrator setting or non-finite start value is reported,
+    # not raised: exit 2, no CSV.
     for flag, value in (("--step-size", "0"), ("--step-size", "nan"),
-                        ("--steps", "-3"), ("--wall-epsilon", "inf")):
+                        ("--steps", "-3"), ("--wall-epsilon", "inf"),
+                        ("--angle", "inf"), ("--angle", "nan"),
+                        ("--x0", "inf"), ("--y0", "nan")):
         out = tmp_path / "x.csv"
         code = main(["integrate", "--case", "SU3", "--mode", "minimal",
                      "--x0", "1", "--y0", "0.3", "--angle", "0.7",

@@ -81,6 +81,20 @@ def test_resultant_of_coprime_constants():
     assert sylvester_resultant(pa, pc) == [3]
 
 
+def test_formal_degree_zero_side_gives_power_of_constant():
+    # A side of formal degree 0 puts its constant a0 on the diagonal, so
+    # Res(a0, C) = a0**k for C of formal degree k, with either side first.
+    rng = random.Random(19)
+    for _ in range(20):
+        a0 = rng.choice([-1, 1]) * rng.randint(1, 9)
+        k = rng.randint(1, 5)
+        pc = [_stripped(_random_linear(rng)) for _ in range(k + 1)]
+        for pair in (([[a0]], pc), (pc, [[a0]])):
+            res = sylvester_resultant(*pair)
+            assert res == [a0 ** k]
+            assert res == determinant_cofactor(sylvester_matrix(*pair))
+
+
 def test_resultant_homogeneous_for_homogeneous_inputs():
     # x*(2t^3 + 1) and y*(3t^5 + 1) are coprime in t, so the determinant is a
     # nonzero homogeneous polynomial of degree 5*1 + 3*1, which is
@@ -107,4 +121,6 @@ def test_exact_division():
 
 def test_rejects_degenerate_degrees():
     with pytest.raises(ValueError):
-        sylvester_matrix([ONE], [ONE, ONE])
+        sylvester_matrix([ONE], [ONE])
+    with pytest.raises(ValueError):
+        sylvester_matrix([], [ONE, ONE])

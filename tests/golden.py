@@ -14,9 +14,14 @@ SHA-256 of ``json.dumps(report.poly.to_json())``, and
 SHA-256 of its bundle file as ``chamberlab derive`` writes it, and
 ``tests/fixtures/trajectory_sha256.json``, which maps ``<label>/<mode>`` to
 the SHA-256 of the CSV of a short RK4 curve (:func:`trajectory_csv`) for each
-of the lab rows SOpxSOq, SU3, SO5 and G2 in both modes.  The lab's float
-coefficients come from ``to_float`` (mpmath at 53 bits), so the trajectory
-hashes do not depend on the rational backend.  The tests compare the current
+of the lab rows SOpxSOq, SU3, SO5 and G2 in both modes, and
+``tests/fixtures/wall_stop.json``, which pins the CSV hash, stop reason and
+state count of a curve of each lab row and mode that runs into the chamber's
+vertex (:func:`wall_stop_curves`), and ``tests/fixtures/lab_pointwise.json``,
+the ``repr`` of ``normal_residual`` and ``geometric_scalars`` at three fixed
+states of each lab row (:func:`pointwise_reprs`).  The lab's float
+coefficients come from ``to_float`` (mpmath at 53 bits), so these lab
+fixtures do not depend on the rational backend.  The tests compare the current
 code against these files, so regenerate only when a change of output is
 intended.
 """
@@ -32,7 +37,14 @@ from pathlib import Path
 
 from chamberlab import certify
 from chamberlab.cases import default_cases, registry_case
-from chamberlab.numerics import MODES, IntegratorConfig, integrate_curve, state_from_angle
+from chamberlab.numerics import (
+    MODES,
+    IntegratorConfig,
+    geometric_scalars,
+    integrate_curve,
+    normal_residual,
+    state_from_angle,
+)
 from chamberlab.reduction import build_bundle, bundle_to_json
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -40,8 +52,14 @@ CERTIFICATES = FIXTURES / "certificates"
 RESULTANT_HASHES = FIXTURES / "resultant_sha256.json"
 BUNDLE_HASHES = FIXTURES / "bundle_sha256.json"
 TRAJECTORY_HASHES = FIXTURES / "trajectory_sha256.json"
+WALL_STOPS = FIXTURES / "wall_stop.json"
+POINTWISE = FIXTURES / "lab_pointwise.json"
 TRAJECTORY_ROWS = ("SOpxSOq", "SU3", "SO5", "G2")
 TRAJECTORY_STEPS = 1000
+# (radius, polar angle as a fraction of pi/d, tangent angle) of the states
+# that pointwise_reprs samples, and the planar curvature it passes.
+POINTWISE_STATES = ((1.0, 0.3, 0.7), (2.0, 0.5, 2.0), (3.0, 0.7, -1.0))
+POINTWISE_KD = 0.25
 VOLATILE = ("duration_ms", "created_utc")
 
 
@@ -71,6 +89,10 @@ def bundle_sha256(bundle) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def trajectory_csv(case, mode: str) -> str:
     """CSV text of a 1000-step curve from a fixed interior start.
 
@@ -92,8 +114,51 @@ def trajectory_hashes() -> dict[str, str]:
         case = registry_case(name)
         for mode in MODES:
             text = trajectory_csv(case, mode)
-            hashes[f"{case.label}/{mode}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            hashes[f"{case.label}/{mode}"] = _sha256(text)
     return hashes
+
+
+def wall_stop_curves() -> dict[str, dict]:
+    """CSV hash, stop reason and state count of a curve that stops at a wall.
+
+    For every lab row and mode the curve starts at radius 0.2 on the chamber's
+    bisector and heads for the origin, where all walls meet, with step 1e-3:
+    it stops at the boundary after about 200 steps, well before max_steps.
+    """
+    out = {}
+    for name in TRAJECTORY_ROWS:
+        case = registry_case(name)
+        sigma = 0.5 * math.pi / case.d
+        init = state_from_angle(0.2 * math.cos(sigma), 0.2 * math.sin(sigma), sigma + math.pi)
+        for mode in MODES:
+            cfg = IntegratorConfig(step=1e-3, max_steps=400, mode=mode)
+            trajectory = integrate_curve(init, cfg, case)
+            buffer = io.StringIO()
+            trajectory.write_csv(buffer)
+            out[f"{case.label}/{mode}"] = {"sha256": _sha256(buffer.getvalue()),
+                                           "stop_reason": trajectory.stop_reason,
+                                           "states": len(trajectory.states)}
+    return out
+
+
+def pointwise_reprs() -> dict[str, dict]:
+    """``repr`` of the pointwise oracles at POINTWISE_STATES of every lab row.
+
+    normal_residual at its default difference step, and geometric_scalars in
+    each mode with kd = POINTWISE_KD; keys are ``<label>/<state index>``.
+    """
+    out = {}
+    for name in TRAJECTORY_ROWS:
+        case = registry_case(name)
+        for index, (radius, frac, angle) in enumerate(POINTWISE_STATES):
+            sigma = frac * math.pi / case.d
+            st = state_from_angle(radius * math.cos(sigma), radius * math.sin(sigma), angle)
+            entry = {"normal_residual": repr(normal_residual(st, case))}
+            for mode in MODES:
+                entry[f"geometric_scalars/{mode}"] = repr(
+                    geometric_scalars(st, case, POINTWISE_KD, mode=mode))
+            out[f"{case.label}/{index}"] = entry
+    return out
 
 
 def _write_hashes(path: Path, hashes: dict) -> None:
@@ -124,6 +189,8 @@ def main() -> int:
     _write_hashes(RESULTANT_HASHES, hashes)
     _write_hashes(BUNDLE_HASHES, bundle_hashes)
     _write_hashes(TRAJECTORY_HASHES, trajectory_hashes())
+    _write_hashes(WALL_STOPS, wall_stop_curves())
+    _write_hashes(POINTWISE, pointwise_reprs())
     return 0
 
 

@@ -27,7 +27,14 @@ from chamberlab.numerics import (
 )
 from chamberlab.poly import SpatialPoly
 from float_poly_oracle import float_poly_value
-from golden import TRAJECTORY_HASHES, trajectory_hashes
+from golden import (
+    POINTWISE,
+    TRAJECTORY_HASHES,
+    WALL_STOPS,
+    pointwise_reprs,
+    trajectory_hashes,
+    wall_stop_curves,
+)
 
 
 def _random_interior_state(case, rng, radius=(0.7, 1.5)):
@@ -284,6 +291,18 @@ def test_trajectories_match_golden_hashes():
     # SOpxSOq, SU3, SO5 and G2 in both modes, 1000 RK4 steps each: every CSV
     # byte must match the fixture written by tests/golden.py.
     assert trajectory_hashes() == json.loads(TRAJECTORY_HASHES.read_text())
+
+
+def test_wall_stop_curves_match_golden():
+    # A curve of each lab row and mode that ends at the chamber's vertex: the
+    # CSV bytes, the stop reason and the state count of the wall-stop branch.
+    assert wall_stop_curves() == json.loads(WALL_STOPS.read_text())
+
+
+def test_pointwise_oracles_match_golden():
+    # normal_residual and geometric_scalars at three states of each lab row,
+    # compared by repr, so every bit of every value must match.
+    assert pointwise_reprs() == json.loads(POINTWISE.read_text())
 
 
 def _lab_polynomials(lab):

@@ -8,12 +8,19 @@ Unit speed is never renormalized: the drift is one of the measured
 diagnostics.  Curvatures blow up like 1/w near a wall, so integration stops
 at the configured wall tolerance rather than continuing into garbage.
 
-Evaluation order is part of the output: every polynomial is compiled once per
-case into a straight-line function that adds its terms left to right in
-``float_terms()`` order (see :func:`_float_poly`), and every other float sum
-here is an explicit left-to-right loop rather than builtin ``sum``, which
-compensates on Python 3.12+.  So a trajectory's CSV bytes depend only on the
-float coefficients, not on the Python version.
+Each case's polynomials are compiled once into four straight-line kernels
+(:class:`CaseLab`): R, the interior test, the per-state values (walls, qd,
+t1..t5, A0..A3) and the terms of R'.  RK4 runs on plain floats through one
+function, :func:`_rk4`, that calls the R kernel for its stages.
+
+Evaluation order is part of the output.  Kernel contract (see
+:func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
+...`` over its ``float_terms()`` in order, each product and each sum left to
+right; each power ``x**a``, ``y**b`` is computed once per call and shared, and
+a factor of exactly 1 (``x**0``) is left out, which changes no bit.  Every
+other float sum here is an explicit left-to-right expression or loop rather
+than builtin ``sum``, which compensates on Python 3.12+.  So a trajectory's
+CSV bytes depend only on the float coefficients, not on the Python version.
 """
 
 from __future__ import annotations
@@ -49,9 +56,6 @@ class CurveState:
     xd: float
     yd: float
 
-    def speed_sq(self) -> float:
-        return self.xd * self.xd + self.yd * self.yd
-
 
 @dataclass
 class IntegratorConfig:
@@ -71,135 +75,150 @@ class IntegratorConfig:
             raise ValueError(f"mode must be one of {MODES}")
 
 
-def _float_poly(poly) -> Callable[[float, float], float]:
-    """Compile a SpatialPoly into one straight-line double-precision function.
+# Every node of a kernel sits at line 1, column 0: set at construction, which
+# is cheaper than ast.fix_missing_locations walking the finished tree.
+_AT = {"lineno": 1, "col_offset": 0}
 
-    Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms of
-    ``poly.float_terms()`` in that order, the function computes
-    ``0 + c_0 * x**a_0 * y**b_0 + c_1 * x**a_1 * y**b_1 + ...``, each product
-    and each sum left to right, so every call rounds exactly as the plain
-    left-to-right loop does, on any Python version (builtin ``sum`` of floats
-    compensates since 3.12).  The zero polynomial returns the int 0.  The
-    function is built from ``ast`` nodes with the coefficients as float
-    constants: no source text is formatted or parsed.
+
+def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: str) -> Callable:
+    """Compile polynomials in (x, y) into one straight-line function of one point.
+
+    ``polys`` maps a local name to the ``float_terms()`` of a polynomial in
+    the first two of ``args``.  The function binds each polynomial's value to
+    its name and returns ``result``, an expression over those names and
+    ``args``.  Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms
+    in order, a polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 + ...``,
+    each product and each sum left to right, so it rounds exactly as the
+    plain left-to-right loop does, on any Python version (builtin ``sum`` of
+    floats compensates since 3.12).  Each power ``x**a`` and ``y**b`` is
+    computed once per call and shared by every polynomial; a factor ``x**0``
+    (exactly 1.0) is left out and ``x**1`` is ``x``, neither of which changes
+    a bit.  A zero polynomial's value is the int 0.  The coefficients enter
+    as float constants of ``ast`` nodes: only the fixed ``result`` expression
+    is parsed from text.
     """
-    x, y = ast.Name("x", ast.Load()), ast.Name("y", ast.Load())
-    body = ast.Constant(0)
-    for a, b, c in poly.float_terms():
-        term = ast.BinOp(ast.Constant(c), ast.Mult(), ast.BinOp(x, ast.Pow(), ast.Constant(a)))
-        term = ast.BinOp(term, ast.Mult(), ast.BinOp(y, ast.Pow(), ast.Constant(b)))
-        body = ast.BinOp(body, ast.Add(), term)
-    params = ast.arguments(posonlyargs=[], args=[ast.arg("x"), ast.arg("y")],
+    x, y = args[:2]
+    body = []
+    powers = set()
+
+    def times(left, var, k):
+        if k == 0:
+            return left
+        if k > 1 and (var, k) not in powers:
+            powers.add((var, k))
+            body.append(_assign(f"{var}{k}", ast.BinOp(_load(var), ast.Pow(),
+                                                       ast.Constant(k, **_AT), **_AT)))
+        return ast.BinOp(left, ast.Mult(), _load(var if k == 1 else f"{var}{k}"), **_AT)
+
+    for local, terms in polys.items():
+        value = ast.Constant(0, **_AT)
+        for a, b, c in terms:
+            value = ast.BinOp(value, ast.Add(), times(times(ast.Constant(c, **_AT), x, a), y, b),
+                              **_AT)
+        body.append(_assign(local, value))
+    body.append(ast.Return(ast.parse(result, mode="eval").body, **_AT))
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(a, **_AT) for a in args],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
-    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
-    return eval(compile(tree, "<float_poly>", "eval"), {"__builtins__": {}})
+    func = ast.FunctionDef(name=name, args=params, body=body, decorator_list=[],
+                           returns=None, type_params=[], **_AT)
+    module = ast.Module(body=[func], type_ignores=[])
+    namespace = {"__builtins__": {}}
+    exec(compile(module, f"<kernel {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _load(name: str) -> ast.Name:
+    return ast.Name(name, ast.Load(), **_AT)
+
+
+def _assign(name: str, value: ast.expr) -> ast.Assign:
+    return ast.Assign(targets=[ast.Name(name, ast.Store(), **_AT)], value=value, **_AT)
 
 
 class CaseLab:
-    """Compiled float evaluators for one case's pipeline polynomials."""
+    """Compiled float kernels for one case's pipeline polynomials.
+
+    - ``R(x, y, xd, yd)``: the curvature sum (-t2 xd + t1 yd) / qd;
+    - ``inside(x, y, wall_epsilon)``: the strict interior test, the canonical
+      sign pattern with a margin (the zeroth wall negative, the others
+      positive);
+    - ``point(x, y)``: ``((w_0, ..., w_{d-1}), qd, t1, ..., t5, A0, ..., A3)``;
+    - ``r_dot_terms(x, y)``: qd followed by the numerator polynomials of R',
+      whose velocity exponents are ``r_dot_exponents``.
+    """
 
     def __init__(self, case: CaseSpec):
         self.case = case
         bundle = build_bundle(case)
         self.bundle = bundle
-        self.walls = [_float_poly(w) for w in bundle.walls]
-        self.qd = _float_poly(bundle.qd)
-        self.t1 = _float_poly(bundle.t1)
-        self.t2 = _float_poly(bundle.t2)
-        self.t3 = _float_poly(bundle.t3)
-        self.t4 = _float_poly(bundle.t4)
-        self.t5 = _float_poly(bundle.t5)
-        self.a_coeffs = [_float_poly(a) for a in bundle.a_coeffs]
-        self.r_dot_terms = [(p, q, _float_poly(poly))
-                            for (p, q), poly in bundle.r_dot.num.terms.items()]
-
-    # -- chamber geometry ----------------------------------------------------
-
-    def wall_values(self, x: float, y: float) -> list[float]:
-        return [w(x, y) for w in self.walls]
-
-    def inside(self, x: float, y: float, wall_epsilon: float) -> bool:
-        """Strict interior test: the canonical sign pattern with a margin.
-
-        In the open chamber the zeroth wall is negative and the others are
-        positive.
-        """
-        values = self.wall_values(x, y)
-        if values[0] > -wall_epsilon:
-            return False
-        return all(v > wall_epsilon for v in values[1:])
+        d = case.d
+        self.trig = tuple((math.sin(i * math.pi / d), math.cos(i * math.pi / d))
+                          for i in range(d))
+        walls = {f"w{i}": w.float_terms() for i, w in enumerate(bundle.walls)}
+        t = {name: getattr(bundle, name).float_terms()
+             for name in ("qd", "t1", "t2", "t3", "t4", "t5")}
+        a = {f"a{j}": poly.float_terms() for j, poly in enumerate(bundle.a_coeffs)}
+        wall_names = ", ".join(walls) + ","
+        self.R = _kernel("R", ("x", "y", "xd", "yd"),
+                         {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]},
+                         "(-t2 * xd + t1 * yd) / qd")
+        self.inside = _kernel("inside", ("x", "y", "wall_epsilon"), walls, " and ".join(
+            ["not w0 > -wall_epsilon"] + [f"w{i} > wall_epsilon" for i in range(1, d)]))
+        self.point = _kernel("point", ("x", "y"), {**walls, **t, **a},
+                             f"(({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3)")
+        r_dot = bundle.r_dot.num.terms
+        self.r_dot_exponents = list(r_dot)
+        numerators = {f"n{k}": poly.float_terms() for k, poly in enumerate(r_dot.values())}
+        self.r_dot_terms = _kernel("r_dot_terms", ("x", "y"), {"qd": t["qd"], **numerators},
+                                   "(qd, " + "".join(f"{n}, " for n in numerators) + ")")
 
     # -- pointwise quantities --------------------------------------------------
 
     def wall_curvatures(self, st: CurveState) -> list[float]:
-        values = self.wall_values(st.x, st.y)
-        out = []
-        for i, w_val in enumerate(values):
-            s, c = _trig_float(self.case.d, i)
-            out.append((s * st.yd + c * st.xd) / w_val)
-        return out
-
-    def R(self, x: float, y: float, xd: float, yd: float) -> float:
-        return (-self.t2(x, y) * xd + self.t1(x, y) * yd) / self.qd(x, y)
+        return _curvatures(self.trig, self.point(st.x, st.y)[0], st.xd, st.yd)
 
     def r_dot_symbolic(self, st: CurveState) -> float:
         """Float evaluation of the exact first arclength derivative of R."""
-        q = self.qd(st.x, st.y)
+        q, *values = self.r_dot_terms(st.x, st.y)
         num = 0
-        for p, q_exp, poly in self.r_dot_terms:
-            num += poly(st.x, st.y) * st.xd**p * st.yd**q_exp
+        for (p, q_exp), value in zip(self.r_dot_exponents, values):
+            num += value * st.xd**p * st.yd**q_exp
         return num / (q * q)
 
-    def volume_log_derivative(self, st: CurveState) -> float:
-        """(1/2) d/ds log(volume_sq) evaluated pointwise."""
-        return ((self.t1(st.x, st.y) * st.xd + self.t2(st.x, st.y) * st.yd)
-                / self.qd(st.x, st.y))
-
-    def cubic_form_value(self, st: CurveState) -> float:
-        """A0 xd^3 + A1 xd^2 yd + A2 xd yd^2 + A3 yd^3."""
-        total = 0.0
-        for j, a in enumerate(self.a_coeffs):
-            total += a(st.x, st.y) * st.xd ** (3 - j) * st.yd**j
-        return total
-
-    def quadratic_term_value(self, st: CurveState) -> float:
-        return (self.t3(st.x, st.y) * st.xd**2
-                + self.t4(st.x, st.y) * st.xd * st.yd
-                + self.t5(st.x, st.y) * st.yd**2)
-
-    def ode_form_value(self, st: CurveState, r_dot: float, r_ddot: float) -> float:
-        """Denominator-cleared normal equation rebuilt from given values of R', R''."""
-        q = self.qd(st.x, st.y)
-        t1 = self.t1(st.x, st.y)
-        t2 = self.t2(st.x, st.y)
-        vol_num = t1 * st.xd + t2 * st.yd
-        quad_num = self.quadratic_term_value(st)
-        r_num = -t2 * st.xd + t1 * st.yd
-        return q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
-
-    def f_value(self, kd: float, wall_ks: list[float]) -> float:
-        """Mean-curvature sum f = kd + sum m_i k_i."""
-        total = 0
+    def scalars(self, kd: float, wall_ks: list[float]) -> tuple[float, float]:
+        """(f, |A|^2): the mean-curvature sum kd + sum m_i k_i and the squared
+        second fundamental form kd^2 + sum m_i k_i^2."""
+        f = a2 = 0
         for m, k in zip(self.case.multiplicities, wall_ks):
-            total += m * k
-        return kd + total
-
-    def a2_value(self, kd: float, wall_ks: list[float]) -> float:
-        """Squared second fundamental form |A|^2 = kd^2 + sum m_i k_i^2."""
-        total = 0
-        for m, k in zip(self.case.multiplicities, wall_ks):
-            total += m * k * k
-        return kd * kd + total
+            f += m * k
+            a2 += m * k * k
+        return kd + f, kd * kd + a2
 
     def mode_kd(self, mode: str, st: CurveState) -> float:
         """Planar curvature imposed by the active mode's constraint."""
         return -_MODE_COEFF[mode] * self.R(st.x, st.y, st.xd, st.yd)
 
 
-@lru_cache(maxsize=None)
-def _trig_float(d: int, i: int) -> tuple[float, float]:
-    angle = i * math.pi / d
-    return math.sin(angle), math.cos(angle)
+def _curvatures(trig, walls, xd: float, yd: float) -> list[float]:
+    """Wall curvatures (sin_i yd + cos_i xd) / w_i from the wall values."""
+    return [(s * yd + c * xd) / w for (s, c), w in zip(trig, walls)]
+
+
+def _cubic_form(a0, a1, a2, a3, xd: float, yd: float) -> float:
+    """A0 xd^3 + A1 xd^2 yd + A2 xd yd^2 + A3 yd^3, from 0.0 left to right."""
+    return 0.0 + a0 * xd**3 + a1 * xd**2 * yd + a2 * xd * yd**2 + a3 * yd**3
+
+
+def _ode_form(point, xd: float, yd: float, r_dot: float, r_ddot: float) -> float:
+    """Denominator-cleared normal equation rebuilt from given values of R', R''.
+
+    ``point`` is the value of :attr:`CaseLab.point` at the state.
+    """
+    _, q, t1, t2, t3, t4, t5 = point[:7]
+    vol_num = t1 * xd + t2 * yd
+    quad_num = t3 * xd**2 + t4 * xd * yd + t5 * yd**2
+    r_num = -t2 * xd + t1 * yd
+    return q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
 
 
 @lru_cache(maxsize=None)
@@ -243,11 +262,10 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     """
     lab = get_lab(case)
     wall_part = principal_curvatures(st, case, kd, wall_epsilon)[:-1]
-    f = lab.f_value(kd, wall_part)
-    a2 = lab.a2_value(kd, wall_part)
+    f, a2 = lab.scalars(kd, wall_part)
 
     def f_at(state: CurveState) -> float:
-        return lab.f_value(lab.mode_kd(mode, state), lab.wall_curvatures(state))
+        return lab.scalars(lab.mode_kd(mode, state), lab.wall_curvatures(state))[0]
 
     plus = _rk4_step(lab, mode, st, h_fd)
     minus = _rk4_step(lab, mode, st, -h_fd)
@@ -256,7 +274,8 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     f_minus = f_at(minus)
     f_dot = (f_plus - f_minus) / (2 * h_fd)
     f_ddot = (f_plus - 2 * f_mid + f_minus) / (h_fd * h_fd)
-    laplacian = -f_ddot - lab.volume_log_derivative(st) * f_dot
+    _, q, t1, t2 = lab.point(st.x, st.y)[:4]
+    laplacian = -f_ddot - (t1 * st.xd + t2 * st.yd) / q * f_dot
     return f, a2, laplacian
 
 
@@ -265,34 +284,32 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
-    return _rk4_advance(lab, _MODE_COEFF[mode], st, h, lab.R(st.x, st.y, st.xd, st.yd))
-
-
-def _rk4_advance(lab: CaseLab, coeff: float, st: CurveState, h: float,
-                 r0: float) -> CurveState:
-    """One RK4 step whose k1 stage uses r0, the value of R at st."""
-
-    def rhs(x, y, xd, yd):
-        w = coeff * lab.R(x, y, xd, yd)
-        return xd, yd, w * yd, -w * xd
-
-    w0 = coeff * r0
-    k1 = st.xd, st.yd, w0 * st.yd, -w0 * st.xd
-    k2 = rhs(st.x + 0.5 * h * k1[0], st.y + 0.5 * h * k1[1],
-             st.xd + 0.5 * h * k1[2], st.yd + 0.5 * h * k1[3])
-    k3 = rhs(st.x + 0.5 * h * k2[0], st.y + 0.5 * h * k2[1],
-             st.xd + 0.5 * h * k2[2], st.yd + 0.5 * h * k2[3])
-    k4 = rhs(st.x + h * k3[0], st.y + h * k3[1],
-             st.xd + h * k3[2], st.yd + h * k3[3])
+def _rk4(R: Callable, coeff: float, h: float, x: float, y: float, xd: float, yd: float,
+         r0: float) -> tuple[float, float, float, float]:
+    """One RK4 step of the flow x' = xd, y' = yd, xd' = w yd, yd' = -w xd with
+    w = coeff * R, whose k1 stage uses r0, the value of R at the start."""
+    half = 0.5 * h
+    w = coeff * r0
+    a1, b1 = w * yd, -w * xd
+    x2, y2, xd2, yd2 = x + half * xd, y + half * yd, xd + half * a1, yd + half * b1
+    w = coeff * R(x2, y2, xd2, yd2)
+    a2, b2 = w * yd2, -w * xd2
+    x3, y3, xd3, yd3 = x + half * xd2, y + half * yd2, xd + half * a2, yd + half * b2
+    w = coeff * R(x3, y3, xd3, yd3)
+    a3, b3 = w * yd3, -w * xd3
+    x4, y4, xd4, yd4 = x + h * xd3, y + h * yd3, xd + h * a3, yd + h * b3
+    w = coeff * R(x4, y4, xd4, yd4)
+    a4, b4 = w * yd4, -w * xd4
     sixth = h / 6.0
-    return CurveState(
-        s=st.s + h,
-        x=st.x + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        y=st.y + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        xd=st.xd + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-        yd=st.yd + sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-    )
+    return (x + sixth * (xd + 2 * xd2 + 2 * xd3 + xd4),
+            y + sixth * (yd + 2 * yd2 + 2 * yd3 + yd4),
+            xd + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+            yd + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
+
+
+def _rk4_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
+    r0 = lab.R(st.x, st.y, st.xd, st.yd)
+    return CurveState(st.s + h, *_rk4(lab.R, _MODE_COEFF[mode], h, st.x, st.y, st.xd, st.yd, r0))
 
 
 def step_minimal(st: CurveState, case: CaseSpec, h: float,
@@ -327,7 +344,8 @@ def normal_residual(st: CurveState, case: CaseSpec,
     Agreement is limited by the finite differencing, not the algebra.
     """
     lab = get_lab(case)
-    poly_value = lab.cubic_form_value(st)
+    point = lab.point(st.x, st.y)
+    poly_value = _cubic_form(*point[7:], st.xd, st.yd)
     plus = _rk4_step(lab, MODE_CANDIDATE, st, h_fd)
     minus = _rk4_step(lab, MODE_CANDIDATE, st, -h_fd)
     r_mid = lab.R(st.x, st.y, st.xd, st.yd)
@@ -335,7 +353,11 @@ def normal_residual(st: CurveState, case: CaseSpec,
     r_minus = lab.R(minus.x, minus.y, minus.xd, minus.yd)
     r_dot = (r_plus - r_minus) / (2 * h_fd)
     r_ddot = (r_plus - 2 * r_mid + r_minus) / (h_fd * h_fd)
-    return poly_value, lab.ode_form_value(st, r_dot, r_ddot)
+    return poly_value, _ode_form(point, st.xd, st.yd, r_dot, r_ddot)
+
+
+# One CSV row: 9 floats (or ints) at 17 significant digits, as f"{v:.17g}".
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 
 @dataclass
@@ -359,14 +381,10 @@ class Trajectory:
         try:
             fh.write(CSV_HEADER + "\n")
             for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(_CSV_ROW % row)
         finally:
             if own:
                 fh.close()
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def integrate_curve(init: CurveState, cfg: IntegratorConfig,
@@ -380,10 +398,12 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     the same neighbors and is NaN at the endpoints.
 
     R is evaluated once per state: the value that serves as the RK4 step's k1
-    stage is kept for the finite differences of the post-pass.
+    stage is kept for the finite differences of the post-pass, which calls
+    the lab's ``point`` kernel once per state.
     """
     lab = get_lab(case)
-    if not lab.inside(init.x, init.y, cfg.wall_epsilon):
+    R, inside, wall_epsilon = lab.R, lab.inside, cfg.wall_epsilon
+    if not inside(init.x, init.y, wall_epsilon):
         raise BoundaryError(
             f"initial state ({init.x}, {init.y}) is not strictly inside the chamber")
     coeff = _MODE_COEFF[cfg.mode]
@@ -391,46 +411,47 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     states = [init]
     r_values = []
     stop_reason = "max_steps"
-    st = init
+    s, x, y, xd, yd = init.s, init.x, init.y, init.xd, init.yd
     for _ in range(cfg.max_steps):
-        r_values.append(lab.R(st.x, st.y, st.xd, st.yd))
-        nxt = _rk4_advance(lab, coeff, st, h, r_values[-1])
-        if not lab.inside(nxt.x, nxt.y, cfg.wall_epsilon):
+        r = R(x, y, xd, yd)
+        r_values.append(r)
+        x, y, xd, yd = _rk4(R, coeff, h, x, y, xd, yd, r)
+        if not inside(x, y, wall_epsilon):
             stop_reason = "boundary"
             break
-        states.append(nxt)
-        st = nxt
-    if len(r_values) < len(states):
-        r_values.append(lab.R(st.x, st.y, st.xd, st.yd))
+        s += h
+        states.append(CurveState(s, x, y, xd, yd))
+    else:
+        r_values.append(R(x, y, xd, yd))
 
     n = len(states)
     rows = []
     residual_pairs = []
     max_abs_f = 0.0
     speed_drift = 0.0
-    for idx, s in enumerate(states):
-        speed_drift = max(speed_drift, abs(s.speed_sq() - 1.0))
+    for idx, st in enumerate(states):
+        x, y, xd, yd = st.x, st.y, st.xd, st.yd
+        speed_drift = max(speed_drift, abs(xd * xd + yd * yd - 1.0))
+        point = lab.point(x, y)
         interior = 0 < idx < n - 1
         if interior:
             xdd = (states[idx + 1].xd - states[idx - 1].xd) / (2 * h)
             ydd = (states[idx + 1].yd - states[idx - 1].yd) / (2 * h)
-            kd = ydd * s.xd - xdd * s.yd
+            kd = ydd * xd - xdd * yd
         else:
             kd = -coeff * r_values[idx]
-        wall_ks = lab.wall_curvatures(s)
-        f = lab.f_value(kd, wall_ks)
-        a2 = lab.a2_value(kd, wall_ks)
+        wall_ks = _curvatures(lab.trig, point[0], xd, yd)
+        f, a2 = lab.scalars(kd, wall_ks)
+        res_poly = _cubic_form(*point[7:], xd, yd)
         if interior:
             max_abs_f = max(max_abs_f, abs(f))
-        res_poly = lab.cubic_form_value(s)
-        if interior:
             r_dot = (r_values[idx + 1] - r_values[idx - 1]) / (2 * h)
             r_ddot = (r_values[idx + 1] - 2 * r_values[idx] + r_values[idx - 1]) / (h * h)
-            res_ode = lab.ode_form_value(s, r_dot, r_ddot)
+            res_ode = _ode_form(point, xd, yd, r_dot, r_ddot)
             residual_pairs.append((res_poly, res_ode))
         else:
             res_ode = float("nan")
-        rows.append((s.s, s.x, s.y, s.xd, s.yd, f, a2, res_poly, res_ode))
+        rows.append((st.s, x, y, xd, yd, f, a2, res_poly, res_ode))
 
     return Trajectory(case=case, mode=cfg.mode, step=cfg.step, states=states,
                       rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,

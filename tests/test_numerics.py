@@ -73,9 +73,9 @@ def test_directional_log_derivative_matches_ratio_formula(all_cases):
         lab = get_lab(case)
         st = _random_interior_state(case, rng)
         ratio = lab.wall_curvatures(st)
-        for i, wall in enumerate(lab.walls):
+        for i in range(case.d):
             def log_w2(x, y):
-                return math.log(wall(x, y) ** 2)
+                return math.log(lab.point(x, y)[0][i] ** 2)
 
             # directional derivative along nu = (-yd, xd)
             fd = (log_w2(st.x - h * st.yd, st.y + h * st.xd)
@@ -305,53 +305,83 @@ def test_pointwise_oracles_match_golden():
     assert pointwise_reprs() == json.loads(POINTWISE.read_text())
 
 
-def _lab_polynomials(lab):
-    """(compiled evaluator, source polynomial) for every polynomial of a lab."""
+def _kernel_oracle(lab, x, y, xd, yd):
+    """(point, R, r_dot_terms) of a lab at a state, from the term loop."""
     b = lab.bundle
-    pairs = list(zip(lab.walls, b.walls))
-    pairs += [(lab.qd, b.qd), (lab.t1, b.t1), (lab.t2, b.t2), (lab.t3, b.t3),
-              (lab.t4, b.t4), (lab.t5, b.t5)]
-    pairs += list(zip(lab.a_coeffs, b.a_coeffs))
-    pairs += [(fn, b.r_dot.num.terms[(p, q)]) for p, q, fn in lab.r_dot_terms]
-    return pairs
+
+    def value(poly):
+        return float_poly_value(poly, x, y)
+
+    q, t1, t2 = value(b.qd), value(b.t1), value(b.t2)
+    point = (tuple(value(w) for w in b.walls), q, t1, t2, value(b.t3), value(b.t4),
+             value(b.t5), *(value(a) for a in b.a_coeffs))
+    r_dot_terms = (q, *(value(poly) for poly in b.r_dot.num.terms.values()))
+    return point, (-t2 * xd + t1 * yd) / q, r_dot_terms
 
 
 def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
-    # walls, qd, t1..t5, A0..A3 and the r_dot terms of every default row, at
-    # random chamber points: the compiled value equals the term loop's exactly.
+    # Every kernel output of every default row equals the term loop's value
+    # bit for bit (compared by repr): the walls, qd, t1..t5 and A0..A3 of
+    # point, R with t1, t2 and qd inlined, and qd and the r_dot terms, at
+    # random chamber points; and the interior test, against the sign rule on
+    # the loop's wall values, there and at random points of the plane.
     rng = random.Random(6)
     for case in all_cases:
         lab = get_lab(case)
-        pairs = _lab_polynomials(lab)
-        assert len(pairs) == case.d + 10 + len(lab.r_dot_terms)
+        assert lab.r_dot_exponents == list(lab.bundle.r_dot.num.terms)
         for _ in range(20):
             st = _random_interior_state(case, rng, radius=(0.2, 5.0))
-            for fn, poly in pairs:
-                assert fn(st.x, st.y) == float_poly_value(poly, st.x, st.y), case.label
-    zero = numerics._float_poly(SpatialPoly.zero())
+            point, r, r_dot_terms = _kernel_oracle(lab, st.x, st.y, st.xd, st.yd)
+            assert repr(lab.point(st.x, st.y)) == repr(point), case.label
+            assert repr(lab.R(st.x, st.y, st.xd, st.yd)) == repr(r), case.label
+            assert repr(lab.r_dot_terms(st.x, st.y)) == repr(r_dot_terms), case.label
+            for x, y in ((st.x, st.y), (rng.uniform(-5, 5), rng.uniform(-5, 5))):
+                walls = [float_poly_value(w, x, y) for w in lab.bundle.walls]
+                expected = not walls[0] > -1e-9 and all(v > 1e-9 for v in walls[1:])
+                assert lab.inside(x, y, 1e-9) is expected, case.label
+    zero = numerics._kernel("zero", ("x", "y"), {"z": SpatialPoly.zero().float_terms()}, "z")
     assert zero(1.5, -0.25) == 0 and float_poly_value(SpatialPoly.zero(), 1.5, -0.25) == 0
 
 
-def test_integration_evaluates_each_state_once(monkeypatch, su3):
-    # RK4 evaluates t1, t2 and qd four times per step; the post-pass adds one
-    # evaluation at each interior state (ode_form_value) and reuses the k1
-    # values of R.
+@pytest.mark.parametrize("init, steps, stop", [
+    ((1.0, 0.3, 0.7), 1000, "max_steps"),
+    # On the bisector, heading for the vertex: the 200th step leaves.
+    ((0.2 * math.cos(math.pi / 6), 0.2 * math.sin(math.pi / 6), math.pi / 6 + math.pi),
+     200, "boundary"),
+])
+def test_integration_evaluates_each_state_once(monkeypatch, su3, init, steps, stop):
+    # RK4 evaluates R exactly four times per step, its k1 stage at the step's
+    # start state; the post-pass reuses those values, and needs one more R
+    # only at the last state of a curve that did not stop at a wall.  The
+    # point kernel runs once per stored state.
     lab = CaseLab(su3)
-    counts = {}
+    counts = {"R": 0, "point": 0}
 
     def counting(name):
         fn = getattr(lab, name)
 
-        def wrapper(x, y):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(x, y)
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
         return wrapper
 
-    for name in ("t1", "t2", "qd"):
+    for name in counts:
         setattr(lab, name, counting(name))
     monkeypatch.setattr(numerics, "get_lab", lambda case: lab)
-    cfg = IntegratorConfig(step=1e-4, max_steps=1000, mode=MODE_CANDIDATE)
-    trajectory = integrate_curve(state_from_angle(1.0, 0.3, 0.7), cfg, su3)
-    assert len(trajectory.states) == 1001
-    for name in ("t1", "t2", "qd"):
-        assert counts[name] <= 5 * len(trajectory.states), (name, counts[name])
+    cfg = IntegratorConfig(step=1e-3 if stop == "boundary" else 1e-4, max_steps=1000,
+                           mode=MODE_CANDIDATE)
+    trajectory = integrate_curve(state_from_angle(*init), cfg, su3)
+    assert trajectory.stop_reason == stop
+    stored = len(trajectory.states)
+    assert stored == (steps + 1 if stop == "max_steps" else steps)
+    assert counts == {"R": 4 * steps + (stop == "max_steps"), "point": stored}
+
+
+def test_csv_row_template_matches_format_spec():
+    # One "%.17g" template per row must write what f"{v:.17g}" writes for
+    # every value a row can hold, the special ones included.
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1, -7,
+              10**20, 0.1, 1 / 3, -1e300, 2.0**-1074 * 3]
+    for start in range(len(values)):
+        row = tuple((values * 2)[start:start + 9])
+        assert numerics._CSV_ROW % row == ",".join(f"{v:.17g}" for v in row) + "\n"

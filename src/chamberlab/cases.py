@@ -70,6 +70,7 @@ _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
 _ROW_KEYS = {"name", "group", "action", "d", "n", "multiplicities", "params",
              "notes", "metadata"}
+_PARAM_KEYS = {"name", "min", "default"}
 
 
 def _evaluate(expr: str, params: dict[str, int], where: str) -> int:
@@ -107,6 +108,27 @@ def _eval_int(expr, params: dict[str, int], where: str) -> int:
     return expr if isinstance(expr, int) else _evaluate(expr, params, where)
 
 
+def _expression(value, what: str):
+    """A row's n or multiplicity: an int literal or an expression string."""
+    if type(value) is int or isinstance(value, str):
+        return value
+    raise ValueError(f"{what} must be an integer or an expression string, got {value!r}")
+
+
+def _param_spec(entry: dict) -> tuple[str, int, int]:
+    """(name, min, default) of a ``params`` entry, whose min and default are ints."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"a parameter must be an object, got {entry!r}")
+    unknown = sorted(set(entry) - _PARAM_KEYS)
+    if unknown:
+        raise ValueError(f"parameter {entry.get('name')!r}: unknown keys {unknown}")
+    for key in ("min", "default"):
+        if type(entry[key]) is not int:
+            raise ValueError(f"parameter {entry['name']!r}: {key} must be an integer, "
+                             f"got {entry[key]!r}")
+    return entry["name"], entry["min"], entry["default"]
+
+
 def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
     """Parse the registry document into templates (packaged file by default)."""
     if path is None:
@@ -134,10 +156,10 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
                 group=row["group"],
                 action=row.get("action", ""),
                 d=int(row["d"]),
-                n_expr=row["n"],
-                multiplicity_exprs=tuple(row["multiplicities"]),
-                param_specs=tuple((p["name"], int(p["min"]), int(p["default"]))
-                                  for p in row.get("params", [])),
+                n_expr=_expression(row["n"], "n"),
+                multiplicity_exprs=tuple(_expression(m, "multiplicity")
+                                         for m in row["multiplicities"]),
+                param_specs=tuple(_param_spec(p) for p in row.get("params", [])),
                 notes=row.get("notes", ""),
                 metadata=row.get("metadata", {}),
             )

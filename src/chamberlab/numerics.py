@@ -209,12 +209,9 @@ def _cubic_form(a0, a1, a2, a3, xd: float, yd: float) -> float:
     return 0.0 + a0 * xd**3 + a1 * xd**2 * yd + a2 * xd * yd**2 + a3 * yd**3
 
 
-def _ode_form(point, xd: float, yd: float, r_dot: float, r_ddot: float) -> float:
-    """Denominator-cleared normal equation rebuilt from given values of R', R''.
-
-    ``point`` is the value of :attr:`CaseLab.point` at the state.
-    """
-    _, q, t1, t2, t3, t4, t5 = point[:7]
+def _ode_form(q, t1, t2, t3, t4, t5, xd: float, yd: float, r_dot: float,
+              r_ddot: float) -> float:
+    """Denominator-cleared normal equation rebuilt from given values of R', R''."""
     vol_num = t1 * xd + t2 * yd
     quad_num = t3 * xd**2 + t4 * xd * yd + t5 * yd**2
     r_num = -t2 * xd + t1 * yd
@@ -274,7 +271,7 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     f_minus = f_at(minus)
     f_dot = (f_plus - f_minus) / (2 * h_fd)
     f_ddot = (f_plus - 2 * f_mid + f_minus) / (h_fd * h_fd)
-    _, q, t1, t2 = lab.point(st.x, st.y)[:4]
+    _, q, t1, t2, *_ = lab.point(st.x, st.y)
     laplacian = -f_ddot - (t1 * st.xd + t2 * st.yd) / q * f_dot
     return f, a2, laplacian
 
@@ -344,8 +341,8 @@ def normal_residual(st: CurveState, case: CaseSpec,
     Agreement is limited by the finite differencing, not the algebra.
     """
     lab = get_lab(case)
-    point = lab.point(st.x, st.y)
-    poly_value = _cubic_form(*point[7:], st.xd, st.yd)
+    _, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(st.x, st.y)
+    poly_value = _cubic_form(a0, a1, a2, a3, st.xd, st.yd)
     plus = _rk4_step(lab, MODE_CANDIDATE, st, h_fd)
     minus = _rk4_step(lab, MODE_CANDIDATE, st, -h_fd)
     r_mid = lab.R(st.x, st.y, st.xd, st.yd)
@@ -353,7 +350,7 @@ def normal_residual(st: CurveState, case: CaseSpec,
     r_minus = lab.R(minus.x, minus.y, minus.xd, minus.yd)
     r_dot = (r_plus - r_minus) / (2 * h_fd)
     r_ddot = (r_plus - 2 * r_mid + r_minus) / (h_fd * h_fd)
-    return poly_value, _ode_form(point, st.xd, st.yd, r_dot, r_ddot)
+    return poly_value, _ode_form(q, t1, t2, t3, t4, t5, st.xd, st.yd, r_dot, r_ddot)
 
 
 # One CSV row: 9 floats (or ints) at 17 significant digits, as f"{v:.17g}".
@@ -432,7 +429,7 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     for idx, st in enumerate(states):
         x, y, xd, yd = st.x, st.y, st.xd, st.yd
         speed_drift = max(speed_drift, abs(xd * xd + yd * yd - 1.0))
-        point = lab.point(x, y)
+        walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(x, y)
         interior = 0 < idx < n - 1
         if interior:
             xdd = (states[idx + 1].xd - states[idx - 1].xd) / (2 * h)
@@ -440,18 +437,18 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
             kd = ydd * xd - xdd * yd
         else:
             kd = -coeff * r_values[idx]
-        wall_ks = _curvatures(lab.trig, point[0], xd, yd)
-        f, a2 = lab.scalars(kd, wall_ks)
-        res_poly = _cubic_form(*point[7:], xd, yd)
+        wall_ks = _curvatures(lab.trig, walls, xd, yd)
+        f, a_sq = lab.scalars(kd, wall_ks)
+        res_poly = _cubic_form(a0, a1, a2, a3, xd, yd)
         if interior:
             max_abs_f = max(max_abs_f, abs(f))
             r_dot = (r_values[idx + 1] - r_values[idx - 1]) / (2 * h)
             r_ddot = (r_values[idx + 1] - 2 * r_values[idx] + r_values[idx - 1]) / (h * h)
-            res_ode = _ode_form(point, xd, yd, r_dot, r_ddot)
+            res_ode = _ode_form(q, t1, t2, t3, t4, t5, xd, yd, r_dot, r_ddot)
             residual_pairs.append((res_poly, res_ode))
         else:
             res_ode = float("nan")
-        rows.append((st.s, x, y, xd, yd, f, a2, res_poly, res_ode))
+        rows.append((st.s, x, y, xd, yd, f, a_sq, res_poly, res_ode))
 
     return Trajectory(case=case, mode=cfg.mode, step=cfg.step, states=states,
                       rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -183,6 +184,27 @@ def test_registry_expressions_cannot_run_code(tmp_path, row):
     registry = _one_row_registry(tmp_path, **row)
     with pytest.raises(RegistryError, match="not allowed"):
         registry_case("x", registry=registry)
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"n": 3.5}, "n must be an integer or an expression string, got 3.5"),
+    ({"n": True}, "n must be an integer or an expression string, got True"),
+    ({"multiplicities": [None]}, "multiplicity must be an integer or an expression string"),
+    ({"params": [{"name": "n", "min": 3, "default": 3, "max": 4}]},
+     "parameter 'n': unknown keys ['max']"),
+    ({"params": [{"name": "n", "min": 2.5, "default": 3}]},
+     "parameter 'n': min must be an integer, got 2.5"),
+    ({"params": [{"name": "n", "min": 3, "default": "3"}]},
+     "parameter 'n': default must be an integer, got '3'"),
+    ({"params": [{"name": "n", "min": False, "default": 3}]},
+     "parameter 'n': min must be an integer, got False"),
+    ({"params": ["n"]}, "a parameter must be an object, got 'n'"),
+])
+def test_registry_rejects_malformed_values_at_load(tmp_path, row, message):
+    # A value that is not what the row format allows fails when the registry
+    # is loaded, naming the row, instead of at instantiation or not at all.
+    with pytest.raises(RegistryError, match=re.escape(f"case[0]: {message}")):
+        _one_row_registry(tmp_path, **row)
 
 
 @pytest.mark.parametrize("expr,message", [

@@ -343,13 +343,7 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
     assert zero(1.5, -0.25) == 0 and float_poly_value(SpatialPoly.zero(), 1.5, -0.25) == 0
 
 
-@pytest.mark.parametrize("init, steps, stop", [
-    ((1.0, 0.3, 0.7), 1000, "max_steps"),
-    # On the bisector, heading for the vertex: the 200th step leaves.
-    ((0.2 * math.cos(math.pi / 6), 0.2 * math.sin(math.pi / 6), math.pi / 6 + math.pi),
-     200, "boundary"),
-])
-def test_integration_evaluates_each_state_once(monkeypatch, su3, init, steps, stop):
+def test_integration_evaluates_each_state_once(monkeypatch, su3):
     # RK4 evaluates R exactly four times per step, its k1 stage at the step's
     # start state; the post-pass reuses those values, and needs one more R
     # only at the last state of a curve that did not stop at a wall.  The
@@ -368,13 +362,18 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3, init, steps, st
     for name in counts:
         setattr(lab, name, counting(name))
     monkeypatch.setattr(numerics, "get_lab", lambda case: lab)
-    cfg = IntegratorConfig(step=1e-3 if stop == "boundary" else 1e-4, max_steps=1000,
-                           mode=MODE_CANDIDATE)
-    trajectory = integrate_curve(state_from_angle(*init), cfg, su3)
-    assert trajectory.stop_reason == stop
-    stored = len(trajectory.states)
-    assert stored == (steps + 1 if stop == "max_steps" else steps)
-    assert counts == {"R": 4 * steps + (stop == "max_steps"), "point": stored}
+    sigma = math.pi / 6  # the bisector: heading for the vertex, the 200th step leaves
+    for init, step, steps, stop in (
+            ((1.0, 0.3, 0.7), 1e-4, 1000, "max_steps"),
+            ((0.2 * math.cos(sigma), 0.2 * math.sin(sigma), sigma + math.pi), 1e-3, 200,
+             "boundary")):
+        counts.update(R=0, point=0)
+        cfg = IntegratorConfig(step=step, max_steps=1000, mode=MODE_CANDIDATE)
+        trajectory = integrate_curve(state_from_angle(*init), cfg, su3)
+        assert trajectory.stop_reason == stop
+        stored = len(trajectory.states)
+        assert stored == (steps + 1 if stop == "max_steps" else steps)
+        assert counts == {"R": 4 * steps + (stop == "max_steps"), "point": stored}
 
 
 def test_csv_row_template_matches_format_spec():

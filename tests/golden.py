@@ -79,18 +79,17 @@ def without_volatile_lines(text: str) -> str:
                    if not line.startswith(tuple(f' "{k}": ' for k in VOLATILE)))
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def resultant_sha256(poly) -> str:
-    return hashlib.sha256(json.dumps(poly.to_json()).encode("utf-8")).hexdigest()
+    return _sha256(json.dumps(poly.to_json()))
 
 
 def bundle_sha256(bundle) -> str:
     """SHA-256 of the bundle file text that ``chamberlab derive`` writes."""
-    text = json.dumps(bundle_to_json(bundle), indent=1, sort_keys=True) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(json.dumps(bundle_to_json(bundle), indent=1, sort_keys=True) + "\n")
 
 
 def trajectory_csv(case, mode: str) -> str:

@@ -10,8 +10,8 @@ cross-validates the symbolic pipeline.
 
 from .cases import CaseSpec, default_cases, instantiate_case, load_registry, \
     registry_case, validate_case
-from .certify import certify_case, chamber_root_scan, classify_line_minimality, \
-    compute_resultant, expected_resultant_degree, minimal_line_angles
+from .certify import certify_case, chamber_root_scan, compute_resultant, \
+    expected_resultant_degree, line_cotangent_sum, minimal_line_angles
 from .errors import ChamberlabError
 from .field import FieldScalar, Rat, embed_real, to_float, trig_pair
 from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL, \
@@ -29,11 +29,11 @@ __all__ = [
     "IntegratorConfig", "MODE_CANDIDATE", "MODE_MINIMAL", "Rat", "ReducedExpr",
     "ReductionBundle", "SpatialPoly", "VelocityForm", "arc_derivative",
     "build_bundle", "build_walls", "certify_case",
-    "chamber_root_scan", "classify_line_minimality", "compute_resultant",
+    "chamber_root_scan", "compute_resultant",
     "default_cases", "determinant_bareiss",
     "embed_real", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",
-    "load_registry", "minimal_line_angles", "normal_residual",
+    "line_cotangent_sum", "load_registry", "minimal_line_angles", "normal_residual",
     "principal_curvatures", "registry_case", "state_from_angle",
     "step_candidate", "step_minimal", "sylvester_resultant", "to_float",
     "trig_pair", "validate_case", "verify_reference_example",

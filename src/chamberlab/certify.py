@@ -1,4 +1,4 @@
-"""Per-case resultant certificates: compute, scan, classify, emit.
+"""Per-case resultant certificates: compute, factor, isolate roots, emit.
 
 The certificate records what the computation shows for one case: the
 resultant of the velocity-cubic and slope-quintic coefficient polynomials is
@@ -8,41 +8,34 @@ direction is a minimal line.  The logical step from "nonzero resultant of the
 right degree" to nonexistence of proper solutions is referenced, not
 recomputed.
 
-The resultant is kept as Bareiss returns it, a dense integer list P in
-u = x/y over one denominator.  The chamber directions come from sign changes
-of P(cot s), u = cot s rounded to 200 bits.  Each sign is the exact sign of P
-at that rounded cotangent: a fixed-point Horner scheme with 264 fraction
-bits, whose error with n coefficients and |u| < 2**b (b >= 0) is below
-n * 2**(b*n) units of its last place, decides outside that bound, and exact
-integer evaluation inside it (see _ArcEvaluator).  Precision, scan and
-minimality settings are constants: a certificate depends on its case alone.
+The resultant is a dense integer list in u = x/y over one denominator; on the
+unit arc u = cot(sigma), and the chamber sigma in (0, pi/d) is
+u > cot(pi/d).  Its chamber roots come from an exact factorization
+(chamber_root_scan) and rational isolating intervals; membership in the
+chamber and minimality are decided exactly, and floats only display them.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from .cases import CaseSpec
-from .errors import PipelineError, PoleProximityError
+from .errors import PipelineError
 from .field import FieldScalar, format_rational
 from .poly import NOT_HOMOGENEOUS, SpatialPoly
 from .reduction import ReductionBundle, build_bundle
-from .resultant import sylvester_resultant
+from .resultant import derivative, divide_exact, gcd, homogeneous, positive_roots, \
+    primitive, quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
 
-# The cotangent precision (recorded in certificates) and fixed-point fraction bits.
-DEFAULT_PRECISION_BITS = 200
-_GUARD_BITS = DEFAULT_PRECISION_BITS + 64
-# Grid doublings the root scan may spend confirming its root set.
-MAX_DOUBLINGS = 5
+# Bits of every float in a certificate (IEEE doubles); no decision uses one.
+DEFAULT_PRECISION_BITS = 53
 
 
 def expected_resultant_degree(d: int) -> int:
@@ -76,8 +69,7 @@ class ResultantReport:
 
     def exact_value(self, x: int, y: int) -> FieldScalar:
         """The resultant at the integer point (x, y), exactly."""
-        return FieldScalar.rational(_homogeneous_horner(self.coeffs[::-1], x, y),
-                                    self.scale)
+        return FieldScalar.rational(homogeneous(self.coeffs, x, y), self.scale)
 
 
 def _integer_lists(polys: list[SpatialPoly], label: str,
@@ -157,199 +149,130 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
 
 
 @dataclass
+class ChamberRoot:
+    """u = cot(sigma) in (lo, hi), or lo == hi; "M" marks a minimal line."""
+
+    lo: Fraction
+    hi: Fraction
+    factor: str
+    multiplicity: int
+
+
+@dataclass
 class RootScan:
-    """Sign-change roots of the resultant restricted to the open chamber arc."""
+    """Powers of y, qd and M, Yun's [(k, Q_k)] of the cofactor Q, the chamber
+    roots and the number of Descartes tests (``grid_size``)."""
 
-    roots: list[float]
-    residuals: list[float]
+    exponents: dict[str, int]
+    factors: list[tuple[int, list[int]]]
+    roots: list[ChamberRoot]
     grid_size: int
-    warnings: list[str] = field(default_factory=list)
 
 
-def _homogeneous_horner(coeffs: list[int], x: int, y: int) -> int:
-    """Exact sum of coeffs[i] * x**(n-i) * y**i, n = len(coeffs) - 1 (high first)."""
-    acc = 0
-    ypow = 1
-    for c in coeffs:
-        acc = acc * x + c * ypow
-        ypow *= y
-    return acc
+# cot(pi/d)**2: sigma < pi/d exactly when u = cot(sigma) > cot(pi/d).
+_WALL_COT_SQ = {2: Fraction(0), 3: Fraction(1, 3), 4: Fraction(1), 6: Fraction(3)}
 
 
-class _ArcEvaluator:
-    """Evaluates a homogeneous integer polynomial at (cos s, sin s), normalized.
+def _chamber_roots(f: list[int], d: int) -> tuple[list[tuple[Fraction, Fraction]], int]:
+    """Roots of a square-free f in the chamber, largest first, and the tests spent.
 
-    ``coeffs`` is dense and low to high, as ResultantReport.coeffs: the
-    polynomial is sum(coeffs[a] * x**a * y**(n-a)), n = len(coeffs) - 1, and
-    on (0, pi) it has the sign of its dehomogenization P(u) at u = cot s.  u
-    is ``mpmath.cot(s)`` at DEFAULT_PRECISION_BITS, an exact dyadic
-    man * 2**exp.
-
-    P(u) runs as a fixed-point Horner scheme with g = _GUARD_BITS
-    fraction bits, ``acc = ((acc * U) >> g) + (c << g)`` with U = u * 2**g.
-    When U is exact (exp >= -g) each of the n - 1 shifts truncates by less
-    than one unit, so with n coefficients and |u| < 2**b, b >= 0, the
-    accumulated error is below sum(|u|**k, k < n - 1) <= n * 2**(b*n) units
-    of 2**-g.  An accumulator outside that bound has the sign of P(u);
-    otherwise, or when U is not exact, the sign comes from the exact integer
-    form sum(c_k * man**k * 2**(-exp*(n-1-k))), which is P(u) times a power
-    of two (for exp >= 0, the plain integer Horner at u).  Either way
-    ``cot_form`` returns the exact sign of P at the 200-bit cotangent.
-
-    ``value`` divides the accumulator by the largest coefficient magnitude, so
-    residual thresholds are scale free, and rounds at DEFAULT_PRECISION_BITS
-    (for |u| < 2**-64, U is truncated to g bits, far below that rounding).
+    The search runs above base = floor(cot(pi/d)) and compares squares with
+    the wall; a root exactly on an irrational wall is divided out first.
+    d = 1 searches the whole line.
     """
-
-    def __init__(self, coeffs: list[int]):
-        self.degree = len(coeffs) - 1
-        self.coeffs = coeffs[::-1]
-        self.shifted = [c << _GUARD_BITS for c in self.coeffs]
-        self.top = max(abs(c) for c in coeffs)
-
-    def _fixed_horner(self, sigma) -> tuple[int, int, int]:
-        """(man, exp, acc): cot sigma = man * 2**exp, acc the fixed-point P(cot sigma)."""
-        with mpmath.workprec(DEFAULT_PRECISION_BITS):
-            man, exp = mpmath.cot(sigma).man_exp
-        g = _GUARD_BITS
-        shift = exp + g
-        big_u = man << shift if shift >= 0 else man >> -shift
-        acc = 0
-        for c in self.shifted:
-            acc = ((acc * big_u) >> g) + c
-        return man, exp, acc
-
-    def cot_form(self, sigma) -> int:
-        """Sign (-1, 0 or 1) of P(cot sigma), the polynomial's sign on (0, pi)."""
-        man, exp, acc = self._fixed_horner(sigma)
-        n = len(self.coeffs)
-        if exp + _GUARD_BITS < 0 or \
-                abs(acc) <= n << (max(abs(man).bit_length() + exp, 0) * n):
-            x, y = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-            acc = _homogeneous_horner(self.coeffs, x, y)
-        return (acc > 0) - (acc < 0)
-
-    def value(self, sigma) -> mpmath.mpf:
-        """Normalized polynomial value at (cos sigma, sin sigma)."""
-        _, _, acc = self._fixed_horner(sigma)
-        with mpmath.workprec(DEFAULT_PRECISION_BITS):
-            return mpmath.mpf((acc, -_GUARD_BITS)) / self.top \
-                * mpmath.sin(sigma) ** self.degree
+    if d == 1:
+        below, tests = _chamber_roots([-c if i % 2 else c for i, c in enumerate(f)], 2)
+        above, more = _chamber_roots(f, 2)
+        zero = [(Fraction(0),) * 2] if not f[0] else []
+        return above + zero + [(-hi, -lo) for lo, hi in below[::-1]], tests + more
+    wall_sq = _WALL_COT_SQ[d]
+    base = math.isqrt(int(wall_sq))
+    if base * base != wall_sq:
+        f = quotient(f, [-wall_sq.numerator, 0, wall_sq.denominator]) or f
+    g = taylor_shift(f) if base else f
+    while not g[0]:  # a root at u = base lies on or beyond the wall
+        g = g[1:]
+    intervals, tests = positive_roots(g)
+    roots = []
+    for lo, hi in reversed(intervals):
+        lo, hi = refine(g, lo, hi, lambda a, b: (a + base) ** 2 >= wall_sq
+                        or (b + base) ** 2 <= wall_sq)
+        if (lo + base) ** 2 >= wall_sq:
+            lo, hi = refine(g, lo, hi, lambda a, b: float(a + base) == float(b + base))
+            roots.append((lo + base, hi + base))
+    return roots, tests
 
 
-def chamber_root_scan(ev: _ArcEvaluator, d: int) -> RootScan:
-    """All sign-change roots of ev's polynomial at (cos s, sin s) on the open chamber arc.
+def _minimal_form(bundle: ReductionBundle) -> tuple[list[int], list[int]]:
+    """M = t1*y - t2*x at y = 1, primitive, and its square-free part.  On the
+    unit arc M = -qd * sum(m_i * cot(sigma - i*pi/d)), and that sum falls
+    strictly from +inf to -inf on the chamber: M has exactly one chamber root."""
+    (t1, t2), _, _ = _integer_lists([bundle.t1, bundle.t2], bundle.case.label, "t")
+    m = primitive(subtract(t1, [0] + t2))
+    return m, divide_exact(m, gcd(m, derivative(m))) if len(m) > 1 else m
 
-    Scans a grid on (0, pi/d), bisects each sign change to within 1e-12, and
-    accepts once a doubled grid finds the same root set; if the root count
-    keeps changing for MAX_DOUBLINGS doublings an unresolved-root-cluster
-    warning is attached.  Each angle is evaluated once per scan.
+
+def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootScan:
+    """The resultant as c * y**a * qd**b * M**c * Q, and its chamber roots.
+
+    a counts the trailing zero coefficients; qd and M (integer and primitive
+    in u) divide out for as long as the division is exact, and b, c >= 1 are
+    required (so d >= 2).  A root of a square-free factor Q_k of Q is minimal
+    only if gcd(Q_k, M) vanishes there; such a root is listed once, as M's,
+    with multiplicity c + k.
     """
-    hi = math.pi / d
-    margin = 1e-8 * hi
-    sign = functools.cache(ev.cot_form)
-
-    def scan(n: int) -> list[float]:
-        grid = [margin + (hi - 2 * margin) * k / n for k in range(n + 1)]
-        values = [sign(s) for s in grid]
-        roots = []
-        for idx in range(n):
-            v0, v1 = values[idx], values[idx + 1]
-            if v0 == 0:
-                roots.append(grid[idx])
-                continue
-            if (v0 < 0) == (v1 < 0) or v1 == 0:
-                continue
-            lo_s, hi_s, lo_v = grid[idx], grid[idx + 1], v0
-            while hi_s - lo_s > 1e-12:
-                mid = 0.5 * (lo_s + hi_s)
-                mv = sign(mid)
-                if mv == 0:
-                    lo_s = hi_s = mid
-                    break
-                if (mv < 0) == (lo_v < 0):
-                    lo_s = mid
-                else:
-                    hi_s = mid
-            roots.append(0.5 * (lo_s + hi_s))
-        if values and values[-1] == 0:
-            roots.append(grid[-1])
-        return roots
-
-    n = max(256, 4 * ev.degree)
-    warnings = []
-    roots = scan(n)
-    for _ in range(MAX_DOUBLINGS):
-        n *= 2
-        refined = scan(n)
-        if len(refined) == len(roots) and all(
-                abs(a - b) < 1e-9 for a, b in zip(refined, sorted(roots))):
-            roots = refined
-            break
-        roots = refined
-    else:
-        warnings.append("unresolved-root-cluster: root set still changing at grid cap")
-    roots = sorted(roots)
-    residuals = [abs(float(ev.value(s))) for s in roots]
-    return RootScan(roots=roots, residuals=residuals, grid_size=n, warnings=warnings)
+    label, d = bundle.case.label, bundle.case.d
+    res, exponents = list(report.coeffs), {"y": 0}
+    while not res[-1]:
+        res.pop()
+        exponents["y"] += 1
+    (qd,), _, _ = _integer_lists([bundle.qd], label, "qd")
+    m, m_part = _minimal_form(bundle)
+    for name, f in (("qd", primitive(qd)), ("M", m)):
+        exponents[name] = 0
+        while len(f) > 1 and (q := quotient(res, f)) is not None:
+            res, exponents[name] = q, exponents[name] + 1
+        if not exponents[name]:
+            raise PipelineError(f"{label}: the resultant is not divisible by {name}")
+    factors = squarefree(res) if len(res) > 1 else []
+    m_roots, tests = _chamber_roots(m_part, d)
+    if len(m_roots) != 1:
+        raise PipelineError(f"{label}: M has {len(m_roots)} chamber roots, not one")
+    roots, m_mult = [], exponents["M"]
+    for k, f in factors:
+        shared = gcd(f, m)
+        if len(shared) > 1:
+            on_m, n = _chamber_roots(shared, d)
+            m_mult, tests, f = m_mult + k * len(on_m), tests + n, divide_exact(f, shared)
+        found, n = _chamber_roots(f, d)
+        roots, tests = roots + [ChamberRoot(lo, hi, "Q", k) for lo, hi in found], tests + n
+    roots += [ChamberRoot(lo, hi, "M", m_mult) for lo, hi in m_roots]
+    return RootScan(exponents, factors, sorted(roots, key=lambda r: -r.lo), tests)
 
 
 def line_cotangent_sum(case: CaseSpec, sigma: float) -> float:
     """S(sigma) = sum of m_i * cot(sigma - i*pi/d); zero iff the line is minimal."""
-    total = 0.0
-    for i, m in enumerate(case.multiplicities):
-        arg = sigma - i * math.pi / case.d
-        dist = abs(arg - math.pi * round(arg / math.pi))
-        if dist < 1e-9:
-            raise PoleProximityError(
-                f"sigma={sigma!r} within 1e-09 of a cotangent pole")
-        total += m / math.tan(arg)
-    return total
-
-
-def classify_line_minimality(case: CaseSpec, sigma: float) -> tuple[bool, float]:
-    """Whether the line through the origin at angle sigma is a minimal direction.
-
-    The test threshold is 1e-8 * sum(m_i)/sin^2(margin), the natural size of
-    the derivative of the cotangent sum near the evaluation point, so root
-    refinement error cannot flip the verdict.
-    """
-    if not 0 < sigma < math.pi / case.d:
-        raise ValueError(f"sigma={sigma} outside the open chamber arc")
-    value = line_cotangent_sum(case, sigma)
-    margin = min(abs(sigma - i * math.pi / case.d -
-                     math.pi * round((sigma - i * math.pi / case.d) / math.pi))
-                 for i in range(case.d))
-    scale = sum(case.multiplicities) / math.sin(margin) ** 2
-    return abs(value) < 1e-8 * scale, value
+    return sum(m / math.tan(sigma - i * math.pi / case.d)
+               for i, m in enumerate(case.multiplicities))
 
 
 def minimal_line_angles(case: CaseSpec) -> list[float]:
-    """Roots of the cotangent sum in the open chamber arc, by bisection to 1e-14.
-
-    The sum is strictly decreasing from +inf to -inf on the arc, so there is
-    exactly one root; a list is returned for interface symmetry with the
-    resultant root scan.
-    """
-    hi_edge = math.pi / case.d
-    lo, hi = 1e-9, hi_edge - 1e-9
-    f_lo = line_cotangent_sum(case, lo)
-    f_hi = line_cotangent_sum(case, hi)
-    if f_lo < 0 or f_hi > 0:  # pragma: no cover - monotone structure
-        raise ArithmeticError("cotangent sum does not bracket a root")
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if line_cotangent_sum(case, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return [0.5 * (lo + hi)]
+    """[sigma] of the minimal line: atan2(1, u) at M's chamber root, u rounded once."""
+    roots, _ = _chamber_roots(_minimal_form(build_bundle(case))[1], case.d)
+    return [math.atan2(1.0, float(lo)) for lo, _ in roots]
 
 
-def emit_certificate(case: CaseSpec, report: ResultantReport,
-                     ev: _ArcEvaluator | None, scan: RootScan | None,
+def _root_entry(root: ChamberRoot) -> dict:
+    u = float(root.lo)
+    return {"cot_interval": [format_rational(root.lo), format_rational(root.hi)],
+            "factor": root.factor, "multiplicity": root.multiplicity,
+            "line_is_minimal": root.factor == "M",
+            "sigma": math.atan2(1.0, u), "z": 1.0 / u if u else None}
+
+
+def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | None,
                      duration_ms: float) -> dict:
-    """Assemble the certificate document (stable field names); ev evaluates report."""
+    """Assemble the certificate document (stable field names)."""
     expected = expected_resultant_degree(case.d)
     if report.identically_zero:
         conclusion = "inconclusive-resultant-vanishes"
@@ -358,26 +281,18 @@ def emit_certificate(case: CaseSpec, report: ResultantReport,
     else:
         conclusion = "degree-mismatch"
 
-    roots = []
-    if scan is not None:
-        for sigma, residual in zip(scan.roots, scan.residuals):
-            minimal, s_value = classify_line_minimality(case, sigma)
-            z = math.tan(sigma)
-            roots.append({
-                "sigma": sigma,
-                "z": z if math.isfinite(z) else None,
-                "line_is_minimal": minimal,
-                "line_f_sum": s_value,
-                "residual": residual,
-            })
-
     samples = []
     exact_samples = []
     if not report.identically_zero:
+        # The resultant over its largest coefficient at (cos s, sin s), exact
+        # at the doubles' values, then rounded once.
         for frac in (0.3, 0.5, 0.7):
             sigma = frac * math.pi / case.d
-            samples.append({"sigma": sigma, "z": math.tan(sigma),
-                            "value": float(ev.value(sigma))})
+            x, y = Fraction(math.cos(sigma)), Fraction(math.sin(sigma))
+            den = max(x.denominator, y.denominator)
+            value = Fraction(homogeneous(report.coeffs, int(x * den), int(y * den)),
+                             max(map(abs, report.coeffs)) * den ** report.degree)
+            samples.append({"sigma": sigma, "z": math.tan(sigma), "value": float(value)})
         # Exact nonvanishing witnesses, machine checkable with no rounding.
         for px, py in ((2, 1), (3, 2)):
             value = report.exact_value(px, py)
@@ -398,10 +313,11 @@ def emit_certificate(case: CaseSpec, report: ResultantReport,
         "identically_zero": report.identically_zero,
         "formal_degrees": list(report.formal_degrees),
         "trimmed_leading_pairs": report.trimmed_pairs,
-        "roots": roots,
+        "factorization": None if scan is None else {
+            **scan.exponents, "Q": [[k, len(f) - 1] for k, f in scan.factors]},
+        "roots": [] if scan is None else [_root_entry(r) for r in scan.roots],
         "samples": samples,
         "exact_samples": exact_samples,
-        "scan_warnings": list(scan.warnings) if scan else [],
         "conclusion": conclusion,
         "precision_bits": DEFAULT_PRECISION_BITS,
         "duration_ms": duration_ms,
@@ -414,13 +330,11 @@ def certify_case(case: CaseSpec) -> dict:
     start = time.monotonic()
     bundle = build_bundle(case)
     report = compute_resultant(bundle)
-    ev = scan = None
-    if not report.identically_zero:
-        ev = _ArcEvaluator(report.coeffs)
-        if report.degree > 0:
-            scan = chamber_root_scan(ev, case.d)
+    scan = None
+    if report.degree == expected_resultant_degree(case.d) > 0:
+        scan = chamber_root_scan(report, bundle)
     duration_ms = (time.monotonic() - start) * 1000.0
-    return emit_certificate(case, report, ev, scan, duration_ms)
+    return emit_certificate(case, report, scan, duration_ms)
 
 
 def write_json_atomic(path: Path, document) -> None:

@@ -28,6 +28,3 @@ class PipelineError(ChamberlabError, RuntimeError):
 class BoundaryError(ChamberlabError, ValueError):
     """A curve state touched or left the open chamber."""
 
-
-class PoleProximityError(ChamberlabError, ValueError):
-    """A line angle too close to a cotangent pole to classify reliably."""

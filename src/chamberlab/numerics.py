@@ -13,14 +13,15 @@ Each case's polynomials are compiled once into four straight-line kernels
 t1..t5, A0..A3) and the terms of R'.  RK4 runs on plain floats through one
 function, :func:`_rk4`, that calls the R kernel for its stages.
 
-Evaluation order is part of the output.  Kernel contract (see
-:func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
-...`` over its ``float_terms()`` in order, each product and each sum left to
-right; each power ``x**a``, ``y**b`` is computed once per call and shared, and
-a factor of exactly 1 (``x**0``) is left out, which changes no bit.  Every
-other float sum here is an explicit left-to-right expression or loop rather
-than builtin ``sum``, which compensates on Python 3.12+.  So a trajectory's
-CSV bytes depend only on the float coefficients, not on the Python version.
+Evaluation order is part of the output.  Kernel contract (:func:`_kernel`):
+each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 + ...`` over its
+``float_terms()`` in order, each product and each sum left to right; each
+power ``x**a``, ``y**b`` is computed once per call and shared, a factor of
+exactly 1 (``x**0``) is left out and ``x**1`` is ``x``, which changes no bit.
+Every other float sum here is an explicit left-to-right expression or loop
+rather than builtin ``sum``, which compensates on Python 3.12+.  So a
+trajectory's CSV bytes depend only on the float coefficients, not on the
+Python version.
 """
 
 from __future__ import annotations
@@ -86,16 +87,10 @@ def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: st
     ``polys`` maps a local name to the ``float_terms()`` of a polynomial in
     the first two of ``args``.  The function binds each polynomial's value to
     its name and returns ``result``, an expression over those names and
-    ``args``.  Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms
-    in order, a polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 + ...``,
-    each product and each sum left to right, so it rounds exactly as the
-    plain left-to-right loop does, on any Python version (builtin ``sum`` of
-    floats compensates since 3.12).  Each power ``x**a`` and ``y**b`` is
-    computed once per call and shared by every polynomial; a factor ``x**0``
-    (exactly 1.0) is left out and ``x**1`` is ``x``, neither of which changes
-    a bit.  A zero polynomial's value is the int 0.  The coefficients enter
-    as float constants of ``ast`` nodes: only the fixed ``result`` expression
-    is parsed from text.
+    ``args``, evaluating in the order the module docstring states.  A zero
+    polynomial's value is the int 0.  The coefficients enter as float
+    constants of ``ast`` nodes: only the fixed ``result`` expression is parsed
+    from text.
     """
     x, y = args[:2]
     body = []
@@ -384,9 +379,18 @@ class Trajectory:
                 fh.close()
 
 
+def _evaluates(lab: CaseLab, st: CurveState) -> bool:
+    """Whether st is finite and the lab's kernels evaluate there without overflow."""
+    try:
+        lab.point(st.x, st.y)
+    except OverflowError:
+        return False
+    return all(map(math.isfinite, (st.x, st.y, st.xd, st.yd)))
+
+
 def integrate_curve(init: CurveState, cfg: IntegratorConfig,
                     case: CaseSpec) -> Trajectory:
-    """Integrate from init until max_steps or a wall stop; compute diagnostics.
+    """Integrate from init until max_steps, a wall stop or an overflow; compute diagnostics.
 
     The f column is measured: the planar curvature is reconstructed from
     central differences of the integrated tangent, so deviations expose
@@ -409,17 +413,23 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     r_values = []
     stop_reason = "max_steps"
     s, x, y, xd, yd = init.s, init.x, init.y, init.xd, init.yd
-    for _ in range(cfg.max_steps):
-        r = R(x, y, xd, yd)
-        r_values.append(r)
-        x, y, xd, yd = _rk4(R, coeff, h, x, y, xd, yd, r)
-        if not inside(x, y, wall_epsilon):
-            stop_reason = "boundary"
-            break
-        s += h
-        states.append(CurveState(s, x, y, xd, yd))
-    else:
-        r_values.append(R(x, y, xd, yd))
+    try:
+        for _ in range(cfg.max_steps):
+            r = R(x, y, xd, yd)
+            r_values.append(r)
+            x, y, xd, yd = _rk4(R, coeff, h, x, y, xd, yd, r)
+            if not inside(x, y, wall_epsilon):
+                stop_reason = "boundary"
+                break
+            s += h
+            states.append(CurveState(s, x, y, xd, yd))
+        else:
+            r_values.append(R(x, y, xd, yd))
+    except OverflowError:  # a coarse step flung the curve out of float range:
+        stop_reason = "overflow"  # stop at the last state that still evaluates
+        while len(states) > 1 and not _evaluates(lab, states[-1]):
+            states.pop()
+        del r_values[len(states):]
 
     n = len(states)
     rows = []

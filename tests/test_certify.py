@@ -1,19 +1,17 @@
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
-import mpmath
 import pytest
 
-from arc_oracle import MpmathArcEvaluator
-from chamberlab import certify
-from chamberlab.cases import registry_case
+from chamberlab import resultant
+from chamberlab.cases import default_cases, registry_case
 from chamberlab.certify import (
-    DEFAULT_PRECISION_BITS,
-    _ArcEvaluator,
+    ResultantReport,
+    _chamber_roots,
     certify_case,
     chamber_root_scan,
-    classify_line_minimality,
     compute_resultant,
     emit_certificate,
     expected_resultant_degree,
@@ -21,10 +19,11 @@ from chamberlab.certify import (
     minimal_line_angles,
     write_certificate,
 )
-from chamberlab.errors import PipelineError, PoleProximityError
+from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar
 from chamberlab.poly import SpatialPoly, X, Y
 from chamberlab.reduction import build_bundle
+from root_checks import root_problems
 
 # Roots of the p=q=2 resultant, frozen from an independent computer-algebra
 # run of the same construction (sign-change scan on its trig restriction).
@@ -137,85 +136,97 @@ def test_resultant_rational_boundary_scales_back(u5):
     assert scaled.poly == whole.poly * FieldScalar.rational(1, 2 ** 5 * 3 ** 3)
 
 
-def _spatial(coeffs):
-    """An integer list, low to high in x, as a homogeneous SpatialPoly."""
-    n = len(coeffs) - 1
-    return SpatialPoly({(a, n - a): FieldScalar.rational(c)
-                        for a, c in enumerate(coeffs) if c})
+def _scan(case):
+    bundle = build_bundle(case)
+    return chamber_root_scan(compute_resultant(bundle), bundle)
 
 
 def test_root_scan_symmetric_quadratic():
-    # X^2 - Y^2
-    scan = chamber_root_scan(_ArcEvaluator([-1, 0, 1]), 2)
-    assert len(scan.roots) == 1
-    assert scan.roots[0] == pytest.approx(math.pi / 4, abs=1e-11)
+    # u**2 - 1: the root u = 1 (sigma = pi/4) is a bisection point, hit exactly.
+    roots, tests = _chamber_roots([-1, 0, 1], 2)
+    assert roots == [(1, 1)] and tests >= 1
 
 
 def test_root_scan_positive_definite_is_empty():
-    # X^2 + Y^2
-    scan = chamber_root_scan(_ArcEvaluator([1, 0, 1]), 2)
-    assert scan.roots == []
+    # u**2 + 1
+    assert _chamber_roots([1, 0, 1], 2)[0] == []
 
 
 def test_root_scan_d2_matches_independent_run():
-    report = compute_resultant(build_bundle(registry_case("SOpxSOq")))
-    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 2)
+    scan = _scan(registry_case("SOpxSOq"))
     assert len(scan.roots) == len(D2_ROOTS)
-    for found, expected in zip(scan.roots, D2_ROOTS):
-        assert found == pytest.approx(expected, abs=1e-10)
-    assert all(r < 1e-10 for r in scan.residuals)
+    for root, expected in zip(scan.roots, D2_ROOTS):
+        assert math.atan2(1.0, float(root.lo)) == pytest.approx(expected, abs=1e-10)
+    assert [r.factor for r in scan.roots] == ["Q", "Q", "M", "Q"]
 
 
 def test_u5_root_scan_golden(u5):
     # Frozen from a pipeline run: a single interior root, the minimal line
-    # with slope 1/sqrt(5).
-    report = compute_resultant(build_bundle(u5))
-    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 4)
-    assert len(scan.roots) == 1
-    assert scan.roots[0] == pytest.approx(0.4205343352841455, abs=1e-10)
-    assert math.tan(scan.roots[0]) == pytest.approx(1 / math.sqrt(5), abs=1e-10)
-    minimal, _ = classify_line_minimality(u5, scan.roots[0])
-    assert minimal
+    # with slope 1/sqrt(5), so u = cot(sigma) = sqrt(5) inside its interval.
+    (root,) = _scan(u5).roots
+    assert root.factor == "M" and root.multiplicity == 1
+    assert root.lo ** 2 < 5 < root.hi ** 2
+    assert math.atan2(1.0, float(root.lo)) == pytest.approx(0.4205343352841455, abs=1e-10)
 
 
-def test_root_residuals_meet_threshold(u5):
-    report = compute_resultant(build_bundle(u5))
-    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 4)
-    # residuals are measured on max-normalized coefficients
-    assert all(r < 1e-10 for r in scan.residuals)
+def test_root_scan_counts_descartes_tests(monkeypatch):
+    calls = []
+    variations = resultant.sign_variations
+    monkeypatch.setattr(resultant, "sign_variations",
+                        lambda p: calls.append(p) or variations(p))
+    scan = _scan(registry_case("G2"))
+    assert [(r.factor, r.multiplicity) for r in scan.roots] == [("Q", 1), ("M", 1)]
+    assert scan.grid_size == len(calls) > 0
+
+
+def test_certificate_roots_pass_exact_checks(all_cases):
+    checked = 0
+    for case in all_cases:
+        cert = certify_case(case)
+        if cert["factorization"] is None:
+            assert case.d == 1 and cert["roots"] == []
+            continue
+        assert root_problems(cert, case) == [], case.label
+        checked += 1
+    assert checked == 13
+
+
+def test_minimal_line_angles_every_row(all_cases):
+    for case in all_cases:
+        (sigma,) = minimal_line_angles(case)
+        assert 0 < sigma < math.pi / case.d, case.label
+        assert line_cotangent_sum(case, sigma - 1e-9) > 0 > \
+            line_cotangent_sum(case, sigma + 1e-9), case.label
 
 
 def test_classify_minimality_d2_cases():
-    balanced = registry_case("SOpxSOq", {"p": 2, "q": 2})
-    minimal, value = classify_line_minimality(balanced, math.pi / 4)
-    assert minimal and abs(value) < 1e-12
+    # Minimality is read off the factor: p = q = 2 has its minimal line at
+    # u = 1 exactly; at p = 2, q = 3 the line sigma = pi/4 is not minimal.
+    balanced = _scan(registry_case("SOpxSOq", {"p": 2, "q": 2}))
+    (m_root,) = [r for r in balanced.roots if r.factor == "M"]
+    assert m_root.lo == m_root.hi == 1
 
     skew = registry_case("SOpxSOq", {"p": 2, "q": 3})
-    minimal, value = classify_line_minimality(skew, math.pi / 4)
-    assert not minimal
-    assert value == pytest.approx(1.0, abs=1e-12)  # 2*cot(pi/4) - tan(pi/4)
+    assert line_cotangent_sum(skew, math.pi / 4) == pytest.approx(1.0, abs=1e-12)
+    (m_root,) = [r for r in _scan(skew).roots if r.factor == "M"]
+    # tan(sigma) = sqrt((q-1)/(p-1)), so u = 1/sqrt(2).
+    assert m_root.lo ** 2 < Fraction(1, 2) < m_root.hi ** 2
 
 
 def test_classify_minimality_single_wall_hyperplane():
+    # d = 1: the chamber is the whole line of u, and M = x vanishes at u = 0.
     case = registry_case("SOn-1")
-    minimal, value = classify_line_minimality(case, math.pi / 2)
-    assert minimal and abs(value) < 1e-12
+    assert minimal_line_angles(case) == [math.pi / 2]
+    assert line_cotangent_sum(case, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classification_is_scale_free():
-    # The cotangent sum, not any 1/s prefactor, decides minimality: the value
-    # only depends on the angle.
-    case = registry_case("SOpxSOq", {"p": 3, "q": 5})
-    _, v1 = classify_line_minimality(case, 0.9)
-    assert v1 == pytest.approx(line_cotangent_sum(case, 0.9))
-
-
-def test_pole_proximity_error():
-    case = registry_case("SOpxSOq")
-    with pytest.raises(PoleProximityError):
-        classify_line_minimality(case, 1e-12)
-    with pytest.raises(ValueError):
-        classify_line_minimality(case, 2 * math.pi)
+    # M is linear in the multiplicities, so scaling all of them moves no
+    # minimal line: SOpxSOq (3, 5) has multiplicities (2, 4), twice (2, 3)'s.
+    assert minimal_line_angles(registry_case("SOpxSOq", {"p": 3, "q": 5})) == \
+        minimal_line_angles(registry_case("SOpxSOq", {"p": 2, "q": 3}))
+    assert line_cotangent_sum(registry_case("SOpxSOq", {"p": 3, "q": 5}), 0.9) == \
+        pytest.approx(2 * line_cotangent_sum(registry_case("SOpxSOq", {"p": 2, "q": 3}), 0.9))
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 5)])
@@ -232,8 +243,11 @@ def test_certificate_u5(u5, tmp_path):
     assert not cert["identically_zero"]
     assert len(cert["roots"]) == 1
     root = cert["roots"][0]
-    assert root["line_is_minimal"]
+    assert root["line_is_minimal"] and root["factor"] == "M"
     assert root["z"] == pytest.approx(1 / math.sqrt(5), abs=1e-9)
+    lo, hi = (Fraction(t) for t in root["cot_interval"])
+    assert lo ** 2 < 5 < hi ** 2
+    assert cert["factorization"] == {"y": 4, "qd": 3, "M": 1, "Q": [[1, 64]]}
     for key in ("case", "n", "d", "multiplicities", "params", "resultant_degree",
                 "expected_degree", "identically_zero", "roots", "conclusion",
                 "precision_bits", "duration_ms"):
@@ -258,12 +272,13 @@ def test_certificate_conclusion_logic(u5):
                              trimmed_pairs=0, degree=None)
     assert zero_like.identically_zero
     assert zero_like.poly == SpatialPoly.zero()
-    cert = emit_certificate(u5, zero_like, None, None, 0.0)
+    cert = emit_certificate(u5, zero_like, None, 0.0)
+    assert cert["roots"] == [] and cert["factorization"] is None
     assert cert["conclusion"] == "inconclusive-resultant-vanishes"
 
     tampered = type(report)(coeffs=report.coeffs, scale=report.scale,
                             formal_degrees=(3, 5), trimmed_pairs=0, degree=80)
-    cert = emit_certificate(u5, tampered, _ArcEvaluator(report.coeffs), None, 0.0)
+    cert = emit_certificate(u5, tampered, None, 0.0)
     assert cert["conclusion"] == "degree-mismatch"
 
 
@@ -275,92 +290,16 @@ def test_certificate_determinism(su3):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_scan_warning_when_doubling_disabled(monkeypatch):
-    # With no confirmation doubling allowed the scan cannot establish a
-    # stable root set and must say so.
-    monkeypatch.setattr(certify, "MAX_DOUBLINGS", 0)
-    scan = chamber_root_scan(_ArcEvaluator([-1, 0, 1]), 2)
-    assert any("unresolved-root-cluster" in w for w in scan.warnings)
-    assert scan.roots and scan.roots[0] == pytest.approx(math.pi / 4, abs=1e-11)
-
-
-def test_root_scan_evaluates_each_angle_once(monkeypatch):
-    # Every doubled grid repeats the grid before it, and a bisection can land
-    # on a grid point; each angle's sign is still computed once per scan.
-    angles = []
-    cot_form = _ArcEvaluator.cot_form
-    monkeypatch.setattr(_ArcEvaluator, "cot_form",
-                        lambda ev, sigma: angles.append(sigma) or cot_form(ev, sigma))
-    report = compute_resultant(build_bundle(registry_case("G2")))
-    scan = chamber_root_scan(_ArcEvaluator(report.coeffs), 6)
-    assert len(scan.roots) == 2
-    assert len(angles) == len(set(angles)) == 1141
-
-
-def test_arc_evaluator_normalizes():
-    # X^2 - Y^2
-    ev = _ArcEvaluator([-1, 0, 1])
-    # the double-precision angle is only within ~1e-17 of the exact root
-    assert float(ev.value(math.pi / 4)) == pytest.approx(0.0, abs=1e-15)
-    assert float(ev.value(0.1)) == pytest.approx(math.cos(0.1) ** 2 - math.sin(0.1) ** 2,
-                                                 abs=1e-12)
-
-
-def _chamber_grid(d, points):
-    hi = math.pi / d
-    margin = 1e-8 * hi
-    return [margin + (hi - 2 * margin) * k / (points - 1) for k in range(points)]
-
-
-def test_arc_evaluator_matches_mpmath_oracle(all_cases):
-    # The oracle evaluates P at the same precision_bits cotangent, with a
-    # Horner loop at twice the precision: signs agree exactly and values to
-    # the evaluator's few final roundings.
-    bits = DEFAULT_PRECISION_BITS
-    tol = mpmath.mpf(2) ** (8 - bits)
-    checked = 0
-    for case in all_cases:
-        report = compute_resultant(build_bundle(case))
-        if not report.degree:
-            continue
-        ev = _ArcEvaluator(report.coeffs)
-        oracle = MpmathArcEvaluator(report.poly, report.degree, bits, 2 * bits)
-        for sigma in _chamber_grid(case.d, 512):
-            expected = oracle.value(sigma)
-            assert ev.cot_form(sigma) == mpmath.sign(expected), (case.label, sigma)
-            assert abs(ev.value(sigma) - expected) <= tol * abs(expected), (case.label, sigma)
-        checked += 1
-    assert checked == 13
-
-
-def test_arc_evaluator_exact_fallback(monkeypatch):
-    # Values far below the fixed-point error bound: (X - Y)^2 and (X - Y)^3
-    # next to the root at pi/4, and X next to pi/2, where cot sigma < 2**-264
-    # has no exact fixed-point image (integer lists, low to high in X).  Each
-    # sign must come from the exact integer form and agree with a 400-bit
-    # Horner loop at the same cotangent.
-    calls = []
-    exact = certify._homogeneous_horner
-    monkeypatch.setattr(certify, "_homogeneous_horner",
-                        lambda *args: calls.append(args) or exact(*args))
-    bits = DEFAULT_PRECISION_BITS
-    with mpmath.workprec(4 * bits):
-        two = mpmath.mpf(2)
-        quarter, half = mpmath.pi / 4, mpmath.pi / 2
-        points = [([1, -2, 1], quarter + two ** -150),
-                  ([1, -2, 1], quarter - two ** -150),
-                  ([-1, 3, -3, 1], quarter + two ** -100),
-                  ([-1, 3, -3, 1], quarter - two ** -100),
-                  ([0, 1], half - two ** -300)]
-    signs = []
-    for coeffs, sigma in points:
-        oracle = MpmathArcEvaluator(_spatial(coeffs), len(coeffs) - 1, bits, 2 * bits)
-        before = len(calls)
-        sign = _ArcEvaluator(coeffs).cot_form(sigma)
-        assert len(calls) == before + 1
-        assert sign == mpmath.sign(oracle.cot_form(sigma))
-        signs.append(sign)
-    assert signs == [1, 1, -1, 1, 1]
+def test_display_samples_round_exact_values():
+    # u**2 - 1 is x**2 - y**2: each sample is cos**2 - sin**2 at the doubles'
+    # exact values, rounded once.
+    report = ResultantReport([-1, 0, 1], 1, (1, 1), 0, 2)
+    for sample in emit_certificate(registry_case("SOpxSOq"), report, None, 0.0)["samples"]:
+        c, s = Fraction(math.cos(sample["sigma"])), Fraction(math.sin(sample["sigma"]))
+        assert sample["value"] == float(c * c - s * s)
+    # The G2 sample at pi/12 lies on the minimal line: the resultant is tiny there.
+    values = [s["value"] for s in certify_case(registry_case("G2"))["samples"]]
+    assert abs(values[1]) < 1e-30 < min(abs(values[0]), abs(values[2]))
 
 
 @pytest.mark.parametrize("name", ["SOn-1", "U5"])

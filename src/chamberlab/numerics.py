@@ -13,15 +13,14 @@ Each case's polynomials are compiled once into four straight-line kernels
 t1..t5, A0..A3) and the terms of R'.  RK4 runs on plain floats through one
 function, :func:`_rk4`, that calls the R kernel for its stages.
 
-Evaluation order is part of the output.  Kernel contract (:func:`_kernel`):
-each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 + ...`` over its
-``float_terms()`` in order, each product and each sum left to right; each
-power ``x**a``, ``y**b`` is computed once per call and shared, a factor of
-exactly 1 (``x**0``) is left out and ``x**1`` is ``x``, which changes no bit.
-Every other float sum here is an explicit left-to-right expression or loop
-rather than builtin ``sum``, which compensates on Python 3.12+.  So a
-trajectory's CSV bytes depend only on the float coefficients, not on the
-Python version.
+Evaluation order is part of the output.  Kernel contract (see
+:func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
+...`` over its ``float_terms()`` in order, each product and each sum left to
+right; each power ``x**a``, ``y**b`` is computed once per call and shared, and
+a factor of exactly 1 (``x**0``) is left out, which changes no bit.  Every
+other float sum here is an explicit left-to-right expression or loop rather
+than builtin ``sum``, which compensates on Python 3.12+.  So a trajectory's
+CSV bytes depend only on the float coefficients, not on the Python version.
 """
 
 from __future__ import annotations
@@ -87,10 +86,16 @@ def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: st
     ``polys`` maps a local name to the ``float_terms()`` of a polynomial in
     the first two of ``args``.  The function binds each polynomial's value to
     its name and returns ``result``, an expression over those names and
-    ``args``, evaluating in the order the module docstring states.  A zero
-    polynomial's value is the int 0.  The coefficients enter as float
-    constants of ``ast`` nodes: only the fixed ``result`` expression is parsed
-    from text.
+    ``args``.  Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms
+    in order, a polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 + ...``,
+    each product and each sum left to right, so it rounds exactly as the
+    plain left-to-right loop does, on any Python version (builtin ``sum`` of
+    floats compensates since 3.12).  Each power ``x**a`` and ``y**b`` is
+    computed once per call and shared by every polynomial; a factor ``x**0``
+    (exactly 1.0) is left out and ``x**1`` is ``x``, neither of which changes
+    a bit.  A zero polynomial's value is the int 0.  The coefficients enter
+    as float constants of ``ast`` nodes: only the fixed ``result`` expression
+    is parsed from text.
     """
     x, y = args[:2]
     body = []
@@ -379,15 +384,6 @@ class Trajectory:
                 fh.close()
 
 
-def _evaluates(lab: CaseLab, st: CurveState) -> bool:
-    """Whether st is finite and the lab's kernels evaluate there without overflow."""
-    try:
-        lab.point(st.x, st.y)
-    except OverflowError:
-        return False
-    return all(map(math.isfinite, (st.x, st.y, st.xd, st.yd)))
-
-
 def integrate_curve(init: CurveState, cfg: IntegratorConfig,
                     case: CaseSpec) -> Trajectory:
     """Integrate from init until max_steps, a wall stop or an overflow; compute diagnostics.
@@ -425,40 +421,46 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
             states.append(CurveState(s, x, y, xd, yd))
         else:
             r_values.append(R(x, y, xd, yd))
-    except OverflowError:  # a coarse step flung the curve out of float range:
-        stop_reason = "overflow"  # stop at the last state that still evaluates
-        while len(states) > 1 and not _evaluates(lab, states[-1]):
-            states.pop()
-        del r_values[len(states):]
+    except OverflowError:  # a coarse step flung the curve out of float range
+        stop_reason = "overflow"
+        del states[len(r_values):]
 
-    n = len(states)
-    rows = []
-    residual_pairs = []
-    max_abs_f = 0.0
-    speed_drift = 0.0
-    for idx, st in enumerate(states):
-        x, y, xd, yd = st.x, st.y, st.xd, st.yd
-        speed_drift = max(speed_drift, abs(xd * xd + yd * yd - 1.0))
-        walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(x, y)
-        interior = 0 < idx < n - 1
-        if interior:
-            xdd = (states[idx + 1].xd - states[idx - 1].xd) / (2 * h)
-            ydd = (states[idx + 1].yd - states[idx - 1].yd) / (2 * h)
-            kd = ydd * xd - xdd * yd
-        else:
-            kd = -coeff * r_values[idx]
-        wall_ks = _curvatures(lab.trig, walls, xd, yd)
-        f, a_sq = lab.scalars(kd, wall_ks)
-        res_poly = _cubic_form(a0, a1, a2, a3, xd, yd)
-        if interior:
-            max_abs_f = max(max_abs_f, abs(f))
-            r_dot = (r_values[idx + 1] - r_values[idx - 1]) / (2 * h)
-            r_ddot = (r_values[idx + 1] - 2 * r_values[idx] + r_values[idx - 1]) / (h * h)
-            res_ode = _ode_form(q, t1, t2, t3, t4, t5, xd, yd, r_dot, r_ddot)
-            residual_pairs.append((res_poly, res_ode))
-        else:
-            res_ode = float("nan")
-        rows.append((st.s, x, y, xd, yd, f, a_sq, res_poly, res_ode))
+    while True:
+        n = len(states)
+        rows = []
+        residual_pairs = []
+        max_abs_f = 0.0
+        speed_drift = 0.0
+        try:
+            for idx, st in enumerate(states):
+                x, y, xd, yd = st.x, st.y, st.xd, st.yd
+                speed_drift = max(speed_drift, abs(xd * xd + yd * yd - 1.0))
+                walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(x, y)
+                interior = 0 < idx < n - 1
+                if interior:
+                    xdd = (states[idx + 1].xd - states[idx - 1].xd) / (2 * h)
+                    ydd = (states[idx + 1].yd - states[idx - 1].yd) / (2 * h)
+                    kd = ydd * xd - xdd * yd
+                else:
+                    kd = -coeff * r_values[idx]
+                wall_ks = _curvatures(lab.trig, walls, xd, yd)
+                f, a_sq = lab.scalars(kd, wall_ks)
+                res_poly = _cubic_form(a0, a1, a2, a3, xd, yd)
+                if interior:
+                    max_abs_f = max(max_abs_f, abs(f))
+                    r_dot = (r_values[idx + 1] - r_values[idx - 1]) / (2 * h)
+                    r_ddot = (r_values[idx + 1] - 2 * r_values[idx] + r_values[idx - 1]) / (h * h)
+                    res_ode = _ode_form(q, t1, t2, t3, t4, t5, xd, yd, r_dot, r_ddot)
+                    residual_pairs.append((res_poly, res_ode))
+                else:
+                    res_ode = float("nan")
+                rows.append((st.s, x, y, xd, yd, f, a_sq, res_poly, res_ode))
+            break
+        except OverflowError:  # a blown-up curve ends before the first row that overflows
+            if not idx:
+                raise
+            stop_reason = "overflow"
+            del states[idx:], r_values[idx:]
 
     return Trajectory(case=case, mode=cfg.mode, step=cfg.step, states=states,
                       rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,

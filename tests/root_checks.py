@@ -18,9 +18,15 @@ alone that
 from fractions import Fraction
 
 from chamberlab.certify import chamber_root_scan, compute_resultant
-from chamberlab.field import parse_rational, trig_pair
+from chamberlab.field import trig_pair
 from chamberlab.poly import X, Y
 from chamberlab.reduction import build_bundle
+from resultant_oracle import poly_mul
+
+
+def fraction(q) -> Fraction:
+    """A Fraction from a Fraction or gmpy2 mpq."""
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def at_y_one(poly) -> list[Fraction]:
@@ -28,7 +34,7 @@ def at_y_one(poly) -> list[Fraction]:
     out = [Fraction(0)] * (max((a for a, _ in poly.terms), default=-1) + 1)
     for (a, _), c in poly.terms.items():
         assert c.is_rational
-        out[a] = Fraction(c.a)
+        out[a] = fraction(c.a)
     return out
 
 
@@ -39,17 +45,9 @@ def value(p, u) -> Fraction:
     return acc
 
 
-def product(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def wall_cot_squared(d: int) -> Fraction:
     s, c = trig_pair(d, 1)
-    return Fraction((c * c * (s * s).inverse()).a)
+    return fraction((c * c * (s * s).inverse()).a)
 
 
 def root_problems(cert: dict, case) -> list[str]:
@@ -67,7 +65,7 @@ def root_problems(cert: dict, case) -> list[str]:
     for poly, power in [(qd, exponents["qd"]), (m, exponents["M"])] + [
             (f, k) for k, f in scan.factors]:
         for _ in range(power):
-            rebuilt = product(rebuilt, poly)
+            rebuilt = poly_mul(rebuilt, poly)
     res = [Fraction(c, report.scale) for c in report.coeffs]
     while not res[-1]:
         res.pop()
@@ -79,7 +77,7 @@ def root_problems(cert: dict, case) -> list[str]:
     factor_of = {k: f for k, f in scan.factors}
     intervals = []
     for root in cert["roots"]:
-        lo, hi = (Fraction(parse_rational(t)) for t in root["cot_interval"])
+        lo, hi = map(Fraction, root["cot_interval"])
         intervals.append((lo, hi))
         inside = lo >= 0 and lo * lo >= wall_sq and (lo < hi or lo * lo > wall_sq)
         if not inside:

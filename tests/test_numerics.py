@@ -299,6 +299,19 @@ def test_wall_stop_curves_match_golden():
     assert wall_stop_curves() == json.loads(WALL_STOPS.read_text())
 
 
+def test_rows_that_overflow_end_the_curve():
+    # A coarse minimal step near SO5's vertex: the loop reaches the wall after
+    # 4 steps, but the last two states are so far out that their CSV rows
+    # overflow.  The curve ends at the last state whose row evaluates.
+    init = CurveState(0.0, 0.035873814107106994, 0.03482914672237509,
+                      -0.3452472235234991, 0.9385117765107239)
+    cfg = IntegratorConfig(step=0.01, max_steps=400, mode=MODE_MINIMAL)
+    trajectory = integrate_curve(init, cfg, registry_case("SO5"))
+    assert trajectory.stop_reason == "overflow"
+    assert len(trajectory.states) == len(trajectory.rows) == 3
+    assert all(math.isfinite(v) for row in trajectory.rows for v in row[:5])
+
+
 def test_pointwise_oracles_match_golden():
     # normal_residual and geometric_scalars at three states of each lab row,
     # compared by repr, so every bit of every value must match.

@@ -20,6 +20,7 @@ from chamberlab.errors import PipelineError
 from chamberlab.poly import X, Y
 from chamberlab.resultant import gcd, positive_roots, prs_gcd, squarefree
 from chamberlab.reduction import build_bundle
+from resultant_oracle import poly_mul
 from root_checks import wall_cot_squared
 
 sympy = pytest.importorskip("sympy")
@@ -103,13 +104,12 @@ def test_factorization_and_chamber_roots_match_sympy(case):
 
 
 def _fake_report(report, extra):
-    """The resultant times the integer polynomial extra (low to high in u)."""
-    coeffs = [0] * (len(report.coeffs) + len(extra) - 1)
-    for i, a in enumerate(report.coeffs):
-        for j, b in enumerate(extra):
-            coeffs[i + j] += a * b
-    return ResultantReport(coeffs, report.scale, report.formal_degrees,
-                           report.trimmed_pairs, len(coeffs) - 1)
+    """The resultant times the integer polynomial extra (low to high in u),
+    with the trailing zeros of its y-power kept."""
+    degree = report.degree + len(extra) - 1
+    coeffs = poly_mul(report.coeffs, extra)
+    return ResultantReport(coeffs + [0] * (degree + 1 - len(coeffs)), report.scale,
+                           report.formal_degrees, report.trimmed_pairs, degree)
 
 
 def _synthetic(name, extra):

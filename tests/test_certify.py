@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from chamberlab import resultant
-from chamberlab.cases import default_cases, registry_case
+from chamberlab.cases import registry_case
 from chamberlab.certify import (
     ResultantReport,
     _chamber_roots,

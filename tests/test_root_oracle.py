@@ -21,7 +21,7 @@ from chamberlab.poly import X, Y
 from chamberlab.resultant import gcd, positive_roots, prs_gcd, squarefree
 from chamberlab.reduction import build_bundle
 from resultant_oracle import poly_mul
-from root_checks import wall_cot_squared
+from root_checks import at_y_one, wall_cot_squared
 
 sympy = pytest.importorskip("sympy")
 U = sympy.Symbol("u")
@@ -33,14 +33,8 @@ ORACLE_CASES = [case for case in default_cases() if case.d > 1] + [
 
 
 def to_sympy(coeffs):
-    """A dense list, low to high in u, as a sympy Poly over QQ."""
+    """A dense list of ints or Fractions, low to high in u, as a sympy Poly over QQ."""
     return sympy.Poly(list(reversed(coeffs)) or [0], U, domain="QQ")
-
-
-def spatial_to_sympy(poly):
-    """A rational homogeneous SpatialPoly at y = 1."""
-    return sympy.Poly(sum(sympy.Rational(int(c.a.numerator), int(c.a.denominator)) * U ** a
-                          for (a, _), c in poly.terms.items()), U, domain="QQ")
 
 
 def chamber_count(f, d):
@@ -64,9 +58,9 @@ def chamber_count(f, d):
 def oracle(report, bundle):
     """(exponents, [(k, degree, chamber roots)] of Q's sqf_list, M's chamber roots)."""
     res = to_sympy(report.coeffs)
-    m = spatial_to_sympy(bundle.t1 * Y - bundle.t2 * X)
+    m = to_sympy(at_y_one(bundle.t1 * Y - bundle.t2 * X))
     exponents = {"y": report.degree - res.degree()}
-    for name, poly in (("qd", spatial_to_sympy(bundle.qd)), ("M", m)):
+    for name, poly in (("qd", to_sympy(at_y_one(bundle.qd))), ("M", m)):
         exponents[name] = 0
         while True:
             quo, rem = res.div(poly)

@@ -3,9 +3,10 @@
 The package reduces the geometry of isometry-group-invariant hypersurfaces to
 exact polynomial data over the planar orbit space: wall forms and volume
 polynomials over Q(sqrt2, sqrt3), a formal arclength differentiation engine,
-Sylvester resultants by fraction-free elimination over Z[u], machine-readable
-per-case nonexistence certificates, and an RK4 profile-curve integrator that
-cross-validates the symbolic pipeline.
+Sylvester resultants by the subresultant remainder sequence on
+Kronecker-packed integers, machine-readable per-case nonexistence
+certificates, and an RK4 profile-curve integrator that cross-validates the
+symbolic pipeline.
 """
 
 from .cases import CaseSpec, default_cases, instantiate_case, load_registry, \
@@ -20,7 +21,7 @@ from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL
 from .poly import ReducedExpr, SpatialPoly, VelocityForm, arc_derivative
 from .reduction import ReductionBundle, build_bundle, build_walls, \
     verify_reference_example
-from .resultant import determinant_bareiss, sylvester_resultant
+from .resultant import sylvester_resultant
 
 __version__ = "0.1.0"
 
@@ -30,8 +31,7 @@ __all__ = [
     "ReductionBundle", "SpatialPoly", "VelocityForm", "arc_derivative",
     "build_bundle", "build_walls", "certify_case",
     "chamber_root_scan", "compute_resultant",
-    "default_cases", "determinant_bareiss",
-    "embed_real", "expected_resultant_degree",
+    "default_cases", "embed_real", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",
     "line_cotangent_sum", "load_registry", "minimal_line_angles", "normal_residual",
     "principal_curvatures", "registry_case", "state_from_angle",

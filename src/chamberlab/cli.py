@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .cases import CaseSpec, default_cases, load_registry, registry_case
 from .certify import certify_case, output_path, write_certificate, write_json_atomic
-from .errors import BoundaryError, BoundError, PipelineError, RegistryError
+from .errors import BoundaryError, BoundError, ExactDivisionError, PipelineError, \
+    RegistryError
 from .numerics import MODES, IntegratorConfig, integrate_curve, state_from_angle
 from .reduction import build_bundle, bundle_to_json, verify_reference_example
 
@@ -242,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RegistryError, BoundError, BoundaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    except PipelineError as exc:
+    except (PipelineError, ExactDivisionError) as exc:
         print(f"pipeline invariant violated: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_ERROR
 

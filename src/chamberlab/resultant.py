@@ -1,19 +1,34 @@
-"""Polynomials in Z[u]: Sylvester resultants by fraction-free (Bareiss)
-elimination, and exact real roots.
+"""Polynomials in Z[u]: Sylvester resultants by the subresultant remainder
+sequence on Kronecker-packed integers, and exact real roots.
 
-The entries are dense integer coefficient lists in one variable u, low to
-high, with trailing zeros stripped, so ``[]`` is the zero polynomial.  Every
-resultant chamberlab certifies has homogeneous rational coefficients in
-(x, y); :func:`chamberlab.certify.compute_resultant` clears denominators,
-sets u = x/y and rehomogenizes the result, which keeps this module to plain
+Polynomials in u are dense integer lists, low to high, with trailing zeros
+stripped, so ``[]`` is the zero polynomial.  Every resultant chamberlab
+certifies has homogeneous rational coefficients in (x, y);
+:func:`chamberlab.certify.compute_resultant` clears denominators, sets
+u = x/y and rehomogenizes the result, which keeps this module to plain
 integer arithmetic.
 
-The Sylvester matrix is built from formal degrees (the supplied coefficient
-lists fix them), so vanishing leading coefficients are kept as zero entries.
-One side may have formal degree 0: the matrix is then its constant a0 on the
-diagonal, and Res(a0, C) = a0**k for C of formal degree k.  Row layout puts
-the second polynomial's coefficient block first, which fixes the sign
-convention: the resultant of (t - u, t - 1) at formal degrees (1, 1) is 1 - u.
+The resultant of two polynomials in t over Z[u] is taken at formal degrees:
+the coefficient lists fix them, and a vanishing leading coefficient counts.
+The second polynomial's block fills the first Sylvester rows, which pins the
+sign: the resultant of (t - u, t - 1) at formal degrees (1, 1) is 1 - u.
+
+No matrix is built.  Packing: each coefficient p is replaced by the integer
+p(2**k), a ring map Z[u] -> Z, so the packed polynomials' resultant is the
+packed resultant.  Bound: with B = (sum of |c| over pc)**deg_a * (sum of |c|
+over pa)**deg_c, every resultant coefficient lies in [-B, B], because each
+term of the Sylvester expansion takes one entry per row and the 1-norm is
+submultiplicative.  With k = B.bit_length() + 2 the signed base-2**k digits
+of the packed resultant are its coefficients.
+
+Formal degrees, for F the packed pc of formal degree n and G the packed pa of
+formal degree m: a side of degree 0 gives its constant to the power of the
+other side's degree; if F_n = G_m = 0 the first Sylvester column is zero;
+otherwise expanding along that column gives Res_{n,m} = (-1)**m * G_m *
+Res_{n-1,m} when F_n = 0 and F_n * Res_{n,m-1} when G_m = 0.  At true degrees
+the subresultant PRS (Brown & Traub, J. ACM 18, 1971; Cohen, Algorithm 3.3.7,
+without content removal) finishes over Z, and every division it makes is
+checked to be exact.
 
 For real roots: the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
 Comput. 7, 1989), checked by exact division, else the primitive remainder
@@ -25,32 +40,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 
 from .errors import ExactDivisionError
 
 IntPoly = list[int]
-
-
-def _sub_products(p: IntPoly, q: IntPoly, r: IntPoly, s: IntPoly) -> IntPoly:
-    """p*q - r*s, trailing zeros stripped."""
-    n = max(len(p) + len(q), len(r) + len(s)) - 1
-    if n <= 0:
-        return []
-    out = [0] * n
-    if p and q:
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q, i):
-                    out[j] += a * b
-    if r and s:
-        for i, a in enumerate(r):
-            if a:
-                for j, b in enumerate(s, i):
-                    out[j] -= a * b
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
@@ -79,70 +73,71 @@ def divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
     return quot
 
 
-def sylvester_matrix(pa: list[IntPoly], pc: list[IntPoly]) -> list[list[IntPoly]]:
-    """Sylvester matrix for coefficient lists given low-to-high.
-
-    ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1;
-    either may be 0, not both.  The first len(pa)-1 rows carry pc's
-    coefficients, the remaining rows pa's.
-    """
-    deg_a = len(pa) - 1
-    deg_c = len(pc) - 1
-    if min(deg_a, deg_c) < 0 or deg_a + deg_c < 1:
-        raise ValueError("formal degrees must be at least 0 and not both 0")
-    size = deg_a + deg_c
-    matrix = []
-    desc_c = list(reversed(pc))
-    desc_a = list(reversed(pa))
-    for shift in range(deg_a):
-        matrix.append([[]] * shift + desc_c + [[]] * (size - shift - deg_c - 1))
-    for shift in range(deg_c):
-        matrix.append([[]] * shift + desc_a + [[]] * (size - shift - deg_a - 1))
-    return matrix
+def _exact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ExactDivisionError("division left a remainder")
+    return q
 
 
-def determinant_bareiss(matrix: list[list[IntPoly]]) -> IntPoly:
-    """Fraction-free Bareiss determinant over Z[u].
+def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The remainder of lead(b)**(len(a) - len(b) + 1) * a on division by b."""
+    e = len(a) - len(b) + 1
+    while len(a) >= len(b):  # a = lead(b) * a - top(a) * x**shift * b
+        top, shift = a[-1], len(a) - len(b)
+        a = [c * b[-1] for c in a[:-1]]
+        for j, c in enumerate(b[:-1], shift):
+            a[j] -= top * c
+        a, e = subtract(a, []), e - 1
+    return [c * b[-1] ** e for c in a]
 
-    Every division is exact (the intermediate entries are minors of the row
-    permuted matrix); a zero pivot is replaced by the first nonzero entry
-    below it, and each such row swap flips the sign.
-    """
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return m[0][0]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                entry = _sub_products(pivot, row_i[j], head, row_k[j])
-                if prev is not None:
-                    entry = divide_exact(entry, prev)
-                row_i[j] = entry
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return [-c for c in det] if sign < 0 else det
+
+def _resultant(f: IntPoly, g: IntPoly) -> int:
+    """Res(f, g) over Z at formal degrees len(f) - 1 and len(g) - 1, not both 0."""
+    if len(g) == 1:
+        return g[0] ** (len(f) - 1)
+    if len(f) == 1:
+        return f[0] ** (len(g) - 1)
+    if not f[-1] and not g[-1]:
+        return 0
+    if not f[-1]:
+        return (-1) ** (len(g) - 1) * g[-1] * _resultant(f[:-1], g)
+    if not g[-1]:
+        return f[-1] * _resultant(f, g[:-1])
+    sign, lead, h = 1, 1, 1
+    if len(f) < len(g):
+        f, g = g, f
+        sign = -1 if len(f) % 2 == len(g) % 2 == 0 else 1
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        if len(f) % 2 == len(g) % 2 == 0:
+            sign = -sign
+        divisor = lead * h ** delta
+        f, g = g, [_exact(c, divisor) for c in pseudo_remainder(f, g)]
+        lead = f[-1]
+        h = _exact(h * lead ** delta, h ** delta)
+    n = len(f) - 1
+    return sign * _exact(h * g[0] ** n, h ** n) if g else 0
 
 
 def sylvester_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
-    """Resultant of the two coefficient lists (low-to-high) at formal degrees."""
-    return determinant_bareiss(sylvester_matrix(pa, pc))
+    """Resultant of the two coefficient lists (low-to-high) at formal degrees.
+
+    ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1;
+    either may be 0, not both.  The pc block fills the first Sylvester rows.
+    """
+    m, n = len(pa) - 1, len(pc) - 1
+    if min(m, n) < 0 or m + n < 1:
+        raise ValueError("formal degrees must be at least 0 and not both 0")
+    bound = sum(map(abs, chain(*pc))) ** m * sum(map(abs, chain(*pa))) ** n
+    k = bound.bit_length() + 2
+    f, g = ([sum(c << k * i for i, c in enumerate(p)) for p in q] for q in (pc, pa))
+    value = _resultant(f, g)
+    out, half = [], 1 << k - 1
+    while value:  # signed base-2**k digits
+        out.append(((value + half) & (2 * half - 1)) - half)
+        value = (value - out[-1]) >> k
+    return out
 
 
 # -- exact real roots ---------------------------------------------------------
@@ -206,13 +201,7 @@ def prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd by the primitive remainder sequence, for a and b of degree >= 1."""
     a, b = sorted((a, b), key=len, reverse=True)
     while True:
-        r = a
-        while len(r) >= len(b):  # r = lead(b) * r - top(r) * u**k * b
-            top, k = r[-1], len(r) - len(b)
-            r = [c * b[-1] for c in r]
-            for j, c in enumerate(b, k):
-                r[j] -= top * c
-            r = subtract(r, [])
+        r = pseudo_remainder(a, b)
         if len(r) <= 1:
             return primitive(b) if not r else [1]
         a, b = b, primitive(r)

@@ -1,10 +1,12 @@
-"""Test helpers for the dense Z[u] resultant: a cofactor oracle and converters.
+"""Test helpers for the dense Z[u] resultant: Sylvester matrices, a Bareiss
+and a cofactor oracle, and converters.
 
 Polynomials in u are dense integer lists, low to high, trailing zeros
 stripped (``[]`` is zero), as in :mod:`chamberlab.resultant`.
 """
 
 from chamberlab.poly import SpatialPoly
+from chamberlab.resultant import divide_exact
 
 
 def _strip(p):
@@ -35,6 +37,57 @@ def poly_mul(p, q):
 
 def poly_neg(p):
     return [-c for c in p]
+
+
+def sylvester_matrix(pa, pc):
+    """Sylvester matrix for coefficient lists given low-to-high.
+
+    ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1;
+    either may be 0, not both.  The first len(pa)-1 rows carry pc's
+    coefficients, the remaining rows pa's.
+    """
+    deg_a = len(pa) - 1
+    deg_c = len(pc) - 1
+    if min(deg_a, deg_c) < 0 or deg_a + deg_c < 1:
+        raise ValueError("formal degrees must be at least 0 and not both 0")
+    size = deg_a + deg_c
+    desc_c = list(reversed(pc))
+    desc_a = list(reversed(pa))
+    return ([[[]] * shift + desc_c + [[]] * (size - shift - deg_c - 1)
+             for shift in range(deg_a)]
+            + [[[]] * shift + desc_a + [[]] * (size - shift - deg_a - 1)
+               for shift in range(deg_c)])
+
+
+def determinant_bareiss(matrix):
+    """Fraction-free Bareiss determinant over Z[u].
+
+    Every division is exact (the intermediate entries are minors of the row
+    permuted matrix); a zero pivot is replaced by the first nonzero entry
+    below it, and each such row swap flips the sign.
+    """
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return []
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for row_i in m[k + 1:]:
+            head = row_i[k]
+            for j in range(k + 1, n):
+                entry = poly_add(poly_mul(pivot, row_i[j]), poly_neg(poly_mul(head, row_k[j])))
+                row_i[j] = entry if prev is None else divide_exact(entry, prev)
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return poly_neg(det) if sign < 0 else det
 
 
 def determinant_cofactor(matrix):

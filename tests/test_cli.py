@@ -5,7 +5,9 @@ import math
 
 from chamberlab import certify, cli
 from chamberlab.cases import registry_case
-from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USER_ERROR, main
+from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_PIPELINE_ERROR, EXIT_USER_ERROR, \
+    main
+from chamberlab.errors import ExactDivisionError
 from golden import BUNDLE_HASHES, CERTIFICATES, without_volatile_lines
 from root_checks import root_problems
 
@@ -98,6 +100,18 @@ def test_certify_failure_sets_exit_status(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "degree-mismatch" in captured.out
     assert "1 case(s) not certified" in captured.err
+
+
+def test_certify_internal_arithmetic_failure_is_pipeline_error(tmp_path, capsys, monkeypatch):
+    # An inexact division inside the pipeline is a bug, not a case that did
+    # not certify: exit 3, not 1, and no traceback.
+    def failing(case):
+        raise ExactDivisionError("division left a remainder")
+
+    monkeypatch.setattr(cli, "certify_case", failing)
+    code = main(["certify", "--case", "SOn-1", "--out", str(tmp_path)])
+    assert code == EXIT_PIPELINE_ERROR
+    assert "pipeline invariant violated: division left a remainder" in capsys.readouterr().err
 
 
 def test_certify_rerun_is_deterministic(tmp_path):

@@ -2,14 +2,19 @@ import random
 
 import pytest
 
+from chamberlab import certify
+from chamberlab.cases import default_cases, load_registry, registry_case
+from chamberlab.certify import compute_resultant
 from chamberlab.errors import ExactDivisionError
-from chamberlab.resultant import (
+from chamberlab.reduction import build_bundle
+from chamberlab.resultant import divide_exact, sylvester_resultant
+from resultant_oracle import (
     determinant_bareiss,
-    divide_exact,
+    determinant_cofactor,
+    poly_mul,
     sylvester_matrix,
-    sylvester_resultant,
+    t_multiply,
 )
-from resultant_oracle import determinant_cofactor, poly_mul, t_multiply
 
 # Dense integer polynomials in u, low to high: U is u, ONE is 1, [] is zero.
 U = [0, 1]
@@ -120,7 +125,106 @@ def test_exact_division():
 
 
 def test_rejects_degenerate_degrees():
-    with pytest.raises(ValueError):
-        sylvester_matrix([ONE], [ONE])
-    with pytest.raises(ValueError):
-        sylvester_matrix([], [ONE, ONE])
+    for pa, pc in (([ONE], [ONE]), ([], [ONE, ONE]), ([ONE, ONE], []), ([], [])):
+        with pytest.raises(ValueError):
+            sylvester_resultant(pa, pc)
+
+
+def _oracle_cases():
+    """The 14 default rows, every parametric row drawn from its minimum to 40
+    at seeds 1 and 19 (in registry order), and SOn-1 at n = 3..40."""
+    cases = list(default_cases())
+    for seed in (1, 19):
+        rng = random.Random(seed)
+        for template in load_registry():
+            if template.param_specs:
+                params = {name: rng.randint(low, 40) for name, low, _ in template.param_specs}
+                cases.append(registry_case(template.name, params))
+    return cases + [registry_case("SOn-1", {"n": n}) for n in range(3, 41)]
+
+
+def test_matches_bareiss_on_registry_resultants(monkeypatch):
+    # Every pair compute_resultant hands to sylvester_resultant, checked
+    # against the fraction-free determinant of the Sylvester matrix over Z[u].
+    pairs = []
+
+    def recording(pa, pc):
+        pairs.append((pa, pc))
+        return sylvester_resultant(pa, pc)
+
+    monkeypatch.setattr(certify, "sylvester_resultant", recording)
+    for case in _oracle_cases():
+        compute_resultant(build_bundle(case))
+    assert len(pairs) == 14 + 38 + 2 * sum(1 for t in load_registry() if t.param_specs)
+    for pa, pc in pairs:
+        assert sylvester_resultant(pa, pc) == determinant_bareiss(sylvester_matrix(pa, pc))
+
+
+def test_matches_cofactor_on_random_formal_degrees():
+    # Formal degrees 0..4 x 0..5 with zero entries, vanishing leading
+    # coefficients and all-zero sides: the leading-coefficient rules run
+    # before the remainder sequence, and every packed value is unpacked.
+    rng = random.Random(23)
+
+    def entry():
+        if rng.random() < 0.3:
+            return []
+        return _stripped([rng.randint(-6, 6) for _ in range(rng.randint(1, 3))])
+
+    def side(count):
+        roll = rng.random()
+        if roll < 0.05:
+            return [[] for _ in range(count)]
+        coeffs = [entry() for _ in range(count)]
+        if roll < 0.35:
+            coeffs[-1] = []
+        return coeffs
+
+    checked = 0
+    for deg_a in range(5):
+        for deg_c in range(6):
+            if deg_a + deg_c == 0:
+                continue
+            for _ in range(40):
+                pa, pc = side(deg_a + 1), side(deg_c + 1)
+                expected = determinant_cofactor(sylvester_matrix(pa, pc))
+                assert sylvester_resultant(pa, pc) == expected, (pa, pc)
+                checked += 1
+    assert checked == 29 * 40
+
+
+def test_signed_digits_reach_the_bound():
+    # At formal degrees (1, 0) the resultant is pc's constant and the bound B
+    # is its 1-norm, so a coefficient of -B or a run of +-B digits must come
+    # back from the packed integer unchanged.
+    pa = [[0, 1], ONE]
+    assert sylvester_resultant(pa, [[0, 0, -9]]) == [0, 0, -9]
+    assert sylvester_resultant(pa, [[-9, 9, -9]]) == [-9, 9, -9]
+    assert sylvester_resultant(pa, [[9, -9, 9]]) == [9, -9, 9]
+    assert sylvester_resultant([[-1], [-1]], [[-1, 0, 0, 1]]) == [-1, 0, 0, 1]
+    # At (1, 1) with one vanishing leading coefficient: det [[-3u, 0], [0, 3u^2]]
+    # and det [[0, 3u^2], [-3u, 0]] are -+9u^3, and B = 3 * 3 = 9.
+    assert sylvester_resultant([[0, 0, 3], []], [[], [0, -3]]) == [0, 0, 0, -9]
+    assert sylvester_resultant([[], [0, -3]], [[0, 0, 3], []]) == [0, 0, 0, 9]
+
+
+def test_matches_sympy_resultant():
+    # A third oracle: sympy's resultant of C and A in t at y = 1, divided
+    # out against the report's scale, sign included.
+    sympy = pytest.importorskip("sympy")
+    u, t = sympy.symbols("u t")
+
+    def at_y_one(poly):
+        return sum(sympy.Rational(int(c.a.numerator), int(c.a.denominator)) * u ** a
+                   for (a, _), c in poly.terms.items())
+
+    for case in (registry_case("G2"), registry_case("SO4"), registry_case("Sp2xSpm", {"m": 2})):
+        bundle = build_bundle(case)
+        report = compute_resultant(bundle)
+        assert report.trimmed_pairs == 0 and not report.identically_zero
+        c = sum(at_y_one(p) * t ** j for j, p in enumerate(bundle.c_coeffs))
+        a = sum(at_y_one(p) * t ** j for j, p in enumerate(bundle.a_coeffs))
+        expected = sympy.Poly(sympy.resultant(c, a, t), u)
+        got = sympy.Poly(sum(sympy.Rational(k, report.scale) * u ** i
+                             for i, k in enumerate(report.coeffs)), u)
+        assert got == expected, case.label

@@ -14,7 +14,7 @@ from .cases import CaseSpec, default_cases, instantiate_case, load_registry, \
 from .certify import certify_case, chamber_root_scan, compute_resultant, \
     expected_resultant_degree, line_cotangent_sum, minimal_line_angles
 from .errors import ChamberlabError
-from .field import FieldScalar, Rat, embed_real, to_float, trig_pair
+from .field import FieldScalar, Rat, to_float, trig_pair
 from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL, \
     geometric_scalars, integrate_curve, normal_residual, principal_curvatures, \
     state_from_angle, step_candidate, step_minimal
@@ -31,7 +31,7 @@ __all__ = [
     "ReductionBundle", "SpatialPoly", "VelocityForm", "arc_derivative",
     "build_bundle", "build_walls", "certify_case",
     "chamber_root_scan", "compute_resultant",
-    "default_cases", "embed_real", "expected_resultant_degree",
+    "default_cases", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",
     "line_cotangent_sum", "load_registry", "minimal_line_angles", "normal_residual",
     "principal_curvatures", "registry_case", "state_from_angle",

@@ -96,12 +96,12 @@ def _integer_lists(polys: list[SpatialPoly], label: str,
             if not coeff.is_rational:
                 raise PipelineError(f"{label}: {name} coefficient {coeff.to_text()} "
                                     f"is not rational")
-            scale = math.lcm(scale, int(coeff.a.denominator))
+            scale = math.lcm(scale, coeff.a.denominator)
     lists = []
     for poly in polys:
         dense = [0] * (0 if poly.is_zero else degree + 1)
         for (a, _), coeff in poly.terms.items():
-            dense[a] = int(coeff.a.numerator) * (scale // int(coeff.a.denominator))
+            dense[a] = coeff.a.numerator * (scale // coeff.a.denominator)
         while dense and not dense[-1]:
             dense.pop()
         lists.append(dense)

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 some case not certified (every certificate and the
 table are still written), 2 user error (unknown case, bad parameters, bad or
-non-finite start state, bad integrator setting, --jobs below 1), 3 internal
-pipeline invariant violation.  All outputs are reproducible run to run except
-timestamp and duration metadata.
+non-finite start state, bad integrator setting, --jobs below 1, unwritable
+output path), 3 internal pipeline invariant violation.  All outputs are
+reproducible run to run except timestamp and duration metadata.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (RegistryError, BoundError, BoundaryError) as exc:
+    except (RegistryError, BoundError, BoundaryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except (PipelineError, ExactDivisionError) as exc:

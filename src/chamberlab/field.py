@@ -13,23 +13,19 @@ two dense elements), and sums, differences and negations do no rational work
 on coordinates that are zero on both sides.  Every polynomial from the
 quotient qd onward is rational, so this is the common case.
 
-Rationals are ``gmpy2.mpq`` when available (much faster on large operands),
-otherwise ``fractions.Fraction``; both keep values reduced with a positive
-denominator.
+Rationals are ``fractions.Fraction`` (``Rat``), reduced with a positive
+denominator.  :func:`to_float` rounds an element's real value to the nearest
+double, ties to even, and to +-inf beyond the double range.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-import mpmath
 
 from .errors import UnsupportedCaseError
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    Rat = Fraction
+Rat = Fraction
 
 ADMISSIBLE_D = (1, 2, 3, 4, 6)
 
@@ -37,15 +33,6 @@ _R0 = Rat(0)
 _R1 = Rat(1)
 # sqrt(k) * sqrt(k) = k for the basis elements 1, sqrt2, sqrt3, sqrt6.
 _BASIS_SQUARES = (1, 2, 3, 6)
-
-
-def _rat(value) -> Rat:
-    """Coerce an int, string or rational-like value to the Rat backend."""
-    if isinstance(value, (int, str)):
-        return Rat(value)
-    if isinstance(value, Fraction):
-        return Rat(value.numerator, value.denominator)
-    return Rat(value)
 
 
 def _add(x, y):
@@ -75,10 +62,10 @@ class FieldScalar:
     __slots__ = ("a", "b", "c", "e")
 
     def __init__(self, a=0, b=0, c=0, e=0):
-        self.a = _rat(a)
-        self.b = _rat(b)
-        self.c = _rat(c)
-        self.e = _rat(e)
+        self.a = Rat(a)
+        self.b = Rat(b)
+        self.c = Rat(c)
+        self.e = Rat(e)
 
     @classmethod
     def _raw(cls, a, b, c, e) -> "FieldScalar":
@@ -113,8 +100,8 @@ class FieldScalar:
     def _coerce(other):
         if isinstance(other, FieldScalar):
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(_R0):
-            return FieldScalar._raw(_rat(other), _R0, _R0, _R0)
+        if isinstance(other, (int, Fraction)):
+            return FieldScalar._raw(Rat(other), _R0, _R0, _R0)
         return None
 
     def __add__(self, other):
@@ -304,28 +291,38 @@ def trig_pair(d: int, i: int) -> tuple[FieldScalar, FieldScalar]:
     return _TRIG_TABLE[(frac.numerator, frac.denominator)]
 
 
-def embed_real(u: FieldScalar, precision_bits: int = 53) -> mpmath.mpf:
-    """Embed a field scalar into the reals at the requested binary precision.
-
-    The result differs from the exact value by less than 2**(-precision_bits+4)
-    for operands of moderate magnitude (a few guard bits absorb the four
-    roundings of the basis combination).
-    """
-    if precision_bits < 53:
-        raise ValueError("precision_bits must be at least 53")
-    with mpmath.workprec(precision_bits + 8):
-        r2 = mpmath.sqrt(2)
-        r3 = mpmath.sqrt(3)
-        value = (_mpf_of(u.a) + _mpf_of(u.b) * r2 + _mpf_of(u.c) * r3
-                 + _mpf_of(u.e) * r2 * r3)
-    with mpmath.workprec(precision_bits):
-        return +value
-
-
-def _mpf_of(q) -> mpmath.mpf:
-    return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
+def _round(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded to a double, +-inf beyond the range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def to_float(u: FieldScalar) -> float:
-    """Double-precision embedding (convenience wrapper around embed_real)."""
-    return float(embed_real(u, 53))
+    """The double nearest the real value of u (ties to even), +-inf beyond range.
+
+    A rational u is ``float(Fraction)``.  Otherwise u is irrational, since
+    (1, sqrt2, sqrt3, sqrt6) is a Q-basis, and the isqrt floors of
+    |q| * sqrt(k) * 2**p over its m nonzero coordinates q (on sqrt(k)) put
+    u * 2**p strictly between the integers lo and lo + m.  Rounding is
+    monotone, so once both ends round to one double, with no zero between
+    them, u rounds to it too.  p doubles until then, which comes: an
+    irrational u is no double and no midpoint between two doubles, so an open
+    interval around it rounds to one value, and the bracket, m / 2**p wide,
+    shrinks into it.
+    """
+    if u.is_rational:
+        return _round(u.a.numerator, u.a.denominator)
+    p = 64
+    while True:
+        lo = m = 0
+        for k, q in zip(_BASIS_SQUARES, (u.a, u.b, u.c, u.e)):
+            if q:
+                s = math.isqrt(k * q.numerator ** 2 << 2 * p) // q.denominator
+                lo += s if q > 0 else -s - 1
+                m += 1
+        low, high = _round(lo, 1 << p), _round(lo + m, 1 << p)
+        if low == high and (lo >= 0) == (lo + m > 0):
+            return low
+        p *= 2

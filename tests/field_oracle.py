@@ -3,7 +3,8 @@
 ``dense_mul`` is the fixed 16-product formula that FieldScalar.__mul__ used
 before its product went over the nonzero coordinates only; it does every
 rational multiply whatever the operands.  The other functions are the
-matching componentwise formulas.
+matching componentwise formulas, and :func:`exact_sign`, which decides the
+sign of an element by comparing squares of rationals, with no square root.
 """
 
 from chamberlab.field import FieldScalar
@@ -38,3 +39,34 @@ def dense_inverse(u):
     conj = dense_mul(dense_mul(conj2, conj3), conj23)
     norm = dense_mul(u, conj).a
     return FieldScalar._raw(conj.a / norm, conj.b / norm, conj.c / norm, conj.e / norm)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_sqrt2(r, s) -> int:
+    """sign(r + s*sqrt2) for rationals r, s.
+
+    When the signs differ, the larger of r**2 and 2*s**2 decides; they are
+    never equal, since sqrt2 is irrational.
+    """
+    if _sign(r) * _sign(s) >= 0:
+        return _sign(r) or _sign(s)
+    return _sign(r) if r * r > 2 * s * s else _sign(s)
+
+
+def exact_sign(u: FieldScalar) -> int:
+    """sign(a + b*sqrt2 + c*sqrt3 + e*sqrt6), read as P + Q*sqrt3.
+
+    P = a + b*sqrt2 and Q = c + e*sqrt2 lie in Q(sqrt2).  When their signs
+    differ, the sign of P**2 - 3*Q**2, again in Q(sqrt2) and never 0 since
+    sqrt3 is not in Q(sqrt2), says which of |P| and |Q*sqrt3| is larger.
+    """
+    a, b, c, e = u.a, u.b, u.c, u.e
+    p, q = _sign_sqrt2(a, b), _sign_sqrt2(c, e)
+    if p * q >= 0:
+        return p or q
+    p_larger = _sign_sqrt2(a * a + 2 * b * b - 3 * c * c - 6 * e * e,
+                           2 * a * b - 6 * c * e) > 0
+    return p if p_larger else q

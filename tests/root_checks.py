@@ -24,17 +24,12 @@ from chamberlab.reduction import build_bundle
 from resultant_oracle import poly_mul
 
 
-def fraction(q) -> Fraction:
-    """A Fraction from a Fraction or gmpy2 mpq."""
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def at_y_one(poly) -> list[Fraction]:
     """A rational homogeneous SpatialPoly at y = 1, dense in u = x, low to high."""
     out = [Fraction(0)] * (max((a for a, _ in poly.terms), default=-1) + 1)
     for (a, _), c in poly.terms.items():
         assert c.is_rational
-        out[a] = fraction(c.a)
+        out[a] = c.a
     return out
 
 
@@ -47,7 +42,7 @@ def value(p, u) -> Fraction:
 
 def wall_cot_squared(d: int) -> Fraction:
     s, c = trig_pair(d, 1)
-    return fraction((c * c * (s * s).inverse()).a)
+    return (c * c * (s * s).inverse()).a
 
 
 def root_problems(cert: dict, case) -> list[str]:

@@ -73,6 +73,20 @@ def test_bad_param_is_user_error(tmp_path, capsys):
     assert "bound" in capsys.readouterr().err
 
 
+def test_unwritable_output_path_is_user_error(tmp_path, capsys):
+    # An --out that names a file, or a file's child, is reported, not raised:
+    # exit 2, not the "not certified" exit 1 of an uncaught exception.
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    for argv in (["certify", "--case", "SO3", "--out", str(blocker)],
+                 ["derive", "--case", "SO3", "--out", str(blocker)],
+                 ["integrate", "--case", "SU3", "--x0", "1", "--y0", "0.3",
+                  "--angle", "0.7", "--steps", "5", "--out", str(blocker / "x.csv")]):
+        assert main(argv) == EXIT_USER_ERROR, argv[0]
+        assert capsys.readouterr().err.startswith("error: "), argv[0]
+    assert blocker.read_text() == ""
+
+
 def test_certify_single_case(tmp_path, capsys):
     assert main(["certify", "--case", "SOpxSOq", "--out", str(tmp_path)]) == EXIT_OK
     (path,) = tmp_path.glob("*.certificate.json")

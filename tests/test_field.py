@@ -1,12 +1,11 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_oracle import dense_add, dense_inverse, dense_mul, dense_sub
+from field_oracle import dense_add, dense_inverse, dense_mul, dense_sub, exact_sign
 
 from chamberlab.errors import UnsupportedCaseError
 from chamberlab.field import (
@@ -18,7 +17,6 @@ from chamberlab.field import (
     SQRT3,
     SQRT6,
     ZERO,
-    embed_real,
     to_float,
     trig_pair,
 )
@@ -127,18 +125,6 @@ def test_multiply_counts_only_nonzero_components():
     assert multiplies_in(dense, dense) == 16
 
 
-@settings(max_examples=40, deadline=None)
-@given(scalars, scalars)
-def test_embedding_is_multiplicative(u, v):
-    bits = 120
-    lhs = embed_real(u * v, bits)
-    with mpmath.workprec(bits):
-        rhs = embed_real(u, bits) * embed_real(v, bits)
-        err = abs(lhs - rhs)
-        bound = mpmath.mpf(2) ** (-bits + 8) * (1 + abs(lhs))
-    assert err <= bound
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
 def test_trig_pair_zero_angle(d):
     assert trig_pair(d, 0) == (ZERO, ONE)
@@ -171,24 +157,53 @@ def test_pythagorean_identity_exact(d):
         assert s * s + c * c == ONE
 
 
-def test_embed_known_constants():
-    assert float(embed_real(SQRT2, 53)) == pytest.approx(math.sqrt(2), abs=1e-15)
-    assert float(embed_real(ZERO, 53)) == 0.0
-    third = FieldScalar.rational(1, 3)
-    with mpmath.workprec(200):
-        err = abs(embed_real(third, 100) - mpmath.mpf(1) / 3)
-        assert err < mpmath.mpf(2) ** -96
+def _as_fraction(x: float) -> Fraction:
+    """A double as a Fraction, with +-inf at +-2**1024, the next power of two
+    past the largest double, so that rounding to inf is rounding to it."""
+    return Fraction(x) if math.isfinite(x) else (1 if x > 0 else -1) * Fraction(2) ** 1024
 
 
-def test_embed_rejects_low_precision():
-    with pytest.raises(ValueError):
-        embed_real(ONE, 20)
+def assert_nearest_double(u: FieldScalar, x: float) -> None:
+    """x is the double nearest u, ties to even, decided by exact signs."""
+    here = _as_fraction(x)
+    even = math.isinf(x) or int(here / Fraction(math.ulp(x))) % 2 == 0
+    for toward, side in ((-math.inf, 1), (math.inf, -1)):
+        if x == toward:
+            continue  # nothing lies beyond +-inf
+        mid = (here + _as_fraction(math.nextafter(x, toward))) / 2
+        # > 0: u is on x's side of the midpoint to the neighbour toward `toward`
+        position = side * exact_sign(u - FieldScalar(mid))
+        assert position > 0 or (position == 0 and even), (u, x, toward)
+    assert math.copysign(1, x) == (exact_sign(u) or 1)
 
 
-def test_to_float_matches_math():
-    u = FieldScalar(1, 1, 1, 1)
-    expected = 1 + math.sqrt(2) + math.sqrt(3) + math.sqrt(6)
-    assert to_float(u) == pytest.approx(expected, rel=1e-15)
+@settings(max_examples=200, deadline=None)
+@given(sparse_scalars, st.integers(-1100, 1030))
+def test_to_float_is_correctly_rounded(u, k):
+    # The factor 2**k reaches subnormal results, zeros, infinities and values
+    # that need more than the first 64 bits of the bracket.
+    u = u * Fraction(2) ** k
+    assert_nearest_double(u, to_float(u))
+
+
+def test_to_float_known_values():
+    for q in (Fraction(0), Fraction(1, 3), Fraction(-2, 7), Fraction(10**20 + 1, 3**30)):
+        assert repr(to_float(FieldScalar(q))) == repr(float(q))
+    for u in (FieldScalar(10**400), SQRT2 * 10**400):
+        assert to_float(u) == math.inf
+        assert to_float(-u) == -math.inf
+    assert to_float(SQRT2 * HALF) == math.sqrt(2) / 2
+    assert to_float(SQRT3) == math.sqrt(3)
+    # sqrt2 - c*sqrt3 lies in (0, 2**-69): u sits just above the tie between
+    # 1 and the next double, closer than the first 64-bit bracket resolves.
+    c = Fraction(math.isqrt((2 << 140) // 3), 2**70)
+    u = 1 + Fraction(1, 2**53) + SQRT2 - SQRT3 * c
+    assert to_float(u) == 1 + 2**-52
+    assert to_float(-u) == -1 - 2**-52
+    # Both ends of a bracket around 0 can round to a zero of the wrong sign.
+    tiny = (SQRT2 - 1) * Fraction(1, 2**3000)
+    assert math.copysign(1, to_float(tiny)) == 1
+    assert math.copysign(1, to_float(-tiny)) == -1
 
 
 def test_canonical_text_round_trip():

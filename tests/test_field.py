@@ -206,6 +206,21 @@ def test_to_float_known_values():
     assert math.copysign(1, to_float(-tiny)) == -1
 
 
+@settings(max_examples=40, deadline=None)
+@given(scalars, scalars)
+def test_embedding_is_multiplicative(u, v):
+    # Each side carries at most three roundings of relative size 2**-53.
+    lhs = to_float(u * v)
+    rhs = to_float(u) * to_float(v)
+    assert abs(lhs - rhs) <= 2.0 ** -50 * abs(lhs)
+
+
+def test_to_float_matches_math():
+    u = FieldScalar(1, 1, 1, 1)
+    expected = 1 + math.sqrt(2) + math.sqrt(3) + math.sqrt(6)
+    assert to_float(u) == pytest.approx(expected, rel=1e-15)
+
+
 def test_canonical_text_round_trip():
     u = FieldScalar(Fraction(-3, 4), 2, Fraction(1, 6), -5)
     text = u.to_text()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -55,8 +55,6 @@ class CaseTemplate:
     n_expr: object
     multiplicity_exprs: tuple
     param_specs: tuple[tuple[str, int, int], ...] = ()  # (name, min, default)
-    notes: str = ""
-    metadata: dict = field(default_factory=dict, compare=False)
 
     @property
     def is_parametric(self) -> bool:
@@ -68,6 +66,7 @@ class CaseTemplate:
 
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
+# "notes" and "metadata" document a row for its readers; the program ignores them.
 _ROW_KEYS = {"name", "group", "action", "d", "n", "multiplicities", "params",
              "notes", "metadata"}
 _PARAM_KEYS = {"name", "min", "default"}
@@ -160,8 +159,6 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
                 multiplicity_exprs=tuple(_expression(m, "multiplicity")
                                          for m in row["multiplicities"]),
                 param_specs=tuple(_param_spec(p) for p in row.get("params", [])),
-                notes=row.get("notes", ""),
-                metadata=row.get("metadata", {}),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise RegistryError(f"{where_row}: {exc}") from exc

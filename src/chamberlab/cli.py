@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="initial tangent angle in radians")
     p_int.add_argument("--steps", type=int, default=10000)
     p_int.add_argument("--step-size", type=float, default=1e-4)
-    p_int.add_argument("--wall-epsilon", type=float, default=1e-9)
     p_int.add_argument("--out", default=None,
                        help="CSV path ('-' for stdout); default derived from case")
 
@@ -192,8 +191,7 @@ def _cmd_certify(args) -> int:
 def _cmd_integrate(args) -> int:
     (case,) = _select_cases(args.case, _parse_params(args.param), allow_all=False)
     try:
-        cfg = IntegratorConfig(step=args.step_size, max_steps=args.steps,
-                               wall_epsilon=args.wall_epsilon, mode=args.mode)
+        cfg = IntegratorConfig(step=args.step_size, max_steps=args.steps, mode=args.mode)
         init = state_from_angle(args.x0, args.y0, args.angle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

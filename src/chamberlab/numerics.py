@@ -6,12 +6,12 @@ the finite-difference oracles that cross-validate the symbolic pipeline.
 
 Unit speed is never renormalized: the drift is one of the measured
 diagnostics.  Curvatures blow up like 1/w near a wall, so integration stops
-at the configured wall tolerance rather than continuing into garbage.
+within WALL_EPSILON of a wall rather than continuing into garbage.
 
-Each case's polynomials are compiled once into four straight-line kernels
-(:class:`CaseLab`): R, the interior test, the per-state values (walls, qd,
-t1..t5, A0..A3) and the terms of R'.  RK4 runs on plain floats through one
-function, :func:`_rk4`, that calls the R kernel for its stages.
+Each case's polynomials are compiled once into three straight-line kernels
+(:class:`CaseLab`): R, the interior test and the per-state values (walls, qd,
+t1..t5, A0..A3).  RK4 runs on plain floats through one function,
+:func:`_rk4`, that calls the R kernel for its stages.
 
 Evaluation order is part of the output.  Kernel contract (see
 :func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cases import CaseSpec
@@ -45,6 +45,10 @@ _MODE_COEFF = {MODE_MINIMAL: 1.0, MODE_CANDIDATE: 1.0 / 3.0}
 
 CSV_HEADER = "s,x,y,xd,yd,f,A2,res_poly,res_ode"
 
+# A state is inside the chamber when every wall value clears the wall by more
+# than this margin.
+WALL_EPSILON = 1e-9
+
 
 @dataclass
 class CurveState:
@@ -57,20 +61,21 @@ class CurveState:
     yd: float
 
 
+def _check_step(name: str, h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"{name} must be positive and finite, got {h}")
+
+
 @dataclass
 class IntegratorConfig:
     step: float = 1e-4
     max_steps: int = 10000
-    wall_epsilon: float = 1e-9
     mode: str = MODE_MINIMAL
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
-        if not (math.isfinite(self.wall_epsilon) and self.wall_epsilon > 0):
-            raise ValueError(f"wall_epsilon must be positive and finite, got {self.wall_epsilon}")
+        _check_step("step", self.step)
+        if type(self.max_steps) is not int or self.max_steps < 0:
+            raise ValueError(f"max_steps must be a non-negative int, got {self.max_steps!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -139,18 +144,15 @@ class CaseLab:
     """Compiled float kernels for one case's pipeline polynomials.
 
     - ``R(x, y, xd, yd)``: the curvature sum (-t2 xd + t1 yd) / qd;
-    - ``inside(x, y, wall_epsilon)``: the strict interior test, the canonical
-      sign pattern with a margin (the zeroth wall negative, the others
+    - ``inside(x, y)``: the strict interior test, the canonical sign pattern
+      with the margin WALL_EPSILON (the zeroth wall negative, the others
       positive);
-    - ``point(x, y)``: ``((w_0, ..., w_{d-1}), qd, t1, ..., t5, A0, ..., A3)``;
-    - ``r_dot_terms(x, y)``: qd followed by the numerator polynomials of R',
-      whose velocity exponents are ``r_dot_exponents``.
+    - ``point(x, y)``: ``((w_0, ..., w_{d-1}), qd, t1, ..., t5, A0, ..., A3)``.
     """
 
     def __init__(self, case: CaseSpec):
         self.case = case
         bundle = build_bundle(case)
-        self.bundle = bundle
         d = case.d
         self.trig = tuple((math.sin(i * math.pi / d), math.cos(i * math.pi / d))
                           for i in range(d))
@@ -162,28 +164,15 @@ class CaseLab:
         self.R = _kernel("R", ("x", "y", "xd", "yd"),
                          {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]},
                          "(-t2 * xd + t1 * yd) / qd")
-        self.inside = _kernel("inside", ("x", "y", "wall_epsilon"), walls, " and ".join(
-            ["not w0 > -wall_epsilon"] + [f"w{i} > wall_epsilon" for i in range(1, d)]))
+        self.inside = _kernel("inside", ("x", "y"), walls, " and ".join(
+            [f"not w0 > -{WALL_EPSILON!r}"] + [f"w{i} > {WALL_EPSILON!r}" for i in range(1, d)]))
         self.point = _kernel("point", ("x", "y"), {**walls, **t, **a},
                              f"(({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3)")
-        r_dot = bundle.r_dot.num.terms
-        self.r_dot_exponents = list(r_dot)
-        numerators = {f"n{k}": poly.float_terms() for k, poly in enumerate(r_dot.values())}
-        self.r_dot_terms = _kernel("r_dot_terms", ("x", "y"), {"qd": t["qd"], **numerators},
-                                   "(qd, " + "".join(f"{n}, " for n in numerators) + ")")
 
     # -- pointwise quantities --------------------------------------------------
 
     def wall_curvatures(self, st: CurveState) -> list[float]:
         return _curvatures(self.trig, self.point(st.x, st.y)[0], st.xd, st.yd)
-
-    def r_dot_symbolic(self, st: CurveState) -> float:
-        """Float evaluation of the exact first arclength derivative of R."""
-        q, *values = self.r_dot_terms(st.x, st.y)
-        num = 0
-        for (p, q_exp), value in zip(self.r_dot_exponents, values):
-            num += value * st.xd**p * st.yd**q_exp
-        return num / (q * q)
 
     def scalars(self, kd: float, wall_ks: list[float]) -> tuple[float, float]:
         """(f, |A|^2): the mean-curvature sum kd + sum m_i k_i and the squared
@@ -223,11 +212,11 @@ def get_lab(case: CaseSpec) -> CaseLab:
     return CaseLab(case)
 
 
-def state_from_angle(x0: float, y0: float, angle: float, s0: float = 0.0) -> CurveState:
+def state_from_angle(x0: float, y0: float, angle: float) -> CurveState:
     """Initial state at (x0, y0) with unit tangent at the given angle, all finite."""
     if not all(map(math.isfinite, (x0, y0, angle))):
         raise ValueError(f"x0, y0 and angle must be finite, got {x0}, {y0}, {angle}")
-    return CurveState(s=s0, x=x0, y=y0, xd=math.cos(angle), yd=math.sin(angle))
+    return CurveState(s=0.0, x=x0, y=y0, xd=math.cos(angle), yd=math.sin(angle))
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +224,29 @@ def state_from_angle(x0: float, y0: float, angle: float, s0: float = 0.0) -> Cur
 # ---------------------------------------------------------------------------
 
 
-def principal_curvatures(st: CurveState, case: CaseSpec, kd: float,
-                         wall_epsilon: float = 1e-9) -> list[float]:
+def principal_curvatures(st: CurveState, case: CaseSpec, kd: float) -> list[float]:
     """The d wall curvatures followed by the supplied planar curvature kd.
 
     Multiplicity m_i attaches to entry i; the final entry has multiplicity 1.
     """
     lab = get_lab(case)
-    if not lab.inside(st.x, st.y, wall_epsilon):
+    if not lab.inside(st.x, st.y):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
     return lab.wall_curvatures(st) + [kd]
 
 
 def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
                       mode: str = MODE_CANDIDATE,
-                      h_fd: float = 1e-5,
-                      wall_epsilon: float = 1e-9) -> tuple[float, float, float]:
+                      h_fd: float = 1e-5) -> tuple[float, float, float]:
     """(f, |A|^2, laplacian of f) at a state, with the supplied kd.
 
     f and |A|^2 are exact algebra in floats; the laplacian is measured by
     central finite differences of f along the mode's flow, using
     laplacian(f) = -f'' - (volume log-derivative) * f'.
     """
+    _check_step("h_fd", h_fd)
     lab = get_lab(case)
-    wall_part = principal_curvatures(st, case, kd, wall_epsilon)[:-1]
+    wall_part = principal_curvatures(st, case, kd)[:-1]
     f, a2 = lab.scalars(kd, wall_part)
 
     def f_at(state: CurveState) -> float:
@@ -309,24 +297,21 @@ def _rk4_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
     return CurveState(st.s + h, *_rk4(lab.R, _MODE_COEFF[mode], h, st.x, st.y, st.xd, st.yd, r0))
 
 
-def step_minimal(st: CurveState, case: CaseSpec, h: float,
-                 wall_epsilon: float = 1e-9) -> CurveState:
+def step_minimal(st: CurveState, case: CaseSpec, h: float) -> CurveState:
     """One RK4 step of the minimal-profile flow (kd = -R enforced pointwise)."""
-    return _guarded_step(get_lab(case), MODE_MINIMAL, st, h, wall_epsilon)
+    return _guarded_step(get_lab(case), MODE_MINIMAL, st, h)
 
 
-def step_candidate(st: CurveState, case: CaseSpec, h: float,
-                   wall_epsilon: float = 1e-9) -> CurveState:
+def step_candidate(st: CurveState, case: CaseSpec, h: float) -> CurveState:
     """One RK4 step of the candidate flow (tangential equation kd = -R/3)."""
-    return _guarded_step(get_lab(case), MODE_CANDIDATE, st, h, wall_epsilon)
+    return _guarded_step(get_lab(case), MODE_CANDIDATE, st, h)
 
 
-def _guarded_step(lab: CaseLab, mode: str, st: CurveState, h: float,
-                  wall_epsilon: float) -> CurveState:
-    if not lab.inside(st.x, st.y, wall_epsilon):
+def _guarded_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
+    if not lab.inside(st.x, st.y):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
     nxt = _rk4_step(lab, mode, st, h)
-    if not lab.inside(nxt.x, nxt.y, wall_epsilon):
+    if not lab.inside(nxt.x, nxt.y):
         raise BoundaryError(f"step from s={st.s} crossed a chamber wall")
     return nxt
 
@@ -340,6 +325,7 @@ def normal_residual(st: CurveState, case: CaseSpec,
     first and second arclength derivatives of R by central finite differences.
     Agreement is limited by the finite differencing, not the algebra.
     """
+    _check_step("h_fd", h_fd)
     lab = get_lab(case)
     _, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(st.x, st.y)
     poly_value = _cubic_form(a0, a1, a2, a3, st.xd, st.yd)
@@ -361,15 +347,12 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 class Trajectory:
     """Uniformly sampled integration output plus diagnostics."""
 
-    case: CaseSpec
-    mode: str
-    step: float
     states: list[CurveState]
     rows: list[tuple]
     stop_reason: str
     max_abs_f: float
     speed_drift: float
-    residual_pairs: list[tuple[float, float]] = field(default_factory=list)
+    residual_pairs: list[tuple[float, float]]
 
     def write_csv(self, target) -> None:
         """Write rows as CSV with 17-significant-digit floats."""
@@ -399,8 +382,8 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     the lab's ``point`` kernel once per state.
     """
     lab = get_lab(case)
-    R, inside, wall_epsilon = lab.R, lab.inside, cfg.wall_epsilon
-    if not inside(init.x, init.y, wall_epsilon):
+    R, inside = lab.R, lab.inside
+    if not inside(init.x, init.y):
         raise BoundaryError(
             f"initial state ({init.x}, {init.y}) is not strictly inside the chamber")
     coeff = _MODE_COEFF[cfg.mode]
@@ -414,7 +397,7 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
             r = R(x, y, xd, yd)
             r_values.append(r)
             x, y, xd, yd = _rk4(R, coeff, h, x, y, xd, yd, r)
-            if not inside(x, y, wall_epsilon):
+            if not inside(x, y):
                 stop_reason = "boundary"
                 break
             s += h
@@ -462,6 +445,5 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
             stop_reason = "overflow"
             del states[idx:], r_values[idx:]
 
-    return Trajectory(case=case, mode=cfg.mode, step=cfg.step, states=states,
-                      rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,
+    return Trajectory(states=states, rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,
                       speed_drift=speed_drift, residual_pairs=residual_pairs)

@@ -36,15 +36,6 @@ def _grlex(mono: Monomial) -> tuple[int, int]:
     return (mono[0] + mono[1], mono[0])
 
 
-def _coerce_scalar(value) -> FieldScalar | None:
-    if isinstance(value, FieldScalar):
-        return value
-    if isinstance(value, int):
-        return FieldScalar.rational(value)
-    coerced = FieldScalar._coerce(value)
-    return coerced
-
-
 class SpatialPoly:
     """Sparse bivariate polynomial over Q(sqrt2, sqrt3); zero terms pruned."""
 
@@ -61,14 +52,14 @@ class SpatialPoly:
 
     @classmethod
     def constant(cls, value) -> "SpatialPoly":
-        c = _coerce_scalar(value)
+        c = FieldScalar._coerce(value)
         if c is None:
             raise TypeError(f"cannot build constant from {value!r}")
         return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff=ONE) -> "SpatialPoly":
-        c = _coerce_scalar(coeff)
+        c = FieldScalar._coerce(coeff)
         return cls({(a, b): c})
 
     @classmethod
@@ -82,7 +73,7 @@ class SpatialPoly:
     @classmethod
     def linear(cls, coeff_x, coeff_y) -> "SpatialPoly":
         """The form coeff_x * x + coeff_y * y."""
-        return cls({(1, 0): _coerce_scalar(coeff_x), (0, 1): _coerce_scalar(coeff_y)})
+        return cls({(1, 0): FieldScalar._coerce(coeff_x), (0, 1): FieldScalar._coerce(coeff_y)})
 
     # -- predicates ----------------------------------------------------------
 
@@ -98,7 +89,7 @@ class SpatialPoly:
     def _coerce(self, other) -> "SpatialPoly | None":
         if isinstance(other, SpatialPoly):
             return other
-        c = _coerce_scalar(other)
+        c = FieldScalar._coerce(other)
         if c is None:
             return None
         return SpatialPoly({(0, 0): c})
@@ -376,7 +367,7 @@ class VelocityForm:
             return VelocityForm(self.vdeg + other.vdeg, out)
         scale = other if isinstance(other, SpatialPoly) else None
         if scale is None:
-            c = _coerce_scalar(other)
+            c = FieldScalar._coerce(other)
             if c is None:
                 return NotImplemented
             scale = SpatialPoly({(0, 0): c})

@@ -22,7 +22,7 @@ from functools import lru_cache
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
 from .field import FieldScalar, trig_pair
-from .poly import ReducedExpr, SpatialPoly, VelocityForm, arc_derivative
+from .poly import ZERO_POLY, ReducedExpr, SpatialPoly, VelocityForm, arc_derivative
 
 _THIRD = FieldScalar.rational(1, 3)
 _NINTH = FieldScalar.rational(1, 9)
@@ -71,7 +71,7 @@ def build_walls(case: CaseSpec) -> list[SpatialPoly]:
 
 def _check_homogeneous(poly: SpatialPoly, degree: int, what: str, case: CaseSpec):
     got = poly.homogeneous_degree()
-    if got == "zero":
+    if got == ZERO_POLY:
         return
     if got != degree:
         raise PipelineError(f"{case.label}: {what} has degree {got!r}, expected {degree}")

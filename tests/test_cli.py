@@ -2,7 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import chamberlab
 from chamberlab import certify, cli
 from chamberlab.cases import registry_case
 from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_PIPELINE_ERROR, EXIT_USER_ERROR, \
@@ -276,7 +281,7 @@ def test_integrate_bad_setting_is_user_error(tmp_path, capsys):
     # A rejected integrator setting or non-finite start value is reported,
     # not raised: exit 2, no CSV.
     for flag, value in (("--step-size", "0"), ("--step-size", "nan"),
-                        ("--steps", "-3"), ("--wall-epsilon", "inf"),
+                        ("--steps", "-3"),
                         ("--angle", "inf"), ("--angle", "nan"),
                         ("--x0", "inf"), ("--y0", "nan")):
         out = tmp_path / "x.csv"
@@ -291,6 +296,24 @@ def test_integrate_bad_setting_is_user_error(tmp_path, capsys):
 def test_verify_reference_example_passes(capsys):
     assert main(["verify-paper-example"]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
+
+
+def test_module_entry_point_exit_codes():
+    # `python -m chamberlab` runs main through __main__.py and exits with its code.
+    src = str(Path(chamberlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "chamberlab", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    bad = run("certify", "--case", "nonsense")
+    assert bad.returncode == EXIT_USER_ERROR, bad.stderr
+    assert bad.stderr.startswith("error: unknown case 'nonsense'")
+    good = run("verify-paper-example")
+    assert good.returncode == EXIT_OK, good.stderr
+    assert good.stdout.startswith("PASS")
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

@@ -26,7 +26,8 @@ from chamberlab.numerics import (
     step_minimal,
 )
 from chamberlab.poly import SpatialPoly
-from float_poly_oracle import float_poly_value
+from chamberlab.reduction import build_bundle
+from float_poly_oracle import float_poly_value, float_reduced_value
 from golden import (
     POINTWISE,
     TRAJECTORY_HASHES,
@@ -204,8 +205,7 @@ def test_boundary_stop_on_vertical_drop():
     # a straight line, and must stop at the y = 0 wall.  (Generic minimal
     # curves bend away from walls, so this is the clean guaranteed hit.)
     case = registry_case("SOn-1")
-    cfg = IntegratorConfig(step=1e-3, max_steps=10000, mode=MODE_MINIMAL,
-                           wall_epsilon=1e-9)
+    cfg = IntegratorConfig(step=1e-3, max_steps=10000, mode=MODE_MINIMAL)
     trajectory = integrate_curve(state_from_angle(0.0, 1.0, -math.pi / 2), cfg, case)
     assert trajectory.stop_reason == "boundary"
     last = trajectory.states[-1]
@@ -230,13 +230,14 @@ def test_symbolic_r_dot_matches_finite_differences(all_cases):
     h = 1e-5
     for case in all_cases:
         lab = get_lab(case)
+        r_dot = build_bundle(case).r_dot
         for _ in range(5):
             st = _random_interior_state(case, rng)
             plus = step_candidate(st, case, h)
             minus = step_candidate(st, case, -h)
             fd = (lab.R(plus.x, plus.y, plus.xd, plus.yd)
                   - lab.R(minus.x, minus.y, minus.xd, minus.yd)) / (2 * h)
-            sym = lab.r_dot_symbolic(st)
+            sym = float_reduced_value(r_dot, st)
             scale = max(abs(sym), abs(fd), 1e-9)
             assert abs(sym - fd) / scale < 1e-6, case.label
 
@@ -248,6 +249,15 @@ def test_normal_residual_two_routes_agree(su3):
         poly_val, ode_val = normal_residual(st, su3)
         scale = max(abs(poly_val), abs(ode_val), 1e-12)
         assert abs(poly_val - ode_val) / scale < 1e-4
+
+
+def test_finite_difference_step_must_be_positive_and_finite(su3):
+    st = state_from_angle(1.0, 0.3, 0.7)
+    for h_fd in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="h_fd"):
+            normal_residual(st, su3, h_fd)
+        with pytest.raises(ValueError, match="h_fd"):
+            geometric_scalars(st, su3, 0.0, MODE_CANDIDATE, h_fd)
 
 
 def test_residual_generically_nonzero_on_candidate_curves(su3):
@@ -277,11 +287,10 @@ def test_integrator_config_validation():
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(mode="fancy")
-    with pytest.raises(ValueError):
-        IntegratorConfig(wall_epsilon=-1.0)
     for bad in ({"step": math.nan}, {"step": math.inf}, {"step": -math.inf},
-                {"wall_epsilon": math.nan}, {"wall_epsilon": math.inf},
-                {"max_steps": -3}, {"max_steps": -1}):
+                {"max_steps": -3}, {"max_steps": -1}, {"max_steps": 2.5},
+                {"max_steps": 10.0}, {"max_steps": "10"}, {"max_steps": True},
+                {"max_steps": False}):
         with pytest.raises(ValueError):
             IntegratorConfig(**bad)
     assert IntegratorConfig(max_steps=0).max_steps == 0
@@ -319,8 +328,8 @@ def test_pointwise_oracles_match_golden():
 
 
 def _kernel_oracle(lab, x, y, xd, yd):
-    """(point, R, r_dot_terms) of a lab at a state, from the term loop."""
-    b = lab.bundle
+    """(point, R) of a lab at a state, from the term loop."""
+    b = build_bundle(lab.case)
 
     def value(poly):
         return float_poly_value(poly, x, y)
@@ -328,30 +337,27 @@ def _kernel_oracle(lab, x, y, xd, yd):
     q, t1, t2 = value(b.qd), value(b.t1), value(b.t2)
     point = (tuple(value(w) for w in b.walls), q, t1, t2, value(b.t3), value(b.t4),
              value(b.t5), *(value(a) for a in b.a_coeffs))
-    r_dot_terms = (q, *(value(poly) for poly in b.r_dot.num.terms.values()))
-    return point, (-t2 * xd + t1 * yd) / q, r_dot_terms
+    return point, (-t2 * xd + t1 * yd) / q
 
 
 def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
     # Every kernel output of every default row equals the term loop's value
     # bit for bit (compared by repr): the walls, qd, t1..t5 and A0..A3 of
-    # point, R with t1, t2 and qd inlined, and qd and the r_dot terms, at
-    # random chamber points; and the interior test, against the sign rule on
-    # the loop's wall values, there and at random points of the plane.
+    # point and R with t1, t2 and qd inlined, at random chamber points; and
+    # the interior test, against the sign rule on the loop's wall values,
+    # there and at random points of the plane.
     rng = random.Random(6)
     for case in all_cases:
         lab = get_lab(case)
-        assert lab.r_dot_exponents == list(lab.bundle.r_dot.num.terms)
         for _ in range(20):
             st = _random_interior_state(case, rng, radius=(0.2, 5.0))
-            point, r, r_dot_terms = _kernel_oracle(lab, st.x, st.y, st.xd, st.yd)
+            point, r = _kernel_oracle(lab, st.x, st.y, st.xd, st.yd)
             assert repr(lab.point(st.x, st.y)) == repr(point), case.label
             assert repr(lab.R(st.x, st.y, st.xd, st.yd)) == repr(r), case.label
-            assert repr(lab.r_dot_terms(st.x, st.y)) == repr(r_dot_terms), case.label
             for x, y in ((st.x, st.y), (rng.uniform(-5, 5), rng.uniform(-5, 5))):
-                walls = [float_poly_value(w, x, y) for w in lab.bundle.walls]
+                walls = [float_poly_value(w, x, y) for w in build_bundle(case).walls]
                 expected = not walls[0] > -1e-9 and all(v > 1e-9 for v in walls[1:])
-                assert lab.inside(x, y, 1e-9) is expected, case.label
+                assert lab.inside(x, y) is expected, case.label
     zero = numerics._kernel("zero", ("x", "y"), {"z": SpatialPoly.zero().float_terms()}, "z")
     assert zero(1.5, -0.25) == 0 and float_poly_value(SpatialPoly.zero(), 1.5, -0.25) == 0
 

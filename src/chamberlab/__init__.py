@@ -1,8 +1,9 @@
 """Exact certificates and a numeric laboratory for invariant profile curves.
 
 The package reduces the geometry of isometry-group-invariant hypersurfaces to
-exact polynomial data over the planar orbit space: wall forms and volume
-polynomials over Q(sqrt2, sqrt3), a formal arclength differentiation engine,
+exact polynomial data over the planar orbit space: wall forms over
+Q(sqrt2, sqrt3), rational volume and coefficient polynomials derived on dense
+integer lists by a formal arclength differentiation engine,
 Sylvester resultants by the subresultant remainder sequence on
 Kronecker-packed integers, machine-readable per-case nonexistence
 certificates, and an RK4 profile-curve integrator that cross-validates the

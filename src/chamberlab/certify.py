@@ -29,7 +29,7 @@ from pathlib import Path
 from .cases import CaseSpec
 from .errors import PipelineError
 from .field import FieldScalar, format_rational
-from .poly import NOT_HOMOGENEOUS, SpatialPoly
+from .poly import DensePoly, SpatialPoly
 from .reduction import ReductionBundle, build_bundle
 from .resultant import derivative, divide_exact, gcd, homogeneous, positive_roots, \
     primitive, quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
@@ -82,30 +82,22 @@ def _integer_lists(polys: list[SpatialPoly], label: str,
     entries (None if there are none; every list is then ``[]``).  Irrational
     coefficients and mixed degrees raise PipelineError.
     """
-    degree = None
-    scale = 1
-    for poly in polys:
-        if poly.is_zero:
-            continue
-        hdeg = poly.homogeneous_degree()
-        if hdeg == NOT_HOMOGENEOUS or degree not in (None, hdeg):
-            raise PipelineError(f"{label}: the {name} coefficients are not "
-                                f"homogeneous of one common degree")
-        degree = hdeg
-        for coeff in poly.terms.values():
-            if not coeff.is_rational:
-                raise PipelineError(f"{label}: {name} coefficient {coeff.to_text()} "
-                                    f"is not rational")
-            scale = math.lcm(scale, coeff.a.denominator)
+    try:
+        dense = [DensePoly.of(poly) for poly in polys]
+    except ValueError as exc:
+        raise PipelineError(f"{label}: {name} {exc}") from None
+    degrees = {len(p.coeffs) - 1 for p in dense if p.coeffs}
+    if len(degrees) > 1:
+        raise PipelineError(f"{label}: the {name} coefficients are not "
+                            f"homogeneous of one common degree")
+    scale = math.lcm(*(p.den for p in dense))
     lists = []
-    for poly in polys:
-        dense = [0] * (0 if poly.is_zero else degree + 1)
-        for (a, _), coeff in poly.terms.items():
-            dense[a] = coeff.a.numerator * (scale // coeff.a.denominator)
-        while dense and not dense[-1]:
-            dense.pop()
-        lists.append(dense)
-    return lists, degree, scale
+    for p in dense:
+        coeffs = [c * (scale // p.den) for c in p.coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        lists.append(coeffs)
+    return lists, (degrees.pop() if degrees else None), scale
 
 
 def compute_resultant(bundle: ReductionBundle) -> ResultantReport:

@@ -1,6 +1,6 @@
-"""Sparse exact polynomial algebra in (x, y) and in the velocity pair (xd, yd).
+"""Exact polynomial algebra in (x, y) and in the velocity pair (xd, yd).
 
-Three layers:
+Four layers:
 
 * :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
   :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
@@ -10,20 +10,28 @@ Three layers:
 * :class:`ReducedExpr` - a VelocityForm divided by a power of the chamber
   product polynomial; :func:`arc_derivative` differentiates these along
   arclength under the candidate-curve substitution rules.
+* :class:`DensePoly` - a homogeneous rational polynomial as one dense list
+  of integers over one denominator, with velocity forms as lists of them
+  (:func:`dense_form`).
 
-These types carry the derivation from the walls to the cubic and quintic
-coefficients and every serialized polynomial.  The resultant does not run on
-them: :func:`chamberlab.certify.compute_resultant` converts the rational,
-homogeneous coefficient lists to dense integer lists in u = x/y for
-:mod:`chamberlab.resultant` and converts the result back to a SpatialPoly.
+Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
+is rational and homogeneous.  So the derivation runs on DensePolys, and
+SpatialPolys are its inputs (the walls and their products) and its outputs
+(every serialized polynomial).  :meth:`DensePoly.of` is the one boundary
+between the two: it turns a SpatialPoly into a list and raises ValueError if
+a coefficient is irrational or the terms differ in degree.
+:func:`chamberlab.certify.compute_resultant` converts the A and C outputs
+back through it and clears their denominators for :mod:`chamberlab.resultant`.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ExactDivisionError
-from .field import FieldScalar, ONE, ZERO, to_float
+from .field import _R0, FieldScalar, ONE, ZERO, to_float
 
 Monomial = tuple[int, int]
 
@@ -60,6 +68,8 @@ class SpatialPoly:
     @classmethod
     def monomial(cls, a: int, b: int, coeff=ONE) -> "SpatialPoly":
         c = FieldScalar._coerce(coeff)
+        if c is None:
+            raise TypeError(f"cannot build monomial coefficient from {coeff!r}")
         return cls({(a, b): c})
 
     @classmethod
@@ -73,7 +83,10 @@ class SpatialPoly:
     @classmethod
     def linear(cls, coeff_x, coeff_y) -> "SpatialPoly":
         """The form coeff_x * x + coeff_y * y."""
-        return cls({(1, 0): FieldScalar._coerce(coeff_x), (0, 1): FieldScalar._coerce(coeff_y)})
+        cx, cy = FieldScalar._coerce(coeff_x), FieldScalar._coerce(coeff_y)
+        if cx is None or cy is None:
+            raise TypeError(f"cannot build linear form from {coeff_x!r}, {coeff_y!r}")
+        return cls({(1, 0): cx, (0, 1): cy})
 
     # -- predicates ----------------------------------------------------------
 
@@ -458,49 +471,166 @@ class ReducedExpr:
         return f"ReducedExpr({self.num!r} / qd^{self.qd_power})"
 
 
-def velocity_rotation(vf: VelocityForm) -> VelocityForm:
-    """Image of the numerator under xd -> yd, yd -> -xd acting by derivation.
+class DensePoly:
+    """A homogeneous rational polynomial in (x, y) as one dense integer list.
 
-    This is the velocity part of d/ds when xd' = W*yd and yd' = -W*xd for a
-    common factor W: each xd^p*yd^q contributes p*xd^(p-1)*yd^(q+1) minus
-    q*xd^(p+1)*yd^(q-1).
+    A degree-k polynomial is ``coeffs`` (k + 1 ints, ``coeffs[a]`` the
+    numerator of the coefficient of x^a * y^(k - a)) over one denominator
+    ``den`` > 0, with gcd(den, *coeffs) == 1.  Zero is ``coeffs == []`` and
+    has no degree.  Values are never mutated, so they may be shared.
     """
-    if vf.vdeg == 0:
-        return VelocityForm(0)
-    out: dict[Monomial, SpatialPoly] = {}
 
-    def _acc(m: Monomial, poly: SpatialPoly):
-        s = out.get(m)
-        out[m] = poly if s is None else s + poly
+    __slots__ = ("coeffs", "den")
 
-    for (p, q), poly in vf.terms.items():
-        if p:
-            _acc((p - 1, q + 1), poly * p)
+    def __init__(self, coeffs: list[int], den: int = 1):
+        if not any(coeffs):
+            coeffs, den = [], 1
+        else:
+            g = math.gcd(den, *coeffs)
+            if g != 1:
+                coeffs = [c // g for c in coeffs]
+                den //= g
+        self.coeffs = coeffs
+        self.den = den
+
+    @classmethod
+    def of(cls, poly: SpatialPoly) -> "DensePoly":
+        """The list of a rational homogeneous SpatialPoly; ValueError otherwise."""
+        degree = poly.homogeneous_degree()
+        if degree == ZERO_POLY:
+            return cls([])
+        if degree == NOT_HOMOGENEOUS:
+            raise ValueError("coefficients are not homogeneous of one common degree")
+        den = 1
+        for coeff in poly.terms.values():
+            if not coeff.is_rational:
+                raise ValueError(f"coefficient {coeff.to_text()} is not rational")
+            den = math.lcm(den, coeff.a.denominator)
+        coeffs = [0] * (degree + 1)
+        for (a, _), coeff in poly.terms.items():
+            coeffs[a] = coeff.a.numerator * (den // coeff.a.denominator)
+        return cls(coeffs, den)
+
+    def to_spatial(self) -> SpatialPoly:
+        """The same polynomial with FieldScalar coefficients."""
+        k = len(self.coeffs) - 1
+        p = SpatialPoly.__new__(SpatialPoly)
+        p.terms = {(a, k - a): FieldScalar._raw(Fraction(c, self.den), _R0, _R0, _R0)
+                   for a, c in enumerate(self.coeffs) if c}
+        return p
+
+    def __add__(self, other: "DensePoly") -> "DensePoly":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValueError("sum of polynomials of different degrees")
+        if self.den == other.den:
+            return DensePoly([a + b for a, b in zip(self.coeffs, other.coeffs)], self.den)
+        da, db = self.den, other.den
+        return DensePoly([a * db + b * da for a, b in zip(self.coeffs, other.coeffs)], da * db)
+
+    def __neg__(self) -> "DensePoly":
+        return DensePoly([-c for c in self.coeffs], self.den)
+
+    def __sub__(self, other: "DensePoly") -> "DensePoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "DensePoly":
+        """Product with a DensePoly, an int or a Fraction."""
+        if isinstance(other, DensePoly):
+            if not (self.coeffs and other.coeffs):
+                return DensePoly([])
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in enumerate(other.coeffs, i):
+                        out[j] += a * b
+            return DensePoly(out, self.den * other.den)
+        scalar = Fraction(other)
+        return DensePoly([c * scalar.numerator for c in self.coeffs],
+                         self.den * scalar.denominator)
+
+    def __pow__(self, exponent: int) -> "DensePoly":
+        result, base = DensePoly([1]), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+    def dx(self) -> "DensePoly":
+        return DensePoly([a * c for a, c in enumerate(self.coeffs)][1:], self.den)
+
+    def dy(self) -> "DensePoly":
+        k = len(self.coeffs) - 1
+        return DensePoly([(k - a) * c for a, c in enumerate(self.coeffs)][:-1], self.den)
+
+
+# A velocity form on lists: entry q is the DensePoly coefficient of
+# xd^(v - q) * yd^q, v = len - 1, every nonzero entry of one degree.
+DenseForm = list[DensePoly]
+
+
+def dense_form(vf: VelocityForm) -> DenseForm:
+    """The coefficient lists of vf; ValueError unless they are rational and
+    homogeneous of one common degree."""
+    form = [DensePoly.of(vf.coefficient(vf.vdeg - q, q)) for q in range(vf.vdeg + 1)]
+    if len({len(p.coeffs) for p in form if p.coeffs}) > 1:
+        raise ValueError("velocity coefficients are not homogeneous of one common degree")
+    return form
+
+
+def velocity_form(form: DenseForm) -> VelocityForm:
+    v = len(form) - 1
+    return VelocityForm(v, {(v - q, q): p.to_spatial() for q, p in enumerate(form)})
+
+
+def form_sum(f: DenseForm, g: DenseForm) -> DenseForm:
+    return [a + b for a, b in zip(f, g, strict=True)]
+
+
+def form_product(f: DenseForm, g: DenseForm) -> DenseForm:
+    out = [DensePoly([])] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a.coeffs:
+            for j, b in enumerate(g, i):
+                out[j] = out[j] + a * b
+    return out
+
+
+_THIRD = Fraction(1, 3)
+
+
+def arc_step(num: DenseForm, power: int, r: DenseForm,
+             qd: DensePoly) -> tuple[DenseForm, int]:
+    """d/ds of num / qd**power on lists: the new numerator and power.
+
+    The derivative is qd * F(num) + (R/3) * rot(num) - power * F(qd) * num
+    over qd**(power + 1), where F(P) = dP/dx * xd + dP/dy * yd is the
+    coordinate flow and rot the derivation xd -> yd, yd -> -xd.  A num over
+    qd**0 with rot(num) = 0 (a velocity-free one, say) gives F(num) over qd**0.
+    """
+    v = len(num) - 1
+    flow = [DensePoly([])] * (v + 2)
+    rotation = [DensePoly([])] * (v + 1)
+    for q, coeff in enumerate(num):
+        flow[q] = flow[q] + coeff.dx()
+        flow[q + 1] = flow[q + 1] + coeff.dy()
+        if v - q:
+            rotation[q + 1] = rotation[q + 1] + coeff * (v - q)
         if q:
-            _acc((p + 1, q - 1), poly * (-q))
-    return VelocityForm(vf.vdeg, out)
-
-
-def spatial_flow_derivative(vf: VelocityForm) -> VelocityForm:
-    """Coefficient-wise x,y chain rule part of d/ds: sum (dP/dx xd + dP/dy yd)."""
-    out: dict[Monomial, SpatialPoly] = {}
-
-    def _acc(m: Monomial, poly: SpatialPoly):
-        if poly.is_zero:
-            return
-        s = out.get(m)
-        out[m] = poly if s is None else s + poly
-
-    for (p, q), poly in vf.terms.items():
-        _acc((p + 1, q), poly.partial_derivative("x"))
-        _acc((p, q + 1), poly.partial_derivative("y"))
-    return VelocityForm(vf.vdeg + 1, out)
-
-
-def coordinate_flow(poly: SpatialPoly) -> VelocityForm:
-    """d/ds of a pure spatial polynomial: dP/dx * xd + dP/dy * yd."""
-    return VelocityForm.velocity_linear(poly.partial_derivative("x"),
-                                        poly.partial_derivative("y"))
+            rotation[q - 1] = rotation[q - 1] - coeff * q
+    if not power and not any(p.coeffs for p in rotation):
+        return flow, 0
+    out = form_sum([qd * p for p in flow], [p * _THIRD for p in form_product(r, rotation)])
+    if power:
+        qd_flow = form_product([qd.dx() * power, qd.dy() * power], num)
+        out = [a - b for a, b in zip(out, qd_flow)]
+    return out, power + 1
 
 
 def arc_derivative(expr: ReducedExpr, r: ReducedExpr) -> ReducedExpr:
@@ -510,18 +640,14 @@ def arc_derivative(expr: ReducedExpr, r: ReducedExpr) -> ReducedExpr:
     where R is given as a ReducedExpr of velocity degree 1 over qd.  The
     result has qd_power and velocity degree one higher than the input, except
     for velocity-free inputs with no denominator, whose derivative needs
-    neither (e.g. the coordinate x differentiates to xd).
+    neither (e.g. the coordinate x differentiates to xd).  Every coefficient
+    and qd must be rational and homogeneous (ValueError otherwise); the work
+    runs on lists (:func:`arc_step`).
     """
     if not expr.same_case(r):
         raise ValueError("expression and curvature sum belong to different cases")
     if r.num.vdeg != 1 or r.qd_power != 1:
         raise ValueError("curvature sum must be velocity-linear over qd^1")
-    spatial_part = spatial_flow_derivative(expr.num)
-    rotation = velocity_rotation(expr.num)
-    if expr.qd_power == 0 and rotation.is_zero:
-        return ReducedExpr(spatial_part, 0, expr.qd)
-    third = FieldScalar.rational(1, 3)
-    num = expr.qd * spatial_part + (r.num * rotation) * third
-    if expr.qd_power:
-        num = num - coordinate_flow(expr.qd) * expr.num * expr.qd_power
-    return ReducedExpr(num, expr.qd_power + 1, expr.qd)
+    num, power = arc_step(dense_form(expr.num), expr.qd_power, dense_form(r.num),
+                          DensePoly.of(expr.qd))
+    return ReducedExpr(velocity_form(num), power, expr.qd)

@@ -3,12 +3,21 @@
 For a case with chamber type d and multiplicities (m_0 .. m_{d-1}),
 ``build_bundle`` derives, in one pass and each stage once: the d linear wall
 forms, their product qd and the squared orbit-volume polynomial, the
-quotients qd/w_i, the volume-derivative coefficients t1, t2, the
-quadratic-term coefficients t3, t4, t5, the wall-curvature sum R with its
-first and second arclength derivatives, and finally the velocity-cubic
-coefficients A0..A3 and the slope-quintic coefficients C0..C5 whose common
-root structure the certificate module interrogates.  Every consumer reads
-these from the cached ``ReductionBundle``.
+volume-derivative coefficients t1, t2, the quadratic-term coefficients t3,
+t4, t5, the wall-curvature sum R with its first and second arclength
+derivatives, and finally the velocity-cubic coefficients A0..A3 and the
+slope-quintic coefficients C0..C5 whose common root structure the
+certificate module interrogates.  Every consumer reads these from the cached
+``ReductionBundle``.
+
+The walls have coefficients in Q(sqrt2, sqrt3); everything after them is
+derived on dense rational lists (:class:`~chamberlab.poly.DensePoly`).  The
+one boundary is :func:`wall_products`: for each distinct multiplicity m,
+the product P_m of the walls of multiplicity m over its leading coefficient
+l_m must be rational, and so must l_m**2 and qd; otherwise the case raises
+PipelineError.  The orbit volume and the t's are then sums and products of
+the P_m (see build_bundle), and the outputs become SpatialPolys once, at
+the end.
 
 All arithmetic is exact; every degree claim is asserted and a violation raises
 PipelineError (it would indicate a bug, not bad input).
@@ -17,15 +26,18 @@ PipelineError (it would indicate a bug, not bad input).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
 from .field import FieldScalar, trig_pair
-from .poly import ZERO_POLY, ReducedExpr, SpatialPoly, VelocityForm, arc_derivative
+from .poly import ZERO_POLY, DensePoly, ReducedExpr, SpatialPoly, VelocityForm, \
+    arc_derivative, dense_form, form_product, form_sum
 
-_THIRD = FieldScalar.rational(1, 3)
-_NINTH = FieldScalar.rational(1, 9)
+_THIRD = Fraction(1, 3)
+_TWO_THIRDS = Fraction(2, 3)
+_NINTH = Fraction(1, 9)
 
 
 @dataclass
@@ -69,12 +81,55 @@ def build_walls(case: CaseSpec) -> list[SpatialPoly]:
     return walls
 
 
+def wall_products(case: CaseSpec, walls: list[SpatialPoly],
+                  ) -> tuple[SpatialPoly, DensePoly, list[tuple[int, Fraction, DensePoly]]]:
+    """qd = prod(w_i), its list, and (m, l**2, P_m / l) for each distinct m.
+
+    P_m is the product of the walls of multiplicity m and l its leading
+    coefficient, so P_m / l has leading coefficient 1.  Raises PipelineError
+    naming the case unless qd, every P_m / l and every l**2 are rational.
+    """
+    qd = SpatialPoly.constant(1)
+    for w in walls:
+        qd = qd * w
+    groups = []
+    try:
+        qd_list = DensePoly.of(qd)
+        for m in sorted(set(case.multiplicities)):
+            product = SpatialPoly.constant(1)
+            for w, mi in zip(walls, case.multiplicities):
+                if mi == m:
+                    product = product * w
+            lead = product.leading_term()[1]
+            lead_sq = lead * lead
+            if not lead_sq.is_rational:
+                raise ValueError(f"leading coefficient squared {lead_sq.to_text()} "
+                                 f"is not rational")
+            groups.append((m, lead_sq.a, DensePoly.of(product * lead.inverse())))
+    except ValueError as exc:
+        raise PipelineError(f"{case.label}: the walls are not rational per "
+                            f"multiplicity: {exc}") from None
+    return qd, qd_list, groups
+
+
 def _check_homogeneous(poly: SpatialPoly, degree: int, what: str, case: CaseSpec):
     got = poly.homogeneous_degree()
     if got == ZERO_POLY:
         return
     if got != degree:
         raise PipelineError(f"{case.label}: {what} has degree {got!r}, expected {degree}")
+
+
+def _quintic(qd: DensePoly, t1: DensePoly, t2: DensePoly,
+             a: tuple[DensePoly, ...]) -> tuple[DensePoly, ...]:
+    a0, a1, a2, a3 = a
+    c0 = qd * a0.dx() + a1 * t2 * _THIRD
+    c1 = qd * (a1.dx() + a0.dy()) + a2 * t2 * _TWO_THIRDS - a1 * t1 * _THIRD
+    c2 = qd * (a2.dx() + a1.dy()) + a3 * t2 - a2 * t1 * _TWO_THIRDS + a1 * t2 * _THIRD
+    c3 = qd * (a3.dx() + a2.dy()) - a3 * t1 + a2 * t2 * _TWO_THIRDS - a1 * t1 * _THIRD
+    c4 = qd * a3.dy() + a3 * t2 - a2 * t1 * _TWO_THIRDS
+    c5 = -(a3 * t1)
+    return (c0, c1, c2, c3, c4, c5)
 
 
 def quintic_table(qd: SpatialPoly, t1: SpatialPoly, t2: SpatialPoly,
@@ -84,60 +139,64 @@ def quintic_table(qd: SpatialPoly, t1: SpatialPoly, t2: SpatialPoly,
 
     Differentiating A3 z^3 + A2 z^2 + A1 z + A0 = 0 (z the curve slope) along
     x, substituting the slope's second-derivative expression, and clearing one
-    qd denominator collects into six coefficients of powers of z.
+    qd denominator collects into six coefficients of powers of z.  Every
+    argument must be rational and homogeneous (ValueError otherwise).
     """
-    third = _THIRD
-    two_thirds = FieldScalar.rational(2, 3)
-    a0, a1, a2, a3 = a
-    dx = lambda p: p.partial_derivative("x")
-    dy = lambda p: p.partial_derivative("y")
-    c0 = qd * dx(a0) + a1 * t2 * third
-    c1 = qd * (dx(a1) + dy(a0)) + a2 * t2 * two_thirds - a1 * t1 * third
-    c2 = qd * (dx(a2) + dy(a1)) + a3 * t2 - a2 * t1 * two_thirds + a1 * t2 * third
-    c3 = qd * (dx(a3) + dy(a2)) - a3 * t1 + a2 * t2 * two_thirds - a1 * t1 * third
-    c4 = qd * dy(a3) + a3 * t2 - a2 * t1 * two_thirds
-    c5 = -(a3 * t1)
-    return (c0, c1, c2, c3, c4, c5)
+    table = _quintic(DensePoly.of(qd), DensePoly.of(t1), DensePoly.of(t2),
+                     tuple(DensePoly.of(p) for p in a))
+    return tuple(c.to_spatial() for c in table)
 
 
 @lru_cache(maxsize=None)
 def build_bundle(case: CaseSpec) -> ReductionBundle:
-    """Run the whole symbolic pipeline for one case, each stage once, with degree checks."""
+    """Run the whole symbolic pipeline for one case, each stage once, with degree checks.
+
+    With P~_m = P_m / l_m from :func:`wall_products` and
+    Q_m = qd / P~_m = lam * prod(P~_m' for m' != m), lam the leading
+    coefficient of qd:
+
+    * volume_sq = prod(w_i**(2 m_i)) = prod((l_m**2)**m * P~_m**(2m));
+    * t1, t2 = qd * sum(m_i * dw_i / w_i) along x and y
+      = sum(m * dP~_m * Q_m);
+    * t3, t4, t5 are the weighted curvature squares plus R^2/9: with
+      -d^2 log w = (dw)^2 / w^2 for a linear w, t3 is
+      sum(m * ((dyP~)^2 - P~ * dyyP~) * Q_m^2) + t2^2/9, t5 the same in x
+      with t1^2/9, and t4 = 2 sum(m * (P~ * dxyP~ - dxP~ * dyP~) * Q_m^2)
+      - 2 t1 t2 / 9.
+    """
     violations = validate_case(case)
     if violations:
         raise PipelineError(f"{case.label}: invalid case: {violations}")
     d = case.d
     mults = case.multiplicities
 
-    # qd and volume_sq: plain products over the walls, no renormalization.
     walls = build_walls(case)
-    qd = SpatialPoly.constant(1)
-    volume_sq = SpatialPoly.constant(1)
-    for w, m in zip(walls, mults):
-        qd = qd * w
-        volume_sq = volume_sq * w ** (2 * m)
+    qd, qd_list, groups = wall_products(case, walls)
+    lam = qd.leading_term()[1].a
 
-    # t1, t2: the arclength derivative of log(volume_sq) times qd/2.
-    # t3, t4, t5: the velocity-quadratic term, weighted curvature squares
-    # plus R^2/9.  Each qd / w_i is remainder-free by construction.
-    t1 = t2 = t3 = t4 = t5 = SpatialPoly.zero()
-    for i, (w, m) in enumerate(zip(walls, mults)):
-        s, c = trig_pair(d, i)
-        mf = FieldScalar.rational(m)
-        quot = qd.divide_exact(w)
-        quot_sq = quot * quot
-        t1 = t1 + quot * (s * mf)
-        t2 = t2 - quot * (c * mf)
-        t3 = t3 + quot_sq * (c * c * mf)
-        t4 = t4 + quot_sq * (s * c * (mf + mf))
-        t5 = t5 + quot_sq * (s * s * mf)
+    volume_sq = DensePoly([1])
+    t1 = t2 = t3 = t4 = t5 = DensePoly([])
+    for m, lead_sq, p in groups:
+        q = DensePoly([1]) * lam
+        for other_m, _, other in groups:
+            if other_m != m:
+                q = q * other
+        volume_sq = volume_sq * p ** (2 * m) * lead_sq ** m
+        px, py = p.dx(), p.dy()
+        weight = q * q * m
+        t1 = t1 + px * q * m
+        t2 = t2 + py * q * m
+        t3 = t3 + (py * py - p * py.dy()) * weight
+        t4 = t4 + (p * px.dy() - px * py) * weight * 2
+        t5 = t5 + (px * px - p * px.dx()) * weight
     t3 = t3 + t2 * t2 * _NINTH
-    t4 = t4 + t1 * t2 * FieldScalar.rational(-2, 9)
+    t4 = t4 - t1 * t2 * (2 * _NINTH)
     t5 = t5 + t1 * t1 * _NINTH
 
     # The wall-curvature sum R = (-t2*xd + t1*yd) / qd and its first and
-    # second arclength derivatives.
-    r = ReducedExpr(VelocityForm.velocity_linear(-t2, t1), 1, qd)
+    # second arclength derivatives, through the module global.
+    t1_out, t2_out = t1.to_spatial(), t2.to_spatial()
+    r = ReducedExpr(VelocityForm.velocity_linear(-t2_out, t1_out), 1, qd)
     r_dot = arc_derivative(r, r)
     r_ddot = arc_derivative(r_dot, r)
 
@@ -145,18 +204,22 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     # (second derivative of R, volume term times first derivative, quadratic
     # term times R) are each velocity-cubic over qd^3, so collecting A is
     # purely syntactic; C follows from the x-derivative of the cubic.
-    volume_term = VelocityForm.velocity_linear(t1, t2)
-    quad_term = VelocityForm(2, {(2, 0): t3, (1, 1): t4, (0, 2): t5})
-    cubic = r_ddot.num + volume_term * r_dot.num - quad_term * r.num
-    a = tuple(cubic.coefficient(3 - j, j) for j in range(4))
-    c = quintic_table(qd, t1, t2, a)
+    cubic = form_sum(dense_form(r_ddot.num), form_product([t1, t2], dense_form(r_dot.num)))
+    a_list = tuple(a - b for a, b in zip(cubic, form_product([t3, t4, t5], [-t2, t1]),
+                                         strict=True))
+    c_list = _quintic(qd_list, t1, t2, a_list)
+
+    volume_sq = volume_sq.to_spatial()
+    t3, t4, t5 = t3.to_spatial(), t4.to_spatial(), t5.to_spatial()
+    a = tuple(p.to_spatial() for p in a_list)
+    c = tuple(p.to_spatial() for p in c_list)
 
     for i, w in enumerate(walls):
         _check_homogeneous(w, 1, f"wall {i}", case)
     _check_homogeneous(qd, d, "qd", case)
     _check_homogeneous(volume_sq, 2 * sum(mults), "volume_sq", case)
-    _check_homogeneous(t1, d - 1, "t1", case)
-    _check_homogeneous(t2, d - 1, "t2", case)
+    _check_homogeneous(t1_out, d - 1, "t1", case)
+    _check_homogeneous(t2_out, d - 1, "t2", case)
     for name, poly in (("t3", t3), ("t4", t4), ("t5", t5)):
         _check_homogeneous(poly, 2 * d - 2, name, case)
     for label, expr, power in (("R", r, 1), ("R'", r_dot, 2), ("R''", r_ddot, 3)):
@@ -165,8 +228,6 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
                                 f"(vdeg={expr.velocity_degree}, qd_power={expr.qd_power})")
         for (p, q), poly in expr.num.terms.items():
             _check_homogeneous(poly, power * (d - 1), f"{label} coeff xd^{p} yd^{q}", case)
-    if cubic.vdeg != 3:
-        raise PipelineError(f"{case.label}: assembled form has velocity degree {cubic.vdeg}")
     for j, poly in enumerate(a):
         _check_homogeneous(poly, 3 * (d - 1), f"A{j}", case)
     for j, poly in enumerate(c):
@@ -174,7 +235,7 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
 
     return ReductionBundle(
         case=case, walls=walls, qd=qd, volume_sq=volume_sq,
-        t1=t1, t2=t2, t3=t3, t4=t4, t5=t5,
+        t1=t1_out, t2=t2_out, t3=t3, t4=t4, t5=t5,
         r=r, r_dot=r_dot, r_ddot=r_ddot,
         a_coeffs=a, c_coeffs=c,
     )

@@ -6,6 +6,7 @@ from chamberlab.errors import ExactDivisionError
 from chamberlab.field import FieldScalar, HALF, ONE, SQRT2
 from chamberlab.poly import (
     NOT_HOMOGENEOUS,
+    DensePoly,
     ReducedExpr,
     SpatialPoly,
     VelocityForm,
@@ -175,3 +176,50 @@ def test_reduced_expr_equality_across_powers():
     assert promoted == r
     different = ReducedExpr(r.num * r.qd * 2, 2, r.qd)
     assert different != r
+
+
+def test_monomial_and_linear_reject_non_field_coefficients():
+    for build in (lambda: SpatialPoly.monomial(1, 0, 0.5),
+                  lambda: SpatialPoly.linear("a", 1),
+                  lambda: SpatialPoly.linear(1, None)):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_arc_derivative_rejects_non_homogeneous_numerator():
+    r = _d1_curvature_sum()
+    mixed = ReducedExpr(VelocityForm.velocity_linear(X + Y * Y, SpatialPoly.zero()), 1, r.qd)
+    with pytest.raises(ValueError):
+        arc_derivative(mixed, r)
+    # Coefficients of one velocity form in different degrees.
+    uneven = ReducedExpr(VelocityForm.velocity_linear(X, SpatialPoly.constant(1)), 1, r.qd)
+    with pytest.raises(ValueError):
+        arc_derivative(uneven, r)
+
+
+def test_arc_derivative_rejects_irrational_numerator():
+    r = _d1_curvature_sum()
+    irrational = ReducedExpr(VelocityForm.velocity_linear(X * SQRT2, SpatialPoly.zero()),
+                             1, r.qd)
+    with pytest.raises(ValueError):
+        arc_derivative(irrational, r)
+
+
+def test_dense_poly_round_trip_and_arithmetic():
+    p = X * X * FieldScalar.rational(3, 4) - X * Y * FieldScalar.rational(1, 6) + Y * Y
+    q = X * 2 - Y * FieldScalar.rational(5, 3)
+    dp, dq = DensePoly.of(p), DensePoly.of(q)
+    assert dp.coeffs == [12, -2, 9] and dp.den == 12
+    assert dp.to_spatial() == p
+    assert (dp * dq).to_spatial() == p * q
+    assert (dp * dq - dq * dp).coeffs == []
+    assert (dp ** 3).to_spatial() == p ** 3
+    assert dp.dx().to_spatial() == p.partial_derivative("x")
+    assert dp.dy().to_spatial() == p.partial_derivative("y")
+    assert DensePoly.of(SpatialPoly.zero()).coeffs == []
+    with pytest.raises(ValueError):
+        dp + dq
+    with pytest.raises(ValueError, match="not rational"):
+        DensePoly.of(X * SQRT2)
+    with pytest.raises(ValueError, match="one common degree"):
+        DensePoly.of(X + 1)

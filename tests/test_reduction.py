@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -14,6 +16,7 @@ from chamberlab.reduction import (
     reference_example_polys,
     verify_reference_example,
 )
+from bundle_oracle import oracle_bundle
 from float_poly_oracle import float_poly_value
 from golden import BUNDLE_HASHES, bundle_sha256
 
@@ -365,3 +368,63 @@ def test_mirror_symmetry_only_for_symmetric_multiplicities():
     asym = registry_case("SOpxSOq", {"p": 2, "q": 4})
     a = build_bundle(asym).a_coeffs
     assert a[0].swap_variables() != a[3]
+
+
+# -- the dense derivation against the sparse oracle -------------------------------
+
+
+def _d4_case(mults):
+    from chamberlab.cases import CaseSpec
+
+    return CaseSpec(name="T", group="", action="", n=2 + sum(mults), d=4,
+                    multiplicities=mults)
+
+
+def _oracle_rows():
+    """The 14 default rows, every parametric row drawn from its minimum to 40
+    at seeds 1, 7 and 13 (in registry order), and every d = 4 tuple of
+    multiplicities in {1, 2, 3}^4."""
+    from chamberlab.cases import default_cases, load_registry
+
+    rows = list(default_cases())
+    for seed in (1, 7, 13):
+        rng = random.Random(seed)
+        for template in load_registry():
+            if template.param_specs:
+                params = {name: rng.randint(low, 40) for name, low, _ in template.param_specs}
+                rows.append(registry_case(template.name, params))
+    return rows + [_d4_case(m) for m in itertools.product((1, 2, 3), repeat=4)]
+
+
+def test_bundle_matches_sparse_oracle():
+    def as_json(value):
+        return [p.to_json() for p in value] if isinstance(value, tuple) else value.to_json()
+
+    for case in _oracle_rows():
+        bundle = build_bundle(case)
+        ours = {"qd": bundle.qd, "volume_sq": bundle.volume_sq, "t1": bundle.t1,
+                "t2": bundle.t2, "t3": bundle.t3, "t4": bundle.t4, "t5": bundle.t5,
+                "r": bundle.r, "r_dot": bundle.r_dot, "r_ddot": bundle.r_ddot,
+                "a": bundle.a_coeffs, "c": bundle.c_coeffs}
+        for key, expected in oracle_bundle(case).items():
+            assert as_json(ours[key]) == as_json(expected), (case.label, case.multiplicities, key)
+
+
+def test_irrational_wall_products_raise():
+    # At d = 3 the walls x*sqrt3/2 -+ y/2 over their leading coefficient are
+    # irrational unless they share a multiplicity.
+    from chamberlab.cases import CaseSpec
+
+    case = CaseSpec(name="T", group="", action="", n=8, d=3, multiplicities=(1, 2, 3))
+    with pytest.raises(PipelineError, match="not rational"):
+        build_bundle(case)
+
+
+def test_mixed_d4_multiplicities_derive_and_certify():
+    from chamberlab.certify import certify_case
+
+    for mults in ((4, 4, 5, 4), (1, 2, 3, 4)):
+        case = _d4_case(mults)
+        bundle = build_bundle(case)
+        assert bundle.volume_sq.homogeneous_degree() == 2 * sum(mults)
+        assert certify_case(case)["conclusion"] == "nonexistence-certified", mults

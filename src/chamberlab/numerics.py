@@ -8,10 +8,13 @@ Unit speed is never renormalized: the drift is one of the measured
 diagnostics.  Curvatures blow up like 1/w near a wall, so integration stops
 within WALL_EPSILON of a wall rather than continuing into garbage.
 
-Each case's polynomials are compiled once into three straight-line kernels
-(:class:`CaseLab`): R, the interior test and the per-state values (walls, qd,
-t1..t5, A0..A3).  RK4 runs on plain floats through one function,
-:func:`_rk4`, that calls the R kernel for its stages.
+Each case's polynomials are compiled once into straight-line kernels
+(:class:`CaseLab`): R, the interior test of a point and of its wall values,
+the per-state values (walls, qd, t1..t5, A0..A3), and a trajectory row built
+from those values.  RK4 runs on plain floats through one function,
+:func:`_rk4`, that calls the R kernel for its stages.  :func:`integrate_curve`
+is one pass: each new state's values are computed once and serve its wall
+test, its R and its row, which is emitted one step behind the integration.
 
 Evaluation order is part of the output.  Kernel contract (see
 :func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
@@ -126,8 +129,15 @@ def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: st
                            kwonlyargs=[], kw_defaults=[], defaults=[])
     func = ast.FunctionDef(name=name, args=params, body=body, decorator_list=[],
                            returns=None, type_params=[], **_AT)
-    module = ast.Module(body=[func], type_ignores=[])
-    namespace = {"__builtins__": {}}
+    return _define(ast.Module(body=[func], type_ignores=[]), name)
+
+
+def _define(module: ast.Module | str, name: str, **names) -> Callable:
+    """Run a module (a tree or source text) that defines function ``name``; return it.
+
+    The module sees ``names`` as its globals and no builtins.
+    """
+    namespace = {"__builtins__": {}, **names}
     exec(compile(module, f"<kernel {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -147,7 +157,17 @@ class CaseLab:
     - ``inside(x, y)``: the strict interior test, the canonical sign pattern
       with the margin WALL_EPSILON (the zeroth wall negative, the others
       positive);
-    - ``point(x, y)``: ``((w_0, ..., w_{d-1}), qd, t1, ..., t5, A0, ..., A3)``.
+    - ``point(x, y)``: ``((w_0, ..., w_{d-1}), qd, t1, ..., t5, A0, ..., A3)``;
+    - ``clear(walls)``: the interior test on the wall tuple that ``point``
+      returns, the same rule as ``inside``;
+    - ``row(s, x, y, xd, yd, values, kd, r_dot, r_ddot)``: a trajectory's CSV
+      row ``(s, x, y, xd, yd, f, |A|^2, res_poly, res_ode)`` at a state from
+      ``point``'s ``values`` there, the planar curvature kd and the arclength
+      derivatives of R; at an endpoint ``r_dot`` is None and res_ode is NaN.
+      The d wall curvatures are unrolled with the trig constants and
+      multiplicities baked in, and every value rounds as the per-row helpers
+      compute it: :func:`_curvatures`, :meth:`scalars`, :func:`_cubic_form`
+      and :func:`_ode_form`.
     """
 
     def __init__(self, case: CaseSpec):
@@ -164,10 +184,14 @@ class CaseLab:
         self.R = _kernel("R", ("x", "y", "xd", "yd"),
                          {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]},
                          "(-t2 * xd + t1 * yd) / qd")
-        self.inside = _kernel("inside", ("x", "y"), walls, " and ".join(
-            [f"not w0 > -{WALL_EPSILON!r}"] + [f"w{i} > {WALL_EPSILON!r}" for i in range(1, d)]))
+        rule = " and ".join([f"not w0 > -{WALL_EPSILON!r}"]
+                            + [f"w{i} > {WALL_EPSILON!r}" for i in range(1, d)])
+        self.inside = _kernel("inside", ("x", "y"), walls, rule)
         self.point = _kernel("point", ("x", "y"), {**walls, **t, **a},
                              f"(({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3)")
+        self.clear = _define(f"def clear(walls):\n    ({wall_names}) = walls\n"
+                             f"    return {rule}", "clear")
+        self.row = _row_kernel(self.trig, case.multiplicities)
 
     # -- pointwise quantities --------------------------------------------------
 
@@ -186,6 +210,28 @@ class CaseLab:
     def mode_kd(self, mode: str, st: CurveState) -> float:
         """Planar curvature imposed by the active mode's constraint."""
         return -_MODE_COEFF[mode] * self.R(st.x, st.y, st.xd, st.yd)
+
+
+def _row_kernel(trig, multiplicities) -> Callable:
+    """Compile :attr:`CaseLab.row` for the given wall trig pairs and multiplicities.
+
+    The constants enter the source as ``repr`` text, which reads back as the
+    same float or int.
+    """
+    d = len(trig)
+    source = "\n    ".join([
+        "def row(s, x, y, xd, yd, values, kd, r_dot, r_ddot):",
+        f"({', '.join(f'w{i}' for i in range(d))},), q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = values",
+        *(f"k{i} = ({sin_i!r} * yd + {cos_i!r} * xd) / w{i}"
+          for i, (sin_i, cos_i) in enumerate(trig)),
+        "f = 0" + "".join(f" + {m!r} * k{i}" for i, m in enumerate(multiplicities)),
+        "a_sq = 0" + "".join(f" + {m!r} * k{i} * k{i}" for i, m in enumerate(multiplicities)),
+        "return (s, x, y, xd, yd, kd + f, kd * kd + a_sq,"
+        " 0.0 + a0 * xd**3 + a1 * xd**2 * yd + a2 * xd * yd**2 + a3 * yd**3,"
+        " nan if r_dot is None else q**3 * r_ddot + q * (t1 * xd + t2 * yd) * (q * r_dot)"
+        " - (t3 * xd**2 + t4 * xd * yd + t5 * yd**2) * (-t2 * xd + t1 * yd))",
+    ])
+    return _define(source, "row", nan=math.nan)
 
 
 def _curvatures(trig, walls, xd: float, yd: float) -> list[float]:
@@ -377,73 +423,96 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     endpoints (no neighbors) the mode constraint value is used.  res_ode needs
     the same neighbors and is NaN at the endpoints.
 
-    R is evaluated once per state: the value that serves as the RK4 step's k1
-    stage is kept for the finite differences of the post-pass, which calls
-    the lab's ``point`` kernel once per state.
+    One pass: each new state's ``point`` values decide whether it is inside
+    and give R there, which serves as the next step's k1 stage and as the
+    finite differences of R'.  A state's row is emitted by the ``row`` kernel
+    as soon as its successor exists, so on a curve that stays in float range
+    no kernel runs twice on a state.  The curve ends at the last state whose
+    row evaluates, as if every row were computed after the integration: a
+    state whose values overflow ends it, and so does a state whose row
+    overflows, which also turns the row before into an endpoint row.  A
+    start whose values overflow raises BoundaryError.
     """
     lab = get_lab(case)
-    R, inside = lab.R, lab.inside
-    if not inside(init.x, init.y):
-        raise BoundaryError(
-            f"initial state ({init.x}, {init.y}) is not strictly inside the chamber")
+    R, point, clear, row = lab.R, lab.point, lab.clear, lab.row
     coeff = _MODE_COEFF[cfg.mode]
     h = cfg.step
-    states = [init]
-    r_values = []
-    stop_reason = "max_steps"
+    h2, hh = 2 * h, h * h
     s, x, y, xd, yd = init.s, init.x, init.y, init.xd, init.yd
     try:
-        for _ in range(cfg.max_steps):
-            r = R(x, y, xd, yd)
-            r_values.append(r)
-            x, y, xd, yd = _rk4(R, coeff, h, x, y, xd, yd, r)
-            if not inside(x, y):
-                stop_reason = "boundary"
+        v = point(x, y)
+        if not clear(v[0]):
+            raise BoundaryError(f"initial state ({x}, {y}) is not strictly inside the chamber")
+        r = (-v[3] * xd + v[2] * yd) / v[1]
+        rows = [row(s, x, y, xd, yd, v, -coeff * r, None, None)]
+    except OverflowError:
+        raise BoundaryError(f"initial state ({x}, {y}) overflows the lab's float range") from None
+    states = [init]
+    residual_pairs = []
+    max_abs_f = 0.0
+    speed_drift = max(0.0, abs(xd * xd + yd * yd - 1.0))
+    stop_reason = "max_steps"
+    try:
+        for n in range(cfg.max_steps):
+            try:
+                x1, y1, xd1, yd1 = _rk4(R, coeff, h, x, y, xd, yd, r)
+            except OverflowError:  # a coarse step flung the curve out of float range
+                stop_reason = "overflow"
+                break
+            try:
+                v1 = point(x1, y1)
+            except OverflowError:
+                # The new state has no row.  The inside kernel and R alone
+                # decide, as for any state: outside, it is a wall stop;
+                # inside, with R evaluating there, it is still the successor
+                # that makes the current state's row an interior one.
+                v1 = None
+                stop_reason = "overflow"
+                try:
+                    if not lab.inside(x1, y1):
+                        stop_reason = "boundary"
+                        break
+                    r1 = R(x1, y1, xd1, yd1)
+                except OverflowError:
+                    break
+            else:
+                if not clear(v1[0]):
+                    stop_reason = "boundary"
+                    break
+                r1 = (-v1[3] * xd1 + v1[2] * yd1) / v1[1]
+            if n:
+                current = row(s, x, y, xd, yd, v,
+                              (yd1 - ydp) / h2 * xd - (xd1 - xdp) / h2 * yd,
+                              (r1 - rp) / h2, (r1 - 2 * r + rp) / hh)
+                if v1 is None:  # the curve ends here, with an endpoint row
+                    break
+                rows.append(current)
+                residual_pairs.append((current[7], current[8]))
+                f = abs(current[5])
+                if f > max_abs_f:
+                    max_abs_f = f
+                drift = abs(xd * xd + yd * yd - 1.0)
+                if drift > speed_drift:
+                    speed_drift = drift
+            elif v1 is None:
                 break
             s += h
-            states.append(CurveState(s, x, y, xd, yd))
-        else:
-            r_values.append(R(x, y, xd, yd))
-    except OverflowError:  # a coarse step flung the curve out of float range
+            states.append(CurveState(s, x1, y1, xd1, yd1))
+            xdp, ydp, vp, rp = xd, yd, v, r
+            x, y, xd, yd, v, r = x1, y1, xd1, yd1, v1, r1
+        if len(states) > 1:
+            rows.append(row(s, x, y, xd, yd, v, -coeff * r, None, None))
+            speed_drift = max(speed_drift, abs(xd * xd + yd * yd - 1.0))
+    except OverflowError:  # the last state's row overflows: end the curve one state earlier
         stop_reason = "overflow"
-        del states[len(r_values):]
-
-    while True:
-        n = len(states)
-        rows = []
-        residual_pairs = []
-        max_abs_f = 0.0
-        speed_drift = 0.0
-        try:
-            for idx, st in enumerate(states):
-                x, y, xd, yd = st.x, st.y, st.xd, st.yd
-                speed_drift = max(speed_drift, abs(xd * xd + yd * yd - 1.0))
-                walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(x, y)
-                interior = 0 < idx < n - 1
-                if interior:
-                    xdd = (states[idx + 1].xd - states[idx - 1].xd) / (2 * h)
-                    ydd = (states[idx + 1].yd - states[idx - 1].yd) / (2 * h)
-                    kd = ydd * xd - xdd * yd
-                else:
-                    kd = -coeff * r_values[idx]
-                wall_ks = _curvatures(lab.trig, walls, xd, yd)
-                f, a_sq = lab.scalars(kd, wall_ks)
-                res_poly = _cubic_form(a0, a1, a2, a3, xd, yd)
-                if interior:
-                    max_abs_f = max(max_abs_f, abs(f))
-                    r_dot = (r_values[idx + 1] - r_values[idx - 1]) / (2 * h)
-                    r_ddot = (r_values[idx + 1] - 2 * r_values[idx] + r_values[idx - 1]) / (h * h)
-                    res_ode = _ode_form(q, t1, t2, t3, t4, t5, xd, yd, r_dot, r_ddot)
-                    residual_pairs.append((res_poly, res_ode))
-                else:
-                    res_ode = float("nan")
-                rows.append((st.s, x, y, xd, yd, f, a_sq, res_poly, res_ode))
-            break
-        except OverflowError:  # a blown-up curve ends before the first row that overflows
-            if not idx:
-                raise
-            stop_reason = "overflow"
-            del states[idx:], r_values[idx:]
+        del states[-1]
+        if len(states) > 1:
+            last = states[-1]
+            rows[-1] = row(last.s, last.x, last.y, last.xd, last.yd, vp, -coeff * rp, None, None)
+            del residual_pairs[-1]
+            max_abs_f = 0.0
+            for interior in rows[1:-1]:
+                max_abs_f = max(max_abs_f, abs(interior[5]))
 
     return Trajectory(states=states, rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,
                       speed_drift=speed_drift, residual_pairs=residual_pairs)

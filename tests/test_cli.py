@@ -260,6 +260,19 @@ def test_integrate_overflow_stops_the_curve(capsys):
     assert "steps=11 stop=overflow" in captured.err
 
 
+def test_integrate_start_whose_values_overflow_is_user_error(capsys):
+    # Starts inside the chamber but so far out that their own kernels
+    # overflow: an error line, no CSV and no traceback, exit 2.
+    for x0, y0 in (("1e200", "3e199"), ("1e60", "3e59")):
+        code = main(["integrate", "--case", "SU3", "--x0", x0, "--y0", y0, "--angle", "0.5",
+                     "--steps", "10", "--out", "-"])
+        assert code == EXIT_USER_ERROR, x0
+        captured = capsys.readouterr()
+        assert captured.out == "", x0
+        assert captured.err.startswith("error: initial state"), x0
+        assert "overflow" in captured.err and "Traceback" not in captured.err, x0
+
+
 def test_integrate_zero_steps(tmp_path):
     out = tmp_path / "single.csv"
     code = main(["integrate", "--case", "SU3", "--mode", "biharmonic-candidate",

@@ -16,6 +16,7 @@ from chamberlab.numerics import (
     IntegratorConfig,
     MODE_CANDIDATE,
     MODE_MINIMAL,
+    MODES,
     geometric_scalars,
     get_lab,
     integrate_curve,
@@ -36,6 +37,7 @@ from golden import (
     trajectory_hashes,
     wall_stop_curves,
 )
+from lab_oracle import integrate_two_pass
 
 
 def _random_interior_state(case, rng, radius=(0.7, 1.5)):
@@ -309,9 +311,10 @@ def test_wall_stop_curves_match_golden():
 
 
 def test_rows_that_overflow_end_the_curve():
-    # A coarse minimal step near SO5's vertex: the loop reaches the wall after
-    # 4 steps, but the last two states are so far out that their CSV rows
-    # overflow.  The curve ends at the last state whose row evaluates.
+    # A coarse minimal step near SO5's vertex flings the curve out: the fourth
+    # state is still inside the chamber but so far out that its kernels
+    # overflow.  The loop stops at that state; the curve ends at the last
+    # state whose row evaluates.
     init = CurveState(0.0, 0.035873814107106994, 0.03482914672237509,
                       -0.3452472235234991, 0.9385117765107239)
     cfg = IntegratorConfig(step=0.01, max_steps=400, mode=MODE_MINIMAL)
@@ -319,6 +322,69 @@ def test_rows_that_overflow_end_the_curve():
     assert trajectory.stop_reason == "overflow"
     assert len(trajectory.states) == len(trajectory.rows) == 3
     assert all(math.isfinite(v) for row in trajectory.rows for v in row[:5])
+
+
+def test_start_whose_values_overflow_is_rejected(su3):
+    # Both starts are inside SU3's chamber, but so far out that their own
+    # kernels overflow: there is no curve to integrate.
+    cfg = IntegratorConfig(step=1e-4, max_steps=10, mode=MODE_MINIMAL)
+    for x0, y0 in ((1e200, 3e199), (1e60, 3e59)):
+        with pytest.raises(BoundaryError, match="overflow"):
+            integrate_curve(state_from_angle(x0, y0, 0.5), cfg, su3)
+
+
+# (row, polar angle as a fraction of pi/d, tangent angle, step, max_steps,
+# mode) of coarse curves from radius 1.  Each takes a step far out of range
+# and ends in its own way.
+_FAR_STEPS = (
+    ("SO4", 0.7, 4.8, 1e107, 1, MODE_CANDIDATE),  # RK4's stages overflow
+    ("SU3", 0.6, 4.5, 1e16, 2, MODE_MINIMAL),  # the new state overflows, outside
+    ("SOpxSOq", 0.2, 5.7, 1e84, 10, MODE_MINIMAL),  # the new state is outside
+    ("SO4", 0.9, 1.6, 1e15, 1, MODE_MINIMAL),  # the new state and its R overflow
+    ("SOpxSOq", 0.6, 5.3, 1e29, 1, MODE_MINIMAL),  # the new state overflows, not its R
+    ("SU3", 0.4, 1.8, 10.0, 10, MODE_MINIMAL),  # the same, after interior rows
+    ("SOn-1", 0.2, 4.0, 1e48, 1, MODE_CANDIDATE),  # the last endpoint row overflows
+    ("SOn-1", 0.7, 0.0, 1e25, 10, MODE_CANDIDATE),  # an interior row overflows
+)
+
+
+def _oracle_curves(all_cases):
+    """(case, init, cfg) of the curves compared with the two-pass oracle."""
+    for case in all_cases:
+        for mode in MODES:
+            for radius, frac, angle, step, steps in (
+                    (3.0, 0.45, 0.7, 1e-4, 300),  # runs to max_steps
+                    (0.2, 0.5, 0.5 * math.pi / case.d + math.pi, 1e-3, 400),  # into the vertex
+                    (0.05, 0.98, 1.92, 1e-2, 400)):  # SO5's overflow start, in this chamber
+                sigma = frac * math.pi / case.d
+                init = state_from_angle(radius * math.cos(sigma), radius * math.sin(sigma), angle)
+                yield case, init, IntegratorConfig(step=step, max_steps=steps, mode=mode)
+    for name, frac, angle, step, steps, mode in _FAR_STEPS:
+        case = registry_case(name)
+        sigma = frac * math.pi / case.d
+        yield (case, state_from_angle(math.cos(sigma), math.sin(sigma), angle),
+               IntegratorConfig(step=step, max_steps=steps, mode=mode))
+
+
+def test_one_pass_matches_two_pass_oracle(all_cases):
+    # Every default row in both modes, on a curve that runs to max_steps, one
+    # that stops at the vertex and one flung out of float range, plus coarse
+    # curves through every way a curve can end: the one-pass integrator
+    # returns what the two-pass one did, every float compared by repr.
+    stops = {}
+    for case, init, cfg in _oracle_curves(all_cases):
+        new, old = integrate_curve(init, cfg, case), integrate_two_pass(init, cfg, case)
+        where = (case.label, cfg)
+        assert [repr(row) for row in new.rows] == [repr(row) for row in old.rows], where
+        assert [repr(st) for st in new.states] == [repr(st) for st in old.states], where
+        assert new.stop_reason == old.stop_reason, where
+        assert repr(new.residual_pairs) == repr(old.residual_pairs), where
+        assert repr(new.max_abs_f) == repr(old.max_abs_f), where
+        assert repr(new.speed_drift) == repr(old.speed_drift), where
+        stops.setdefault(new.stop_reason, set()).add(case.label)
+    assert set(stops) == {"max_steps", "boundary", "overflow"}
+    assert len(stops["max_steps"]) == len(all_cases)
+    assert "SO5" in stops["overflow"]
 
 
 def test_pointwise_oracles_match_golden():
@@ -340,35 +406,55 @@ def _kernel_oracle(lab, x, y, xd, yd):
     return point, (-t2 * xd + t1 * yd) / q
 
 
+def _row_oracle(lab, st, point, kd, r_dot=None, r_ddot=None):
+    """A trajectory row from the per-row helpers; an endpoint row without r_dot."""
+    walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = point
+    f, a_sq = lab.scalars(kd, numerics._curvatures(lab.trig, walls, st.xd, st.yd))
+    res_ode = math.nan if r_dot is None else numerics._ode_form(
+        q, t1, t2, t3, t4, t5, st.xd, st.yd, r_dot, r_ddot)
+    return (st.s, st.x, st.y, st.xd, st.yd, f, a_sq,
+            numerics._cubic_form(a0, a1, a2, a3, st.xd, st.yd), res_ode)
+
+
 def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
     # Every kernel output of every default row equals the term loop's value
     # bit for bit (compared by repr): the walls, qd, t1..t5 and A0..A3 of
-    # point and R with t1, t2 and qd inlined, at random chamber points; and
-    # the interior test, against the sign rule on the loop's wall values,
+    # point and R with t1, t2 and qd inlined, at random chamber points; the
+    # row kernel, endpoint and interior rows, against the per-row helpers on
+    # those values; and the interior tests inside (of a point) and clear (of
+    # its wall values), against the sign rule on the loop's wall values,
     # there and at random points of the plane.
     rng = random.Random(6)
     for case in all_cases:
         lab = get_lab(case)
         for _ in range(20):
             st = _random_interior_state(case, rng, radius=(0.2, 5.0))
+            st.s, st.xd, st.yd = rng.uniform(0, 10), rng.uniform(-2, 2), rng.uniform(-2, 2)
             point, r = _kernel_oracle(lab, st.x, st.y, st.xd, st.yd)
             assert repr(lab.point(st.x, st.y)) == repr(point), case.label
             assert repr(lab.R(st.x, st.y, st.xd, st.yd)) == repr(r), case.label
+            kd, r_dot, r_ddot = (rng.uniform(-3, 3) for _ in range(3))
+            assert (repr(lab.row(st.s, st.x, st.y, st.xd, st.yd, point, kd, None, None))
+                    == repr(_row_oracle(lab, st, point, kd))), case.label
+            assert (repr(lab.row(st.s, st.x, st.y, st.xd, st.yd, point, kd, r_dot, r_ddot))
+                    == repr(_row_oracle(lab, st, point, kd, r_dot, r_ddot))), case.label
             for x, y in ((st.x, st.y), (rng.uniform(-5, 5), rng.uniform(-5, 5))):
                 walls = [float_poly_value(w, x, y) for w in build_bundle(case).walls]
                 expected = not walls[0] > -1e-9 and all(v > 1e-9 for v in walls[1:])
                 assert lab.inside(x, y) is expected, case.label
+                assert lab.clear(tuple(walls)) is expected, case.label
     zero = numerics._kernel("zero", ("x", "y"), {"z": SpatialPoly.zero().float_terms()}, "z")
     assert zero(1.5, -0.25) == 0 and float_poly_value(SpatialPoly.zero(), 1.5, -0.25) == 0
 
 
 def test_integration_evaluates_each_state_once(monkeypatch, su3):
-    # RK4 evaluates R exactly four times per step, its k1 stage at the step's
-    # start state; the post-pass reuses those values, and needs one more R
-    # only at the last state of a curve that did not stop at a wall.  The
-    # point kernel runs once per stored state.
+    # One pass: the point kernel runs once per stored state, plus once for a
+    # state that is rejected at a wall, and its values decide the wall test
+    # (clear) and give R at the state, which serves as the next step's k1
+    # stage.  RK4 evaluates R three times per step, at its other stages.  The
+    # row kernel runs once per stored state, and the inside kernel not at all.
     lab = CaseLab(su3)
-    counts = {"R": 0, "point": 0}
+    counts = dict.fromkeys(("R", "point", "clear", "row", "inside"), 0)
 
     def counting(name):
         fn = getattr(lab, name)
@@ -386,13 +472,15 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
             ((1.0, 0.3, 0.7), 1e-4, 1000, "max_steps"),
             ((0.2 * math.cos(sigma), 0.2 * math.sin(sigma), sigma + math.pi), 1e-3, 200,
              "boundary")):
-        counts.update(R=0, point=0)
+        counts.update(dict.fromkeys(counts, 0))
         cfg = IntegratorConfig(step=step, max_steps=1000, mode=MODE_CANDIDATE)
         trajectory = integrate_curve(state_from_angle(*init), cfg, su3)
         assert trajectory.stop_reason == stop
         stored = len(trajectory.states)
         assert stored == (steps + 1 if stop == "max_steps" else steps)
-        assert counts == {"R": 4 * steps + (stop == "max_steps"), "point": stored}
+        evaluated = stored + (stop == "boundary")
+        assert counts == {"R": 3 * steps, "point": evaluated, "clear": evaluated,
+                          "row": stored, "inside": 0}
 
 
 def test_csv_row_template_matches_format_spec():

@@ -7,7 +7,9 @@ repository root:
 
 This writes ``tests/fixtures/certificates/<label>.certificate.json`` for
 every registry row at its default parameters, with the volatile fields
-``duration_ms`` and ``created_utc`` removed, and
+``duration_ms`` and ``created_utc`` removed, and the same for the
+parametric instances PARAMETRIC_ROWS in
+``tests/fixtures/parametric_certificates/``, and
 ``tests/fixtures/resultant_sha256.json``, which maps each case label to the
 SHA-256 of ``json.dumps(report.poly.to_json())``, and
 ``tests/fixtures/bundle_sha256.json``, which maps each case label to the
@@ -49,6 +51,7 @@ from chamberlab.reduction import build_bundle, bundle_to_json
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 CERTIFICATES = FIXTURES / "certificates"
+PARAMETRIC_CERTIFICATES = FIXTURES / "parametric_certificates"
 RESULTANT_HASHES = FIXTURES / "resultant_sha256.json"
 BUNDLE_HASHES = FIXTURES / "bundle_sha256.json"
 TRAJECTORY_HASHES = FIXTURES / "trajectory_sha256.json"
@@ -61,6 +64,15 @@ TRAJECTORY_STEPS = 1000
 POINTWISE_STATES = ((1.0, 0.3, 0.7), (2.0, 0.5, 2.0), (3.0, 0.7, -1.0))
 POINTWISE_KD = 0.25
 VOLATILE = ("duration_ms", "created_utc")
+# Parametric instances beyond the defaults: the rows the benchmark's sweep
+# draws at seeds 1, 7 and 19 (SOn-1 at n = 5 has a vanishing quintic).  They
+# reach wide root intervals (Sp2xSpm) and high multiplicities.
+PARAMETRIC_ROWS = (
+    ("SOn-1", {"n": 5}), ("SOn-1", {"n": 11}), ("SOn-1", {"n": 23}),
+    ("SOpxSOq", {"p": 11, "q": 27}), ("SOpxSOq", {"p": 35, "q": 9}),
+    ("SOpxSOq", {"p": 38, "q": 6}),
+    ("Sp2xSpm", {"m": 5}), ("Sp2xSpm", {"m": 18}), ("Sp2xSpm", {"m": 34}),
+)
 
 
 def stable_certificate_text(certificate: dict) -> str:
@@ -185,6 +197,11 @@ def main() -> int:
         hashes[case.label] = resultant_sha256(reports[-1].poly)
         bundle_hashes[case.label] = bundle_sha256(build_bundle(case))
         print(f"{case.label}: {certificate['conclusion']}", file=sys.stderr)
+    PARAMETRIC_CERTIFICATES.mkdir(parents=True, exist_ok=True)
+    for name, params in PARAMETRIC_ROWS:
+        certificate = certify.certify_case(registry_case(name, params))
+        path = certify.output_path(PARAMETRIC_CERTIFICATES, certificate["label"], "certificate")
+        path.write_text(stable_certificate_text(certificate), encoding="utf-8")
     _write_hashes(RESULTANT_HASHES, hashes)
     _write_hashes(BUNDLE_HASHES, bundle_hashes)
     _write_hashes(TRAJECTORY_HASHES, trajectory_hashes())

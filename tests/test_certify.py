@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chamberlab import resultant
+from chamberlab import certify, resultant
 from chamberlab.cases import registry_case
 from chamberlab.certify import (
     ResultantReport,
@@ -23,6 +23,7 @@ from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar
 from chamberlab.poly import SpatialPoly, X, Y
 from chamberlab.reduction import build_bundle
+from golden import PARAMETRIC_CERTIFICATES, PARAMETRIC_ROWS, stable_certificate_text
 from root_checks import root_problems
 
 # Roots of the p=q=2 resultant, frozen from an independent computer-algebra
@@ -189,6 +190,15 @@ def test_certificate_roots_pass_exact_checks(all_cases):
         assert root_problems(cert, case) == [], case.label
         checked += 1
     assert checked == 13
+
+
+@pytest.mark.parametrize("name,params", PARAMETRIC_ROWS,
+                         ids=[f"{n}({','.join(f'{k}={v}' for k, v in p.items())})"
+                              for n, p in PARAMETRIC_ROWS])
+def test_parametric_certificates_match_golden(name, params):
+    certificate = certify_case(registry_case(name, params))
+    path = certify.output_path(PARAMETRIC_CERTIFICATES, certificate["label"], "certificate")
+    assert stable_certificate_text(certificate) == path.read_text(encoding="utf-8")
 
 
 def test_minimal_line_angles_every_row(all_cases):

@@ -165,6 +165,23 @@ class RootScan:
 _WALL_COT_SQ = {2: Fraction(0), 3: Fraction(1, 3), 4: Fraction(1), 6: Fraction(3)}
 
 
+def _stop_rules(d: int):
+    """The two ends of refining a root of f(u + base) on [a, b] / 2**j, with
+    integers only: the cell lies on one side of the wall; both ends, shifted
+    back by base, round to the same double."""
+    wall_sq = _WALL_COT_SQ[d]
+    base, num, den = math.isqrt(int(wall_sq)), wall_sq.numerator, wall_sq.denominator
+
+    def off_wall(a, b, j):
+        shift, wall = base << j, num << 2 * j
+        return (a + shift) ** 2 * den >= wall or (b + shift) ** 2 * den <= wall
+
+    def one_double(a, b, j):
+        return (a + (base << j)) / (1 << j) == (b + (base << j)) / (1 << j)
+
+    return off_wall, one_double
+
+
 def _chamber_roots(f: list[int], d: int) -> tuple[list[tuple[Fraction, Fraction]], int]:
     """Roots of a square-free f in the chamber, largest first, and the tests spent.
 
@@ -185,12 +202,12 @@ def _chamber_roots(f: list[int], d: int) -> tuple[list[tuple[Fraction, Fraction]
     while not g[0]:  # a root at u = base lies on or beyond the wall
         g = g[1:]
     intervals, tests = positive_roots(g)
+    off_wall, one_double = _stop_rules(d)
     roots = []
     for lo, hi in reversed(intervals):
-        lo, hi = refine(g, lo, hi, lambda a, b: (a + base) ** 2 >= wall_sq
-                        or (b + base) ** 2 <= wall_sq)
+        lo, hi = refine(g, lo, hi, off_wall)
         if (lo + base) ** 2 >= wall_sq:
-            lo, hi = refine(g, lo, hi, lambda a, b: float(a + base) == float(b + base))
+            lo, hi = refine(g, lo, hi, one_double)
             roots.append((lo + base, hi + base))
     return roots, tests
 

@@ -292,20 +292,22 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     """
     _check_step("h_fd", h_fd)
     lab = get_lab(case)
-    wall_part = principal_curvatures(st, case, kd)[:-1]
-    f, a2 = lab.scalars(kd, wall_part)
+    walls, q, t1, t2, *_ = lab.point(st.x, st.y)
+    if not lab.clear(walls):
+        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
+    wall_ks = _curvatures(lab.trig, walls, st.xd, st.yd)
+    f, a2 = lab.scalars(kd, wall_ks)
+    coeff, r_mid = _MODE_COEFF[mode], lab.R(st.x, st.y, st.xd, st.yd)
 
-    def f_at(state: CurveState) -> float:
-        return lab.scalars(lab.mode_kd(mode, state), lab.wall_curvatures(state))[0]
+    def f_at(x, y, xd, yd):
+        return lab.scalars(-coeff * lab.R(x, y, xd, yd),
+                           _curvatures(lab.trig, lab.point(x, y)[0], xd, yd))[0]
 
-    plus = _rk4_step(lab, mode, st, h_fd)
-    minus = _rk4_step(lab, mode, st, -h_fd)
-    f_mid = f_at(st)
-    f_plus = f_at(plus)
-    f_minus = f_at(minus)
+    f_mid = lab.scalars(-coeff * r_mid, wall_ks)[0]
+    f_plus = f_at(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))
+    f_minus = f_at(*_rk4(lab.R, coeff, -h_fd, st.x, st.y, st.xd, st.yd, r_mid))
     f_dot = (f_plus - f_minus) / (2 * h_fd)
     f_ddot = (f_plus - 2 * f_mid + f_minus) / (h_fd * h_fd)
-    _, q, t1, t2, *_ = lab.point(st.x, st.y)
     laplacian = -f_ddot - (t1 * st.xd + t2 * st.yd) / q * f_dot
     return f, a2, laplacian
 
@@ -375,11 +377,9 @@ def normal_residual(st: CurveState, case: CaseSpec,
     lab = get_lab(case)
     _, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(st.x, st.y)
     poly_value = _cubic_form(a0, a1, a2, a3, st.xd, st.yd)
-    plus = _rk4_step(lab, MODE_CANDIDATE, st, h_fd)
-    minus = _rk4_step(lab, MODE_CANDIDATE, st, -h_fd)
-    r_mid = lab.R(st.x, st.y, st.xd, st.yd)
-    r_plus = lab.R(plus.x, plus.y, plus.xd, plus.yd)
-    r_minus = lab.R(minus.x, minus.y, minus.xd, minus.yd)
+    coeff, r_mid = _MODE_COEFF[MODE_CANDIDATE], lab.R(st.x, st.y, st.xd, st.yd)
+    r_plus = lab.R(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))
+    r_minus = lab.R(*_rk4(lab.R, coeff, -h_fd, st.x, st.y, st.xd, st.yd, r_mid))
     r_dot = (r_plus - r_minus) / (2 * h_fd)
     r_ddot = (r_plus - 2 * r_mid + r_minus) / (h_fd * h_fd)
     return poly_value, _ode_form(q, t1, t2, t3, t4, t5, st.xd, st.yd, r_dot, r_ddot)

@@ -33,7 +33,14 @@ checked to be exact.
 For real roots: the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
 Comput. 7, 1989), checked by exact division, else the primitive remainder
 sequence; Yun's square-free decomposition; Descartes' rule with
-Vincent-Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976).
+Vincent-Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976), each
+test an early-terminated partial Taylor shift (Rouillier & Zimmermann,
+J. Comput. Appl. Math. 162, 2004) that walks the same tree.  An isolating
+interval is refined by quadratic interval refinement (Abbott, "Quadratic
+interval refinement for real roots", 2006) on integer cells, and the
+result is exactly the interval that plain bisection returns for the same
+monotone stop rule: the first cell on the root's chain where the rule
+holds, or the root where bisection meets it first.
 """
 
 from __future__ import annotations
@@ -240,6 +247,31 @@ def sign_variations(p: IntPoly) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def descartes_test(p: IntPoly) -> int:
+    """The sign variations of p(u + 1) when they are 0 or 1, else some count >= 2.
+
+    The Taylor shift stops early.  After pass i the entries up to i are final
+    and the variations of the whole list never increase; once a final entry
+    is nonzero their parity is that of the result.  So the shift stops when
+    at most one sign change is left, at a checked pass, or when the final
+    entries already change sign twice.
+    """
+    a, last, changes = list(p), None, 0
+    for i in range(len(a) - 1):
+        a[i:] = list(accumulate(a[:i - 1:-1] if i else a[::-1]))[::-1]
+        if a[i]:
+            changes += last is not None and last != (a[i] > 0)
+            last = a[i] > 0
+        if changes > 1:
+            break
+        if last is not None and not i & i + 1:  # passes 0, 1, 3, 7, ...
+            positive = list(map((0).__lt__, filter(None, a)))
+            count = positive.count(True)
+            if all(positive[:count]) or all(positive[len(positive) - count:]):
+                break
+    return sign_variations(a)
+
+
 def positive_roots(p: IntPoly) -> tuple[list[tuple[Fraction, Fraction]], int]:
     """Isolating intervals of the positive roots of a square-free p, p(0) != 0.
 
@@ -256,7 +288,7 @@ def positive_roots(p: IntPoly) -> tuple[list[tuple[Fraction, Fraction]], int]:
     while stack:
         q, c, h = stack.pop()
         tests += 1
-        v = sign_variations(taylor_shift(q[::-1]))
+        v = descartes_test(q[::-1])
         if v == 1:
             out.append((Fraction(c << k, 1 << h), Fraction(c + 1 << k, 1 << h)))
         elif v > 1:
@@ -268,19 +300,102 @@ def positive_roots(p: IntPoly) -> tuple[list[tuple[Fraction, Fraction]], int]:
     return sorted(out), tests
 
 
+def _dyadic_value(p: IntPoly, m: int, j: int) -> int:
+    """2**(j * n) * p(m / 2**j), n = len(p) - 1, for j >= 0."""
+    acc, shift = 0, 0
+    for c in reversed(p):
+        acc = acc * m + (c << shift)
+        shift += j
+    return acc
+
+
 def refine(p: IntPoly, lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Fraction]:
-    """Bisect the isolating interval (lo, hi) of a root of p until done(lo, hi).
+    """The interval that bisecting (lo, hi), a root's isolating interval,
+    returns at the first cell where done holds.
 
-    p is square-free, so just above lo it has the sign of p(lo), or of p'(lo)
-    where p(lo) = 0.  A midpoint where p vanishes is returned as (mid, mid).
+    lo and hi are dyadic, p is square-free, and done(a, b, j) tests the cell
+    [a / 2**j, b / 2**j] and, once true, stays true on every cell inside it.
+    Bisection halves the cell that holds the root until done holds, and
+    returns (mid, mid) at a midpoint where p vanishes.  Just above lo p has
+    the sign of p(lo), or of p'(lo) where p(lo) = 0.
+
+    Cell i at depth t is [x(t, i), x(t, i + 1)], x(t, i) = lo + i * (hi - lo)
+    / 2**t, and the cells that hold the root form one chain.  Quadratic
+    interval refinement walks it: a secant step guesses the cell at depth
+    t + L, and the exact signs at its two ends confirm it.  L doubles on
+    success and halves otherwise, down to L = 1, a bisection step; a missed
+    guess whose signs still pin down one cell of the chain moves there.
+    Since done is monotone along the chain, a binary search over a cell's
+    ancestors finds the first depth where it holds, and a guess is confirmed
+    no deeper than that.
     """
-    def sign(q, u):
-        value = homogeneous(q, u.numerator, u.denominator)
-        return (value > 0) - (value < 0)
+    if lo == hi:
+        return lo, hi
+    j0 = max(lo.denominator, hi.denominator).bit_length() - 1
+    a0 = lo.numerator << j0 - lo.denominator.bit_length() + 1
+    width = (hi.numerator << j0 - hi.denominator.bit_length() + 1) - a0
+    n = len(p) - 1
 
-    side = sign(p, lo) or sign(derivative(p), lo)
-    while lo != hi and not done(lo, hi):
-        mid = (lo + hi) / 2
-        s = sign(p, mid)
-        lo, hi = (mid, mid) if not s else (mid, hi) if s == side else (lo, mid)
-    return lo, hi
+    def x(t, i):  # the numerator over 2**(j0 + t)
+        return (a0 << t) + i * width
+
+    def value(t, i):  # a positive multiple of p(x(t, i))
+        return _dyadic_value(p, x(t, i), j0 + t)
+
+    def cell(t, i):
+        return Fraction(x(t, i), 1 << j0 + t), Fraction(x(t, i + 1), 1 << j0 + t)
+
+    def stop(t, i):
+        return done(x(t, i), x(t, i + 1), j0 + t)
+
+    def first_stop(t, last, i):
+        """(depth, index) of the first cell deeper than t on the chain of
+        cell (last, i) where done holds; it fails at t and holds at last."""
+        while last - t > 1:
+            mid = (t + last) // 2
+            if stop(mid, i >> last - mid):
+                last, i = mid, i >> last - mid
+            else:
+                t = mid
+        return last, i
+
+    def root(t, depth, q):
+        """What bisection returns once p vanishes at x(depth, q), inside the
+        cell at depth t: it meets the root as the midpoint of cell
+        (depth - 1, q >> 1) after dropping the trailing zero bits of q."""
+        zeros = (q & -q).bit_length() - 1
+        depth, q = depth - zeros, q >> zeros
+        if depth - 1 > t and stop(depth - 1, q >> 1):
+            return cell(*first_stop(t, depth - 1, q >> 1))
+        return (Fraction(x(depth, q), 1 << j0 + depth),) * 2
+
+    if stop(0, 0):
+        return lo, hi
+    fa, fb = value(0, 0), value(0, 1)
+    positive = fa > 0 if fa else _dyadic_value(derivative(p), a0, j0) > 0  # just above lo
+    t, i, step = 0, 0, 2  # done fails on cell (t, i), which holds the root
+    while True:
+        depth, grid = t + step, 1 << step
+        guess = (i << step) + min(max(grid * fa // ((fa - fb) or 1), 0), grid - 1)
+        if stop(depth, guess):
+            depth, guess = first_stop(t, depth, guess)
+            step, grid = depth - t, 1 << depth - t
+        # The root lies in cells a .. b - 1 at depth; fl and fr are p at the ends.
+        k, a, b, fl, fr = guess - (i << step), 0, grid, fa << step * n, fb << step * n
+        for q in (k, k + 1):
+            if a < q < b:
+                v = value(depth, (i << step) + q)
+                if not v:
+                    return root(t, depth, (i << step) + q)
+                if (v > 0) == positive:
+                    a, fl = q, v
+                else:
+                    b, fr = q, v
+        if b - a & b - a - 1:  # not one cell of the chain
+            step //= 2
+            continue
+        s = (b - a).bit_length() - 1
+        depth, i, fa, fb = depth - s, (i << step) + a >> s, fl >> s * n, fr >> s * n
+        if stop(depth, i):
+            return cell(*first_stop(t, depth, i))
+        t, step = depth, 2 * step if not s else max(step // 2, 1)

@@ -35,6 +35,13 @@ D2_ROOTS = [0.4908826782893113, 0.6358604747819308,
 # independent computer-algebra computation of the same Sylvester determinant.
 U5_RES_AT_2_1 = "-18260404613543917212879947116239934916425/725594112"
 
+# Descartes tests that chamber_root_scan spends per default row with d >= 2:
+# the size of the Vincent-Collins-Akritas trees, frozen from the full Taylor
+# shift before the test learned to stop early.
+ROOT_SCAN_TESTS = {"SOpxSOq(p=2,q=2)": 10, "SO3": 9, "SU3": 15, "Sp3": 9, "F4": 3,
+                   "SO5": 18, "SO2xSOm(m=3)": 20, "SU2xUm(m=2)": 2, "Sp2xSpm(m=2)": 3,
+                   "U5": 2, "U1xSpin10": 2, "G2": 17, "SO4": 3}
+
 
 def test_single_wall_resultant_constant():
     # Hand-derived: the cubic degenerates to (16/9) z^2 - 14/9 and the quintic
@@ -178,6 +185,11 @@ def test_root_scan_counts_descartes_tests(monkeypatch):
     scan = _scan(registry_case("G2"))
     assert [(r.factor, r.multiplicity) for r in scan.roots] == [("Q", 1), ("M", 1)]
     assert scan.grid_size == len(calls) > 0
+
+
+def test_root_scan_test_counts_are_pinned(all_cases):
+    assert {case.label: _scan(case).grid_size for case in all_cases if case.d >= 2} \
+        == ROOT_SCAN_TESTS
 
 
 def test_certificate_roots_pass_exact_checks(all_cases):

@@ -253,6 +253,29 @@ def test_normal_residual_two_routes_agree(su3):
         assert abs(poly_val - ode_val) / scale < 1e-4
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_pointwise_oracles_evaluate_once_at_the_state(su3, mode, monkeypatch):
+    # point and R run once at the sampled state; the RK4 stages and the
+    # difference points are elsewhere.
+    lab, st, calls = get_lab(su3), state_from_angle(1.0, 0.3, 0.7), []
+    point, curvature_sum = lab.point, lab.R
+    monkeypatch.setattr(lab, "point", lambda x, y: calls.append(("point", x, y)) or point(x, y))
+    monkeypatch.setattr(lab, "R", lambda x, y, xd, yd: calls.append(("R", x, y, xd, yd))
+                        or curvature_sum(x, y, xd, yd))
+    at_state = [("point", st.x, st.y), ("R", st.x, st.y, st.xd, st.yd)]
+    geometric_scalars(st, su3, 0.25, mode=mode)
+    assert sorted(c for c in calls if c in at_state) == sorted(at_state)
+    calls.clear()
+    normal_residual(st, su3)
+    assert sorted(c for c in calls if c in at_state) == sorted(at_state)
+
+
+def test_geometric_scalars_reject_wall_state(u5):
+    st = CurveState(s=0.0, x=1.0, y=0.0, xd=0.0, yd=1.0)
+    with pytest.raises(BoundaryError):
+        geometric_scalars(st, u5, 0.0)
+
+
 def test_finite_difference_step_must_be_positive_and_finite(su3):
     st = state_from_angle(1.0, 0.3, 0.7)
     for h_fd in (0.0, -1e-5, math.nan, math.inf):

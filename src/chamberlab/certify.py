@@ -166,9 +166,9 @@ _WALL_COT_SQ = {2: Fraction(0), 3: Fraction(1, 3), 4: Fraction(1), 6: Fraction(3
 
 
 def _stop_rules(d: int):
-    """The two ends of refining a root of f(u + base) on [a, b] / 2**j, with
-    integers only: the cell lies on one side of the wall; both ends, shifted
-    back by base, round to the same double."""
+    """The two stop rules for refining a root of f(u + base), on integers,
+    for the cell [a / 2**j, b / 2**j]: the cell lies on one side of the wall;
+    both ends, shifted back by base, round to the same double."""
     wall_sq = _WALL_COT_SQ[d]
     base, num, den = math.isqrt(int(wall_sq)), wall_sq.numerator, wall_sq.denominator
 

@@ -320,14 +320,15 @@ def refine(p: IntPoly, lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Frac
     the sign of p(lo), or of p'(lo) where p(lo) = 0.
 
     Cell i at depth t is [x(t, i), x(t, i + 1)], x(t, i) = lo + i * (hi - lo)
-    / 2**t, and the cells that hold the root form one chain.  Quadratic
-    interval refinement walks it: a secant step guesses the cell at depth
-    t + L, and the exact signs at its two ends confirm it.  L doubles on
-    success and halves otherwise, down to L = 1, a bisection step; a missed
-    guess whose signs still pin down one cell of the chain moves there.
-    Since done is monotone along the chain, a binary search over a cell's
-    ancestors finds the first depth where it holds, and a guess is confirmed
-    no deeper than that.
+    / 2**t; the cells that hold the root form the chain that bisection
+    walks.  Quadratic interval refinement walks it faster: a secant step
+    guesses the cell at depth t + L, and the exact signs at its ends confirm
+    it.  L doubles on success and halves otherwise, down to L = 1, a
+    bisection step; a missed guess whose signs still pin down one cell moves
+    there.  A guess where done holds is first cut back, by binary search
+    over its ancestors, to the first one where done holds.  So done fails on
+    the guess's ancestors, and the cell the search moves to, or a root at an
+    end of the guess, shares them: bisection stops there too.
     """
     if lo == hi:
         return lo, hi
@@ -342,32 +343,8 @@ def refine(p: IntPoly, lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Frac
     def value(t, i):  # a positive multiple of p(x(t, i))
         return _dyadic_value(p, x(t, i), j0 + t)
 
-    def cell(t, i):
-        return Fraction(x(t, i), 1 << j0 + t), Fraction(x(t, i + 1), 1 << j0 + t)
-
     def stop(t, i):
         return done(x(t, i), x(t, i + 1), j0 + t)
-
-    def first_stop(t, last, i):
-        """(depth, index) of the first cell deeper than t on the chain of
-        cell (last, i) where done holds; it fails at t and holds at last."""
-        while last - t > 1:
-            mid = (t + last) // 2
-            if stop(mid, i >> last - mid):
-                last, i = mid, i >> last - mid
-            else:
-                t = mid
-        return last, i
-
-    def root(t, depth, q):
-        """What bisection returns once p vanishes at x(depth, q), inside the
-        cell at depth t: it meets the root as the midpoint of cell
-        (depth - 1, q >> 1) after dropping the trailing zero bits of q."""
-        zeros = (q & -q).bit_length() - 1
-        depth, q = depth - zeros, q >> zeros
-        if depth - 1 > t and stop(depth - 1, q >> 1):
-            return cell(*first_stop(t, depth - 1, q >> 1))
-        return (Fraction(x(depth, q), 1 << j0 + depth),) * 2
 
     if stop(0, 0):
         return lo, hi
@@ -378,7 +355,13 @@ def refine(p: IntPoly, lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Frac
         depth, grid = t + step, 1 << step
         guess = (i << step) + min(max(grid * fa // ((fa - fb) or 1), 0), grid - 1)
         if stop(depth, guess):
-            depth, guess = first_stop(t, depth, guess)
+            above = t  # done fails at depth above and holds at depth
+            while depth - above > 1:
+                mid = (above + depth) // 2
+                if stop(mid, guess >> depth - mid):
+                    depth, guess = mid, guess >> depth - mid
+                else:
+                    above = mid
             step, grid = depth - t, 1 << depth - t
         # The root lies in cells a .. b - 1 at depth; fl and fr are p at the ends.
         k, a, b, fl, fr = guess - (i << step), 0, grid, fa << step * n, fb << step * n
@@ -386,7 +369,7 @@ def refine(p: IntPoly, lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Frac
             if a < q < b:
                 v = value(depth, (i << step) + q)
                 if not v:
-                    return root(t, depth, (i << step) + q)
+                    return (Fraction(x(depth, (i << step) + q), 1 << j0 + depth),) * 2
                 if (v > 0) == positive:
                     a, fl = q, v
                 else:
@@ -397,5 +380,6 @@ def refine(p: IntPoly, lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Frac
         s = (b - a).bit_length() - 1
         depth, i, fa, fb = depth - s, (i << step) + a >> s, fl >> s * n, fr >> s * n
         if stop(depth, i):
-            return cell(*first_stop(t, depth, i))
+            den = 1 << j0 + depth
+            return Fraction(x(depth, i), den), Fraction(x(depth, i + 1), den)
         t, step = depth, 2 * step if not s else max(step // 2, 1)

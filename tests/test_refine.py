@@ -6,6 +6,7 @@
 Taylor shift does.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -103,6 +104,30 @@ def test_refine_matches_bisection_on_random_polynomials(d):
     assert intervals > 100
 
 
+def test_refine_matches_bisection_for_any_cut_point():
+    # refine's contract holds for every monotone rule; "the cell lies on one
+    # side of c" for a random c in the interval, dyadic or not, is one.
+    rng = random.Random(31)
+    intervals = 0
+    for _ in range(300):
+        p = random_squarefree(rng, [[-3, 8], [-2, 0, 1]])
+        if p is None:
+            continue
+        for lo, hi in positive_roots(p)[0]:
+            if lo == hi:
+                continue
+            c = lo + (hi - lo) * rng.choice([Fraction(rng.randint(1, 999), 1000),
+                                             Fraction(rng.randint(1, 2 ** 20 - 1), 2 ** 20)])
+
+            def side_of_c(a, b, j, num=c.numerator, den=c.denominator):
+                return a * den >= num << j or b * den <= num << j
+
+            want = bisection_refine(p, lo, hi, lambda a, b, c=c: a >= c or b <= c)
+            assert refine(p, lo, hi, side_of_c) == want, (p, lo, hi, c)
+            intervals += 1
+    assert intervals > 300
+
+
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_refine_matches_bisection_on_chamber_polynomials(d, monkeypatch):
     # Every refine call the certificates make, replayed against bisection.
@@ -170,11 +195,14 @@ def test_refine_on_wide_cells():
 
 
 def test_descartes_test_classifies_as_the_full_shift():
+    # Every list of up to five entries in -2..2, where partial sums often
+    # cancel, and random longer ones.
     rng = random.Random(7)
+    lists = [list(a) for n in range(1, 6) for a in itertools.product(range(-2, 3), repeat=n)]
+    lists += [[rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6)])
+               for _ in range(rng.randint(6, 12))] for _ in range(2000)]
     seen = set()
-    for _ in range(3000):
-        a = [rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6)])
-             for _ in range(rng.randint(1, 12))]
+    for a in lists:
         full = sign_variations(taylor_shift(a))
         got = descartes_test(a)
         assert got == full if full <= 1 else got >= 2, a

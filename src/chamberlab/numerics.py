@@ -340,11 +340,6 @@ def _rk4(R: Callable, coeff: float, h: float, x: float, y: float, xd: float, yd:
             yd + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
 
 
-def _rk4_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
-    r0 = lab.R(st.x, st.y, st.xd, st.yd)
-    return CurveState(st.s + h, *_rk4(lab.R, _MODE_COEFF[mode], h, st.x, st.y, st.xd, st.yd, r0))
-
-
 def step_minimal(st: CurveState, case: CaseSpec, h: float) -> CurveState:
     """One RK4 step of the minimal-profile flow (kd = -R enforced pointwise)."""
     return _guarded_step(get_lab(case), MODE_MINIMAL, st, h)
@@ -358,7 +353,8 @@ def step_candidate(st: CurveState, case: CaseSpec, h: float) -> CurveState:
 def _guarded_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
     if not lab.inside(st.x, st.y):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
-    nxt = _rk4_step(lab, mode, st, h)
+    r0 = lab.R(st.x, st.y, st.xd, st.yd)
+    nxt = CurveState(st.s + h, *_rk4(lab.R, _MODE_COEFF[mode], h, st.x, st.y, st.xd, st.yd, r0))
     if not lab.inside(nxt.x, nxt.y):
         raise BoundaryError(f"step from s={st.s} crossed a chamber wall")
     return nxt

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chamberlab import certify, resultant
+from chamberlab import resultant
 from chamberlab.cases import registry_case
 from chamberlab.certify import (
     ResultantReport,
@@ -17,6 +17,7 @@ from chamberlab.certify import (
     expected_resultant_degree,
     line_cotangent_sum,
     minimal_line_angles,
+    output_path,
     write_certificate,
 )
 from chamberlab.errors import PipelineError
@@ -37,7 +38,7 @@ U5_RES_AT_2_1 = "-18260404613543917212879947116239934916425/725594112"
 
 # Descartes tests that chamber_root_scan spends per default row with d >= 2:
 # the size of the Vincent-Collins-Akritas trees, frozen from the full Taylor
-# shift before the test learned to stop early.
+# shift.  The early-exit test must walk the same trees.
 ROOT_SCAN_TESTS = {"SOpxSOq(p=2,q=2)": 10, "SO3": 9, "SU3": 15, "Sp3": 9, "F4": 3,
                    "SO5": 18, "SO2xSOm(m=3)": 20, "SU2xUm(m=2)": 2, "Sp2xSpm(m=2)": 3,
                    "U5": 2, "U1xSpin10": 2, "G2": 17, "SO4": 3}
@@ -209,7 +210,7 @@ def test_certificate_roots_pass_exact_checks(all_cases):
                               for n, p in PARAMETRIC_ROWS])
 def test_parametric_certificates_match_golden(name, params):
     certificate = certify_case(registry_case(name, params))
-    path = certify.output_path(PARAMETRIC_CERTIFICATES, certificate["label"], "certificate")
+    path = output_path(PARAMETRIC_CERTIFICATES, certificate["label"], "certificate")
     assert stable_certificate_text(certificate) == path.read_text(encoding="utf-8")
 
 

@@ -50,23 +50,19 @@ def wall_poly(d):
 def check_chain(p, lo, hi, d):
     """refine equals bisection on (lo, hi) for each rule, and for the float
     rule after the wall rule, as ``_chamber_roots`` chains them."""
-    rules, oracles = _stop_rules(d), fraction_rules(d)
-    off_wall, one_double = rules
+    (off_wall, one_double), oracles = _stop_rules(d), fraction_rules(d)
     got = refine(p, lo, hi, off_wall)
     assert got == bisection_refine(p, lo, hi, oracles["off_wall"]), (p, lo, hi, d)
     assert refine(p, *got, one_double) == bisection_refine(p, *got, oracles["one_double"])
     assert refine(p, lo, hi, one_double) == bisection_refine(p, lo, hi, oracles["one_double"])
 
 
-def near(value, d):
+def near(value):
     """Linear factors with roots close to value: continued-fraction and dyadic
-    approximations, the dyadic ones at depths below and beyond 53 bits."""
+    approximations, the dyadic ones of depth 3, 20, 60 and 70."""
     out = [[-f.numerator, f.denominator] for f in
            (Fraction(value).limit_denominator(10 ** e) for e in (1, 3, 6))]
-    for e in (3, 20, 60, 70):
-        m = math.floor(value * 2 ** e) + d % 2
-        out.append([-m, 1 << e])
-    return out
+    return out + [[-(math.floor(value * 2 ** e) | 1), 1 << e] for e in (3, 20, 60, 70)]
 
 
 def random_squarefree(rng, factors):
@@ -89,8 +85,8 @@ def random_squarefree(rng, factors):
 def test_refine_matches_bisection_on_random_polynomials(d):
     rng = random.Random(1000 + d)
     wall = wall_poly(d)
-    factors = near(math.sqrt(_WALL_COT_SQ[d]) - math.isqrt(int(_WALL_COT_SQ[d])), d) + \
-        near(math.sqrt(2), d) + [[-rng.randint(1, 200), 1 << rng.randint(0, 9)] for _ in range(8)]
+    factors = near(math.sqrt(_WALL_COT_SQ[d]) - math.isqrt(int(_WALL_COT_SQ[d]))) + \
+        near(math.sqrt(2)) + [[-rng.randint(1, 200), 1 << rng.randint(0, 9)] for _ in range(8)]
     intervals = 0
     for _ in range(120):
         p = random_squarefree(rng, factors)

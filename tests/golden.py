@@ -14,7 +14,8 @@ parametric instances PARAMETRIC_ROWS in
 SHA-256 of ``json.dumps(report.poly.to_json())``, and
 ``tests/fixtures/bundle_sha256.json``, which maps each case label to the
 SHA-256 of its bundle file as ``chamberlab derive`` writes it, and
-``tests/fixtures/trajectory_sha256.json``, which maps ``<label>/<mode>`` to
+``tests/fixtures/parametric_bundle_sha256.json``, the same for
+PARAMETRIC_ROWS, and ``tests/fixtures/trajectory_sha256.json``, which maps ``<label>/<mode>`` to
 the SHA-256 of the CSV of a short RK4 curve (:func:`trajectory_csv`) for each
 of the lab rows SOpxSOq, SU3, SO5 and G2 in both modes, and
 ``tests/fixtures/wall_stop.json``, which pins the CSV hash, stop reason and
@@ -54,6 +55,7 @@ CERTIFICATES = FIXTURES / "certificates"
 PARAMETRIC_CERTIFICATES = FIXTURES / "parametric_certificates"
 RESULTANT_HASHES = FIXTURES / "resultant_sha256.json"
 BUNDLE_HASHES = FIXTURES / "bundle_sha256.json"
+PARAMETRIC_BUNDLE_HASHES = FIXTURES / "parametric_bundle_sha256.json"
 TRAJECTORY_HASHES = FIXTURES / "trajectory_sha256.json"
 WALL_STOPS = FIXTURES / "wall_stop.json"
 POINTWISE = FIXTURES / "lab_pointwise.json"
@@ -198,12 +200,16 @@ def main() -> int:
         bundle_hashes[case.label] = bundle_sha256(build_bundle(case))
         print(f"{case.label}: {certificate['conclusion']}", file=sys.stderr)
     PARAMETRIC_CERTIFICATES.mkdir(parents=True, exist_ok=True)
+    parametric_bundle_hashes = {}
     for name, params in PARAMETRIC_ROWS:
-        certificate = certify.certify_case(registry_case(name, params))
+        case = registry_case(name, params)
+        certificate = certify.certify_case(case)
         path = certify.output_path(PARAMETRIC_CERTIFICATES, certificate["label"], "certificate")
         path.write_text(stable_certificate_text(certificate), encoding="utf-8")
+        parametric_bundle_hashes[case.label] = bundle_sha256(build_bundle(case))
     _write_hashes(RESULTANT_HASHES, hashes)
     _write_hashes(BUNDLE_HASHES, bundle_hashes)
+    _write_hashes(PARAMETRIC_BUNDLE_HASHES, parametric_bundle_hashes)
     _write_hashes(TRAJECTORY_HASHES, trajectory_hashes())
     _write_hashes(WALL_STOPS, wall_stop_curves())
     _write_hashes(POINTWISE, pointwise_reprs())

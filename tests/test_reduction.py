@@ -18,7 +18,7 @@ from chamberlab.reduction import (
 )
 from bundle_oracle import oracle_bundle
 from float_poly_oracle import float_poly_value
-from golden import BUNDLE_HASHES, bundle_sha256
+from golden import BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256
 
 
 def _rat(p, q=1):
@@ -280,6 +280,14 @@ def test_bundles_match_golden_hashes(all_cases):
     golden = json.loads(BUNDLE_HASHES.read_text())
     assert sorted(golden) == sorted(case.label for case in all_cases)
     for case in all_cases:
+        assert bundle_sha256(build_bundle(case)) == golden[case.label], case.label
+
+
+def test_parametric_bundles_match_golden_hashes():
+    golden = json.loads(PARAMETRIC_BUNDLE_HASHES.read_text())
+    cases = [registry_case(name, params) for name, params in PARAMETRIC_ROWS]
+    assert sorted(golden) == sorted(case.label for case in cases)
+    for case in cases:
         assert bundle_sha256(build_bundle(case)) == golden[case.label], case.label
 
 

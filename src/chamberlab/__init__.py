@@ -3,8 +3,8 @@
 The package reduces the geometry of isometry-group-invariant hypersurfaces to
 exact polynomial data over the planar orbit space: wall forms over
 Q(sqrt2, sqrt3), rational volume and coefficient polynomials derived on dense
-integer lists by a formal arclength differentiation engine,
-Sylvester resultants by the subresultant remainder sequence on
+integer lists, the curvature sum and its arclength derivatives as lists of
+them, Sylvester resultants by the subresultant remainder sequence on
 Kronecker-packed integers, machine-readable per-case nonexistence
 certificates, and an RK4 profile-curve integrator that cross-validates the
 symbolic pipeline.
@@ -19,7 +19,7 @@ from .field import FieldScalar, Rat, to_float, trig_pair
 from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL, \
     geometric_scalars, integrate_curve, normal_residual, principal_curvatures, \
     state_from_angle, step_candidate, step_minimal
-from .poly import ReducedExpr, SpatialPoly, VelocityForm, arc_derivative
+from .poly import SpatialPoly
 from .reduction import ReductionBundle, build_bundle, build_walls, \
     verify_reference_example
 from .resultant import sylvester_resultant
@@ -28,10 +28,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaseSpec", "ChamberlabError", "CurveState", "FieldScalar",
-    "IntegratorConfig", "MODE_CANDIDATE", "MODE_MINIMAL", "Rat", "ReducedExpr",
-    "ReductionBundle", "SpatialPoly", "VelocityForm", "arc_derivative",
-    "build_bundle", "build_walls", "certify_case",
-    "chamber_root_scan", "compute_resultant",
+    "IntegratorConfig", "MODE_CANDIDATE", "MODE_MINIMAL", "Rat",
+    "ReductionBundle", "SpatialPoly", "build_bundle", "build_walls",
+    "certify_case", "chamber_root_scan", "compute_resultant",
     "default_cases", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",
     "line_cotangent_sum", "load_registry", "minimal_line_angles", "normal_residual",

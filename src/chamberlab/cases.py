@@ -150,11 +150,18 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
             unknown = sorted(set(row) - _ROW_KEYS)
             if unknown:
                 raise ValueError(f"unknown keys {unknown}")
+            for key in ("name", "group", "action"):
+                if not isinstance(row.get(key, ""), str):
+                    raise ValueError(f"{key} must be a string, got {row[key]!r}")
+            if type(row["d"]) is not int:
+                raise ValueError(f"d must be an integer, got {row['d']!r}")
+            if not isinstance(row["multiplicities"], list):
+                raise ValueError(f"multiplicities must be a list, got {row['multiplicities']!r}")
             template = CaseTemplate(
                 name=row["name"],
                 group=row["group"],
                 action=row.get("action", ""),
-                d=int(row["d"]),
+                d=row["d"],
                 n_expr=_expression(row["n"], "n"),
                 multiplicity_exprs=tuple(_expression(m, "multiplicity")
                                          for m in row["multiplicities"]),

@@ -215,9 +215,12 @@ def _chamber_roots(f: list[int], d: int) -> tuple[list[tuple[Fraction, Fraction]
 def _minimal_form(bundle: ReductionBundle) -> tuple[list[int], list[int]]:
     """M = t1*y - t2*x at y = 1, primitive, and its square-free part.  On the
     unit arc M = -qd * sum(m_i * cot(sigma - i*pi/d)), and that sum falls
-    strictly from +inf to -inf on the chamber: M has exactly one chamber root."""
-    (t1, t2), _, _ = _integer_lists([bundle.t1, bundle.t2], bundle.case.label, "t")
-    m = primitive(subtract(t1, [0] + t2))
+    strictly from +inf to -inf on the chamber: M has exactly one chamber root.
+    The numerator of R is [-t2, t1]."""
+    neg_t2, t1 = bundle.r
+    scale = math.lcm(neg_t2.den, t1.den)
+    m = primitive(subtract([c * (scale // t1.den) for c in t1.coeffs],
+                           [0] + [-c * (scale // neg_t2.den) for c in neg_t2.coeffs]))
     return m, divide_exact(m, gcd(m, derivative(m))) if len(m) > 1 else m
 
 

@@ -1,23 +1,20 @@
 """Exact polynomial algebra in (x, y) and in the velocity pair (xd, yd).
 
-Four layers:
+Two representations:
 
 * :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
   :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
   exponent map.
-* :class:`VelocityForm` - velocity-homogeneous polynomials in (xd, yd) whose
-  coefficients are SpatialPolys.
-* :class:`ReducedExpr` - a VelocityForm divided by a power of the chamber
-  product polynomial; :func:`arc_derivative` differentiates these along
-  arclength under the candidate-curve substitution rules.
 * :class:`DensePoly` - a homogeneous rational polynomial as one dense list
-  of integers over one denominator, with velocity forms as lists of them
-  (:func:`dense_form`).
+  of integers over one denominator.  A velocity form (a polynomial
+  homogeneous in (xd, yd) with polynomial coefficients) is a list of them,
+  a :data:`DenseForm`; :func:`arc_derivative` differentiates one over a
+  power of the chamber product polynomial along arclength.
 
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
 is rational and homogeneous.  So the derivation runs on DensePolys, and
 SpatialPolys are its inputs (the walls and their products) and its outputs
-(every serialized polynomial).  :meth:`DensePoly.of` is the one boundary
+(the serialized polynomials).  :meth:`DensePoly.of` is the one boundary
 between the two: it turns a SpatialPoly into a list and raises ValueError if
 a coefficient is irrational or the terms differ in degree.
 :func:`chamberlab.certify.compute_resultant` converts the A and C outputs
@@ -140,8 +137,6 @@ class SpatialPoly:
         return p
 
     def __mul__(self, other):
-        if isinstance(other, VelocityForm):
-            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -312,165 +307,6 @@ X = SpatialPoly.variable("x")
 Y = SpatialPoly.variable("y")
 
 
-class VelocityForm:
-    """Velocity-homogeneous polynomial in (xd, yd) with SpatialPoly coefficients.
-
-    Every stored monomial xd^p * yd^q satisfies p + q == vdeg.
-    """
-
-    __slots__ = ("vdeg", "terms")
-
-    def __init__(self, vdeg: int, terms: dict[Monomial, SpatialPoly] | None = None):
-        if vdeg < 0:
-            raise ValueError("velocity degree must be nonnegative")
-        self.vdeg = vdeg
-        self.terms = {}
-        for (p, q), poly in (terms or {}).items():
-            if p < 0 or q < 0 or p + q != vdeg:
-                raise ValueError(f"monomial xd^{p}*yd^{q} breaks velocity degree {vdeg}")
-            if not poly.is_zero:
-                self.terms[(p, q)] = poly
-
-    @classmethod
-    def spatial(cls, poly: SpatialPoly) -> "VelocityForm":
-        """A velocity-free form (degree 0)."""
-        return cls(0, {(0, 0): poly})
-
-    @classmethod
-    def velocity_linear(cls, coeff_xd: SpatialPoly, coeff_yd: SpatialPoly) -> "VelocityForm":
-        return cls(1, {(1, 0): coeff_xd, (0, 1): coeff_yd})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, p: int, q: int) -> SpatialPoly:
-        return self.terms.get((p, q), SpatialPoly.zero())
-
-    def __add__(self, other):
-        if not isinstance(other, VelocityForm):
-            return NotImplemented
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        if other.vdeg != self.vdeg:
-            raise ValueError(f"velocity degrees differ: {self.vdeg} vs {other.vdeg}")
-        out = dict(self.terms)
-        for m, poly in other.terms.items():
-            s = out.get(m)
-            out[m] = poly if s is None else s + poly
-        return VelocityForm(self.vdeg, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return VelocityForm(self.vdeg, {m: -p for m, p in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, VelocityForm):
-            out: dict[Monomial, SpatialPoly] = {}
-            for (p1, q1), f1 in self.terms.items():
-                for (p2, q2), f2 in other.terms.items():
-                    m = (p1 + p2, q1 + q2)
-                    prod = f1 * f2
-                    s = out.get(m)
-                    out[m] = prod if s is None else s + prod
-            return VelocityForm(self.vdeg + other.vdeg, out)
-        scale = other if isinstance(other, SpatialPoly) else None
-        if scale is None:
-            c = FieldScalar._coerce(other)
-            if c is None:
-                return NotImplemented
-            scale = SpatialPoly({(0, 0): c})
-        return VelocityForm(self.vdeg, {m: p * scale for m, p in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, VelocityForm):
-            return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return self.vdeg == other.vdeg and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vdeg, frozenset((m, hash(p)) for m, p in self.terms.items())))
-
-    def eval_exact(self, px, py, pxd, pyd) -> FieldScalar:
-        total = ZERO
-        powers_xd = _power_cache(pxd)
-        powers_yd = _power_cache(pyd)
-        for (p, q), poly in self.terms.items():
-            total = total + poly.eval_exact(px, py) * powers_xd(p) * powers_yd(q)
-        return total
-
-    def map_coefficients(self, fn) -> "VelocityForm":
-        return VelocityForm(self.vdeg, {m: fn(p) for m, p in self.terms.items()})
-
-    def to_json(self) -> list[dict]:
-        return [{"xd": p, "yd": q, "poly": poly.to_json()}
-                for (p, q), poly in sorted(self.terms.items(), reverse=True)]
-
-    def __repr__(self):
-        body = " + ".join(f"[{poly.to_text()}]*xd^{p}*yd^{q}"
-                          for (p, q), poly in sorted(self.terms.items(), reverse=True))
-        return f"VelocityForm({body or '0'})"
-
-
-class ReducedExpr:
-    """A VelocityForm divided by a power of the chamber product polynomial.
-
-    Represents num / qd**qd_power.  The chain built from the wall-curvature
-    sum has velocity degree equal to qd_power at every stage.
-    """
-
-    __slots__ = ("num", "qd_power", "qd")
-
-    def __init__(self, num: VelocityForm, qd_power: int, qd: SpatialPoly):
-        if qd_power < 0:
-            raise ValueError("denominator power must be nonnegative")
-        self.num = num
-        self.qd_power = qd_power
-        self.qd = qd
-
-    @property
-    def velocity_degree(self) -> int:
-        return self.num.vdeg
-
-    def promoted_numerator(self, power: int) -> VelocityForm:
-        """Numerator after raising the denominator power to `power`."""
-        if power < self.qd_power:
-            raise ValueError("cannot demote the denominator power")
-        out = self.num
-        for _ in range(power - self.qd_power):
-            out = out * self.qd
-        return out
-
-    def same_case(self, other: "ReducedExpr") -> bool:
-        return self.qd == other.qd
-
-    def __eq__(self, other):
-        if not isinstance(other, ReducedExpr):
-            return NotImplemented
-        if not self.same_case(other):
-            return False
-        k = max(self.qd_power, other.qd_power)
-        return self.promoted_numerator(k) == other.promoted_numerator(k)
-
-    def eval_exact(self, px, py, pxd, pyd) -> FieldScalar:
-        denom = self.qd.eval_exact(px, py) ** self.qd_power
-        return self.num.eval_exact(px, py, pxd, pyd) * denom.inverse()
-
-    def to_json(self) -> dict:
-        return {"numerator": self.num.to_json(), "qd_power": self.qd_power,
-                "velocity_degree": self.num.vdeg}
-
-    def __repr__(self):
-        return f"ReducedExpr({self.num!r} / qd^{self.qd_power})"
-
-
 class DensePoly:
     """A homogeneous rational polynomial in (x, y) as one dense integer list.
 
@@ -575,20 +411,6 @@ class DensePoly:
 DenseForm = list[DensePoly]
 
 
-def dense_form(vf: VelocityForm) -> DenseForm:
-    """The coefficient lists of vf; ValueError unless they are rational and
-    homogeneous of one common degree."""
-    form = [DensePoly.of(vf.coefficient(vf.vdeg - q, q)) for q in range(vf.vdeg + 1)]
-    if len({len(p.coeffs) for p in form if p.coeffs}) > 1:
-        raise ValueError("velocity coefficients are not homogeneous of one common degree")
-    return form
-
-
-def velocity_form(form: DenseForm) -> VelocityForm:
-    v = len(form) - 1
-    return VelocityForm(v, {(v - q, q): p.to_spatial() for q, p in enumerate(form)})
-
-
 def form_sum(f: DenseForm, g: DenseForm) -> DenseForm:
     return [a + b for a, b in zip(f, g, strict=True)]
 
@@ -605,14 +427,15 @@ def form_product(f: DenseForm, g: DenseForm) -> DenseForm:
 _THIRD = Fraction(1, 3)
 
 
-def arc_step(num: DenseForm, power: int, r: DenseForm,
-             qd: DensePoly) -> tuple[DenseForm, int]:
-    """d/ds of num / qd**power on lists: the new numerator and power.
+def arc_derivative(num: DenseForm, r: DenseForm, qd: DensePoly) -> DenseForm:
+    """d/ds of num / qd**v along a candidate curve, v = len(num) - 1: the
+    numerator over qd**(v + 1).
 
-    The derivative is qd * F(num) + (R/3) * rot(num) - power * F(qd) * num
-    over qd**(power + 1), where F(P) = dP/dx * xd + dP/dy * yd is the
-    coordinate flow and rot the derivation xd -> yd, yd -> -xd.  A num over
-    qd**0 with rot(num) = 0 (a velocity-free one, say) gives F(num) over qd**0.
+    Uses dx/ds = xd, dy/ds = yd, d(xd)/ds = (R/3) yd, d(yd)/ds = -(R/3) xd,
+    with R = r / qd.  The numerator is
+    qd * F(num) + (r/3) * rot(num) - v * F(qd) * num, where
+    F(P) = dP/dx * xd + dP/dy * yd is the coordinate flow and rot the
+    derivation xd -> yd, yd -> -xd.
     """
     v = len(num) - 1
     flow = [DensePoly([])] * (v + 2)
@@ -624,30 +447,6 @@ def arc_step(num: DenseForm, power: int, r: DenseForm,
             rotation[q + 1] = rotation[q + 1] + coeff * (v - q)
         if q:
             rotation[q - 1] = rotation[q - 1] - coeff * q
-    if not power and not any(p.coeffs for p in rotation):
-        return flow, 0
     out = form_sum([qd * p for p in flow], [p * _THIRD for p in form_product(r, rotation)])
-    if power:
-        qd_flow = form_product([qd.dx() * power, qd.dy() * power], num)
-        out = [a - b for a, b in zip(out, qd_flow)]
-    return out, power + 1
-
-
-def arc_derivative(expr: ReducedExpr, r: ReducedExpr) -> ReducedExpr:
-    """Formal arclength derivative of expr under the candidate-curve rules.
-
-    Uses dx/ds = xd, dy/ds = yd, d(xd)/ds = (R/3) yd, d(yd)/ds = -(R/3) xd,
-    where R is given as a ReducedExpr of velocity degree 1 over qd.  The
-    result has qd_power and velocity degree one higher than the input, except
-    for velocity-free inputs with no denominator, whose derivative needs
-    neither (e.g. the coordinate x differentiates to xd).  Every coefficient
-    and qd must be rational and homogeneous (ValueError otherwise); the work
-    runs on lists (:func:`arc_step`).
-    """
-    if not expr.same_case(r):
-        raise ValueError("expression and curvature sum belong to different cases")
-    if r.num.vdeg != 1 or r.qd_power != 1:
-        raise ValueError("curvature sum must be velocity-linear over qd^1")
-    num, power = arc_step(dense_form(expr.num), expr.qd_power, dense_form(r.num),
-                          DensePoly.of(expr.qd))
-    return ReducedExpr(velocity_form(num), power, expr.qd)
+    qd_flow = form_product([qd.dx() * v, qd.dy() * v], num)
+    return [a - b for a, b in zip(out, qd_flow, strict=True)]

@@ -8,7 +8,9 @@ t4, t5, the wall-curvature sum R with its first and second arclength
 derivatives, and finally the velocity-cubic coefficients A0..A3 and the
 slope-quintic coefficients C0..C5 whose common root structure the
 certificate module interrogates.  Every consumer reads these from the cached
-``ReductionBundle``.
+``ReductionBundle``.  R, R' and R'' are velocity forms over qd, qd**2 and
+qd**3 and stay lists (:data:`~chamberlab.poly.DenseForm`): entry q of a
+form of velocity degree v is the coefficient of xd**(v - q) * yd**q.
 
 The walls have coefficients in Q(sqrt2, sqrt3); everything after them is
 derived on dense rational lists (:class:`~chamberlab.poly.DensePoly`).  The
@@ -16,8 +18,8 @@ one boundary is :func:`wall_products`: for each distinct multiplicity m,
 the product P_m of the walls of multiplicity m over its leading coefficient
 l_m must be rational, and so must l_m**2 and qd; otherwise the case raises
 PipelineError.  The orbit volume and the t's are then sums and products of
-the P_m (see build_bundle), and the outputs become SpatialPolys once, at
-the end.
+the P_m (see build_bundle), and the outputs other than R, R' and R''
+become SpatialPolys once, at the end.
 
 All arithmetic is exact; every degree claim is asserted and a violation raises
 PipelineError (it would indicate a bug, not bad input).
@@ -32,8 +34,8 @@ from functools import lru_cache
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
 from .field import FieldScalar, trig_pair
-from .poly import ZERO_POLY, DensePoly, ReducedExpr, SpatialPoly, VelocityForm, \
-    arc_derivative, dense_form, form_product, form_sum
+from .poly import ZERO_POLY, DenseForm, DensePoly, SpatialPoly, arc_derivative, \
+    form_product, form_sum
 
 _THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
@@ -53,9 +55,9 @@ class ReductionBundle:
     t3: SpatialPoly
     t4: SpatialPoly
     t5: SpatialPoly
-    r: ReducedExpr
-    r_dot: ReducedExpr
-    r_ddot: ReducedExpr
+    r: DenseForm
+    r_dot: DenseForm
+    r_ddot: DenseForm
     a_coeffs: tuple[SpatialPoly, SpatialPoly, SpatialPoly, SpatialPoly]
     c_coeffs: tuple[SpatialPoly, ...]
 
@@ -132,21 +134,6 @@ def _quintic(qd: DensePoly, t1: DensePoly, t2: DensePoly,
     return (c0, c1, c2, c3, c4, c5)
 
 
-def quintic_table(qd: SpatialPoly, t1: SpatialPoly, t2: SpatialPoly,
-                  a: tuple[SpatialPoly, SpatialPoly, SpatialPoly, SpatialPoly],
-                  ) -> tuple[SpatialPoly, ...]:
-    """C0..C5 from the x-derivative of the slope cubic, linear in the A's.
-
-    Differentiating A3 z^3 + A2 z^2 + A1 z + A0 = 0 (z the curve slope) along
-    x, substituting the slope's second-derivative expression, and clearing one
-    qd denominator collects into six coefficients of powers of z.  Every
-    argument must be rational and homogeneous (ValueError otherwise).
-    """
-    table = _quintic(DensePoly.of(qd), DensePoly.of(t1), DensePoly.of(t2),
-                     tuple(DensePoly.of(p) for p in a))
-    return tuple(c.to_spatial() for c in table)
-
-
 @lru_cache(maxsize=None)
 def build_bundle(case: CaseSpec) -> ReductionBundle:
     """Run the whole symbolic pipeline for one case, each stage once, with degree checks.
@@ -195,20 +182,19 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
 
     # The wall-curvature sum R = (-t2*xd + t1*yd) / qd and its first and
     # second arclength derivatives, through the module global.
-    t1_out, t2_out = t1.to_spatial(), t2.to_spatial()
-    r = ReducedExpr(VelocityForm.velocity_linear(-t2_out, t1_out), 1, qd)
-    r_dot = arc_derivative(r, r)
-    r_ddot = arc_derivative(r_dot, r)
+    r = [-t2, t1]
+    r_dot = arc_derivative(r, r, qd_list)
+    r_ddot = arc_derivative(r_dot, r, qd_list)
 
     # The normal equation cleared of denominators.  Its three contributions
     # (second derivative of R, volume term times first derivative, quadratic
     # term times R) are each velocity-cubic over qd^3, so collecting A is
     # purely syntactic; C follows from the x-derivative of the cubic.
-    cubic = form_sum(dense_form(r_ddot.num), form_product([t1, t2], dense_form(r_dot.num)))
-    a_list = tuple(a - b for a, b in zip(cubic, form_product([t3, t4, t5], [-t2, t1]),
-                                         strict=True))
+    cubic = form_sum(r_ddot, form_product([t1, t2], r_dot))
+    a_list = tuple(a - b for a, b in zip(cubic, form_product([t3, t4, t5], r), strict=True))
     c_list = _quintic(qd_list, t1, t2, a_list)
 
+    t1_out, t2_out = t1.to_spatial(), t2.to_spatial()
     volume_sq = volume_sq.to_spatial()
     t3, t4, t5 = t3.to_spatial(), t4.to_spatial(), t5.to_spatial()
     a = tuple(p.to_spatial() for p in a_list)
@@ -222,12 +208,14 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     _check_homogeneous(t2_out, d - 1, "t2", case)
     for name, poly in (("t3", t3), ("t4", t4), ("t5", t5)):
         _check_homogeneous(poly, 2 * d - 2, name, case)
-    for label, expr, power in (("R", r, 1), ("R'", r_dot, 2), ("R''", r_ddot, 3)):
-        if expr.qd_power != power or expr.velocity_degree != power:
-            raise PipelineError(f"{case.label}: {label} has shape "
-                                f"(vdeg={expr.velocity_degree}, qd_power={expr.qd_power})")
-        for (p, q), poly in expr.num.terms.items():
-            _check_homogeneous(poly, power * (d - 1), f"{label} coeff xd^{p} yd^{q}", case)
+    for label, form, v in (("R", r, 1), ("R'", r_dot, 2), ("R''", r_ddot, 3)):
+        if len(form) != v + 1:
+            raise PipelineError(f"{case.label}: {label} has velocity degree "
+                                f"{len(form) - 1}, expected {v}")
+        for q, poly in enumerate(form):
+            if poly.coeffs and len(poly.coeffs) != v * (d - 1) + 1:
+                raise PipelineError(f"{case.label}: {label} coeff xd^{v - q} yd^{q} has "
+                                    f"degree {len(poly.coeffs) - 1}, expected {v * (d - 1)}")
     for j, poly in enumerate(a):
         _check_homogeneous(poly, 3 * (d - 1), f"A{j}", case)
     for j, poly in enumerate(c):
@@ -239,36 +227,6 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
         r=r, r_dot=r_dot, r_ddot=r_ddot,
         a_coeffs=a, c_coeffs=c,
     )
-
-
-def curvature_expr_pair(case: CaseSpec, i: int) -> tuple[ReducedExpr, ReducedExpr]:
-    """The two symbolic forms of the i-th wall curvature, over a common case.
-
-    The first applies the normal-direction derivative to log(w_i^2); the
-    second is the direct ratio w_i(yd, -xd) / w_i(x, y).  Both are returned as
-    reduced expressions over powers of qd so equality is decidable exactly.
-    """
-    bundle = build_bundle(case)
-    qd = bundle.qd
-    w = bundle.walls[i]
-    quot = qd.divide_exact(w)
-
-    # Directional derivative along nu = (-yd, xd): nu(P) has xd-coefficient
-    # dP/dy and yd-coefficient -dP/dx.  Form one is -(1/2) nu(w^2) / w^2,
-    # promoted to the common denominator qd^2 via (qd/w)^2.
-    w_sq = w * w
-    nu_derivative = VelocityForm(1, {(1, 0): w_sq.partial_derivative("y"),
-                                     (0, 1): -w_sq.partial_derivative("x")})
-    minus_half = FieldScalar.rational(-1, 2)
-    quot_sq = quot * quot
-    form_log = ReducedExpr(nu_derivative.map_coefficients(lambda p: p * quot_sq * minus_half),
-                           2, qd)
-
-    s, c = trig_pair(case.d, i)
-    # w_i(yd, -xd) = c*xd + s*yd, over w_i; promoted to denominator qd.
-    direct_num = VelocityForm(1, {(1, 0): quot * c, (0, 1): quot * s})
-    form_direct = ReducedExpr(direct_num, 1, qd)
-    return form_log, form_direct
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +292,15 @@ def verify_reference_example() -> dict:
     return report
 
 
+def _form_json(form: DenseForm) -> dict:
+    """A velocity form over qd**v, v its velocity degree: the nonzero entries
+    from the highest power of xd down."""
+    v = len(form) - 1
+    return {"numerator": [{"xd": v - q, "yd": q, "poly": p.to_spatial().to_json()}
+                          for q, p in enumerate(form) if p.coeffs],
+            "qd_power": v, "velocity_degree": v}
+
+
 def bundle_to_json(bundle: ReductionBundle) -> dict:
     """Canonical serialization of every pipeline polynomial plus degree data."""
     case = bundle.case
@@ -353,9 +320,9 @@ def bundle_to_json(bundle: ReductionBundle) -> dict:
         "t3": bundle.t3.to_json(),
         "t4": bundle.t4.to_json(),
         "t5": bundle.t5.to_json(),
-        "r": bundle.r.to_json(),
-        "r_dot": bundle.r_dot.to_json(),
-        "r_ddot": bundle.r_ddot.to_json(),
+        "r": _form_json(bundle.r),
+        "r_dot": _form_json(bundle.r_dot),
+        "r_ddot": _form_json(bundle.r_ddot),
         "a_coeffs": [a.to_json() for a in bundle.a_coeffs],
         "c_coeffs": [c.to_json() for c in bundle.c_coeffs],
         "degrees": bundle.degree_report(),

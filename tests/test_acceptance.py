@@ -28,8 +28,9 @@ from chamberlab.numerics import (
     step_candidate,
 )
 from chamberlab.poly import SpatialPoly
-from chamberlab.reduction import build_bundle, curvature_expr_pair, verify_reference_example
+from chamberlab.reduction import build_bundle, verify_reference_example
 from chamberlab.resultant import sylvester_resultant
+from bundle_oracle import curvature_expr_pair
 from float_poly_oracle import float_reduced_value
 from golden import RESULTANT_HASHES, resultant_sha256
 from resultant_oracle import at_y_equal_one, determinant_cofactor, sylvester_matrix, t_multiply
@@ -95,7 +96,7 @@ def test_criterion_4_derivative_oracle(all_cases):
     worst = 0.0
     for case in all_cases:
         lab = get_lab(case)
-        r_dot = build_bundle(case).r_dot
+        bundle = build_bundle(case)
         for _ in range(20):
             st = _random_interior_state(case, rng)
             p1 = step_candidate(st, case, h)
@@ -104,7 +105,7 @@ def test_criterion_4_derivative_oracle(all_cases):
             m2 = step_candidate(m1, case, -h)
             r = [lab.R(s.x, s.y, s.xd, s.yd) for s in (m2, m1, p1, p2)]
             fd = (r[0] - 8 * r[1] + 8 * r[2] - r[3]) / (12 * h)
-            sym = float_reduced_value(r_dot, st)
+            sym = float_reduced_value(bundle.r_dot, bundle.qd, st)
             scale = max(abs(sym), abs(fd))
             assert scale > 1e-9, (case.label, "degenerate sample")
             rel = abs(sym - fd) / scale

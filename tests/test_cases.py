@@ -199,6 +199,12 @@ def test_registry_expressions_cannot_run_code(tmp_path, row):
     ({"params": [{"name": "n", "min": False, "default": 3}]},
      "parameter 'n': min must be an integer, got False"),
     ({"params": ["n"]}, "a parameter must be an object, got 'n'"),
+    ({"d": 2.7}, "d must be an integer, got 2.7"),
+    ({"d": True}, "d must be an integer, got True"),
+    ({"multiplicities": "222"}, "multiplicities must be a list, got '222'"),
+    ({"name": 5}, "name must be a string, got 5"),
+    ({"group": None}, "group must be a string, got None"),
+    ({"action": 3}, "action must be a string, got 3"),
 ])
 def test_registry_rejects_malformed_values_at_load(tmp_path, row, message):
     # A value that is not what the row format allows fails when the registry

@@ -232,14 +232,14 @@ def test_symbolic_r_dot_matches_finite_differences(all_cases):
     h = 1e-5
     for case in all_cases:
         lab = get_lab(case)
-        r_dot = build_bundle(case).r_dot
+        bundle = build_bundle(case)
         for _ in range(5):
             st = _random_interior_state(case, rng)
             plus = step_candidate(st, case, h)
             minus = step_candidate(st, case, -h)
             fd = (lab.R(plus.x, plus.y, plus.xd, plus.yd)
                   - lab.R(minus.x, minus.y, minus.xd, minus.yd)) / (2 * h)
-            sym = float_reduced_value(r_dot, st)
+            sym = float_reduced_value(bundle.r_dot, bundle.qd, st)
             scale = max(abs(sym), abs(fd), 1e-9)
             assert abs(sym - fd) / scale < 1e-6, case.label
 

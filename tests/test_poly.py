@@ -7,13 +7,12 @@ from chamberlab.field import FieldScalar, HALF, ONE, SQRT2
 from chamberlab.poly import (
     NOT_HOMOGENEOUS,
     DensePoly,
-    ReducedExpr,
     SpatialPoly,
-    VelocityForm,
     X,
     Y,
     ZERO_POLY,
     arc_derivative,
+    form_product,
 )
 from float_poly_oracle import float_poly_value
 
@@ -61,26 +60,11 @@ def test_evaluate_exact_and_float():
     assert float_poly_value(p, 2.0, 1.0) == pytest.approx(3.0)
 
 
-def test_velocity_form_basis_velocity_picks_coefficient():
-    a0 = X * X
-    a3 = Y * Y
-    cubic = VelocityForm(3, {(3, 0): a0, (0, 3): a3})
-    value = cubic.eval_exact(FieldScalar.rational(5), ONE, ONE, FieldScalar.rational(0))
-    assert value == a0.eval_exact(FieldScalar.rational(5), ONE)
-
-
-def test_velocity_form_rejects_degree_mismatch():
-    with pytest.raises(ValueError):
-        VelocityForm(2, {(1, 0): X})
-    with pytest.raises(ValueError):
-        VelocityForm(1, {(1, 0): X}) + VelocityForm(2, {(2, 0): X})
-
-
-def test_velocity_form_product_adds_degrees():
-    u = VelocityForm.velocity_linear(X, Y)
-    v = u * u
-    assert v.vdeg == 2
-    assert v.coefficient(1, 1) == X * Y * 2
+def test_form_product_adds_degrees():
+    u = [DensePoly.of(X), DensePoly.of(Y)]
+    v = form_product(u, u)
+    assert len(v) == 3
+    assert v[1].to_spatial() == X * Y * 2
 
 
 def test_exact_division_of_linear_factor():
@@ -125,57 +109,35 @@ def test_serialization_round_trip_and_order():
 
 # -- arc differentiation -----------------------------------------------------
 
+# The single-wall chamber: qd = -y and R = -xd / y, the numerator xd over qd.
+QD_1 = DensePoly.of(-Y)
+R_1 = [DensePoly([1]), DensePoly([])]
+ZERO_ENTRY = SpatialPoly.zero()
 
-def _d1_curvature_sum():
-    """R for the single-wall chamber: numerator xd over qd = -y."""
-    qd = -Y
-    num = VelocityForm.velocity_linear(SpatialPoly.constant(1), SpatialPoly.zero())
-    return ReducedExpr(num, 1, qd)
+
+def _entries(form):
+    return [p.to_spatial() for p in form]
 
 
 def test_arc_derivative_of_coordinate_is_velocity():
-    r = _d1_curvature_sum()
-    coord = ReducedExpr(VelocityForm.spatial(X), 0, r.qd)
-    out = arc_derivative(coord, r)
-    assert out.qd_power == 0 and out.velocity_degree == 1
-    assert out.num == VelocityForm.velocity_linear(SpatialPoly.constant(1),
-                                                   SpatialPoly.zero())
+    # d/ds of x (velocity degree 0, over qd^0) is xd, that is qd * xd over qd.
+    out = arc_derivative([DensePoly.of(X)], R_1, QD_1)
+    assert _entries(out) == [-Y, ZERO_ENTRY]
 
 
 def test_arc_derivative_of_velocity_is_rotation_rate():
-    r = _d1_curvature_sum()
-    xd = ReducedExpr(VelocityForm.velocity_linear(SpatialPoly.constant(1),
-                                                  SpatialPoly.zero()), 0, r.qd)
-    out = arc_derivative(xd, r)
-    # d(xd)/ds = (R/3) yd: numerator (1/3) * xd * yd over qd.
-    assert out.qd_power == 1 and out.velocity_degree == 2
-    expected = VelocityForm(2, {(1, 1): SpatialPoly.constant(FieldScalar.rational(1, 3))})
-    assert out.num == expected
+    # d(xd)/ds = (R/3) yd.  xd is qd * xd over qd, and its derivative
+    # (1/3) xd yd / qd is (1/3) qd * xd yd over qd^2.
+    out = arc_derivative([QD_1, DensePoly([])], R_1, QD_1)
+    assert _entries(out) == [ZERO_ENTRY, -Y * FieldScalar.rational(1, 3), ZERO_ENTRY]
 
 
 def test_arc_derivative_single_wall_chain():
     # Hand-derived: d/ds of (-xd/y) along the single-wall candidate flow is
     # (4/3) xd yd / y^2.
-    r = _d1_curvature_sum()
-    out = arc_derivative(r, r)
-    assert out.qd_power == 2 and out.velocity_degree == 2
-    expected = VelocityForm(2, {(1, 1): SpatialPoly.constant(FieldScalar.rational(4, 3))})
-    assert out.num == expected
-
-
-def test_arc_derivative_rejects_mismatched_case():
-    r = _d1_curvature_sum()
-    other = ReducedExpr(r.num, 1, -X)
-    with pytest.raises(ValueError):
-        arc_derivative(other, r)
-
-
-def test_reduced_expr_equality_across_powers():
-    r = _d1_curvature_sum()
-    promoted = ReducedExpr(r.num * r.qd, 2, r.qd)
-    assert promoted == r
-    different = ReducedExpr(r.num * r.qd * 2, 2, r.qd)
-    assert different != r
+    out = arc_derivative(R_1, R_1, QD_1)
+    four_thirds = SpatialPoly.constant(FieldScalar.rational(4, 3))
+    assert _entries(out) == [ZERO_ENTRY, four_thirds, ZERO_ENTRY]
 
 
 def test_monomial_and_linear_reject_non_field_coefficients():
@@ -184,25 +146,6 @@ def test_monomial_and_linear_reject_non_field_coefficients():
                   lambda: SpatialPoly.linear(1, None)):
         with pytest.raises(TypeError):
             build()
-
-
-def test_arc_derivative_rejects_non_homogeneous_numerator():
-    r = _d1_curvature_sum()
-    mixed = ReducedExpr(VelocityForm.velocity_linear(X + Y * Y, SpatialPoly.zero()), 1, r.qd)
-    with pytest.raises(ValueError):
-        arc_derivative(mixed, r)
-    # Coefficients of one velocity form in different degrees.
-    uneven = ReducedExpr(VelocityForm.velocity_linear(X, SpatialPoly.constant(1)), 1, r.qd)
-    with pytest.raises(ValueError):
-        arc_derivative(uneven, r)
-
-
-def test_arc_derivative_rejects_irrational_numerator():
-    r = _d1_curvature_sum()
-    irrational = ReducedExpr(VelocityForm.velocity_linear(X * SQRT2, SpatialPoly.zero()),
-                             1, r.qd)
-    with pytest.raises(ValueError):
-        arc_derivative(irrational, r)
 
 
 def test_dense_poly_round_trip_and_arithmetic():

@@ -8,15 +8,15 @@ import pytest
 from chamberlab.cases import registry_case
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar, HALF, ONE, SQRT2, ZERO
-from chamberlab.poly import SpatialPoly, VelocityForm, X, Y, arc_derivative
+from chamberlab.poly import DensePoly, SpatialPoly, X, Y, arc_derivative
 from chamberlab.reduction import (
     build_bundle,
     build_walls,
-    curvature_expr_pair,
+    bundle_to_json,
     reference_example_polys,
     verify_reference_example,
 )
-from bundle_oracle import oracle_bundle
+from bundle_oracle import curvature_expr_pair, dense_form_value, oracle_bundle
 from float_poly_oracle import float_poly_value
 from golden import BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256
 
@@ -146,13 +146,13 @@ def test_t345_degrees(all_cases):
 
 
 def test_r_single_wall_is_minus_xd_over_y():
-    r = build_bundle(registry_case("SOn-1")).r
-    value = r.eval_exact(_rat(3), _rat(2), ONE, ZERO)
+    bundle = build_bundle(registry_case("SOn-1"))
+    value = dense_form_value(bundle.r, bundle.qd, _rat(3), _rat(2), ONE, ZERO)
     assert value == _rat(-1, 2)
 
 
 def test_r_equals_weighted_curvature_sum_u5(u5):
-    r = build_bundle(u5).r
+    bundle = build_bundle(u5)
     x, y = _rat(2), _rat(1)
     xd, yd = _rat(3, 5), _rat(4, 5)
     walls = build_walls(u5)
@@ -163,24 +163,22 @@ def test_r_equals_weighted_curvature_sum_u5(u5):
         s, c = trig_pair(u5.d, i)
         k_i = (s * yd + c * xd) / walls[i].eval_exact(x, y)
         total = total + k_i * m
-    assert r.eval_exact(x, y, xd, yd) == total
+    assert dense_form_value(bundle.r, bundle.qd, x, y, xd, yd) == total
 
 
 def test_r_derivative_shapes(all_cases):
     for case in all_cases:
         b = build_bundle(case)
-        r_dot, r_ddot = b.r_dot, b.r_ddot
-        assert (r_dot.velocity_degree, r_dot.qd_power) == (2, 2), case.label
-        assert (r_ddot.velocity_degree, r_ddot.qd_power) == (3, 3), case.label
-        for expr, stage in ((r_dot, 2), (r_ddot, 3)):
-            for poly in expr.num.terms.values():
-                assert poly.homogeneous_degree() == stage * (case.d - 1), case.label
+        for form, stage in ((b.r_dot, 2), (b.r_ddot, 3)):
+            assert len(form) == stage + 1, case.label
+            for poly in form:
+                if poly.coeffs:
+                    assert len(poly.coeffs) - 1 == stage * (case.d - 1), case.label
 
 
 def test_r_dot_single_wall():
     r_dot = build_bundle(registry_case("SOn-1")).r_dot
-    expected = VelocityForm(2, {(1, 1): SpatialPoly.constant(_rat(4, 3))})
-    assert r_dot.num == expected
+    assert [(p.coeffs, p.den) for p in r_dot] == [([], 1), ([4], 3), ([], 1)]
 
 
 # -- assembled coefficients ------------------------------------------------------
@@ -233,12 +231,12 @@ def test_c5_u5_golden(u5):
 
 
 def test_all_zero_a_gives_all_zero_c():
-    from chamberlab.reduction import quintic_table
+    from chamberlab.reduction import _quintic
 
-    zero = SpatialPoly.zero()
     bundle = build_bundle(registry_case("SU3"))
-    table = quintic_table(bundle.qd, bundle.t1, bundle.t2, (zero,) * 4)
-    assert all(c.is_zero for c in table)
+    t1, t2 = bundle.r[1], -bundle.r[0]
+    table = _quintic(DensePoly.of(bundle.qd), t1, t2, (DensePoly([]),) * 4)
+    assert all(not c.coeffs for c in table)
 
 
 def test_degenerate_constant_cubic_cancels_quintic():
@@ -298,9 +296,9 @@ def test_bundle_derives_each_stage_once(monkeypatch, u5):
 
     calls = []
 
-    def counting(expr, r):
-        calls.append(expr)
-        return arc_derivative(expr, r)
+    def counting(num, r, qd):
+        calls.append(num)
+        return arc_derivative(num, r, qd)
 
     monkeypatch.setattr(reduction, "arc_derivative", counting)
     build_bundle.cache_clear()
@@ -309,7 +307,7 @@ def test_bundle_derives_each_stage_once(monkeypatch, u5):
     finally:
         build_bundle.cache_clear()
     assert len(calls) == 2
-    assert calls == [bundle.r, bundle.r_dot]
+    assert calls[0] is bundle.r and calls[1] is bundle.r_dot
 
 
 def test_pipeline_error_on_invalid_case():
@@ -405,17 +403,10 @@ def _oracle_rows():
 
 
 def test_bundle_matches_sparse_oracle():
-    def as_json(value):
-        return [p.to_json() for p in value] if isinstance(value, tuple) else value.to_json()
-
     for case in _oracle_rows():
-        bundle = build_bundle(case)
-        ours = {"qd": bundle.qd, "volume_sq": bundle.volume_sq, "t1": bundle.t1,
-                "t2": bundle.t2, "t3": bundle.t3, "t4": bundle.t4, "t5": bundle.t5,
-                "r": bundle.r, "r_dot": bundle.r_dot, "r_ddot": bundle.r_ddot,
-                "a": bundle.a_coeffs, "c": bundle.c_coeffs}
+        doc = bundle_to_json(build_bundle(case))
         for key, expected in oracle_bundle(case).items():
-            assert as_json(ours[key]) == as_json(expected), (case.label, case.multiplicities, key)
+            assert doc[key] == expected, (case.label, case.multiplicities, key)
 
 
 def test_irrational_wall_products_raise():

@@ -8,11 +8,12 @@ direction is a minimal line.  The logical step from "nonzero resultant of the
 right degree" to nonexistence of proper solutions is referenced, not
 recomputed.
 
-The resultant is a dense integer list in u = x/y over one denominator; on the
-unit arc u = cot(sigma), and the chamber sigma in (0, pi/d) is
-u > cot(pi/d).  Its chamber roots come from an exact factorization
-(chamber_root_scan) and rational isolating intervals; membership in the
-chamber and minimality are decided exactly, and floats only display them.
+The resultant, taken on the bundle's dense lists A and C as they are, is a
+dense integer list in u = x/y over one denominator; on the unit arc
+u = cot(sigma), and the chamber sigma in (0, pi/d) is u > cot(pi/d).  Its
+chamber roots come from an exact factorization (chamber_root_scan) and
+rational isolating intervals; membership in the chamber and minimality are
+decided exactly, and floats only display them.
 """
 
 from __future__ import annotations
@@ -72,27 +73,23 @@ class ResultantReport:
         return FieldScalar.rational(homogeneous(self.coeffs, x, y), self.scale)
 
 
-def _integer_lists(polys: list[SpatialPoly], label: str,
+def _integer_lists(polys: list[DensePoly], label: str,
                    name: str) -> tuple[list[list[int]], int, int]:
     """Dense Z[u] lists (u = x/y) of one coefficient list, denominators cleared.
 
     Returns ``(lists, degree, scale)``: ``lists[j]`` is ``scale * polys[j]`` at
-    y = 1, low to high, where ``scale`` is the lcm of every coefficient's
-    denominator and ``degree`` the common homogeneous degree of the nonzero
-    entries (None if there are none; every list is then ``[]``).  Irrational
-    coefficients and mixed degrees raise PipelineError.
+    y = 1, low to high, where ``scale`` is the lcm of the denominators and
+    ``degree`` the common homogeneous degree of the nonzero entries (None if
+    there are none; every list is then ``[]``).  Mixed degrees raise
+    PipelineError.
     """
-    try:
-        dense = [DensePoly.of(poly) for poly in polys]
-    except ValueError as exc:
-        raise PipelineError(f"{label}: {name} {exc}") from None
-    degrees = {len(p.coeffs) - 1 for p in dense if p.coeffs}
+    degrees = {len(p.coeffs) - 1 for p in polys if p.coeffs}
     if len(degrees) > 1:
         raise PipelineError(f"{label}: the {name} coefficients are not "
                             f"homogeneous of one common degree")
-    scale = math.lcm(*(p.den for p in dense))
+    scale = math.lcm(*(p.den for p in polys))
     lists = []
-    for p in dense:
+    for p in polys:
         coeffs = [c * (scale // p.den) for c in p.coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
@@ -111,17 +108,17 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     the count of trimmed pairs is recorded.  The determinant at the formal degrees left then decides every
     case: a constant a0 against an all-zero quintic gives a0**deg_c.
 
-    The determinant itself runs in Z[u]: each list must be rational and
-    homogeneous of one degree (DA for A, DC for C) and its denominators are
-    cleared.  The integer resultant is kept as it comes, over the scale this
-    puts on the Sylvester rows, at degree deg_a*DC + deg_c*DA; both are
-    divided by their gcd.  An all-zero list has no degree; a nonzero
+    The determinant itself runs in Z[u], on the bundle's DensePolys: each list
+    must be homogeneous of one degree (DA for A, DC for C) and its
+    denominators are cleared.  The integer resultant is kept as it comes,
+    over the scale this puts on the Sylvester rows, at degree
+    deg_a*DC + deg_c*DA; both are divided by their gcd.  An all-zero list has no degree; a nonzero
     determinant multiplies it by a formal degree of 0.
     """
-    pa = list(bundle.a_coeffs)
-    pc = list(bundle.c_coeffs)
+    pa = list(bundle.dense_a)
+    pc = list(bundle.dense_c)
     trimmed = 0
-    while len(pa) > 1 and len(pc) > 1 and pa[-1].is_zero and pc[-1].is_zero:
+    while len(pa) > 1 and len(pc) > 1 and not (pa[-1].coeffs or pc[-1].coeffs):
         pa.pop()
         pc.pop()
         trimmed += 1
@@ -238,7 +235,7 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
     while not res[-1]:
         res.pop()
         exponents["y"] += 1
-    (qd,), _, _ = _integer_lists([bundle.qd], label, "qd")
+    (qd,), _, _ = _integer_lists([bundle.dense_qd], label, "qd")
     m, m_part = _minimal_form(bundle)
     for name, f in (("qd", primitive(qd)), ("M", m)):
         exponents[name] = 0

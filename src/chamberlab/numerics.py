@@ -177,9 +177,9 @@ class CaseLab:
         self.trig = tuple((math.sin(i * math.pi / d), math.cos(i * math.pi / d))
                           for i in range(d))
         walls = {f"w{i}": w.float_terms() for i, w in enumerate(bundle.walls)}
-        t = {name: getattr(bundle, name).float_terms()
-             for name in ("qd", "t1", "t2", "t3", "t4", "t5")}
-        a = {f"a{j}": poly.float_terms() for j, poly in enumerate(bundle.a_coeffs)}
+        t = {name: poly.float_terms() for name, poly in
+             zip(("qd", "t1", "t2", "t3", "t4", "t5"), (bundle.dense_qd, *bundle.dense_t))}
+        a = {f"a{j}": poly.float_terms() for j, poly in enumerate(bundle.dense_a)}
         wall_names = ", ".join(walls) + ","
         self.R = _kernel("R", ("x", "y", "xd", "yd"),
                          {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]},

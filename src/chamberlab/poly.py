@@ -13,12 +13,14 @@ Two representations:
 
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
 is rational and homogeneous.  So the derivation runs on DensePolys, and
-SpatialPolys are its inputs (the walls and their products) and its outputs
-(the serialized polynomials).  :meth:`DensePoly.of` is the one boundary
-between the two: it turns a SpatialPoly into a list and raises ValueError if
-a coefficient is irrational or the terms differ in degree.
-:func:`chamberlab.certify.compute_resultant` converts the A and C outputs
-back through it and clears their denominators for :mod:`chamberlab.resultant`.
+SpatialPolys are its inputs (the walls and their products).
+:meth:`DensePoly.of` is the one boundary between the two, called only by
+:func:`chamberlab.reduction.wall_products`: it turns a SpatialPoly into a
+list and raises ValueError if a coefficient is irrational or the terms
+differ in degree.  From there the lists go on to the serialized bundle
+(:meth:`DensePoly.to_json`), the resultant and the lab's float kernels
+(:meth:`DensePoly.float_terms`), each the same as going through
+:meth:`DensePoly.to_spatial`, which only the bundle's SpatialPoly views call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ExactDivisionError
-from .field import _R0, FieldScalar, ONE, ZERO, to_float
+from .field import _R0, FieldScalar, ONE, ZERO, _round, to_float
 
 Monomial = tuple[int, int]
 
@@ -307,6 +309,10 @@ X = SpatialPoly.variable("x")
 Y = SpatialPoly.variable("y")
 
 
+# FieldScalar.to_text of a rational scalar is its "p/q" and then this.
+_RATIONAL_TAIL = ZERO.to_text()[len("0/1"):]
+
+
 class DensePoly:
     """A homogeneous rational polynomial in (x, y) as one dense integer list.
 
@@ -328,6 +334,20 @@ class DensePoly:
                 den //= g
         self.coeffs = coeffs
         self.den = den
+
+    def __eq__(self, other):
+        if not isinstance(other, DensePoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.den == other.den
+
+    def __hash__(self):
+        return hash((tuple(self.coeffs), self.den))
+
+    def __repr__(self):
+        return f"DensePoly({self.coeffs!r}, {self.den})"
+
+    def homogeneous_degree(self) -> int | str:
+        return len(self.coeffs) - 1 if self.coeffs else ZERO_POLY
 
     @classmethod
     def of(cls, poly: SpatialPoly) -> "DensePoly":
@@ -354,6 +374,21 @@ class DensePoly:
         p.terms = {(a, k - a): FieldScalar._raw(Fraction(c, self.den), _R0, _R0, _R0)
                    for a, c in enumerate(self.coeffs) if c}
         return p
+
+    def _terms(self):
+        """(a, b, c) of the nonzero terms c x^a y^b, highest power of x first."""
+        k = len(self.coeffs) - 1
+        return [(a, k - a, self.coeffs[a]) for a in range(k, -1, -1) if self.coeffs[a]]
+
+    def to_json(self) -> list[list]:
+        """``to_spatial().to_json()``, written straight from the list."""
+        den = self.den
+        return [[a, b, f"{c // (g := math.gcd(c, den))}/{den // g}{_RATIONAL_TAIL}"]
+                for a, b, c in self._terms()]
+
+    def float_terms(self) -> list[tuple[int, int, float]]:
+        """``to_spatial().float_terms()`` bit for bit: int division rounds correctly."""
+        return [(a, b, _round(c, self.den)) for a, b, c in self._terms()]
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
         if not other.coeffs:

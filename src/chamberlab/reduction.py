@@ -9,17 +9,20 @@ derivatives, and finally the velocity-cubic coefficients A0..A3 and the
 slope-quintic coefficients C0..C5 whose common root structure the
 certificate module interrogates.  Every consumer reads these from the cached
 ``ReductionBundle``.  R, R' and R'' are velocity forms over qd, qd**2 and
-qd**3 and stay lists (:data:`~chamberlab.poly.DenseForm`): entry q of a
-form of velocity degree v is the coefficient of xd**(v - q) * yd**q.
+qd**3, lists (:data:`~chamberlab.poly.DenseForm`): entry q of a form of
+velocity degree v is the coefficient of xd**(v - q) * yd**q.
 
 The walls have coefficients in Q(sqrt2, sqrt3); everything after them is
 derived on dense rational lists (:class:`~chamberlab.poly.DensePoly`).  The
 one boundary is :func:`wall_products`: for each distinct multiplicity m,
 the product P_m of the walls of multiplicity m over its leading coefficient
 l_m must be rational, and so must l_m**2 and qd; otherwise the case raises
-PipelineError.  The orbit volume and the t's are then sums and products of
-the P_m (see build_bundle), and the outputs other than R, R' and R''
-become SpatialPolys once, at the end.
+PipelineError.  qd and these products depend only on d and on which walls
+share a multiplicity, so they are computed once per such class.  The
+orbit volume and the t's are then sums and products of the P_m (see
+build_bundle).  Every derived polynomial stays a list from there through
+bundle_to_json, the resultant and the lab's kernels; the SpatialPoly
+attributes qd .. c_coeffs are views, built on first read.
 
 All arithmetic is exact; every degree claim is asserted and a violation raises
 PipelineError (it would indicate a bug, not bad input).
@@ -27,9 +30,10 @@ PipelineError (it would indicate a bug, not bad input).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
@@ -44,77 +48,94 @@ _NINTH = Fraction(1, 9)
 
 @dataclass
 class ReductionBundle:
-    """Everything the certificate and numeric laboratories consume."""
+    """Everything the certificate and numeric laboratories consume.
+
+    ``dense_t`` is (t1, ..., t5), ``dense_a`` (A0, ..., A3) and ``dense_c``
+    (C0, ..., C5); qd, volume_sq, t1 .. t5, a_coeffs and c_coeffs are
+    SpatialPoly views of the lists, built on first access.
+    """
 
     case: CaseSpec
     walls: list[SpatialPoly]
-    qd: SpatialPoly
-    volume_sq: SpatialPoly
-    t1: SpatialPoly
-    t2: SpatialPoly
-    t3: SpatialPoly
-    t4: SpatialPoly
-    t5: SpatialPoly
+    dense_qd: DensePoly
+    dense_volume_sq: DensePoly
+    dense_t: tuple[DensePoly, ...]
     r: DenseForm
     r_dot: DenseForm
     r_ddot: DenseForm
-    a_coeffs: tuple[SpatialPoly, SpatialPoly, SpatialPoly, SpatialPoly]
-    c_coeffs: tuple[SpatialPoly, ...]
+    dense_a: tuple[DensePoly, ...]
+    dense_c: tuple[DensePoly, ...]
+
+    qd = cached_property(lambda self: self.dense_qd.to_spatial())
+    volume_sq = cached_property(lambda self: self.dense_volume_sq.to_spatial())
+    t1 = cached_property(lambda self: self.dense_t[0].to_spatial())
+    t2 = cached_property(lambda self: self.dense_t[1].to_spatial())
+    t3 = cached_property(lambda self: self.dense_t[2].to_spatial())
+    t4 = cached_property(lambda self: self.dense_t[3].to_spatial())
+    t5 = cached_property(lambda self: self.dense_t[4].to_spatial())
+    a_coeffs = cached_property(lambda self: tuple(p.to_spatial() for p in self.dense_a))
+    c_coeffs = cached_property(lambda self: tuple(p.to_spatial() for p in self.dense_c))
 
     def degree_report(self) -> dict:
         return {
             "d": self.case.d,
-            "qd": self.qd.homogeneous_degree(),
-            "volume_sq": self.volume_sq.homogeneous_degree(),
-            "t1": self.t1.homogeneous_degree(),
-            "t2": self.t2.homogeneous_degree(),
-            "t345": [t.homogeneous_degree() for t in (self.t3, self.t4, self.t5)],
-            "a": [a.homogeneous_degree() for a in self.a_coeffs],
-            "c": [c.homogeneous_degree() for c in self.c_coeffs],
+            "qd": self.dense_qd.homogeneous_degree(),
+            "volume_sq": self.dense_volume_sq.homogeneous_degree(),
+            "t1": self.dense_t[0].homogeneous_degree(),
+            "t2": self.dense_t[1].homogeneous_degree(),
+            "t345": [t.homogeneous_degree() for t in self.dense_t[2:]],
+            "a": [a.homogeneous_degree() for a in self.dense_a],
+            "c": [c.homogeneous_degree() for c in self.dense_c],
         }
 
 
 def build_walls(case: CaseSpec) -> list[SpatialPoly]:
     """The d linear forms x*sin(i*pi/d) - y*cos(i*pi/d), exact coefficients."""
-    walls = []
-    for i in range(case.d):
-        s, c = trig_pair(case.d, i)
-        walls.append(SpatialPoly.linear(s, -c))
-    return walls
+    return _walls(case.d)
 
 
-def wall_products(case: CaseSpec, walls: list[SpatialPoly],
-                  ) -> tuple[SpatialPoly, DensePoly, list[tuple[int, Fraction, DensePoly]]]:
-    """qd = prod(w_i), its list, and (m, l**2, P_m / l) for each distinct m.
+def _walls(d: int) -> list[SpatialPoly]:
+    return [SpatialPoly.linear(s, -c) for s, c in (trig_pair(d, i) for i in range(d))]
+
+
+def wall_products(case: CaseSpec,
+                  ) -> tuple[list[SpatialPoly], DensePoly, list[tuple[int, Fraction, DensePoly]]]:
+    """The walls, qd = prod(w_i) as a list, and (m, l**2, P_m / l) for each distinct m.
 
     P_m is the product of the walls of multiplicity m and l its leading
     coefficient, so P_m / l has leading coefficient 1.  Raises PipelineError
     naming the case unless qd, every P_m / l and every l**2 are rational.
+    qd and the products depend only on d and on the classes of wall indices
+    with equal multiplicities, and are computed once per such pair.
     """
-    qd = SpatialPoly.constant(1)
-    for w in walls:
-        qd = qd * w
-    groups = []
+    walls = build_walls(case)
+    mults = case.multiplicities
+    classes = {m: tuple(i for i, mi in enumerate(mults) if mi == m) for m in mults}
     try:
-        qd_list = DensePoly.of(qd)
-        for m in sorted(set(case.multiplicities)):
-            product = SpatialPoly.constant(1)
-            for w, mi in zip(walls, case.multiplicities):
-                if mi == m:
-                    product = product * w
-            lead = product.leading_term()[1]
-            lead_sq = lead * lead
-            if not lead_sq.is_rational:
-                raise ValueError(f"leading coefficient squared {lead_sq.to_text()} "
-                                 f"is not rational")
-            groups.append((m, lead_sq.a, DensePoly.of(product * lead.inverse())))
+        qd, products = _wall_classes(case.d, tuple(classes.values()))
     except ValueError as exc:
         raise PipelineError(f"{case.label}: the walls are not rational per "
                             f"multiplicity: {exc}") from None
-    return qd, qd_list, groups
+    return walls, qd, [(m, *p) for m, p in zip(classes, products)]
 
 
-def _check_homogeneous(poly: SpatialPoly, degree: int, what: str, case: CaseSpec):
+@lru_cache(maxsize=None)
+def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
+    walls = _walls(d)
+    qd = DensePoly.of(math.prod(walls))
+    products = []
+    for indices in classes:
+        product = math.prod(walls[i] for i in indices)
+        lead = product.leading_term()[1]
+        lead_sq = lead * lead
+        if not lead_sq.is_rational:
+            raise ValueError(f"leading coefficient squared {lead_sq.to_text()} "
+                             f"is not rational")
+        products.append((lead_sq.a, DensePoly.of(product * lead.inverse())))
+    return qd, tuple(products)
+
+
+def _check_homogeneous(poly: SpatialPoly | DensePoly, degree: int, what: str, case: CaseSpec):
     got = poly.homogeneous_degree()
     if got == ZERO_POLY:
         return
@@ -155,11 +176,9 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     if violations:
         raise PipelineError(f"{case.label}: invalid case: {violations}")
     d = case.d
-    mults = case.multiplicities
 
-    walls = build_walls(case)
-    qd, qd_list, groups = wall_products(case, walls)
-    lam = qd.leading_term()[1].a
+    walls, qd, groups = wall_products(case)
+    lam = Fraction(next(c for c in reversed(qd.coeffs) if c), qd.den)
 
     volume_sq = DensePoly([1])
     t1 = t2 = t3 = t4 = t5 = DensePoly([])
@@ -183,29 +202,23 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     # The wall-curvature sum R = (-t2*xd + t1*yd) / qd and its first and
     # second arclength derivatives, through the module global.
     r = [-t2, t1]
-    r_dot = arc_derivative(r, r, qd_list)
-    r_ddot = arc_derivative(r_dot, r, qd_list)
+    r_dot = arc_derivative(r, r, qd)
+    r_ddot = arc_derivative(r_dot, r, qd)
 
     # The normal equation cleared of denominators.  Its three contributions
     # (second derivative of R, volume term times first derivative, quadratic
     # term times R) are each velocity-cubic over qd^3, so collecting A is
     # purely syntactic; C follows from the x-derivative of the cubic.
     cubic = form_sum(r_ddot, form_product([t1, t2], r_dot))
-    a_list = tuple(a - b for a, b in zip(cubic, form_product([t3, t4, t5], r), strict=True))
-    c_list = _quintic(qd_list, t1, t2, a_list)
-
-    t1_out, t2_out = t1.to_spatial(), t2.to_spatial()
-    volume_sq = volume_sq.to_spatial()
-    t3, t4, t5 = t3.to_spatial(), t4.to_spatial(), t5.to_spatial()
-    a = tuple(p.to_spatial() for p in a_list)
-    c = tuple(p.to_spatial() for p in c_list)
+    a = tuple(p - q for p, q in zip(cubic, form_product([t3, t4, t5], r), strict=True))
+    c = _quintic(qd, t1, t2, a)
 
     for i, w in enumerate(walls):
         _check_homogeneous(w, 1, f"wall {i}", case)
     _check_homogeneous(qd, d, "qd", case)
-    _check_homogeneous(volume_sq, 2 * sum(mults), "volume_sq", case)
-    _check_homogeneous(t1_out, d - 1, "t1", case)
-    _check_homogeneous(t2_out, d - 1, "t2", case)
+    _check_homogeneous(volume_sq, 2 * sum(case.multiplicities), "volume_sq", case)
+    _check_homogeneous(t1, d - 1, "t1", case)
+    _check_homogeneous(t2, d - 1, "t2", case)
     for name, poly in (("t3", t3), ("t4", t4), ("t5", t5)):
         _check_homogeneous(poly, 2 * d - 2, name, case)
     for label, form, v in (("R", r, 1), ("R'", r_dot, 2), ("R''", r_ddot, 3)):
@@ -222,10 +235,9 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
         _check_homogeneous(poly, 4 * (d - 1), f"C{j}", case)
 
     return ReductionBundle(
-        case=case, walls=walls, qd=qd, volume_sq=volume_sq,
-        t1=t1_out, t2=t2_out, t3=t3, t4=t4, t5=t5,
-        r=r, r_dot=r_dot, r_ddot=r_ddot,
-        a_coeffs=a, c_coeffs=c,
+        case=case, walls=walls, dense_qd=qd, dense_volume_sq=volume_sq,
+        dense_t=(t1, t2, t3, t4, t5), r=r, r_dot=r_dot, r_ddot=r_ddot,
+        dense_a=a, dense_c=c,
     )
 
 
@@ -296,7 +308,7 @@ def _form_json(form: DenseForm) -> dict:
     """A velocity form over qd**v, v its velocity degree: the nonzero entries
     from the highest power of xd down."""
     v = len(form) - 1
-    return {"numerator": [{"xd": v - q, "yd": q, "poly": p.to_spatial().to_json()}
+    return {"numerator": [{"xd": v - q, "yd": q, "poly": p.to_json()}
                           for q, p in enumerate(form) if p.coeffs],
             "qd_power": v, "velocity_degree": v}
 
@@ -313,17 +325,13 @@ def bundle_to_json(bundle: ReductionBundle) -> dict:
         "multiplicities": list(case.multiplicities),
         "params": case.params_dict,
         "walls": [w.to_json() for w in bundle.walls],
-        "qd": bundle.qd.to_json(),
-        "volume_sq": bundle.volume_sq.to_json(),
-        "t1": bundle.t1.to_json(),
-        "t2": bundle.t2.to_json(),
-        "t3": bundle.t3.to_json(),
-        "t4": bundle.t4.to_json(),
-        "t5": bundle.t5.to_json(),
+        "qd": bundle.dense_qd.to_json(),
+        "volume_sq": bundle.dense_volume_sq.to_json(),
+        **{f"t{j}": t.to_json() for j, t in enumerate(bundle.dense_t, 1)},
         "r": _form_json(bundle.r),
         "r_dot": _form_json(bundle.r_dot),
         "r_ddot": _form_json(bundle.r_ddot),
-        "a_coeffs": [a.to_json() for a in bundle.a_coeffs],
-        "c_coeffs": [c.to_json() for c in bundle.c_coeffs],
+        "a_coeffs": [a.to_json() for a in bundle.dense_a],
+        "c_coeffs": [c.to_json() for c in bundle.dense_c],
         "degrees": bundle.degree_report(),
     }

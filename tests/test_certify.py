@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from chamberlab import resultant
-from chamberlab.cases import registry_case
+from chamberlab.cases import CaseSpec, registry_case
 from chamberlab.certify import (
     ResultantReport,
     _chamber_roots,
@@ -22,8 +22,8 @@ from chamberlab.certify import (
 )
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar
-from chamberlab.poly import SpatialPoly, X, Y
-from chamberlab.reduction import build_bundle
+from chamberlab.poly import DensePoly, SpatialPoly, X
+from chamberlab.reduction import build_bundle, wall_products
 from golden import PARAMETRIC_CERTIFICATES, PARAMETRIC_ROWS, stable_certificate_text
 from root_checks import root_problems
 
@@ -100,47 +100,52 @@ def test_planted_common_root_resultant_is_zero(u5):
     report = compute_resultant(bundle)
 
     # both forms share the factor (y*t - x): resultant must vanish
-    zero = SpatialPoly.zero()
-    fake = compute_resultant(_fake_bundle(bundle.case, (-X, Y, zero, zero),
-                                          (-X, Y, zero, zero, zero, zero)))
+    fake = compute_resultant(_fake_bundle(bundle.case, (-_X, _Y, _ZERO, _ZERO),
+                                          (-_X, _Y, _ZERO, _ZERO, _ZERO, _ZERO)))
     assert fake.identically_zero
     assert not report.identically_zero
 
 
+# x, y and 0 as lists (coeffs[a] is the coefficient of x^a y^(k - a)).
+_X, _Y, _ZERO = DensePoly([0, 1]), DensePoly([1, 0]), DensePoly([])
+
+
 def _fake_bundle(case, a_coeffs, c_coeffs):
-    return SimpleNamespace(case=case, a_coeffs=a_coeffs, c_coeffs=c_coeffs)
+    return SimpleNamespace(case=case, dense_a=a_coeffs, dense_c=c_coeffs)
 
 
-def test_resultant_rejects_irrational_coefficients(u5):
+def test_resultant_rejects_irrational_coefficients():
+    # A bundle's lists are rational by construction: an irrational
+    # coefficient stops at the one rational boundary, DensePoly.of, which only
+    # wall_products calls, and there it names the case.
     sqrt2 = SpatialPoly.monomial(1, 0, FieldScalar(0, 1))
-    bundle = _fake_bundle(u5, (-X, Y, Y * 2, Y * 3),
-                          (X, Y, sqrt2, Y, SpatialPoly.zero(), X))
-    with pytest.raises(PipelineError, match="not rational"):
-        compute_resultant(bundle)
+    with pytest.raises(ValueError, match="not rational"):
+        DensePoly.of(sqrt2)
+    irrational = CaseSpec(name="T", group="", action="", n=8, d=3, multiplicities=(1, 2, 3))
+    with pytest.raises(PipelineError, match="^T: .* not rational"):
+        wall_products(irrational)
 
 
 def test_resultant_rejects_mixed_degrees(u5):
-    bundle = _fake_bundle(u5, (-X, Y, X * Y, Y),
-                          (X, Y, X, Y, SpatialPoly.zero(), X))
+    bundle = _fake_bundle(u5, (-_X, _Y, _X * _Y, _Y),
+                          (_X, _Y, _X, _Y, _ZERO, _X))
     with pytest.raises(PipelineError, match="one common degree"):
         compute_resultant(bundle)
-    bundle = _fake_bundle(u5, (-X, Y, X, Y),
-                          (X, Y, X + 1, Y, SpatialPoly.zero(), X))
-    with pytest.raises(PipelineError, match="one common degree"):
-        compute_resultant(bundle)
+    # A list holds one degree: a non-homogeneous coefficient stops at the
+    # boundary.
+    with pytest.raises(ValueError, match="homogeneous"):
+        DensePoly.of(X + 1)
 
 
 def test_resultant_rational_boundary_scales_back(u5):
     # Denominators are cleared per list and divided out again: halving every
     # A coefficient and thirding every C coefficient scales the resultant by
     # (1/2)^5 * (1/3)^3 (five rows of A, three of C).
-    a = (-X, Y, X * 2, Y * 3)
-    c = (X, Y * 5, X, -Y, SpatialPoly.zero(), X * 7)
+    a = (-_X, _Y, _X * 2, _Y * 3)
+    c = (_X, _Y * 5, _X, -_Y, _ZERO, _X * 7)
     whole = compute_resultant(_fake_bundle(u5, a, c))
-    half = FieldScalar.rational(1, 2)
-    third = FieldScalar.rational(1, 3)
-    scaled = compute_resultant(_fake_bundle(u5, tuple(p * half for p in a),
-                                            tuple(p * third for p in c)))
+    scaled = compute_resultant(_fake_bundle(u5, tuple(p * Fraction(1, 2) for p in a),
+                                            tuple(p * Fraction(1, 3) for p in c)))
     assert whole.degree == scaled.degree == 3 * 1 + 5 * 1
     assert scaled.poly == whole.poly * FieldScalar.rational(1, 2 ** 5 * 3 ** 3)
 

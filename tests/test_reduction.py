@@ -427,3 +427,120 @@ def test_mixed_d4_multiplicities_derive_and_certify():
         bundle = build_bundle(case)
         assert bundle.volume_sq.homogeneous_degree() == 2 * sum(mults)
         assert certify_case(case)["conclusion"] == "nonexistence-certified", mults
+
+
+# -- dense bundles end to end ------------------------------------------------------
+
+
+def _default_and_parametric_rows():
+    from chamberlab.cases import default_cases
+
+    return list(default_cases()) + [registry_case(n, p) for n, p in PARAMETRIC_ROWS]
+
+
+def _dense_polys(bundle):
+    return [bundle.dense_qd, bundle.dense_volume_sq, *bundle.dense_t, *bundle.r,
+            *bundle.r_dot, *bundle.r_ddot, *bundle.dense_a, *bundle.dense_c]
+
+
+def _bits(terms):
+    return [(a, b, c.hex()) for a, b, c in terms]
+
+
+def test_dense_writers_match_the_spatial_ones():
+    for case in _default_and_parametric_rows():
+        for poly in _dense_polys(build_bundle(case)):
+            spatial = poly.to_spatial()
+            assert poly.to_json() == spatial.to_json(), case.label
+            assert _bits(poly.float_terms()) == _bits(spatial.float_terms()), case.label
+    # Past the double range a coefficient rounds to +-inf, as to_float does.
+    huge = DensePoly([-(10 ** 400), 3, 10 ** 400], 7)
+    assert huge.float_terms() == huge.to_spatial().float_terms() == \
+        [(2, 0, math.inf), (1, 1, 3 / 7), (0, 2, -math.inf)]
+    assert huge.to_json() == huge.to_spatial().to_json()
+
+
+def test_dense_poly_equality_and_repr():
+    assert DensePoly([2, 4], 6) == DensePoly([1, 2], 3)
+    assert hash(DensePoly([2, 4], 6)) == hash(DensePoly([1, 2], 3))
+    assert DensePoly([1, 2], 3) != DensePoly([1, 2])
+    assert DensePoly([0, 0]) == DensePoly([])
+    assert repr(DensePoly([-2, 0, 1], 3)) == "DensePoly([-2, 0, 1], 3)"
+
+
+def _cold_bundle(case):
+    from chamberlab import reduction
+
+    build_bundle.cache_clear()
+    reduction._wall_classes.cache_clear()
+    try:
+        return build_bundle(case)
+    finally:
+        build_bundle.cache_clear()
+
+
+def test_cold_builds_compare_equal():
+    from chamberlab.cases import default_cases
+
+    for case in default_cases():
+        assert _cold_bundle(case) == _cold_bundle(case), case.label
+
+
+def test_views_are_the_lists_as_spatial_polys(u5):
+    bundle = build_bundle(u5)
+    assert bundle.qd == bundle.dense_qd.to_spatial()
+    assert (bundle.t1, bundle.t5) == (bundle.dense_t[0].to_spatial(),
+                                      bundle.dense_t[4].to_spatial())
+    assert bundle.a_coeffs == tuple(p.to_spatial() for p in bundle.dense_a)
+    assert bundle.c_coeffs is bundle.c_coeffs
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("converted between SpatialPoly and DensePoly")
+
+
+def test_derive_and_certify_convert_nothing(monkeypatch):
+    # Past the wall classes (warmed here, before the patch) no polynomial
+    # crosses between the two representations: not when a cold bundle is
+    # built, written, or certified.
+    from chamberlab.cases import default_cases
+    from chamberlab.certify import certify_case
+
+    cases = list(default_cases())
+    for case in cases:
+        build_bundle(case)
+    build_bundle.cache_clear()
+    monkeypatch.setattr(DensePoly, "to_spatial", _raise)
+    monkeypatch.setattr(DensePoly, "of", _raise)
+    try:
+        for name in ("SOn-1", "SOpxSOq", "SU3", "Sp2xSpm", "G2"):
+            assert certify_case(registry_case(name))["conclusion"] == "nonexistence-certified"
+        for case in cases:
+            bundle_to_json(build_bundle(case))
+    finally:
+        build_bundle.cache_clear()
+
+
+def test_wall_classes_are_shared_by_partition():
+    # SO3, SU3, Sp3 and F4 all have d = 3 and three equal multiplicities.
+    from chamberlab import reduction
+
+    build_bundle.cache_clear()
+    reduction._wall_classes.cache_clear()
+    try:
+        for name in ("SO3", "SU3", "Sp3", "F4"):
+            build_bundle(registry_case(name))
+    finally:
+        build_bundle.cache_clear()
+    info = reduction._wall_classes.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+
+
+def test_failing_wall_class_names_each_caller():
+    from chamberlab.cases import CaseSpec
+    from chamberlab.reduction import wall_products
+
+    for name in ("first", "second"):
+        case = CaseSpec(name=name, group="", action="", n=8, d=3, multiplicities=(3, 2, 1))
+        with pytest.raises(PipelineError, match=f"^{name}: .* not rational"):
+            wall_products(case)

@@ -32,8 +32,8 @@ from .errors import PipelineError
 from .field import FieldScalar, format_rational
 from .poly import DensePoly, SpatialPoly
 from .reduction import ReductionBundle, build_bundle
-from .resultant import derivative, divide_exact, gcd, homogeneous, positive_roots, \
-    primitive, quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
+from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
+    quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
 
 # Bits of every float in a certificate (IEEE doubles); no decision uses one.
 DEFAULT_PRECISION_BITS = 53
@@ -218,7 +218,7 @@ def _minimal_form(bundle: ReductionBundle) -> tuple[list[int], list[int]]:
     scale = math.lcm(neg_t2.den, t1.den)
     m = primitive(subtract([c * (scale // t1.den) for c in t1.coeffs],
                            [0] + [-c * (scale // neg_t2.den) for c in neg_t2.coeffs]))
-    return m, divide_exact(m, gcd(m, derivative(m))) if len(m) > 1 else m
+    return m, gcd_cofactors(m, derivative(m))[1] if len(m) > 1 else m
 
 
 def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootScan:
@@ -249,10 +249,10 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
         raise PipelineError(f"{label}: M has {len(m_roots)} chamber roots, not one")
     roots, m_mult = [], exponents["M"]
     for k, f in factors:
-        shared = gcd(f, m)
+        shared, f, _ = gcd_cofactors(f, m)
         if len(shared) > 1:
             on_m, n = _chamber_roots(shared, d)
-            m_mult, tests, f = m_mult + k * len(on_m), tests + n, divide_exact(f, shared)
+            m_mult, tests = m_mult + k * len(on_m), tests + n
         found, n = _chamber_roots(f, d)
         roots, tests = roots + [ChamberRoot(lo, hi, "Q", k) for lo, hi in found], tests + n
     roots += [ChamberRoot(lo, hi, "M", m_mult) for lo, hi in m_roots]
@@ -294,14 +294,15 @@ def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | N
     exact_samples = []
     if not report.identically_zero:
         # The resultant over its largest coefficient at (cos s, sin s), exact
-        # at the doubles' values, then rounded once.
+        # at the doubles' values, then rounded once: int true division rounds
+        # correctly.
         for frac in (0.3, 0.5, 0.7):
             sigma = frac * math.pi / case.d
             x, y = Fraction(math.cos(sigma)), Fraction(math.sin(sigma))
             den = max(x.denominator, y.denominator)
-            value = Fraction(homogeneous(report.coeffs, int(x * den), int(y * den)),
-                             max(map(abs, report.coeffs)) * den ** report.degree)
-            samples.append({"sigma": sigma, "z": math.tan(sigma), "value": float(value)})
+            value = homogeneous(report.coeffs, int(x * den), int(y * den)) / (
+                max(map(abs, report.coeffs)) * den ** report.degree)
+            samples.append({"sigma": sigma, "z": math.tan(sigma), "value": value})
         # Exact nonvanishing witnesses, machine checkable with no rounding.
         for px, py in ((2, 1), (3, 2)):
             value = report.exact_value(px, py)

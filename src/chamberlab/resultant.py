@@ -31,16 +31,20 @@ without content removal) finishes over Z, and every division it makes is
 checked to be exact.
 
 For real roots: the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
-Comput. 7, 1989), checked by exact division, else the primitive remainder
-sequence; Yun's square-free decomposition; Descartes' rule with
-Vincent-Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976), each
-test an early-terminated partial Taylor shift (Rouillier & Zimmermann,
-J. Comput. Appl. Math. 162, 2004) that walks the same tree.  An isolating
-interval is refined by quadratic interval refinement (Abbott, "Quadratic
-interval refinement for real roots", 2006) on integer cells, and the
-result is exactly the interval that plain bisection returns for the same
-monotone stop rule: the first cell on the root's chain where the rule
-holds, or the root where bisection meets it first.
+Comput. 7, 1989) at xi = 2**s, packed and read back as above and checked by
+exact division, else the primitive remainder sequence; the check's
+quotients are the cofactors, which Yun's square-free decomposition takes as
+its quotients.  Descartes' rule with Vincent-Collins-Akritas bisection
+(Collins & Akritas, SYMSAC 1976) starts from (0, 2**k), k the smaller of
+Fujiwara's bound and the local-max quadratic positive-root bound (Akritas,
+Strzebonski & Vigklas, 2008); each test is an early-terminated partial
+Taylor shift (Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004)
+that walks the same tree.  An isolating interval is refined by quadratic
+interval refinement (Abbott, "Quadratic interval refinement for real
+roots", 2006) on integer cells, and the result is exactly the interval that
+plain bisection returns for the same monotone stop rule: the first cell on
+the root's chain where the rule holds, or the root where bisection meets it
+first.
 """
 
 from __future__ import annotations
@@ -138,12 +142,24 @@ def sylvester_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
         raise ValueError("formal degrees must be at least 0 and not both 0")
     bound = sum(map(abs, chain(*pc))) ** m * sum(map(abs, chain(*pa))) ** n
     k = bound.bit_length() + 2
-    f, g = ([sum(c << k * i for i, c in enumerate(p)) for p in q] for q in (pc, pa))
-    value = _resultant(f, g)
-    out, half = [], 1 << k - 1
-    while value:  # signed base-2**k digits
-        out.append(((value + half) & (2 * half - 1)) - half)
-        value = (value - out[-1]) >> k
+    f, g = ([_pack(p, k) for p in q] for q in (pc, pa))
+    return _unpack(_resultant(f, g), k)
+
+
+def _pack(p: IntPoly, s: int) -> int:
+    """p(2**s)."""
+    return sum(c << s * i for i, c in enumerate(p))
+
+
+def _unpack(value: int, s: int) -> IntPoly:
+    """The p with _pack(p, s) == value and coefficients in [-2**(s-1), 2**(s-1)):
+    digit i is the two's complement bits s*i on, plus the carry from below."""
+    half, mask, out, carry, shift = 1 << s - 1, (1 << s) - 1, [], 0, 0
+    while (rest := value >> shift) != -carry:
+        digit = (rest & mask) + carry
+        carry = digit >= half
+        out.append(digit - (carry << s))
+        shift += s
     return out
 
 
@@ -186,22 +202,23 @@ def quotient(p: IntPoly, d: IntPoly) -> IntPoly | None:
 
 def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd of two nonzero polynomials."""
-    a, b = primitive(a), primitive(b)
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    # From 2 * min(|a|, |b|) + 2 on, a candidate dividing both is the gcd.
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    return gcd_cofactors(a, b)[0]
+
+
+def gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """(g, a / g, b / g) for g the primitive gcd of two nonzero polynomials."""
+    pa, pb = primitive(a), primitive(b)
+    if len(pa) == 1 or len(pb) == 1:
+        return [1], a, b
+    # From xi = 2**s >= 2 * min(|a|, |b|) + 2 on, a candidate dividing both is the gcd.
+    s = (2 * min(max(map(abs, pa)), max(map(abs, pb))) + 1).bit_length()
     for _ in range(6):
-        h, digits = math.gcd(homogeneous(a, xi, 1), homogeneous(b, xi, 1)), []
-        while h:  # symmetric base-xi digits
-            r = h % xi
-            digits.append(r - xi if 2 * r > xi else r)
-            h = (h - digits[-1]) // xi
-        g = primitive(digits)
-        if quotient(a, g) is not None and quotient(b, g) is not None:
-            return g
-        xi = xi * 73794 // 27011
-    return prs_gcd(a, b)
+        g = primitive(_unpack(math.gcd(_pack(pa, s), _pack(pb, s)), s))
+        if (qa := quotient(a, g)) is not None and (qb := quotient(b, g)) is not None:
+            return g, qa, qb
+        s += s // 4 + 2
+    g = prs_gcd(pa, pb)
+    return g, divide_exact(a, g), divide_exact(b, g)
 
 
 def prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -218,16 +235,15 @@ def squarefree(f: IntPoly) -> list[tuple[int, IntPoly]]:
     """Yun's decomposition of f, degree >= 1: [(k, f_k)] with f = c * prod(f_k**k),
     each f_k primitive, square-free and of degree >= 1, pairwise coprime.
 
-    Every divisor is a primitive gcd, so each division is exact in Z[u].
+    Every divisor is a primitive gcd, so each division is exact in Z[u]; the
+    quotients are the cofactors that the gcd's own check computed.
     """
     f = primitive(f)
-    g = gcd(f, derivative(f))
-    b, c = divide_exact(f, g), divide_exact(derivative(f), g)
+    _, b, c = gcd_cofactors(f, derivative(f))
     out, k = [], 1
     while len(b) > 1:
         d = subtract(c, derivative(b))
-        a = gcd(b, d) if d else primitive(b)
-        b, c = divide_exact(b, a), divide_exact(d, a) if d else []
+        a, b, c = gcd_cofactors(b, d) if d else (primitive(b), [1], [])
         if len(a) > 1:
             out.append((k, a))
         k += 1
@@ -272,18 +288,42 @@ def descartes_test(p: IntPoly) -> int:
     return sign_variations(a)
 
 
+def root_bound(p: IntPoly) -> int:
+    """A k >= 0 with every positive root of p, of degree >= 1, below 2**k.
+
+    The smaller of Fujiwara's bound on all roots, 2 * max |p_i / p_n|**(1 /
+    (n - i)), and the local-max quadratic one, each rounded up on bit lengths
+    (log2 |c| < bits(c) <= log2 |c| + 1).  The latter pairs each p_i of sign
+    opposite to p_n, low to high, with the p_j, j > i, of p_n's sign that
+    minimizes b_i = (2**t_j * |p_i / p_j|)**(1 / (j - i)), t_j = 1, 2, ...
+    counting p_j's uses.  For u >= max b_i each share 2**-t_j of p_j * u**j
+    outweighs its p_i * u**i, and the shares sum below 1: p(u) != 0.
+    """
+    n, bits = len(p) - 1, [abs(c).bit_length() for c in p]
+    fujiwara = 1 + max([0] + [-((bits[-1] - b - 1) // (n - i))
+                              for i, b in enumerate(bits[:-1]) if b])
+    lead = p[-1] > 0
+    used = {j: 1 for j, c in enumerate(p) if c and (c > 0) == lead}
+    lmq = 0
+    for i, c in enumerate(p):
+        if c and (c > 0) != lead:  # log2 b_i < (t_j + bits_i + 1 - bits_j) / (j - i)
+            _, j = min(((t + bits[i] + 1 - bits[j]) / (j - i), j)
+                       for j, t in used.items() if j > i)
+            lmq = max(lmq, -((bits[j] - bits[i] - 1 - used[j]) // (j - i)))
+            used[j] += 1
+    return min(fujiwara, lmq)
+
+
 def positive_roots(p: IntPoly) -> tuple[list[tuple[Fraction, Fraction]], int]:
     """Isolating intervals of the positive roots of a square-free p, p(0) != 0.
 
     Returns ``(intervals, tests)``: each (lo, hi) holds one root strictly
     inside, or lo == hi is a root; ``tests`` counts the Descartes tests.  All
-    roots lie below 2**k (Fujiwara).  A node (q, c, h) holds a positive
-    multiple of p(2**k * (c + x) / 2**h) for x in (0, 1), where the sign
-    variations of (x + 1)**n * q(1 / (x + 1)) bound the root count.
+    roots lie below 2**k, k = root_bound(p).  A node (q, c, h) holds a
+    positive multiple of p(2**k * (c + x) / 2**h) for x in (0, 1), where the
+    sign variations of (x + 1)**n * q(1 / (x + 1)) bound the root count.
     """
-    n, top = len(p) - 1, abs(p[-1]).bit_length()
-    k = 1 + max([0] + [-((top - abs(c).bit_length() - 1) // (n - i))
-                       for i, c in enumerate(p[:-1]) if c])
+    n, k = len(p) - 1, root_bound(p)
     stack, out, tests = [([c << k * i for i, c in enumerate(p)], 0, 0)], [], 0
     while stack:
         q, c, h = stack.pop()

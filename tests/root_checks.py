@@ -40,6 +40,39 @@ def value(p, u) -> Fraction:
     return acc
 
 
+def fujiwara_exponent(p: list[int]) -> int:
+    """k >= 1 with 2**k >= 2 * max |p_i / p_n|**(1 / (n - i)), Fujiwara's bound
+    on every complex root of p, rounded up on bit lengths: the start exponent
+    of the root search without the local-max quadratic bound."""
+    n, top = len(p) - 1, abs(p[-1]).bit_length()
+    return 1 + max([0] + [-((top - abs(c).bit_length() - 1) // (n - i))
+                          for i, c in enumerate(p[:-1]) if c])
+
+
+def roots_above(p: list[int], a: Fraction) -> int:
+    """The distinct real roots in (a, oo) of p, of degree >= 1 with p(a) != 0,
+    by Sturm's theorem in Fraction arithmetic."""
+    assert value(p, a) != 0
+    seq = [[Fraction(c) for c in p], [Fraction(i * c) for i, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        r = list(seq[-2])
+        while len(r) >= len(seq[-1]):  # r = rem(r, seq[-1])
+            q, shift = r[-1] / seq[-1][-1], len(r) - len(seq[-1])
+            for i, c in enumerate(seq[-1]):
+                r[i + shift] -= q * c
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes([value(q, a) for q in seq]) - changes([q[-1] for q in seq])
+
+
 def wall_cot_squared(d: int) -> Fraction:
     s, c = trig_pair(d, 1)
     return (c * c * (s * s).inverse()).a

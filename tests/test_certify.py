@@ -37,11 +37,11 @@ D2_ROOTS = [0.4908826782893113, 0.6358604747819308,
 U5_RES_AT_2_1 = "-18260404613543917212879947116239934916425/725594112"
 
 # Descartes tests that chamber_root_scan spends per default row with d >= 2:
-# the size of the Vincent-Collins-Akritas trees, frozen from the full Taylor
-# shift.  The early-exit test must walk the same trees.
-ROOT_SCAN_TESTS = {"SOpxSOq(p=2,q=2)": 10, "SO3": 9, "SU3": 15, "Sp3": 9, "F4": 3,
-                   "SO5": 18, "SO2xSOm(m=3)": 20, "SU2xUm(m=2)": 2, "Sp2xSpm(m=2)": 3,
-                   "U5": 2, "U1xSpin10": 2, "G2": 17, "SO4": 3}
+# the size of the Vincent-Collins-Akritas trees from root_bound's 2**k, frozen
+# from the full Taylor shift.  The early-exit test must walk the same trees.
+ROOT_SCAN_TESTS = {"SOpxSOq(p=2,q=2)": 10, "SO3": 9, "SU3": 15, "Sp3": 3, "F4": 3,
+                   "SO5": 8, "SO2xSOm(m=3)": 6, "SU2xUm(m=2)": 2, "Sp2xSpm(m=2)": 3,
+                   "U5": 2, "U1xSpin10": 2, "G2": 7, "SO4": 3}
 
 
 def test_single_wall_resultant_constant():
@@ -328,6 +328,23 @@ def test_display_samples_round_exact_values():
     # The G2 sample at pi/12 lies on the minimal line: the resultant is tiny there.
     values = [s["value"] for s in certify_case(registry_case("G2"))["samples"]]
     assert abs(values[1]) < 1e-30 < min(abs(values[0]), abs(values[2]))
+
+
+def test_every_display_sample_is_the_exact_value_rounded_once(all_cases):
+    # Each sample is R(cos s, sin s) / max|coefficient| at the doubles' exact
+    # values, summed here term by term in Fraction arithmetic, then rounded.
+    cases = list(all_cases) + [registry_case(name, params) for name, params in PARAMETRIC_ROWS]
+    checked = 0
+    for case in cases:
+        report = compute_resultant(build_bundle(case))
+        largest = max(map(abs, report.coeffs))
+        for sample in emit_certificate(case, report, None, 0.0)["samples"]:
+            x, y = Fraction(math.cos(sample["sigma"])), Fraction(math.sin(sample["sigma"]))
+            exact = sum(c * x ** a * y ** (report.degree - a)
+                        for a, c in enumerate(report.coeffs) if c) / largest
+            assert sample["value"].hex() == float(exact).hex(), case.label
+            checked += 1
+    assert checked == 3 * len(cases)
 
 
 @pytest.mark.parametrize("name", ["SOn-1", "U5"])

@@ -1,13 +1,26 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from chamberlab import certify
+from chamberlab import certify, resultant
 from chamberlab.cases import default_cases, load_registry, registry_case
 from chamberlab.certify import compute_resultant
 from chamberlab.errors import ExactDivisionError
 from chamberlab.reduction import build_bundle
-from chamberlab.resultant import divide_exact, sylvester_resultant
+from chamberlab.resultant import (
+    _pack,
+    _unpack,
+    divide_exact,
+    gcd,
+    gcd_cofactors,
+    homogeneous,
+    positive_roots,
+    prs_gcd,
+    root_bound,
+    sylvester_resultant,
+)
 from resultant_oracle import (
     determinant_bareiss,
     determinant_cofactor,
@@ -15,6 +28,7 @@ from resultant_oracle import (
     sylvester_matrix,
     t_multiply,
 )
+from root_checks import fujiwara_exponent, roots_above, value
 
 # Dense integer polynomials in u, low to high: U is u, ONE is 1, [] is zero.
 U = [0, 1]
@@ -206,6 +220,130 @@ def test_signed_digits_reach_the_bound():
     # and det [[0, 3u^2], [-3u, 0]] are -+9u^3, and B = 3 * 3 = 9.
     assert sylvester_resultant([[0, 0, 3], []], [[], [0, -3]]) == [0, 0, 0, -9]
     assert sylvester_resultant([[], [0, -3]], [[0, 0, 3], []]) == [0, 0, 0, 9]
+
+
+def test_unpack_inverts_pack_at_the_digit_edges():
+    # Signed base-2**s digits lie in [-2**(s-1), 2**(s-1)): runs of both ends
+    # and of the values next to them, with carries through every position.
+    rng = random.Random(5)
+    for s in (1, 2, 3, 7, 8, 63, 64, 65, 200):
+        half = 1 << s - 1
+        edge = [c for c in (-half, -half + 1, -1, 0, 1, half - 2, half - 1) if -half <= c < half]
+        for _ in range(60):
+            p = _stripped([rng.choice(edge) for _ in range(rng.randint(0, 12))])
+            value = _pack(p, s)
+            assert value == homogeneous(p, 1 << s, 1)
+            assert _unpack(value, s) == p, (s, p)
+
+
+def _from_roots(lead, roots, pairs):
+    """lead * prod(den * u - num) over the rational roots, times
+    u**2 - 2a u + a**2 + b**2 for each complex pair a +- bi."""
+    p = [lead]
+    for r in roots:
+        p = poly_mul(p, [-r.numerator, r.denominator])
+    for a, b in pairs:
+        p = poly_mul(p, [a * a + b * b, -2 * a, 1])
+    return p
+
+
+def _random_root(rng):
+    j = rng.randint(-6, 12)
+    kind = rng.randrange(3)
+    if kind == 0:  # an exact power of two
+        return Fraction(2) ** j
+    if kind == 1:  # just below one: a cluster forms when several are drawn
+        return Fraction(2) ** j * (1 - Fraction(rng.randint(1, 3), 2 ** rng.randint(8, 40)))
+    return Fraction(rng.randint(1, 2 ** 12), 2 ** 12) * Fraction(2) ** j
+
+
+def _check_bound(p, positive):
+    k = root_bound(p)
+    assert 0 <= k <= fujiwara_exponent(p), p
+    assert all(r < 2 ** k for r in positive), (p, k)
+    intervals, tests = positive_roots(p)
+    assert tests >= 1 and len(intervals) == len(positive), p
+    for (lo, hi), r in zip(intervals, sorted(positive)):
+        assert lo == hi == r or lo < r < hi, (p, lo, hi, r)
+    return k
+
+
+def test_root_bound_holds_on_known_roots():
+    rng = random.Random(17)
+    for _ in range(300):
+        positive = {_random_root(rng) for _ in range(rng.randint(0, 5))}
+        negative = {-_random_root(rng) for _ in range(rng.randint(0, 3))}
+        pairs = {(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(rng.randint(0, 3))}
+        if positive or negative or pairs:
+            lead = rng.choice([-1, 1]) * rng.randint(1, 30)
+            _check_bound(_from_roots(lead, positive | negative, pairs), positive)
+
+
+def test_root_bound_holds_at_bit_length_edges():
+    # Coefficients at and just below powers of two, where rounding on bit
+    # lengths is tightest; Sturm's theorem counts the roots above 2**k.
+    # A bound without the rounding's + 1 fails the first two fixed rows, one
+    # that never raises t_j the last two.
+    rng = random.Random(37)
+    fixed = [[-7, -3, 8], [-511, -8, 512, 2], [-7, -6, -6, 16], [-512, -1023, -63, 8]]
+    for p in fixed + [None] * 3000:
+        if p is None and rng.random() < 0.5:
+            p = [rng.choice([-1, -1, 1]) * max(2 ** rng.randint(0, 12) - rng.randint(0, 1), 1)
+                 * rng.randint(0, 1) for _ in range(rng.randint(1, 6))]
+            p.append(rng.choice([-1, 1]) * max(2 ** rng.randint(0, 6) - rng.randint(0, 1), 1))
+        elif p is None:  # many negative coefficients share the one positive
+            p = [-rng.randint(0, 2 ** rng.randint(0, 11)) for _ in range(rng.randint(1, 5))]
+            p.append(2 ** rng.randint(0, 4))
+        k = root_bound(p)
+        assert 0 <= k <= fujiwara_exponent(p)
+        assert value(p, 2 ** k) != 0 and roots_above(p, Fraction(2 ** k)) == 0, (p, k)
+
+
+def test_root_bound_edge_cases():
+    # A root at 2**j needs k > j; a tight cluster just below 2**j stays below.
+    for j in range(8):
+        assert _check_bound([-(2 ** j), 1], [2 ** j]) > j
+        cluster = [2 ** j - Fraction(t, 2 ** 30) for t in (1, 2, 3)]
+        assert _check_bound(_from_roots(-7, cluster, []), cluster) >= j
+    # No sign variation, whatever the leading sign: no positive root, k = 0.
+    for lead in (1, -3):
+        assert _check_bound(_from_roots(lead, [Fraction(-1), Fraction(-5, 2)], [(-3, 4)]), []) == 0
+    # Complex pairs far out bound Fujiwara's search but not the positive roots.
+    p = _from_roots(1, [Fraction(3, 2)], [(-1000, 1), (0, 1000)])
+    assert _check_bound(p, [Fraction(3, 2)]) < fujiwara_exponent(p)
+
+
+def _random_int_poly(rng, degree):
+    return [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-1, 1]) * rng.randint(1, 9)]
+
+
+def test_gcd_cofactors_multiply_back():
+    rng = random.Random(29)
+    for _ in range(200):
+        common = _random_int_poly(rng, rng.randint(0, 4))
+        a, b = (poly_mul(poly_mul(common, _random_int_poly(rng, rng.randint(0, 5))),
+                         [rng.choice([-1, 1]) * rng.randint(1, 12)]) for _ in range(2))
+        g, qa, qb = gcd_cofactors(a, b)
+        assert poly_mul(g, qa) == a and poly_mul(g, qb) == b
+        assert g[-1] > 0 and math.gcd(*g) == 1 and g == gcd(a, b)
+        if len(a) > 1 and len(b) > 1:
+            assert g == prs_gcd(a, b)
+
+
+def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    common = [-2, 0, 7, 3]
+    a, b = poly_mul(common, [5, -1, 0, 2]), poly_mul(common, [-4, 6])
+    want = gcd_cofactors(a, b)
+    assert want == (common, [5, -1, 0, 2], [-4, 6])
+    sizes = []
+
+    def rejected(value, s):  # a candidate of too high a degree to divide either
+        sizes.append(s)
+        return [1] * (len(a) + 1)
+
+    monkeypatch.setattr(resultant, "_unpack", rejected)
+    assert gcd_cofactors(a, b) == want
+    assert len(sizes) == 6 and sizes == sorted(set(sizes))
 
 
 def test_matches_sympy_resultant():

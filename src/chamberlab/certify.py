@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .cases import CaseSpec
 from .errors import PipelineError
-from .field import FieldScalar, format_rational
+from .field import FieldScalar, format_rational, rational_text
 from .poly import DensePoly, SpatialPoly
 from .reduction import ReductionBundle, build_bundle
 from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
@@ -68,9 +68,9 @@ class ResultantReport:
         return SpatialPoly({(a, self.degree - a): FieldScalar.rational(c, self.scale)
                             for a, c in enumerate(self.coeffs) if c})
 
-    def exact_value(self, x: int, y: int) -> FieldScalar:
+    def exact_value(self, x: int, y: int) -> Fraction:
         """The resultant at the integer point (x, y), exactly."""
-        return FieldScalar.rational(homogeneous(self.coeffs, x, y), self.scale)
+        return Fraction(homogeneous(self.coeffs, x, y), self.scale)
 
 
 def _integer_lists(polys: list[DensePoly], label: str,
@@ -305,10 +305,8 @@ def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | N
             samples.append({"sigma": sigma, "z": math.tan(sigma), "value": value})
         # Exact nonvanishing witnesses, machine checkable with no rounding.
         for px, py in ((2, 1), (3, 2)):
-            value = report.exact_value(px, py)
-            exact_samples.append({"x": format_rational(FieldScalar.rational(px).a),
-                                  "y": format_rational(FieldScalar.rational(py).a),
-                                  "value": value.to_text()})
+            exact_samples.append({"x": format_rational(px), "y": format_rational(py),
+                                  "value": rational_text(report.exact_value(px, py))})
 
     return {
         "case": case.name,

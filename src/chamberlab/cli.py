@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 some case not certified (every certificate and the
 table are still written), 2 user error (unknown case, bad parameters, bad or
-non-finite start state, bad integrator setting, --jobs below 1, unwritable
-output path), 3 internal pipeline invariant violation.  All outputs are
-reproducible run to run except timestamp and duration metadata.
+non-finite start state, bad integrator setting, unwritable output path), 3
+internal pipeline invariant violation.  All outputs are reproducible run to
+run except timestamp and duration metadata.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .cases import CaseSpec, default_cases, load_registry, registry_case
@@ -49,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="write per-case resultant certificates")
     _case_args(p_cert)
     p_cert.add_argument("--out", default=None, help="output directory")
-    p_cert.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --case all (at most one per case)")
 
     p_int = sub.add_parser("integrate", help="integrate one profile curve to CSV")
     _case_args(p_int, allow_all=False)
@@ -148,31 +145,19 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _certify_one(payload):
-    case, out_dir = payload
-    certificate = certify_case(case)
-    path = write_certificate(certificate, out_dir)
-    return certificate, str(path)
-
-
 def _cmd_certify(args) -> int:
-    if args.jobs < 1:
-        raise BoundError(f"--jobs must be at least 1, got {args.jobs}")
     cases = _select_cases(args.case, _parse_params(args.param))
     out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [(case, out_dir) for case in cases]
-    # The pool starts all its workers at the first submit: no more than cases.
-    workers = min(args.jobs, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_certify_one, payloads))
-    else:
-        results = [_certify_one(p) for p in payloads]
+    certificates = []
+    for case in cases:
+        certificate = certify_case(case)
+        write_certificate(certificate, out_dir)
+        certificates.append(certificate)
     print(f"{'case':<16} {'d':>2} {'degree':>7} {'expected':>8} "
           f"{'roots':>5} {'minimal':>7}  conclusion")
     failures = 0
-    for certificate, path in results:
+    for certificate in certificates:
         roots = certificate["roots"]
         n_min = sum(1 for r in roots if r["line_is_minimal"])
         degree = certificate["resultant_degree"]

@@ -257,6 +257,15 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# FieldScalar.to_text of a rational scalar is its "p/q" and then this.
+_RATIONAL_TAIL = ZERO.to_text()[len("0/1"):]
+
+
+def rational_text(q) -> str:
+    """``FieldScalar.rational(q).to_text()``, written without building the scalar."""
+    return f"{format_rational(q)}{_RATIONAL_TAIL}"
+
+
 def parse_rational(text: str) -> Rat:
     num, sep, den = text.partition("/")
     if not sep:

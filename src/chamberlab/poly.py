@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ExactDivisionError
-from .field import _R0, FieldScalar, ONE, ZERO, _round, to_float
+from .field import _R0, _RATIONAL_TAIL, FieldScalar, ONE, ZERO, _round, to_float
 
 Monomial = tuple[int, int]
 
@@ -217,12 +217,6 @@ class SpatialPoly:
             raise ValueError(f"unknown variable {var!r}")
         return SpatialPoly(out)
 
-    def swap_variables(self) -> "SpatialPoly":
-        """The polynomial p(y, x)."""
-        p = SpatialPoly.__new__(SpatialPoly)
-        p.terms = {(b, a): c for (a, b), c in self.terms.items()}
-        return p
-
     # -- evaluation ----------------------------------------------------------
 
     def eval_exact(self, px: FieldScalar, py: FieldScalar) -> FieldScalar:
@@ -307,10 +301,6 @@ def _power_cache(base: FieldScalar):
 
 X = SpatialPoly.variable("x")
 Y = SpatialPoly.variable("y")
-
-
-# FieldScalar.to_text of a rational scalar is its "p/q" and then this.
-_RATIONAL_TAIL = ZERO.to_text()[len("0/1"):]
 
 
 class DensePoly:

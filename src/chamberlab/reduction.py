@@ -21,8 +21,9 @@ PipelineError.  qd and these products depend only on d and on which walls
 share a multiplicity, so they are computed once per such class.  The
 orbit volume and the t's are then sums and products of the P_m (see
 build_bundle).  Every derived polynomial stays a list from there through
-bundle_to_json, the resultant and the lab's kernels; the SpatialPoly
-attributes qd .. c_coeffs are views, built on first read.
+bundle_to_json, the resultant, the lab's kernels and the U(5) reference
+check; the SpatialPoly attributes qd .. c_coeffs are views, built on first
+read, and only ``derive --format text`` and perfbench read them.
 
 All arithmetic is exact; every degree claim is asserted and a violation raises
 PipelineError (it would indicate a bug, not bad input).
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
-from .field import FieldScalar, trig_pair
+from .field import rational_text, trig_pair
 from .poly import ZERO_POLY, DenseForm, DensePoly, SpatialPoly, arc_derivative, \
     form_product, form_sum
 
@@ -245,60 +246,46 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
 # Reference check against the published U(5) coefficients.
 # ---------------------------------------------------------------------------
 
-_REFERENCE_A0 = {(9, 0): -275, (7, 2): 775, (5, 4): -363, (3, 6): 1237, (1, 8): 130}
-_REFERENCE_A1 = {(2, 7): -200, (4, 5): 4320, (6, 3): -944, (8, 1): 520, (0, 9): -80}
-
-
-def reference_example_polys() -> tuple[SpatialPoly, SpatialPoly, SpatialPoly, SpatialPoly]:
-    """Published U(5) coefficients (A2, A3 are the mirror images of A1, A0)."""
-    a0 = SpatialPoly({m: FieldScalar.rational(v) for m, v in _REFERENCE_A0.items()})
-    a1 = SpatialPoly({m: FieldScalar.rational(v) for m, v in _REFERENCE_A1.items()})
-    return a0, a1, a1.swap_variables(), a0.swap_variables()
+# The published A0 and A1, the coefficient of x^a * y^(9 - a) at index a; A2
+# and A3 are their mirror images, the reversed lists.
+_REFERENCE_A0 = [0, 130, 0, 1237, 0, -363, 0, 775, 0, -275]
+_REFERENCE_A1 = [-80, 0, -200, 0, 4320, 0, -944, 0, 520, 0]
+_REFERENCE = (_REFERENCE_A0, _REFERENCE_A1, _REFERENCE_A1[::-1], _REFERENCE_A0[::-1])
 
 
 def verify_reference_example() -> dict:
     """Derive the U(5) cubic coefficients and compare with the published ones.
 
-    Fits the single admissible scale from one nonzero monomial, then requires
-    exact monomial-by-monomial agreement of all four coefficients and the two
-    mirror identities.  Returns a report dict; mismatches are listed, not
-    raised.
+    Fits the single admissible scale from the x^9 coefficient of A0, then
+    requires exact coefficient-by-coefficient agreement of all four lists and
+    the two mirror identities.  Returns a report dict; mismatches are listed,
+    not raised.
     """
     from .cases import registry_case
 
     case = registry_case("U5")
-    a = build_bundle(case).a_coeffs
-    ref = reference_example_polys()
-
-    anchor = (9, 0)
-    ours_anchor = a[0].terms.get(anchor)
-    ref_anchor = ref[0].terms.get(anchor)
+    # build_bundle checks that the nonzero A_j share one degree; a zero one
+    # becomes a list of zeros.
+    a = [[Fraction(c, p.den) for c in p.coeffs] or [0] * 10
+         for p in build_bundle(case).dense_a]
     report = {"case": case.label, "passed": False, "scale": None, "diffs": []}
-    if ours_anchor is None or ref_anchor is None:
+    if len(a[0]) != 10 or not a[0][9]:
         report["diffs"].append("anchor monomial x^9 missing from A0")
         return report
-    lam = ours_anchor * ref_anchor.inverse()
-    if not lam.is_rational:
-        report["diffs"].append(f"scale is irrational: {lam.to_text()}")
-        return report
-    report["scale"] = lam.to_text()
+    scale = a[0][9] / _REFERENCE[0][9]
+    report["scale"] = rational_text(scale)
 
-    for j, (ours, expected) in enumerate(zip(a, ref)):
-        scaled = expected * lam
-        if ours == scaled:
-            continue
-        monos = set(ours.terms) | set(scaled.terms)
-        for mono in sorted(monos):
-            lhs = ours.terms.get(mono)
-            rhs = scaled.terms.get(mono)
+    for j, (ours, expected) in enumerate(zip(a, _REFERENCE)):
+        for i, (lhs, rhs) in enumerate(zip(ours, expected)):
+            rhs *= scale
             if lhs != rhs:
                 report["diffs"].append(
-                    f"A{j} x^{mono[0]} y^{mono[1]}: derived "
-                    f"{lhs.to_text() if lhs else '0'} vs reference*scale "
-                    f"{rhs.to_text() if rhs else '0'}")
-    if a[0] != a[3].swap_variables():
+                    f"A{j} x^{i} y^{9 - i}: derived "
+                    f"{rational_text(lhs) if lhs else '0'} vs reference*scale "
+                    f"{rational_text(rhs) if rhs else '0'}")
+    if a[0] != a[3][::-1]:
         report["diffs"].append("mirror identity A0(x,y) == A3(y,x) fails")
-    if a[1] != a[2].swap_variables():
+    if a[1] != a[2][::-1]:
         report["diffs"].append("mirror identity A1(x,y) == A2(y,x) fails")
     report["passed"] = not report["diffs"]
     return report

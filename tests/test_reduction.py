@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -5,17 +6,13 @@ import random
 
 import pytest
 
+from chamberlab import reduction
 from chamberlab.cases import registry_case
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar, HALF, ONE, SQRT2, ZERO
 from chamberlab.poly import DensePoly, SpatialPoly, X, Y, arc_derivative
-from chamberlab.reduction import (
-    build_bundle,
-    build_walls,
-    bundle_to_json,
-    reference_example_polys,
-    verify_reference_example,
-)
+from chamberlab.reduction import build_bundle, build_walls, bundle_to_json, \
+    verify_reference_example
 from bundle_oracle import curvature_expr_pair, dense_form_value, oracle_bundle
 from float_poly_oracle import float_poly_value
 from golden import BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256
@@ -23,6 +20,11 @@ from golden import BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bun
 
 def _rat(p, q=1):
     return FieldScalar.rational(p, q)
+
+
+def _mirror(p):
+    """The polynomial p(y, x)."""
+    return DensePoly(p.coeffs[::-1], p.den)
 
 
 def _poly(mapping):
@@ -128,10 +130,9 @@ def test_t345_d2():
 def test_t345_mirror_symmetry_u5(u5):
     # Empirical check for the mirror-symmetric multiplicity pattern; nothing
     # in the pipeline assumes it.
-    b = build_bundle(u5)
-    t3, t4, t5 = b.t3, b.t4, b.t5
-    assert t3.swap_variables() == t5
-    assert t4.swap_variables() == t4
+    t3, t4, t5 = build_bundle(u5).dense_t[2:]
+    assert _mirror(t3) == t5
+    assert _mirror(t4) == t4
 
 
 def test_t345_degrees(all_cases):
@@ -322,10 +323,30 @@ def test_pipeline_error_on_invalid_case():
 # -- the published reference example -------------------------------------------
 
 
-def test_reference_polys_are_mirror_symmetric():
-    a0, a1, a2, a3 = reference_example_polys()
-    assert a0.swap_variables() == a3
-    assert a1.swap_variables() == a2
+def test_reference_example_names_one_changed_coefficient(monkeypatch):
+    ref = list(reduction._REFERENCE)
+    ref[1] = ref[1].copy()
+    ref[1][4] += 1  # the published x^4 y^5 coefficient of A1 is 4320
+    monkeypatch.setattr(reduction, "_REFERENCE", tuple(ref))
+    report = verify_reference_example()
+    assert not report["passed"]
+    assert report["diffs"] == [
+        f"A1 x^4 y^5: derived {_rat(4320, 36).to_text()} vs reference*scale "
+        f"{_rat(4321, 36).to_text()}"]
+
+
+def test_reference_example_reports_a_broken_mirror(monkeypatch, u5):
+    bundle = build_bundle(u5)
+    a3 = bundle.dense_a[3]
+    coeffs = a3.coeffs.copy()
+    coeffs[0] += a3.den  # A3's y^9 coefficient, the mirror of A0's x^9
+    broken = dataclasses.replace(bundle, dense_a=(*bundle.dense_a[:3],
+                                                  DensePoly(coeffs, a3.den)))
+    monkeypatch.setattr(reduction, "build_bundle", lambda case: broken)
+    report = verify_reference_example()
+    assert not report["passed"]
+    assert report["diffs"][1:] == ["mirror identity A0(x,y) == A3(y,x) fails"]
+    assert report["diffs"][0].startswith("A3 x^0 y^9: derived ")
 
 
 def test_reference_example_passes():
@@ -363,17 +384,17 @@ def test_reference_example_rejects_inconsistent_case(monkeypatch, u5):
 
 
 def test_u5_mirror_symmetry_of_derived_coefficients(u5):
-    a = build_bundle(u5).a_coeffs
-    assert a[0].swap_variables() == a[3]
-    assert a[1].swap_variables() == a[2]
+    a = build_bundle(u5).dense_a
+    assert _mirror(a[0]) == a[3]
+    assert _mirror(a[1]) == a[2]
 
 
 def test_mirror_symmetry_only_for_symmetric_multiplicities():
     # Not assumed by the pipeline; checked empirically where multiplicities
     # are mirror symmetric (m_i == m_{d-1-i} fails for SOpxSOq p != q).
     asym = registry_case("SOpxSOq", {"p": 2, "q": 4})
-    a = build_bundle(asym).a_coeffs
-    assert a[0].swap_variables() != a[3]
+    a = build_bundle(asym).dense_a
+    assert _mirror(a[0]) != a[3]
 
 
 # -- the dense derivation against the sparse oracle -------------------------------

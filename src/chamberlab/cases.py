@@ -17,7 +17,9 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BoundError, RegistryError
-from .field import ADMISSIBLE_D
+
+# The chamber types d: the orbit space is a chamber with d walls at angles pi/d.
+ADMISSIBLE_D = (1, 2, 3, 4, 6)
 
 
 @dataclass(frozen=True)

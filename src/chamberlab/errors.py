@@ -5,10 +5,6 @@ class ChamberlabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnsupportedCaseError(ChamberlabError, ValueError):
-    """A chamber type d outside {1, 2, 3, 4, 6} was requested."""
-
-
 class ExactDivisionError(ChamberlabError, ArithmeticError):
     """A polynomial division that must be remainder-free left a remainder."""
 

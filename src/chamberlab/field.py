@@ -1,33 +1,26 @@
 """Exact scalar arithmetic in Q and in the real field Q(sqrt2, sqrt3).
 
-Every trigonometric constant sin(i*pi/d), cos(i*pi/d) with d in {1, 2, 3, 4, 6}
-lies in Q(sqrt2, sqrt3), so all chamber data downstream can be represented
-without rounding.  A :class:`FieldScalar` stores the four rational coordinates
-of an element with respect to the basis (1, sqrt2, sqrt3, sqrt6).
+A :class:`FieldScalar` stores the four rational coordinates of an element
+with respect to the basis (1, sqrt2, sqrt3, sqrt6).  It is the coefficient
+type of :class:`~chamberlab.poly.SpatialPoly`, of the walls (+-sqrt(k)/2)
+and the bundle's views; the derivation itself runs in Q.
 
 Arithmetic costs what the nonzero coordinates cost: numbering the basis
 1, sqrt2, sqrt3, sqrt6 as 0..3, basis i times basis j is basis ``i ^ j`` times
 ``(1, 2, 3, 6)[i & j]``, so a product multiplies only pairs of nonzero
 coordinates (one rational multiply for rational times rational, sixteen for
 two dense elements), and sums, differences and negations do no rational work
-on coordinates that are zero on both sides.  Every polynomial from the
-quotient qd onward is rational, so this is the common case.
+on coordinates that are zero on both sides.
 
 Rationals are ``fractions.Fraction`` (``Rat``), reduced with a positive
-denominator.  :func:`to_float` rounds an element's real value to the nearest
-double, ties to even, and to +-inf beyond the double range.
+denominator.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .errors import UnsupportedCaseError
-
 Rat = Fraction
-
-ADMISSIBLE_D = (1, 2, 3, 4, 6)
 
 _R0 = Rat(0)
 _R1 = Rat(1)
@@ -246,10 +239,6 @@ class FieldScalar:
 
 ZERO = FieldScalar.rational(0)
 ONE = FieldScalar.rational(1)
-HALF = FieldScalar.rational(1, 2)
-SQRT2 = FieldScalar._raw(_R0, _R1, _R0, _R0)
-SQRT3 = FieldScalar._raw(_R0, _R0, _R1, _R0)
-SQRT6 = FieldScalar._raw(_R0, _R0, _R0, _R1)
 
 
 def format_rational(q) -> str:
@@ -274,64 +263,3 @@ def parse_rational(text: str) -> Rat:
     if denominator == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Rat(int(num), denominator)
-
-
-# Exact (sin, cos) pairs keyed by the reduced fraction i/d of the angle i*pi/d.
-_HALF_R = Rat(1, 2)
-_TRIG_TABLE = {
-    (0, 1): (ZERO, ONE),
-    (1, 6): (HALF, FieldScalar._raw(_R0, _R0, _HALF_R, _R0)),
-    (1, 4): (FieldScalar._raw(_R0, _HALF_R, _R0, _R0), FieldScalar._raw(_R0, _HALF_R, _R0, _R0)),
-    (1, 3): (FieldScalar._raw(_R0, _R0, _HALF_R, _R0), HALF),
-    (1, 2): (ONE, ZERO),
-    (2, 3): (FieldScalar._raw(_R0, _R0, _HALF_R, _R0), -HALF),
-    (3, 4): (FieldScalar._raw(_R0, _HALF_R, _R0, _R0), FieldScalar._raw(_R0, -_HALF_R, _R0, _R0)),
-    (5, 6): (HALF, FieldScalar._raw(_R0, _R0, -_HALF_R, _R0)),
-}
-
-
-def trig_pair(d: int, i: int) -> tuple[FieldScalar, FieldScalar]:
-    """Exact (sin(i*pi/d), cos(i*pi/d)) for an admissible chamber type d."""
-    if d not in ADMISSIBLE_D:
-        raise UnsupportedCaseError(f"chamber type d={d} not in {ADMISSIBLE_D}")
-    if not 0 <= i <= d - 1:
-        raise ValueError(f"wall index i={i} outside 0..{d - 1}")
-    frac = Fraction(i, d)
-    return _TRIG_TABLE[(frac.numerator, frac.denominator)]
-
-
-def _round(num: int, den: int) -> float:
-    """num/den (den > 0) correctly rounded to a double, +-inf beyond the range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def to_float(u: FieldScalar) -> float:
-    """The double nearest the real value of u (ties to even), +-inf beyond range.
-
-    A rational u is ``float(Fraction)``.  Otherwise u is irrational, since
-    (1, sqrt2, sqrt3, sqrt6) is a Q-basis, and the isqrt floors of
-    |q| * sqrt(k) * 2**p over its m nonzero coordinates q (on sqrt(k)) put
-    u * 2**p strictly between the integers lo and lo + m.  Rounding is
-    monotone, so once both ends round to one double, with no zero between
-    them, u rounds to it too.  p doubles until then, which comes: an
-    irrational u is no double and no midpoint between two doubles, so an open
-    interval around it rounds to one value, and the bracket, m / 2**p wide,
-    shrinks into it.
-    """
-    if u.is_rational:
-        return _round(u.a.numerator, u.a.denominator)
-    p = 64
-    while True:
-        lo = m = 0
-        for k, q in zip(_BASIS_SQUARES, (u.a, u.b, u.c, u.e)):
-            if q:
-                s = math.isqrt(k * q.numerator ** 2 << 2 * p) // q.denominator
-                lo += s if q > 0 else -s - 1
-                m += 1
-        low, high = _round(lo, 1 << p), _round(lo + m, 1 << p)
-        if low == high and (lo >= 0) == (lo + m > 0):
-            return low
-        p *= 2

@@ -18,12 +18,14 @@ test, its R and its row, which is emitted one step behind the integration.
 
 Evaluation order is part of the output.  Kernel contract (see
 :func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
-...`` over its ``float_terms()`` in order, each product and each sum left to
-right; each power ``x**a``, ``y**b`` is computed once per call and shared, and
-a factor of exactly 1 (``x**0``) is left out, which changes no bit.  Every
-other float sum here is an explicit left-to-right expression or loop rather
-than builtin ``sum``, which compensates on Python 3.12+.  So a trajectory's
-CSV bytes depend only on the float coefficients, not on the Python version.
+...`` over its terms in order (``DensePoly.float_terms()``, and for the walls
+the nearest doubles to sqrt(k)/2, see :class:`CaseLab`), each product and
+each sum left to right; each power ``x**a``, ``y**b`` is computed once per
+call and shared, and a factor of exactly 1 (``x**0``) is left out, which
+changes no bit.  Every other float sum here is an explicit left-to-right
+expression or loop rather than builtin ``sum``, which compensates on Python
+3.12+.  So a trajectory's CSV bytes depend only on the float coefficients,
+not on the Python version.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import lru_cache
 
 from .cases import CaseSpec
 from .errors import BoundaryError
-from .reduction import build_bundle
+from .reduction import build_bundle, wall_trig
 
 MODE_MINIMAL = "minimal"
 MODE_CANDIDATE = "biharmonic-candidate"
@@ -91,10 +93,10 @@ _AT = {"lineno": 1, "col_offset": 0}
 def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: str) -> Callable:
     """Compile polynomials in (x, y) into one straight-line function of one point.
 
-    ``polys`` maps a local name to the ``float_terms()`` of a polynomial in
-    the first two of ``args``.  The function binds each polynomial's value to
-    its name and returns ``result``, an expression over those names and
-    ``args``.  Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms
+    ``polys`` maps a local name to the terms ``(a, b, c)``, c a float, of a
+    polynomial in the first two of ``args``.  The function binds each
+    polynomial's value to its name and returns ``result``, an expression over
+    those names and ``args``.  Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms
     in order, a polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 + ...``,
     each product and each sum left to right, so it rounds exactly as the
     plain left-to-right loop does, on any Python version (builtin ``sum`` of
@@ -176,7 +178,11 @@ class CaseLab:
         d = case.d
         self.trig = tuple((math.sin(i * math.pi / d), math.cos(i * math.pi / d))
                           for i in range(d))
-        walls = {f"w{i}": w.float_terms() for i, w in enumerate(bundle.walls)}
+        # Wall i is x*sqrt(k)/2 - y*sign*sqrt(4 - k)/2: math.sqrt rounds
+        # correctly and halving is exact, so each is the nearest double.
+        walls = {f"w{i}": [(a, b, c) for a, b, c in ((1, 0, math.sqrt(k) / 2),
+                                                     (0, 1, -sign * math.sqrt(4 - k) / 2)) if c]
+                 for i, (k, sign) in enumerate(wall_trig(d))}
         t = {name: poly.float_terms() for name, poly in
              zip(("qd", "t1", "t2", "t3", "t4", "t5"), (bundle.dense_qd, *bundle.dense_t))}
         a = {f"a{j}": poly.float_terms() for j, poly in enumerate(bundle.dense_a)}

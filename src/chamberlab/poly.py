@@ -12,15 +12,13 @@ Two representations:
   power of the chamber product polynomial along arclength.
 
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
-is rational and homogeneous.  So the derivation runs on DensePolys, and
-SpatialPolys are its inputs (the walls and their products).
-:meth:`DensePoly.of` is the one boundary between the two, called only by
-:func:`chamberlab.reduction.wall_products`: it turns a SpatialPoly into a
-list and raises ValueError if a coefficient is irrational or the terms
-differ in degree.  From there the lists go on to the serialized bundle
-(:meth:`DensePoly.to_json`), the resultant and the lab's float kernels
-(:meth:`DensePoly.float_terms`), each the same as going through
-:meth:`DensePoly.to_spatial`, which only the bundle's SpatialPoly views call.
+is rational and homogeneous.  So the derivation runs on DensePolys alone,
+from qd and the wall products on (see :mod:`chamberlab.reduction`), and the
+walls are the one SpatialPoly it builds.  The lists go on to the serialized
+bundle (:meth:`DensePoly.to_json`, the same text as going through
+:meth:`DensePoly.to_spatial`), the resultant and the lab's float kernels
+(:meth:`DensePoly.float_terms`).  Only the bundle's SpatialPoly views call
+``to_spatial``.
 """
 
 from __future__ import annotations
@@ -30,13 +28,21 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ExactDivisionError
-from .field import _R0, _RATIONAL_TAIL, FieldScalar, ONE, ZERO, _round, to_float
+from .field import _R0, _RATIONAL_TAIL, FieldScalar, ONE, ZERO
 
 Monomial = tuple[int, int]
 
 # Sentinels returned by homogeneous_degree (non-homogeneity is data, not error).
 ZERO_POLY = "zero"
 NOT_HOMOGENEOUS = "not homogeneous"
+
+
+def _round(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded to a double, +-inf beyond the range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _grlex(mono: Monomial) -> tuple[int, int]:
@@ -227,10 +233,6 @@ class SpatialPoly:
             total = total + c * powers_x(a) * powers_y(b)
         return total
 
-    def float_terms(self) -> list[tuple[int, int, float]]:
-        """Terms with double-precision coefficients, in canonical order."""
-        return [(a, b, to_float(c)) for (a, b), c in self.sorted_terms()]
-
     def divide_exact(self, divisor: "SpatialPoly") -> "SpatialPoly":
         """Exact quotient self / divisor; raises ExactDivisionError otherwise.
 
@@ -339,24 +341,6 @@ class DensePoly:
     def homogeneous_degree(self) -> int | str:
         return len(self.coeffs) - 1 if self.coeffs else ZERO_POLY
 
-    @classmethod
-    def of(cls, poly: SpatialPoly) -> "DensePoly":
-        """The list of a rational homogeneous SpatialPoly; ValueError otherwise."""
-        degree = poly.homogeneous_degree()
-        if degree == ZERO_POLY:
-            return cls([])
-        if degree == NOT_HOMOGENEOUS:
-            raise ValueError("coefficients are not homogeneous of one common degree")
-        den = 1
-        for coeff in poly.terms.values():
-            if not coeff.is_rational:
-                raise ValueError(f"coefficient {coeff.to_text()} is not rational")
-            den = math.lcm(den, coeff.a.denominator)
-        coeffs = [0] * (degree + 1)
-        for (a, _), coeff in poly.terms.items():
-            coeffs[a] = coeff.a.numerator * (den // coeff.a.denominator)
-        return cls(coeffs, den)
-
     def to_spatial(self) -> SpatialPoly:
         """The same polynomial with FieldScalar coefficients."""
         k = len(self.coeffs) - 1
@@ -377,7 +361,8 @@ class DensePoly:
                 for a, b, c in self._terms()]
 
     def float_terms(self) -> list[tuple[int, int, float]]:
-        """``to_spatial().float_terms()`` bit for bit: int division rounds correctly."""
+        """(a, b, c) of the nonzero terms, highest power of x first, c the
+        double nearest the coefficient (ties to even), +-inf beyond the range."""
         return [(a, b, _round(c, self.den)) for a, b, c in self._terms()]
 
     def __add__(self, other: "DensePoly") -> "DensePoly":

@@ -12,18 +12,21 @@ certificate module interrogates.  Every consumer reads these from the cached
 qd**3, lists (:data:`~chamberlab.poly.DenseForm`): entry q of a form of
 velocity degree v is the coefficient of xd**(v - q) * yd**q.
 
-The walls have coefficients in Q(sqrt2, sqrt3); everything after them is
-derived on dense rational lists (:class:`~chamberlab.poly.DensePoly`).  The
-one boundary is :func:`wall_products`: for each distinct multiplicity m,
-the product P_m of the walls of multiplicity m over its leading coefficient
-l_m must be rational, and so must l_m**2 and qd; otherwise the case raises
-PipelineError.  qd and these products depend only on d and on which walls
-share a multiplicity, so they are computed once per such class.  The
-orbit volume and the t's are then sums and products of the P_m (see
-build_bundle).  Every derived polynomial stays a list from there through
-bundle_to_json, the resultant, the lab's kernels and the U(5) reference
-check; the SpatialPoly attributes qd .. c_coeffs are views, built on first
-read, and only ``derive --format text`` and perfbench read them.
+The derivation runs in Q.  Each wall's sine and cosine is +-sqrt(k)/2 for
+an integer k = 0..4, read off one table (:func:`wall_trig`).  The walls
+themselves, with those coefficients in Q(sqrt2, sqrt3), are built for the
+bundle's JSON and enter no product.  :func:`wall_products` writes qd and,
+for each distinct multiplicity m, the product P_m of the walls of
+multiplicity m over its leading coefficient l_m, with l_m**2, straight from
+the table as dense rational lists (:class:`~chamberlab.poly.DensePoly`);
+a case whose P_m / l_m is irrational raises PipelineError.  qd and these
+products depend only on d and on which walls share a multiplicity, so they
+are computed once per such class.  The orbit volume and the t's are then
+sums and products of the P_m (see build_bundle).  Every derived polynomial
+stays a list from there through bundle_to_json, the resultant, the lab's
+kernels and the U(5) reference check; the SpatialPoly attributes qd ..
+c_coeffs are views, built on first read, and only ``derive --format text``
+and perfbench read them.
 
 All arithmetic is exact; every degree claim is asserted and a violation raises
 PipelineError (it would indicate a bug, not bad input).
@@ -38,7 +41,7 @@ from functools import cached_property, lru_cache
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
-from .field import rational_text, trig_pair
+from .field import FieldScalar, rational_text
 from .poly import ZERO_POLY, DenseForm, DensePoly, SpatialPoly, arc_derivative, \
     form_product, form_sum
 
@@ -90,26 +93,44 @@ class ReductionBundle:
         }
 
 
+# 4 * sin(i*pi/d)**2 by the reduced fraction i/d of a wall's angle: at every
+# chamber type d the walls' sines and cosines are +-sqrt(k)/2, k = 0..4.
+_SIN_SQUARED_4 = {Fraction(0): 0, Fraction(1, 6): 1, Fraction(1, 4): 2, Fraction(1, 3): 3,
+                  Fraction(1, 2): 4, Fraction(2, 3): 3, Fraction(3, 4): 2, Fraction(5, 6): 1}
+
+
+def wall_trig(d: int) -> list[tuple[int, int]]:
+    """(k, sign) for each wall i: sin(i*pi/d) = sqrt(k)/2 and
+    cos(i*pi/d) = sign * sqrt(4 - k)/2, sign the sign of d - 2i."""
+    return [(_SIN_SQUARED_4[Fraction(i, d)], (d > 2 * i) - (d < 2 * i)) for i in range(d)]
+
+
+@lru_cache(maxsize=None)
+def _half_root(k: int, sign: int = 1) -> FieldScalar:
+    """sign * sqrt(k)/2 for k = 0..4, exactly."""
+    half = Fraction(sign, 2)
+    if k == 2:
+        return FieldScalar(0, half)
+    if k == 3:
+        return FieldScalar(0, 0, half)
+    return FieldScalar(half * math.isqrt(k))
+
+
 def build_walls(case: CaseSpec) -> list[SpatialPoly]:
     """The d linear forms x*sin(i*pi/d) - y*cos(i*pi/d), exact coefficients."""
-    return _walls(case.d)
+    return [SpatialPoly.linear(_half_root(k), _half_root(4 - k, -sign))
+            for k, sign in wall_trig(case.d)]
 
 
-def _walls(d: int) -> list[SpatialPoly]:
-    return [SpatialPoly.linear(s, -c) for s, c in (trig_pair(d, i) for i in range(d))]
-
-
-def wall_products(case: CaseSpec,
-                  ) -> tuple[list[SpatialPoly], DensePoly, list[tuple[int, Fraction, DensePoly]]]:
-    """The walls, qd = prod(w_i) as a list, and (m, l**2, P_m / l) for each distinct m.
+def wall_products(case: CaseSpec) -> tuple[DensePoly, list[tuple[int, Fraction, DensePoly]]]:
+    """qd = prod(w_i) as a list, and (m, l**2, P_m / l) for each distinct m.
 
     P_m is the product of the walls of multiplicity m and l its leading
     coefficient, so P_m / l has leading coefficient 1.  Raises PipelineError
-    naming the case unless qd, every P_m / l and every l**2 are rational.
-    qd and the products depend only on d and on the classes of wall indices
-    with equal multiplicities, and are computed once per such pair.
+    naming the case unless every P_m / l is rational.  qd and the products
+    depend only on d and on the classes of wall indices with equal
+    multiplicities, and are computed once per such pair.
     """
-    walls = build_walls(case)
     mults = case.multiplicities
     classes = {m: tuple(i for i, mi in enumerate(mults) if mi == m) for m in mults}
     try:
@@ -117,26 +138,47 @@ def wall_products(case: CaseSpec,
     except ValueError as exc:
         raise PipelineError(f"{case.label}: the walls are not rational per "
                             f"multiplicity: {exc}") from None
-    return walls, qd, [(m, *p) for m, p in zip(classes, products)]
+    return qd, [(m, *p) for m, p in zip(classes, products)]
 
 
 @lru_cache(maxsize=None)
 def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
-    walls = _walls(d)
-    qd = DensePoly.of(math.prod(walls))
+    """qd and (l**2, P / l) for each class of wall indices, in Q alone.
+
+    qd = -2**(1 - d) * Im((x + iy)**d).  A class's P / l is the product of
+    its factors over their leading (highest power of x) coefficients l_f,
+    and l**2 the product of the l_f**2.  A lone wall with k = 0 or 4 (-y or
+    x) gives y or x, l_f**2 = 1; one with k = 2, sqrt2/2 * (x - sign*y),
+    gives x - sign*y, l_f**2 = 1/2; a mirror pair {i, d - i} with k = 1 or 3,
+    (k/4) x**2 - ((4 - k)/4) y**2, gives x**2 - ((4 - k)/k) y**2,
+    l_f**2 = (k/4)**2.  A wall with k = 1 or 3 without its mirror leaves
+    sqrt3 in P / l: ValueError.
+    """
+    trig = wall_trig(d)
+    qd = DensePoly([-math.comb(d, j) * (-1) ** (j // 2) if j % 2 else 0
+                    for j in range(d, -1, -1)], 2 ** (d - 1))
     products = []
     for indices in classes:
-        product = math.prod(walls[i] for i in indices)
-        lead = product.leading_term()[1]
-        lead_sq = lead * lead
-        if not lead_sq.is_rational:
-            raise ValueError(f"leading coefficient squared {lead_sq.to_text()} "
-                             f"is not rational")
-        products.append((lead_sq.a, DensePoly.of(product * lead.inverse())))
+        lead_sq, product = Fraction(1), DensePoly([1])
+        for i in indices:
+            k, sign = trig[i]
+            if k in (1, 3):
+                if d - i not in indices:
+                    raise ValueError(f"wall {i} over its leading coefficient is not "
+                                     f"rational without wall {d - i}")
+                if 2 * i < d:
+                    product = product * DensePoly([k - 4, 0, k], k)
+                    lead_sq *= Fraction(k * k, 16)
+            elif k == 2:
+                product = product * DensePoly([-sign, 1])
+                lead_sq /= 2
+            else:
+                product = product * DensePoly([1, 0] if k == 0 else [0, 1])
+        products.append((lead_sq, product))
     return qd, tuple(products)
 
 
-def _check_homogeneous(poly: SpatialPoly | DensePoly, degree: int, what: str, case: CaseSpec):
+def _check_homogeneous(poly: DensePoly, degree: int, what: str, case: CaseSpec):
     got = poly.homogeneous_degree()
     if got == ZERO_POLY:
         return
@@ -178,7 +220,7 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
         raise PipelineError(f"{case.label}: invalid case: {violations}")
     d = case.d
 
-    walls, qd, groups = wall_products(case)
+    qd, groups = wall_products(case)
     lam = Fraction(next(c for c in reversed(qd.coeffs) if c), qd.den)
 
     volume_sq = DensePoly([1])
@@ -214,8 +256,6 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     a = tuple(p - q for p, q in zip(cubic, form_product([t3, t4, t5], r), strict=True))
     c = _quintic(qd, t1, t2, a)
 
-    for i, w in enumerate(walls):
-        _check_homogeneous(w, 1, f"wall {i}", case)
     _check_homogeneous(qd, d, "qd", case)
     _check_homogeneous(volume_sq, 2 * sum(case.multiplicities), "volume_sq", case)
     _check_homogeneous(t1, d - 1, "t1", case)
@@ -236,7 +276,7 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
         _check_homogeneous(poly, 4 * (d - 1), f"C{j}", case)
 
     return ReductionBundle(
-        case=case, walls=walls, dense_qd=qd, dense_volume_sq=volume_sq,
+        case=case, walls=build_walls(case), dense_qd=qd, dense_volume_sq=volume_sq,
         dense_t=(t1, t2, t3, t4, t5), r=r, r_dot=r_dot, r_ddot=r_ddot,
         dense_a=a, dense_c=c,
     )

@@ -17,12 +17,54 @@ numerator over qd**v.
   quintic table C0..C5 from its coefficients.
 """
 
-from chamberlab.field import FieldScalar, trig_pair
+import math
+
+from chamberlab.cases import CaseSpec
+from chamberlab.field import ZERO, FieldScalar
 from chamberlab.poly import SpatialPoly
 from chamberlab.reduction import build_bundle, build_walls
 
 THIRD = FieldScalar.rational(1, 3)
 NINTH = FieldScalar.rational(1, 9)
+
+
+def walls_of(d: int) -> list[SpatialPoly]:
+    """``build_walls`` of chamber type d."""
+    return build_walls(CaseSpec(name="walls", group="", action="", n=d + 2, d=d,
+                                multiplicities=(1,) * d))
+
+
+def trig_pairs(d: int) -> list[tuple[FieldScalar, FieldScalar]]:
+    """(sin, cos)(i pi/d) of each wall i, read off the wall x*sin - y*cos."""
+    return [(w.terms.get((1, 0), ZERO), -w.terms.get((0, 1), ZERO)) for w in walls_of(d)]
+
+
+def field_wall_classes(d: int, classes) -> tuple[SpatialPoly, list]:
+    """qd and (l**2, P / l) for each class of wall indices, in Q(sqrt2, sqrt3).
+
+    The path the derivation took before it ran in Q: multiply the walls as
+    SpatialPolys, divide each class's product P by its leading coefficient l
+    with ``inverse``, and check rationality coefficient by coefficient.
+    Raises ValueError where l**2 or a coefficient of qd or of P / l is
+    irrational.
+    """
+    walls = walls_of(d)
+
+    def rational(poly):
+        if not all(c.is_rational for c in poly.terms.values()):
+            raise ValueError(f"{poly.to_text()} is not rational")
+        return poly
+
+    qd = rational(math.prod(walls))
+    products = []
+    for indices in classes:
+        product = math.prod(walls[i] for i in indices)
+        lead = product.leading_term()[1]
+        lead_sq = lead * lead
+        if not lead_sq.is_rational:
+            raise ValueError(f"l**2 = {lead_sq.to_text()} is not rational")
+        products.append((lead_sq.a, rational(product * lead.inverse())))
+    return qd, products
 
 
 def form_add(*forms: dict) -> dict:
@@ -98,7 +140,7 @@ def curvature_expr_pair(case, i: int) -> tuple[dict, dict]:
     form_log = form_add({(1, 0): w_sq.partial_derivative("y") * scale,
                          (0, 1): -w_sq.partial_derivative("x") * scale})
 
-    s, c = trig_pair(case.d, i)
+    s, c = trig_pairs(case.d)[i]
     # w_i(yd, -xd) = c*xd + s*yd, over w_i = qd / quot, then over qd^2.
     form_direct = form_add({(1, 0): quot * qd * c, (0, 1): quot * qd * s})
     return form_log, form_direct
@@ -129,8 +171,7 @@ def oracle_bundle(case) -> dict:
         qd = qd * w
         volume_sq = volume_sq * w ** (2 * m)
     t1 = t2 = t3 = t4 = t5 = SpatialPoly.zero()
-    for i, (w, m) in enumerate(zip(walls, case.multiplicities)):
-        s, c = trig_pair(case.d, i)
+    for (s, c), w, m in zip(trig_pairs(case.d), walls, case.multiplicities):
         mf = FieldScalar.rational(m)
         quot = qd.divide_exact(w)
         quot_sq = quot * quot

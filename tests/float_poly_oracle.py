@@ -4,15 +4,37 @@ This is the float evaluator the lab used before its polynomials were compiled
 to straight-line functions, written as an explicit left-to-right loop so that
 it does not depend on builtin ``sum`` (which compensates on Python 3.12+).
 Starting from the int 0 and adding ``c * x**a * y**b`` term by term in
-``float_terms()`` order, it rounds exactly as the compiled function must.
+:func:`float_terms` order, it rounds exactly as the compiled function must.
 ``float_reduced_value`` evaluates a velocity form over a power of qd, such
 as a bundle's ``r_dot``, the same way, for derivative oracles.
 """
 
+import math
+
+from chamberlab.poly import DensePoly
+from field_oracle import exact_sign
+
+
+def float_terms(poly) -> list[tuple[int, int, float]]:
+    """A DensePoly's ``float_terms()``; a SpatialPoly's terms in canonical
+    order, each coefficient the nearest double: a rational one by ``float``,
+    a wall's +-sqrt(k)/2 from k = 4 c**2, exactly an integer."""
+    if isinstance(poly, DensePoly):
+        return poly.float_terms()
+    out = []
+    for (a, b), c in poly.sorted_terms():
+        if c.is_rational:
+            out.append((a, b, float(c.a)))
+        else:
+            k = c * c * 4
+            assert k.is_rational and k.a.denominator == 1, c
+            out.append((a, b, math.copysign(math.sqrt(k.a) / 2, exact_sign(c))))
+    return out
+
 
 def float_poly_value(poly, x: float, y: float) -> float:
     total = 0
-    for a, b, c in poly.float_terms():
+    for a, b, c in float_terms(poly):
         total += c * x**a * y**b
     return total
 
@@ -23,5 +45,5 @@ def float_reduced_value(form, qd, st) -> float:
     v = len(form) - 1
     num = 0
     for q, poly in enumerate(form):
-        num += float_poly_value(poly.to_spatial(), st.x, st.y) * st.xd**(v - q) * st.yd**q
+        num += float_poly_value(poly, st.x, st.y) * st.xd**(v - q) * st.yd**q
     return num / float_poly_value(qd, st.x, st.y) ** v

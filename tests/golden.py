@@ -23,8 +23,10 @@ state count of a curve of each lab row and mode that runs into the chamber's
 vertex (:func:`wall_stop_curves`), and ``tests/fixtures/lab_pointwise.json``,
 the ``repr`` of ``normal_residual`` and ``geometric_scalars`` at three fixed
 states of each lab row (:func:`pointwise_reprs`).  The lab's float
-coefficients come from ``to_float``, each the double nearest the exact
-coefficient, so these lab fixtures pin the kernels' float arithmetic alone.
+coefficients are each the double nearest the exact coefficient (the
+correctly rounded quotient of a rational one, ``math.sqrt(k) / 2`` for a
+wall's +-sqrt(k)/2), so these lab fixtures pin the kernels' float
+arithmetic alone.
 The tests compare the current code against these files, so regenerate only
 when a change of output is intended.
 """

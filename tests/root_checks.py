@@ -7,8 +7,8 @@ alone that
 - y**a * qd**b * M**c * prod(Q_k**k) is the resultant up to a constant, with
   qd and M read from the bundle's SpatialPolys, not from the scan;
 - every listed interval of u = cot(sigma) lies in the open chamber
-  u > cot(pi/d), comparing squares with cot(pi/d)**2 from the exact trig
-  table;
+  u > cot(pi/d), comparing squares with cot(pi/d)**2 from the exact wall
+  coefficients;
 - the intervals are pairwise disjoint;
 - the listed factor (M, or the Q_k of the listed multiplicity) changes sign
   across each interval, or vanishes at a point interval;
@@ -18,9 +18,9 @@ alone that
 from fractions import Fraction
 
 from chamberlab.certify import chamber_root_scan, compute_resultant
-from chamberlab.field import trig_pair
 from chamberlab.poly import X, Y
 from chamberlab.reduction import build_bundle
+from bundle_oracle import trig_pairs
 from resultant_oracle import poly_mul
 
 
@@ -74,7 +74,7 @@ def roots_above(p: list[int], a: Fraction) -> int:
 
 
 def wall_cot_squared(d: int) -> Fraction:
-    s, c = trig_pair(d, 1)
+    s, c = trig_pairs(d)[1]
     return (c * c * (s * s).inverse()).a
 
 

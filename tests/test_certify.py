@@ -22,7 +22,7 @@ from chamberlab.certify import (
 )
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar
-from chamberlab.poly import DensePoly, SpatialPoly, X
+from chamberlab.poly import DensePoly, SpatialPoly
 from chamberlab.reduction import build_bundle, wall_products
 from golden import PARAMETRIC_CERTIFICATES, PARAMETRIC_ROWS, stable_certificate_text
 from root_checks import root_problems
@@ -115,12 +115,9 @@ def _fake_bundle(case, a_coeffs, c_coeffs):
 
 
 def test_resultant_rejects_irrational_coefficients():
-    # A bundle's lists are rational by construction: an irrational
-    # coefficient stops at the one rational boundary, DensePoly.of, which only
-    # wall_products calls, and there it names the case.
-    sqrt2 = SpatialPoly.monomial(1, 0, FieldScalar(0, 1))
-    with pytest.raises(ValueError, match="not rational"):
-        DensePoly.of(sqrt2)
+    # A bundle's lists are rational by construction: a class of walls whose
+    # product is irrational over its leading coefficient stops in
+    # wall_products, and there it names the case.
     irrational = CaseSpec(name="T", group="", action="", n=8, d=3, multiplicities=(1, 2, 3))
     with pytest.raises(PipelineError, match="^T: .* not rational"):
         wall_products(irrational)
@@ -131,10 +128,6 @@ def test_resultant_rejects_mixed_degrees(u5):
                           (_X, _Y, _X, _Y, _ZERO, _X))
     with pytest.raises(PipelineError, match="one common degree"):
         compute_resultant(bundle)
-    # A list holds one degree: a non-homogeneous coefficient stops at the
-    # boundary.
-    with pytest.raises(ValueError, match="homogeneous"):
-        DensePoly.of(X + 1)
 
 
 def test_resultant_rational_boundary_scales_back(u5):

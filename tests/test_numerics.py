@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from chamberlab import numerics
 from chamberlab.cases import registry_case
 from chamberlab.certify import minimal_line_angles
 from chamberlab.errors import BoundaryError
+from chamberlab.field import ZERO
 from chamberlab.numerics import (
     CSV_HEADER,
     CaseLab,
@@ -26,8 +28,9 @@ from chamberlab.numerics import (
     step_candidate,
     step_minimal,
 )
-from chamberlab.poly import SpatialPoly
-from chamberlab.reduction import build_bundle
+from chamberlab.poly import DensePoly
+from chamberlab.reduction import build_bundle, build_walls
+from field_oracle import exact_sign
 from float_poly_oracle import float_poly_value, float_reduced_value
 from golden import (
     POINTWISE,
@@ -466,8 +469,31 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
                 expected = not walls[0] > -1e-9 and all(v > 1e-9 for v in walls[1:])
                 assert lab.inside(x, y) is expected, case.label
                 assert lab.clear(tuple(walls)) is expected, case.label
-    zero = numerics._kernel("zero", ("x", "y"), {"z": SpatialPoly.zero().float_terms()}, "z")
-    assert zero(1.5, -0.25) == 0 and float_poly_value(SpatialPoly.zero(), 1.5, -0.25) == 0
+    zero = numerics._kernel("zero", ("x", "y"), {"z": DensePoly([]).float_terms()}, "z")
+    assert zero(1.5, -0.25) == 0 and float_poly_value(DensePoly([]), 1.5, -0.25) == 0
+
+
+def test_wall_floats_are_the_nearest_doubles(all_cases):
+    # The wall kernels' coefficients, read back as the walls' values at
+    # (1, 0) and (0, 1), are the doubles nearest the exact coefficients
+    # +-sqrt(k)/2 of build_walls.  For k = 2 or 3 that is decided on
+    # Fractions: k lies strictly between the squares of twice the midpoints
+    # from the double to its two neighbours.
+    for case in {case.d: case for case in all_cases}.values():
+        walls = build_walls(case)
+        for point, mono in (((1.0, 0.0), (1, 0)), ((0.0, 1.0), (0, 1))):
+            values = get_lab(case).point(*point)[0]
+            for wall, f in zip(walls, values):
+                c = wall.terms.get(mono, ZERO)
+                k = (c * c * 4).a
+                assert k.denominator == 1 and math.copysign(1, f) == (exact_sign(c) or 1)
+                root = math.isqrt(k.numerator)
+                if root * root == k:
+                    assert abs(f) == root / 2, case.label
+                    continue
+                lo, hi = ((Fraction(abs(f)) + Fraction(math.nextafter(abs(f), t))) / 2
+                          for t in (0, math.inf))
+                assert (2 * lo) ** 2 < k < (2 * hi) ** 2, case.label
 
 
 def test_integration_evaluates_each_state_once(monkeypatch, su3):

@@ -3,17 +3,19 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from chamberlab import reduction
 from chamberlab.cases import registry_case
 from chamberlab.errors import PipelineError
-from chamberlab.field import FieldScalar, HALF, ONE, SQRT2, ZERO
+from chamberlab.field import FieldScalar, ONE, ZERO
 from chamberlab.poly import DensePoly, SpatialPoly, X, Y, arc_derivative
 from chamberlab.reduction import build_bundle, build_walls, bundle_to_json, \
     verify_reference_example
-from bundle_oracle import curvature_expr_pair, dense_form_value, oracle_bundle
+from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
+    oracle_bundle, trig_pairs
 from float_poly_oracle import float_poly_value
 from golden import BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256
 
@@ -37,7 +39,7 @@ def _poly(mapping):
 
 def test_walls_u5(u5):
     walls = build_walls(u5)
-    half_sqrt2 = SQRT2 * HALF
+    half_sqrt2 = FieldScalar(0, Fraction(1, 2))
     assert walls[0] == -Y
     assert walls[1] == (X - Y) * half_sqrt2
     assert walls[2] == X
@@ -158,10 +160,7 @@ def test_r_equals_weighted_curvature_sum_u5(u5):
     xd, yd = _rat(3, 5), _rat(4, 5)
     walls = build_walls(u5)
     total = ZERO
-    from chamberlab.field import trig_pair
-
-    for i, m in enumerate(u5.multiplicities):
-        s, c = trig_pair(u5.d, i)
+    for i, ((s, c), m) in enumerate(zip(trig_pairs(u5.d), u5.multiplicities)):
         k_i = (s * yd + c * xd) / walls[i].eval_exact(x, y)
         total = total + k_i * m
     assert dense_form_value(bundle.r, bundle.qd, x, y, xd, yd) == total
@@ -236,7 +235,7 @@ def test_all_zero_a_gives_all_zero_c():
 
     bundle = build_bundle(registry_case("SU3"))
     t1, t2 = bundle.r[1], -bundle.r[0]
-    table = _quintic(DensePoly.of(bundle.qd), t1, t2, (DensePoly([]),) * 4)
+    table = _quintic(bundle.dense_qd, t1, t2, (DensePoly([]),) * 4)
     assert all(not c.coeffs for c in table)
 
 
@@ -464,20 +463,27 @@ def _dense_polys(bundle):
             *bundle.r_dot, *bundle.r_ddot, *bundle.dense_a, *bundle.dense_c]
 
 
-def _bits(terms):
-    return [(a, b, c.hex()) for a, b, c in terms]
+def _rounds_to(q: Fraction, f: float) -> bool:
+    """f is the double nearest q, ties to even, decided on Fractions."""
+    lo, hi = ((Fraction(f) + Fraction(math.nextafter(f, t))) / 2 for t in (-math.inf, math.inf))
+    even = int(Fraction(f) / Fraction(math.ulp(f))) % 2 == 0
+    return lo < q < hi or (q in (lo, hi) and even)
 
 
 def test_dense_writers_match_the_spatial_ones():
+    # to_json writes the SpatialPoly's text; float_terms has its terms in the
+    # same order, each coefficient the correctly rounded quotient.
     for case in _default_and_parametric_rows():
         for poly in _dense_polys(build_bundle(case)):
             spatial = poly.to_spatial()
             assert poly.to_json() == spatial.to_json(), case.label
-            assert _bits(poly.float_terms()) == _bits(spatial.float_terms()), case.label
-    # Past the double range a coefficient rounds to +-inf, as to_float does.
+            terms = poly.float_terms()
+            assert [(a, b) for a, b, _ in terms] == [m for m, _ in spatial.sorted_terms()]
+            assert all(_rounds_to(Fraction(poly.coeffs[a], poly.den), f)
+                       for a, _, f in terms), case.label
+    # Past the double range a coefficient rounds to +-inf.
     huge = DensePoly([-(10 ** 400), 3, 10 ** 400], 7)
-    assert huge.float_terms() == huge.to_spatial().float_terms() == \
-        [(2, 0, math.inf), (1, 1, 3 / 7), (0, 2, -math.inf)]
+    assert huge.float_terms() == [(2, 0, math.inf), (1, 1, 3 / 7), (0, 2, -math.inf)]
     assert huge.to_json() == huge.to_spatial().to_json()
 
 
@@ -517,29 +523,60 @@ def test_views_are_the_lists_as_spatial_polys(u5):
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("converted between SpatialPoly and DensePoly")
+    raise AssertionError("field arithmetic or a conversion to SpatialPoly")
 
 
-def test_derive_and_certify_convert_nothing(monkeypatch):
-    # Past the wall classes (warmed here, before the patch) no polynomial
-    # crosses between the two representations: not when a cold bundle is
-    # built, written, or certified.
+def test_derive_and_certify_run_in_q(monkeypatch):
+    # From cold caches, building, writing and certifying a bundle does no
+    # arithmetic in Q(sqrt2, sqrt3) and converts no list to a SpatialPoly:
+    # the walls are the one SpatialPoly, built from the sin**2 table.
     from chamberlab.cases import default_cases
     from chamberlab.certify import certify_case
 
-    cases = list(default_cases())
-    for case in cases:
-        build_bundle(case)
-    build_bundle.cache_clear()
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "__truediv__", "inverse"):
+        monkeypatch.setattr(FieldScalar, name, _raise)
     monkeypatch.setattr(DensePoly, "to_spatial", _raise)
-    monkeypatch.setattr(DensePoly, "of", _raise)
+    build_bundle.cache_clear()
+    reduction._wall_classes.cache_clear()
     try:
         for name in ("SOn-1", "SOpxSOq", "SU3", "Sp2xSpm", "G2"):
             assert certify_case(registry_case(name))["conclusion"] == "nonexistence-certified"
-        for case in cases:
+        for case in default_cases():
             bundle_to_json(build_bundle(case))
     finally:
         build_bundle.cache_clear()
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [(first,)] + part
+        for j in range(len(part)):
+            yield part[:j] + [(first, *part[j])] + part[j + 1:]
+
+
+def test_wall_class_rule_matches_the_field_path():
+    # Every set partition of the wall indices at every d: the rule in Q
+    # raises exactly where the walls multiplied in Q(sqrt2, sqrt3) leave an
+    # irrational P / l, and otherwise gives the same qd, l**2 and P / l.
+    partitions = [(d, tuple(part)) for d in (1, 2, 3, 4, 6)
+                  for part in _set_partitions(tuple(range(d)))]
+    assert len(partitions) == 1 + 2 + 5 + 15 + 203
+    for d, classes in partitions:
+        try:
+            expected = field_wall_classes(d, classes)
+        except ValueError:
+            with pytest.raises(ValueError, match="not rational"):
+                reduction._wall_classes(d, classes)
+            continue
+        qd, products = reduction._wall_classes(d, classes)
+        assert qd.to_spatial() == expected[0], (d, classes)
+        assert [(lead_sq, p.to_spatial()) for lead_sq, p in products] == expected[1], \
+            (d, classes)
 
 
 def test_wall_classes_are_shared_by_partition():

@@ -12,9 +12,9 @@ from __future__ import annotations
 import ast
 import json
 import operator
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BoundError, RegistryError
 
@@ -22,8 +22,7 @@ from .errors import BoundError, RegistryError
 ADMISSIBLE_D = (1, 2, 3, 4, 6)
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(NamedTuple):
     """One concrete action: chamber type d, ambient dimension, multiplicities."""
 
     name: str
@@ -46,8 +45,7 @@ class CaseSpec:
         return f"{self.name}({inner})"
 
 
-@dataclass(frozen=True)
-class CaseTemplate:
+class CaseTemplate(NamedTuple):
     """A registry row; parametric rows instantiate to a CaseSpec."""
 
     name: str

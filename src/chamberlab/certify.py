@@ -22,10 +22,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .cases import CaseSpec
 from .errors import PipelineError
@@ -44,8 +43,7 @@ def expected_resultant_degree(d: int) -> int:
     return 27 * (d - 1)
 
 
-@dataclass
-class ResultantReport:
+class ResultantReport(NamedTuple):
     """Outcome of the resultant computation for one case.
 
     The resultant is sum(coeffs[a] * x**a * y**(degree - a)) / scale, coeffs
@@ -137,8 +135,7 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     return ResultantReport(coeffs, scale // g, formal, trimmed, degree)
 
 
-@dataclass
-class ChamberRoot:
+class ChamberRoot(NamedTuple):
     """u = cot(sigma) in (lo, hi), or lo == hi; "M" marks a minimal line."""
 
     lo: Fraction
@@ -147,8 +144,7 @@ class ChamberRoot:
     multiplicity: int
 
 
-@dataclass
-class RootScan:
+class RootScan(NamedTuple):
     """Powers of y, qd and M, Yun's [(k, Q_k)] of the cofactor Q, the chamber
     roots and the number of Descartes tests (``grid_size``)."""
 
@@ -329,8 +325,16 @@ def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | N
         "conclusion": conclusion,
         "precision_bits": DEFAULT_PRECISION_BITS,
         "duration_ms": duration_ms,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "created_utc": _utc_now(),
     }
+
+
+def _utc_now() -> str:
+    """The current UTC time in ISO 8601, YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00,
+    the microseconds left out when they are zero."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
 
 
 def certify_case(case: CaseSpec) -> dict:
@@ -355,8 +359,7 @@ def write_json_atomic(path: Path, document) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(document, indent=1, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -33,8 +33,8 @@ from __future__ import annotations
 import ast
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cases import CaseSpec
 from .errors import BoundaryError
@@ -55,8 +55,7 @@ CSV_HEADER = "s,x,y,xd,yd,f,A2,res_poly,res_ode"
 WALL_EPSILON = 1e-9
 
 
-@dataclass
-class CurveState:
+class CurveState(NamedTuple):
     """One unit-speed sample of a profile curve in the open chamber."""
 
     s: float
@@ -71,18 +70,30 @@ def _check_step(name: str, h: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {h}")
 
 
-@dataclass
-class IntegratorConfig:
+class _IntegratorFields(NamedTuple):
     step: float = 1e-4
     max_steps: int = 10000
     mode: str = MODE_MINIMAL
 
-    def __post_init__(self):
-        _check_step("step", self.step)
-        if type(self.max_steps) is not int or self.max_steps < 0:
-            raise ValueError(f"max_steps must be a non-negative int, got {self.max_steps!r}")
-        if self.mode not in MODES:
+
+class IntegratorConfig(_IntegratorFields):
+    """RK4 step size, step budget and mode; every way of building one,
+    ``_replace`` and ``_make`` included, raises ValueError on a bad value."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        _check_step("step", cfg.step)
+        if type(cfg.max_steps) is not int or cfg.max_steps < 0:
+            raise ValueError(f"max_steps must be a non-negative int, got {cfg.max_steps!r}")
+        if cfg.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # Every node of a kernel sits at line 1, column 0: set at construction, which
@@ -391,8 +402,7 @@ def normal_residual(st: CurveState, case: CaseSpec,
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Uniformly sampled integration output plus diagnostics."""
 
     states: list[CurveState]

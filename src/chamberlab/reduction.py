@@ -35,9 +35,9 @@ PipelineError (it would indicate a bug, not bad input).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
@@ -50,15 +50,7 @@ _TWO_THIRDS = Fraction(2, 3)
 _NINTH = Fraction(1, 9)
 
 
-@dataclass
-class ReductionBundle:
-    """Everything the certificate and numeric laboratories consume.
-
-    ``dense_t`` is (t1, ..., t5), ``dense_a`` (A0, ..., A3) and ``dense_c``
-    (C0, ..., C5); qd, volume_sq, t1 .. t5, a_coeffs and c_coeffs are
-    SpatialPoly views of the lists, built on first access.
-    """
-
+class _BundleFields(NamedTuple):
     case: CaseSpec
     walls: list[SpatialPoly]
     dense_qd: DensePoly
@@ -69,6 +61,16 @@ class ReductionBundle:
     r_ddot: DenseForm
     dense_a: tuple[DensePoly, ...]
     dense_c: tuple[DensePoly, ...]
+
+
+class ReductionBundle(_BundleFields):
+    """Everything the certificate and numeric laboratories consume.
+
+    ``dense_t`` is (t1, ..., t5), ``dense_a`` (A0, ..., A3) and ``dense_c``
+    (C0, ..., C5); qd, volume_sq, t1 .. t5, a_coeffs and c_coeffs are
+    SpatialPoly views of the lists, built on first access and kept in the
+    instance ``__dict__`` (this subclass declares no ``__slots__``).
+    """
 
     qd = cached_property(lambda self: self.dense_qd.to_spatial())
     volume_sq = cached_property(lambda self: self.dense_volume_sq.to_spatial())
@@ -116,8 +118,19 @@ def _half_root(k: int, sign: int = 1) -> FieldScalar:
     return FieldScalar(half * math.isqrt(k))
 
 
+def _require_valid(case: CaseSpec) -> None:
+    """Raise PipelineError naming the case's violations, if validate_case finds any."""
+    violations = validate_case(case)
+    if violations:
+        raise PipelineError(f"{case.label}: invalid case: {violations}")
+
+
 def build_walls(case: CaseSpec) -> list[SpatialPoly]:
-    """The d linear forms x*sin(i*pi/d) - y*cos(i*pi/d), exact coefficients."""
+    """The d linear forms x*sin(i*pi/d) - y*cos(i*pi/d), exact coefficients.
+
+    An invalid case raises PipelineError, as in build_bundle.
+    """
+    _require_valid(case)
     return [SpatialPoly.linear(_half_root(k), _half_root(4 - k, -sign))
             for k, sign in wall_trig(case.d)]
 
@@ -215,9 +228,7 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
       with t1^2/9, and t4 = 2 sum(m * (P~ * dxyP~ - dxP~ * dyP~) * Q_m^2)
       - 2 t1 t2 / 9.
     """
-    violations = validate_case(case)
-    if violations:
-        raise PipelineError(f"{case.label}: invalid case: {violations}")
+    _require_valid(case)
     d = case.d
 
     qd, groups = wall_products(case)

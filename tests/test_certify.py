@@ -1,6 +1,8 @@
 import json
 import math
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -311,6 +313,15 @@ def test_certificate_determinism(su3):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_created_utc_is_now_in_utc(su3):
+    # The golden comparison drops created_utc: check its form here.  It
+    # parses as an ISO 8601 time with a UTC offset of 0, within a minute of
+    # this test's clock.
+    stamp = datetime.fromisoformat(certify_case(su3)["created_utc"])
+    assert stamp.utcoffset() == timedelta(0)
+    assert abs(stamp - datetime.now(timezone.utc)) < timedelta(minutes=1)
+
+
 def test_display_samples_round_exact_values():
     # u**2 - 1 is x**2 - y**2: each sample is cos**2 - sin**2 at the doubles'
     # exact values, rounded once.
@@ -356,11 +367,21 @@ def test_failed_certificate_write_leaves_no_partial_file(tmp_path, monkeypatch):
     path = write_certificate(cert, tmp_path)
     written = path.read_bytes()
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write('{"case": ')
-        raise OSError("disk full")
+    real_open = Path.open
 
-    monkeypatch.setattr(json, "dump", failing_dump)
+    def failing_open(self, *args, **kwargs):
+        # The file's one write puts part of the text down, then fails.
+        fh = real_open(self, *args, **kwargs)
+        write = fh.write
+
+        def partial_write(text):
+            write(text[:9])
+            raise OSError("disk full")
+
+        fh.write = partial_write
+        return fh
+
+    monkeypatch.setattr(Path, "open", failing_open)
     with pytest.raises(OSError, match="disk full"):
         write_certificate(dict(cert, label="SU3"), tmp_path)
     with pytest.raises(OSError, match="disk full"):

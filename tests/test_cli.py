@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -109,7 +108,7 @@ def test_certify_failure_sets_exit_status(tmp_path, capsys, monkeypatch):
 
     def mismatched(bundle):
         report = compute(bundle)
-        return dataclasses.replace(report, degree=report.degree + 1)
+        return report._replace(degree=report.degree + 1)
 
     monkeypatch.setattr(certify, "compute_resultant", mismatched)
     code = main(["certify", "--case", "SOn-1", "--out", str(tmp_path)])
@@ -285,12 +284,14 @@ def test_module_entry_point_exit_codes():
 
 
 def test_cli_import_loads_no_process_pool():
-    # certify runs its cases in one process: importing the front end pulls in
-    # neither concurrent.futures nor multiprocessing.
+    # certify runs its cases in one process, and the records are NamedTuples
+    # with time-module timestamps: of the modules that importing the front end
+    # loads beyond a bare interpreter's, none is a process pool, dataclasses
+    # (which loads inspect) or datetime.
     src = str(Path(chamberlab.__file__).parents[1])
-    code = ("import sys, chamberlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('concurrent', 'multiprocessing')))")
+    code = ("import sys; bare = set(sys.modules); import chamberlab.cli; "
+            "print(sorted(m for m in set(sys.modules) - bare if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing', 'dataclasses', 'inspect', 'datetime')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr

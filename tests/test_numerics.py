@@ -319,8 +319,13 @@ def test_integrator_config_validation():
                 {"max_steps": -3}, {"max_steps": -1}, {"max_steps": 2.5},
                 {"max_steps": 10.0}, {"max_steps": "10"}, {"max_steps": True},
                 {"max_steps": False}):
-        with pytest.raises(ValueError):
-            IntegratorConfig(**bad)
+        # A NamedTuple is also built by _replace and _make.
+        fields = {**IntegratorConfig()._asdict(), **bad}
+        for build in (lambda: IntegratorConfig(**bad),
+                      lambda: IntegratorConfig()._replace(**bad),
+                      lambda: IntegratorConfig._make(fields.values())):
+            with pytest.raises(ValueError):
+                build()
     assert IntegratorConfig(max_steps=0).max_steps == 0
 
 
@@ -455,7 +460,8 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
         lab = get_lab(case)
         for _ in range(20):
             st = _random_interior_state(case, rng, radius=(0.2, 5.0))
-            st.s, st.xd, st.yd = rng.uniform(0, 10), rng.uniform(-2, 2), rng.uniform(-2, 2)
+            s, xd, yd = rng.uniform(0, 10), rng.uniform(-2, 2), rng.uniform(-2, 2)
+            st = st._replace(s=s, xd=xd, yd=yd)
             point, r = _kernel_oracle(lab, st.x, st.y, st.xd, st.yd)
             assert repr(lab.point(st.x, st.y)) == repr(point), case.label
             assert repr(lab.R(st.x, st.y, st.xd, st.yd)) == repr(r), case.label

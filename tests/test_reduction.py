@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -319,6 +318,19 @@ def test_pipeline_error_on_invalid_case():
         build_bundle(bad)
 
 
+@pytest.mark.parametrize("d", [0, 5])
+def test_build_walls_rejects_an_invalid_chamber_type(d):
+    # No wall table for d = 0 or 5: build_walls raises build_bundle's
+    # PipelineError rather than returning [] or a bare KeyError.
+    from chamberlab.cases import CaseSpec
+
+    bad = CaseSpec(name="bad", group="", action="", n=d + 2, d=d, multiplicities=(1,) * d)
+    message = rf"^bad: invalid case: \['inadmissible chamber type d={d}'\]$"
+    for build in (build_walls, build_bundle):
+        with pytest.raises(PipelineError, match=message):
+            build(bad)
+
+
 # -- the published reference example -------------------------------------------
 
 
@@ -339,8 +351,7 @@ def test_reference_example_reports_a_broken_mirror(monkeypatch, u5):
     a3 = bundle.dense_a[3]
     coeffs = a3.coeffs.copy()
     coeffs[0] += a3.den  # A3's y^9 coefficient, the mirror of A0's x^9
-    broken = dataclasses.replace(bundle, dense_a=(*bundle.dense_a[:3],
-                                                  DensePoly(coeffs, a3.den)))
+    broken = bundle._replace(dense_a=(*bundle.dense_a[:3], DensePoly(coeffs, a3.den)))
     monkeypatch.setattr(reduction, "build_bundle", lambda case: broken)
     report = verify_reference_example()
     assert not report["passed"]

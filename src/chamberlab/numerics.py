@@ -30,7 +30,6 @@ not on the Python version.
 
 from __future__ import annotations
 
-import ast
 import math
 from collections.abc import Callable
 from functools import lru_cache
@@ -70,6 +69,11 @@ def _check_step(name: str, h: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {h}")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+
+
 class _IntegratorFields(NamedTuple):
     step: float = 1e-4
     max_steps: int = 10000
@@ -87,18 +91,12 @@ class IntegratorConfig(_IntegratorFields):
         _check_step("step", cfg.step)
         if type(cfg.max_steps) is not int or cfg.max_steps < 0:
             raise ValueError(f"max_steps must be a non-negative int, got {cfg.max_steps!r}")
-        if cfg.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(cfg.mode)
         return cfg
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-# Every node of a kernel sits at line 1, column 0: set at construction, which
-# is cheaper than ast.fix_missing_locations walking the finished tree.
-_AT = {"lineno": 1, "col_offset": 0}
 
 
 def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: str) -> Callable:
@@ -114,53 +112,37 @@ def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: st
     floats compensates since 3.12).  Each power ``x**a`` and ``y**b`` is
     computed once per call and shared by every polynomial; a factor ``x**0``
     (exactly 1.0) is left out and ``x**1`` is ``x``, neither of which changes
-    a bit.  A zero polynomial's value is the int 0.  The coefficients enter
-    as float constants of ``ast`` nodes: only the fixed ``result`` expression
-    is parsed from text.
+    a bit.  A zero polynomial's value is the int 0.  Each coefficient enters
+    the source as its ``repr``, which reads back as the same float; ``inf``
+    is a global.
     """
     x, y = args[:2]
-    body = []
+    lines = [f"def {name}({', '.join(args)}):"]
     powers = set()
 
-    def times(left, var, k):
+    def times(left: str, var: str, k: int) -> str:
         if k == 0:
             return left
         if k > 1 and (var, k) not in powers:
             powers.add((var, k))
-            body.append(_assign(f"{var}{k}", ast.BinOp(_load(var), ast.Pow(),
-                                                       ast.Constant(k, **_AT), **_AT)))
-        return ast.BinOp(left, ast.Mult(), _load(var if k == 1 else f"{var}{k}"), **_AT)
+            lines.append(f"{var}{k} = {var} ** {k}")
+        return f"{left} * {var if k == 1 else f'{var}{k}'}"
 
     for local, terms in polys.items():
-        value = ast.Constant(0, **_AT)
-        for a, b, c in terms:
-            value = ast.BinOp(value, ast.Add(), times(times(ast.Constant(c, **_AT), x, a), y, b),
-                              **_AT)
-        body.append(_assign(local, value))
-    body.append(ast.Return(ast.parse(result, mode="eval").body, **_AT))
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(a, **_AT) for a in args],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    func = ast.FunctionDef(name=name, args=params, body=body, decorator_list=[],
-                           returns=None, type_params=[], **_AT)
-    return _define(ast.Module(body=[func], type_ignores=[]), name)
+        value = "".join(f" + {times(times(repr(c), x, a), y, b)}" for a, b, c in terms)
+        lines.append(f"{local} = 0{value}")
+    lines.append(f"return {result}")
+    return _define("\n    ".join(lines), name, inf=math.inf)
 
 
-def _define(module: ast.Module | str, name: str, **names) -> Callable:
-    """Run a module (a tree or source text) that defines function ``name``; return it.
+def _define(source: str, name: str, **names) -> Callable:
+    """Run source text that defines function ``name``; return the function.
 
-    The module sees ``names`` as its globals and no builtins.
+    The source sees ``names`` as its globals and no builtins.
     """
     namespace = {"__builtins__": {}, **names}
-    exec(compile(module, f"<kernel {name}>", "exec"), namespace)
+    exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     return namespace[name]
-
-
-def _load(name: str) -> ast.Name:
-    return ast.Name(name, ast.Load(), **_AT)
-
-
-def _assign(name: str, value: ast.expr) -> ast.Assign:
-    return ast.Assign(targets=[ast.Name(name, ast.Store(), **_AT)], value=value, **_AT)
 
 
 class CaseLab:
@@ -308,6 +290,7 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     laplacian(f) = -f'' - (volume log-derivative) * f'.
     """
     _check_step("h_fd", h_fd)
+    _check_mode(mode)
     lab = get_lab(case)
     walls, q, t1, t2, *_ = lab.point(st.x, st.y)
     if not lab.clear(walls):
@@ -388,7 +371,9 @@ def normal_residual(st: CurveState, case: CaseSpec,
     """
     _check_step("h_fd", h_fd)
     lab = get_lab(case)
-    _, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(st.x, st.y)
+    walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(st.x, st.y)
+    if not lab.clear(walls):
+        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
     poly_value = _cubic_form(a0, a1, a2, a3, st.xd, st.yd)
     coeff, r_mid = _MODE_COEFF[MODE_CANDIDATE], lab.R(st.x, st.y, st.xd, st.yd)
     r_plus = lab.R(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))

@@ -273,10 +273,16 @@ def test_pointwise_oracles_evaluate_once_at_the_state(su3, mode, monkeypatch):
     assert sorted(c for c in calls if c in at_state) == sorted(at_state)
 
 
-def test_geometric_scalars_reject_wall_state(u5):
-    st = CurveState(s=0.0, x=1.0, y=0.0, xd=0.0, yd=1.0)
-    with pytest.raises(BoundaryError):
-        geometric_scalars(st, u5, 0.0)
+def test_geometric_scalars_reject_wall_state(u5, su3):
+    # Both pointwise oracles reject a state on a wall, (1, 0), and one
+    # outside the chamber, (-1, 0.5), before they evaluate R there.
+    for case in (u5, su3):
+        for x, y in ((1.0, 0.0), (-1.0, 0.5)):
+            st = CurveState(s=0.0, x=x, y=y, xd=0.0, yd=1.0)
+            with pytest.raises(BoundaryError):
+                geometric_scalars(st, case, 0.0)
+            with pytest.raises(BoundaryError):
+                normal_residual(st, case)
 
 
 def test_finite_difference_step_must_be_positive_and_finite(su3):
@@ -286,6 +292,8 @@ def test_finite_difference_step_must_be_positive_and_finite(su3):
             normal_residual(st, su3, h_fd)
         with pytest.raises(ValueError, match="h_fd"):
             geometric_scalars(st, su3, 0.0, MODE_CANDIDATE, h_fd)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        geometric_scalars(st, su3, 0.0, mode="bogus")
 
 
 def test_residual_generically_nonzero_on_candidate_curves(su3):
@@ -477,6 +485,17 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
                 assert lab.clear(tuple(walls)) is expected, case.label
     zero = numerics._kernel("zero", ("x", "y"), {"z": DensePoly([]).float_terms()}, "z")
     assert zero(1.5, -0.25) == 0 and float_poly_value(DensePoly([]), 1.5, -0.25) == 0
+    # Coefficients beyond the float range: the terms are 0.0, -inf, 0.0,
+    # -0.0 and 0.0, and the kernel rounds, overflows and makes nan as the
+    # term loop does.
+    wide = DensePoly([1, -1, 3, -10**800, 5], 10**400)
+    assert [repr(c) for _, _, c in wide.float_terms()] == ["0.0", "-inf", "0.0", "-0.0", "0.0"]
+    kernel = numerics._kernel("wide", ("x", "y"), {"z": wide.float_terms()}, "z")
+    for x, y in ((1.5, -0.25), (0, 2), (-3, 0)):
+        assert repr(kernel(x, y)) == repr(float_poly_value(wide, x, y)), (x, y)
+    for evaluate in (kernel, lambda x, y: float_poly_value(wide, x, y)):
+        with pytest.raises(OverflowError):
+            evaluate(1e-200, 1e200)
 
 
 def test_wall_floats_are_the_nearest_doubles(all_cases):

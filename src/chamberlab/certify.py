@@ -30,7 +30,7 @@ from .cases import CaseSpec
 from .errors import PipelineError
 from .field import FieldScalar, format_rational, rational_text
 from .poly import DensePoly, SpatialPoly
-from .reduction import ReductionBundle, build_bundle
+from .reduction import ReductionBundle, build_bundle, wall_trig
 from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
     quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
 
@@ -154,8 +154,9 @@ class RootScan(NamedTuple):
     grid_size: int
 
 
-# cot(pi/d)**2: sigma < pi/d exactly when u = cot(sigma) > cot(pi/d).
-_WALL_COT_SQ = {2: Fraction(0), 3: Fraction(1, 3), 4: Fraction(1), 6: Fraction(3)}
+# cot(pi/d)**2 = (4 - k)/k, k = 4 sin(pi/d)**2 from wall 1's entry of the wall
+# table: sigma < pi/d exactly when u = cot(sigma) > cot(pi/d).
+_WALL_COT_SQ = {d: Fraction(4 - k, k) for d in (2, 3, 4, 6) for k in [wall_trig(d)[1][0]]}
 
 
 def _stop_rules(d: int):

@@ -11,10 +11,14 @@ within WALL_EPSILON of a wall rather than continuing into garbage.
 Each case's polynomials are compiled once into straight-line kernels
 (:class:`CaseLab`): R, the interior test of a point and of its wall values,
 the per-state values (walls, qd, t1..t5, A0..A3), and a trajectory row built
-from those values.  RK4 runs on plain floats through one function,
-:func:`_rk4`, that calls the R kernel for its stages.  :func:`integrate_curve`
-is one pass: each new state's values are computed once and serve its wall
-test, its R and its row, which is emitted one step behind the integration.
+from those values.  The row kernel is the lab's one implementation of f,
+|A|^2 and the two residuals: the pointwise oracles :func:`normal_residual`
+and :func:`geometric_scalars` read them off a row at the state.  RK4 runs on
+plain floats through one function, :func:`_rk4`, that calls the R kernel for
+its stages.  :func:`integrate_curve` is one pass: each new state's values are
+computed once and serve its wall test, its R and its row, which is emitted
+one step behind the integration.  A :class:`Trajectory` stores the states,
+the rows and the stop reason; its summary values are read off them.
 
 Evaluation order is part of the output.  Kernel contract (see
 :func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
@@ -160,9 +164,10 @@ class CaseLab:
       ``point``'s ``values`` there, the planar curvature kd and the arclength
       derivatives of R; at an endpoint ``r_dot`` is None and res_ode is NaN.
       The d wall curvatures are unrolled with the trig constants and
-      multiplicities baked in, and every value rounds as the per-row helpers
-      compute it: :func:`_curvatures`, :meth:`scalars`, :func:`_cubic_form`
-      and :func:`_ode_form`.
+      multiplicities baked in: f = kd + sum m_i k_i, |A|^2 = kd^2 +
+      sum m_i k_i^2, res_poly = A0 xd^3 + ... + A3 yd^3 and res_ode the
+      denominator-cleared normal equation from the given R', R''.  This is
+      the only code that computes them.
     """
 
     def __init__(self, case: CaseSpec):
@@ -192,24 +197,6 @@ class CaseLab:
                              f"    return {rule}", "clear")
         self.row = _row_kernel(self.trig, case.multiplicities)
 
-    # -- pointwise quantities --------------------------------------------------
-
-    def wall_curvatures(self, st: CurveState) -> list[float]:
-        return _curvatures(self.trig, self.point(st.x, st.y)[0], st.xd, st.yd)
-
-    def scalars(self, kd: float, wall_ks: list[float]) -> tuple[float, float]:
-        """(f, |A|^2): the mean-curvature sum kd + sum m_i k_i and the squared
-        second fundamental form kd^2 + sum m_i k_i^2."""
-        f = a2 = 0
-        for m, k in zip(self.case.multiplicities, wall_ks):
-            f += m * k
-            a2 += m * k * k
-        return kd + f, kd * kd + a2
-
-    def mode_kd(self, mode: str, st: CurveState) -> float:
-        """Planar curvature imposed by the active mode's constraint."""
-        return -_MODE_COEFF[mode] * self.R(st.x, st.y, st.xd, st.yd)
-
 
 def _row_kernel(trig, multiplicities) -> Callable:
     """Compile :attr:`CaseLab.row` for the given wall trig pairs and multiplicities.
@@ -238,20 +225,6 @@ def _curvatures(trig, walls, xd: float, yd: float) -> list[float]:
     return [(s * yd + c * xd) / w for (s, c), w in zip(trig, walls)]
 
 
-def _cubic_form(a0, a1, a2, a3, xd: float, yd: float) -> float:
-    """A0 xd^3 + A1 xd^2 yd + A2 xd yd^2 + A3 yd^3, from 0.0 left to right."""
-    return 0.0 + a0 * xd**3 + a1 * xd**2 * yd + a2 * xd * yd**2 + a3 * yd**3
-
-
-def _ode_form(q, t1, t2, t3, t4, t5, xd: float, yd: float, r_dot: float,
-              r_ddot: float) -> float:
-    """Denominator-cleared normal equation rebuilt from given values of R', R''."""
-    vol_num = t1 * xd + t2 * yd
-    quad_num = t3 * xd**2 + t4 * xd * yd + t5 * yd**2
-    r_num = -t2 * xd + t1 * yd
-    return q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
-
-
 @lru_cache(maxsize=None)
 def get_lab(case: CaseSpec) -> CaseLab:
     return CaseLab(case)
@@ -277,7 +250,7 @@ def principal_curvatures(st: CurveState, case: CaseSpec, kd: float) -> list[floa
     lab = get_lab(case)
     if not lab.inside(st.x, st.y):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
-    return lab.wall_curvatures(st) + [kd]
+    return _curvatures(lab.trig, lab.point(st.x, st.y)[0], st.xd, st.yd) + [kd]
 
 
 def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
@@ -285,29 +258,30 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
                       h_fd: float = 1e-5) -> tuple[float, float, float]:
     """(f, |A|^2, laplacian of f) at a state, with the supplied kd.
 
-    f and |A|^2 are exact algebra in floats; the laplacian is measured by
-    central finite differences of f along the mode's flow, using
+    f and |A|^2 are columns 5 and 6 of the row kernel at the state.  The
+    laplacian is measured by central finite differences of f, column 5 with
+    the mode's kd = -coeff * R, along the mode's flow, using
     laplacian(f) = -f'' - (volume log-derivative) * f'.
     """
     _check_step("h_fd", h_fd)
     _check_mode(mode)
     lab = get_lab(case)
-    walls, q, t1, t2, *_ = lab.point(st.x, st.y)
-    if not lab.clear(walls):
+    values = lab.point(st.x, st.y)
+    if not lab.clear(values[0]):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
-    wall_ks = _curvatures(lab.trig, walls, st.xd, st.yd)
-    f, a2 = lab.scalars(kd, wall_ks)
+    f, a2 = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, kd, None, None)[5:7]
     coeff, r_mid = _MODE_COEFF[mode], lab.R(st.x, st.y, st.xd, st.yd)
 
     def f_at(x, y, xd, yd):
-        return lab.scalars(-coeff * lab.R(x, y, xd, yd),
-                           _curvatures(lab.trig, lab.point(x, y)[0], xd, yd))[0]
+        return lab.row(st.s, x, y, xd, yd, lab.point(x, y), -coeff * lab.R(x, y, xd, yd),
+                       None, None)[5]
 
-    f_mid = lab.scalars(-coeff * r_mid, wall_ks)[0]
+    f_mid = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, -coeff * r_mid, None, None)[5]
     f_plus = f_at(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))
     f_minus = f_at(*_rk4(lab.R, coeff, -h_fd, st.x, st.y, st.xd, st.yd, r_mid))
     f_dot = (f_plus - f_minus) / (2 * h_fd)
     f_ddot = (f_plus - 2 * f_mid + f_minus) / (h_fd * h_fd)
+    q, t1, t2 = values[1:4]
     laplacian = -f_ddot - (t1 * st.xd + t2 * st.yd) / q * f_dot
     return f, a2, laplacian
 
@@ -367,20 +341,21 @@ def normal_residual(st: CurveState, case: CaseSpec,
     The first number evaluates the assembled velocity-cubic coefficients; the
     second reconstructs the same quantity from the candidate flow, taking the
     first and second arclength derivatives of R by central finite differences.
-    Agreement is limited by the finite differencing, not the algebra.
+    Both are the row kernel's res_poly and res_ode (columns 7 and 8) at the
+    state.  Agreement is limited by the finite differencing, not the algebra.
     """
     _check_step("h_fd", h_fd)
     lab = get_lab(case)
-    walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = lab.point(st.x, st.y)
-    if not lab.clear(walls):
+    values = lab.point(st.x, st.y)
+    if not lab.clear(values[0]):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
-    poly_value = _cubic_form(a0, a1, a2, a3, st.xd, st.yd)
     coeff, r_mid = _MODE_COEFF[MODE_CANDIDATE], lab.R(st.x, st.y, st.xd, st.yd)
     r_plus = lab.R(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))
     r_minus = lab.R(*_rk4(lab.R, coeff, -h_fd, st.x, st.y, st.xd, st.yd, r_mid))
     r_dot = (r_plus - r_minus) / (2 * h_fd)
     r_ddot = (r_plus - 2 * r_mid + r_minus) / (h_fd * h_fd)
-    return poly_value, _ode_form(q, t1, t2, t3, t4, t5, st.xd, st.yd, r_dot, r_ddot)
+    row = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, -coeff * r_mid, r_dot, r_ddot)
+    return row[7], row[8]
 
 
 # One CSV row: 9 floats (or ints) at 17 significant digits, as f"{v:.17g}".
@@ -388,14 +363,32 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 
 class Trajectory(NamedTuple):
-    """Uniformly sampled integration output plus diagnostics."""
+    """Uniformly sampled integration output; the diagnostics are read off it.
+
+    The first and last rows are endpoint rows: their kd is the mode
+    constraint's and their res_ode is NaN, so the f and residual diagnostics
+    read the interior rows only.  A NaN f is passed over, as ``max`` with 0.0
+    first does.
+    """
 
     states: list[CurveState]
     rows: list[tuple]
     stop_reason: str
-    max_abs_f: float
-    speed_drift: float
-    residual_pairs: list[tuple[float, float]]
+
+    @property
+    def max_abs_f(self) -> float:
+        """Largest |f| over the interior rows, 0.0 without one."""
+        return max([0.0] + [abs(r[5]) for r in self.rows[1:-1]])
+
+    @property
+    def speed_drift(self) -> float:
+        """Largest |xd^2 + yd^2 - 1| over the states."""
+        return max([0.0] + [abs(st.xd * st.xd + st.yd * st.yd - 1.0) for st in self.states])
+
+    @property
+    def residual_pairs(self) -> list[tuple[float, float]]:
+        """(res_poly, res_ode) of each interior row."""
+        return [(r[7], r[8]) for r in self.rows[1:-1]]
 
     def write_csv(self, target) -> None:
         """Write rows as CSV with 17-significant-digit floats."""
@@ -412,7 +405,7 @@ class Trajectory(NamedTuple):
 
 def integrate_curve(init: CurveState, cfg: IntegratorConfig,
                     case: CaseSpec) -> Trajectory:
-    """Integrate from init until max_steps, a wall stop or an overflow; compute diagnostics.
+    """Integrate from init until max_steps, a wall stop or an overflow.
 
     The f column is measured: the planar curvature is reconstructed from
     central differences of the integrated tangent, so deviations expose
@@ -445,9 +438,6 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     except OverflowError:
         raise BoundaryError(f"initial state ({x}, {y}) overflows the lab's float range") from None
     states = [init]
-    residual_pairs = []
-    max_abs_f = 0.0
-    speed_drift = max(0.0, abs(xd * xd + yd * yd - 1.0))
     stop_reason = "max_steps"
     try:
         for n in range(cfg.max_steps):
@@ -484,13 +474,6 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
                 if v1 is None:  # the curve ends here, with an endpoint row
                     break
                 rows.append(current)
-                residual_pairs.append((current[7], current[8]))
-                f = abs(current[5])
-                if f > max_abs_f:
-                    max_abs_f = f
-                drift = abs(xd * xd + yd * yd - 1.0)
-                if drift > speed_drift:
-                    speed_drift = drift
             elif v1 is None:
                 break
             s += h
@@ -499,17 +482,10 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
             x, y, xd, yd, v, r = x1, y1, xd1, yd1, v1, r1
         if len(states) > 1:
             rows.append(row(s, x, y, xd, yd, v, -coeff * r, None, None))
-            speed_drift = max(speed_drift, abs(xd * xd + yd * yd - 1.0))
     except OverflowError:  # the last state's row overflows: end the curve one state earlier
         stop_reason = "overflow"
         del states[-1]
         if len(states) > 1:
             last = states[-1]
             rows[-1] = row(last.s, last.x, last.y, last.xd, last.yd, vp, -coeff * rp, None, None)
-            del residual_pairs[-1]
-            max_abs_f = 0.0
-            for interior in rows[1:-1]:
-                max_abs_f = max(max_abs_f, abs(interior[5]))
-
-    return Trajectory(states=states, rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,
-                      speed_drift=speed_drift, residual_pairs=residual_pairs)
+    return Trajectory(states, rows, stop_reason)

@@ -1,13 +1,20 @@
-"""Two-pass reference integrator for the lab, used only as a test oracle.
+"""Reference formulas and a two-pass integrator for the lab, used only as test oracles.
 
-This is ``integrate_curve`` as it was before it became one pass: the RK4 loop
-tests each new state with the lab's ``inside`` kernel and keeps the value of
-R at every state in a list; a post-pass then calls ``point`` once per state
-and builds each row from the per-row helpers ``_curvatures``,
-``CaseLab.scalars``, ``_cubic_form`` and ``_ode_form``.  A state whose R
-overflows ends the loop; a row that overflows ends the curve at the state
-before it, and the post-pass runs again.  The one-pass integrator must return
-the same rows, states, stop reason and diagnostics, bit for bit.
+The per-row helpers ``scalars``, ``cubic_form`` and ``ode_form`` compute f,
+|A|^2, res_poly and res_ode one value at a time, rounding as the lab's row
+kernel must; with the package's ``_curvatures`` they are the reference the
+row kernel is compared with.
+
+``integrate_two_pass`` is ``integrate_curve`` as it was before it became one
+pass: the RK4 loop tests each new state with the lab's ``inside`` kernel and
+keeps the value of R at every state in a list; a post-pass then calls
+``point`` once per state and builds each row from the per-row helpers.  A
+state whose R overflows ends the loop; a row that overflows ends the curve at
+the state before it, and the post-pass runs again.  The post-pass keeps its
+own diagnostics, max |f| and the (res_poly, res_ode) pairs over the interior
+rows and the speed drift over the states, by an incremental rule.  The
+one-pass integrator must return the same rows, states and stop reason, and
+its trajectory's derived diagnostics must equal these, bit for bit.
 """
 
 from chamberlab.errors import BoundaryError
@@ -15,15 +22,38 @@ from chamberlab.numerics import (
     _MODE_COEFF,
     CurveState,
     Trajectory,
-    _cubic_form,
     _curvatures,
-    _ode_form,
     _rk4,
     get_lab,
 )
 
 
-def integrate_two_pass(init, cfg, case) -> Trajectory:
+def scalars(lab, kd: float, wall_ks: list[float]) -> tuple[float, float]:
+    """(f, |A|^2): the mean-curvature sum kd + sum m_i k_i and the squared
+    second fundamental form kd^2 + sum m_i k_i^2."""
+    f = a2 = 0
+    for m, k in zip(lab.case.multiplicities, wall_ks):
+        f += m * k
+        a2 += m * k * k
+    return kd + f, kd * kd + a2
+
+
+def cubic_form(a0, a1, a2, a3, xd: float, yd: float) -> float:
+    """A0 xd^3 + A1 xd^2 yd + A2 xd yd^2 + A3 yd^3, from 0.0 left to right."""
+    return 0.0 + a0 * xd**3 + a1 * xd**2 * yd + a2 * xd * yd**2 + a3 * yd**3
+
+
+def ode_form(q, t1, t2, t3, t4, t5, xd: float, yd: float, r_dot: float,
+             r_ddot: float) -> float:
+    """Denominator-cleared normal equation rebuilt from given values of R', R''."""
+    vol_num = t1 * xd + t2 * yd
+    quad_num = t3 * xd**2 + t4 * xd * yd + t5 * yd**2
+    r_num = -t2 * xd + t1 * yd
+    return q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
+
+
+def integrate_two_pass(init, cfg, case) -> tuple[Trajectory, float, float, list]:
+    """(trajectory, max_abs_f, speed_drift, residual_pairs) of the two-pass integration."""
     lab = get_lab(case)
     R, inside = lab.R, lab.inside
     if not inside(init.x, init.y):
@@ -70,13 +100,13 @@ def integrate_two_pass(init, cfg, case) -> Trajectory:
                 else:
                     kd = -coeff * r_values[idx]
                 wall_ks = _curvatures(lab.trig, walls, xd, yd)
-                f, a_sq = lab.scalars(kd, wall_ks)
-                res_poly = _cubic_form(a0, a1, a2, a3, xd, yd)
+                f, a_sq = scalars(lab, kd, wall_ks)
+                res_poly = cubic_form(a0, a1, a2, a3, xd, yd)
                 if interior:
                     max_abs_f = max(max_abs_f, abs(f))
                     r_dot = (r_values[idx + 1] - r_values[idx - 1]) / (2 * h)
                     r_ddot = (r_values[idx + 1] - 2 * r_values[idx] + r_values[idx - 1]) / (h * h)
-                    res_ode = _ode_form(q, t1, t2, t3, t4, t5, xd, yd, r_dot, r_ddot)
+                    res_ode = ode_form(q, t1, t2, t3, t4, t5, xd, yd, r_dot, r_ddot)
                     residual_pairs.append((res_poly, res_ode))
                 else:
                     res_ode = float("nan")
@@ -88,5 +118,4 @@ def integrate_two_pass(init, cfg, case) -> Trajectory:
             stop_reason = "overflow"
             del states[idx:], r_values[idx:]
 
-    return Trajectory(states=states, rows=rows, stop_reason=stop_reason, max_abs_f=max_abs_f,
-                      speed_drift=speed_drift, residual_pairs=residual_pairs)
+    return Trajectory(states, rows, stop_reason), max_abs_f, speed_drift, residual_pairs

@@ -19,6 +19,7 @@ from chamberlab.numerics import (
     MODE_CANDIDATE,
     MODE_MINIMAL,
     MODES,
+    Trajectory,
     geometric_scalars,
     get_lab,
     integrate_curve,
@@ -40,7 +41,7 @@ from golden import (
     trajectory_hashes,
     wall_stop_curves,
 )
-from lab_oracle import integrate_two_pass
+from lab_oracle import cubic_form, integrate_two_pass, ode_form, scalars
 
 
 def _random_interior_state(case, rng, radius=(0.7, 1.5)):
@@ -78,7 +79,7 @@ def test_directional_log_derivative_matches_ratio_formula(all_cases):
     for case in all_cases:
         lab = get_lab(case)
         st = _random_interior_state(case, rng)
-        ratio = lab.wall_curvatures(st)
+        ratio = principal_curvatures(st, case, 0.0)[:-1]
         for i in range(case.d):
             def log_w2(x, y):
                 return math.log(lab.point(x, y)[0][i] ** 2)
@@ -95,7 +96,7 @@ def test_geometric_scalars_identities(su3):
     for _ in range(10):
         st = _random_interior_state(su3, rng)
         r_val = lab.R(st.x, st.y, st.xd, st.yd)
-        kd = lab.mode_kd(MODE_CANDIDATE, st)
+        kd = -r_val / 3
         f, a2, _ = geometric_scalars(st, su3, kd, mode=MODE_CANDIDATE)
         assert f == pytest.approx(r_val + kd, rel=1e-12, abs=1e-12)
         assert f == pytest.approx(2 * r_val / 3, rel=1e-10, abs=1e-12)
@@ -104,8 +105,7 @@ def test_geometric_scalars_identities(su3):
 
 def test_geometric_scalars_laplacian_zero_in_minimal_mode(su3):
     st = state_from_angle(1.0, 0.3, 0.7)
-    lab = get_lab(su3)
-    kd = lab.mode_kd(MODE_MINIMAL, st)
+    kd = -get_lab(su3).R(st.x, st.y, st.xd, st.yd)
     # f vanishes identically along the minimal flow, so the second difference
     # is pure float roundoff amplified by 1/h^2; a coarser step keeps that
     # below 1e-6.
@@ -115,12 +115,16 @@ def test_geometric_scalars_laplacian_zero_in_minimal_mode(su3):
 
 
 def test_candidate_kd_is_minus_third_of_curvature_sum(su3):
+    # The candidate flow turns its tangent at kd = -R/3, so f = kd + R reads
+    # 2R/3: on the endpoint rows, which take the mode's kd, and on the
+    # interior rows, which measure kd from the integrated tangent.
     lab = get_lab(su3)
-    st = state_from_angle(1.0, 0.4, 1.1)
-    for _ in range(50):
-        st = step_candidate(st, su3, 1e-3)
-    r_val = lab.R(st.x, st.y, st.xd, st.yd)
-    assert lab.mode_kd(MODE_CANDIDATE, st) == pytest.approx(-r_val / 3)
+    cfg = IntegratorConfig(step=1e-4, max_steps=100, mode=MODE_CANDIDATE)
+    trajectory = integrate_curve(state_from_angle(1.0, 0.4, 1.1), cfg, su3)
+    assert len(trajectory.rows) == 101
+    for st, row in zip(trajectory.states, trajectory.rows):
+        r_val = lab.R(st.x, st.y, st.xd, st.yd)
+        assert row[5] == pytest.approx(2 * r_val / 3, rel=1e-7)
 
 
 def test_step_reversal_retraces(su3):
@@ -200,7 +204,8 @@ def test_tangential_residual_vanishes_on_minimal_line():
     worst = 0.0
     for i in range(2, len(f_col) - 2):
         f_dot = (f_col[i + 1] - f_col[i - 1]) / (2 * h)
-        kd = get_lab(case).mode_kd(MODE_MINIMAL, trajectory.states[i])
+        st = trajectory.states[i]
+        kd = -get_lab(case).R(st.x, st.y, st.xd, st.yd)
         worst = max(worst, abs(f_dot * (f_col[i] + 2 * kd)))
     assert worst < 1e-6
 
@@ -410,20 +415,42 @@ def test_one_pass_matches_two_pass_oracle(all_cases):
     # that stops at the vertex and one flung out of float range, plus coarse
     # curves through every way a curve can end: the one-pass integrator
     # returns what the two-pass one did, every float compared by repr.
+    # The trajectory's derived diagnostics equal the ones the oracle keeps
+    # step by step, on the curves whose interior or last row overflows too.
     stops = {}
     for case, init, cfg in _oracle_curves(all_cases):
-        new, old = integrate_curve(init, cfg, case), integrate_two_pass(init, cfg, case)
+        new = integrate_curve(init, cfg, case)
+        old, max_abs_f, speed_drift, residual_pairs = integrate_two_pass(init, cfg, case)
         where = (case.label, cfg)
         assert [repr(row) for row in new.rows] == [repr(row) for row in old.rows], where
         assert [repr(st) for st in new.states] == [repr(st) for st in old.states], where
         assert new.stop_reason == old.stop_reason, where
-        assert repr(new.residual_pairs) == repr(old.residual_pairs), where
-        assert repr(new.max_abs_f) == repr(old.max_abs_f), where
-        assert repr(new.speed_drift) == repr(old.speed_drift), where
+        assert repr(new.residual_pairs) == repr(residual_pairs), where
+        assert repr(new.max_abs_f) == repr(max_abs_f), where
+        assert repr(new.speed_drift) == repr(speed_drift), where
         stops.setdefault(new.stop_reason, set()).add(case.label)
     assert set(stops) == {"max_steps", "boundary", "overflow"}
     assert len(stops["max_steps"]) == len(all_cases)
     assert "SO5" in stops["overflow"]
+
+
+def test_trajectory_diagnostics_read_interior_rows():
+    # Hand-built rows (s, x, y, xd, yd, f, A2, res_poly, res_ode): the
+    # endpoint rows, whose f is largest, are left out of max_abs_f and
+    # residual_pairs; a NaN f is passed over; speed_drift reads every state,
+    # the start's included.
+    states = [CurveState(0.1 * i, 1.0, 0.3, xd, 0.0) for i, xd in enumerate((1.5, 1.0, 0.5, 1.0))]
+    fs, res = (9.0, math.nan, -2.0, -8.0), (1.0, 2.0, 3.0, 4.0)
+    rows = [(*st, f, 1.0, r, -r) for st, f, r in zip(states, fs, res)]
+    trajectory = Trajectory(states, rows, "max_steps")
+    assert Trajectory._fields == ("states", "rows", "stop_reason")
+    assert tuple(trajectory) == (states, rows, "max_steps")
+    assert trajectory.max_abs_f == 2.0
+    assert trajectory.residual_pairs == [(2.0, -2.0), (3.0, -3.0)]
+    assert trajectory.speed_drift == 1.25
+    one = Trajectory(states[:1], rows[:1], "boundary")
+    assert (one.max_abs_f, one.residual_pairs, one.speed_drift) == (0.0, [], 1.25)
+    assert Trajectory(states[:3], rows[:3], "overflow").max_abs_f == 0.0  # its only f is NaN
 
 
 def test_pointwise_oracles_match_golden():
@@ -448,11 +475,11 @@ def _kernel_oracle(lab, x, y, xd, yd):
 def _row_oracle(lab, st, point, kd, r_dot=None, r_ddot=None):
     """A trajectory row from the per-row helpers; an endpoint row without r_dot."""
     walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = point
-    f, a_sq = lab.scalars(kd, numerics._curvatures(lab.trig, walls, st.xd, st.yd))
-    res_ode = math.nan if r_dot is None else numerics._ode_form(
+    f, a_sq = scalars(lab, kd, numerics._curvatures(lab.trig, walls, st.xd, st.yd))
+    res_ode = math.nan if r_dot is None else ode_form(
         q, t1, t2, t3, t4, t5, st.xd, st.yd, r_dot, r_ddot)
     return (st.s, st.x, st.y, st.xd, st.yd, f, a_sq,
-            numerics._cubic_form(a0, a1, a2, a3, st.xd, st.yd), res_ode)
+            cubic_form(a0, a1, a2, a3, st.xd, st.yd), res_ode)
 
 
 def test_compiled_polynomials_match_term_loop_bitwise(all_cases):

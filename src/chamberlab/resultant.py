@@ -30,6 +30,22 @@ the subresultant PRS (Brown & Traub, J. ACM 18, 1971; Cohen, Algorithm 3.3.7,
 without content removal) finishes over Z, and every division it makes is
 checked to be exact.
 
+Reflection: the chamber's reflection x -> -x sends wall i to wall d - i, so
+it preserves a row with m_i = m_(d-i), as alternating multiplicities are.
+Then every exponent of u in u**j * pa[j] has one parity s_a, and every one
+in u**k * pc[k] one parity s_c (empty entries do not count).  Write
+u**j * pa[j] = u**s_a * A~_j(u**2), and C~ likewise; the reduced lists hold
+the same coefficients, so the bound is unchanged.  With m = len(pa) - 1,
+n = len(pc) - 1 and t = u*tau, A(u*tau) = u**s_a * A~(u**2, tau).  Since
+Res(F(l*tau), G(l*tau)) = l**(m*n) * Res(F, G) and Res(c*F, G) = c**n *
+Res(F, G) for F of formal degree m,
+
+    Res(A, C) = u**e * R~(u**2),  R~ = Res(A~, C~),  e = s_a*n + s_c*m - m*n,
+
+so the packed PRS runs on R~, at half the degree in u.  For e < 0 the low
+-e coefficients of R~(u**2) must vanish, else ExactDivisionError.  Lists
+with both parities on one side take the packed PRS in u.
+
 For real roots: the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
 Comput. 7, 1989) at xi = 2**s, packed and read back as above and checked by
 exact division, else the primitive remainder sequence; the check's
@@ -136,10 +152,45 @@ def sylvester_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
 
     ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1;
     either may be 0, not both.  The pc block fills the first Sylvester rows.
+    Lists with the reflection symmetry are reduced to v = u**2 first.
     """
     m, n = len(pa) - 1, len(pc) - 1
     if min(m, n) < 0 or m + n < 1:
         raise ValueError("formal degrees must be at least 0 and not both 0")
+    s_a, s_c = _reflection_parity(pa), _reflection_parity(pc)
+    if s_a is None or s_c is None:
+        return _packed_resultant(pa, pc)
+    reduced = _packed_resultant(_halve(pa, s_a), _halve(pc, s_c))
+    if not reduced:
+        return []
+    e = s_a * n + s_c * m - m * n  # the resultant is u**e * reduced(u**2)
+    low = max(e, 0)
+    out = [0] * (low + 2 * len(reduced) - 1)
+    out[low::2] = reduced
+    if e >= 0:
+        return out
+    if any(out[:-e]):
+        raise ExactDivisionError(f"the reduced resultant is not divisible by u**{-e}")
+    return out[-e:]
+
+
+def _reflection_parity(p: list[IntPoly]) -> int | None:
+    """The one parity of every exponent in u**j * p[j], or None if there are two.
+
+    A list with no nonzero coefficient has parity 0.
+    """
+    parities = {(i + j) & 1 for j, q in enumerate(p) for i, c in enumerate(q) if c}
+    return None if len(parities) > 1 else parities.pop() if parities else 0
+
+
+def _halve(p: list[IntPoly], s: int) -> list[IntPoly]:
+    """The lists P~_j in v with u**j * p[j] = u**s * P~_j(u**2)."""
+    return [([0] * j + q)[s::2] for j, q in enumerate(p)]
+
+
+def _packed_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
+    """sylvester_resultant in u, on the packed integers."""
+    m, n = len(pa) - 1, len(pc) - 1
     bound = sum(map(abs, chain(*pc))) ** m * sum(map(abs, chain(*pa))) ** n
     k = bound.bit_length() + 2
     f, g = ([_pack(p, k) for p in q] for q in (pc, pa))

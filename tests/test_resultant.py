@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from chamberlab import certify, resultant
-from chamberlab.cases import default_cases, load_registry, registry_case
+from chamberlab.cases import CaseSpec, default_cases, load_registry, registry_case
 from chamberlab.certify import compute_resultant
+from chamberlab.cli import EXIT_PIPELINE_ERROR, main
 from chamberlab.errors import ExactDivisionError
 from chamberlab.reduction import build_bundle
 from chamberlab.resultant import (
     _pack,
+    _reflection_parity,
     _unpack,
     divide_exact,
     gcd,
@@ -157,21 +160,136 @@ def _oracle_cases():
     return cases + [registry_case("SOn-1", {"n": n}) for n in range(3, 41)]
 
 
-def test_matches_bareiss_on_registry_resultants(monkeypatch):
-    # Every pair compute_resultant hands to sylvester_resultant, checked
-    # against the fraction-free determinant of the Sylvester matrix over Z[u].
+def _resultant_pairs(cases, monkeypatch):
+    """The (pa, pc) that compute_resultant hands to sylvester_resultant, per case."""
     pairs = []
 
     def recording(pa, pc):
         pairs.append((pa, pc))
         return sylvester_resultant(pa, pc)
 
-    monkeypatch.setattr(certify, "sylvester_resultant", recording)
-    for case in _oracle_cases():
-        compute_resultant(build_bundle(case))
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "sylvester_resultant", recording)
+        for case in cases:
+            compute_resultant(build_bundle(case))
+    return pairs
+
+
+def _halving_calls(monkeypatch):
+    """A list that gains two entries, one per side, on each call of
+    sylvester_resultant that takes the reduced path in v = u**2."""
+    calls, halve = [], resultant._halve
+
+    def recording(p, s):
+        calls.append(s)
+        return halve(p, s)
+
+    monkeypatch.setattr(resultant, "_halve", recording)
+    return calls
+
+
+def test_matches_bareiss_on_registry_resultants(monkeypatch):
+    # Every pair compute_resultant hands to sylvester_resultant, checked
+    # against the fraction-free determinant of the Sylvester matrix over Z[u].
+    # Every registry row has alternating multiplicities, so every pair has
+    # the reflection symmetry and takes the reduced path; the u path gives
+    # the same list.
+    pairs = _resultant_pairs(_oracle_cases(), monkeypatch)
     assert len(pairs) == 14 + 38 + 2 * sum(1 for t in load_registry() if t.param_specs)
+    calls = _halving_calls(monkeypatch)
     for pa, pc in pairs:
-        assert sylvester_resultant(pa, pc) == determinant_bareiss(sylvester_matrix(pa, pc))
+        calls.clear()
+        got = sylvester_resultant(pa, pc)
+        assert len(calls) == 2
+        assert got == determinant_bareiss(sylvester_matrix(pa, pc))
+        assert got == resultant._packed_resultant(pa, pc)
+
+
+def test_d4_tuples_take_the_reduced_path_when_m1_equals_m3(monkeypatch):
+    # x -> -x sends wall i to wall 4 - i: it fixes walls 0 and 2 and swaps
+    # walls 1 and 3.  The 27 tuples in {1, 2, 3}^4 with m1 = m3 take the
+    # reduced path, the other 54 the u path, and both paths agree on all 81.
+    tuples = list(itertools.product((1, 2, 3), repeat=4))
+    cases = [CaseSpec(name="T", group="", action="", n=2 + sum(m), d=4, multiplicities=m)
+             for m in tuples]
+    pairs = _resultant_pairs(cases, monkeypatch)
+    calls, reduced = _halving_calls(monkeypatch), 0
+    for mults, (pa, pc) in zip(tuples, pairs, strict=True):
+        calls.clear()
+        got = sylvester_resultant(pa, pc)
+        assert len(calls) == 2 * (mults[1] == mults[3]), mults
+        assert got == resultant._packed_resultant(pa, pc), mults
+        reduced += bool(calls)
+    assert reduced == 27
+
+
+def _parity_entry(rng, j, s):
+    """A random u-list, or [], with every exponent i of i + j = s mod 2."""
+    if rng.random() < 0.3:
+        return []
+    return _stripped([rng.randint(-6, 6) * ((i + j - s) % 2 == 0)
+                      for i in range(rng.randint(1, 5))])
+
+
+def _parity_side(rng, count, s):
+    roll = rng.random()
+    if roll < 0.05:
+        return [[] for _ in range(count)]
+    coeffs = [_parity_entry(rng, j, s) for j in range(count)]
+    if roll < 0.35:
+        coeffs[-1] = []
+    return coeffs
+
+
+def test_reduced_path_matches_cofactor_on_symmetric_lists(monkeypatch):
+    # Formal degrees 0..4 x 0..5, both parities on each side, with zero
+    # entries, vanishing leading coefficients and all-zero sides: lists with
+    # the symmetry take the reduced path and reach both signs of
+    # e = s_a * n + s_c * m - m * n with a nonzero resultant.  One
+    # coefficient of the other parity sends the same lists down the u path.
+    rng = random.Random(31)
+    calls, branches, mixed = _halving_calls(monkeypatch), {True: 0, False: 0}, 0
+    for m, n in itertools.product(range(5), range(6)):
+        if m + n == 0:
+            continue
+        for s_a, s_c in itertools.product((0, 1), repeat=2):
+            for _ in range(8):
+                pa, pc = _parity_side(rng, m + 1, s_a), _parity_side(rng, n + 1, s_c)
+                calls.clear()
+                got = sylvester_resultant(pa, pc)
+                assert len(calls) == 2
+                assert got == determinant_cofactor(sylvester_matrix(pa, pc)), (pa, pc)
+                if got:
+                    e = _reflection_parity(pa) * n + _reflection_parity(pc) * m - m * n
+                    branches[e >= 0] += 1
+                side, s = rng.choice(((pa, s_a), (pc, s_c)))
+                j = rng.randrange(len(side))
+                i = (s - j) % 2 + 2 * rng.randint(0, 1)  # then i + 1 has the other parity
+                side[j] = side[j] + [0] * (i + 2 - len(side[j]))
+                side[j][i] = side[j][i] or rng.randint(1, 6)
+                side[j][i + 1] = rng.choice([-1, 1]) * rng.randint(1, 6)
+                assert _reflection_parity(side) is None
+                calls.clear()
+                got = sylvester_resultant(pa, pc)
+                assert not calls
+                assert got == determinant_cofactor(sylvester_matrix(pa, pc)), (pa, pc)
+                mixed += 1
+    assert min(branches.values()) > 0, branches
+    assert mixed == 29 * 4 * 8
+
+
+def test_reduced_resultant_must_vanish_below_u_to_the_minus_e(monkeypatch, tmp_path, capsys):
+    # At e = -1 the reduced resultant R~(u**2) must be divisible by u: its
+    # constant term vanishes.  A packed determinant that breaks this is an
+    # inexact division, which certify reports with exit 3.
+    pa, pc = [[1], [0, 1]], [[2], [0, 3]]
+    assert sylvester_resultant(pa, pc) == [0, 1]  # Res(1 + u*t, 2 + 3*u*t) at (1, 1)
+    monkeypatch.setattr(resultant, "_packed_resultant", lambda pa, pc: [1])
+    with pytest.raises(ExactDivisionError, match="not divisible by u\\*\\*1"):
+        sylvester_resultant(pa, pc)
+    assert main(["certify", "--case", "G2", "--out", str(tmp_path)]) == EXIT_PIPELINE_ERROR
+    assert "not divisible by u**7" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_matches_cofactor_on_random_formal_degrees():
@@ -356,7 +474,10 @@ def test_matches_sympy_resultant():
         return sum(sympy.Rational(int(c.a.numerator), int(c.a.denominator)) * u ** a
                    for (a, _), c in poly.terms.items())
 
-    for case in (registry_case("G2"), registry_case("SO4"), registry_case("Sp2xSpm", {"m": 2})):
+    # The three rows take the reduced path; the d = 4 tuple with m1 != m3 the u path.
+    mixed = CaseSpec(name="T", group="", action="", n=9, d=4, multiplicities=(1, 2, 3, 1))
+    for case in (registry_case("G2"), registry_case("SO4"), registry_case("Sp2xSpm", {"m": 2}),
+                 mixed):
         bundle = build_bundle(case)
         report = compute_resultant(bundle)
         assert report.trimmed_pairs == 0 and not report.identically_zero

@@ -9,6 +9,10 @@ them, Sylvester resultants by the subresultant remainder sequence on
 Kronecker-packed integers, machine-readable per-case nonexistence
 certificates, and an RK4 profile-curve integrator that cross-validates the
 symbolic pipeline.
+
+The Q(sqrt2, sqrt3) types, which only views build, are not exported here:
+``FieldScalar``, ``SpatialPoly`` and ``build_walls`` live in :mod:`.field`,
+:mod:`.poly` and :mod:`.reduction`.
 """
 
 from .cases import CaseSpec, default_cases, instantiate_case, load_registry, \
@@ -16,21 +20,19 @@ from .cases import CaseSpec, default_cases, instantiate_case, load_registry, \
 from .certify import certify_case, chamber_root_scan, compute_resultant, \
     expected_resultant_degree, line_cotangent_sum, minimal_line_angles
 from .errors import ChamberlabError
-from .field import FieldScalar, Rat
+from .field import Rat
 from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL, \
     geometric_scalars, integrate_curve, normal_residual, principal_curvatures, \
     state_from_angle, step_candidate, step_minimal
-from .poly import SpatialPoly
-from .reduction import ReductionBundle, build_bundle, build_walls, \
-    verify_reference_example
+from .reduction import ReductionBundle, build_bundle, verify_reference_example
 from .resultant import sylvester_resultant
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseSpec", "ChamberlabError", "CurveState", "FieldScalar",
+    "CaseSpec", "ChamberlabError", "CurveState",
     "IntegratorConfig", "MODE_CANDIDATE", "MODE_MINIMAL", "Rat",
-    "ReductionBundle", "SpatialPoly", "build_bundle", "build_walls",
+    "ReductionBundle", "build_bundle",
     "certify_case", "chamber_root_scan", "compute_resultant",
     "default_cases", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",

@@ -121,6 +121,8 @@ def _param_spec(entry: dict) -> tuple[str, int, int]:
     unknown = sorted(set(entry) - _PARAM_KEYS)
     if unknown:
         raise ValueError(f"parameter {entry.get('name')!r}: unknown keys {unknown}")
+    if not isinstance(entry["name"], str):
+        raise ValueError(f"a parameter name must be a string, got {entry['name']!r}")
     for key in ("min", "default"):
         if type(entry[key]) is not int:
             raise ValueError(f"parameter {entry['name']!r}: {key} must be an integer, "
@@ -143,10 +145,14 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
         raise RegistryError(f"{where}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or "cases" not in doc:
         raise RegistryError(f"{where}: missing top-level 'cases' list")
+    if not isinstance(doc["cases"], list):
+        raise RegistryError(f"{where}: 'cases' must be a list, got {doc['cases']!r}")
     templates = []
     for idx, row in enumerate(doc["cases"]):
         where_row = f"{where}: case[{idx}]"
         try:
+            if not isinstance(row, dict):
+                raise ValueError(f"a case must be an object, got {row!r}")
             unknown = sorted(set(row) - _ROW_KEYS)
             if unknown:
                 raise ValueError(f"unknown keys {unknown}")

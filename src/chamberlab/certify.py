@@ -13,7 +13,8 @@ dense integer list in u = x/y over one denominator; on the unit arc
 u = cot(sigma), and the chamber sigma in (0, pi/d) is u > cot(pi/d).  Its
 chamber roots come from an exact factorization (chamber_root_scan) and
 rational isolating intervals; membership in the chamber and minimality are
-decided exactly, and floats only display them.
+decided exactly, and floats only display them.  Certifying builds no element
+of Q(sqrt2, sqrt3); a report's ``poly`` view, read by no code here, does.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import NamedTuple
 
 from .cases import CaseSpec
 from .errors import PipelineError
-from .field import FieldScalar, format_rational, rational_text
-from .poly import DensePoly, SpatialPoly
+from .field import format_rational, rational_text
+from .poly import DensePoly
 from .reduction import ReductionBundle, build_bundle, wall_trig
 from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
     quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
@@ -61,10 +62,10 @@ class ResultantReport(NamedTuple):
         return not self.coeffs
 
     @property
-    def poly(self) -> SpatialPoly:
-        """The resultant as a homogeneous SpatialPoly with rational coefficients."""
-        return SpatialPoly({(a, self.degree - a): FieldScalar.rational(c, self.scale)
-                            for a, c in enumerate(self.coeffs) if c})
+    def poly(self):
+        """The resultant as a homogeneous :class:`~chamberlab.poly.SpatialPoly`
+        with rational coefficients, built on each read."""
+        return DensePoly(self.coeffs, self.scale).to_spatial()
 
     def exact_value(self, x: int, y: int) -> Fraction:
         """The resultant at the integer point (x, y), exactly."""

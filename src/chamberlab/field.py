@@ -2,8 +2,9 @@
 
 A :class:`FieldScalar` stores the four rational coordinates of an element
 with respect to the basis (1, sqrt2, sqrt3, sqrt6).  It is the coefficient
-type of :class:`~chamberlab.poly.SpatialPoly`, of the walls (+-sqrt(k)/2)
-and the bundle's views; the derivation itself runs in Q.
+type of :class:`~chamberlab.poly.SpatialPoly`: of the walls (+-sqrt(k)/2),
+the bundle's views and a resultant's ``poly``, each built only when read.
+The derivation, the certificate and the lab run in Q and build none.
 
 Arithmetic costs what the nonzero coordinates cost: numbering the basis
 1, sqrt2, sqrt3, sqrt6 as 0..3, basis i times basis j is basis ``i ^ j`` times
@@ -42,6 +43,19 @@ def _sub(x, y):
 
 def _neg(x):
     return -x if x else x
+
+
+def power(base, exponent: int, one):
+    """base ** exponent for an int exponent >= 0 by repeated squaring; ``one``
+    is the product of no factors."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 class FieldScalar:
@@ -113,9 +127,6 @@ class FieldScalar:
         return FieldScalar._raw(_sub(self.a, o.a), _sub(self.b, o.b),
                                 _sub(self.c, o.c), _sub(self.e, o.e))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return FieldScalar._raw(_neg(self.a), _neg(self.b), _neg(self.c), _neg(self.e))
 
@@ -172,26 +183,12 @@ class FieldScalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, exponent, ONE)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -232,9 +229,6 @@ class FieldScalar:
 
     def __repr__(self):
         return f"FieldScalar({self.to_text()})"
-
-    def __str__(self):
-        return self.to_text()
 
 
 ZERO = FieldScalar.rational(0)

@@ -13,12 +13,13 @@ Two representations:
 
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
 is rational and homogeneous.  So the derivation runs on DensePolys alone,
-from qd and the wall products on (see :mod:`chamberlab.reduction`), and the
-walls are the one SpatialPoly it builds.  The lists go on to the serialized
-bundle (:meth:`DensePoly.to_json`, the same text as going through
+from qd and the wall products on (see :mod:`chamberlab.reduction`), and
+builds no SpatialPoly.  The lists go on to the serialized bundle
+(:meth:`DensePoly.to_json`, the same text as going through
 :meth:`DensePoly.to_spatial`), the resultant and the lab's float kernels
-(:meth:`DensePoly.float_terms`).  Only the bundle's SpatialPoly views call
-``to_spatial``.
+(:meth:`DensePoly.float_terms`).  SpatialPolys are built only on read: a
+bundle's walls, its other views and a resultant's ``poly``, the last two
+through ``to_spatial``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ExactDivisionError
-from .field import _R0, _RATIONAL_TAIL, FieldScalar, ONE, ZERO
+from .field import _R0, _RATIONAL_TAIL, FieldScalar, ONE, ZERO, power
 
 Monomial = tuple[int, int]
 
@@ -136,9 +137,6 @@ class SpatialPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         p = SpatialPoly.__new__(SpatialPoly)
         p.terms = {m: -c for m, c in self.terms.items()}
@@ -168,24 +166,13 @@ class SpatialPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = SpatialPoly({(0, 0): ONE})
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, exponent, SpatialPoly({(0, 0): ONE}))
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- structure -----------------------------------------------------------
 
@@ -399,14 +386,7 @@ class DensePoly:
                          self.den * scalar.denominator)
 
     def __pow__(self, exponent: int) -> "DensePoly":
-        result, base = DensePoly([1]), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return power(self, exponent, DensePoly([1]))
 
     def dx(self) -> "DensePoly":
         return DensePoly([a * c for a, c in enumerate(self.coeffs)][1:], self.den)

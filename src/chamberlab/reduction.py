@@ -14,8 +14,9 @@ velocity degree v is the coefficient of xd**(v - q) * yd**q.
 
 The derivation runs in Q.  Each wall's sine and cosine is +-sqrt(k)/2 for
 an integer k = 0..4, read off one table (:func:`wall_trig`).  The walls
-themselves, with those coefficients in Q(sqrt2, sqrt3), are built for the
-bundle's JSON and enter no product.  :func:`wall_products` writes qd and,
+themselves, with those coefficients in Q(sqrt2, sqrt3), enter no product:
+the bundle stores no wall, and its ``walls`` view builds them
+(:func:`build_walls`) when read.  :func:`wall_products` writes qd and,
 for each distinct multiplicity m, the product P_m of the walls of
 multiplicity m over its leading coefficient l_m, with l_m**2, straight from
 the table as dense rational lists (:class:`~chamberlab.poly.DensePoly`);
@@ -24,9 +25,9 @@ products depend only on d and on which walls share a multiplicity, so they
 are computed once per such class.  The orbit volume and the t's are then
 sums and products of the P_m (see build_bundle).  Every derived polynomial
 stays a list from there through bundle_to_json, the resultant, the lab's
-kernels and the U(5) reference check; the SpatialPoly attributes qd ..
-c_coeffs are views, built on first read, and only ``derive --format text``
-and perfbench read them.
+kernels and the U(5) reference check.  The SpatialPoly attributes walls,
+qd .. c_coeffs are views, built on first read: ``bundle_to_json`` reads the
+walls, and only ``derive --format text`` and perfbench read the others.
 
 All arithmetic is exact; every degree claim is asserted and a violation raises
 PipelineError (it would indicate a bug, not bad input).
@@ -52,7 +53,6 @@ _NINTH = Fraction(1, 9)
 
 class _BundleFields(NamedTuple):
     case: CaseSpec
-    walls: list[SpatialPoly]
     dense_qd: DensePoly
     dense_volume_sq: DensePoly
     dense_t: tuple[DensePoly, ...]
@@ -66,12 +66,15 @@ class _BundleFields(NamedTuple):
 class ReductionBundle(_BundleFields):
     """Everything the certificate and numeric laboratories consume.
 
-    ``dense_t`` is (t1, ..., t5), ``dense_a`` (A0, ..., A3) and ``dense_c``
-    (C0, ..., C5); qd, volume_sq, t1 .. t5, a_coeffs and c_coeffs are
-    SpatialPoly views of the lists, built on first access and kept in the
-    instance ``__dict__`` (this subclass declares no ``__slots__``).
+    The fields are exact rational data: ``dense_t`` is (t1, ..., t5),
+    ``dense_a`` (A0, ..., A3) and ``dense_c`` (C0, ..., C5).  The views are
+    SpatialPolys built on first access and kept in the instance ``__dict__``
+    (this subclass declares no ``__slots__``): ``walls`` is
+    ``build_walls(case)``, and qd, volume_sq, t1 .. t5, a_coeffs and
+    c_coeffs are the lists with FieldScalar coefficients.
     """
 
+    walls = cached_property(lambda self: build_walls(self.case))
     qd = cached_property(lambda self: self.dense_qd.to_spatial())
     volume_sq = cached_property(lambda self: self.dense_volume_sq.to_spatial())
     t1 = cached_property(lambda self: self.dense_t[0].to_spatial())
@@ -107,7 +110,6 @@ def wall_trig(d: int) -> list[tuple[int, int]]:
     return [(_SIN_SQUARED_4[Fraction(i, d)], (d > 2 * i) - (d < 2 * i)) for i in range(d)]
 
 
-@lru_cache(maxsize=None)
 def _half_root(k: int, sign: int = 1) -> FieldScalar:
     """sign * sqrt(k)/2 for k = 0..4, exactly."""
     half = Fraction(sign, 2)
@@ -287,7 +289,7 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
         _check_homogeneous(poly, 4 * (d - 1), f"C{j}", case)
 
     return ReductionBundle(
-        case=case, walls=build_walls(case), dense_qd=qd, dense_volume_sq=volume_sq,
+        case=case, dense_qd=qd, dense_volume_sq=volume_sq,
         dense_t=(t1, t2, t3, t4, t5), r=r, r_dot=r_dot, r_ddot=r_ddot,
         dense_a=a, dense_c=c,
     )

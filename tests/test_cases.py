@@ -205,12 +205,35 @@ def test_registry_expressions_cannot_run_code(tmp_path, row):
     ({"name": 5}, "name must be a string, got 5"),
     ({"group": None}, "group must be a string, got None"),
     ({"action": 3}, "action must be a string, got 3"),
+    ({"params": [{"name": 1, "min": 3, "default": 3}]},
+     "a parameter name must be a string, got 1"),
 ])
 def test_registry_rejects_malformed_values_at_load(tmp_path, row, message):
     # A value that is not what the row format allows fails when the registry
     # is loaded, naming the row, instead of at instantiation or not at all.
     with pytest.raises(RegistryError, match=re.escape(f"case[0]: {message}")):
         _one_row_registry(tmp_path, **row)
+
+
+_ROW = {"name": "x", "group": "g", "d": 2, "n": 4, "multiplicities": [1, 1]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "missing top-level 'cases' list"),
+    ({"rows": []}, "missing top-level 'cases' list"),
+    ({"cases": 5}, "'cases' must be a list, got 5"),
+    ({"cases": {"a": 1}}, "'cases' must be a list, got {'a': 1}"),
+    ({"cases": [[]]}, "case[0]: a case must be an object, got []"),
+    ({"cases": ["SO3"]}, "case[0]: a case must be an object, got 'SO3'"),
+    ({"cases": [_ROW, {**_ROW, "d": 5, "multiplicities": [1] * 5}]},
+     "case[1]: inadmissible d=5"),
+    ({"cases": [_ROW, _ROW]}, "duplicate case names"),
+])
+def test_registry_rejects_a_malformed_document(tmp_path, doc, message):
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RegistryError, match=re.escape(f"{path}: {message}")):
+        load_registry(path)
 
 
 @pytest.mark.parametrize("expr,message", [

@@ -71,10 +71,22 @@ def test_unknown_case_is_user_error(tmp_path, capsys):
 
 
 def test_bad_param_is_user_error(tmp_path, capsys):
-    code = main(["certify", "--case", "SOpxSOq", "--param", "p=1",
-                 "--out", str(tmp_path)])
+    for param, message in (("p=1", "error: case SOpxSOq: bound 'p >= 2' violated"),
+                           ("n", "error: --param expects KEY=VALUE, got 'n'\n"),
+                           ("p=x", "error: --param p: 'x' is not an integer\n")):
+        code = main(["certify", "--case", "SOpxSOq", "--param", param,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_USER_ERROR, param
+        assert capsys.readouterr().err.startswith(message), param
+    assert not list(tmp_path.iterdir())
+
+
+def test_integrate_all_is_user_error(tmp_path, capsys):
+    code = main(["integrate", "--case", "all", "--x0", "1", "--y0", "0.3",
+                 "--angle", "0.7", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USER_ERROR
-    assert "bound" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: this command needs a single case, not 'all'\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_unwritable_output_path_is_user_error(tmp_path, capsys):
@@ -265,6 +277,17 @@ def test_verify_reference_example_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_failing_reference_example_prints_diffs(monkeypatch, capsys):
+    report = {"case": "U5", "passed": False, "scale": None,
+              "diffs": ["anchor monomial x^9 missing from A0", "A1 x^0 y^9: derived 0"]}
+    monkeypatch.setattr(cli, "verify_reference_example", lambda: report)
+    assert main(["verify-paper-example"]) == EXIT_PIPELINE_ERROR
+    assert capsys.readouterr().out == (
+        "FAIL: derived U(5) coefficients disagree with the reference values:\n"
+        "  anchor monomial x^9 missing from A0\n"
+        "  A1 x^0 y^9: derived 0\n")
+
+
 def test_module_entry_point_exit_codes():
     # `python -m chamberlab` runs main through __main__.py and exits with its code.
     src = str(Path(chamberlab.__file__).parents[1])
@@ -302,6 +325,19 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("CHAMBERLAB_OUT", str(tmp_path / "envdir"))
     assert main(["certify", "--case", "SOn-1"]) == EXIT_OK
     assert list((tmp_path / "envdir").glob("*.certificate.json"))
+
+
+def test_out_dir_defaults_to_chamberlab_out(tmp_path, monkeypatch):
+    # With neither --out nor $CHAMBERLAB_OUT, certify, derive and integrate
+    # write under ./chamberlab_out.
+    monkeypatch.delenv("CHAMBERLAB_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", "--case", "SOn-1"]) == EXIT_OK
+    assert main(["derive", "--case", "SOn-1"]) == EXIT_OK
+    assert main(["integrate", "--case", "SOn-1", "--x0", "0", "--y0", "1",
+                 "--angle", "0.3", "--steps", "5"]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "chamberlab_out").iterdir()) == [
+        "SOn-1.trajectory.csv", "SOn-1_n=3.bundle.json", "SOn-1_n=3.certificate.json"]
 
 
 def test_param_with_case_all_rejected(tmp_path, capsys):

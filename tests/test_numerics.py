@@ -278,6 +278,18 @@ def test_pointwise_oracles_evaluate_once_at_the_state(su3, mode, monkeypatch):
     assert sorted(c for c in calls if c in at_state) == sorted(at_state)
 
 
+def test_steps_reject_an_outside_start_and_a_wall_crossing(su3):
+    # A start outside the chamber, and a step from just above the wall y = 0
+    # heading straight down, raise BoundaryError in both flows.
+    outside = state_from_angle(1.0, -0.5, 0.3)
+    near_wall = state_from_angle(1.0, 1e-6, -math.pi / 2)
+    for step in (step_minimal, step_candidate):
+        with pytest.raises(BoundaryError, match="not strictly inside"):
+            step(outside, su3, 1e-3)
+        with pytest.raises(BoundaryError, match="crossed a chamber wall"):
+            step(near_wall, su3, 1e-3)
+
+
 def test_geometric_scalars_reject_wall_state(u5, su3):
     # Both pointwise oracles reject a state on a wall, (1, 0), and one
     # outside the chamber, (-1, 0.5), before they evaluate R there.

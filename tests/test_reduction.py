@@ -11,8 +11,8 @@ from chamberlab.cases import registry_case
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar, ONE, ZERO
 from chamberlab.poly import DensePoly, SpatialPoly, X, Y, arc_derivative
-from chamberlab.reduction import build_bundle, build_walls, bundle_to_json, \
-    verify_reference_example
+from chamberlab.reduction import ReductionBundle, build_bundle, build_walls, \
+    bundle_to_json, verify_reference_example
 from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
     oracle_bundle, trig_pairs
 from float_poly_oracle import float_poly_value
@@ -533,30 +533,71 @@ def test_views_are_the_lists_as_spatial_polys(u5):
     assert bundle.c_coeffs is bundle.c_coeffs
 
 
+def test_walls_are_a_cached_view(all_cases):
+    # The bundle stores only exact rational data; its walls are built from
+    # the case on first read and kept.
+    assert "walls" not in ReductionBundle._fields
+    for case in all_cases:
+        bundle = build_bundle(case)
+        assert bundle.walls == build_walls(case), case.label
+        assert bundle.walls is bundle.walls
+
+
+def test_field_types_leave_the_top_level_api():
+    import chamberlab
+    from chamberlab import field, poly
+
+    assert all(hasattr(chamberlab, name) for name in chamberlab.__all__)
+    for name in ("FieldScalar", "SpatialPoly", "build_walls"):
+        assert name not in chamberlab.__all__
+        assert not hasattr(chamberlab, name)
+    assert (field.FieldScalar, poly.SpatialPoly, reduction.build_walls) == \
+        (FieldScalar, SpatialPoly, build_walls)
+
+
 def _raise(*args, **kwargs):
-    raise AssertionError("field arithmetic or a conversion to SpatialPoly")
+    raise AssertionError("a FieldScalar, a SpatialPoly or field arithmetic")
 
 
 def test_derive_and_certify_run_in_q(monkeypatch):
-    # From cold caches, building, writing and certifying a bundle does no
-    # arithmetic in Q(sqrt2, sqrt3) and converts no list to a SpatialPoly:
-    # the walls are the one SpatialPoly, built from the sin**2 table.
+    # From cold caches, certifying a case and building its lab and curves
+    # construct no FieldScalar and no SpatialPoly.  Writing a bundle builds
+    # its walls, from the sin**2 table with no arithmetic in Q(sqrt2, sqrt3),
+    # and no other view.
+    from chamberlab import numerics
     from chamberlab.cases import default_cases
     from chamberlab.certify import certify_case
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
-                 "__neg__", "__truediv__", "inverse"):
-        monkeypatch.setattr(FieldScalar, name, _raise)
-    monkeypatch.setattr(DensePoly, "to_spatial", _raise)
     build_bundle.cache_clear()
     reduction._wall_classes.cache_clear()
+    numerics.get_lab.cache_clear()
     try:
-        for name in ("SOn-1", "SOpxSOq", "SU3", "Sp2xSpm", "G2"):
-            assert certify_case(registry_case(name))["conclusion"] == "nonexistence-certified"
+        with monkeypatch.context() as patched:
+            # Every FieldScalar comes from __init__ or _raw; every SpatialPoly
+            # from __init__, to_spatial or arithmetic on those.
+            for cls, name in ((FieldScalar, "__init__"), (FieldScalar, "_raw"),
+                              (SpatialPoly, "__init__"), (DensePoly, "to_spatial")):
+                patched.setattr(cls, name, _raise)
+            for name in ("SOn-1", "SOpxSOq", "SU3", "Sp2xSpm", "G2"):
+                case = registry_case(name)
+                assert certify_case(case)["conclusion"] == "nonexistence-certified"
+                numerics.get_lab(case)
+                sigma = 0.45 * math.pi / case.d
+                start = numerics.state_from_angle(3 * math.cos(sigma), 3 * math.sin(sigma), 0.7)
+                for mode in numerics.MODES:
+                    cfg = numerics.IntegratorConfig(step=1e-4, max_steps=100, mode=mode)
+                    assert len(numerics.integrate_curve(start, cfg, case).rows) == 101
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__neg__", "__truediv__", "inverse"):
+            monkeypatch.setattr(FieldScalar, name, _raise)
+        monkeypatch.setattr(DensePoly, "to_spatial", _raise)
         for case in default_cases():
-            bundle_to_json(build_bundle(case))
+            bundle = build_bundle(case)
+            bundle_to_json(bundle)
+            assert list(vars(bundle)) == ["walls"], case.label
     finally:
         build_bundle.cache_clear()
+        numerics.get_lab.cache_clear()
 
 
 def _set_partitions(items):

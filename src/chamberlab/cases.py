@@ -187,12 +187,19 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
 
 
 def instantiate_case(template: CaseTemplate, params: dict[str, int] | None = None) -> CaseSpec:
-    """Fill a template's parameters (defaults where omitted) and check their minimums."""
+    """Fill a template's parameters (defaults where omitted) and check their minimums.
+
+    Each given value must be an int (a bool is not): BoundError names the
+    parameter otherwise, rather than truncating 3.9 to 3 or reading True as 1.
+    """
     values = template.default_params()
     for key, val in (params or {}).items():
         if key not in values:
             raise BoundError(f"case {template.name} has no parameter {key!r}")
-        values[key] = int(val)
+        if type(val) is not int:
+            raise BoundError(f"case {template.name}: parameter {key!r} must be an int, "
+                             f"got {val!r}")
+        values[key] = val
     for name, minimum, _ in template.param_specs:
         if values[name] < minimum:
             raise BoundError(f"case {template.name}: bound '{name} >= {minimum}' "

@@ -23,13 +23,13 @@ the rows and the stop reason; its summary values are read off them.
 Evaluation order is part of the output.  Kernel contract (see
 :func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
 ...`` over its terms in order (``DensePoly.float_terms()``, and for the walls
-the nearest doubles to sqrt(k)/2, see :class:`CaseLab`), each product and
-each sum left to right; each power ``x**a``, ``y**b`` is computed once per
-call and shared, and a factor of exactly 1 (``x**0``) is left out, which
-changes no bit.  Every other float sum here is an explicit left-to-right
-expression or loop rather than builtin ``sum``, which compensates on Python
-3.12+.  So a trajectory's CSV bytes depend only on the float coefficients,
-not on the Python version.
+the constants of :attr:`CaseLab.trig`), each product and each sum left to
+right; each power ``x**a``, ``y**b`` is computed once per call and shared,
+and a factor of exactly 1 (``x**0``) is left out, which changes no bit.
+Every other float sum here is an explicit left-to-right expression or loop
+rather than builtin ``sum``, which compensates on Python 3.12+.  So a
+trajectory's CSV bytes depend only on the float coefficients, each the double
+nearest its exact value, not on the Python version.
 """
 
 from __future__ import annotations
@@ -152,6 +152,10 @@ def _define(source: str, name: str, **names) -> Callable:
 class CaseLab:
     """Compiled float kernels for one case's pipeline polynomials.
 
+    - ``trig``: the one wall table, ``(sin_i, cos_i)`` of i*pi/d, the nearest
+      doubles ``(sqrt(k)/2, sign*sqrt(4 - k)/2)`` from ``wall_trig`` (math.sqrt
+      rounds correctly, halving is exact).  Wall i is ``x*sin_i - y*cos_i``;
+      ``row`` and :func:`principal_curvatures` read its curvature constants here;
     - ``R(x, y, xd, yd)``: the curvature sum (-t2 xd + t1 yd) / qd;
     - ``inside(x, y)``: the strict interior test, the canonical sign pattern
       with the margin WALL_EPSILON (the zeroth wall negative, the others
@@ -163,24 +167,20 @@ class CaseLab:
       row ``(s, x, y, xd, yd, f, |A|^2, res_poly, res_ode)`` at a state from
       ``point``'s ``values`` there, the planar curvature kd and the arclength
       derivatives of R; at an endpoint ``r_dot`` is None and res_ode is NaN.
-      The d wall curvatures are unrolled with the trig constants and
-      multiplicities baked in: f = kd + sum m_i k_i, |A|^2 = kd^2 +
-      sum m_i k_i^2, res_poly = A0 xd^3 + ... + A3 yd^3 and res_ode the
-      denominator-cleared normal equation from the given R', R''.  This is
-      the only code that computes them.
+      The d wall curvatures k_i = (sin_i yd + cos_i xd) / w_i are unrolled
+      with ``trig`` and the multiplicities baked in: f = kd + sum m_i k_i,
+      |A|^2 = kd^2 + sum m_i k_i^2, res_poly = A0 xd^3 + ... + A3 yd^3 and
+      res_ode the denominator-cleared normal equation from the given R',
+      R''.  This is the only code that computes them.
     """
 
     def __init__(self, case: CaseSpec):
         self.case = case
         bundle = build_bundle(case)
-        d = case.d
-        self.trig = tuple((math.sin(i * math.pi / d), math.cos(i * math.pi / d))
-                          for i in range(d))
-        # Wall i is x*sqrt(k)/2 - y*sign*sqrt(4 - k)/2: math.sqrt rounds
-        # correctly and halving is exact, so each is the nearest double.
-        walls = {f"w{i}": [(a, b, c) for a, b, c in ((1, 0, math.sqrt(k) / 2),
-                                                     (0, 1, -sign * math.sqrt(4 - k) / 2)) if c]
-                 for i, (k, sign) in enumerate(wall_trig(d))}
+        self.trig = tuple((math.sqrt(k) / 2, sign * math.sqrt(4 - k) / 2)
+                          for k, sign in wall_trig(case.d))
+        walls = {f"w{i}": [(a, b, c) for a, b, c in ((1, 0, sin_i), (0, 1, -cos_i)) if c]
+                 for i, (sin_i, cos_i) in enumerate(self.trig)}
         t = {name: poly.float_terms() for name, poly in
              zip(("qd", "t1", "t2", "t3", "t4", "t5"), (bundle.dense_qd, *bundle.dense_t))}
         a = {f"a{j}": poly.float_terms() for j, poly in enumerate(bundle.dense_a)}
@@ -189,7 +189,7 @@ class CaseLab:
                          {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]},
                          "(-t2 * xd + t1 * yd) / qd")
         rule = " and ".join([f"not w0 > -{WALL_EPSILON!r}"]
-                            + [f"w{i} > {WALL_EPSILON!r}" for i in range(1, d)])
+                            + [f"w{i} > {WALL_EPSILON!r}" for i in range(1, case.d)])
         self.inside = _kernel("inside", ("x", "y"), walls, rule)
         self.point = _kernel("point", ("x", "y"), {**walls, **t, **a},
                              f"(({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3)")
@@ -199,10 +199,10 @@ class CaseLab:
 
 
 def _row_kernel(trig, multiplicities) -> Callable:
-    """Compile :attr:`CaseLab.row` for the given wall trig pairs and multiplicities.
+    """Compile :attr:`CaseLab.row` from the wall table ``trig`` and the multiplicities.
 
-    The constants enter the source as ``repr`` text, which reads back as the
-    same float or int.
+    k_i keeps both terms, even one whose constant is 0.0.  The constants enter
+    the source as ``repr`` text, which reads back as the same float or int.
     """
     d = len(trig)
     source = "\n    ".join([

@@ -17,15 +17,17 @@ SHA-256 of its bundle file as ``chamberlab derive`` writes it, and
 ``tests/fixtures/parametric_bundle_sha256.json``, the same for
 PARAMETRIC_ROWS, and ``tests/fixtures/trajectory_sha256.json``, which maps ``<label>/<mode>`` to
 the SHA-256 of the CSV of a short RK4 curve (:func:`trajectory_csv`) for each
-of the lab rows SOpxSOq, SU3, SO5 and G2 in both modes, and
+of the lab rows SOn-1, SOpxSOq, SU3, SO5 and G2 (chamber types d = 1, 2, 3, 4
+and 6) in both modes, and
 ``tests/fixtures/wall_stop.json``, which pins the CSV hash, stop reason and
 state count of a curve of each lab row and mode that runs into the chamber's
 vertex (:func:`wall_stop_curves`), and ``tests/fixtures/lab_pointwise.json``,
 the ``repr`` of ``normal_residual`` and ``geometric_scalars`` at three fixed
 states of each lab row (:func:`pointwise_reprs`).  The lab's float
-coefficients are each the double nearest the exact coefficient (the
-correctly rounded quotient of a rational one, ``math.sqrt(k) / 2`` for a
-wall's +-sqrt(k)/2), so these lab fixtures pin the kernels' float
+constants are each the double nearest the exact value: the correctly rounded
+quotient of a rational coefficient, and ``math.sqrt(k) / 2`` for each +-sqrt(k)/2
+of the one wall table ``CaseLab.trig``, which gives the walls' coefficients and
+the wall curvatures' (sin, cos).  So these lab fixtures pin the kernels' float
 arithmetic alone.
 The tests compare the current code against these files, so regenerate only
 when a change of output is intended.
@@ -61,7 +63,7 @@ PARAMETRIC_BUNDLE_HASHES = FIXTURES / "parametric_bundle_sha256.json"
 TRAJECTORY_HASHES = FIXTURES / "trajectory_sha256.json"
 WALL_STOPS = FIXTURES / "wall_stop.json"
 POINTWISE = FIXTURES / "lab_pointwise.json"
-TRAJECTORY_ROWS = ("SOpxSOq", "SU3", "SO5", "G2")
+TRAJECTORY_ROWS = ("SOn-1", "SOpxSOq", "SU3", "SO5", "G2")
 TRAJECTORY_STEPS = 1000
 # (radius, polar angle as a fraction of pi/d, tangent angle) of the states
 # that pointwise_reprs samples, and the planar curvature it passes.

@@ -61,6 +61,16 @@ def test_unknown_parameter_rejected():
         registry_case("SU3", {"m": 4})
 
 
+@pytest.mark.parametrize("value", [3.9, 3.0, True, "3", None])
+def test_non_int_parameter_rejected(value):
+    # Neither truncated (3.9 -> 3), nor read as an int (True -> 1, "3" -> 3).
+    with pytest.raises(BoundError, match=r"parameter 'p' must be an int, got "
+                                         + re.escape(repr(value))):
+        registry_case("SOpxSOq", {"p": value, "q": 3})
+    with pytest.raises(BoundError, match="parameter 'q' must be an int"):
+        registry_case("SOpxSOq", {"p": 3, "q": value})
+
+
 def test_unknown_case_rejected():
     with pytest.raises(RegistryError, match="unknown case"):
         registry_case("nonsense")

@@ -10,7 +10,6 @@ from chamberlab import numerics
 from chamberlab.cases import registry_case
 from chamberlab.certify import minimal_line_angles
 from chamberlab.errors import BoundaryError
-from chamberlab.field import ZERO
 from chamberlab.numerics import (
     CSV_HEADER,
     CaseLab,
@@ -30,7 +29,8 @@ from chamberlab.numerics import (
     step_minimal,
 )
 from chamberlab.poly import DensePoly
-from chamberlab.reduction import build_bundle, build_walls
+from chamberlab.reduction import build_bundle
+from bundle_oracle import trig_pairs
 from field_oracle import exact_sign
 from float_poly_oracle import float_poly_value, float_reduced_value
 from golden import (
@@ -355,8 +355,8 @@ def test_integrator_config_validation():
 
 
 def test_trajectories_match_golden_hashes():
-    # SOpxSOq, SU3, SO5 and G2 in both modes, 1000 RK4 steps each: every CSV
-    # byte must match the fixture written by tests/golden.py.
+    # SOn-1, SOpxSOq, SU3, SO5 and G2 (d = 1, 2, 3, 4, 6) in both modes, 1000
+    # RK4 steps each: every CSV byte must match the fixture of tests/golden.py.
     assert trajectory_hashes() == json.loads(TRAJECTORY_HASHES.read_text())
 
 
@@ -537,27 +537,44 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
             evaluate(1e-200, 1e200)
 
 
+def _labs_by_d(all_cases):
+    labs = {case.d: get_lab(case) for case in all_cases}
+    assert sorted(labs) == [1, 2, 3, 4, 6]
+    return labs
+
+
 def test_wall_floats_are_the_nearest_doubles(all_cases):
-    # The wall kernels' coefficients, read back as the walls' values at
-    # (1, 0) and (0, 1), are the doubles nearest the exact coefficients
-    # +-sqrt(k)/2 of build_walls.  For k = 2 or 3 that is decided on
-    # Fractions: k lies strictly between the squares of twice the midpoints
-    # from the double to its two neighbours.
-    for case in {case.d: case for case in all_cases}.values():
-        walls = build_walls(case)
-        for point, mono in (((1.0, 0.0), (1, 0)), ((0.0, 1.0), (0, 1))):
-            values = get_lab(case).point(*point)[0]
-            for wall, f in zip(walls, values):
-                c = wall.terms.get(mono, ZERO)
-                k = (c * c * 4).a
-                assert k.denominator == 1 and math.copysign(1, f) == (exact_sign(c) or 1)
-                root = math.isqrt(k.numerator)
-                if root * root == k:
-                    assert abs(f) == root / 2, case.label
-                    continue
-                lo, hi = ((Fraction(abs(f)) + Fraction(math.nextafter(abs(f), t))) / 2
-                          for t in (0, math.inf))
-                assert (2 * lo) ** 2 < k < (2 * hi) ** 2, case.label
+    # Each (sin, cos)(i pi/d) of lab.trig, the one wall table, is the double
+    # nearest the exact value in Q(sqrt2, sqrt3), decided without math.sqrt:
+    # the exact value lies strictly between the midpoints from the double to
+    # its two neighbours, each compared by exact_sign.
+    for d, lab in _labs_by_d(all_cases).items():
+        exact = trig_pairs(d)
+        assert len(lab.trig) == len(exact) == d
+        for i, (floats, values) in enumerate(zip(lab.trig, exact)):
+            for f, c in zip(floats, values):
+                below, above = ((Fraction(f) + Fraction(math.nextafter(f, t))) / 2
+                                for t in (-math.inf, math.inf))
+                assert exact_sign(c - below) == 1 and exact_sign(c - above) == -1, (d, i, f)
+
+
+def test_wall_kernels_read_the_wall_table(all_cases):
+    # Wall i is x*sin_i - y*cos_i with the constants of lab.trig: its value
+    # at (1, 0) is sin_i and at (0, 1) is -cos_i (a zero term is left out
+    # of the kernel, whose value is then the int 0, equal to 0.0).
+    for d, lab in _labs_by_d(all_cases).items():
+        assert lab.point(1.0, 0.0)[0] == tuple(s for s, _ in lab.trig), d
+        assert lab.point(0.0, 1.0)[0] == tuple(-c for _, c in lab.trig), d
+
+
+def test_wall_table_pins_the_exact_halves(all_cases):
+    # The constants that math.sin and math.cos of i*pi/d get wrong.
+    labs = _labs_by_d(all_cases)
+    for d in (2, 4, 6):
+        assert repr(labs[d].trig[d // 2][1]) == "0.0", d  # cos(pi/2), not 6.1e-17
+    assert labs[6].trig[1][0] == 0.5  # sin(pi/6), not 0.49999999999999994
+    assert labs[3].trig[1][1] == labs[6].trig[2][1] == 0.5  # cos(pi/3)
+    assert labs[4].trig[1] == (math.sqrt(2) / 2, math.sqrt(2) / 2)  # sin and cos of pi/4
 
 
 def test_integration_evaluates_each_state_once(monkeypatch, su3):

@@ -127,6 +127,9 @@ def _param_spec(entry: dict) -> tuple[str, int, int]:
         if type(entry[key]) is not int:
             raise ValueError(f"parameter {entry['name']!r}: {key} must be an integer, "
                              f"got {entry[key]!r}")
+    if entry["default"] < entry["min"]:
+        raise ValueError(f"parameter {entry['name']!r}: default {entry['default']} is "
+                         f"below its min {entry['min']}")
     return entry["name"], entry["min"], entry["default"]
 
 
@@ -179,6 +182,9 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
             raise RegistryError(f"{where_row}: inadmissible d={template.d}")
         if len(template.multiplicity_exprs) != template.d:
             raise RegistryError(f"{where_row}: expected {template.d} multiplicities")
+        param_names = [name for name, _, _ in template.param_specs]
+        if len(set(param_names)) != len(param_names):
+            raise RegistryError(f"{where_row}: duplicate parameter names {param_names}")
         templates.append(template)
     names = [t.name for t in templates]
     if len(set(names)) != len(names):

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 some case not certified (every certificate and the
 table are still written), 2 user error (unknown case, bad parameters, bad or
 non-finite start state, bad integrator setting, unwritable output path), 3
-internal pipeline invariant violation.  All outputs are reproducible run to
-run except timestamp and duration metadata.
+internal pipeline invariant violation or any other unexpected exception.  All
+outputs are reproducible run to run except timestamp and duration metadata.
 """
 
 from __future__ import annotations
@@ -80,8 +80,11 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
         key, sep, value = pair.partition("=")
         if not sep:
             raise BoundError(f"--param expects KEY=VALUE, got {pair!r}")
+        key = key.strip()
+        if key in params:
+            raise BoundError(f"--param {key} is given twice")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError as exc:
             raise BoundError(f"--param {key}: {value!r} is not an integer") from exc
     return params
@@ -228,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USER_ERROR
     except (PipelineError, ExactDivisionError) as exc:
         print(f"pipeline invariant violated: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE_ERROR
+    except Exception as exc:  # a bug, e.g. DensePoly's sum of unequal degrees
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_ERROR
 
 

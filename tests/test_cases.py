@@ -217,6 +217,10 @@ def test_registry_expressions_cannot_run_code(tmp_path, row):
     ({"action": 3}, "action must be a string, got 3"),
     ({"params": [{"name": 1, "min": 3, "default": 3}]},
      "a parameter name must be a string, got 1"),
+    ({"params": [{"name": "n", "min": 3, "default": 2}]},
+     "parameter 'n': default 2 is below its min 3"),
+    ({"params": [{"name": "n", "min": 3, "default": 3}, {"name": "n", "min": 4, "default": 4}]},
+     "duplicate parameter names ['n', 'n']"),
 ])
 def test_registry_rejects_malformed_values_at_load(tmp_path, row, message):
     # A value that is not what the row format allows fails when the registry

@@ -80,6 +80,18 @@ def test_every_single_wall_instance_certifies():
         assert cert["conclusion"] == "nonexistence-certified", n
 
 
+def test_every_grid_instance_certifies(multiplicity_grid):
+    # The chamber types' whole alternating-multiplicity grid, beyond the 14
+    # registry actions: each certifies at degree 27(d - 1), and from d = 2 on
+    # the minimal line is its one minimal root.
+    for case in multiplicity_grid:
+        cert = certify_case(case)
+        assert cert["conclusion"] == "nonexistence-certified", case.multiplicities
+        assert cert["resultant_degree"] == 27 * (case.d - 1), case.multiplicities
+        if case.d >= 2:
+            assert sum(r["line_is_minimal"] for r in cert["roots"]) == 1, case.multiplicities
+
+
 def test_u5_resultant_degree_and_value(u5):
     report = compute_resultant(build_bundle(u5))
     assert not report.identically_zero

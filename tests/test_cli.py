@@ -81,6 +81,15 @@ def test_bad_param_is_user_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_param_given_twice_is_user_error(tmp_path, capsys):
+    # The second value would otherwise replace the first without a word.
+    code = main(["certify", "--case", "SOpxSOq", "--param", "p=2", "--param", "p=3",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USER_ERROR
+    assert capsys.readouterr().err == "error: --param p is given twice\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_integrate_all_is_user_error(tmp_path, capsys):
     code = main(["integrate", "--case", "all", "--x0", "1", "--y0", "0.3",
                  "--angle", "0.7", "--out", str(tmp_path / "x.csv")])
@@ -142,6 +151,22 @@ def test_certify_internal_arithmetic_failure_is_pipeline_error(tmp_path, capsys,
     code = main(["certify", "--case", "SOn-1", "--out", str(tmp_path)])
     assert code == EXIT_PIPELINE_ERROR
     assert "pipeline invariant violated: division left a remainder" in capsys.readouterr().err
+
+
+def test_certify_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    # Any other exception is a bug too, such as DensePoly's refusal to add
+    # polynomials of unequal degrees: exit 3, not the 1 of an uncaught
+    # exception, which would read as "not certified", and one line, no traceback.
+    def failing(case):
+        raise ValueError("sum of polynomials of different degrees")
+
+    monkeypatch.setattr(cli, "certify_case", failing)
+    code = main(["certify", "--case", "G2", "--out", str(tmp_path)])
+    assert code == EXIT_PIPELINE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "internal error: ValueError: sum of polynomials of different degrees\n"
+    assert not captured.out
 
 
 def test_certify_rerun_is_deterministic(tmp_path):

@@ -10,7 +10,7 @@ from chamberlab import reduction
 from chamberlab.cases import registry_case
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar, ONE, ZERO
-from chamberlab.poly import DensePoly, SpatialPoly, X, Y, arc_derivative
+from chamberlab.poly import ZERO_POLY, DensePoly, SpatialPoly, X, Y, arc_derivative
 from chamberlab.reduction import ReductionBundle, build_bundle, build_walls, \
     bundle_to_json, verify_reference_example
 from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
@@ -253,6 +253,31 @@ def test_bundle_wall_degrees(all_cases):
         assert all(w.homogeneous_degree() == 1 for w in bundle.walls)
         assert bundle.qd.homogeneous_degree() == case.d
         assert bundle.volume_sq.homogeneous_degree() == 2 * sum(case.multiplicities)
+
+
+def _flat_degrees(report):
+    return [(key, v) for key, value in report.items()
+            for v in (value if isinstance(value, list) else [value])]
+
+
+def test_degree_table_over_the_multiplicity_grid(multiplicity_grid):
+    # build_bundle checks no degree: the dense arithmetic fixes each one, and
+    # this table is where a wrong one shows.  Only the single wall (d = 1)
+    # has vanishing entries: t1, t4, t5, A1, A3 and some of A and C.
+    for case in multiplicity_grid:
+        d, bundle = case.d, build_bundle(case)
+        expected = {"d": d, "qd": d, "volume_sq": 2 * sum(case.multiplicities),
+                    "t1": d - 1, "t2": d - 1, "t345": [2 * d - 2] * 3,
+                    "a": [3 * (d - 1)] * 4, "c": [4 * (d - 1)] * 6,
+                    "r": [d - 1] * 2, "r_dot": [2 * (d - 1)] * 3, "r_ddot": [3 * (d - 1)] * 4}
+        got = {**bundle.degree_report(),
+               **{key: [p.homogeneous_degree() for p in getattr(bundle, key)]
+                  for key in ("r", "r_dot", "r_ddot")}}
+        pairs = zip(_flat_degrees(got), _flat_degrees(expected), strict=True)
+        for (key, degree), (want_key, want) in pairs:
+            assert key == want_key, (case.multiplicities, key, want_key)
+            assert degree == want or (degree == ZERO_POLY and d == 1), \
+                (case.multiplicities, key, degree, want)
 
 
 def test_volume_log_derivative_identity(all_cases):

@@ -15,7 +15,10 @@ SHA-256 of ``json.dumps(report.poly.to_json())``, and
 ``tests/fixtures/bundle_sha256.json``, which maps each case label to the
 SHA-256 of its bundle file as ``chamberlab derive`` writes it, and
 ``tests/fixtures/parametric_bundle_sha256.json``, the same for
-PARAMETRIC_ROWS, and ``tests/fixtures/trajectory_sha256.json``, which maps ``<label>/<mode>`` to
+PARAMETRIC_ROWS, and ``tests/fixtures/derive_text_sha256.json``, the SHA-256
+of the stdout of ``chamberlab derive --case all --format text --out bundles``
+run in an empty directory (:func:`derive_text_stdout`), and
+``tests/fixtures/trajectory_sha256.json``, which maps ``<label>/<mode>`` to
 the SHA-256 of the CSV of a short RK4 curve (:func:`trajectory_csv`) for each
 of the lab rows SOn-1, SOpxSOq, SU3, SO5 and G2 (chamber types d = 1, 2, 3, 4
 and 6) in both modes, and
@@ -35,15 +38,19 @@ when a change of output is intended.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from chamberlab import certify
 from chamberlab.cases import default_cases, registry_case
+from chamberlab.cli import main as cli_main
 from chamberlab.numerics import (
     MODES,
     IntegratorConfig,
@@ -60,6 +67,10 @@ PARAMETRIC_CERTIFICATES = FIXTURES / "parametric_certificates"
 RESULTANT_HASHES = FIXTURES / "resultant_sha256.json"
 BUNDLE_HASHES = FIXTURES / "bundle_sha256.json"
 PARAMETRIC_BUNDLE_HASHES = FIXTURES / "parametric_bundle_sha256.json"
+DERIVE_TEXT_HASH = FIXTURES / "derive_text_sha256.json"
+# The command whose stdout DERIVE_TEXT_HASH pins; its relative --out makes the
+# "wrote" lines independent of where it runs.
+DERIVE_TEXT_ARGS = ("derive", "--case", "all", "--format", "text", "--out", "bundles")
 TRAJECTORY_HASHES = FIXTURES / "trajectory_sha256.json"
 WALL_STOPS = FIXTURES / "wall_stop.json"
 POINTWISE = FIXTURES / "lab_pointwise.json"
@@ -108,6 +119,28 @@ def resultant_sha256(poly) -> str:
 def bundle_sha256(bundle) -> str:
     """SHA-256 of the bundle file text that ``chamberlab derive`` writes."""
     return _sha256(json.dumps(bundle_to_json(bundle), indent=1, sort_keys=True) + "\n")
+
+
+def derive_text_stdout() -> str:
+    """stdout of ``chamberlab`` with DERIVE_TEXT_ARGS, run in an empty
+    temporary directory; raises unless the command exits 0."""
+    cwd = os.getcwd()
+    buffer = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(buffer):
+                code = cli_main(list(DERIVE_TEXT_ARGS))
+        finally:
+            os.chdir(cwd)
+    if code != 0:
+        raise RuntimeError(f"chamberlab {' '.join(DERIVE_TEXT_ARGS)} exited {code}")
+    return buffer.getvalue()
+
+
+def derive_text_hashes() -> dict[str, str]:
+    """The SHA-256 of :func:`derive_text_stdout`, keyed by its command line."""
+    return {" ".join(DERIVE_TEXT_ARGS): _sha256(derive_text_stdout())}
 
 
 def trajectory_csv(case, mode: str) -> str:
@@ -214,6 +247,7 @@ def main() -> int:
     _write_hashes(RESULTANT_HASHES, hashes)
     _write_hashes(BUNDLE_HASHES, bundle_hashes)
     _write_hashes(PARAMETRIC_BUNDLE_HASHES, parametric_bundle_hashes)
+    _write_hashes(DERIVE_TEXT_HASH, derive_text_hashes())
     _write_hashes(TRAJECTORY_HASHES, trajectory_hashes())
     _write_hashes(WALL_STOPS, wall_stop_curves())
     _write_hashes(POINTWISE, pointwise_reprs())

@@ -12,7 +12,8 @@ from chamberlab.cases import registry_case
 from chamberlab.cli import EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_PIPELINE_ERROR, EXIT_USER_ERROR, \
     main
 from chamberlab.errors import ExactDivisionError
-from golden import BUNDLE_HASHES, CERTIFICATES, without_volatile_lines
+from golden import BUNDLE_HASHES, CERTIFICATES, DERIVE_TEXT_HASH, derive_text_hashes, \
+    without_volatile_lines
 from root_checks import root_problems
 
 
@@ -55,6 +56,12 @@ def test_derive_text_format_prints_coefficients(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "A0 = (-14/9" in out
     assert "C5 = 0" in out
+
+
+def test_derive_text_output_matches_the_golden_hash():
+    # The whole stdout of derive --format text --case all: every A and C line
+    # of the 14 default rows and each "wrote" line.
+    assert derive_text_hashes() == json.loads(DERIVE_TEXT_HASH.read_text())
 
 
 def test_derive_all_cases(tmp_path):

@@ -78,7 +78,9 @@ def _evaluate(expr: str, params: dict[str, int], where: str) -> int:
     Only integer literals, parameter names, ``+ - * //`` and unary minus are
     accepted; anything else (comparisons, attribute access, calls,
     subscripts, other literals) is a RegistryError, so registry data cannot
-    run code.  Bounds are not expressions: they are the parameter minimums.
+    run code; so is an expression nested too deeply to parse or evaluate
+    (RecursionError).  Bounds are not expressions: they are the parameter
+    minimums.
     """
     def walk(node):
         if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -95,11 +97,11 @@ def _evaluate(expr: str, params: dict[str, int], where: str) -> int:
 
     try:
         tree = ast.parse(expr, mode="eval")
-    except (SyntaxError, ValueError) as exc:
+    except (SyntaxError, ValueError, RecursionError) as exc:
         raise RegistryError(f"{where}: cannot parse {expr!r}: {exc}") from exc
     try:
         return walk(tree.body)
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, RecursionError) as exc:
         raise RegistryError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
 
 

@@ -14,7 +14,8 @@ u = cot(sigma), and the chamber sigma in (0, pi/d) is u > cot(pi/d).  Its
 chamber roots come from an exact factorization (chamber_root_scan) and
 rational isolating intervals; membership in the chamber and minimality are
 decided exactly, and floats only display them.  Certifying builds no element
-of Q(sqrt2, sqrt3); a report's ``poly`` view, read by no code here, does.
+of Q(sqrt2, sqrt3); a report's ``poly`` view, read by no code here, is
+parsed from the resultant's JSON rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 from .cases import CaseSpec
 from .errors import PipelineError
 from .field import format_rational, rational_text
-from .poly import DensePoly
+from .poly import DensePoly, SpatialPoly
 from .reduction import ReductionBundle, build_bundle, wall_trig
 from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
     quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
@@ -62,10 +63,10 @@ class ResultantReport(NamedTuple):
         return not self.coeffs
 
     @property
-    def poly(self):
-        """The resultant as a homogeneous :class:`~chamberlab.poly.SpatialPoly`
-        with rational coefficients, built on each read."""
-        return DensePoly(self.coeffs, self.scale).to_spatial()
+    def poly(self) -> SpatialPoly:
+        """The resultant as a homogeneous SpatialPoly with rational
+        coefficients, parsed from the list's JSON rows on each read."""
+        return SpatialPoly.from_json(DensePoly(self.coeffs, self.scale).to_json())
 
     def exact_value(self, x: int, y: int) -> Fraction:
         """The resultant at the integer point (x, y), exactly."""
@@ -104,15 +105,16 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     direction xd = 0, which the slope chart excludes).  That common formal
     root is removed by trimming one leading coefficient from each list until
     one leading coefficient is nonzero or one list is down to its constant;
-    the count of trimmed pairs is recorded.  The determinant at the formal degrees left then decides every
-    case: a constant a0 against an all-zero quintic gives a0**deg_c.
+    the count of trimmed pairs is recorded.  The determinant at the formal
+    degrees left then decides every case: a constant a0 against an all-zero
+    quintic gives a0**deg_c.
 
     The determinant itself runs in Z[u], on the bundle's DensePolys: each list
     must be homogeneous of one degree (DA for A, DC for C) and its
     denominators are cleared.  The integer resultant is kept as it comes,
     over the scale this puts on the Sylvester rows, at degree
-    deg_a*DC + deg_c*DA; both are divided by their gcd.  An all-zero list has no degree; a nonzero
-    determinant multiplies it by a formal degree of 0.
+    deg_a*DC + deg_c*DA; both are divided by their gcd.  An all-zero list has
+    no degree; a nonzero determinant multiplies it by a formal degree of 0.
     """
     pa = list(bundle.dense_a)
     pc = list(bundle.dense_c)
@@ -212,10 +214,8 @@ def _minimal_form(bundle: ReductionBundle) -> tuple[list[int], list[int]]:
     unit arc M = -qd * sum(m_i * cot(sigma - i*pi/d)), and that sum falls
     strictly from +inf to -inf on the chamber: M has exactly one chamber root.
     The numerator of R is [-t2, t1]."""
-    neg_t2, t1 = bundle.r
-    scale = math.lcm(neg_t2.den, t1.den)
-    m = primitive(subtract([c * (scale // t1.den) for c in t1.coeffs],
-                           [0] + [-c * (scale // neg_t2.den) for c in neg_t2.coeffs]))
+    (neg_t2, t1), _, _ = _integer_lists(bundle.r, bundle.case.label, "R")
+    m = primitive(subtract(t1, [0] + [-c for c in neg_t2]))
     return m, gcd_cofactors(m, derivative(m))[1] if len(m) > 1 else m
 
 

@@ -20,6 +20,7 @@ from .certify import certify_case, output_path, write_certificate, write_json_at
 from .errors import BoundaryError, BoundError, ExactDivisionError, PipelineError, \
     RegistryError
 from .numerics import MODES, IntegratorConfig, integrate_curve, state_from_angle
+from .poly import rows_text
 from .reduction import build_bundle, bundle_to_json, verify_reference_example
 
 ENV_OUT_DIR = "CHAMBERLAB_OUT"
@@ -134,16 +135,15 @@ def _cmd_derive(args) -> int:
     out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for case in cases:
-        bundle = build_bundle(case)
-        doc = bundle_to_json(bundle)
+        doc = bundle_to_json(build_bundle(case))
         path = output_path(out_dir, case.label, "bundle")
         write_json_atomic(path, doc)
         if args.format == "text":
             print(f"# {case.label}")
-            for j, a in enumerate(bundle.a_coeffs):
-                print(f"A{j} = {a.to_text()}")
-            for j, c in enumerate(bundle.c_coeffs):
-                print(f"C{j} = {c.to_text()}")
+            for j, rows in enumerate(doc["a_coeffs"]):
+                print(f"A{j} = {rows_text(rows)}")
+            for j, rows in enumerate(doc["c_coeffs"]):
+                print(f"C{j} = {rows_text(rows)}")
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -2,9 +2,10 @@
 
 A :class:`FieldScalar` stores the four rational coordinates of an element
 with respect to the basis (1, sqrt2, sqrt3, sqrt6).  It is the coefficient
-type of :class:`~chamberlab.poly.SpatialPoly`: of the walls (+-sqrt(k)/2),
-the bundle's views and a resultant's ``poly``, each built only when read.
-The derivation, the certificate and the lab run in Q and build none.
+type of :class:`~chamberlab.poly.SpatialPoly`: of the walls, the bundle's
+views and a resultant's ``poly``, each parsed from JSON rows when read.  The
+package's commands build none: they write the rows' text, the walls' from
+the sin**2 table, through :func:`field_text`, which ``to_text`` calls too.
 
 Arithmetic costs what the nonzero coordinates cost: numbering the basis
 1, sqrt2, sqrt3, sqrt6 as 0..3, basis i times basis j is basis ``i ^ j`` times
@@ -210,8 +211,7 @@ class FieldScalar:
 
     def to_text(self) -> str:
         """Canonical serialization "a + b*r2 + c*r3 + e*r6" with "p/q" rationals."""
-        return (f"{format_rational(self.a)} + {format_rational(self.b)}*r2 + "
-                f"{format_rational(self.c)}*r3 + {format_rational(self.e)}*r6")
+        return field_text(self.a, self.b, self.c, self.e)
 
     @classmethod
     def from_text(cls, text: str) -> "FieldScalar":
@@ -236,17 +236,24 @@ ONE = FieldScalar.rational(1)
 
 
 def format_rational(q) -> str:
-    """Render a rational as "p/q" (always with the denominator)."""
+    """Render a rational (a Fraction or an int) as "p/q", always with the denominator."""
     return f"{q.numerator}/{q.denominator}"
 
 
-# FieldScalar.to_text of a rational scalar is its "p/q" and then this.
-_RATIONAL_TAIL = ZERO.to_text()[len("0/1"):]
+def field_text(a, b=0, c=0, e=0) -> str:
+    """The canonical text "a + b*r2 + c*r3 + e*r6" of a + b*sqrt2 + c*sqrt3 +
+    e*sqrt6, each coordinate a reduced Fraction or an int, written "p/q"."""
+    return (f"{format_rational(a)} + {format_rational(b)}*r2 + "
+            f"{format_rational(c)}*r3 + {format_rational(e)}*r6")
+
+
+# The text of a rational coordinate a is its "p/q" and then this.
+_RATIONAL_TAIL = field_text(0)[len("0/1"):]
 
 
 def rational_text(q) -> str:
     """``FieldScalar.rational(q).to_text()``, written without building the scalar."""
-    return f"{format_rational(q)}{_RATIONAL_TAIL}"
+    return field_text(q)
 
 
 def parse_rational(text: str) -> Rat:

@@ -220,11 +220,6 @@ def _row_kernel(trig, multiplicities) -> Callable:
     return _define(source, "row", nan=math.nan)
 
 
-def _curvatures(trig, walls, xd: float, yd: float) -> list[float]:
-    """Wall curvatures (sin_i yd + cos_i xd) / w_i from the wall values."""
-    return [(s * yd + c * xd) / w for (s, c), w in zip(trig, walls)]
-
-
 @lru_cache(maxsize=None)
 def get_lab(case: CaseSpec) -> CaseLab:
     return CaseLab(case)
@@ -242,15 +237,24 @@ def state_from_angle(x0: float, y0: float, angle: float) -> CurveState:
 # ---------------------------------------------------------------------------
 
 
+def _point_inside(st: CurveState, case: CaseSpec) -> tuple[CaseLab, tuple]:
+    """The case's lab and its ``point`` values at the state; BoundaryError
+    unless ``clear`` finds the state's walls strictly inside the chamber."""
+    lab = get_lab(case)
+    values = lab.point(st.x, st.y)
+    if not lab.clear(values[0]):
+        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
+    return lab, values
+
+
 def principal_curvatures(st: CurveState, case: CaseSpec, kd: float) -> list[float]:
-    """The d wall curvatures followed by the supplied planar curvature kd.
+    """The d wall curvatures (sin_i yd + cos_i xd) / w_i followed by the
+    supplied planar curvature kd.
 
     Multiplicity m_i attaches to entry i; the final entry has multiplicity 1.
     """
-    lab = get_lab(case)
-    if not lab.inside(st.x, st.y):
-        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
-    return _curvatures(lab.trig, lab.point(st.x, st.y)[0], st.xd, st.yd) + [kd]
+    lab, values = _point_inside(st, case)
+    return [(s * st.yd + c * st.xd) / w for (s, c), w in zip(lab.trig, values[0])] + [kd]
 
 
 def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
@@ -265,10 +269,7 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     """
     _check_step("h_fd", h_fd)
     _check_mode(mode)
-    lab = get_lab(case)
-    values = lab.point(st.x, st.y)
-    if not lab.clear(values[0]):
-        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
+    lab, values = _point_inside(st, case)
     f, a2 = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, kd, None, None)[5:7]
     coeff, r_mid = _MODE_COEFF[mode], lab.R(st.x, st.y, st.xd, st.yd)
 
@@ -345,10 +346,7 @@ def normal_residual(st: CurveState, case: CaseSpec,
     state.  Agreement is limited by the finite differencing, not the algebra.
     """
     _check_step("h_fd", h_fd)
-    lab = get_lab(case)
-    values = lab.point(st.x, st.y)
-    if not lab.clear(values[0]):
-        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
+    lab, values = _point_inside(st, case)
     coeff, r_mid = _MODE_COEFF[MODE_CANDIDATE], lab.R(st.x, st.y, st.xd, st.yd)
     r_plus = lab.R(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))
     r_minus = lab.R(*_rk4(lab.R, coeff, -h_fd, st.x, st.y, st.xd, st.yd, r_mid))

@@ -2,40 +2,40 @@
 
 Two representations:
 
-* :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
-  :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
-  exponent map.
 * :class:`DensePoly` - a homogeneous rational polynomial as one dense list
   of integers over one denominator.  A velocity form (a polynomial
   homogeneous in (xd, yd) with polynomial coefficients) is a list of them,
   a :data:`DenseForm`; :func:`arc_derivative` differentiates one over a
   power of the chamber product polynomial along arclength.
+* :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
+  :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
+  exponent map.
 
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
 is rational and homogeneous.  So the derivation runs on DensePolys alone,
-from qd and the wall products on (see :mod:`chamberlab.reduction`), and
-builds no SpatialPoly.  The lists go on to the serialized bundle
-(:meth:`DensePoly.to_json`, the same text as going through
-:meth:`DensePoly.to_spatial`), the resultant and the lab's float kernels
-(:meth:`DensePoly.float_terms`).  SpatialPolys are built only on read: a
-bundle's walls, its other views and a resultant's ``poly``, the last two
-through ``to_spatial``.
+from qd and the wall products on (see :mod:`chamberlab.reduction`).  The
+lists go on to the serialized bundle (:meth:`DensePoly.to_json`), the
+resultant and the lab's float kernels (:meth:`DensePoly.float_terms`).  A
+polynomial's JSON rows ``[[a, b, "c"], ...]``, highest power of x first, are
+the one way into a SpatialPoly (:meth:`SpatialPoly.from_json`), and
+:func:`rows_text` renders rows as text, for ``derive --format text`` and
+:meth:`SpatialPoly.to_text` alike.  No command builds a SpatialPoly: only a
+bundle's views and a resultant's ``poly``, parsed from rows when read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ExactDivisionError
-from .field import _R0, _RATIONAL_TAIL, FieldScalar, ONE, ZERO, power
+from .field import _RATIONAL_TAIL, FieldScalar, ONE, ZERO, power
 
 Monomial = tuple[int, int]
 
-# Sentinels returned by homogeneous_degree (non-homogeneity is data, not error).
+# DensePoly.homogeneous_degree of the zero polynomial, which has no degree.
 ZERO_POLY = "zero"
-NOT_HOMOGENEOUS = "not homogeneous"
 
 
 def _round(num: int, den: int) -> float:
@@ -72,27 +72,12 @@ class SpatialPoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, a: int, b: int, coeff=ONE) -> "SpatialPoly":
-        c = FieldScalar._coerce(coeff)
-        if c is None:
-            raise TypeError(f"cannot build monomial coefficient from {coeff!r}")
-        return cls({(a, b): c})
-
-    @classmethod
     def variable(cls, name: str) -> "SpatialPoly":
         if name == "x":
             return cls({(1, 0): ONE})
         if name == "y":
             return cls({(0, 1): ONE})
         raise ValueError(f"unknown variable {name!r}")
-
-    @classmethod
-    def linear(cls, coeff_x, coeff_y) -> "SpatialPoly":
-        """The form coeff_x * x + coeff_y * y."""
-        cx, cy = FieldScalar._coerce(coeff_x), FieldScalar._coerce(coeff_y)
-        if cx is None or cy is None:
-            raise TypeError(f"cannot build linear form from {coeff_x!r}, {coeff_y!r}")
-        return cls({(1, 0): cx, (0, 1): cy})
 
     # -- predicates ----------------------------------------------------------
 
@@ -176,21 +161,6 @@ class SpatialPoly:
 
     # -- structure -----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Maximal total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(a + b for a, b in self.terms)
-
-    def homogeneous_degree(self) -> Union[int, str]:
-        """Common total degree, or the sentinels ZERO_POLY / NOT_HOMOGENEOUS."""
-        if not self.terms:
-            return ZERO_POLY
-        degrees = {a + b for a, b in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return NOT_HOMOGENEOUS
-
     def leading_term(self) -> tuple[Monomial, FieldScalar]:
         """Leading term under graded-lex order (total degree, then x exponent)."""
         mono = max(self.terms, key=_grlex)
@@ -261,20 +231,24 @@ class SpatialPoly:
         return cls({(int(a), int(b)): FieldScalar.from_text(c) for a, b, c in data})
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (a, b), c in self.sorted_terms():
-            factors = [f"({c.to_text()})"]
-            if a:
-                factors.append(f"x^{a}")
-            if b:
-                factors.append(f"y^{b}")
-            chunks.append("*".join(factors))
-        return " + ".join(chunks)
+        return rows_text(self.to_json())
 
     def __repr__(self):
         return f"SpatialPoly({self.to_text()})"
+
+
+def rows_text(rows: Iterable) -> str:
+    """A polynomial's JSON rows as text: "(c)*x^a*y^b" per row, joined by
+    " + ", a factor left out where its exponent is 0; "0" for no rows."""
+    chunks = []
+    for a, b, c in rows:
+        factors = [f"({c})"]
+        if a:
+            factors.append(f"x^{a}")
+        if b:
+            factors.append(f"y^{b}")
+        chunks.append("*".join(factors))
+    return " + ".join(chunks) or "0"
 
 
 def _power_cache(base: FieldScalar):
@@ -328,21 +302,14 @@ class DensePoly:
     def homogeneous_degree(self) -> int | str:
         return len(self.coeffs) - 1 if self.coeffs else ZERO_POLY
 
-    def to_spatial(self) -> SpatialPoly:
-        """The same polynomial with FieldScalar coefficients."""
-        k = len(self.coeffs) - 1
-        p = SpatialPoly.__new__(SpatialPoly)
-        p.terms = {(a, k - a): FieldScalar._raw(Fraction(c, self.den), _R0, _R0, _R0)
-                   for a, c in enumerate(self.coeffs) if c}
-        return p
-
     def _terms(self):
         """(a, b, c) of the nonzero terms c x^a y^b, highest power of x first."""
         k = len(self.coeffs) - 1
         return [(a, k - a, self.coeffs[a]) for a in range(k, -1, -1) if self.coeffs[a]]
 
     def to_json(self) -> list[list]:
-        """``to_spatial().to_json()``, written straight from the list."""
+        """The JSON rows ``[a, b, text]`` of the nonzero terms, highest power of
+        x first, each text ``field_text`` of the reduced coefficient."""
         den = self.den
         return [[a, b, f"{c // (g := math.gcd(c, den))}/{den // g}{_RATIONAL_TAIL}"]
                 for a, b, c in self._terms()]

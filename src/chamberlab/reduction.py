@@ -1,8 +1,8 @@
 """Symbolic pipeline from a case to its compatibility polynomials.
 
 For a case with chamber type d and multiplicities (m_0 .. m_{d-1}),
-``build_bundle`` derives, in one pass and each stage once: the d linear wall
-forms, their product qd and the squared orbit-volume polynomial, the
+``build_bundle`` derives, in one pass and each stage once: the product qd of
+the d linear wall forms and the squared orbit-volume polynomial, the
 volume-derivative coefficients t1, t2, the quadratic-term coefficients t3,
 t4, t5, the wall-curvature sum R with its first and second arclength
 derivatives, and finally the velocity-cubic coefficients A0..A3 and the
@@ -15,19 +15,19 @@ velocity degree v is the coefficient of xd**(v - q) * yd**q.
 The derivation runs in Q.  Each wall's sine and cosine is +-sqrt(k)/2 for
 an integer k = 0..4, read off one table (:func:`wall_trig`).  The walls
 themselves, with those coefficients in Q(sqrt2, sqrt3), enter no product:
-the bundle stores no wall, and its ``walls`` view builds them
-(:func:`build_walls`) when read.  :func:`wall_products` writes qd and,
-for each distinct multiplicity m, the product P_m of the walls of
-multiplicity m over its leading coefficient l_m, with l_m**2, straight from
-the table as dense rational lists (:class:`~chamberlab.poly.DensePoly`);
-a case whose P_m / l_m is irrational raises PipelineError.  qd and these
-products depend only on d and on which walls share a multiplicity, so they
-are computed once per such class.  The orbit volume and the t's are then
-sums and products of the P_m (see build_bundle).  Every derived polynomial
-stays a list from there through bundle_to_json, the resultant, the lab's
-kernels and the U(5) reference check.  The SpatialPoly attributes walls,
-qd .. c_coeffs are views, built on first read: ``bundle_to_json`` reads the
-walls, and only ``derive --format text`` and perfbench read the others.
+:func:`wall_rows` writes their JSON rows straight from the table, as text.
+:func:`wall_products` writes qd and, for each distinct multiplicity m, the
+product P_m of the walls of multiplicity m over its leading coefficient
+l_m, with l_m**2, straight from the table as dense rational lists
+(:class:`~chamberlab.poly.DensePoly`); a case whose P_m / l_m is irrational
+raises PipelineError.  qd and these products depend only on d and on which
+walls share a multiplicity, so they are computed once per such class.  The
+orbit volume and the t's are then sums and products of the P_m (see
+build_bundle).  Every derived polynomial stays a list from there through
+bundle_to_json, the resultant, the lab's kernels and the U(5) reference
+check.  The text of the JSON rows is the package's one way into
+Q(sqrt2, sqrt3): the SpatialPoly attributes walls, qd .. c_coeffs are views
+for readers outside the package, parsed from rows on first read.
 
 All arithmetic is exact, and no degree is checked at run time: qd has degree
 d, each P_m one per wall, a product adds degrees, dx and dy lower one and a
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
-from .field import FieldScalar, rational_text
+from .field import field_text, rational_text
 from .poly import DenseForm, DensePoly, SpatialPoly, arc_derivative, form_product, form_sum
 
 _THIRD = Fraction(1, 3)
@@ -65,27 +65,32 @@ class _BundleFields(NamedTuple):
     dense_c: tuple[DensePoly, ...]
 
 
+def _view(poly: DensePoly) -> SpatialPoly:
+    """The SpatialPoly parsed from a list's JSON rows."""
+    return SpatialPoly.from_json(poly.to_json())
+
+
 class ReductionBundle(_BundleFields):
     """Everything the certificate and numeric laboratories consume.
 
     The fields are exact rational data: ``dense_t`` is (t1, ..., t5),
     ``dense_a`` (A0, ..., A3) and ``dense_c`` (C0, ..., C5).  The views are
-    SpatialPolys built on first access and kept in the instance ``__dict__``
-    (this subclass declares no ``__slots__``): ``walls`` is
-    ``build_walls(case)``, and qd, volume_sq, t1 .. t5, a_coeffs and
-    c_coeffs are the lists with FieldScalar coefficients.
+    SpatialPolys parsed from JSON rows on first access and kept in the
+    instance ``__dict__`` (this subclass declares no ``__slots__``):
+    ``walls`` is ``build_walls(case)``, and qd, volume_sq, t1 .. t5,
+    a_coeffs and c_coeffs are parsed from the lists' ``to_json``.
     """
 
     walls = cached_property(lambda self: build_walls(self.case))
-    qd = cached_property(lambda self: self.dense_qd.to_spatial())
-    volume_sq = cached_property(lambda self: self.dense_volume_sq.to_spatial())
-    t1 = cached_property(lambda self: self.dense_t[0].to_spatial())
-    t2 = cached_property(lambda self: self.dense_t[1].to_spatial())
-    t3 = cached_property(lambda self: self.dense_t[2].to_spatial())
-    t4 = cached_property(lambda self: self.dense_t[3].to_spatial())
-    t5 = cached_property(lambda self: self.dense_t[4].to_spatial())
-    a_coeffs = cached_property(lambda self: tuple(p.to_spatial() for p in self.dense_a))
-    c_coeffs = cached_property(lambda self: tuple(p.to_spatial() for p in self.dense_c))
+    qd = cached_property(lambda self: _view(self.dense_qd))
+    volume_sq = cached_property(lambda self: _view(self.dense_volume_sq))
+    t1 = cached_property(lambda self: _view(self.dense_t[0]))
+    t2 = cached_property(lambda self: _view(self.dense_t[1]))
+    t3 = cached_property(lambda self: _view(self.dense_t[2]))
+    t4 = cached_property(lambda self: _view(self.dense_t[3]))
+    t5 = cached_property(lambda self: _view(self.dense_t[4]))
+    a_coeffs = cached_property(lambda self: tuple(map(_view, self.dense_a)))
+    c_coeffs = cached_property(lambda self: tuple(map(_view, self.dense_c)))
 
     def degree_report(self) -> dict:
         return {
@@ -112,14 +117,8 @@ def wall_trig(d: int) -> list[tuple[int, int]]:
     return [(_SIN_SQUARED_4[Fraction(i, d)], (d > 2 * i) - (d < 2 * i)) for i in range(d)]
 
 
-def _half_root(k: int, sign: int = 1) -> FieldScalar:
-    """sign * sqrt(k)/2 for k = 0..4, exactly."""
-    half = Fraction(sign, 2)
-    if k == 2:
-        return FieldScalar(0, half)
-    if k == 3:
-        return FieldScalar(0, 0, half)
-    return FieldScalar(half * math.isqrt(k))
+# The coordinates of sqrt(k)/2 over (1, sqrt2, sqrt3, sqrt6), k = 1..4.
+_HALF_ROOTS = {1: (Fraction(1, 2),), 2: (0, Fraction(1, 2)), 3: (0, 0, Fraction(1, 2)), 4: (1,)}
 
 
 def _require_valid(case: CaseSpec) -> None:
@@ -129,14 +128,22 @@ def _require_valid(case: CaseSpec) -> None:
         raise PipelineError(f"{case.label}: invalid case: {violations}")
 
 
-def build_walls(case: CaseSpec) -> list[SpatialPoly]:
-    """The d linear forms x*sin(i*pi/d) - y*cos(i*pi/d), exact coefficients.
+def wall_rows(case: CaseSpec) -> list[list[list]]:
+    """The JSON rows of the d linear forms x*sin(i*pi/d) - y*cos(i*pi/d).
 
+    Each is ``[[1, 0, sin], [0, 1, -cos]]`` with a zero term left out, each
+    coefficient +-sqrt(k)/2 written from ``wall_trig`` by ``field_text``.
     An invalid case raises PipelineError, as in build_bundle.
     """
     _require_valid(case)
-    return [SpatialPoly.linear(_half_root(k), _half_root(4 - k, -sign))
-            for k, sign in wall_trig(case.d)]
+    return [[[a, b, field_text(*(sign * c for c in _HALF_ROOTS[root]))]
+             for a, b, root, sign in ((1, 0, k, 1), (0, 1, 4 - k, -cos_sign)) if root]
+            for k, cos_sign in wall_trig(case.d)]
+
+
+def build_walls(case: CaseSpec) -> list[SpatialPoly]:
+    """The walls as SpatialPolys, parsed from :func:`wall_rows`."""
+    return [SpatialPoly.from_json(rows) for rows in wall_rows(case)]
 
 
 def wall_products(case: CaseSpec) -> tuple[DensePoly, list[tuple[int, Fraction, DensePoly]]]:
@@ -338,7 +345,7 @@ def bundle_to_json(bundle: ReductionBundle) -> dict:
         "d": case.d,
         "multiplicities": list(case.multiplicities),
         "params": case.params_dict,
-        "walls": [w.to_json() for w in bundle.walls],
+        "walls": wall_rows(case),
         "qd": bundle.dense_qd.to_json(),
         "volume_sq": bundle.dense_volume_sq.to_json(),
         **{f"t{j}": t.to_json() for j, t in enumerate(bundle.dense_t, 1)},

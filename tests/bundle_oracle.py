@@ -8,6 +8,7 @@ form is a dict ``{(p, q): SpatialPoly}`` of the coefficients of xd^p yd^q,
 zero entries left out; a stage of R of velocity degree v is such a
 numerator over qd**v.
 
+* the walls w_i built from FieldScalars (:func:`walls_of`), not from text;
 * qd = prod(w_i), volume_sq = prod(w_i**(2 m_i));
 * t1 = sum(m_i s_i qd/w_i), t2 = -sum(m_i c_i qd/w_i) with
   (s_i, c_i) = (sin, cos)(i pi/d), and t3, t4, t5 the weighted squares
@@ -18,20 +19,45 @@ numerator over qd**v.
 """
 
 import math
+from fractions import Fraction
 
-from chamberlab.cases import CaseSpec
 from chamberlab.field import ZERO, FieldScalar
-from chamberlab.poly import SpatialPoly
-from chamberlab.reduction import build_bundle, build_walls
+from chamberlab.poly import DensePoly, SpatialPoly
+from chamberlab.reduction import build_bundle, wall_trig
 
 THIRD = FieldScalar.rational(1, 3)
 NINTH = FieldScalar.rational(1, 9)
 
 
+def half_root(k: int, sign: int = 1) -> FieldScalar:
+    """sign * sqrt(k)/2 for k = 0..4, exactly."""
+    half = Fraction(sign, 2)
+    if k == 2:
+        return FieldScalar(0, half)
+    if k == 3:
+        return FieldScalar(0, 0, half)
+    return FieldScalar(half * math.isqrt(k))
+
+
+def linear(coeff_x: FieldScalar, coeff_y: FieldScalar) -> SpatialPoly:
+    """The form coeff_x * x + coeff_y * y."""
+    return SpatialPoly({(1, 0): coeff_x, (0, 1): coeff_y})
+
+
 def walls_of(d: int) -> list[SpatialPoly]:
-    """``build_walls`` of chamber type d."""
-    return build_walls(CaseSpec(name="walls", group="", action="", n=d + 2, d=d,
-                                multiplicities=(1,) * d))
+    """The d walls x*sin(i*pi/d) - y*cos(i*pi/d) of chamber type d, built
+    from FieldScalars as the package built them before it wrote their rows
+    as text."""
+    return [linear(half_root(k), half_root(4 - k, -sign)) for k, sign in wall_trig(d)]
+
+
+def spatial(poly: DensePoly) -> SpatialPoly:
+    """A list as a SpatialPoly built term by term, one FieldScalar per
+    nonzero coefficient: the construction the package's views had before
+    they were parsed from rows."""
+    k = len(poly.coeffs) - 1
+    return SpatialPoly({(a, k - a): FieldScalar(Fraction(c, poly.den))
+                        for a, c in enumerate(poly.coeffs) if c})
 
 
 def trig_pairs(d: int) -> list[tuple[FieldScalar, FieldScalar]]:
@@ -116,7 +142,7 @@ def dense_form_value(form, qd: SpatialPoly, x, y, xd, yd) -> FieldScalar:
     v = len(form) - 1
     total = FieldScalar.rational(0)
     for q, poly in enumerate(form):
-        total = total + poly.to_spatial().eval_exact(x, y) * xd ** (v - q) * yd ** q
+        total = total + spatial(poly).eval_exact(x, y) * xd ** (v - q) * yd ** q
     return total * (qd.eval_exact(x, y) ** v).inverse()
 
 
@@ -163,8 +189,8 @@ def quintic_table(qd, t1, t2, a):
 
 def oracle_bundle(case) -> dict:
     """qd, volume_sq, t1..t5, r, r_dot, r_ddot, a_coeffs and c_coeffs of case,
-    derived sparsely and serialized as ``bundle_to_json`` writes them."""
-    walls = build_walls(case)
+    derived sparsely, and the walls, serialized as ``bundle_to_json`` writes them."""
+    walls = walls_of(case.d)
     qd = SpatialPoly.constant(1)
     volume_sq = SpatialPoly.constant(1)
     for w, m in zip(walls, case.multiplicities):
@@ -192,7 +218,8 @@ def oracle_bundle(case) -> dict:
     a = tuple(cubic.get((3 - j, j), SpatialPoly.zero()) for j in range(4))
     polys = {"qd": qd, "volume_sq": volume_sq, "t1": t1, "t2": t2, "t3": t3, "t4": t4,
              "t5": t5}
-    return {**{key: poly.to_json() for key, poly in polys.items()},
+    return {"walls": [w.to_json() for w in walls],
+            **{key: poly.to_json() for key, poly in polys.items()},
             "r": form_json(r, 1), "r_dot": form_json(r_dot, 2),
             "r_ddot": form_json(r_ddot, 3),
             "a_coeffs": [p.to_json() for p in a],

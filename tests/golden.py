@@ -11,7 +11,7 @@ every registry row at its default parameters, with the volatile fields
 parametric instances PARAMETRIC_ROWS in
 ``tests/fixtures/parametric_certificates/``, and
 ``tests/fixtures/resultant_sha256.json``, which maps each case label to the
-SHA-256 of ``json.dumps(report.poly.to_json())``, and
+SHA-256 of the JSON rows of its resultant (:func:`resultant_sha256`), and
 ``tests/fixtures/bundle_sha256.json``, which maps each case label to the
 SHA-256 of its bundle file as ``chamberlab derive`` writes it, and
 ``tests/fixtures/parametric_bundle_sha256.json``, the same for
@@ -59,6 +59,7 @@ from chamberlab.numerics import (
     normal_residual,
     state_from_angle,
 )
+from chamberlab.poly import DensePoly
 from chamberlab.reduction import build_bundle, bundle_to_json
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -112,8 +113,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def resultant_sha256(poly) -> str:
-    return _sha256(json.dumps(poly.to_json()))
+def resultant_sha256(report) -> str:
+    """SHA-256 of ``json.dumps`` of the resultant's JSON rows, written from
+    the report's coefficient list."""
+    return _sha256(json.dumps(DensePoly(report.coeffs, report.scale).to_json()))
 
 
 def bundle_sha256(bundle) -> str:
@@ -233,7 +236,7 @@ def main() -> int:
         certificate = certify.certify_case(case)
         path = certify.write_certificate(certificate, CERTIFICATES)
         path.write_text(stable_certificate_text(certificate), encoding="utf-8")
-        hashes[case.label] = resultant_sha256(reports[-1].poly)
+        hashes[case.label] = resultant_sha256(reports[-1])
         bundle_hashes[case.label] = bundle_sha256(build_bundle(case))
         print(f"{case.label}: {certificate['conclusion']}", file=sys.stderr)
     PARAMETRIC_CERTIFICATES.mkdir(parents=True, exist_ok=True)

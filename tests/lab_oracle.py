@@ -1,9 +1,9 @@
 """Reference formulas and a two-pass integrator for the lab, used only as test oracles.
 
-The per-row helpers ``scalars``, ``cubic_form`` and ``ode_form`` compute f,
-|A|^2, res_poly and res_ode one value at a time, rounding as the lab's row
-kernel must; with the package's ``_curvatures`` they are the reference the
-row kernel is compared with.
+The per-row helpers ``wall_curvatures``, ``scalars``, ``cubic_form`` and
+``ode_form`` compute the wall curvatures, f, |A|^2, res_poly and res_ode one
+value at a time, rounding as the lab's row kernel must; they are the
+reference the row kernel is compared with.
 
 ``integrate_two_pass`` is ``integrate_curve`` as it was before it became one
 pass: the RK4 loop tests each new state with the lab's ``inside`` kernel and
@@ -22,10 +22,14 @@ from chamberlab.numerics import (
     _MODE_COEFF,
     CurveState,
     Trajectory,
-    _curvatures,
     _rk4,
     get_lab,
 )
+
+
+def wall_curvatures(trig, walls, xd: float, yd: float) -> list[float]:
+    """Wall curvatures (sin_i yd + cos_i xd) / w_i from the wall values."""
+    return [(s * yd + c * xd) / w for (s, c), w in zip(trig, walls)]
 
 
 def scalars(lab, kd: float, wall_ks: list[float]) -> tuple[float, float]:
@@ -99,7 +103,7 @@ def integrate_two_pass(init, cfg, case) -> tuple[Trajectory, float, float, list]
                     kd = ydd * xd - xdd * yd
                 else:
                     kd = -coeff * r_values[idx]
-                wall_ks = _curvatures(lab.trig, walls, xd, yd)
+                wall_ks = wall_curvatures(lab.trig, walls, xd, yd)
                 f, a_sq = scalars(lab, kd, wall_ks)
                 res_poly = cubic_form(a0, a1, a2, a3, xd, yd)
                 if interior:

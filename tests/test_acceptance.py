@@ -30,7 +30,7 @@ from chamberlab.numerics import (
 from chamberlab.poly import SpatialPoly
 from chamberlab.reduction import build_bundle, verify_reference_example
 from chamberlab.resultant import sylvester_resultant
-from bundle_oracle import curvature_expr_pair
+from bundle_oracle import curvature_expr_pair, linear
 from float_poly_oracle import float_reduced_value
 from golden import RESULTANT_HASHES, resultant_sha256
 from resultant_oracle import at_y_equal_one, determinant_cofactor, sylvester_matrix, t_multiply
@@ -69,7 +69,7 @@ def test_criterion_2_certification_sweep(all_cases):
         expected = expected_resultant_degree(case.d)
         assert not report.identically_zero, case.label
         assert report.degree == expected, (case.label, report.degree, expected)
-        assert resultant_sha256(report.poly) == golden[case.label], case.label
+        assert resultant_sha256(report) == golden[case.label], case.label
         assert elapsed < 300.0, f"{case.label} took {elapsed:.1f}s"
     _report(2, f"all {len(all_cases)} registry cases: resultant homogeneous of "
                f"degree 27(d-1), nonzero, equal to the golden resultant; "
@@ -172,8 +172,8 @@ def test_criterion_7_minimal_cone_angle_d2():
 
 
 def _random_linear(rng):
-    return SpatialPoly.linear(FieldScalar.rational(rng.randint(-5, 5)),
-                              FieldScalar.rational(rng.randint(-5, 5)))
+    return linear(FieldScalar.rational(rng.randint(-5, 5)),
+                  FieldScalar.rational(rng.randint(-5, 5)))
 
 
 def _at_y_equal_one(polys):

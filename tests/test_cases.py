@@ -132,6 +132,20 @@ def test_registry_rejects_wrong_multiplicity_count(tmp_path):
         load_registry(path)
 
 
+@pytest.mark.parametrize("summands", [1500, 3000])
+def test_deeply_nested_expression_is_a_registry_error(tmp_path, summands):
+    # 1 + 1 + ... nests one BinOp per summand: at 1500 the evaluator's
+    # recursion and at 3000 the parser's exceed the interpreter's limit.
+    expr = "+".join(["1"] * summands)
+    doc = {"cases": [{"name": "Deep", "group": "g", "d": 1, "n": expr,
+                      "multiplicities": [1]}]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    (template,) = load_registry(path)
+    with pytest.raises(RegistryError, match=r"^case Deep \(n\): cannot (parse|evaluate) "):
+        instantiate_case(template)
+
+
 def test_case_label_and_params():
     case = registry_case("SOpxSOq", {"p": 3, "q": 5})
     assert case.label == "SOpxSOq(p=3,q=5)"

@@ -41,7 +41,7 @@ from golden import (
     trajectory_hashes,
     wall_stop_curves,
 )
-from lab_oracle import cubic_form, integrate_two_pass, ode_form, scalars
+from lab_oracle import cubic_form, integrate_two_pass, ode_form, scalars, wall_curvatures
 
 
 def _random_interior_state(case, rng, radius=(0.7, 1.5)):
@@ -487,7 +487,7 @@ def _kernel_oracle(lab, x, y, xd, yd):
 def _row_oracle(lab, st, point, kd, r_dot=None, r_ddot=None):
     """A trajectory row from the per-row helpers; an endpoint row without r_dot."""
     walls, q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = point
-    f, a_sq = scalars(lab, kd, numerics._curvatures(lab.trig, walls, st.xd, st.yd))
+    f, a_sq = scalars(lab, kd, wall_curvatures(lab.trig, walls, st.xd, st.yd))
     res_ode = math.nan if r_dot is None else ode_form(
         q, t1, t2, t3, t4, t5, st.xd, st.yd, r_dot, r_ddot)
     return (st.s, st.x, st.y, st.xd, st.yd, f, a_sq,

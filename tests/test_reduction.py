@@ -12,9 +12,9 @@ from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar, ONE, ZERO
 from chamberlab.poly import ZERO_POLY, DensePoly, SpatialPoly, X, Y, arc_derivative
 from chamberlab.reduction import ReductionBundle, build_bundle, build_walls, \
-    bundle_to_json, verify_reference_example
+    bundle_to_json, verify_reference_example, wall_rows
 from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
-    oracle_bundle, trig_pairs
+    oracle_bundle, spatial, trig_pairs, walls_of
 from float_poly_oracle import float_poly_value
 from golden import BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256
 
@@ -104,9 +104,8 @@ def test_t12_d2_parametric():
 
 def test_t12_degrees(all_cases):
     for case in all_cases:
-        b = build_bundle(case)
-        t1, t2 = b.t1, b.t2
-        if not t1.is_zero:
+        t1, t2 = build_bundle(case).dense_t[:2]
+        if t1.coeffs:
             assert t1.homogeneous_degree() == case.d - 1, case.label
         assert t2.homogeneous_degree() == case.d - 1, case.label
 
@@ -138,9 +137,8 @@ def test_t345_mirror_symmetry_u5(u5):
 
 def test_t345_degrees(all_cases):
     for case in all_cases:
-        b = build_bundle(case)
-        for t in (b.t3, b.t4, b.t5):
-            if not t.is_zero:
+        for t in build_bundle(case).dense_t[2:]:
+            if t.coeffs:
                 assert t.homogeneous_degree() == 2 * case.d - 2, case.label
 
 
@@ -205,11 +203,11 @@ def test_assemble_a_d2():
 def test_assemble_degrees(all_cases):
     for case in all_cases:
         bundle = build_bundle(case)
-        for j, a in enumerate(bundle.a_coeffs):
-            if not a.is_zero:
+        for j, a in enumerate(bundle.dense_a):
+            if a.coeffs:
                 assert a.homogeneous_degree() == 3 * (case.d - 1), (case.label, j)
-        for j, c in enumerate(bundle.c_coeffs):
-            if not c.is_zero:
+        for j, c in enumerate(bundle.dense_c):
+            if c.coeffs:
                 assert c.homogeneous_degree() == 4 * (case.d - 1), (case.label, j)
 
 
@@ -250,9 +248,11 @@ def test_degenerate_constant_cubic_cancels_quintic():
 def test_bundle_wall_degrees(all_cases):
     for case in all_cases:
         bundle = build_bundle(case)
-        assert all(w.homogeneous_degree() == 1 for w in bundle.walls)
-        assert bundle.qd.homogeneous_degree() == case.d
-        assert bundle.volume_sq.homogeneous_degree() == 2 * sum(case.multiplicities)
+        rows = wall_rows(case)
+        assert len(rows) == case.d and all(rows), case.label
+        assert all(a + b == 1 for wall in rows for a, b, _ in wall), case.label
+        assert bundle.dense_qd.homogeneous_degree() == case.d
+        assert bundle.dense_volume_sq.homogeneous_degree() == 2 * sum(case.multiplicities)
 
 
 def _flat_degrees(report):
@@ -351,7 +351,7 @@ def test_build_walls_rejects_an_invalid_chamber_type(d):
 
     bad = CaseSpec(name="bad", group="", action="", n=d + 2, d=d, multiplicities=(1,) * d)
     message = rf"^bad: invalid case: \['inadmissible chamber type d={d}'\]$"
-    for build in (build_walls, build_bundle):
+    for build in (wall_rows, build_walls, build_bundle):
         with pytest.raises(PipelineError, match=message):
             build(bad)
 
@@ -481,7 +481,7 @@ def test_mixed_d4_multiplicities_derive_and_certify():
     for mults in ((4, 4, 5, 4), (1, 2, 3, 4)):
         case = _d4_case(mults)
         bundle = build_bundle(case)
-        assert bundle.volume_sq.homogeneous_degree() == 2 * sum(mults)
+        assert bundle.dense_volume_sq.homogeneous_degree() == 2 * sum(mults)
         assert certify_case(case)["conclusion"] == "nonexistence-certified", mults
 
 
@@ -507,20 +507,21 @@ def _rounds_to(q: Fraction, f: float) -> bool:
 
 
 def test_dense_writers_match_the_spatial_ones():
-    # to_json writes the SpatialPoly's text; float_terms has its terms in the
-    # same order, each coefficient the correctly rounded quotient.
+    # to_json writes the text of the SpatialPoly built term by term;
+    # float_terms has its terms in the same order, each coefficient the
+    # correctly rounded quotient.
     for case in _default_and_parametric_rows():
         for poly in _dense_polys(build_bundle(case)):
-            spatial = poly.to_spatial()
-            assert poly.to_json() == spatial.to_json(), case.label
+            expected = spatial(poly)
+            assert poly.to_json() == expected.to_json(), case.label
             terms = poly.float_terms()
-            assert [(a, b) for a, b, _ in terms] == [m for m, _ in spatial.sorted_terms()]
+            assert [(a, b) for a, b, _ in terms] == [m for m, _ in expected.sorted_terms()]
             assert all(_rounds_to(Fraction(poly.coeffs[a], poly.den), f)
                        for a, _, f in terms), case.label
     # Past the double range a coefficient rounds to +-inf.
     huge = DensePoly([-(10 ** 400), 3, 10 ** 400], 7)
     assert huge.float_terms() == [(2, 0, math.inf), (1, 1, 3 / 7), (0, 2, -math.inf)]
-    assert huge.to_json() == huge.to_spatial().to_json()
+    assert huge.to_json() == spatial(huge).to_json()
 
 
 def test_dense_poly_equality_and_repr():
@@ -549,22 +550,34 @@ def test_cold_builds_compare_equal():
         assert _cold_bundle(case) == _cold_bundle(case), case.label
 
 
-def test_views_are_the_lists_as_spatial_polys(u5):
-    bundle = build_bundle(u5)
-    assert bundle.qd == bundle.dense_qd.to_spatial()
-    assert (bundle.t1, bundle.t5) == (bundle.dense_t[0].to_spatial(),
-                                      bundle.dense_t[4].to_spatial())
-    assert bundle.a_coeffs == tuple(p.to_spatial() for p in bundle.dense_a)
-    assert bundle.c_coeffs is bundle.c_coeffs
+def _view_pairs(bundle):
+    """(view, list) for every view parsed from a list."""
+    return [(bundle.qd, bundle.dense_qd), (bundle.volume_sq, bundle.dense_volume_sq),
+            *zip((bundle.t1, bundle.t2, bundle.t3, bundle.t4, bundle.t5), bundle.dense_t),
+            *zip(bundle.a_coeffs, bundle.dense_a), *zip(bundle.c_coeffs, bundle.dense_c)]
+
+
+def test_views_are_the_lists_as_spatial_polys():
+    # Each view, parsed from its list's rows, has the terms of the list built
+    # term by term: coefficient c / den at x^a y^(k - a) for each nonzero c.
+    for case in _default_and_parametric_rows():
+        bundle = build_bundle(case)
+        for view, poly in _view_pairs(bundle):
+            assert view.terms == spatial(poly).terms, case.label
+        assert bundle.c_coeffs is bundle.c_coeffs
 
 
 def test_walls_are_a_cached_view(all_cases):
-    # The bundle stores only exact rational data; its walls are built from
-    # the case on first read and kept.
+    # The bundle stores only exact rational data; its walls are parsed from
+    # wall_rows on first read and kept.  They are the walls built from
+    # FieldScalars, and the rows are the text of those.
     assert "walls" not in ReductionBundle._fields
     for case in all_cases:
         bundle = build_bundle(case)
-        assert bundle.walls == build_walls(case), case.label
+        expected = walls_of(case.d)
+        assert bundle.walls == build_walls(case) == expected, case.label
+        assert [w.terms for w in bundle.walls] == [w.terms for w in expected], case.label
+        assert wall_rows(case) == [w.to_json() for w in expected], case.label
         assert bundle.walls is bundle.walls
 
 
@@ -584,42 +597,43 @@ def _raise(*args, **kwargs):
     raise AssertionError("a FieldScalar, a SpatialPoly or field arithmetic")
 
 
-def test_derive_and_certify_run_in_q(monkeypatch):
-    # From cold caches, certifying a case and building its lab and curves
-    # construct no FieldScalar and no SpatialPoly.  Writing a bundle builds
-    # its walls, from the sin**2 table with no arithmetic in Q(sqrt2, sqrt3),
-    # and no other view.
+def test_derive_and_certify_run_in_q(monkeypatch, tmp_path, capsys):
+    # From cold caches, certifying a case, building its lab and curves,
+    # writing every default bundle and derive --format text construct no
+    # FieldScalar and no SpatialPoly and read no view: the walls' rows are
+    # written from the sin**2 table, and the text from the lists' rows.
     from chamberlab import numerics
     from chamberlab.cases import default_cases
     from chamberlab.certify import certify_case
+    from chamberlab.cli import EXIT_OK, main
 
     build_bundle.cache_clear()
     reduction._wall_classes.cache_clear()
     numerics.get_lab.cache_clear()
     try:
-        with monkeypatch.context() as patched:
-            # Every FieldScalar comes from __init__ or _raw; every SpatialPoly
-            # from __init__, to_spatial or arithmetic on those.
-            for cls, name in ((FieldScalar, "__init__"), (FieldScalar, "_raw"),
-                              (SpatialPoly, "__init__"), (DensePoly, "to_spatial")):
-                patched.setattr(cls, name, _raise)
-            for name in ("SOn-1", "SOpxSOq", "SU3", "Sp2xSpm", "G2"):
-                case = registry_case(name)
-                assert certify_case(case)["conclusion"] == "nonexistence-certified"
-                numerics.get_lab(case)
-                sigma = 0.45 * math.pi / case.d
-                start = numerics.state_from_angle(3 * math.cos(sigma), 3 * math.sin(sigma), 0.7)
-                for mode in numerics.MODES:
-                    cfg = numerics.IntegratorConfig(step=1e-4, max_steps=100, mode=mode)
-                    assert len(numerics.integrate_curve(start, cfg, case).rows) == 101
-        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
-                     "__neg__", "__truediv__", "inverse"):
-            monkeypatch.setattr(FieldScalar, name, _raise)
-        monkeypatch.setattr(DensePoly, "to_spatial", _raise)
-        for case in default_cases():
+        # Every FieldScalar comes from __init__ or _raw; every SpatialPoly
+        # from __init__, from_json or arithmetic on those.
+        for cls, name in ((FieldScalar, "__init__"), (FieldScalar, "_raw"),
+                          (SpatialPoly, "__init__"), (SpatialPoly, "from_json")):
+            monkeypatch.setattr(cls, name, _raise)
+        for name in ("SOn-1", "SOpxSOq", "SU3", "Sp2xSpm", "G2"):
+            case = registry_case(name)
+            assert certify_case(case)["conclusion"] == "nonexistence-certified"
+            numerics.get_lab(case)
+            sigma = 0.45 * math.pi / case.d
+            start = numerics.state_from_angle(3 * math.cos(sigma), 3 * math.sin(sigma), 0.7)
+            for mode in numerics.MODES:
+                cfg = numerics.IntegratorConfig(step=1e-4, max_steps=100, mode=mode)
+                assert len(numerics.integrate_curve(start, cfg, case).rows) == 101
+        cases = default_cases()
+        assert len(cases) == 14
+        for case in cases:
             bundle = build_bundle(case)
             bundle_to_json(bundle)
-            assert list(vars(bundle)) == ["walls"], case.label
+            assert vars(bundle) == {}, case.label
+        code = main(["derive", "--case", "all", "--format", "text", "--out", str(tmp_path)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert capsys.readouterr().out.count("A0 = ") == 14
     finally:
         build_bundle.cache_clear()
         numerics.get_lab.cache_clear()
@@ -651,8 +665,8 @@ def test_wall_class_rule_matches_the_field_path():
                 reduction._wall_classes(d, classes)
             continue
         qd, products = reduction._wall_classes(d, classes)
-        assert qd.to_spatial() == expected[0], (d, classes)
-        assert [(lead_sq, p.to_spatial()) for lead_sq, p in products] == expected[1], \
+        assert spatial(qd) == expected[0], (d, classes)
+        assert [(lead_sq, spatial(p)) for lead_sq, p in products] == expected[1], \
             (d, classes)
 
 

@@ -247,7 +247,7 @@ def field_text(a, b=0, c=0, e=0) -> str:
             f"{format_rational(c)}*r3 + {format_rational(e)}*r6")
 
 
-# The text of a rational coordinate a is its "p/q" and then this.
+# field_text of a rational q is format_rational(q) and then this.
 _RATIONAL_TAIL = field_text(0)[len("0/1"):]
 
 

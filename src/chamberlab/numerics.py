@@ -239,9 +239,13 @@ def state_from_angle(x0: float, y0: float, angle: float) -> CurveState:
 
 def _point_inside(st: CurveState, case: CaseSpec) -> tuple[CaseLab, tuple]:
     """The case's lab and its ``point`` values at the state; BoundaryError
-    unless ``clear`` finds the state's walls strictly inside the chamber."""
+    unless they evaluate and ``clear`` finds the state's walls strictly
+    inside the chamber."""
     lab = get_lab(case)
-    values = lab.point(st.x, st.y)
+    try:
+        values = lab.point(st.x, st.y)
+    except OverflowError:
+        raise BoundaryError(f"state ({st.x}, {st.y}) overflows the lab's float range") from None
     if not lab.clear(values[0]):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
     return lab, values

@@ -2,14 +2,14 @@
 
 Two representations:
 
+* :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
+  :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
+  exponent map.
 * :class:`DensePoly` - a homogeneous rational polynomial as one dense list
   of integers over one denominator.  A velocity form (a polynomial
   homogeneous in (xd, yd) with polynomial coefficients) is a list of them,
   a :data:`DenseForm`; :func:`arc_derivative` differentiates one over a
   power of the chamber product polynomial along arclength.
-* :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
-  :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
-  exponent map.
 
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
 is rational and homogeneous.  So the derivation runs on DensePolys alone,

@@ -71,6 +71,19 @@ def test_principal_curvatures_reject_wall_state(u5):
         principal_curvatures(st, u5, 0.0)
 
 
+@pytest.mark.parametrize("y", [1e199, -1e199])
+def test_pointwise_oracles_reject_a_state_whose_values_overflow(y):
+    # G2's point values overflow at x = 1e200, inside the chamber (y > 0)
+    # and outside it alike: each pointwise oracle raises BoundaryError.
+    case = registry_case("G2")
+    st = state_from_angle(1e200, y, 0.3)
+    for oracle in (lambda: normal_residual(st, case),
+                   lambda: geometric_scalars(st, case, 0.0),
+                   lambda: principal_curvatures(st, case, 0.0)):
+        with pytest.raises(BoundaryError, match="overflows the lab's float range"):
+            oracle()
+
+
 def test_directional_log_derivative_matches_ratio_formula(all_cases):
     # First curvature formula (normal-direction derivative of log w^2 by
     # finite differences) against the direct ratio, at random states.

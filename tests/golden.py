@@ -15,7 +15,9 @@ SHA-256 of the JSON rows of its resultant (:func:`resultant_sha256`), and
 ``tests/fixtures/bundle_sha256.json``, which maps each case label to the
 SHA-256 of its bundle file as ``chamberlab derive`` writes it, and
 ``tests/fixtures/parametric_bundle_sha256.json``, the same for
-PARAMETRIC_ROWS, and ``tests/fixtures/derive_text_sha256.json``, the SHA-256
+PARAMETRIC_ROWS, and ``tests/fixtures/grid_bundle_sha256.json``, the same
+for the 208 cases of ``grid.multiplicity_grid`` keyed by ``grid.grid_key``,
+and ``tests/fixtures/derive_text_sha256.json``, the SHA-256
 of the stdout of ``chamberlab derive --case all --format text --out bundles``
 run in an empty directory (:func:`derive_text_stdout`), and
 ``tests/fixtures/trajectory_sha256.json``, which maps ``<label>/<mode>`` to
@@ -61,6 +63,7 @@ from chamberlab.numerics import (
 )
 from chamberlab.poly import DensePoly
 from chamberlab.reduction import build_bundle, bundle_to_json
+from grid import grid_key, multiplicity_grid
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 CERTIFICATES = FIXTURES / "certificates"
@@ -68,6 +71,7 @@ PARAMETRIC_CERTIFICATES = FIXTURES / "parametric_certificates"
 RESULTANT_HASHES = FIXTURES / "resultant_sha256.json"
 BUNDLE_HASHES = FIXTURES / "bundle_sha256.json"
 PARAMETRIC_BUNDLE_HASHES = FIXTURES / "parametric_bundle_sha256.json"
+GRID_BUNDLE_HASHES = FIXTURES / "grid_bundle_sha256.json"
 DERIVE_TEXT_HASH = FIXTURES / "derive_text_sha256.json"
 # The command whose stdout DERIVE_TEXT_HASH pins; its relative --out makes the
 # "wrote" lines independent of where it runs.
@@ -122,6 +126,11 @@ def resultant_sha256(report) -> str:
 def bundle_sha256(bundle) -> str:
     """SHA-256 of the bundle file text that ``chamberlab derive`` writes."""
     return _sha256(json.dumps(bundle_to_json(bundle), indent=1, sort_keys=True) + "\n")
+
+
+def grid_bundle_hashes() -> dict[str, str]:
+    """:func:`bundle_sha256` of every multiplicity-grid case, by its grid_key."""
+    return {grid_key(case): bundle_sha256(build_bundle(case)) for case in multiplicity_grid()}
 
 
 def derive_text_stdout() -> str:
@@ -250,6 +259,7 @@ def main() -> int:
     _write_hashes(RESULTANT_HASHES, hashes)
     _write_hashes(BUNDLE_HASHES, bundle_hashes)
     _write_hashes(PARAMETRIC_BUNDLE_HASHES, parametric_bundle_hashes)
+    _write_hashes(GRID_BUNDLE_HASHES, grid_bundle_hashes())
     _write_hashes(DERIVE_TEXT_HASH, derive_text_hashes())
     _write_hashes(TRAJECTORY_HASHES, trajectory_hashes())
     _write_hashes(WALL_STOPS, wall_stop_curves())

@@ -16,7 +16,8 @@ from chamberlab.reduction import ReductionBundle, build_bundle, build_walls, \
 from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
     oracle_bundle, spatial, trig_pairs, walls_of
 from float_poly_oracle import float_poly_value
-from golden import BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256
+from golden import BUNDLE_HASHES, GRID_BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, \
+    PARAMETRIC_ROWS, bundle_sha256, grid_bundle_hashes
 
 
 def _rat(p, q=1):
@@ -311,6 +312,11 @@ def test_parametric_bundles_match_golden_hashes():
     assert sorted(golden) == sorted(case.label for case in cases)
     for case in cases:
         assert bundle_sha256(build_bundle(case)) == golden[case.label], case.label
+
+
+def test_grid_bundles_match_golden_hashes():
+    # Every bundle of the 208-case multiplicity grid, as derive writes it.
+    assert grid_bundle_hashes() == json.loads(GRID_BUNDLE_HASHES.read_text())
 
 
 def test_bundle_derives_each_stage_once(monkeypatch, u5):

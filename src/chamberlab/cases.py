@@ -72,6 +72,17 @@ _ROW_KEYS = {"name", "group", "action", "d", "n", "multiplicities", "params",
 _PARAM_KEYS = {"name", "min", "default"}
 
 
+# An expression longer than this is quoted in an error by its start and length.
+_QUOTED_CHARS = 40
+
+
+def _quoted(text: str) -> str:
+    """repr(text), or of its first _QUOTED_CHARS characters and its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+
+
 def _evaluate(expr: str, params: dict[str, int], where: str) -> int:
     """Integer value of a registry expression over the case parameters.
 
@@ -80,7 +91,7 @@ def _evaluate(expr: str, params: dict[str, int], where: str) -> int:
     subscripts, other literals) is a RegistryError, so registry data cannot
     run code; so is an expression nested too deeply to parse or evaluate
     (RecursionError).  Bounds are not expressions: they are the parameter
-    minimums.
+    minimums.  An error quotes a long expression by its start and length.
     """
     def walk(node):
         if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -92,17 +103,17 @@ def _evaluate(expr: str, params: dict[str, int], where: str) -> int:
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
             return _BINARY_OPS[type(node.op)](walk(node.left), walk(node.right))
         what = (f"unknown name {node.id!r}" if isinstance(node, ast.Name)
-                else f"{ast.unparse(node)!r} is not allowed")
-        raise RegistryError(f"{where}: cannot evaluate {expr!r}: {what}")
+                else f"{_quoted(ast.unparse(node))} is not allowed")
+        raise RegistryError(f"{where}: cannot evaluate {_quoted(expr)}: {what}")
 
     try:
         tree = ast.parse(expr, mode="eval")
     except (SyntaxError, ValueError, RecursionError) as exc:
-        raise RegistryError(f"{where}: cannot parse {expr!r}: {exc}") from exc
+        raise RegistryError(f"{where}: cannot parse {_quoted(expr)}: {exc}") from exc
     try:
         return walk(tree.body)
     except (ZeroDivisionError, RecursionError) as exc:
-        raise RegistryError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
+        raise RegistryError(f"{where}: cannot evaluate {_quoted(expr)}: {exc}") from exc
 
 
 def _eval_int(expr, params: dict[str, int], where: str) -> int:

@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PipelineError, ExactDivisionError) as exc:
         print(f"pipeline invariant violated: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_ERROR
-    except Exception as exc:  # a bug, e.g. DensePoly's sum of unequal degrees
+    except Exception as exc:  # a bug, e.g. a list sum of unequal degrees
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_ERROR
 

@@ -20,6 +20,7 @@ denominator.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 Rat = Fraction
@@ -46,16 +47,16 @@ def _neg(x):
     return -x if x else x
 
 
-def power(base, exponent: int, one):
+def power(base, exponent: int, one, mul=operator.mul):
     """base ** exponent for an int exponent >= 0 by repeated squaring; ``one``
-    is the product of no factors."""
+    is the product of no factors and ``mul`` the product of two."""
     result = one
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

@@ -1,32 +1,39 @@
 """Exact polynomial algebra in (x, y) and in the velocity pair (xd, yd).
 
-Two representations:
+Three representations:
 
 * :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
   :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
   exponent map.
 * :class:`DensePoly` - a homogeneous rational polynomial as one dense list
-  of integers over one denominator.  A velocity form (a polynomial
-  homogeneous in (xd, yd) with polynomial coefficients) is a list of them,
-  a :data:`DenseForm`; :func:`arc_derivative` differentiates one over a
-  power of the chamber product polynomial along arclength.
+  of integers over one reduced denominator, the form in which a bundle
+  stores its polynomials.  A stored velocity form (a polynomial homogeneous
+  in (xd, yd) with polynomial coefficients) is a list of them, a
+  :data:`DenseForm`.
+* plain integer lists, low to high in u = x/y like ``DensePoly.coeffs``,
+  with the denominator kept beside them: :func:`mul`, :func:`add` (which
+  refuses lists of unequal lengths), :func:`scale`, :func:`dx` and
+  :func:`dy`, and on velocity forms of such lists :func:`form_product`,
+  :func:`form_flow` and :func:`arc_derivative`, which differentiates a form
+  over a power of the chamber product polynomial along arclength.
 
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
-is rational and homogeneous.  So the derivation runs on DensePolys alone,
-from qd and the wall products on (see :mod:`chamberlab.reduction`).  The
-lists go on to the serialized bundle (:meth:`DensePoly.to_json`), the
-resultant and the lab's float kernels (:meth:`DensePoly.float_terms`).  A
-polynomial's JSON rows ``[[a, b, "c"], ...]``, highest power of x first, are
-the one way into a SpatialPoly (:meth:`SpatialPoly.from_json`), and
-:func:`rows_text` renders rows as text, for ``derive --format text`` and
-:meth:`SpatialPoly.to_text` alike.  No command builds a SpatialPoly: only a
-bundle's views and a resultant's ``poly``, parsed from rows when read.
+is rational and homogeneous.  So the derivation runs on integer lists alone,
+from qd and the wall products on (see :mod:`chamberlab.reduction`), and
+builds a DensePoly once per stored polynomial.  The DensePolys go on to the
+serialized bundle (:meth:`DensePoly.to_json`), the resultant and the lab's
+float kernels (:meth:`DensePoly.float_terms`).  A polynomial's JSON rows
+``[[a, b, "c"], ...]``, highest power of x first, are the one way into a
+SpatialPoly (:meth:`SpatialPoly.from_json`), and :func:`rows_text` renders
+rows as text, for ``derive --format text`` and :meth:`SpatialPoly.to_text`
+alike.  No command builds a SpatialPoly: only a bundle's views and a
+resultant's ``poly``, parsed from rows when read.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 from typing import Iterable
 
 from .errors import ExactDivisionError
@@ -319,91 +326,108 @@ class DensePoly:
         double nearest the coefficient (ties to even), +-inf beyond the range."""
         return [(a, b, _round(c, self.den)) for a, b, c in self._terms()]
 
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("sum of polynomials of different degrees")
-        if self.den == other.den:
-            return DensePoly([a + b for a, b in zip(self.coeffs, other.coeffs)], self.den)
-        da, db = self.den, other.den
-        return DensePoly([a * db + b * da for a, b in zip(self.coeffs, other.coeffs)], da * db)
 
-    def __neg__(self) -> "DensePoly":
-        return DensePoly([-c for c in self.coeffs], self.den)
-
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "DensePoly":
-        """Product with a DensePoly, an int or a Fraction."""
-        if isinstance(other, DensePoly):
-            if not (self.coeffs and other.coeffs):
-                return DensePoly([])
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs, i):
-                        out[j] += a * b
-            return DensePoly(out, self.den * other.den)
-        scalar = Fraction(other)
-        return DensePoly([c * scalar.numerator for c in self.coeffs],
-                         self.den * scalar.denominator)
-
-    def __pow__(self, exponent: int) -> "DensePoly":
-        return power(self, exponent, DensePoly([1]))
-
-    def dx(self) -> "DensePoly":
-        return DensePoly([a * c for a, c in enumerate(self.coeffs)][1:], self.den)
-
-    def dy(self) -> "DensePoly":
-        k = len(self.coeffs) - 1
-        return DensePoly([(k - a) * c for a, c in enumerate(self.coeffs)][:-1], self.den)
-
-
-# A velocity form on lists: entry q is the DensePoly coefficient of
+# A stored velocity form: entry q is the DensePoly coefficient of
 # xd^(v - q) * yd^q, v = len - 1, every nonzero entry of one degree.
 DenseForm = list[DensePoly]
 
 
-def form_sum(f: DenseForm, g: DenseForm) -> DenseForm:
-    return [a + b for a, b in zip(f, g, strict=True)]
+# -- integer lists ------------------------------------------------------------
+#
+# A homogeneous polynomial of degree k is k + 1 ints, low to high in u = x/y:
+# entry a is the coefficient of x^a * y^(k - a), as in DensePoly.coeffs.  A
+# product has length len(a) + len(b) - 1 and a derivative one entry fewer, so
+# the derivative of a constant is [] (degree -1) and a product with it is the
+# zero list of the product's degree: every length is the formal degree plus
+# one, zero lists included.  The denominator lives outside the list.
 
 
-def form_product(f: DenseForm, g: DenseForm) -> DenseForm:
-    out = [DensePoly([])] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.coeffs:
-            for j, b in enumerate(g, i):
-                out[j] = out[j] + a * b
+def mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two lists; ``a``'s zero entries are skipped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 
-_THIRD = Fraction(1, 3)
+def add(*polys: list[int]) -> list[int]:
+    """The sum of lists of one length.
 
-
-def arc_derivative(num: DenseForm, r: DenseForm, qd: DensePoly) -> DenseForm:
-    """d/ds of num / qd**v along a candidate curve, v = len(num) - 1: the
-    numerator over qd**(v + 1).
-
-    Uses dx/ds = xd, dy/ds = yd, d(xd)/ds = (R/3) yd, d(yd)/ds = -(R/3) xd,
-    with R = r / qd.  The numerator is
-    qd * F(num) + (r/3) * rot(num) - v * F(qd) * num, where
-    F(P) = dP/dx * xd + dP/dy * yd is the coordinate flow and rot the
-    derivation xd -> yd, yd -> -xd.
+    Lists of unequal lengths, polynomials of different degrees, raise
+    ValueError: the derivation's degrees hold by construction, and a sum
+    that would truncate or pad one side means they do not.
     """
-    v = len(num) - 1
-    flow = [DensePoly([])] * (v + 2)
-    rotation = [DensePoly([])] * (v + 1)
-    for q, coeff in enumerate(num):
-        flow[q] = flow[q] + coeff.dx()
-        flow[q + 1] = flow[q + 1] + coeff.dy()
-        if v - q:
-            rotation[q + 1] = rotation[q + 1] + coeff * (v - q)
-        if q:
-            rotation[q - 1] = rotation[q - 1] - coeff * q
-    out = form_sum([qd * p for p in flow], [p * _THIRD for p in form_product(r, rotation)])
-    qd_flow = form_product([qd.dx() * v, qd.dy() * v], num)
-    return [a - b for a, b in zip(out, qd_flow, strict=True)]
+    out, *rest = polys
+    for p in rest:
+        if len(p) != len(out):
+            raise ValueError("sum of polynomials of different degrees")
+        out = list(map(operator.add, out, p))
+    return out
+
+
+def scale(c: int, p: list[int]) -> list[int]:
+    return [c * x for x in p]
+
+
+def dx(p: list[int]) -> list[int]:
+    return [a * p[a] for a in range(1, len(p))]
+
+
+def dy(p: list[int]) -> list[int]:
+    k = len(p) - 1
+    return [(k - a) * p[a] for a in range(k)]
+
+
+# A velocity form on lists: entry q is the list of the coefficient of
+# xd^(v - q) * yd^q, v = len - 1, every entry of one length.  In the
+# derivation a form, like a polynomial, carries one denominator beside it.
+
+
+def form_product(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    out: list = [None] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g, i):
+            p = mul(a, b)
+            out[j] = p if out[j] is None else add(out[j], p)
+    return out
+
+
+def _padded(form: list[list[int]]) -> list[list[int]]:
+    """The form with a zero entry before and after it."""
+    zero = [0] * len(form[0])
+    return [zero, *form, zero]
+
+
+def form_flow(form: list[list[int]]) -> list[list[int]]:
+    """F(P) = dP/dx * xd + dP/dy * yd of a form of velocity degree v, of
+    velocity degree v + 1."""
+    padded = _padded(form)
+    return [add(dx(padded[q + 1]), dy(padded[q])) for q in range(len(form) + 1)]
+
+
+def arc_derivative(num: tuple, r: tuple, qd: tuple) -> tuple:
+    """d/ds of num / qd**v along a candidate curve, v the velocity degree of
+    num: the numerator over qd**(v + 1).
+
+    Each argument is ``(lists, den)``: num a form over ``den``, r the form
+    of R * qd and qd the polynomial.  Uses dx/ds = xd, dy/ds = yd,
+    d(xd)/ds = (R/3) yd, d(yd)/ds = -(R/3) xd.  The numerator is
+    qd * F(num) + (r/3) * rot(num) - v * F(qd) * num, where F is the
+    coordinate flow (:func:`form_flow`) and rot the derivation xd -> yd,
+    yd -> -xd, returned over the one scale 3 * den(qd) * den(r) * den(num).
+    """
+    (entries, den), (r_entries, r_den), (qd_coeffs, qd_den) = num, r, qd
+    v = len(entries) - 1
+    padded = _padded(entries)
+    rotation = [add(scale(v + 1 - q, padded[q]), scale(-1 - q, padded[q + 2]))
+                for q in range(v + 1)]
+    turn = form_product([scale(qd_den, p) for p in r_entries], rotation)
+    common = 3 * r_den
+    qd_flow = form_product([scale(-common * v, dx(qd_coeffs)), scale(-common * v, dy(qd_coeffs))],
+                           entries)
+    base = scale(common, qd_coeffs)
+    out = [add(mul(base, f), g, t)
+           for f, g, t in zip(form_flow(entries), qd_flow, turn, strict=True)]
+    return out, common * qd_den * den

@@ -23,16 +23,21 @@ l_m, with l_m**2, straight from the table as dense rational lists
 raises PipelineError.  qd and these products depend only on d and on which
 walls share a multiplicity, so they are computed once per such class.  The
 orbit volume and the t's are then sums and products of the P_m (see
-build_bundle).  Every derived polynomial stays a list from there through
-bundle_to_json, the resultant, the lab's kernels and the U(5) reference
-check.  The text of the JSON rows is the package's one way into
-Q(sqrt2, sqrt3): the SpatialPoly attributes walls, qd .. c_coeffs are views
-for readers outside the package, parsed from rows on first read.
+build_bundle).  From there the derivation runs on plain integer lists
+(:func:`~chamberlab.poly.mul`, :func:`~chamberlab.poly.add` and the
+velocity-form helpers beside them), each polynomial or form over one
+denominator carried beside it, and each stored field becomes a reduced
+DensePoly once, at the end.  The DensePolys go on to bundle_to_json, the
+resultant, the lab's kernels and the U(5) reference check.  The text of the
+JSON rows is the package's one way into Q(sqrt2, sqrt3): the SpatialPoly
+attributes walls, qd .. c_coeffs are views for readers outside the package,
+parsed from rows on first read.
 
 All arithmetic is exact, and no degree is checked at run time: qd has degree
-d, each P_m one per wall, a product adds degrees, dx and dy lower one and a
-DensePoly sum refuses unequal ones, so every nonzero t1, t2, t3..t5, A, C and
-R-form entry has degree d - 1, 2d - 2, 3(d - 1), 4(d - 1) and v(d - 1).
+d, each P_m one per wall, a list product adds degrees, dx and dy lower one
+and the list sum :func:`~chamberlab.poly.add` raises ValueError on lists of
+unequal lengths, so every t1, t2, t3..t5, A, C and R-form entry has degree
+d - 1, 2d - 2, 3(d - 1), 4(d - 1) and v(d - 1), or is zero.
 test_degree_table_over_the_multiplicity_grid pins this table.
 """
 
@@ -45,12 +50,9 @@ from typing import NamedTuple
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
-from .field import field_text, rational_text
-from .poly import DenseForm, DensePoly, SpatialPoly, arc_derivative, form_product, form_sum
-
-_THIRD = Fraction(1, 3)
-_TWO_THIRDS = Fraction(2, 3)
-_NINTH = Fraction(1, 9)
+from .field import field_text, power, rational_text
+from .poly import DenseForm, DensePoly, SpatialPoly, add, arc_derivative, dx, dy, form_flow, \
+    form_product, mul, scale
 
 
 class _BundleFields(NamedTuple):
@@ -183,7 +185,7 @@ def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
                     for j in range(d, -1, -1)], 2 ** (d - 1))
     products = []
     for indices in classes:
-        lead_sq, product = Fraction(1), DensePoly([1])
+        lead_sq, product, den = Fraction(1), [1], 1
         for i in indices:
             k, sign = trig[i]
             if k in (1, 3):
@@ -191,27 +193,35 @@ def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
                     raise ValueError(f"wall {i} over its leading coefficient is not "
                                      f"rational without wall {d - i}")
                 if 2 * i < d:
-                    product = product * DensePoly([k - 4, 0, k], k)
+                    product = mul(product, [k - 4, 0, k])
+                    den *= k
                     lead_sq *= Fraction(k * k, 16)
             elif k == 2:
-                product = product * DensePoly([-sign, 1])
+                product = mul(product, [-sign, 1])
                 lead_sq /= 2
             else:
-                product = product * DensePoly([1, 0] if k == 0 else [0, 1])
-        products.append((lead_sq, product))
+                product = mul(product, [1, 0] if k == 0 else [0, 1])
+        products.append((lead_sq, DensePoly(product, den)))
     return qd, tuple(products)
 
 
-def _quintic(qd: DensePoly, t1: DensePoly, t2: DensePoly,
-             a: tuple[DensePoly, ...]) -> tuple[DensePoly, ...]:
-    a0, a1, a2, a3 = a
-    c0 = qd * a0.dx() + a1 * t2 * _THIRD
-    c1 = qd * (a1.dx() + a0.dy()) + a2 * t2 * _TWO_THIRDS - a1 * t1 * _THIRD
-    c2 = qd * (a2.dx() + a1.dy()) + a3 * t2 - a2 * t1 * _TWO_THIRDS + a1 * t2 * _THIRD
-    c3 = qd * (a3.dx() + a2.dy()) - a3 * t1 + a2 * t2 * _TWO_THIRDS - a1 * t1 * _THIRD
-    c4 = qd * a3.dy() + a3 * t2 - a2 * t1 * _TWO_THIRDS
-    c5 = -(a3 * t1)
-    return (c0, c1, c2, c3, c4, c5)
+def _quintic(qd: tuple, t: tuple, a: tuple) -> tuple:
+    """C0..C5 from qd, (t1, t2) and A0..A3, each ``(lists, den)``.
+
+    C = xd qd F(A) + (1/3) (xd**2 + yd**2) (t2 xd - t1 yd) dA/dyd, F the
+    coordinate flow (:func:`~chamberlab.poly.form_flow`), over the one scale
+    3 * den(qd) * den(t) * den(A).  The six products t_i * A_j are each
+    taken once.
+    """
+    (qd_coeffs, qd_den), ((t1, t2), t_den), (entries, a_den) = qd, t, a
+    turn = form_product([scale(qd_den, t2), scale(-qd_den, t1)],
+                        [scale(j, entries[j]) for j in (1, 2, 3)])
+    base = scale(3 * t_den, qd_coeffs)
+    flow = [mul(base, f) for f in form_flow(entries)]
+    zero = [0] * len(turn[0])
+    return ([add(f, g, h) for f, g, h in zip([*flow, zero], [*turn, zero, zero],
+                                              [zero, zero, *turn], strict=True)],
+            3 * t_den * qd_den * a_den)
 
 
 @lru_cache(maxsize=None)
@@ -231,50 +241,72 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
       with t1^2/9, and t4 = 2 sum(m * (P~ * dxyP~ - dxP~ * dyP~) * Q_m^2)
       - 2 t1 t2 / 9.
 
-    Degrees hold by construction; test_degree_table_over_the_multiplicity_grid pins them.
+    The derivation runs on integer lists (:mod:`chamberlab.poly`), one
+    denominator per polynomial or form: every P~_m * Q_m, so t1 and t2, is
+    over E = den(lam) * prod(den(P~_m)), and t3..t5 over 9 E**2.  Each
+    stored field becomes a DensePoly once, at the end.  Degrees hold by
+    construction; test_degree_table_over_the_multiplicity_grid pins them.
     """
     _require_valid(case)
     qd, groups = wall_products(case)
     lam = Fraction(next(c for c in reversed(qd.coeffs) if c), qd.den)
+    t_den = lam.denominator * math.prod(p.den for _, _, p in groups)
 
-    volume_sq = DensePoly([1])
-    t1 = t2 = t3 = t4 = t5 = DensePoly([])
-    for m, lead_sq, p in groups:
-        q = DensePoly([1]) * lam
+    volume, volume_scale = [1], Fraction(1)
+    t1 = t2 = [0] * case.d
+    t3 = t4 = t5 = [0] * (2 * case.d - 1)
+    for m, lead_sq, poly in groups:
+        p, q = poly.coeffs, [lam.numerator]
         for other_m, _, other in groups:
             if other_m != m:
-                q = q * other
-        volume_sq = volume_sq * p ** (2 * m) * lead_sq ** m
-        px, py = p.dx(), p.dy()
-        weight = q * q * m
-        t1 = t1 + px * q * m
-        t2 = t2 + py * q * m
-        t3 = t3 + (py * py - p * py.dy()) * weight
-        t4 = t4 + (p * px.dy() - px * py) * weight * 2
-        t5 = t5 + (px * px - p * px.dx()) * weight
-    t3 = t3 + t2 * t2 * _NINTH
-    t4 = t4 - t1 * t2 * (2 * _NINTH)
-    t5 = t5 + t1 * t1 * _NINTH
+                q = mul(other.coeffs, q)
+        volume = mul(power(p, 2 * m, [1], mul), volume)
+        volume_scale *= lead_sq ** m / poly.den ** (2 * m)
+        px, py = dx(p), dy(p)
+        mq, npx, npy = scale(m, q), scale(-1, px), scale(-1, py)
+        weight = mul(scale(9, mq), q)  # 9 m Q_m**2: t3..t5 are over 9 E**2
+        t1 = add(t1, mul(px, mq))
+        t2 = add(t2, mul(py, mq))
+        t3 = add(t3, mul(add(mul(py, py), mul(p, dy(npy))), weight))
+        t4 = add(t4, mul(add(mul(p, dy(px)), mul(px, npy)), scale(2, weight)))
+        t5 = add(t5, mul(add(mul(px, px), mul(p, dx(npx))), weight))
+    t3 = add(t3, mul(t2, t2))
+    t4 = add(t4, mul(scale(-2, t1), t2))
+    t5 = add(t5, mul(t1, t1))
 
     # The wall-curvature sum R = (-t2*xd + t1*yd) / qd and its first and
     # second arclength derivatives, through the module global.
-    r = [-t2, t1]
-    r_dot = arc_derivative(r, r, qd)
-    r_ddot = arc_derivative(r_dot, r, qd)
+    qd_pair, r_entries = (qd.coeffs, qd.den), [scale(-1, t2), t1]
+    r = (r_entries, t_den)
+    r_dot = arc_derivative(r, r, qd_pair)
+    r_ddot = arc_derivative(r_dot, r, qd_pair)
 
     # The normal equation cleared of denominators.  Its three contributions
     # (second derivative of R, volume term times first derivative, quadratic
     # term times R) are each velocity-cubic over qd^3, so collecting A is
-    # purely syntactic; C follows from the x-derivative of the cubic.
-    cubic = form_sum(r_ddot, form_product([t1, t2], r_dot))
-    a = tuple(p - q for p, q in zip(cubic, form_product([t3, t4, t5], r), strict=True))
-    c = _quintic(qd, t1, t2, a)
+    # purely syntactic; over the scale of R'' = 9 den(qd)**2 E**3 they weigh
+    # 1, 3 den(qd) and den(qd)**2.  C follows from the flow of the cubic.
+    (ddot, a_den), (dot, _) = r_ddot, r_dot
+    a = [add(*terms) for terms in zip(
+        ddot, form_product([scale(3 * qd.den, t1), scale(3 * qd.den, t2)], dot),
+        form_product([t3, t4, t5], [scale(-qd.den ** 2, p) for p in r_entries]), strict=True)]
+    c = _quintic(qd_pair, ((t1, t2), t_den), (a, a_den))
 
+    dense_t = tuple(map(DensePoly, (t1, t2, t3, t4, t5), (t_den,) * 2 + (9 * t_den ** 2,) * 3))
     return ReductionBundle(
-        case=case, dense_qd=qd, dense_volume_sq=volume_sq,
-        dense_t=(t1, t2, t3, t4, t5), r=r, r_dot=r_dot, r_ddot=r_ddot,
-        dense_a=a, dense_c=c,
+        case=case, dense_qd=qd,
+        dense_volume_sq=DensePoly(scale(volume_scale.numerator, volume),
+                                  volume_scale.denominator),
+        dense_t=dense_t, r=[DensePoly(r_entries[0], t_den), dense_t[0]],
+        r_dot=_dense(r_dot), r_ddot=_dense(r_ddot),
+        dense_a=tuple(_dense((a, a_den))), dense_c=tuple(_dense(c)),
     )
+
+
+def _dense(form: tuple) -> DenseForm:
+    """The DensePolys of a form's lists over its one denominator."""
+    entries, den = form
+    return [DensePoly(p, den) for p in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,14 @@ def test_deeply_nested_expression_is_a_registry_error(tmp_path, summands):
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(doc))
     (template,) = load_registry(path)
-    with pytest.raises(RegistryError, match=r"^case Deep \(n\): cannot (parse|evaluate) "):
+    with pytest.raises(RegistryError, match=r"^case Deep \(n\): cannot (parse|evaluate) ") as info:
         instantiate_case(template)
+    # The message names the row and the cause, and quotes the expression by
+    # its first 40 characters and its length, not all of it.
+    message = str(info.value)
+    assert len(message) < 200, message
+    assert f"'{expr[:40]}'... ({len(expr)} characters): " in message
+    assert "recursion" in message or "nested" in message, message
 
 
 def test_case_label_and_params():

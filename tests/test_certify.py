@@ -114,14 +114,18 @@ def test_planted_common_root_resultant_is_zero(u5):
     report = compute_resultant(bundle)
 
     # both forms share the factor (y*t - x): resultant must vanish
-    fake = compute_resultant(_fake_bundle(bundle.case, (-_X, _Y, _ZERO, _ZERO),
-                                          (-_X, _Y, _ZERO, _ZERO, _ZERO, _ZERO)))
+    fake = compute_resultant(_fake_bundle(bundle.case, (_lin(-1, 0), _lin(0, 1), _ZERO, _ZERO),
+                                          (_lin(-1, 0), _lin(0, 1), _ZERO, _ZERO, _ZERO, _ZERO)))
     assert fake.identically_zero
     assert not report.identically_zero
 
 
-# x, y and 0 as lists (coeffs[a] is the coefficient of x^a y^(k - a)).
-_X, _Y, _ZERO = DensePoly([0, 1]), DensePoly([1, 0]), DensePoly([])
+def _lin(a, b):
+    """a*x + b*y as a list (coeffs[i] is the coefficient of x^i y^(k - i))."""
+    return DensePoly([b, a])
+
+
+_ZERO = DensePoly([])
 
 
 def _fake_bundle(case, a_coeffs, c_coeffs):
@@ -138,8 +142,8 @@ def test_resultant_rejects_irrational_coefficients():
 
 
 def test_resultant_rejects_mixed_degrees(u5):
-    bundle = _fake_bundle(u5, (-_X, _Y, _X * _Y, _Y),
-                          (_X, _Y, _X, _Y, _ZERO, _X))
+    bundle = _fake_bundle(u5, (_lin(-1, 0), _lin(0, 1), DensePoly([0, 1, 0]), _lin(0, 1)),
+                          (_lin(1, 0), _lin(0, 1), _lin(1, 0), _lin(0, 1), _ZERO, _lin(1, 0)))
     with pytest.raises(PipelineError, match="one common degree"):
         compute_resultant(bundle)
 
@@ -148,11 +152,11 @@ def test_resultant_rational_boundary_scales_back(u5):
     # Denominators are cleared per list and divided out again: halving every
     # A coefficient and thirding every C coefficient scales the resultant by
     # (1/2)^5 * (1/3)^3 (five rows of A, three of C).
-    a = (-_X, _Y, _X * 2, _Y * 3)
-    c = (_X, _Y * 5, _X, -_Y, _ZERO, _X * 7)
+    a = (_lin(-1, 0), _lin(0, 1), _lin(2, 0), _lin(0, 3))
+    c = (_lin(1, 0), _lin(0, 5), _lin(1, 0), _lin(0, -1), _ZERO, _lin(7, 0))
     whole = compute_resultant(_fake_bundle(u5, a, c))
-    scaled = compute_resultant(_fake_bundle(u5, tuple(p * Fraction(1, 2) for p in a),
-                                            tuple(p * Fraction(1, 3) for p in c)))
+    scaled = compute_resultant(_fake_bundle(u5, tuple(DensePoly(p.coeffs, 2) for p in a),
+                                            tuple(DensePoly(p.coeffs, 3) for p in c)))
     assert whole.degree == scaled.degree == 3 * 1 + 5 * 1
     assert scaled.poly == whole.poly * FieldScalar.rational(1, 2 ** 5 * 3 ** 3)
 

@@ -161,7 +161,7 @@ def test_certify_internal_arithmetic_failure_is_pipeline_error(tmp_path, capsys,
 
 
 def test_certify_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
-    # Any other exception is a bug too, such as DensePoly's refusal to add
+    # Any other exception is a bug too, such as poly.add's refusal to add
     # polynomials of unequal degrees: exit 3, not the 1 of an uncaught
     # exception, which would read as "not certified", and one line, no traceback.
     def failing(case):

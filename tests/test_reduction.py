@@ -232,9 +232,10 @@ def test_all_zero_a_gives_all_zero_c():
     from chamberlab.reduction import _quintic
 
     bundle = build_bundle(registry_case("SU3"))
-    t1, t2 = bundle.r[1], -bundle.r[0]
-    table = _quintic(bundle.dense_qd, t1, t2, (DensePoly([]),) * 4)
-    assert all(not c.coeffs for c in table)
+    qd, (t1, t2) = bundle.dense_qd, bundle.dense_t[:2]
+    t = ([c * t2.den for c in t1.coeffs], [c * t1.den for c in t2.coeffs]), t1.den * t2.den
+    table, _ = _quintic((qd.coeffs, qd.den), t, ([[0] * 7] * 4, 1))
+    assert len(table) == 6 and all(c == [0] * 9 for c in table)
 
 
 def test_degenerate_constant_cubic_cancels_quintic():
@@ -330,6 +331,10 @@ def test_bundle_derives_each_stage_once(monkeypatch, u5):
         calls.append(num)
         return arc_derivative(num, r, qd)
 
+    def dense(form):
+        entries, den = form
+        return [DensePoly(p, den) for p in entries]
+
     monkeypatch.setattr(reduction, "arc_derivative", counting)
     build_bundle.cache_clear()
     try:
@@ -337,7 +342,7 @@ def test_bundle_derives_each_stage_once(monkeypatch, u5):
     finally:
         build_bundle.cache_clear()
     assert len(calls) == 2
-    assert calls[0] is bundle.r and calls[1] is bundle.r_dot
+    assert dense(calls[0]) == bundle.r and dense(calls[1]) == bundle.r_dot
 
 
 def test_pipeline_error_on_invalid_case():

@@ -331,10 +331,6 @@ def test_bundle_derives_each_stage_once(monkeypatch, u5):
         calls.append(num)
         return arc_derivative(num, r, qd)
 
-    def dense(form):
-        entries, den = form
-        return [DensePoly(p, den) for p in entries]
-
     monkeypatch.setattr(reduction, "arc_derivative", counting)
     build_bundle.cache_clear()
     try:
@@ -342,7 +338,7 @@ def test_bundle_derives_each_stage_once(monkeypatch, u5):
     finally:
         build_bundle.cache_clear()
     assert len(calls) == 2
-    assert dense(calls[0]) == bundle.r and dense(calls[1]) == bundle.r_dot
+    assert reduction._dense(calls[0]) == bundle.r and reduction._dense(calls[1]) == bundle.r_dot
 
 
 def test_pipeline_error_on_invalid_case():

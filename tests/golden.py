@@ -17,6 +17,10 @@ SHA-256 of its bundle file as ``chamberlab derive`` writes it, and
 ``tests/fixtures/parametric_bundle_sha256.json``, the same for
 PARAMETRIC_ROWS, and ``tests/fixtures/grid_bundle_sha256.json``, the same
 for the 208 cases of ``grid.multiplicity_grid`` keyed by ``grid.grid_key``,
+and ``tests/fixtures/grid_certificate_sha256.json``, the SHA-256 of
+:func:`stable_certificate_text` of each of those 208 certificates, by the
+same key, and ``tests/fixtures/mixed_d4_certificate_sha256.json``, the same
+for the d = 4 tuples ``grid.MIXED_D4``,
 and ``tests/fixtures/derive_text_sha256.json``, the SHA-256
 of the stdout of ``chamberlab derive --case all --format text --out bundles``
 run in an empty directory (:func:`derive_text_stdout`), and
@@ -63,7 +67,7 @@ from chamberlab.numerics import (
 )
 from chamberlab.poly import DensePoly
 from chamberlab.reduction import build_bundle, bundle_to_json
-from grid import grid_key, multiplicity_grid
+from grid import MIXED_D4, grid_key, mixed_d4_case, multiplicity_grid
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 CERTIFICATES = FIXTURES / "certificates"
@@ -72,6 +76,8 @@ RESULTANT_HASHES = FIXTURES / "resultant_sha256.json"
 BUNDLE_HASHES = FIXTURES / "bundle_sha256.json"
 PARAMETRIC_BUNDLE_HASHES = FIXTURES / "parametric_bundle_sha256.json"
 GRID_BUNDLE_HASHES = FIXTURES / "grid_bundle_sha256.json"
+GRID_CERTIFICATE_HASHES = FIXTURES / "grid_certificate_sha256.json"
+MIXED_D4_CERTIFICATE_HASHES = FIXTURES / "mixed_d4_certificate_sha256.json"
 DERIVE_TEXT_HASH = FIXTURES / "derive_text_sha256.json"
 # The command whose stdout DERIVE_TEXT_HASH pins; its relative --out makes the
 # "wrote" lines independent of where it runs.
@@ -117,6 +123,11 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def certificate_sha256(certificate: dict) -> str:
+    """SHA-256 of :func:`stable_certificate_text`."""
+    return _sha256(stable_certificate_text(certificate))
+
+
 def resultant_sha256(report) -> str:
     """SHA-256 of ``json.dumps`` of the resultant's JSON rows, written from
     the report's coefficient list."""
@@ -131,6 +142,11 @@ def bundle_sha256(bundle) -> str:
 def grid_bundle_hashes() -> dict[str, str]:
     """:func:`bundle_sha256` of every multiplicity-grid case, by its grid_key."""
     return {grid_key(case): bundle_sha256(build_bundle(case)) for case in multiplicity_grid()}
+
+
+def certificate_hashes(cases) -> dict[str, str]:
+    """:func:`certificate_sha256` of each case's certificate, by its grid_key."""
+    return {grid_key(case): certificate_sha256(certify.certify_case(case)) for case in cases}
 
 
 def derive_text_stdout() -> str:
@@ -260,6 +276,9 @@ def main() -> int:
     _write_hashes(BUNDLE_HASHES, bundle_hashes)
     _write_hashes(PARAMETRIC_BUNDLE_HASHES, parametric_bundle_hashes)
     _write_hashes(GRID_BUNDLE_HASHES, grid_bundle_hashes())
+    _write_hashes(GRID_CERTIFICATE_HASHES, certificate_hashes(multiplicity_grid()))
+    _write_hashes(MIXED_D4_CERTIFICATE_HASHES,
+                  certificate_hashes(mixed_d4_case(m) for m in MIXED_D4))
     _write_hashes(DERIVE_TEXT_HASH, derive_text_hashes())
     _write_hashes(TRAJECTORY_HASHES, trajectory_hashes())
     _write_hashes(WALL_STOPS, wall_stop_curves())

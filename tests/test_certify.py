@@ -26,7 +26,9 @@ from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar
 from chamberlab.poly import DensePoly, SpatialPoly
 from chamberlab.reduction import build_bundle, wall_products
-from golden import PARAMETRIC_CERTIFICATES, PARAMETRIC_ROWS, stable_certificate_text
+from golden import GRID_CERTIFICATE_HASHES, PARAMETRIC_CERTIFICATES, PARAMETRIC_ROWS, \
+    certificate_sha256, stable_certificate_text
+from grid import grid_key
 from root_checks import root_problems
 
 # Roots of the p=q=2 resultant, frozen from an independent computer-algebra
@@ -83,9 +85,13 @@ def test_every_single_wall_instance_certifies():
 def test_every_grid_instance_certifies(multiplicity_grid):
     # The chamber types' whole alternating-multiplicity grid, beyond the 14
     # registry actions: each certifies at degree 27(d - 1), and from d = 2 on
-    # the minimal line is its one minimal root.
+    # the minimal line is its one minimal root.  Each certificate is the
+    # golden one.
+    golden = json.loads(GRID_CERTIFICATE_HASHES.read_text())
+    assert len(golden) == len(multiplicity_grid)
     for case in multiplicity_grid:
         cert = certify_case(case)
+        assert certificate_sha256(cert) == golden[grid_key(case)], case.multiplicities
         assert cert["conclusion"] == "nonexistence-certified", case.multiplicities
         assert cert["resultant_degree"] == 27 * (case.d - 1), case.multiplicities
         if case.d >= 2:

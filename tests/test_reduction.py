@@ -16,8 +16,10 @@ from chamberlab.reduction import ReductionBundle, build_bundle, build_walls, \
 from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
     oracle_bundle, spatial, trig_pairs, walls_of
 from float_poly_oracle import float_poly_value
-from golden import BUNDLE_HASHES, GRID_BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, \
-    PARAMETRIC_ROWS, bundle_sha256, grid_bundle_hashes
+from golden import BUNDLE_HASHES, GRID_BUNDLE_HASHES, MIXED_D4_CERTIFICATE_HASHES, \
+    PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256, certificate_sha256, \
+    grid_bundle_hashes
+from grid import MIXED_D4, grid_key, mixed_d4_case
 
 
 def _rat(p, q=1):
@@ -442,13 +444,6 @@ def test_mirror_symmetry_only_for_symmetric_multiplicities():
 # -- the dense derivation against the sparse oracle -------------------------------
 
 
-def _d4_case(mults):
-    from chamberlab.cases import CaseSpec
-
-    return CaseSpec(name="T", group="", action="", n=2 + sum(mults), d=4,
-                    multiplicities=mults)
-
-
 def _oracle_rows():
     """The 14 default rows, every parametric row drawn from its minimum to 40
     at seeds 1, 7 and 13 (in registry order), and every d = 4 tuple of
@@ -462,7 +457,7 @@ def _oracle_rows():
             if template.param_specs:
                 params = {name: rng.randint(low, 40) for name, low, _ in template.param_specs}
                 rows.append(registry_case(template.name, params))
-    return rows + [_d4_case(m) for m in itertools.product((1, 2, 3), repeat=4)]
+    return rows + [mixed_d4_case(m) for m in itertools.product((1, 2, 3), repeat=4)]
 
 
 def test_bundle_matches_sparse_oracle():
@@ -485,11 +480,15 @@ def test_irrational_wall_products_raise():
 def test_mixed_d4_multiplicities_derive_and_certify():
     from chamberlab.certify import certify_case
 
-    for mults in ((4, 4, 5, 4), (1, 2, 3, 4)):
-        case = _d4_case(mults)
+    golden = json.loads(MIXED_D4_CERTIFICATE_HASHES.read_text())
+    assert len(golden) == len(MIXED_D4)
+    for mults in MIXED_D4:
+        case = mixed_d4_case(mults)
         bundle = build_bundle(case)
         assert bundle.dense_volume_sq.homogeneous_degree() == 2 * sum(mults)
-        assert certify_case(case)["conclusion"] == "nonexistence-certified", mults
+        cert = certify_case(case)
+        assert cert["conclusion"] == "nonexistence-certified", mults
+        assert certificate_sha256(cert) == golden[grid_key(case)], mults
 
 
 # -- dense bundles end to end ------------------------------------------------------

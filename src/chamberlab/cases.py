@@ -10,6 +10,7 @@ only bounds a row has.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import operator
 from importlib import resources
@@ -147,7 +148,8 @@ def _param_spec(entry: dict) -> tuple[str, int, int]:
 
 
 def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
-    """Parse the registry document into templates (packaged file by default)."""
+    """Parse the registry document into templates (packaged file by default),
+    afresh on every call."""
     if path is None:
         source = resources.files("chamberlab").joinpath("data/registry.json")
         text = source.read_text(encoding="utf-8")
@@ -253,10 +255,17 @@ def validate_case(case: CaseSpec) -> list[str]:
     return violations
 
 
+@functools.lru_cache(maxsize=None)
+def _packaged_registry() -> tuple[CaseTemplate, ...]:
+    """The packaged registry, parsed once per process."""
+    return tuple(load_registry())
+
+
 def registry_case(name: str, params: dict[str, int] | None = None,
                   registry: list[CaseTemplate] | None = None) -> CaseSpec:
-    """Look a case up by name and instantiate it (defaults for parameters)."""
-    templates = registry if registry is not None else load_registry()
+    """Look a case up by name and instantiate it (defaults for parameters);
+    the packaged registry, parsed once per process, when registry is None."""
+    templates = registry if registry is not None else _packaged_registry()
     for template in templates:
         if template.name.lower() == name.lower():
             return instantiate_case(template, params)
@@ -265,6 +274,8 @@ def registry_case(name: str, params: dict[str, int] | None = None,
 
 
 def default_cases(registry: list[CaseTemplate] | None = None) -> list[CaseSpec]:
-    """Every registry row, parametric ones at their smallest admissible values."""
-    templates = registry if registry is not None else load_registry()
+    """Every registry row, parametric ones at their smallest admissible values;
+    the rows of the packaged registry, parsed once per process, when registry
+    is None."""
+    templates = registry if registry is not None else _packaged_registry()
     return [instantiate_case(t) for t in templates]

@@ -3,8 +3,10 @@ import re
 
 import pytest
 
+from chamberlab import cases
 from chamberlab.cases import (
     CaseSpec,
+    default_cases,
     instantiate_case,
     load_registry,
     registry_case,
@@ -69,6 +71,23 @@ def test_non_int_parameter_rejected(value):
         registry_case("SOpxSOq", {"p": value, "q": 3})
     with pytest.raises(BoundError, match="parameter 'q' must be an int"):
         registry_case("SOpxSOq", {"p": 3, "q": value})
+
+
+def test_packaged_registry_is_parsed_once_per_process(monkeypatch):
+    # registry_case and default_cases read the packaged registry from one
+    # parse; load_registry() itself parses afresh on every call.
+    calls = []
+    parse = cases.load_registry
+    monkeypatch.setattr(cases, "load_registry", lambda *a: calls.append(a) or parse(*a))
+    cases._packaged_registry.cache_clear()
+    try:
+        for _ in range(3):
+            assert registry_case("U5").d == 4
+            assert len(default_cases()) == len(EXPECTED_NAMES)
+        assert calls == [()]
+    finally:
+        cases._packaged_registry.cache_clear()
+    assert load_registry() == load_registry() and load_registry() is not load_registry()
 
 
 def test_unknown_case_rejected():

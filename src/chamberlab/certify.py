@@ -16,6 +16,17 @@ rational isolating intervals; membership in the chamber and minimality are
 decided exactly, and floats only display them.  Certifying builds no element
 of Q(sqrt2, sqrt3); a report's ``poly`` view, read by no code here, is
 parsed from the resultant's JSON rows.
+
+The scan works in w = u**s: s = 2 when the resultant, qd and M are each u**z
+times a polynomial in u**2, which the chamber's reflection x -> -x makes
+true of every alternating row, and s = 1 otherwise (the d = 4 rows with
+m1 != m3).  The chamber is then w > cot(pi/d)**s, a rational bound: 0, 1/3,
+1 or 3 for s = 2, and 1 at d = 4 for s = 1.  Each root found in w is
+reported in u, on the dyadic cells that hold it, read off w with math.isqrt:
+the first cell above the wall whose ends round to one double, which is what
+bisection in u returns.  Each Yun factor F(w) is reported as F(u**s), with
+u's own power joined to the factor of its multiplicity.  At d = 1 there is
+no scan; minimal_line_angles searches the whole line of u there.
 """
 
 from __future__ import annotations
@@ -160,63 +171,117 @@ class RootScan(NamedTuple):
 # cot(pi/d)**2 = (4 - k)/k, k = 4 sin(pi/d)**2 from wall 1's entry of the wall
 # table: sigma < pi/d exactly when u = cot(sigma) > cot(pi/d).
 _WALL_COT_SQ = {d: Fraction(4 - k, k) for d in (2, 3, 4, 6) for k in [wall_trig(d)[1][0]]}
+# (d, s) -> cot(pi/d)**s, the chamber's bound on w = u**s: rational for s = 2,
+# and for s = 1 where cot(pi/d) = cot(pi/d)**2 is 0 or 1 (d = 2, 4).
+_CHAMBER_BOUND = {(d, s): sq for d, sq in _WALL_COT_SQ.items() for s in (1, 2)
+                  if s == 2 or sq in (0, 1)}
 
 
-def _stop_rules(d: int):
-    """The two stop rules for refining a root of f(u + base), on integers,
-    for the cell [a / 2**j, b / 2**j]: the cell lies on one side of the wall;
-    both ends, shifted back by base, round to the same double."""
-    wall_sq = _WALL_COT_SQ[d]
-    base, num, den = math.isqrt(int(wall_sq)), wall_sq.numerator, wall_sq.denominator
-
-    def off_wall(a, b, j):
-        shift, wall = base << j, num << 2 * j
-        return (a + shift) ** 2 * den >= wall or (b + shift) ** 2 * den <= wall
-
-    def one_double(a, b, j):
-        return (a + (base << j)) / (1 << j) == (b + (base << j)) / (1 << j)
-
-    return off_wall, one_double
+def _in_w(*polys: list[int]) -> tuple[int, list[tuple[int, list[int]]]]:
+    """(s, [(z, F)]) with each nonzero f = u**z * F(u**s), F(0) != 0: s = 2
+    when every f is u**z times a polynomial in u**2, else s = 1."""
+    stripped = [(z, f[z:]) for f in polys for z in [next(i for i, c in enumerate(f) if c)]]
+    s = 1 if any(any(f[1::2]) for _, f in stripped) else 2
+    return s, [(z, f[::s]) for z, f in stripped]
 
 
-def _chamber_roots(f: list[int], d: int) -> tuple[list[tuple[Fraction, Fraction]], int]:
-    """Roots of a square-free f in the chamber, largest first, and the tests spent.
+def _in_u(f: list[int], s: int) -> list[int]:
+    """f(u**s) as a list in u."""
+    out = [0] * (s * len(f) - s + 1)
+    out[::s] = f
+    return out
 
-    The search runs above base = floor(cot(pi/d)) and compares squares with
-    the wall; a root exactly on an irrational wall is divided out first.
-    d = 1 searches the whole line.
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    return gcd_cofactors(f, derivative(f))[1] if len(f) > 1 else f
+
+
+def _first_cell(floor_at, depth: int, ok) -> tuple[Fraction, Fraction]:
+    """The cell [a, a + 1] / 2**j, a = floor_at(j), of least j in 0..depth on
+    which ok(a, j) holds; ok holds at depth and, once true, deeper down."""
+    fails, holds = -1, depth
+    while holds - fails > 1:
+        mid = (fails + holds) // 2
+        fails, holds = (fails, mid) if ok(floor_at(mid), mid) else (mid, holds)
+    a = floor_at(holds)
+    return Fraction(a, 1 << holds), Fraction(a + 1, 1 << holds)
+
+
+def _chamber_roots(f: list[int], d: int, s: int) -> tuple[list[tuple[Fraction, Fraction]], int]:
+    """Roots u of a square-free f(u**s) in the chamber, largest first, and the
+    Descartes tests spent.
+
+    The search runs in w = u**s, above the rational bound cot(pi/d)**s = p/q:
+    on g(t) = q**n * f((p + t) / q) for t > 0, so a root at t = 0 lies on the
+    wall and a dyadic u has a dyadic t.  Each root u is reported on its dyadic
+    chain, the cells [a, a + 1] / 2**j that hold it, j = 0, 1, ...: the first
+    cell that lies above the wall and whose ends round to one double, or
+    (u, u) where u is a cell's midpoint before that.  Bisection in u returns
+    the same from any isolating interval of the chain, or above it, on which
+    that rule fails.  A t-interval is refined until the least dyadic u-cell
+    that holds its image is such a cell; math.isqrt reads the u-cells off w.
     """
-    if d == 1:
-        below, tests = _chamber_roots([-c if i % 2 else c for i, c in enumerate(f)], 2)
-        above, more = _chamber_roots(f, 2)
-        zero = [(Fraction(0),) * 2] if not f[0] else []
-        return above + zero + [(-hi, -lo) for lo, hi in below[::-1]], tests + more
-    wall_sq = _WALL_COT_SQ[d]
-    base = math.isqrt(int(wall_sq))
-    if base * base != wall_sq:
-        f = quotient(f, [-wall_sq.numerator, 0, wall_sq.denominator]) or f
-    g = taylor_shift(f) if base else f
-    while not g[0]:  # a root at u = base lies on or beyond the wall
+    wall_sq, (p, q) = _WALL_COT_SQ[d], _CHAMBER_BOUND[d, s].as_integer_ratio()
+    g = [c * q ** (len(f) - 1 - i) for i, c in enumerate(f)]
+    for _ in range(p):
+        g = taylor_shift(g)
+    while not g[0]:
         g = g[1:]
     intervals, tests = positive_roots(g)
-    off_wall, one_double = _stop_rules(d)
+
+    def floor_u(num, den, j):  # floor(u * 2**j) at w = num / den
+        return math.isqrt((num << 2 * j) // den) if s == 2 else (num << j) // den
+
+    def ok(a, j):  # the u-cell [a, a + 1] / 2**j, j >= 0, is above the wall and one double wide
+        return j >= 0 and a * a * wall_sq.denominator >= wall_sq.numerator << 2 * j and \
+            a / (1 << j) == (a + 1) / (1 << j)
+
+    def u_cell(a, b, j):  # the least dyadic u-cell holding the image of [a, b] / 2**j
+        den, lo, hi = q << j, (p << j) + a, (p << j) + b
+        depth = j + q.bit_length() + (hi // den).bit_length() + 1  # 2**-depth < the width in u
+        lo, hi = floor_u(lo, den, depth), floor_u(hi, den, depth)
+        return lo >> (lo ^ hi).bit_length(), depth - (lo ^ hi).bit_length()
+
+    def done(a, b, j):  # ok on the u-cell of [a, b] / 2**j; that needs w's cell 2**-50 * w wide
+        return b - a << 50 < (p << j) + b and ok(*u_cell(a, b, j))
+
+    def point(t):  # the u-interval of the root at t
+        w = (p + t) / q
+
+        def floor_at(k):
+            return floor_u(w.numerator, w.denominator, k)
+
+        depth = (w.denominator.bit_length() - 1) // s
+        if floor_at(depth) ** s * w.denominator == w.numerator << s * depth:  # u dyadic
+            if depth < 1 or not ok(floor_at(depth - 1), depth - 1):
+                return (Fraction(floor_at(depth), 1 << depth),) * 2
+            depth -= 1  # u is the midpoint of its cell at depth - 1
+        else:
+            depth = 64
+            while not ok(floor_at(depth), depth):
+                depth *= 2
+        return _first_cell(floor_at, depth, ok)
+
     roots = []
     for lo, hi in reversed(intervals):
-        lo, hi = refine(g, lo, hi, off_wall)
-        if (lo + base) ** 2 >= wall_sq:
-            lo, hi = refine(g, lo, hi, one_double)
-            roots.append((lo + base, hi + base))
+        lo, hi = refine(g, lo, hi, done)
+        if lo == hi:
+            roots.append(point(lo))
+            continue
+        j = max(lo.denominator, hi.denominator).bit_length() - 1
+        a, depth = u_cell(lo.numerator << j - lo.denominator.bit_length() + 1,
+                          hi.numerator << j - hi.denominator.bit_length() + 1, j)
+        roots.append(_first_cell(lambda k, a=a, depth=depth: a >> depth - k, depth, ok))
     return roots, tests
 
 
-def _minimal_form(bundle: ReductionBundle) -> tuple[list[int], list[int]]:
-    """M = t1*y - t2*x at y = 1, primitive, and its square-free part.  On the
-    unit arc M = -qd * sum(m_i * cot(sigma - i*pi/d)), and that sum falls
-    strictly from +inf to -inf on the chamber: M has exactly one chamber root.
-    The numerator of R is [-t2, t1]."""
+def _minimal_form(bundle: ReductionBundle) -> list[int]:
+    """M = t1*y - t2*x at y = 1, primitive.  On the unit arc M = -qd *
+    sum(m_i * cot(sigma - i*pi/d)), and that sum falls strictly from +inf to
+    -inf on the chamber: M has exactly one chamber root.  The numerator of R
+    is [-t2, t1]."""
     (neg_t2, t1), _, _ = _integer_lists(bundle.r, bundle.case.label, "R")
-    m = primitive(subtract(t1, [0] + [-c for c in neg_t2]))
-    return m, gcd_cofactors(m, derivative(m))[1] if len(m) > 1 else m
+    return primitive(subtract(t1, [0] + [-c for c in neg_t2]))
 
 
 def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootScan:
@@ -224,9 +289,15 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
 
     a counts the trailing zero coefficients; qd and M (integer and primitive
     in u) divide out for as long as the division is exact, and b, c >= 1 are
-    required (so d >= 2).  A root of a square-free factor Q_k of Q is minimal
-    only if gcd(Q_k, M) vanishes there; such a root is listed once, as M's,
-    with multiplicity c + k.
+    required (so d >= 2).  When the rest of the resultant, qd and M are each
+    u**z times a polynomial in u**2, the scan runs in w = u**2 (s = 2), else
+    in w = u (s = 1), which needs a rational cot(pi/d): the divisions, Yun's
+    decomposition of Q, the gcds with M and the root search all run in w.
+    Q's factors are reported in u: each Q_k(w) as
+    Q_k(u**s), and u's power in Q joins the factor of that multiplicity.  A
+    root of a square-free factor Q_k of Q is minimal only if gcd(Q_k, M)
+    vanishes there; such a root is listed once, as M's, with multiplicity
+    c + k.
     """
     label, d = bundle.case.label, bundle.case.d
     res, exponents = list(report.coeffs), {"y": 0}
@@ -234,27 +305,33 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
         res.pop()
         exponents["y"] += 1
     (qd,), _, _ = _integer_lists([bundle.dense_qd], label, "qd")
-    m, m_part = _minimal_form(bundle)
-    for name, f in (("qd", primitive(qd)), ("M", m)):
+    s, ((z, res), qd, (z_m, m)) = _in_w(res, primitive(qd), _minimal_form(bundle))
+    if (d, s) not in _CHAMBER_BOUND:
+        raise PipelineError(f"{label}: the resultant is not a polynomial in u**2, "
+                            f"and cot(pi/{d}) is irrational")
+    for name, (z_f, f) in (("qd", qd), ("M", (z_m, m))):
         exponents[name] = 0
-        while len(f) > 1 and (q := quotient(res, f)) is not None:
-            res, exponents[name] = q, exponents[name] + 1
+        while (z_f or len(f) > 1) and z >= z_f and (q := quotient(res, f)) is not None:
+            z, res, exponents[name] = z - z_f, q, exponents[name] + 1
         if not exponents[name]:
             raise PipelineError(f"{label}: the resultant is not divisible by {name}")
     factors = squarefree(res) if len(res) > 1 else []
-    m_roots, tests = _chamber_roots(m_part, d)
+    m_roots, tests = _chamber_roots(_squarefree_part(m), d, s)
     if len(m_roots) != 1:
         raise PipelineError(f"{label}: M has {len(m_roots)} chamber roots, not one")
     roots, m_mult = [], exponents["M"]
     for k, f in factors:
         shared, f, _ = gcd_cofactors(f, m)
         if len(shared) > 1:
-            on_m, n = _chamber_roots(shared, d)
+            on_m, n = _chamber_roots(shared, d, s)
             m_mult, tests = m_mult + k * len(on_m), tests + n
-        found, n = _chamber_roots(f, d)
+        found, n = _chamber_roots(f, d, s)
         roots, tests = roots + [ChamberRoot(lo, hi, "Q", k) for lo, hi in found], tests + n
     roots += [ChamberRoot(lo, hi, "M", m_mult) for lo, hi in m_roots]
-    return RootScan(exponents, factors, sorted(roots, key=lambda r: -r.lo), tests)
+    u_factors = [(k, [0] * (k == z) + _in_u(f, s)) for k, f in factors]
+    if z and all(k != z for k, _ in factors):
+        u_factors = sorted(u_factors + [(z, [0, 1])], key=lambda kf: kf[0])
+    return RootScan(exponents, u_factors, sorted(roots, key=lambda r: -r.lo), tests)
 
 
 def line_cotangent_sum(case: CaseSpec, sigma: float) -> float:
@@ -264,9 +341,23 @@ def line_cotangent_sum(case: CaseSpec, sigma: float) -> float:
 
 
 def minimal_line_angles(case: CaseSpec) -> list[float]:
-    """[sigma] of the minimal line: atan2(1, u) at M's chamber root, u rounded once."""
-    roots, _ = _chamber_roots(_minimal_form(build_bundle(case))[1], case.d)
-    return [math.atan2(1.0, float(lo)) for lo, _ in roots]
+    """[sigma] of the minimal line: atan2(1, u) at M's chamber root, u rounded once.
+
+    At d = 1 the chamber, sigma in (0, pi), is the whole line of u: the search
+    takes the roots u > 0 of M and of M(-u), and u = 0.  There M = -m * x, so
+    the one root is u = 0, sigma = pi/2.
+    """
+    def roots(f, d):
+        s, ((_, f),) = _in_w(f)
+        return _chamber_roots(_squarefree_part(f), d, s)[0]
+
+    m = _minimal_form(build_bundle(case))
+    if case.d > 1:
+        found = roots(m, case.d)
+    else:
+        below = roots([-c if i % 2 else c for i, c in enumerate(m)], 2)
+        found = roots(m, 2) + [(0, 0)] * (not m[0]) + [(-hi, -lo) for lo, hi in below[::-1]]
+    return [math.atan2(1.0, float(lo)) for lo, _ in found]
 
 
 def _root_entry(root: ChamberRoot) -> dict:

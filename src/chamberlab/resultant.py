@@ -60,7 +60,10 @@ interval refinement (Abbott, "Quadratic interval refinement for real
 roots", 2006) on integer cells, and the result is exactly the interval that
 plain bisection returns for the same monotone stop rule: the first cell on
 the root's chain where the rule holds, or the root where bisection meets it
-first.
+first.  :func:`chamberlab.certify.chamber_root_scan` runs all of this on
+half-degree lists in w = u**2 (w = u for the few resultants with both
+parities in u), shifted so that the chamber's rational bound on w sits at 0,
+and refines each root in w until its cell in u is known.
 """
 
 from __future__ import annotations

@@ -41,11 +41,12 @@ D2_ROOTS = [0.4908826782893113, 0.6358604747819308,
 U5_RES_AT_2_1 = "-18260404613543917212879947116239934916425/725594112"
 
 # Descartes tests that chamber_root_scan spends per default row with d >= 2:
-# the size of the Vincent-Collins-Akritas trees from root_bound's 2**k, frozen
-# from the full Taylor shift.  The early-exit test must walk the same trees.
-ROOT_SCAN_TESTS = {"SOpxSOq(p=2,q=2)": 10, "SO3": 9, "SU3": 15, "Sp3": 3, "F4": 3,
-                   "SO5": 8, "SO2xSOm(m=3)": 6, "SU2xUm(m=2)": 2, "Sp2xSpm(m=2)": 3,
-                   "U5": 2, "U1xSpin10": 2, "G2": 7, "SO4": 3}
+# the size of the Vincent-Collins-Akritas trees in w = u**2, above the
+# chamber's bound, from root_bound's 2**k, frozen from the full Taylor shift.
+# The early-exit test must walk the same trees.
+ROOT_SCAN_TESTS = {"SOpxSOq(p=2,q=2)": 12, "SO3": 2, "SU3": 16, "Sp3": 2, "F4": 2,
+                   "SO5": 14, "SO2xSOm(m=3)": 4, "SU2xUm(m=2)": 2, "Sp2xSpm(m=2)": 2,
+                   "U5": 2, "U1xSpin10": 2, "G2": 3, "SO4": 3}
 
 
 def test_single_wall_resultant_constant():
@@ -173,14 +174,15 @@ def _scan(case):
 
 
 def test_root_scan_symmetric_quadratic():
-    # u**2 - 1: the root u = 1 (sigma = pi/4) is a bisection point, hit exactly.
-    roots, tests = _chamber_roots([-1, 0, 1], 2)
+    # u**2 - 1, searched as w - 1 in w = u**2: the root u = 1 (sigma = pi/4)
+    # is a bisection point, hit exactly.
+    roots, tests = _chamber_roots([-1, 1], 2, 2)
     assert roots == [(1, 1)] and tests >= 1
 
 
 def test_root_scan_positive_definite_is_empty():
-    # u**2 + 1
-    assert _chamber_roots([1, 0, 1], 2)[0] == []
+    # u**2 + 1, as w + 1
+    assert _chamber_roots([1, 1], 2, 2)[0] == []
 
 
 def test_root_scan_d2_matches_independent_run():

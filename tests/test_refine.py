@@ -1,7 +1,10 @@
-"""Root refinement and the early-exit Descartes test against their plain forms.
+"""Root refinement, the chamber-root search and the early-exit Descartes test
+against their plain forms.
 
 ``refine`` must return exactly the interval that bisection returns
-(:mod:`refine_oracle`), for both stop rules of ``_chamber_roots``, and
+(:mod:`refine_oracle`), for the stop rules of a search in u and for any cut
+point; the chamber roots that ``chamber_root_scan`` finds in w = u**2 must be
+exactly the intervals that Descartes isolation and bisection find in u; and
 ``descartes_test`` must classify 0, 1 and >= 2 sign variations as the full
 Taylor shift does.
 """
@@ -13,9 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from chamberlab import certify, resultant
+from chamberlab import resultant
 from chamberlab.cases import default_cases, registry_case
-from chamberlab.certify import _WALL_COT_SQ, _stop_rules
+from chamberlab.certify import _WALL_COT_SQ, _chamber_roots, _minimal_form, chamber_root_scan, \
+    compute_resultant
+from chamberlab.reduction import build_bundle
 from chamberlab.resultant import (
     derivative,
     descartes_test,
@@ -28,17 +33,10 @@ from chamberlab.resultant import (
     sign_variations,
     taylor_shift,
 )
-from refine_oracle import bisection_refine
+from grid import MIXED_D4, mixed_d4_case
+from refine_oracle import bisection_refine, fraction_rules, stop_rules, u_chamber_intervals
 from resultant_oracle import poly_mul
 from root_checks import fujiwara_exponent
-
-
-def fraction_rules(d):
-    """The stop rules of ``_stop_rules(d)`` on Fraction ends, by name."""
-    wall_sq = _WALL_COT_SQ[d]
-    base = math.isqrt(int(wall_sq))
-    return {"off_wall": lambda lo, hi: (lo + base) ** 2 >= wall_sq or (hi + base) ** 2 <= wall_sq,
-            "one_double": lambda lo, hi: float(lo + base) == float(hi + base)}
 
 
 def wall_poly(d):
@@ -50,8 +48,8 @@ def wall_poly(d):
 
 def check_chain(p, lo, hi, d):
     """refine equals bisection on (lo, hi) for each rule, and for the float
-    rule after the wall rule, as ``_chamber_roots`` chains them."""
-    (off_wall, one_double), oracles = _stop_rules(d), fraction_rules(d)
+    rule after the wall rule, as a search in u chains them."""
+    (off_wall, one_double), oracles = stop_rules(d), fraction_rules(d)
     got = refine(p, lo, hi, off_wall)
     assert got == bisection_refine(p, lo, hi, oracles["off_wall"]), (p, lo, hi, d)
     assert refine(p, *got, one_double) == bisection_refine(p, *got, oracles["one_double"])
@@ -125,31 +123,66 @@ def test_refine_matches_bisection_for_any_cut_point():
     assert intervals > 300
 
 
+def _scan_and_u_intervals(case):
+    """(scan, roots, isolating): the certificate's chamber-root intervals,
+    and those found in u from M's square-free part and the scan's Q_k by
+    :func:`u_chamber_intervals`, with the isolating intervals it started from.
+    A Q_k root on the minimal line is M's root, listed once."""
+    bundle = build_bundle(case)
+    scan = chamber_root_scan(compute_resultant(bundle), bundle)
+    m = _minimal_form(bundle)
+    roots, isolating = set(), []
+    for f in [divide_exact(m, gcd(m, derivative(m)))] + [f for _, f in scan.factors]:
+        found, starts = u_chamber_intervals(f, case.d)
+        roots.update(found)
+        isolating += starts
+    return [(r.lo, r.hi) for r in scan.roots], sorted(roots, key=lambda r: -r[0]), isolating
+
+
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_refine_matches_bisection_on_chamber_polynomials(d, monkeypatch):
-    # Every refine call the certificates make, replayed against bisection.
-    calls = []
-    original = certify.refine
-
-    def recording(p, lo, hi, done):
-        result = original(p, lo, hi, done)
-        calls.append((p, lo, hi, done.__name__, result))
-        return result
-
-    monkeypatch.setattr(certify, "refine", recording)
-    for case in default_cases():
-        if case.d == d:
-            certify.certify_case(case)
+    # Every chamber-root interval of the certificates at d, the mixed d = 4
+    # tuples included, recomputed in u by Descartes isolation and bisection:
+    # the search in w = u**2 (w = u for (1, 2, 3, 4)) lands on the same cells.
+    cases = [case for case in default_cases() if case.d == d]
     if d == 4:
-        # Searched from Fujiwara's looser bound, Sp2xSpm's chamber roots start
-        # from cells 16 wide: long refinements on real polynomials.
+        cases += [mixed_d4_case(m) for m in MIXED_D4]
+    for case in cases:
+        scan, roots, _ = _scan_and_u_intervals(case)
+        assert scan == roots, (case.label, case.multiplicities)
+    if d == 4:
+        # Searched from Fujiwara's looser bound, Sp2xSpm's chamber root starts
+        # from a cell 16 wide in u: a long bisection on a real polynomial.
         monkeypatch.setattr(resultant, "root_bound", fujiwara_exponent)
-        certify.certify_case(registry_case("Sp2xSpm", {"m": 18}))
-    assert calls
-    for p, lo, hi, rule, result in calls:
-        assert result == bisection_refine(p, lo, hi, fraction_rules(d)[rule])
-    if d == 4:
-        assert any(hi - lo >= 16 for _, lo, hi, _, _ in calls)
+        scan, roots, isolating = _scan_and_u_intervals(registry_case("Sp2xSpm", {"m": 18}))
+        assert scan == roots
+        assert any(hi - lo >= 16 for lo, hi in isolating)
+
+
+@pytest.mark.parametrize("d,s,f", [
+    (3, 2, [-1, 2]),  # w = 1/2 sits at the dyadic t = 1/2; u = 1/sqrt2 is irrational
+    (3, 2, [-4, 9]),  # u = 2/3, rational, not dyadic
+    (3, 2, [-25, 4]),  # u = 5/2, met as a midpoint
+    (2, 2, [-9, 1]), (4, 1, [-3, 1]),  # u = 3, an integer
+    (4, 2, [-(2 ** 70 + 1) ** 2, 2 ** 140]),  # u = 1 + 2**-70: one double first
+    (4, 1, [-(2 ** 70 + 1), 2 ** 70]),
+    (6, 2, [-4, 1]),  # u = 2, t = 1 above the bound w = 3
+    (6, 2, [-(2 ** 53 + 1) ** 2, 2 ** 104]),  # u = 2 + 2**-52, halfway between two doubles
+    (4, 1, [-(2 ** 53 + 1), 2 ** 52]),
+    (6, 2, poly_mul([-3, 1], [-13, 4])),  # on the wall w = 3, and just above it
+    # u = ceil(2**60 * cot(pi/d)) / 2**60, less than a double's spacing above
+    # the irrational wall: the cells whose ends round to one double still
+    # cross it.
+    (6, 2, [-(math.isqrt(3 << 120) + 1) ** 2, 2 ** 120]),
+    (3, 2, [-(math.isqrt((1 << 120) // 3) + 1) ** 2, 2 ** 120]),
+    (3, 2, poly_mul([-1, 3], poly_mul([-1, 4], [-3, 8]))),  # on, below and above w = 1/3
+    (4, 2, poly_mul([-1, 1], [-5, 1])), (4, 1, poly_mul([-1, 1], [-2, 0, 1])),
+    (2, 1, poly_mul([1, 1], [-1, 0, 0, 7])),  # below the wall u = 0, and above it
+], ids=lambda v: str(v) if not isinstance(v, list) else None)
+def test_w_search_matches_the_u_search(d, s, f):
+    u_poly = [0] * (s * len(f) - s + 1)
+    u_poly[::s] = f
+    assert _chamber_roots(f, d, s)[0] == u_chamber_intervals(u_poly, d)[0]
 
 
 def test_refine_meets_a_dyadic_root_before_the_rule_holds():
@@ -158,7 +191,7 @@ def test_refine_meets_a_dyadic_root_before_the_rule_holds():
     for d in (3, 4, 6):
         expected = bisection_refine(p, Fraction(0), Fraction(1), fraction_rules(d)["one_double"])
         assert expected == (Fraction(3, 8),) * 2
-        assert refine(p, Fraction(0), Fraction(1), _stop_rules(d)[1]) == expected
+        assert refine(p, Fraction(0), Fraction(1), stop_rules(d)[1]) == expected
 
 
 def test_refine_stops_before_a_deep_dyadic_root():
@@ -167,7 +200,7 @@ def test_refine_stops_before_a_deep_dyadic_root():
     root = Fraction(2 ** 70 + 1, 2 ** 70)
     p = poly_mul([-root.numerator, root.denominator], [-5, 0, 1])
     expected = bisection_refine(p, Fraction(0), Fraction(2), fraction_rules(4)["one_double"])
-    lo, hi = refine(p, Fraction(0), Fraction(2), _stop_rules(4)[1])
+    lo, hi = refine(p, Fraction(0), Fraction(2), stop_rules(4)[1])
     assert (lo, hi) == expected and lo < root < hi
 
 

@@ -117,17 +117,31 @@ def _synthetic(name, extra):
 
 def test_double_root_inside_chamber_is_found():
     # (u - 3)**2 has no sign change: a scan for sign changes cannot see it.
-    real, scan = _synthetic("SU3", [9, -6, 1])
-    (double,) = [r for r in scan.roots if r.multiplicity == 2]
-    assert (double.lo, double.hi, double.factor) == (3, 3, "Q")
-    assert len(scan.roots) == len(real.roots) + 1
+    # At d = 3 the factor must keep the resultant even, (u**2 - 9)**2, for a
+    # search in w = u**2; at d = 4 the odd one sends the search to w = u.
+    for name, extra in (("SU3", poly_mul([-9, 0, 1], [-9, 0, 1])), ("SO5", [9, -6, 1])):
+        real, scan = _synthetic(name, extra)
+        (double,) = [r for r in scan.roots if r.multiplicity == 2]
+        assert (double.lo, double.hi, double.factor) == (3, 3, "Q")
+        assert len(scan.roots) == len(real.roots) + 1
 
 
 def test_rational_root_is_hit_exactly():
-    # 2u - 5 vanishes at the dyadic 5/2 inside the d = 3 chamber (u > 1/sqrt3).
-    real, scan = _synthetic("SO3", [-5, 2])
-    assert any(r.lo == r.hi == Fraction(5, 2) for r in scan.roots)
-    assert len(scan.roots) == len(real.roots) + 1
+    # 2u - 5 vanishes at the dyadic 5/2 inside the d = 3 chamber (u > 1/sqrt3)
+    # and the d = 4 one (u > 1): as 4u**2 - 25 at d = 3, as it is at d = 4.
+    for name, extra in (("SO3", [-25, 0, 4]), ("SO5", [-5, 2])):
+        real, scan = _synthetic(name, extra)
+        assert any(r.lo == r.hi == Fraction(5, 2) for r in scan.roots)
+        assert len(scan.roots) == len(real.roots) + 1
+
+
+def test_odd_factor_at_an_irrational_wall_is_a_pipeline_error():
+    # With both parities in u the search runs in w = u, above cot(pi/d),
+    # which is irrational at d = 3: no alternating row reaches this.
+    bundle = build_bundle(registry_case("SO3"))
+    fake = _fake_report(compute_resultant(bundle), [-5, 2])
+    with pytest.raises(PipelineError, match="^SO3: .*cot\\(pi/3\\) is irrational"):
+        chamber_root_scan(fake, bundle)
 
 
 @pytest.mark.parametrize("name,extra", [("G2", [-3, 0, 1]), ("SO5", [-1, 1])],

@@ -344,8 +344,8 @@ def minimal_line_angles(case: CaseSpec) -> list[float]:
     """[sigma] of the minimal line: atan2(1, u) at M's chamber root, u rounded once.
 
     At d = 1 the chamber, sigma in (0, pi), is the whole line of u: the search
-    takes the roots u > 0 of M and of M(-u), and u = 0.  There M = -m * x, so
-    the one root is u = 0, sigma = pi/2.
+    takes the roots u > 0 of M and of M(-u), and u = 0.  There M is a
+    multiple of x, so the one root is u = 0, sigma = pi/2.
     """
     def roots(f, d):
         s, ((_, f),) = _in_w(f)

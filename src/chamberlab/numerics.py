@@ -17,8 +17,14 @@ and :func:`geometric_scalars` read them off a row at the state.  RK4 runs on
 plain floats through one function, :func:`_rk4`, that calls the R kernel for
 its stages.  :func:`integrate_curve` is one pass: each new state's values are
 computed once and serve its wall test, its R and its row, which is emitted
-one step behind the integration.  A :class:`Trajectory` stores the states,
-the rows and the stop reason; its summary values are read off them.
+one step behind the integration.  A :class:`Trajectory` holds the states,
+the rows and the stop reason; its summary values are read off them.  An
+integrated trajectory appends each row's 9 values to one array of doubles,
+and its ``states`` and ``rows`` are read-only list-like views of it: state i
+is ``CurveState(*data[9i:9i + 5])`` and row i the 9-tuple.  So ``states[0]``
+is rebuilt from the array rather than being the start state, and an int
+field of the start reads back as a float; the CSV text does not change,
+since ``%.17g`` prints 0 and 0.0 alike.
 
 Evaluation order is part of the output.  Kernel contract (see
 :func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
@@ -35,8 +41,9 @@ nearest its exact value, not on the Python version.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, MutableSequence, Sequence
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from .cases import CaseSpec
@@ -360,8 +367,46 @@ def normal_residual(st: CurveState, case: CaseSpec,
     return row[7], row[8]
 
 
-# One CSV row: 9 floats (or ints) at 17 significant digits, as f"{v:.17g}".
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
+# The values in a trajectory row, and one CSV row of them: 9 floats (or
+# ints) at 17 significant digits, as f"{v:.17g}".
+_WIDTH = len(CSV_HEADER.split(","))
+_CSV_ROW = ",".join(["%.17g"] * _WIDTH) + "\n"
+
+
+class _Columns(Sequence):
+    """Read-only list of the first ``width`` values of each row in ``data``,
+    an array of doubles that holds the rows back to back, ``_WIDTH`` values
+    each; entry i is ``make(data[_WIDTH*i:_WIDTH*i + width])``.
+
+    Indexing, slicing and ``IndexError`` follow ``list``; a slice is a list.
+    Iteration and slices zip the array's strided columns, at C speed.
+    """
+
+    __slots__ = ("_data", "_width", "_make")
+
+    def __init__(self, data: MutableSequence[float], width: int, make: Callable):
+        self._data, self._width, self._make = data, width, make
+
+    def __len__(self) -> int:
+        return len(self._data) // _WIDTH
+
+    def __getitem__(self, index):
+        try:
+            rows = range(len(self))[index]
+        except IndexError:
+            raise IndexError("trajectory index out of range") from None
+        if isinstance(rows, int):
+            start = _WIDTH * rows
+            return self._make(self._data[start:start + self._width])
+        return list(self._take(rows))
+
+    def __iter__(self):
+        return self._take(range(len(self)))
+
+    def _take(self, rows: range):
+        step = _WIDTH * rows.step
+        columns = (self._data[_WIDTH * rows.start + k::step] for k in range(self._width))
+        return map(self._make, islice(zip(*columns), len(rows)))
 
 
 class Trajectory(NamedTuple):
@@ -370,17 +415,24 @@ class Trajectory(NamedTuple):
     The first and last rows are endpoint rows: their kd is the mode
     constraint's and their res_ode is NaN, so the f and residual diagnostics
     read the interior rows only.  A NaN f is passed over, as ``max`` with 0.0
-    first does.
+    first does.  ``integrate_curve`` returns ``states`` and ``rows`` as
+    read-only views of one array of doubles; a hand-built trajectory may
+    hold lists.
     """
 
-    states: list[CurveState]
-    rows: list[tuple]
+    states: Sequence[CurveState]
+    rows: Sequence[tuple]
     stop_reason: str
+
+    def _interior_rows(self):
+        """An iterator over the rows but the first and the last, which copies
+        none of them into a list."""
+        return islice(self.rows, 1, max(len(self.rows) - 1, 0))
 
     @property
     def max_abs_f(self) -> float:
         """Largest |f| over the interior rows, 0.0 without one."""
-        return max([0.0] + [abs(r[5]) for r in self.rows[1:-1]])
+        return max([0.0] + [abs(r[5]) for r in self._interior_rows()])
 
     @property
     def speed_drift(self) -> float:
@@ -390,7 +442,7 @@ class Trajectory(NamedTuple):
     @property
     def residual_pairs(self) -> list[tuple[float, float]]:
         """(res_poly, res_ode) of each interior row."""
-        return [(r[7], r[8]) for r in self.rows[1:-1]]
+        return [(r[7], r[8]) for r in self._interior_rows()]
 
     def write_csv(self, target) -> None:
         """Write rows as CSV with 17-significant-digit floats."""
@@ -425,6 +477,10 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     overflows, which also turns the row before into an endpoint row.  A
     start whose values overflow raises BoundaryError.
     """
+    # Imported here: the commands that never integrate a curve do not load
+    # the array extension module, about 0.1 MB and 0.4 ms at start-up.
+    from array import array
+
     lab = get_lab(case)
     R, point, clear, row = lab.R, lab.point, lab.clear, lab.row
     coeff = _MODE_COEFF[cfg.mode]
@@ -436,13 +492,13 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
         if not clear(v[0]):
             raise BoundaryError(f"initial state ({x}, {y}) is not strictly inside the chamber")
         r = (-v[3] * xd + v[2] * yd) / v[1]
-        rows = [row(s, x, y, xd, yd, v, -coeff * r, None, None)]
+        data = array("d", row(s, x, y, xd, yd, v, -coeff * r, None, None))
     except OverflowError:
         raise BoundaryError(f"initial state ({x}, {y}) overflows the lab's float range") from None
-    states = [init]
     stop_reason = "max_steps"
+    moved = False  # whether the current state (x, y, xd, yd) is a later one than init
     try:
-        for n in range(cfg.max_steps):
+        for _ in range(cfg.max_steps):
             try:
                 x1, y1, xd1, yd1 = _rk4(R, coeff, h, x, y, xd, yd, r)
             except OverflowError:  # a coarse step flung the curve out of float range
@@ -469,25 +525,26 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
                     stop_reason = "boundary"
                     break
                 r1 = (-v1[3] * xd1 + v1[2] * yd1) / v1[1]
-            if n:
+            if moved:
                 current = row(s, x, y, xd, yd, v,
                               (yd1 - ydp) / h2 * xd - (xd1 - xdp) / h2 * yd,
                               (r1 - rp) / h2, (r1 - 2 * r + rp) / hh)
                 if v1 is None:  # the curve ends here, with an endpoint row
                     break
-                rows.append(current)
+                data.extend(current)
             elif v1 is None:
                 break
             s += h
-            states.append(CurveState(s, x1, y1, xd1, yd1))
+            moved = True
             xdp, ydp, vp, rp = xd, yd, v, r
             x, y, xd, yd, v, r = x1, y1, xd1, yd1, v1, r1
-        if len(states) > 1:
-            rows.append(row(s, x, y, xd, yd, v, -coeff * r, None, None))
-    except OverflowError:  # the last state's row overflows: end the curve one state earlier
+        if moved:
+            data.extend(row(s, x, y, xd, yd, v, -coeff * r, None, None))
+    except OverflowError:
+        # The current state's row overflows: end the curve at the state
+        # before it, the last one stored, whose row becomes an endpoint row.
         stop_reason = "overflow"
-        del states[-1]
-        if len(states) > 1:
-            last = states[-1]
-            rows[-1] = row(last.s, last.x, last.y, last.xd, last.yd, vp, -coeff * rp, None, None)
-    return Trajectory(states, rows, stop_reason)
+        if len(data) > _WIDTH:
+            data[-_WIDTH:] = array("d", row(*data[-_WIDTH:-4], vp, -coeff * rp, None, None))
+    return Trajectory(_Columns(data, 5, CurveState._make), _Columns(data, _WIDTH, tuple),
+                      stop_reason)

@@ -268,6 +268,8 @@ def gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
     s = (2 * min(max(map(abs, pa)), max(map(abs, pb))) + 1).bit_length()
     for _ in range(6):
         g = primitive(_unpack(math.gcd(_pack(pa, s), _pack(pb, s)), s))
+        if g == [1]:
+            return g, a, b
         if (qa := quotient(a, g)) is not None and (qb := quotient(b, g)) is not None:
             return g, qa, qb
         s += s // 4 + 2

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,23 @@ def _oracle_curves(all_cases):
                IntegratorConfig(step=step, max_steps=steps, mode=mode))
 
 
+def _assert_list_like(view):
+    """A trajectory's states or rows index, slice, iterate and fail as the
+    list of its entries does, every float compared by repr."""
+    entries = [view[i] for i in range(len(view))]
+    assert repr(list(view)) == repr(entries)
+    assert repr([view[i] for i in range(-len(view), 0)]) == repr(entries)
+    n = len(view)
+    for index in (slice(None), slice(1, -1), slice(None, None, -1), slice(-3, None),
+                  slice(n // 2, 1), slice(2, None, 7), slice(n + 5, None), slice(-n - 5, 3),
+                  slice(None, None, -3), slice(n - 2, 0, -2), slice(-1, -n - 5, -4)):
+        sliced = view[index]
+        assert type(sliced) is list and repr(sliced) == repr(entries[index]), index
+    for index in (n, -n - 1, n + 10**20):
+        with pytest.raises(IndexError):
+            view[index]
+
+
 def test_one_pass_matches_two_pass_oracle(all_cases):
     # Every default row in both modes, on a curve that runs to max_steps, one
     # that stops at the vertex and one flung out of float range, plus coarse
@@ -453,6 +471,7 @@ def test_one_pass_matches_two_pass_oracle(all_cases):
         assert repr(new.residual_pairs) == repr(residual_pairs), where
         assert repr(new.max_abs_f) == repr(max_abs_f), where
         assert repr(new.speed_drift) == repr(speed_drift), where
+        assert [tuple(st) for st in new.states] == [row[:5] for row in new.rows], where
         stops.setdefault(new.stop_reason, set()).add(case.label)
     assert set(stops) == {"max_steps", "boundary", "overflow"}
     assert len(stops["max_steps"]) == len(all_cases)
@@ -476,6 +495,57 @@ def test_trajectory_diagnostics_read_interior_rows():
     one = Trajectory(states[:1], rows[:1], "boundary")
     assert (one.max_abs_f, one.residual_pairs, one.speed_drift) == (0.0, [], 1.25)
     assert Trajectory(states[:3], rows[:3], "overflow").max_abs_f == 0.0  # its only f is NaN
+
+
+def test_trajectory_views_read_one_array_of_doubles():
+    # An integrated curve keeps its rows as one array of 9 doubles each,
+    # which its states and rows read as a CurveState and a 9-tuple: the
+    # start reads back as floats, and the CSV text is the same, since %.17g
+    # prints 0 and 0.0 alike.
+    case = registry_case("G2")
+    cfg = IntegratorConfig(step=1e-4, max_steps=50)
+    start = CurveState(0, 1, 0.2, 1, 0)
+    trajectory = integrate_curve(start, cfg, case)
+    assert trajectory.states[0] == start and trajectory.rows[0][:5] == tuple(start)
+    assert {type(v) for st in trajectory.states for v in st} == {float}
+    assert {type(row) for row in trajectory.rows} == {tuple}
+    assert {type(st) for st in trajectory.states} == {CurveState}
+    texts = []
+    for init in (start, CurveState(*map(float, start))):
+        buffer = io.StringIO()
+        integrate_curve(init, cfg, case).write_csv(buffer)
+        texts.append(buffer.getvalue())
+    assert texts[0] == texts[1]
+    for view in trajectory.states, trajectory.rows:
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+    # A curve of one state, and one whose last row was rewritten when the
+    # row after it overflowed (see test_rows_that_overflow_end_the_curve).
+    so5_start = CurveState(0.0, 0.035873814107106994, 0.03482914672237509,
+                           -0.3452472235234991, 0.9385117765107239)
+    for curve in (trajectory, integrate_curve(start, cfg._replace(max_steps=0), case),
+                  integrate_curve(so5_start, IntegratorConfig(step=0.01, max_steps=400),
+                                  registry_case("SO5"))):
+        _assert_list_like(curve.states)
+        _assert_list_like(curve.rows)
+
+
+def test_long_curve_retains_under_100_bytes_per_state():
+    # A 10**4-step G2 curve: the 9 row values of a state, 72 bytes, and the
+    # array's spare room, not a CurveState and a row tuple per state.
+    case = registry_case("G2")
+    cfg = IntegratorConfig(step=1e-4, max_steps=10000)
+    start = state_from_angle(1.0, 0.2, 0.3)
+    integrate_curve(start, cfg, case)  # the lab's kernels are built and cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajectory = integrate_curve(start, cfg, case)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trajectory.states) == 10001
+    assert retained / len(trajectory.states) <= 100
 
 
 def test_pointwise_oracles_match_golden():

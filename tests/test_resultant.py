@@ -448,6 +448,17 @@ def test_gcd_cofactors_multiply_back():
             assert g == prs_gcd(a, b)
 
 
+def test_coprime_gcd_cofactors_divide_nothing(monkeypatch):
+    # A gcd of 1 needs no division: the cofactors are the inputs themselves.
+    def no_division(p, d):
+        raise AssertionError(f"divide_exact({p}, {d}) called")
+
+    monkeypatch.setattr(resultant, "divide_exact", no_division)
+    a, b = poly_mul([1, 1], [-3, 0, 2]), poly_mul([2, -1], [5, 0, 0, 7])
+    g, qa, qb = gcd_cofactors(a, b)
+    assert (g, qa, qb) == ([1], a, b) and qa is a and qb is b
+
+
 def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
     common = [-2, 0, 7, 3]
     a, b = poly_mul(common, [5, -1, 0, 2]), poly_mul(common, [-4, 6])

@@ -18,7 +18,7 @@ The Q(sqrt2, sqrt3) types, which only views build, are not exported here:
 from .cases import CaseSpec, default_cases, instantiate_case, load_registry, \
     registry_case, validate_case
 from .certify import certify_case, chamber_root_scan, compute_resultant, \
-    expected_resultant_degree, line_cotangent_sum, minimal_line_angles
+    expected_resultant_degree
 from .errors import ChamberlabError
 from .field import Rat
 from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL, \
@@ -36,8 +36,7 @@ __all__ = [
     "certify_case", "chamber_root_scan", "compute_resultant",
     "default_cases", "expected_resultant_degree",
     "geometric_scalars", "instantiate_case", "integrate_curve",
-    "line_cotangent_sum", "load_registry", "minimal_line_angles", "normal_residual",
-    "principal_curvatures", "registry_case", "state_from_angle",
-    "step_candidate", "step_minimal", "sylvester_resultant", "validate_case",
-    "verify_reference_example",
+    "load_registry", "normal_residual", "principal_curvatures", "registry_case",
+    "state_from_angle", "step_candidate", "step_minimal", "sylvester_resultant",
+    "validate_case", "verify_reference_example",
 ]

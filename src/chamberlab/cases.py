@@ -149,7 +149,8 @@ def _param_spec(entry: dict) -> tuple[str, int, int]:
 
 def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
     """Parse the registry document into templates (packaged file by default),
-    afresh on every call."""
+    afresh on every call.  Two rows whose names are equal when case is
+    ignored are a RegistryError, since registry_case ignores case."""
     if path is None:
         source = resources.files("chamberlab").joinpath("data/registry.json")
         text = source.read_text(encoding="utf-8")
@@ -201,9 +202,9 @@ def load_registry(path: str | Path | None = None) -> list[CaseTemplate]:
         if len(set(param_names)) != len(param_names):
             raise RegistryError(f"{where_row}: duplicate parameter names {param_names}")
         templates.append(template)
-    names = [t.name for t in templates]
+    names = [t.name.lower() for t in templates]
     if len(set(names)) != len(names):
-        raise RegistryError(f"{where}: duplicate case names")
+        raise RegistryError(f"{where}: duplicate case names (compared ignoring case)")
     return templates
 
 
@@ -261,11 +262,10 @@ def _packaged_registry() -> tuple[CaseTemplate, ...]:
     return tuple(load_registry())
 
 
-def registry_case(name: str, params: dict[str, int] | None = None,
-                  registry: list[CaseTemplate] | None = None) -> CaseSpec:
-    """Look a case up by name and instantiate it (defaults for parameters);
-    the packaged registry, parsed once per process, when registry is None."""
-    templates = registry if registry is not None else _packaged_registry()
+def registry_case(name: str, params: dict[str, int] | None = None) -> CaseSpec:
+    """Look a row of the packaged registry up by name, ignoring case, and
+    instantiate it (defaults for parameters)."""
+    templates = _packaged_registry()
     for template in templates:
         if template.name.lower() == name.lower():
             return instantiate_case(template, params)
@@ -273,9 +273,7 @@ def registry_case(name: str, params: dict[str, int] | None = None,
     raise RegistryError(f"unknown case {name!r}; known cases: {known}")
 
 
-def default_cases(registry: list[CaseTemplate] | None = None) -> list[CaseSpec]:
-    """Every registry row, parametric ones at their smallest admissible values;
-    the rows of the packaged registry, parsed once per process, when registry
-    is None."""
-    templates = registry if registry is not None else _packaged_registry()
-    return [instantiate_case(t) for t in templates]
+def default_cases() -> list[CaseSpec]:
+    """Every row of the packaged registry, parametric ones at their smallest
+    admissible values."""
+    return [instantiate_case(t) for t in _packaged_registry()]

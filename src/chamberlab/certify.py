@@ -25,8 +25,9 @@ m1 != m3).  The chamber is then w > cot(pi/d)**s, a rational bound: 0, 1/3,
 reported in u, on the dyadic cells that hold it, read off w with math.isqrt:
 the first cell above the wall whose ends round to one double, which is what
 bisection in u returns.  Each Yun factor F(w) is reported as F(u**s), with
-u's own power joined to the factor of its multiplicity.  At d = 1 there is
-no scan; minimal_line_angles searches the whole line of u there.
+u's own power joined to the factor of its multiplicity.  The minimal line
+is M's one chamber root, the root that a certificate marks
+``line_is_minimal``; at d = 1 there is no scan, and M is a multiple of x.
 """
 
 from __future__ import annotations
@@ -332,32 +333,6 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
     if z and all(k != z for k, _ in factors):
         u_factors = sorted(u_factors + [(z, [0, 1])], key=lambda kf: kf[0])
     return RootScan(exponents, u_factors, sorted(roots, key=lambda r: -r.lo), tests)
-
-
-def line_cotangent_sum(case: CaseSpec, sigma: float) -> float:
-    """S(sigma) = sum of m_i * cot(sigma - i*pi/d); zero iff the line is minimal."""
-    return sum(m / math.tan(sigma - i * math.pi / case.d)
-               for i, m in enumerate(case.multiplicities))
-
-
-def minimal_line_angles(case: CaseSpec) -> list[float]:
-    """[sigma] of the minimal line: atan2(1, u) at M's chamber root, u rounded once.
-
-    At d = 1 the chamber, sigma in (0, pi), is the whole line of u: the search
-    takes the roots u > 0 of M and of M(-u), and u = 0.  There M is a
-    multiple of x, so the one root is u = 0, sigma = pi/2.
-    """
-    def roots(f, d):
-        s, ((_, f),) = _in_w(f)
-        return _chamber_roots(_squarefree_part(f), d, s)[0]
-
-    m = _minimal_form(build_bundle(case))
-    if case.d > 1:
-        found = roots(m, case.d)
-    else:
-        below = roots([-c if i % 2 else c for i, c in enumerate(m)], 2)
-        found = roots(m, 2) + [(0, 0)] * (not m[0]) + [(-hi, -lo) for lo, hi in below[::-1]]
-    return [math.atan2(1.0, float(lo)) for lo, _ in found]
 
 
 def _root_entry(root: ChamberRoot) -> dict:

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cases import CaseSpec, default_cases, load_registry, registry_case
+from .cases import CaseSpec, _packaged_registry, default_cases, registry_case
 from .certify import certify_case, output_path, write_certificate, write_json_atomic
 from .errors import BoundaryError, BoundError, ExactDivisionError, PipelineError, \
     RegistryError
@@ -93,14 +93,13 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
 
 def _select_cases(name: str, params: dict[str, int],
                   allow_all: bool = True) -> list[CaseSpec]:
-    registry = load_registry()
     if name.lower() == "all":
         if not allow_all:
             raise BoundError("this command needs a single case, not 'all'")
         if params:
             raise BoundError("--param cannot be combined with --case all")
-        return default_cases(registry)
-    return [registry_case(name, params, registry)]
+        return default_cases()
+    return [registry_case(name, params)]
 
 
 def _out_dir(flag_value: str | None) -> Path:
@@ -113,7 +112,7 @@ def _out_dir(flag_value: str | None) -> Path:
 
 
 def _cmd_cases(args) -> int:
-    registry = load_registry()
+    registry = _packaged_registry()
     if args.format == "json":
         rows = [{
             "name": t.name, "group": t.group, "action": t.action, "d": t.d,

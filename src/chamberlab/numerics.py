@@ -436,8 +436,8 @@ class Trajectory(NamedTuple):
 
     @property
     def speed_drift(self) -> float:
-        """Largest |xd^2 + yd^2 - 1| over the states."""
-        return max([0.0] + [abs(st.xd * st.xd + st.yd * st.yd - 1.0) for st in self.states])
+        """Largest |xd^2 + yd^2 - 1| over the states, read off the rows."""
+        return max([0.0] + [abs(r[3] * r[3] + r[4] * r[4] - 1.0) for r in self.rows])
 
     @property
     def residual_pairs(self) -> list[tuple[float, float]]:

@@ -254,11 +254,6 @@ def quotient(p: IntPoly, d: IntPoly) -> IntPoly | None:
         return None
 
 
-def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd of two nonzero polynomials."""
-    return gcd_cofactors(a, b)[0]
-
-
 def gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
     """(g, a / g, b / g) for g the primitive gcd of two nonzero polynomials."""
     pa, pb = primitive(a), primitive(b)

@@ -10,9 +10,9 @@ def registry():
 
 
 @pytest.fixture(scope="session")
-def all_cases(registry):
+def all_cases():
     """Every registry row, parametric rows at smallest parameters."""
-    return default_cases(registry)
+    return default_cases()
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,12 @@ alone that
 - the listed factor (M, or the Q_k of the listed multiplicity) changes sign
   across each interval, or vanishes at a point interval;
 - exactly one root is minimal, and it is M's.
+
+:func:`line_cotangent_sum` is the float form of M on the unit arc, for
+checking a certificate's minimal ``sigma`` apart from the exact scan.
 """
 
+import math
 from fractions import Fraction
 
 from chamberlab.certify import chamber_root_scan, compute_resultant
@@ -130,3 +134,15 @@ def root_problems(cert: dict, case) -> list[str]:
     if sum(r["line_is_minimal"] for r in cert["roots"]) != 1:
         problems.append("not exactly one minimal root")
     return problems
+
+
+def line_cotangent_sum(case, sigma: float) -> float:
+    """S(sigma) = sum of m_i * cot(sigma - i*pi/d); zero iff the line is minimal."""
+    return sum(m / math.tan(sigma - i * math.pi / case.d)
+               for i, m in enumerate(case.multiplicities))
+
+
+def minimal_sigma(cert: dict) -> float:
+    """The ``sigma`` of the certificate's one root with ``line_is_minimal``."""
+    (sigma,) = [root["sigma"] for root in cert["roots"] if root["line_is_minimal"]]
+    return sigma

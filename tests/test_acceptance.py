@@ -10,12 +10,7 @@ import random
 import time
 
 from chamberlab.cases import registry_case, validate_case
-from chamberlab.certify import (
-    compute_resultant,
-    expected_resultant_degree,
-    line_cotangent_sum,
-    minimal_line_angles,
-)
+from chamberlab.certify import certify_case, compute_resultant, expected_resultant_degree
 from chamberlab.field import FieldScalar
 from chamberlab.numerics import (
     IntegratorConfig,
@@ -34,6 +29,7 @@ from bundle_oracle import curvature_expr_pair, linear
 from float_poly_oracle import float_reduced_value
 from golden import RESULTANT_HASHES, resultant_sha256
 from resultant_oracle import at_y_equal_one, determinant_cofactor, sylvester_matrix, t_multiply
+from root_checks import line_cotangent_sum, minimal_sigma
 
 
 def _report(criterion: int, message: str) -> None:
@@ -155,7 +151,7 @@ def test_criterion_6_minimal_mode_integration():
 def test_criterion_7_minimal_cone_angle_d2():
     for p, q in ((2, 2), (2, 3), (3, 5)):
         case = registry_case("SOpxSOq", {"p": p, "q": q})
-        (sigma,) = minimal_line_angles(case)
+        sigma = minimal_sigma(certify_case(case))
         expected = math.atan(math.sqrt((q - 1) / (p - 1)))
         assert abs(sigma - expected) < 1e-10, (p, q, sigma, expected)
         # direct bisection oracle on the defining cotangent sum
@@ -167,7 +163,7 @@ def test_criterion_7_minimal_cone_angle_d2():
             else:
                 hi = mid
         assert abs(0.5 * (lo + hi) - expected) < 1e-10, (p, q)
-    _report(7, "d=2 minimal cone angles equal arctan(sqrt((q-1)/(p-1))) "
+    _report(7, "d=2 certificates' minimal cone angles equal arctan(sqrt((q-1)/(p-1))) "
                "to 1e-10 for (2,2), (2,3), (3,5)")
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from chamberlab import cases
+from chamberlab import cases, cli
 from chamberlab.cases import (
     CaseSpec,
     default_cases,
@@ -74,8 +74,9 @@ def test_non_int_parameter_rejected(value):
 
 
 def test_packaged_registry_is_parsed_once_per_process(monkeypatch):
-    # registry_case and default_cases read the packaged registry from one
-    # parse; load_registry() itself parses afresh on every call.
+    # registry_case, default_cases and the command line read the packaged
+    # registry from one parse; load_registry() itself parses afresh on every
+    # call.
     calls = []
     parse = cases.load_registry
     monkeypatch.setattr(cases, "load_registry", lambda *a: calls.append(a) or parse(*a))
@@ -84,6 +85,9 @@ def test_packaged_registry_is_parsed_once_per_process(monkeypatch):
         for _ in range(3):
             assert registry_case("U5").d == 4
             assert len(default_cases()) == len(EXPECTED_NAMES)
+            assert cli._select_cases("all", {}) == default_cases()
+            assert cli._select_cases("g2", {}) == [registry_case("G2")]
+            assert cli.main(["cases"]) == cli.EXIT_OK
         assert calls == [()]
     finally:
         cases._packaged_registry.cache_clear()
@@ -230,9 +234,9 @@ def test_registry_expressions_cannot_run_code(tmp_path, row):
             with pytest.raises(RegistryError, match="unknown keys"):
                 _one_row_registry(tmp_path, **extra)
         return
-    registry = _one_row_registry(tmp_path, **row)
+    (template,) = _one_row_registry(tmp_path, **row)
     with pytest.raises(RegistryError, match="not allowed"):
-        registry_case("x", registry=registry)
+        instantiate_case(template)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -281,6 +285,8 @@ _ROW = {"name": "x", "group": "g", "d": 2, "n": 4, "multiplicities": [1, 1]}
     ({"cases": [_ROW, {**_ROW, "d": 5, "multiplicities": [1] * 5}]},
      "case[1]: inadmissible d=5"),
     ({"cases": [_ROW, _ROW]}, "duplicate case names"),
+    # registry_case ignores case, so "X" could not be reached beside "x".
+    ({"cases": [_ROW, {**_ROW, "name": "X"}]}, "duplicate case names"),
 ])
 def test_registry_rejects_a_malformed_document(tmp_path, doc, message):
     path = tmp_path / "reg.json"
@@ -300,9 +306,9 @@ def test_registry_rejects_a_malformed_document(tmp_path, doc, message):
     ("n > 2 and n", "not allowed"),
 ])
 def test_registry_expression_whitelist(tmp_path, expr, message):
-    registry = _one_row_registry(tmp_path, n=expr)
+    (template,) = _one_row_registry(tmp_path, n=expr)
     with pytest.raises(RegistryError, match=message):
-        registry_case("x", registry=registry)
+        instantiate_case(template)
 
 
 # The registry's expressions, written out: (n, d, multiplicities) per row.
@@ -335,7 +341,7 @@ def test_parametric_rows_instantiate_from_minimum_to_40(registry):
 
 
 def test_registry_expression_arithmetic(tmp_path):
-    registry = _one_row_registry(tmp_path, n="2 * n - -1 - n - 1",
-                                 multiplicities=["-(2 - n) // 1"])
-    case = registry_case("x", {"n": 7}, registry=registry)
+    (template,) = _one_row_registry(tmp_path, n="2 * n - -1 - n - 1",
+                                    multiplicities=["-(2 - n) // 1"])
+    case = instantiate_case(template, {"n": 7})
     assert (case.n, case.multiplicities) == (7, (5,))

@@ -17,19 +17,17 @@ from chamberlab.certify import (
     compute_resultant,
     emit_certificate,
     expected_resultant_degree,
-    line_cotangent_sum,
-    minimal_line_angles,
     output_path,
     write_certificate,
 )
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar
-from chamberlab.poly import DensePoly, SpatialPoly
+from chamberlab.poly import X, Y, DensePoly, SpatialPoly
 from chamberlab.reduction import build_bundle, wall_products
 from golden import GRID_CERTIFICATE_HASHES, PARAMETRIC_CERTIFICATES, PARAMETRIC_ROWS, \
     certificate_sha256, stable_certificate_text
 from grid import grid_key
-from root_checks import root_problems
+from root_checks import at_y_one, line_cotangent_sum, minimal_sigma, root_problems
 
 # Roots of the p=q=2 resultant, frozen from an independent computer-algebra
 # run of the same construction (sign-change scan on its trig restriction).
@@ -238,12 +236,17 @@ def test_parametric_certificates_match_golden(name, params):
     assert stable_certificate_text(certificate) == path.read_text(encoding="utf-8")
 
 
-def test_minimal_line_angles_every_row(all_cases):
-    for case in all_cases:
-        (sigma,) = minimal_line_angles(case)
-        assert 0 < sigma < math.pi / case.d, case.label
+def test_minimal_root_of_every_certificate(all_cases, multiplicity_grid):
+    # Every certificate from d = 2 on, the 13 default rows and the 200 grid
+    # cases, has one minimal root, and the float cotangent sum changes sign
+    # across its sigma, from + to -.
+    cases = [case for case in (*all_cases, *multiplicity_grid) if case.d >= 2]
+    assert len(cases) == 213
+    for case in cases:
+        sigma = minimal_sigma(certify_case(case))
+        assert 0 < sigma < math.pi / case.d, case
         assert line_cotangent_sum(case, sigma - 1e-9) > 0 > \
-            line_cotangent_sum(case, sigma + 1e-9), case.label
+            line_cotangent_sum(case, sigma + 1e-9), case
 
 
 def test_classify_minimality_d2_cases():
@@ -261,25 +264,27 @@ def test_classify_minimality_d2_cases():
 
 
 def test_classify_minimality_single_wall_hyperplane():
-    # d = 1: the chamber is the whole line of u, and M = x vanishes at u = 0.
+    # d = 1 has no root scan: M = t1*y - t2*x is a nonzero multiple of x, so
+    # the minimal line is u = 0, sigma = pi/2, where the cotangent sum is 0.
     case = registry_case("SOn-1")
-    assert minimal_line_angles(case) == [math.pi / 2]
+    bundle = build_bundle(case)
+    m = at_y_one(bundle.t1 * Y - bundle.t2 * X)
+    assert len(m) == 2 and m[0] == 0 != m[1]
     assert line_cotangent_sum(case, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classification_is_scale_free():
     # M is linear in the multiplicities, so scaling all of them moves no
     # minimal line: SOpxSOq (3, 5) has multiplicities (2, 4), twice (2, 3)'s.
-    assert minimal_line_angles(registry_case("SOpxSOq", {"p": 3, "q": 5})) == \
-        minimal_line_angles(registry_case("SOpxSOq", {"p": 2, "q": 3}))
+    assert minimal_sigma(certify_case(registry_case("SOpxSOq", {"p": 3, "q": 5}))) == \
+        minimal_sigma(certify_case(registry_case("SOpxSOq", {"p": 2, "q": 3})))
     assert line_cotangent_sum(registry_case("SOpxSOq", {"p": 3, "q": 5}), 0.9) == \
         pytest.approx(2 * line_cotangent_sum(registry_case("SOpxSOq", {"p": 2, "q": 3}), 0.9))
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 5)])
 def test_minimal_cone_angle_closed_form(p, q):
-    case = registry_case("SOpxSOq", {"p": p, "q": q})
-    (sigma,) = minimal_line_angles(case)
+    sigma = minimal_sigma(certify_case(registry_case("SOpxSOq", {"p": p, "q": q})))
     assert sigma == pytest.approx(math.atan(math.sqrt((q - 1) / (p - 1))), abs=1e-10)
 
 

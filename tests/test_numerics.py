@@ -9,7 +9,7 @@ import pytest
 
 from chamberlab import numerics
 from chamberlab.cases import registry_case
-from chamberlab.certify import minimal_line_angles
+from chamberlab.certify import certify_case
 from chamberlab.errors import BoundaryError
 from chamberlab.numerics import (
     CSV_HEADER,
@@ -43,6 +43,7 @@ from golden import (
     wall_stop_curves,
 )
 from lab_oracle import cubic_form, integrate_two_pass, ode_form, scalars, wall_curvatures
+from root_checks import minimal_sigma
 
 
 def _random_interior_state(case, rng, radius=(0.7, 1.5)):
@@ -185,7 +186,7 @@ def test_minimal_integration_keeps_f_small(su3):
 
 def test_minimal_cone_direction_is_invariant():
     case = registry_case("SOpxSOq", {"p": 2, "q": 3})
-    (sigma,) = minimal_line_angles(case)
+    sigma = minimal_sigma(certify_case(case))
     start = state_from_angle(math.cos(sigma), math.sin(sigma), sigma)
     cfg = IntegratorConfig(step=1e-4, max_steps=5000, mode=MODE_MINIMAL)
     trajectory = integrate_curve(start, cfg, case)
@@ -209,7 +210,7 @@ def test_tangential_residual_vanishes_on_minimal_line():
     # Along a minimal cone direction f and df/ds both vanish, so the
     # tangential residual f'(f + 2 kd) is measurement noise only.
     case = registry_case("SOpxSOq", {"p": 3, "q": 5})
-    (sigma,) = minimal_line_angles(case)
+    sigma = minimal_sigma(certify_case(case))
     start = state_from_angle(math.cos(sigma), math.sin(sigma), sigma)
     cfg = IntegratorConfig(step=1e-4, max_steps=2000, mode=MODE_MINIMAL)
     trajectory = integrate_curve(start, cfg, case)

@@ -408,7 +408,7 @@ def test_reference_example_detects_tampering(monkeypatch, u5):
     tampered = CaseSpec(name="U5", group=u5.group, action=u5.action,
                         n=u5.n - 1, d=u5.d, multiplicities=(4, 4, 5, 4))
     monkeypatch.setattr(cases_module, "registry_case",
-                        lambda name, params=None, registry=None: tampered)
+                        lambda name, params=None: tampered)
     report = verify_reference_example()
     assert not report["passed"]
     assert report["diffs"]
@@ -422,7 +422,7 @@ def test_reference_example_rejects_inconsistent_case(monkeypatch, u5):
     inconsistent = CaseSpec(name="U5", group=u5.group, action=u5.action,
                             n=u5.n, d=u5.d, multiplicities=(4, 4, 5, 4))
     monkeypatch.setattr(cases_module, "registry_case",
-                        lambda name, params=None, registry=None: inconsistent)
+                        lambda name, params=None: inconsistent)
     with pytest.raises(PipelineError, match="invalid case"):
         verify_reference_example()
 

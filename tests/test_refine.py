@@ -24,8 +24,7 @@ from chamberlab.reduction import build_bundle
 from chamberlab.resultant import (
     derivative,
     descartes_test,
-    divide_exact,
-    gcd,
+    gcd_cofactors,
     homogeneous,
     positive_roots,
     quotient,
@@ -77,7 +76,7 @@ def random_squarefree(rng, factors):
         p = p[1:]
     if len(p) < 2:
         return None
-    return divide_exact(p, gcd(p, derivative(p)))
+    return gcd_cofactors(p, derivative(p))[1]
 
 
 @pytest.mark.parametrize("d", [3, 4, 6])
@@ -132,7 +131,7 @@ def _scan_and_u_intervals(case):
     scan = chamber_root_scan(compute_resultant(bundle), bundle)
     m = _minimal_form(bundle)
     roots, isolating = set(), []
-    for f in [divide_exact(m, gcd(m, derivative(m)))] + [f for _, f in scan.factors]:
+    for f in [gcd_cofactors(m, derivative(m))[1]] + [f for _, f in scan.factors]:
         found, starts = u_chamber_intervals(f, case.d)
         roots.update(found)
         isolating += starts

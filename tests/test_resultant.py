@@ -16,7 +16,6 @@ from chamberlab.resultant import (
     _reflection_parity,
     _unpack,
     divide_exact,
-    gcd,
     gcd_cofactors,
     homogeneous,
     positive_roots,
@@ -443,7 +442,7 @@ def test_gcd_cofactors_multiply_back():
                          [rng.choice([-1, 1]) * rng.randint(1, 12)]) for _ in range(2))
         g, qa, qb = gcd_cofactors(a, b)
         assert poly_mul(g, qa) == a and poly_mul(g, qb) == b
-        assert g[-1] > 0 and math.gcd(*g) == 1 and g == gcd(a, b)
+        assert g[-1] > 0 and math.gcd(*g) == 1
         if len(a) > 1 and len(b) > 1:
             assert g == prs_gcd(a, b)
 

@@ -18,7 +18,7 @@ from chamberlab.cases import default_cases, registry_case
 from chamberlab.certify import ResultantReport, chamber_root_scan, compute_resultant
 from chamberlab.errors import PipelineError
 from chamberlab.poly import X, Y
-from chamberlab.resultant import gcd, positive_roots, prs_gcd, squarefree
+from chamberlab.resultant import gcd_cofactors, positive_roots, prs_gcd, squarefree
 from chamberlab.reduction import build_bundle
 from resultant_oracle import poly_mul
 from root_checks import at_y_one, wall_cot_squared
@@ -183,7 +183,7 @@ def test_gcd_and_prs_gcd_match_sympy():
         ia = [int(c) for c in reversed(a.all_coeffs())]
         ib = [int(c) for c in reversed(b.all_coeffs())]
         want = a.gcd(b).monic()
-        for got in (gcd(ia, ib), prs_gcd(ia, ib)):
+        for got in (gcd_cofactors(ia, ib)[0], prs_gcd(ia, ib)):
             assert to_sympy(got).monic() == want
 
 

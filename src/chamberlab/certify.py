@@ -8,14 +8,14 @@ direction is a minimal line.  The logical step from "nonzero resultant of the
 right degree" to nonexistence of proper solutions is referenced, not
 recomputed.
 
-The resultant, taken on the bundle's dense lists A and C as they are, is a
-dense integer list in u = x/y over one denominator; on the unit arc
-u = cot(sigma), and the chamber sigma in (0, pi/d) is u > cot(pi/d).  Its
-chamber roots come from an exact factorization (chamber_root_scan) and
-rational isolating intervals; membership in the chamber and minimality are
-decided exactly, and floats only display them.  Certifying builds no element
-of Q(sqrt2, sqrt3); a report's ``poly`` view, read by no code here, is
-parsed from the resultant's JSON rows.
+The resultant, taken on the integer lists of the bundle's forms A and C as
+they are, is a dense integer list in u = x/y over one denominator; on the
+unit arc u = cot(sigma), and the chamber sigma in (0, pi/d) is
+u > cot(pi/d).  Its chamber roots come from an exact factorization
+(chamber_root_scan) and rational isolating intervals; membership in the
+chamber and minimality are decided exactly, and floats only display them.
+Certifying builds no element of Q(sqrt2, sqrt3); a report's ``poly`` view,
+read by no code here, is parsed from the resultant's JSON rows.
 
 The scan works in w = u**s: s = 2 when the resultant, qd and M are each u**z
 times a polynomial in u**2, which the chamber's reflection x -> -x makes
@@ -43,7 +43,7 @@ from typing import NamedTuple
 from .cases import CaseSpec
 from .errors import PipelineError
 from .field import format_rational, rational_text
-from .poly import DensePoly, SpatialPoly
+from .poly import Form, SpatialPoly
 from .reduction import ReductionBundle, build_bundle, wall_trig
 from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
     quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
@@ -78,35 +78,11 @@ class ResultantReport(NamedTuple):
     def poly(self) -> SpatialPoly:
         """The resultant as a homogeneous SpatialPoly with rational
         coefficients, parsed from the list's JSON rows on each read."""
-        return SpatialPoly.from_json(DensePoly(self.coeffs, self.scale).to_json())
+        return SpatialPoly.from_json(Form([self.coeffs], self.scale).rows())
 
     def exact_value(self, x: int, y: int) -> Fraction:
         """The resultant at the integer point (x, y), exactly."""
         return Fraction(homogeneous(self.coeffs, x, y), self.scale)
-
-
-def _integer_lists(polys: list[DensePoly], label: str,
-                   name: str) -> tuple[list[list[int]], int, int]:
-    """Dense Z[u] lists (u = x/y) of one coefficient list, denominators cleared.
-
-    Returns ``(lists, degree, scale)``: ``lists[j]`` is ``scale * polys[j]`` at
-    y = 1, low to high, where ``scale`` is the lcm of the denominators and
-    ``degree`` the common homogeneous degree of the nonzero entries (None if
-    there are none; every list is then ``[]``).  Mixed degrees raise
-    PipelineError.
-    """
-    degrees = {len(p.coeffs) - 1 for p in polys if p.coeffs}
-    if len(degrees) > 1:
-        raise PipelineError(f"{label}: the {name} coefficients are not "
-                            f"homogeneous of one common degree")
-    scale = math.lcm(*(p.den for p in polys))
-    lists = []
-    for p in polys:
-        coeffs = [c * (scale // p.den) for c in p.coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        lists.append(coeffs)
-    return lists, (degrees.pop() if degrees else None), scale
 
 
 def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
@@ -121,30 +97,26 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     degrees left then decides every case: a constant a0 against an all-zero
     quintic gives a0**deg_c.
 
-    The determinant itself runs in Z[u], on the bundle's DensePolys: each list
-    must be homogeneous of one degree (DA for A, DC for C) and its
-    denominators are cleared.  The integer resultant is kept as it comes,
-    over the scale this puts on the Sylvester rows, at degree
-    deg_a*DC + deg_c*DA; both are divided by their gcd.  An all-zero list has
-    no degree; a nonzero determinant multiplies it by a formal degree of 0.
+    The determinant itself runs in Z[u], on the forms' integer lists as they
+    are, trailing zeros stripped: every list of A has one length DA + 1, and
+    of C DC + 1.  The integer resultant is kept as it comes, over the scale
+    that the forms' denominators put on the Sylvester rows, at degree
+    deg_a*DC + deg_c*DA; both are divided by their gcd.  Where the
+    determinant is nonzero, a side whose lists are all zero has a formal
+    degree of 0, so its DA or DC counts for nothing.
     """
-    pa = list(bundle.dense_a)
-    pc = list(bundle.dense_c)
+    (pa, den_a), (pc, den_c) = bundle.dense_a, bundle.dense_c
+    hdeg_a, hdeg_c = len(pa[0]) - 1, len(pc[0]) - 1
+    pa, pc = ([subtract(p, []) for p in lists] for lists in (pa, pc))
     trimmed = 0
-    while len(pa) > 1 and len(pc) > 1 and not (pa[-1].coeffs or pc[-1].coeffs):
-        pa.pop()
-        pc.pop()
-        trimmed += 1
-    formal = (len(pa) - 1, len(pc) - 1)
-    label = bundle.case.label
-    int_a, hdeg_a, scale_a = _integer_lists(pa, label, "A")
-    int_c, hdeg_c, scale_c = _integer_lists(pc, label, "C")
-    deg_a, deg_c = formal
-    dense = sylvester_resultant(int_a, int_c)
+    while len(pa) > 1 and len(pc) > 1 and not (pa[-1] or pc[-1]):
+        pa, pc, trimmed = pa[:-1], pc[:-1], trimmed + 1
+    formal = deg_a, deg_c = len(pa) - 1, len(pc) - 1
+    dense = sylvester_resultant(pa, pc)
     if not dense:
         return ResultantReport([], 1, formal, trimmed, None)
-    degree = (deg_a and deg_a * hdeg_c) + (deg_c and deg_c * hdeg_a)
-    scale = scale_a ** deg_c * scale_c ** deg_a
+    degree = deg_a * hdeg_c + deg_c * hdeg_a
+    scale = den_a ** deg_c * den_c ** deg_a
     g = math.gcd(scale, *dense)
     coeffs = [c // g for c in dense] + [0] * (degree + 1 - len(dense))
     return ResultantReport(coeffs, scale // g, formal, trimmed, degree)
@@ -281,7 +253,7 @@ def _minimal_form(bundle: ReductionBundle) -> list[int]:
     sum(m_i * cot(sigma - i*pi/d)), and that sum falls strictly from +inf to
     -inf on the chamber: M has exactly one chamber root.  The numerator of R
     is [-t2, t1]."""
-    (neg_t2, t1), _, _ = _integer_lists(bundle.r, bundle.case.label, "R")
+    neg_t2, t1 = bundle.r.lists
     return primitive(subtract(t1, [0] + [-c for c in neg_t2]))
 
 
@@ -305,7 +277,7 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
     while not res[-1]:
         res.pop()
         exponents["y"] += 1
-    (qd,), _, _ = _integer_lists([bundle.dense_qd], label, "qd")
+    qd = subtract(bundle.dense_qd.lists[0], [])  # in Z[u], trailing zeros stripped
     s, ((z, res), qd, (z_m, m)) = _in_w(res, primitive(qd), _minimal_form(bundle))
     if (d, s) not in _CHAMBER_BOUND:
         raise PipelineError(f"{label}: the resultant is not a polynomial in u**2, "

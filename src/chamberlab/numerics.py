@@ -28,7 +28,7 @@ since ``%.17g`` prints 0 and 0.0 alike.
 
 Evaluation order is part of the output.  Kernel contract (see
 :func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
-...`` over its terms in order (``DensePoly.float_terms()``, and for the walls
+...`` over its terms in order (``Form.float_terms``, and for the walls
 the constants of :attr:`CaseLab.trig`), each product and each sum left to
 right; each power ``x**a``, ``y**b`` is computed once per call and shared,
 and a factor of exactly 1 (``x**0``) is left out, which changes no bit.
@@ -190,7 +190,7 @@ class CaseLab:
                  for i, (sin_i, cos_i) in enumerate(self.trig)}
         t = {name: poly.float_terms() for name, poly in
              zip(("qd", "t1", "t2", "t3", "t4", "t5"), (bundle.dense_qd, *bundle.dense_t))}
-        a = {f"a{j}": poly.float_terms() for j, poly in enumerate(bundle.dense_a)}
+        a = {f"a{j}": bundle.dense_a.float_terms(j) for j in range(4)}
         wall_names = ", ".join(walls) + ","
         self.R = _kernel("R", ("x", "y", "xd", "yd"),
                          {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]},

@@ -5,13 +5,13 @@ Three representations:
 * :class:`SpatialPoly` - polynomials in the chamber coordinates (x, y) with
   :class:`~chamberlab.field.FieldScalar` coefficients, stored as a sparse
   exponent map.
-* :class:`DensePoly` - a homogeneous rational polynomial as one dense list
-  of integers over one reduced denominator, the form in which a bundle
-  stores its polynomials.  A stored velocity form (a polynomial homogeneous
-  in (xd, yd) with polynomial coefficients) is a list of them, a
-  :data:`DenseForm`.
-* plain integer lists, low to high in u = x/y like ``DensePoly.coeffs``,
-  with the denominator kept beside them: :func:`mul`, :func:`add` (which
+* :class:`Form` - a homogeneous rational form: integer lists of one length
+  over one denominator, reduced by the gcd of all entries (:func:`reduced`).
+  A velocity form (homogeneous in (xd, yd) with polynomial coefficients)
+  has one list per power of yd; a polynomial is a form with one list.  A
+  bundle stores every polynomial and velocity form this way.
+* plain integer lists, low to high in u = x/y like a Form's lists, with
+  the denominator kept beside them: :func:`mul`, :func:`add` (which
   refuses lists of unequal lengths), :func:`scale`, :func:`dx` and
   :func:`dy`, and on velocity forms of such lists :func:`form_product`,
   :func:`form_flow` and :func:`arc_derivative`, which differentiates a form
@@ -20,9 +20,10 @@ Three representations:
 Only the wall forms need Q(sqrt2, sqrt3): every polynomial derived from them
 is rational and homogeneous.  So the derivation runs on integer lists alone,
 from qd and the wall products on (see :mod:`chamberlab.reduction`), and
-builds a DensePoly once per stored polynomial.  The DensePolys go on to the
-serialized bundle (:meth:`DensePoly.to_json`), the resultant and the lab's
-float kernels (:meth:`DensePoly.float_terms`).  A polynomial's JSON rows
+reduces each stored polynomial or form once.  The Forms go on, read by
+index, to the serialized bundle (:meth:`Form.rows`), the resultant, which
+reads the lists and the denominator as they are, and the lab's float
+kernels (:meth:`Form.float_terms`).  A polynomial's JSON rows
 ``[[a, b, "c"], ...]``, highest power of x first, are the one way into a
 SpatialPoly (:meth:`SpatialPoly.from_json`), and :func:`rows_text` renders
 rows as text, for ``derive --format text`` and :meth:`SpatialPoly.to_text`
@@ -34,14 +35,15 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 from .errors import ExactDivisionError
 from .field import _RATIONAL_TAIL, FieldScalar, ONE, ZERO, power
 
 Monomial = tuple[int, int]
 
-# DensePoly.homogeneous_degree of the zero polynomial, which has no degree.
+# Form.degree of a zero list, which has no degree.
 ZERO_POLY = "zero"
 
 
@@ -273,69 +275,57 @@ X = SpatialPoly.variable("x")
 Y = SpatialPoly.variable("y")
 
 
-class DensePoly:
-    """A homogeneous rational polynomial in (x, y) as one dense integer list.
+class Form(NamedTuple):
+    """A homogeneous rational form: integer lists of one length over one
+    denominator.
 
-    A degree-k polynomial is ``coeffs`` (k + 1 ints, ``coeffs[a]`` the
-    numerator of the coefficient of x^a * y^(k - a)) over one denominator
-    ``den`` > 0, with gcd(den, *coeffs) == 1.  Zero is ``coeffs == []`` and
-    has no degree.  Values are never mutated, so they may be shared.
+    Entry q of ``lists`` is the coefficient of xd**(v - q) * yd**q in a
+    velocity form of velocity degree v = len(lists) - 1, and a polynomial is
+    a form with one list.  Each list is low to high in u = x/y: entry a is
+    the numerator of the coefficient of x**a * y**(k - a), k = len - 1 the
+    formal degree, which a zero list keeps: all lists share it, so a form
+    cannot hold two degrees.  ``den`` > 0, and a form built by
+    :func:`reduced` has gcd(den, every entry) == 1.  Values are never
+    mutated, so they may be shared.
     """
 
-    __slots__ = ("coeffs", "den")
+    lists: list[list[int]]
+    den: int
 
-    def __init__(self, coeffs: list[int], den: int = 1):
-        if not any(coeffs):
-            coeffs, den = [], 1
-        else:
-            g = math.gcd(den, *coeffs)
-            if g != 1:
-                coeffs = [c // g for c in coeffs]
-                den //= g
-        self.coeffs = coeffs
-        self.den = den
+    def degree(self, q: int = 0) -> int | str:
+        """The homogeneous degree of list q, ZERO_POLY for a zero list."""
+        p = self.lists[q]
+        return len(p) - 1 if any(p) else ZERO_POLY
 
-    def __eq__(self, other):
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.den == other.den
+    def rows(self, q: int = 0) -> list[list]:
+        """The JSON rows ``[a, b, text]`` of list q's nonzero terms, highest
+        power of x first, each text ``field_text`` of the reduced coefficient."""
+        p, den = self.lists[q], self.den
+        k = len(p) - 1
+        return [[a, k - a, f"{c // (g := math.gcd(c, den))}/{den // g}{_RATIONAL_TAIL}"]
+                for a in range(k, -1, -1) if (c := p[a])]
 
-    def __hash__(self):
-        return hash((tuple(self.coeffs), self.den))
-
-    def __repr__(self):
-        return f"DensePoly({self.coeffs!r}, {self.den})"
-
-    def homogeneous_degree(self) -> int | str:
-        return len(self.coeffs) - 1 if self.coeffs else ZERO_POLY
-
-    def _terms(self):
-        """(a, b, c) of the nonzero terms c x^a y^b, highest power of x first."""
-        k = len(self.coeffs) - 1
-        return [(a, k - a, self.coeffs[a]) for a in range(k, -1, -1) if self.coeffs[a]]
-
-    def to_json(self) -> list[list]:
-        """The JSON rows ``[a, b, text]`` of the nonzero terms, highest power of
-        x first, each text ``field_text`` of the reduced coefficient."""
-        den = self.den
-        return [[a, b, f"{c // (g := math.gcd(c, den))}/{den // g}{_RATIONAL_TAIL}"]
-                for a, b, c in self._terms()]
-
-    def float_terms(self) -> list[tuple[int, int, float]]:
-        """(a, b, c) of the nonzero terms, highest power of x first, c the
+    def float_terms(self, q: int = 0) -> list[tuple[int, int, float]]:
+        """(a, b, c) of list q's nonzero terms, highest power of x first, c the
         double nearest the coefficient (ties to even), +-inf beyond the range."""
-        return [(a, b, _round(c, self.den)) for a, b, c in self._terms()]
+        p, den = self.lists[q], self.den
+        k = len(p) - 1
+        return [(a, k - a, _round(c, den)) for a in range(k, -1, -1) if (c := p[a])]
 
 
-# A stored velocity form: entry q is the DensePoly coefficient of
-# xd^(v - q) * yd^q, v = len - 1, every nonzero entry of one degree.
-DenseForm = list[DensePoly]
+def reduced(lists: list[list[int]], den: int) -> Form:
+    """The form of ``lists`` over ``den`` divided by the gcd of den and every
+    entry; the lists are not copied when that gcd is 1."""
+    g = math.gcd(den, *chain.from_iterable(lists))
+    if g == 1:
+        return Form(lists, den)
+    return Form([[c // g for c in p] for p in lists], den // g)
 
 
 # -- integer lists ------------------------------------------------------------
 #
 # A homogeneous polynomial of degree k is k + 1 ints, low to high in u = x/y:
-# entry a is the coefficient of x^a * y^(k - a), as in DensePoly.coeffs.  A
+# entry a is the coefficient of x^a * y^(k - a), as in a Form's lists.  A
 # product has length len(a) + len(b) - 1 and a derivative one entry fewer, so
 # the derivative of a constant is [] (degree -1) and a product with it is the
 # zero list of the product's degree: every length is the formal degree plus
@@ -372,6 +362,8 @@ def scale(c: int, p: list[int]) -> list[int]:
 
 
 def dx(p: list[int]) -> list[int]:
+    """d/dx of a polynomial, which is d/du of its list (also
+    :func:`chamberlab.resultant.derivative`)."""
     return [a * p[a] for a in range(1, len(p))]
 
 
@@ -382,7 +374,8 @@ def dy(p: list[int]) -> list[int]:
 
 # A velocity form on lists: entry q is the list of the coefficient of
 # xd^(v - q) * yd^q, v = len - 1, every entry of one length.  In the
-# derivation a form, like a polynomial, carries one denominator beside it.
+# derivation a form, like a polynomial, carries one denominator beside it,
+# as a pair ``(lists, den)`` that a Form unpacks to, not yet reduced.
 
 
 def form_product(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
@@ -412,13 +405,14 @@ def arc_derivative(num: tuple, r: tuple, qd: tuple) -> tuple:
     num: the numerator over qd**(v + 1).
 
     Each argument is ``(lists, den)``: num a form over ``den``, r the form
-    of R * qd and qd the polynomial.  Uses dx/ds = xd, dy/ds = yd,
-    d(xd)/ds = (R/3) yd, d(yd)/ds = -(R/3) xd.  The numerator is
-    qd * F(num) + (r/3) * rot(num) - v * F(qd) * num, where F is the
-    coordinate flow (:func:`form_flow`) and rot the derivation xd -> yd,
-    yd -> -xd, returned over the one scale 3 * den(qd) * den(r) * den(num).
+    of R * qd and qd the polynomial, a form with one list.  Uses
+    dx/ds = xd, dy/ds = yd, d(xd)/ds = (R/3) yd, d(yd)/ds = -(R/3) xd.  The
+    numerator is qd * F(num) + (r/3) * rot(num) - v * F(qd) * num, where F
+    is the coordinate flow (:func:`form_flow`) and rot the derivation
+    xd -> yd, yd -> -xd, returned over the one scale
+    3 * den(qd) * den(r) * den(num).
     """
-    (entries, den), (r_entries, r_den), (qd_coeffs, qd_den) = num, r, qd
+    (entries, den), (r_entries, r_den), ((qd_coeffs,), qd_den) = num, r, qd
     v = len(entries) - 1
     padded = _padded(entries)
     rotation = [add(scale(v + 1 - q, padded[q]), scale(-1 - q, padded[q + 2]))

@@ -8,30 +8,32 @@ t4, t5, the wall-curvature sum R with its first and second arclength
 derivatives, and finally the velocity-cubic coefficients A0..A3 and the
 slope-quintic coefficients C0..C5 whose common root structure the
 certificate module interrogates.  Every consumer reads these from the cached
-``ReductionBundle``.  R, R' and R'' are velocity forms over qd, qd**2 and
-qd**3, lists (:data:`~chamberlab.poly.DenseForm`): entry q of a form of
-velocity degree v is the coefficient of xd**(v - q) * yd**q.
+``ReductionBundle``, each as one :class:`~chamberlab.poly.Form`: integer
+lists of one length over one denominator, a polynomial being a form with
+one list.  A is the form of A0..A3 and C that of C0..C5.  R, R' and R'' are
+velocity forms over qd, qd**2 and qd**3: entry q of a form of velocity
+degree v is the coefficient of xd**(v - q) * yd**q.
 
-The derivation runs in Q.  Each wall's sine and cosine is +-sqrt(k)/2 for
-an integer k = 0..4, read off one table (:func:`wall_trig`).  The walls
+The derivation runs in Q.  Each wall's sine and cosine is +-sqrt(k)/2 for an
+integer k = 0..4, read off one table (:func:`wall_trig`).  The walls
 themselves, with those coefficients in Q(sqrt2, sqrt3), enter no product:
 :func:`wall_rows` writes their JSON rows straight from the table, as text.
 :func:`wall_products` writes qd and, for each distinct multiplicity m, the
-product P_m of the walls of multiplicity m over its leading coefficient
-l_m, with l_m**2, straight from the table as dense rational lists
-(:class:`~chamberlab.poly.DensePoly`); a case whose P_m / l_m is irrational
-raises PipelineError.  qd and these products depend only on d and on which
-walls share a multiplicity, so they are computed once per such class.  The
-orbit volume and the t's are then sums and products of the P_m (see
-build_bundle).  From there the derivation runs on plain integer lists
-(:func:`~chamberlab.poly.mul`, :func:`~chamberlab.poly.add` and the
-velocity-form helpers beside them), each polynomial or form over one
-denominator carried beside it, and each stored field becomes a reduced
-DensePoly once, at the end.  The DensePolys go on to bundle_to_json, the
-resultant, the lab's kernels and the U(5) reference check.  The text of the
-JSON rows is the package's one way into Q(sqrt2, sqrt3): the SpatialPoly
-attributes walls, qd .. c_coeffs are views for readers outside the package,
-parsed from rows on first read.
+product P_m of the walls of multiplicity m over its leading coefficient l_m,
+with l_m**2, straight from the table as one-list Forms; a case whose
+P_m / l_m is irrational raises PipelineError.  qd and these products
+depend only on d and on which walls share a multiplicity, so they are
+computed once per such class.  The orbit volume and the t's are then sums
+and products of the P_m (see build_bundle).  From there the derivation runs
+on plain integer lists (:func:`~chamberlab.poly.mul`,
+:func:`~chamberlab.poly.add` and the velocity-form helpers beside them),
+each polynomial or form over one denominator carried beside it, and each
+stored field is reduced by the gcd of its entries once, at the end
+(:func:`~chamberlab.poly.reduced`).  The Forms go on to bundle_to_json, the
+resultant, the lab's kernels and the U(5) reference check, which read their
+entries by index.  The text of the JSON rows is the package's one way into
+Q(sqrt2, sqrt3): the SpatialPoly attributes walls, qd .. c_coeffs are views
+for readers outside the package, parsed from rows on first read.
 
 All arithmetic is exact, and no degree is checked at run time: qd has degree
 d, each P_m one per wall, a list product adds degrees, dx and dy lower one
@@ -51,36 +53,41 @@ from typing import NamedTuple
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
 from .field import field_text, power, rational_text
-from .poly import DenseForm, DensePoly, SpatialPoly, add, arc_derivative, dx, dy, form_flow, \
-    form_product, mul, scale
+from .poly import Form, SpatialPoly, add, arc_derivative, dx, dy, form_flow, form_product, \
+    mul, reduced, scale
 
 
 class _BundleFields(NamedTuple):
     case: CaseSpec
-    dense_qd: DensePoly
-    dense_volume_sq: DensePoly
-    dense_t: tuple[DensePoly, ...]
-    r: DenseForm
-    r_dot: DenseForm
-    r_ddot: DenseForm
-    dense_a: tuple[DensePoly, ...]
-    dense_c: tuple[DensePoly, ...]
+    dense_qd: Form
+    dense_volume_sq: Form
+    dense_t: tuple[Form, ...]
+    r: Form
+    r_dot: Form
+    r_ddot: Form
+    dense_a: Form
+    dense_c: Form
 
 
-def _view(poly: DensePoly) -> SpatialPoly:
-    """The SpatialPoly parsed from a list's JSON rows."""
-    return SpatialPoly.from_json(poly.to_json())
+def _view(form: Form, q: int = 0) -> SpatialPoly:
+    """The SpatialPoly parsed from the JSON rows of a form's list q."""
+    return SpatialPoly.from_json(form.rows(q))
+
+
+def _views(form: Form) -> tuple[SpatialPoly, ...]:
+    return tuple(_view(form, q) for q in range(len(form.lists)))
 
 
 class ReductionBundle(_BundleFields):
     """Everything the certificate and numeric laboratories consume.
 
-    The fields are exact rational data: ``dense_t`` is (t1, ..., t5),
-    ``dense_a`` (A0, ..., A3) and ``dense_c`` (C0, ..., C5).  The views are
-    SpatialPolys parsed from JSON rows on first access and kept in the
-    instance ``__dict__`` (this subclass declares no ``__slots__``):
-    ``walls`` is ``build_walls(case)``, and qd, volume_sq, t1 .. t5,
-    a_coeffs and c_coeffs are parsed from the lists' ``to_json``.
+    The fields are exact rational data, each a reduced Form: ``dense_t`` is
+    (t1, ..., t5), one polynomial each, ``dense_a`` the form of (A0, ..., A3)
+    and ``dense_c`` that of (C0, ..., C5).  The views are SpatialPolys
+    parsed from JSON rows on first access and kept in the instance
+    ``__dict__`` (this subclass declares no ``__slots__``): ``walls`` is
+    ``build_walls(case)``, and qd, volume_sq, t1 .. t5, a_coeffs and
+    c_coeffs are parsed from the lists' ``Form.rows``.
     """
 
     walls = cached_property(lambda self: build_walls(self.case))
@@ -91,19 +98,20 @@ class ReductionBundle(_BundleFields):
     t3 = cached_property(lambda self: _view(self.dense_t[2]))
     t4 = cached_property(lambda self: _view(self.dense_t[3]))
     t5 = cached_property(lambda self: _view(self.dense_t[4]))
-    a_coeffs = cached_property(lambda self: tuple(map(_view, self.dense_a)))
-    c_coeffs = cached_property(lambda self: tuple(map(_view, self.dense_c)))
+    a_coeffs = cached_property(lambda self: _views(self.dense_a))
+    c_coeffs = cached_property(lambda self: _views(self.dense_c))
 
     def degree_report(self) -> dict:
+        a, c = self.dense_a, self.dense_c
         return {
             "d": self.case.d,
-            "qd": self.dense_qd.homogeneous_degree(),
-            "volume_sq": self.dense_volume_sq.homogeneous_degree(),
-            "t1": self.dense_t[0].homogeneous_degree(),
-            "t2": self.dense_t[1].homogeneous_degree(),
-            "t345": [t.homogeneous_degree() for t in self.dense_t[2:]],
-            "a": [a.homogeneous_degree() for a in self.dense_a],
-            "c": [c.homogeneous_degree() for c in self.dense_c],
+            "qd": self.dense_qd.degree(),
+            "volume_sq": self.dense_volume_sq.degree(),
+            "t1": self.dense_t[0].degree(),
+            "t2": self.dense_t[1].degree(),
+            "t345": [t.degree() for t in self.dense_t[2:]],
+            "a": [a.degree(j) for j in range(len(a.lists))],
+            "c": [c.degree(j) for j in range(len(c.lists))],
         }
 
 
@@ -148,8 +156,9 @@ def build_walls(case: CaseSpec) -> list[SpatialPoly]:
     return [SpatialPoly.from_json(rows) for rows in wall_rows(case)]
 
 
-def wall_products(case: CaseSpec) -> tuple[DensePoly, list[tuple[int, Fraction, DensePoly]]]:
-    """qd = prod(w_i) as a list, and (m, l**2, P_m / l) for each distinct m.
+def wall_products(case: CaseSpec) -> tuple[Form, list[tuple[int, Fraction, Form]]]:
+    """qd = prod(w_i), and (m, l**2, P_m / l) for each distinct m, each
+    polynomial a one-list Form.
 
     P_m is the product of the walls of multiplicity m and l its leading
     coefficient, so P_m / l has leading coefficient 1.  Raises PipelineError
@@ -181,8 +190,8 @@ def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
     sqrt3 in P / l: ValueError.
     """
     trig = wall_trig(d)
-    qd = DensePoly([-math.comb(d, j) * (-1) ** (j // 2) if j % 2 else 0
-                    for j in range(d, -1, -1)], 2 ** (d - 1))
+    qd = reduced([[-math.comb(d, j) * (-1) ** (j // 2) if j % 2 else 0
+                   for j in range(d, -1, -1)]], 2 ** (d - 1))
     products = []
     for indices in classes:
         lead_sq, product, den = Fraction(1), [1], 1
@@ -201,7 +210,7 @@ def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
                 lead_sq /= 2
             else:
                 product = mul(product, [1, 0] if k == 0 else [0, 1])
-        products.append((lead_sq, DensePoly(product, den)))
+        products.append((lead_sq, reduced([product], den)))
     return qd, tuple(products)
 
 
@@ -210,10 +219,10 @@ def _quintic(qd: tuple, t: tuple, a: tuple) -> tuple:
 
     C = xd qd F(A) + (1/3) (xd**2 + yd**2) (t2 xd - t1 yd) dA/dyd, F the
     coordinate flow (:func:`~chamberlab.poly.form_flow`), over the one scale
-    3 * den(qd) * den(t) * den(A).  The six products t_i * A_j are each
-    taken once.
+    3 * den(qd) * den(t) * den(A), qd a form with one list.  The six
+    products t_i * A_j are each taken once.
     """
-    (qd_coeffs, qd_den), ((t1, t2), t_den), (entries, a_den) = qd, t, a
+    ((qd_coeffs,), qd_den), ((t1, t2), t_den), (entries, a_den) = qd, t, a
     turn = form_product([scale(qd_den, t2), scale(-qd_den, t1)],
                         [scale(j, entries[j]) for j in (1, 2, 3)])
     base = scale(3 * t_den, qd_coeffs)
@@ -244,24 +253,25 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     The derivation runs on integer lists (:mod:`chamberlab.poly`), one
     denominator per polynomial or form: every P~_m * Q_m, so t1 and t2, is
     over E = den(lam) * prod(den(P~_m)), and t3..t5 over 9 E**2.  Each
-    stored field becomes a DensePoly once, at the end.  Degrees hold by
-    construction; test_degree_table_over_the_multiplicity_grid pins them.
+    stored field is reduced once, at the end.  Degrees hold by construction;
+    test_degree_table_over_the_multiplicity_grid pins them.
     """
     _require_valid(case)
     qd, groups = wall_products(case)
-    lam = Fraction(next(c for c in reversed(qd.coeffs) if c), qd.den)
+    ((qd_coeffs,), qd_den) = qd
+    lam = Fraction(next(c for c in reversed(qd_coeffs) if c), qd_den)
     t_den = lam.denominator * math.prod(p.den for _, _, p in groups)
 
     volume, volume_scale = [1], Fraction(1)
     t1 = t2 = [0] * case.d
     t3 = t4 = t5 = [0] * (2 * case.d - 1)
-    for m, lead_sq, poly in groups:
-        p, q = poly.coeffs, [lam.numerator]
-        for other_m, _, other in groups:
+    for m, lead_sq, ((p,), p_den) in groups:
+        q = [lam.numerator]
+        for other_m, _, ((other,), _) in groups:
             if other_m != m:
-                q = mul(other.coeffs, q)
+                q = mul(other, q)
         volume = mul(power(p, 2 * m, [1], mul), volume)
-        volume_scale *= lead_sq ** m / poly.den ** (2 * m)
+        volume_scale *= lead_sq ** m / p_den ** (2 * m)
         px, py = dx(p), dy(p)
         mq, npx, npy = scale(m, q), scale(-1, px), scale(-1, py)
         weight = mul(scale(9, mq), q)  # 9 m Q_m**2: t3..t5 are over 9 E**2
@@ -276,10 +286,10 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
 
     # The wall-curvature sum R = (-t2*xd + t1*yd) / qd and its first and
     # second arclength derivatives, through the module global.
-    qd_pair, r_entries = (qd.coeffs, qd.den), [scale(-1, t2), t1]
+    r_entries = [scale(-1, t2), t1]
     r = (r_entries, t_den)
-    r_dot = arc_derivative(r, r, qd_pair)
-    r_ddot = arc_derivative(r_dot, r, qd_pair)
+    r_dot = arc_derivative(r, r, qd)
+    r_ddot = arc_derivative(r_dot, r, qd)
 
     # The normal equation cleared of denominators.  Its three contributions
     # (second derivative of R, volume term times first derivative, quadratic
@@ -288,25 +298,19 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     # 1, 3 den(qd) and den(qd)**2.  C follows from the flow of the cubic.
     (ddot, a_den), (dot, _) = r_ddot, r_dot
     a = [add(*terms) for terms in zip(
-        ddot, form_product([scale(3 * qd.den, t1), scale(3 * qd.den, t2)], dot),
-        form_product([t3, t4, t5], [scale(-qd.den ** 2, p) for p in r_entries]), strict=True)]
-    c = _quintic(qd_pair, ((t1, t2), t_den), (a, a_den))
+        ddot, form_product([scale(3 * qd_den, t1), scale(3 * qd_den, t2)], dot),
+        form_product([t3, t4, t5], [scale(-qd_den ** 2, p) for p in r_entries]), strict=True)]
+    c = _quintic(qd, ((t1, t2), t_den), (a, a_den))
 
-    dense_t = tuple(map(DensePoly, (t1, t2, t3, t4, t5), (t_den,) * 2 + (9 * t_den ** 2,) * 3))
     return ReductionBundle(
         case=case, dense_qd=qd,
-        dense_volume_sq=DensePoly(scale(volume_scale.numerator, volume),
-                                  volume_scale.denominator),
-        dense_t=dense_t, r=[DensePoly(r_entries[0], t_den), dense_t[0]],
-        r_dot=_dense(r_dot), r_ddot=_dense(r_ddot),
-        dense_a=tuple(_dense((a, a_den))), dense_c=tuple(_dense(c)),
+        dense_volume_sq=reduced([scale(volume_scale.numerator, volume)],
+                                volume_scale.denominator),
+        dense_t=tuple(reduced([t], den) for t, den in zip(
+            (t1, t2, t3, t4, t5), (t_den,) * 2 + (9 * t_den ** 2,) * 3)),
+        r=reduced(*r), r_dot=reduced(*r_dot), r_ddot=reduced(*r_ddot),
+        dense_a=reduced(a, a_den), dense_c=reduced(*c),
     )
-
-
-def _dense(form: tuple) -> DenseForm:
-    """The DensePolys of a form's lists over its one denominator."""
-    entries, den = form
-    return [DensePoly(p, den) for p in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +335,8 @@ def verify_reference_example() -> dict:
     from .cases import registry_case
 
     case = registry_case("U5")
-    # The nonzero A_j have degree 9 (d = 4); a zero one becomes a list of zeros.
-    a = [[Fraction(c, p.den) for c in p.coeffs] or [0] * 10
-         for p in build_bundle(case).dense_a]
+    form = build_bundle(case).dense_a
+    a = [[Fraction(c, form.den) for c in p] for p in form.lists]
     report = {"case": case.label, "passed": False, "scale": None, "diffs": []}
     if len(a[0]) != 10 or not a[0][9]:
         report["diffs"].append("anchor monomial x^9 missing from A0")
@@ -357,18 +360,18 @@ def verify_reference_example() -> dict:
     return report
 
 
-def _form_json(form: DenseForm) -> dict:
+def _form_json(form: Form) -> dict:
     """A velocity form over qd**v, v its velocity degree: the nonzero entries
     from the highest power of xd down."""
-    v = len(form) - 1
-    return {"numerator": [{"xd": v - q, "yd": q, "poly": p.to_json()}
-                          for q, p in enumerate(form) if p.coeffs],
+    v = len(form.lists) - 1
+    return {"numerator": [{"xd": v - q, "yd": q, "poly": form.rows(q)}
+                          for q, p in enumerate(form.lists) if any(p)],
             "qd_power": v, "velocity_degree": v}
 
 
 def bundle_to_json(bundle: ReductionBundle) -> dict:
     """Canonical serialization of every pipeline polynomial plus degree data."""
-    case = bundle.case
+    case, a, c = bundle.case, bundle.dense_a, bundle.dense_c
     return {
         "case": case.name,
         "label": case.label,
@@ -378,13 +381,13 @@ def bundle_to_json(bundle: ReductionBundle) -> dict:
         "multiplicities": list(case.multiplicities),
         "params": case.params_dict,
         "walls": wall_rows(case),
-        "qd": bundle.dense_qd.to_json(),
-        "volume_sq": bundle.dense_volume_sq.to_json(),
-        **{f"t{j}": t.to_json() for j, t in enumerate(bundle.dense_t, 1)},
+        "qd": bundle.dense_qd.rows(),
+        "volume_sq": bundle.dense_volume_sq.rows(),
+        **{f"t{j}": t.rows() for j, t in enumerate(bundle.dense_t, 1)},
         "r": _form_json(bundle.r),
         "r_dot": _form_json(bundle.r_dot),
         "r_ddot": _form_json(bundle.r_ddot),
-        "a_coeffs": [a.to_json() for a in bundle.dense_a],
-        "c_coeffs": [c.to_json() for c in bundle.dense_c],
+        "a_coeffs": [a.rows(j) for j in range(len(a.lists))],
+        "c_coeffs": [c.rows(j) for j in range(len(c.lists))],
         "degrees": bundle.degree_report(),
     }

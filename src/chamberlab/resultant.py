@@ -3,10 +3,11 @@ sequence on Kronecker-packed integers, and exact real roots.
 
 Polynomials in u are dense integer lists, low to high, with trailing zeros
 stripped, so ``[]`` is the zero polynomial.  Every resultant chamberlab
-certifies has homogeneous rational coefficients in (x, y);
-:func:`chamberlab.certify.compute_resultant` clears denominators, sets
-u = x/y and rehomogenizes the result, which keeps this module to plain
-integer arithmetic.
+certifies has homogeneous rational coefficients in (x, y), stored as integer
+lists in u = x/y over one denominator per form;
+:func:`chamberlab.certify.compute_resultant` takes those lists as they are
+and rehomogenizes the result, which keeps this module to plain integer
+arithmetic.
 
 The resultant of two polynomials in t over Z[u] is taken at formal degrees:
 the coefficient lists fix them, and a vanishing leading coefficient counts.
@@ -73,6 +74,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
 
 from .errors import ExactDivisionError
+from .poly import dx as derivative
 
 IntPoly = list[int]
 
@@ -224,10 +226,6 @@ def primitive(p: IntPoly) -> IntPoly:
     """p over its content, with a positive leading coefficient."""
     g = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
     return [c // g for c in p]
-
-
-def derivative(p: IntPoly) -> IntPoly:
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def subtract(p: IntPoly, q: IntPoly) -> IntPoly:

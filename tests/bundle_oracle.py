@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from chamberlab.field import ZERO, FieldScalar
-from chamberlab.poly import DensePoly, SpatialPoly
+from chamberlab.poly import Form, SpatialPoly
 from chamberlab.reduction import build_bundle, wall_trig
 
 THIRD = FieldScalar.rational(1, 3)
@@ -51,13 +51,14 @@ def walls_of(d: int) -> list[SpatialPoly]:
     return [linear(half_root(k), half_root(4 - k, -sign)) for k, sign in wall_trig(d)]
 
 
-def spatial(poly: DensePoly) -> SpatialPoly:
-    """A list as a SpatialPoly built term by term, one FieldScalar per
-    nonzero coefficient: the construction the package's views had before
-    they were parsed from rows."""
-    k = len(poly.coeffs) - 1
-    return SpatialPoly({(a, k - a): FieldScalar(Fraction(c, poly.den))
-                        for a, c in enumerate(poly.coeffs) if c})
+def spatial(form: Form, q: int = 0) -> SpatialPoly:
+    """A form's list q as a SpatialPoly built term by term, one FieldScalar
+    per nonzero coefficient: the construction the package's views had
+    before they were parsed from rows."""
+    p = form.lists[q]
+    k = len(p) - 1
+    return SpatialPoly({(a, k - a): FieldScalar(Fraction(c, form.den))
+                        for a, c in enumerate(p) if c})
 
 
 def trig_pairs(d: int) -> list[tuple[FieldScalar, FieldScalar]]:
@@ -137,12 +138,13 @@ def form_json(num: dict, v: int) -> dict:
             "qd_power": v, "velocity_degree": v}
 
 
-def dense_form_value(form, qd: SpatialPoly, x, y, xd, yd) -> FieldScalar:
-    """A bundle's list form over qd**v, v = len(form) - 1, at a point, exactly."""
-    v = len(form) - 1
+def dense_form_value(form: Form, qd: SpatialPoly, x, y, xd, yd) -> FieldScalar:
+    """A bundle's velocity form over qd**v, v = len(form.lists) - 1, at a
+    point, exactly."""
+    v = len(form.lists) - 1
     total = FieldScalar.rational(0)
-    for q, poly in enumerate(form):
-        total = total + spatial(poly).eval_exact(x, y) * xd ** (v - q) * yd ** q
+    for q in range(v + 1):
+        total = total + spatial(form, q).eval_exact(x, y) * xd ** (v - q) * yd ** q
     return total * (qd.eval_exact(x, y) ** v).inverse()
 
 

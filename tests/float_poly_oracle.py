@@ -11,16 +11,16 @@ as a bundle's ``r_dot``, the same way, for derivative oracles.
 
 import math
 
-from chamberlab.poly import DensePoly
+from chamberlab.poly import Form
 from field_oracle import exact_sign
 
 
-def float_terms(poly) -> list[tuple[int, int, float]]:
-    """A DensePoly's ``float_terms()``; a SpatialPoly's terms in canonical
+def float_terms(poly, q: int = 0) -> list[tuple[int, int, float]]:
+    """A Form's ``float_terms(q)``; a SpatialPoly's terms in canonical
     order, each coefficient the nearest double: a rational one by ``float``,
     a wall's +-sqrt(k)/2 from k = 4 c**2, exactly an integer."""
-    if isinstance(poly, DensePoly):
-        return poly.float_terms()
+    if isinstance(poly, Form):
+        return poly.float_terms(q)
     out = []
     for (a, b), c in poly.sorted_terms():
         if c.is_rational:
@@ -32,18 +32,18 @@ def float_terms(poly) -> list[tuple[int, int, float]]:
     return out
 
 
-def float_poly_value(poly, x: float, y: float) -> float:
+def float_poly_value(poly, x: float, y: float, q: int = 0) -> float:
     total = 0
-    for a, b, c in float_terms(poly):
+    for a, b, c in float_terms(poly, q):
         total += c * x**a * y**b
     return total
 
 
-def float_reduced_value(form, qd, st) -> float:
-    """A list form over qd**v, v = len(form) - 1, at a curve state, summed
-    entry by entry."""
-    v = len(form) - 1
+def float_reduced_value(form: Form, qd, st) -> float:
+    """A velocity form over qd**v, v = len(form.lists) - 1, at a curve state,
+    summed entry by entry."""
+    v = len(form.lists) - 1
     num = 0
-    for q, poly in enumerate(form):
-        num += float_poly_value(poly, st.x, st.y) * st.xd**(v - q) * st.yd**q
+    for q in range(v + 1):
+        num += float_poly_value(form, st.x, st.y, q) * st.xd**(v - q) * st.yd**q
     return num / float_poly_value(qd, st.x, st.y) ** v

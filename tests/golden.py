@@ -65,7 +65,7 @@ from chamberlab.numerics import (
     normal_residual,
     state_from_angle,
 )
-from chamberlab.poly import DensePoly
+from chamberlab.poly import Form
 from chamberlab.reduction import build_bundle, bundle_to_json
 from grid import MIXED_D4, grid_key, mixed_d4_case, multiplicity_grid
 
@@ -131,7 +131,7 @@ def certificate_sha256(certificate: dict) -> str:
 def resultant_sha256(report) -> str:
     """SHA-256 of ``json.dumps`` of the resultant's JSON rows, written from
     the report's coefficient list."""
-    return _sha256(json.dumps(DensePoly(report.coeffs, report.scale).to_json()))
+    return _sha256(json.dumps(Form([report.coeffs], report.scale).rows()))
 
 
 def bundle_sha256(bundle) -> str:

@@ -22,7 +22,7 @@ from chamberlab.certify import (
 )
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar
-from chamberlab.poly import X, Y, DensePoly, SpatialPoly
+from chamberlab.poly import X, Y, SpatialPoly, reduced
 from chamberlab.reduction import build_bundle, wall_products
 from golden import GRID_CERTIFICATE_HASHES, PARAMETRIC_CERTIFICATES, PARAMETRIC_ROWS, \
     certificate_sha256, stable_certificate_text
@@ -119,22 +119,24 @@ def test_planted_common_root_resultant_is_zero(u5):
     report = compute_resultant(bundle)
 
     # both forms share the factor (y*t - x): resultant must vanish
-    fake = compute_resultant(_fake_bundle(bundle.case, (_lin(-1, 0), _lin(0, 1), _ZERO, _ZERO),
-                                          (_lin(-1, 0), _lin(0, 1), _ZERO, _ZERO, _ZERO, _ZERO)))
+    fake = compute_resultant(_fake_bundle(bundle.case, [_lin(-1, 0), _lin(0, 1), _ZERO, _ZERO],
+                                          [_lin(-1, 0), _lin(0, 1), _ZERO, _ZERO, _ZERO, _ZERO]))
     assert fake.identically_zero
     assert not report.identically_zero
 
 
 def _lin(a, b):
-    """a*x + b*y as a list (coeffs[i] is the coefficient of x^i y^(k - i))."""
-    return DensePoly([b, a])
+    """a*x + b*y as a list (entry i is the coefficient of x^i y^(k - i))."""
+    return [b, a]
 
 
-_ZERO = DensePoly([])
+_ZERO = [0, 0]
 
 
-def _fake_bundle(case, a_coeffs, c_coeffs):
-    return SimpleNamespace(case=case, dense_a=a_coeffs, dense_c=c_coeffs)
+def _fake_bundle(case, a_lists, c_lists, den_a=1, den_c=1):
+    """A bundle with only the forms A and C, over den_a and den_c."""
+    return SimpleNamespace(case=case, dense_a=reduced(a_lists, den_a),
+                           dense_c=reduced(c_lists, den_c))
 
 
 def test_resultant_rejects_irrational_coefficients():
@@ -146,22 +148,15 @@ def test_resultant_rejects_irrational_coefficients():
         wall_products(irrational)
 
 
-def test_resultant_rejects_mixed_degrees(u5):
-    bundle = _fake_bundle(u5, (_lin(-1, 0), _lin(0, 1), DensePoly([0, 1, 0]), _lin(0, 1)),
-                          (_lin(1, 0), _lin(0, 1), _lin(1, 0), _lin(0, 1), _ZERO, _lin(1, 0)))
-    with pytest.raises(PipelineError, match="one common degree"):
-        compute_resultant(bundle)
-
-
 def test_resultant_rational_boundary_scales_back(u5):
-    # Denominators are cleared per list and divided out again: halving every
-    # A coefficient and thirding every C coefficient scales the resultant by
+    # A form's denominator scales the Sylvester rows and is divided out
+    # again: A over 2 and C over 3 scale the resultant by
     # (1/2)^5 * (1/3)^3 (five rows of A, three of C).
-    a = (_lin(-1, 0), _lin(0, 1), _lin(2, 0), _lin(0, 3))
-    c = (_lin(1, 0), _lin(0, 5), _lin(1, 0), _lin(0, -1), _ZERO, _lin(7, 0))
+    a = [_lin(-1, 0), _lin(0, 1), _lin(2, 0), _lin(0, 3)]
+    c = [_lin(1, 0), _lin(0, 5), _lin(1, 0), _lin(0, -1), _ZERO, _lin(7, 0)]
     whole = compute_resultant(_fake_bundle(u5, a, c))
-    scaled = compute_resultant(_fake_bundle(u5, tuple(DensePoly(p.coeffs, 2) for p in a),
-                                            tuple(DensePoly(p.coeffs, 3) for p in c)))
+    scaled = compute_resultant(_fake_bundle(u5, a, c, 2, 3))
+    assert scaled.scale == whole.scale * 2 ** 5 * 3 ** 3
     assert whole.degree == scaled.degree == 3 * 1 + 5 * 1
     assert scaled.poly == whole.poly * FieldScalar.rational(1, 2 ** 5 * 3 ** 3)
 

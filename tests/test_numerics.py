@@ -29,7 +29,7 @@ from chamberlab.numerics import (
     step_candidate,
     step_minimal,
 )
-from chamberlab.poly import DensePoly
+from chamberlab.poly import Form
 from chamberlab.reduction import build_bundle
 from bundle_oracle import trig_pairs
 from field_oracle import exact_sign
@@ -606,12 +606,13 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
                 expected = not walls[0] > -1e-9 and all(v > 1e-9 for v in walls[1:])
                 assert lab.inside(x, y) is expected, case.label
                 assert lab.clear(tuple(walls)) is expected, case.label
-    zero = numerics._kernel("zero", ("x", "y"), {"z": DensePoly([]).float_terms()}, "z")
-    assert zero(1.5, -0.25) == 0 and float_poly_value(DensePoly([]), 1.5, -0.25) == 0
+    zero_form = Form([[0, 0]], 1)
+    zero = numerics._kernel("zero", ("x", "y"), {"z": zero_form.float_terms()}, "z")
+    assert zero(1.5, -0.25) == 0 and float_poly_value(zero_form, 1.5, -0.25) == 0
     # Coefficients beyond the float range: the terms are 0.0, -inf, 0.0,
     # -0.0 and 0.0, and the kernel rounds, overflows and makes nan as the
     # term loop does.
-    wide = DensePoly([1, -1, 3, -10**800, 5], 10**400)
+    wide = Form([[1, -1, 3, -10**800, 5]], 10**400)
     assert [repr(c) for _, _, c in wide.float_terms()] == ["0.0", "-inf", "0.0", "-0.0", "0.0"]
     kernel = numerics._kernel("wide", ("x", "y"), {"z": wide.float_terms()}, "z")
     for x, y in ((1.5, -0.25), (0, 2), (-3, 0)):

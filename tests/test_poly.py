@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chamberlab import resultant
 from chamberlab.errors import ExactDivisionError
 from chamberlab.field import FieldScalar, ONE
-from chamberlab.poly import DensePoly, SpatialPoly, X, Y, add, arc_derivative, dx, dy, \
-    form_flow, form_product, mul, rows_text, scale
+from chamberlab.poly import Form, SpatialPoly, X, Y, add, arc_derivative, dx, dy, \
+    form_flow, form_product, mul, reduced, rows_text, scale
 from bundle_oracle import spatial
 from float_poly_oracle import float_poly_value
 
@@ -58,7 +59,7 @@ def test_form_product_adds_degrees():
     u = [[0, 1], [1, 0]]
     v = form_product(u, u)
     assert len(v) == 3
-    assert spatial(DensePoly(v[1])) == X * Y * 2
+    assert spatial(Form(v, 1), 1) == X * Y * 2
 
 
 def test_exact_division_of_linear_factor():
@@ -101,22 +102,21 @@ def test_rows_text_renders_each_row():
     assert rows_text(p.to_json()) == p.to_text() == (
         "(1/1 + 0/1*r2 + 0/1*r3 + 0/1*r6)*x^2*y^1 + (5/1 + 0/1*r2 + 0/1*r3 + 0/1*r6)*x^1"
         " + (0/1 + -1/1*r2 + 0/1*r3 + 0/1*r6)*y^1")
-    assert rows_text(DensePoly([3]).to_json()) == "(3/1 + 0/1*r2 + 0/1*r3 + 0/1*r6)"
+    assert rows_text(Form([[3]], 1).rows()) == "(3/1 + 0/1*r2 + 0/1*r3 + 0/1*r6)"
     assert rows_text([]) == SpatialPoly.zero().to_text() == "0"
 
 
 # -- arc differentiation -----------------------------------------------------
 
 # The single-wall chamber: qd = -y and R = -xd / y, the numerator xd over qd.
-# Forms and polynomials are (lists, denominator) pairs.
-QD_1 = ([-1, 0], 1)
+# Forms are (lists, denominator) pairs, a polynomial a form with one list.
+QD_1 = ([[-1, 0]], 1)
 R_1 = ([[1], [0]], 1)
 ZERO_ENTRY = SpatialPoly.zero()
 
 
 def _entries(form):
-    entries, den = form
-    return [spatial(DensePoly(p, den)) for p in entries]
+    return [spatial(Form(*form), q) for q in range(len(form[0]))]
 
 
 def test_arc_derivative_of_coordinate_is_velocity():
@@ -140,19 +140,20 @@ def test_arc_derivative_single_wall_chain():
     assert _entries(out) == [ZERO_ENTRY, four_thirds, ZERO_ENTRY]
 
 
-def test_dense_poly_round_trip_and_arithmetic():
+def test_form_round_trip_and_list_arithmetic():
     # The list helpers on numerators, the denominators carried beside them.
     p = X * X * FieldScalar.rational(3, 4) - X * Y * FieldScalar.rational(1, 6) + Y * Y
     q = X * 2 - Y * FieldScalar.rational(5, 3)
-    dp, dq = DensePoly([12, -2, 9], 12), DensePoly([-5, 6], 3)
+    (fp,), den_p = dp = reduced([[12, -2, 9]], 12)
+    (fq,), den_q = dq = reduced([[-5, 6]], 3)
     assert spatial(dp) == p and spatial(dq) == q
-    assert spatial(DensePoly(mul(dp.coeffs, dq.coeffs), dp.den * dq.den)) == p * q
-    assert mul(dp.coeffs, dq.coeffs) == mul(dq.coeffs, dp.coeffs)
-    assert spatial(DensePoly(dx(dp.coeffs), dp.den)) == p.partial_derivative("x")
-    assert spatial(DensePoly(dy(dp.coeffs), dp.den)) == p.partial_derivative("y")
-    assert spatial(DensePoly(add(dp.coeffs, scale(-1, dp.coeffs)))) == SpatialPoly.zero()
+    assert spatial(Form([mul(fp, fq)], den_p * den_q)) == p * q
+    assert mul(fp, fq) == mul(fq, fp)
+    assert spatial(Form([dx(fp)], den_p)) == p.partial_derivative("x")
+    assert spatial(Form([dy(fp)], den_p)) == p.partial_derivative("y")
+    assert spatial(Form([add(fp, scale(-1, fp))], 1)) == SpatialPoly.zero()
     with pytest.raises(ValueError, match="different degrees"):
-        add(dp.coeffs, dq.coeffs)
+        add(fp, fq)
 
 
 # -- integer lists -------------------------------------------------------------
@@ -202,7 +203,9 @@ def test_list_sum_of_unequal_lengths_raises():
 
 def test_list_derivative_of_a_constant_has_degree_minus_one():
     # d/dx of a constant is [], and its product with a degree-k list is the
-    # zero list of degree k - 1, which a sum of that degree accepts.
+    # zero list of degree k - 1, which a sum of that degree accepts.  The
+    # root scan's derivative in u is the same function.
+    assert resultant.derivative is dx
     assert dx([7]) == dy([7]) == []
     assert mul([1, 2, 3], dx([7])) == [0, 0]
     assert add(mul([1, 2, 3], dy([7])), [4, 5]) == [4, 5]

@@ -10,7 +10,7 @@ from chamberlab import reduction
 from chamberlab.cases import registry_case
 from chamberlab.errors import PipelineError
 from chamberlab.field import FieldScalar, ONE, ZERO
-from chamberlab.poly import ZERO_POLY, DensePoly, SpatialPoly, X, Y, arc_derivative
+from chamberlab.poly import ZERO_POLY, Form, SpatialPoly, X, Y, arc_derivative, reduced
 from chamberlab.reduction import ReductionBundle, build_bundle, build_walls, \
     bundle_to_json, verify_reference_example, wall_rows
 from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
@@ -26,9 +26,14 @@ def _rat(p, q=1):
     return FieldScalar.rational(p, q)
 
 
-def _mirror(p):
-    """The polynomial p(y, x)."""
-    return DensePoly(p.coeffs[::-1], p.den)
+def _mirror(form, q=0):
+    """List q of a form as the polynomial p(y, x), a one-list form."""
+    return Form([form.lists[q][::-1]], form.den)
+
+
+def _entry(form, q):
+    """List q of a form as a one-list form."""
+    return Form([form.lists[q]], form.den)
 
 
 def _poly(mapping):
@@ -108,9 +113,9 @@ def test_t12_d2_parametric():
 def test_t12_degrees(all_cases):
     for case in all_cases:
         t1, t2 = build_bundle(case).dense_t[:2]
-        if t1.coeffs:
-            assert t1.homogeneous_degree() == case.d - 1, case.label
-        assert t2.homogeneous_degree() == case.d - 1, case.label
+        if any(t1.lists[0]):
+            assert t1.degree() == case.d - 1, case.label
+        assert t2.degree() == case.d - 1, case.label
 
 
 def test_t345_single_wall():
@@ -141,8 +146,8 @@ def test_t345_mirror_symmetry_u5(u5):
 def test_t345_degrees(all_cases):
     for case in all_cases:
         for t in build_bundle(case).dense_t[2:]:
-            if t.coeffs:
-                assert t.homogeneous_degree() == 2 * case.d - 2, case.label
+            if any(t.lists[0]):
+                assert t.degree() == 2 * case.d - 2, case.label
 
 
 # -- R and its derivatives ------------------------------------------------------
@@ -170,15 +175,14 @@ def test_r_derivative_shapes(all_cases):
     for case in all_cases:
         b = build_bundle(case)
         for form, stage in ((b.r_dot, 2), (b.r_ddot, 3)):
-            assert len(form) == stage + 1, case.label
-            for poly in form:
-                if poly.coeffs:
-                    assert len(poly.coeffs) - 1 == stage * (case.d - 1), case.label
+            assert len(form.lists) == stage + 1, case.label
+            for p in form.lists:
+                assert len(p) - 1 == stage * (case.d - 1), case.label
 
 
 def test_r_dot_single_wall():
     r_dot = build_bundle(registry_case("SOn-1")).r_dot
-    assert [(p.coeffs, p.den) for p in r_dot] == [([], 1), ([4], 3), ([], 1)]
+    assert r_dot == Form([[0], [4], [0]], 3)
 
 
 # -- assembled coefficients ------------------------------------------------------
@@ -206,12 +210,10 @@ def test_assemble_a_d2():
 def test_assemble_degrees(all_cases):
     for case in all_cases:
         bundle = build_bundle(case)
-        for j, a in enumerate(bundle.dense_a):
-            if a.coeffs:
-                assert a.homogeneous_degree() == 3 * (case.d - 1), (case.label, j)
-        for j, c in enumerate(bundle.dense_c):
-            if c.coeffs:
-                assert c.homogeneous_degree() == 4 * (case.d - 1), (case.label, j)
+        for j, a in enumerate(bundle.dense_a.lists):
+            assert len(a) - 1 == 3 * (case.d - 1), (case.label, j)
+        for j, c in enumerate(bundle.dense_c.lists):
+            assert len(c) - 1 == 4 * (case.d - 1), (case.label, j)
 
 
 def test_c_table_last_line(all_cases):
@@ -234,9 +236,9 @@ def test_all_zero_a_gives_all_zero_c():
     from chamberlab.reduction import _quintic
 
     bundle = build_bundle(registry_case("SU3"))
-    qd, (t1, t2) = bundle.dense_qd, bundle.dense_t[:2]
-    t = ([c * t2.den for c in t1.coeffs], [c * t1.den for c in t2.coeffs]), t1.den * t2.den
-    table, _ = _quintic((qd.coeffs, qd.den), t, ([[0] * 7] * 4, 1))
+    ((t1,), den_1), ((t2,), den_2) = bundle.dense_t[:2]
+    t = ([c * den_2 for c in t1], [c * den_1 for c in t2]), den_1 * den_2
+    table, _ = _quintic(bundle.dense_qd, t, ([[0] * 7] * 4, 1))
     assert len(table) == 6 and all(c == [0] * 9 for c in table)
 
 
@@ -255,8 +257,8 @@ def test_bundle_wall_degrees(all_cases):
         rows = wall_rows(case)
         assert len(rows) == case.d and all(rows), case.label
         assert all(a + b == 1 for wall in rows for a, b, _ in wall), case.label
-        assert bundle.dense_qd.homogeneous_degree() == case.d
-        assert bundle.dense_volume_sq.homogeneous_degree() == 2 * sum(case.multiplicities)
+        assert bundle.dense_qd.degree() == case.d
+        assert bundle.dense_volume_sq.degree() == 2 * sum(case.multiplicities)
 
 
 def _flat_degrees(report):
@@ -275,8 +277,8 @@ def test_degree_table_over_the_multiplicity_grid(multiplicity_grid):
                     "a": [3 * (d - 1)] * 4, "c": [4 * (d - 1)] * 6,
                     "r": [d - 1] * 2, "r_dot": [2 * (d - 1)] * 3, "r_ddot": [3 * (d - 1)] * 4}
         got = {**bundle.degree_report(),
-               **{key: [p.homogeneous_degree() for p in getattr(bundle, key)]
-                  for key in ("r", "r_dot", "r_ddot")}}
+               **{key: [form.degree(q) for q in range(len(form.lists))]
+                  for key in ("r", "r_dot", "r_ddot") for form in [getattr(bundle, key)]}}
         pairs = zip(_flat_degrees(got), _flat_degrees(expected), strict=True)
         for (key, degree), (want_key, want) in pairs:
             assert key == want_key, (case.multiplicities, key, want_key)
@@ -340,7 +342,7 @@ def test_bundle_derives_each_stage_once(monkeypatch, u5):
     finally:
         build_bundle.cache_clear()
     assert len(calls) == 2
-    assert reduction._dense(calls[0]) == bundle.r and reduction._dense(calls[1]) == bundle.r_dot
+    assert reduced(*calls[0]) == bundle.r and reduced(*calls[1]) == bundle.r_dot
 
 
 def test_pipeline_error_on_invalid_case():
@@ -382,10 +384,10 @@ def test_reference_example_names_one_changed_coefficient(monkeypatch):
 
 def test_reference_example_reports_a_broken_mirror(monkeypatch, u5):
     bundle = build_bundle(u5)
-    a3 = bundle.dense_a[3]
-    coeffs = a3.coeffs.copy()
-    coeffs[0] += a3.den  # A3's y^9 coefficient, the mirror of A0's x^9
-    broken = bundle._replace(dense_a=(*bundle.dense_a[:3], DensePoly(coeffs, a3.den)))
+    lists, den = bundle.dense_a
+    a3 = lists[3].copy()
+    a3[0] += den  # A3's y^9 coefficient, the mirror of A0's x^9
+    broken = bundle._replace(dense_a=Form([*lists[:3], a3], den))
     monkeypatch.setattr(reduction, "build_bundle", lambda case: broken)
     report = verify_reference_example()
     assert not report["passed"]
@@ -429,8 +431,8 @@ def test_reference_example_rejects_inconsistent_case(monkeypatch, u5):
 
 def test_u5_mirror_symmetry_of_derived_coefficients(u5):
     a = build_bundle(u5).dense_a
-    assert _mirror(a[0]) == a[3]
-    assert _mirror(a[1]) == a[2]
+    assert _mirror(a, 0) == _entry(a, 3)
+    assert _mirror(a, 1) == _entry(a, 2)
 
 
 def test_mirror_symmetry_only_for_symmetric_multiplicities():
@@ -438,7 +440,7 @@ def test_mirror_symmetry_only_for_symmetric_multiplicities():
     # are mirror symmetric (m_i == m_{d-1-i} fails for SOpxSOq p != q).
     asym = registry_case("SOpxSOq", {"p": 2, "q": 4})
     a = build_bundle(asym).dense_a
-    assert _mirror(a[0]) != a[3]
+    assert _mirror(a, 0) != _entry(a, 3)
 
 
 # -- the dense derivation against the sparse oracle -------------------------------
@@ -485,7 +487,7 @@ def test_mixed_d4_multiplicities_derive_and_certify():
     for mults in MIXED_D4:
         case = mixed_d4_case(mults)
         bundle = build_bundle(case)
-        assert bundle.dense_volume_sq.homogeneous_degree() == 2 * sum(mults)
+        assert bundle.dense_volume_sq.degree() == 2 * sum(mults)
         cert = certify_case(case)
         assert cert["conclusion"] == "nonexistence-certified", mults
         assert certificate_sha256(cert) == golden[grid_key(case)], mults
@@ -500,9 +502,38 @@ def _default_and_parametric_rows():
     return list(default_cases()) + [registry_case(n, p) for n, p in PARAMETRIC_ROWS]
 
 
-def _dense_polys(bundle):
-    return [bundle.dense_qd, bundle.dense_volume_sq, *bundle.dense_t, *bundle.r,
-            *bundle.r_dot, *bundle.r_ddot, *bundle.dense_a, *bundle.dense_c]
+def _forms(bundle):
+    return [bundle.dense_qd, bundle.dense_volume_sq, *bundle.dense_t, bundle.r,
+            bundle.r_dot, bundle.r_ddot, bundle.dense_a, bundle.dense_c]
+
+
+def _entries(bundle):
+    """(form, q) for every list q of every stored form."""
+    return [(form, q) for form in _forms(bundle) for q in range(len(form.lists))]
+
+
+def test_every_stored_field_is_a_reduced_form(multiplicity_grid):
+    # compute_resultant reads A's and C's lists with no degree check: each
+    # field build_bundle stores, A and C included, is integer lists of one
+    # length over a denominator coprime to all their entries, so no form can
+    # hold two degrees.  Over the 14 default rows, the 208 grid cases and
+    # both mixed d = 4 tuples.
+    from chamberlab.cases import default_cases
+
+    cases = [*default_cases(), *multiplicity_grid, *map(mixed_d4_case, MIXED_D4)]
+    assert len(cases) == 14 + 208 + 2
+    for case in cases:
+        bundle = build_bundle(case)
+        forms = _forms(bundle)
+        assert len(forms) == len(ReductionBundle._fields) - 1 + len(bundle.dense_t) - 1
+        assert (len(bundle.dense_a.lists), len(bundle.dense_c.lists)) == (4, 6)
+        for form in forms:
+            lists, den = form
+            key = (case.label, case.multiplicities, form)
+            assert type(form) is Form and type(den) is int and den > 0, key
+            assert len({len(p) for p in lists}) == 1, key
+            assert all(type(c) is int for c in itertools.chain(*lists)), key
+            assert math.gcd(den, *itertools.chain(*lists)) == 1, key
 
 
 def _rounds_to(q: Fraction, f: float) -> bool:
@@ -513,29 +544,34 @@ def _rounds_to(q: Fraction, f: float) -> bool:
 
 
 def test_dense_writers_match_the_spatial_ones():
-    # to_json writes the text of the SpatialPoly built term by term;
+    # rows writes the text of the SpatialPoly built term by term;
     # float_terms has its terms in the same order, each coefficient the
     # correctly rounded quotient.
     for case in _default_and_parametric_rows():
-        for poly in _dense_polys(build_bundle(case)):
-            expected = spatial(poly)
-            assert poly.to_json() == expected.to_json(), case.label
-            terms = poly.float_terms()
+        for form, q in _entries(build_bundle(case)):
+            expected = spatial(form, q)
+            assert form.rows(q) == expected.to_json(), case.label
+            terms = form.float_terms(q)
             assert [(a, b) for a, b, _ in terms] == [m for m, _ in expected.sorted_terms()]
-            assert all(_rounds_to(Fraction(poly.coeffs[a], poly.den), f)
+            assert all(_rounds_to(Fraction(form.lists[q][a], form.den), f)
                        for a, _, f in terms), case.label
     # Past the double range a coefficient rounds to +-inf.
-    huge = DensePoly([-(10 ** 400), 3, 10 ** 400], 7)
+    huge = Form([[-(10 ** 400), 3, 10 ** 400]], 7)
     assert huge.float_terms() == [(2, 0, math.inf), (1, 1, 3 / 7), (0, 2, -math.inf)]
-    assert huge.to_json() == spatial(huge).to_json()
+    assert huge.rows() == spatial(huge).to_json()
 
 
-def test_dense_poly_equality_and_repr():
-    assert DensePoly([2, 4], 6) == DensePoly([1, 2], 3)
-    assert hash(DensePoly([2, 4], 6)) == hash(DensePoly([1, 2], 3))
-    assert DensePoly([1, 2], 3) != DensePoly([1, 2])
-    assert DensePoly([0, 0]) == DensePoly([])
-    assert repr(DensePoly([-2, 0, 1], 3)) == "DensePoly([-2, 0, 1], 3)"
+def test_reduced_forms_compare_by_value():
+    # One gcd over the denominator and every entry of every list: a form is
+    # equal to any other spelling of it once reduced, and a zero form is
+    # over 1.  Lists already reduced are kept, not copied.
+    assert reduced([[2, 4], [0, 6]], 6) == Form([[1, 2], [0, 3]], 3)
+    assert reduced([[2, 4], [0, 3]], 6) == Form([[2, 4], [0, 3]], 6)
+    assert reduced([[0, 0], [0, 0]], 5) == Form([[0, 0], [0, 0]], 1)
+    assert Form([[1, 2]], 3) != Form([[1, 2]], 1)
+    lists = [[1, 2], [3, 0]]
+    assert reduced(lists, 4).lists is lists
+    assert repr(Form([[-2, 0, 1]], 3)) == "Form(lists=[[-2, 0, 1]], den=3)"
 
 
 def _cold_bundle(case):
@@ -557,10 +593,12 @@ def test_cold_builds_compare_equal():
 
 
 def _view_pairs(bundle):
-    """(view, list) for every view parsed from a list."""
-    return [(bundle.qd, bundle.dense_qd), (bundle.volume_sq, bundle.dense_volume_sq),
-            *zip((bundle.t1, bundle.t2, bundle.t3, bundle.t4, bundle.t5), bundle.dense_t),
-            *zip(bundle.a_coeffs, bundle.dense_a), *zip(bundle.c_coeffs, bundle.dense_c)]
+    """(view, (form, q)) for every view parsed from a form's list q."""
+    return [(bundle.qd, (bundle.dense_qd, 0)), (bundle.volume_sq, (bundle.dense_volume_sq, 0)),
+            *zip((bundle.t1, bundle.t2, bundle.t3, bundle.t4, bundle.t5),
+                 ((t, 0) for t in bundle.dense_t)),
+            *zip(bundle.a_coeffs, ((bundle.dense_a, j) for j in range(4)), strict=True),
+            *zip(bundle.c_coeffs, ((bundle.dense_c, j) for j in range(6)), strict=True)]
 
 
 def test_views_are_the_lists_as_spatial_polys():
@@ -568,8 +606,8 @@ def test_views_are_the_lists_as_spatial_polys():
     # term by term: coefficient c / den at x^a y^(k - a) for each nonzero c.
     for case in _default_and_parametric_rows():
         bundle = build_bundle(case)
-        for view, poly in _view_pairs(bundle):
-            assert view.terms == spatial(poly).terms, case.label
+        for view, (form, q) in _view_pairs(bundle):
+            assert view.terms == spatial(form, q).terms, case.label
         assert bundle.c_coeffs is bundle.c_coeffs
 
 

@@ -26,16 +26,24 @@ is rebuilt from the array rather than being the start state, and an int
 field of the start reads back as a float; the CSV text does not change,
 since ``%.17g`` prints 0 and 0.0 alike.
 
-Evaluation order is part of the output.  Kernel contract (see
-:func:`_kernel`): each polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 +
-...`` over its terms in order (``Form.float_terms``, and for the walls
-the constants of :attr:`CaseLab.trig`), each product and each sum left to
-right; each power ``x**a``, ``y**b`` is computed once per call and shared,
-and a factor of exactly 1 (``x**0``) is left out, which changes no bit.
-Every other float sum here is an explicit left-to-right expression or loop
-rather than builtin ``sum``, which compensates on Python 3.12+.  So a
-trajectory's CSV bytes depend only on the float coefficients, each the double
-nearest its exact value, not on the Python version.
+Evaluation order is part of the output.  The kernels use only IEEE-754
+``+``, ``-``, ``*`` and ``/``, each correctly rounded, and never ``**``,
+which calls the C maths library's ``pow`` (libm), whose rounding differs
+from one libm to the next.  Kernel contract (see :func:`_kernel`): each
+power is the product of two smaller ones, x**k = x**(k - k//2) * x**(k//2),
+and each monomial x**a * y**b the x power times the y power, each computed
+once per call and shared by every polynomial of the kernel; a polynomial's
+value is ``0.0 + c_0 * m_0 + c_1 * m_1 + ...`` over its terms in order
+(``Form.float_terms``, and for the walls the constants of
+:attr:`CaseLab.trig`), left to right.  A kernel raises OverflowError when
+one of its powers overflows from a finite value, as ``**`` does.  Every
+other float sum here is an explicit left-to-right expression or loop rather
+than builtin ``sum``, which compensates on Python 3.12+.  So from a given
+start state a trajectory's CSV bytes are the same on every platform whose
+floats are IEEE-754 binary64, whatever its libm and Python version: they
+depend only on the float coefficients, each the double nearest its exact
+value.  :func:`state_from_angle` calls libm's ``cos`` and ``sin``, so a
+start given by an angle is the one place libm still enters.
 """
 
 from __future__ import annotations
@@ -116,42 +124,81 @@ def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: st
     ``polys`` maps a local name to the terms ``(a, b, c)``, c a float, of a
     polynomial in the first two of ``args``.  The function binds each
     polynomial's value to its name and returns ``result``, an expression over
-    those names and ``args``.  Evaluation-order contract: with ``(a_k, b_k, c_k)`` the terms
-    in order, a polynomial's value is ``0 + c_0 * x**a_0 * y**b_0 + ...``,
-    each product and each sum left to right, so it rounds exactly as the
-    plain left-to-right loop does, on any Python version (builtin ``sum`` of
-    floats compensates since 3.12).  Each power ``x**a`` and ``y**b`` is
-    computed once per call and shared by every polynomial; a factor ``x**0``
-    (exactly 1.0) is left out and ``x**1`` is ``x``, neither of which changes
-    a bit.  A zero polynomial's value is the int 0.  Each coefficient enters
-    the source as its ``repr``, which reads back as the same float; ``inf``
-    is a global.
+    those names and ``args``.  Evaluation-order contract, with IEEE-754
+    ``+`` and ``*`` only, each correctly rounded: the powers and monomials
+    are those of :func:`_products`, each computed once per call and shared by
+    every polynomial, and with ``(a_k, b_k, c_k)`` the terms in order a
+    polynomial's value is ``0.0 + c_0 * m_0 + c_1 * m_1 + ...`` left to
+    right, ``m_k`` the monomial ``x**a_k * y**b_k`` (a constant term is
+    ``c_k`` alone).  So it rounds as the plain left-to-right loop of these
+    products does, on any Python version (builtin ``sum`` of floats
+    compensates since 3.12) and any libm.  A zero polynomial's value is 0.0.
+    Each coefficient enters the source as its ``repr``, which reads back as
+    the same float; ``inf`` is a global.  The function raises OverflowError
+    when a power of x or y overflows from a finite value, as ``**`` does.
     """
-    x, y = args[:2]
-    lines = [f"def {name}({', '.join(args)}):"]
-    powers = set()
-
-    def times(left: str, var: str, k: int) -> str:
-        if k == 0:
-            return left
-        if k > 1 and (var, k) not in powers:
-            powers.add((var, k))
-            lines.append(f"{var}{k} = {var} ** {k}")
-        return f"{left} * {var if k == 1 else f'{var}{k}'}"
-
-    for local, terms in polys.items():
-        value = "".join(f" + {times(times(repr(c), x, a), y, b)}" for a, b, c in terms)
-        lines.append(f"{local} = 0{value}")
-    lines.append(f"return {result}")
-    return _define("\n    ".join(lines), name, inf=math.inf)
+    lines, factor = _products(args[0], args[1],
+                              {(a, b) for terms in polys.values() for a, b, _ in terms})
+    lines.extend(f"{local} = {_sum(f'{c!r}{factor[a, b]}' for a, b, c in terms)}"
+                 for local, terms in polys.items())
+    source = "\n    ".join([f"def {name}({', '.join(args)}):", *lines, f"return {result}"])
+    return _define(source, name)
 
 
-def _define(source: str, name: str, **names) -> Callable:
+def _power_lines(var: str, top: int) -> list[str]:
+    """Source lines that bind ``var<k>`` to the power var**k for k = 2 ..
+    ``top``, each the product of two smaller ones by one rule, x**k =
+    x**(k - k//2) * x**(k//2) with x**1 the variable itself; then raise
+    OverflowError when var**top overflows from a finite ``var``, as
+    ``var ** top`` does.  The factors' exponents do not decrease as k grows,
+    and rounding is monotone, so for |var| >= 1 the computed powers do not
+    shrink as k grows, and for |var| < 1 none overflows: var**top overflows
+    whenever any power does.
+    """
+    if top < 2:
+        return []
+    return [*(f"{var}{k} = {_power(var, k - k // 2)} * {_power(var, k // 2)}"
+              for k in range(2, top + 1)),
+            f"if {var}{top} - {var}{top} != 0.0 and {var} - {var} == 0.0: "
+            f"raise OverflowError('{var}^{top} is out of range')"]
+
+
+def _power(var: str, k: int) -> str:
+    return var if k == 1 else f"{var}{k}"
+
+
+def _products(x: str, y: str, monomials) -> tuple[list[str], dict]:
+    """Source lines that bind the powers of ``x`` and ``y`` (see
+    :func:`_power_lines`) and each monomial x**a * y**b with a, b > 0 of
+    ``monomials`` to ``m<a>_<b>``, the x power times the y power; and the
+    factor text of each monomial in a term, ``" * <name>"``, or ``""`` for
+    (0, 0)."""
+    lines = (_power_lines(x, max((a for a, _ in monomials), default=0))
+             + _power_lines(y, max((b for _, b in monomials), default=0)))
+    factor = {}
+    for a, b in sorted(monomials):
+        if a and b:
+            lines.append(f"m{a}_{b} = {_power(x, a)} * {_power(y, b)}")
+            factor[a, b] = f" * m{a}_{b}"
+        else:
+            factor[a, b] = f" * {_power(x, a)}" if a else f" * {_power(y, b)}" if b else ""
+    return lines, factor
+
+
+def _sum(terms) -> str:
+    """The text ``0.0 + term_0 + term_1 + ...`` of term texts, so a sum of
+    floats starts from 0.0 and runs left to right."""
+    return "0.0" + "".join(f" + {term}" for term in terms)
+
+
+def _define(source: str, name: str) -> Callable:
     """Run source text that defines function ``name``; return the function.
 
-    The source sees ``names`` as its globals and no builtins.
+    The source sees no builtins, and as its globals only ``inf``, ``nan``
+    and ``OverflowError``.
     """
-    namespace = {"__builtins__": {}, **names}
+    namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
+                 "OverflowError": OverflowError}
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -209,22 +256,34 @@ def _row_kernel(trig, multiplicities) -> Callable:
     """Compile :attr:`CaseLab.row` from the wall table ``trig`` and the multiplicities.
 
     k_i keeps both terms, even one whose constant is 0.0.  The constants enter
-    the source as ``repr`` text, which reads back as the same float or int.
+    the source as ``repr`` text, which reads back as the same float; an int
+    multiplicity m becomes float(m), with the same products.  The cubic
+    A0 xd^3 + ... + A3 yd^3 and the quadratic t3 xd^2 + t4 xd yd + t5 yd^2
+    follow :func:`_kernel`'s rule in (xd, yd), with one set of monomials,
+    and q^3 is q^2 * q, computed for an interior row only; the row raises
+    OverflowError when xd^3, yd^3 or that q^3 overflows.
     """
     d = len(trig)
+    multiplicities = [float(m) for m in multiplicities]
+    cubic, quadratic = ((3, 0), (2, 1), (1, 2), (0, 3)), ((2, 0), (1, 1), (0, 2))
+    lines, factor = _products("xd", "yd", {*cubic, *quadratic})
+    head = "(s, x, y, xd, yd, kd + f, kd * kd + a_sq, res_poly"
     source = "\n    ".join([
         "def row(s, x, y, xd, yd, values, kd, r_dot, r_ddot):",
         f"({', '.join(f'w{i}' for i in range(d))},), q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = values",
         *(f"k{i} = ({sin_i!r} * yd + {cos_i!r} * xd) / w{i}"
           for i, (sin_i, cos_i) in enumerate(trig)),
-        "f = 0" + "".join(f" + {m!r} * k{i}" for i, m in enumerate(multiplicities)),
-        "a_sq = 0" + "".join(f" + {m!r} * k{i} * k{i}" for i, m in enumerate(multiplicities)),
-        "return (s, x, y, xd, yd, kd + f, kd * kd + a_sq,"
-        " 0.0 + a0 * xd**3 + a1 * xd**2 * yd + a2 * xd * yd**2 + a3 * yd**3,"
-        " nan if r_dot is None else q**3 * r_ddot + q * (t1 * xd + t2 * yd) * (q * r_dot)"
-        " - (t3 * xd**2 + t4 * xd * yd + t5 * yd**2) * (-t2 * xd + t1 * yd))",
+        f"f = {_sum(f'{m!r} * k{i}' for i, m in enumerate(multiplicities))}",
+        f"a_sq = {_sum(f'{m!r} * k{i} * k{i}' for i, m in enumerate(multiplicities))}",
+        *lines,
+        f"res_poly = {_sum(f'a{j}{factor[m]}' for j, m in enumerate(cubic))}",
+        f"if r_dot is None: return {head}, nan)",
+        *_power_lines("q", 3),
+        f"return {head}, q3 * r_ddot + q * (t1 * xd + t2 * yd) * (q * r_dot)"
+        f" - ({_sum(f't{3 + j}{factor[m]}' for j, m in enumerate(quadratic))})"
+        " * (-t2 * xd + t1 * yd))",
     ])
-    return _define(source, "row", nan=math.nan)
+    return _define(source, "row")
 
 
 @lru_cache(maxsize=None)
@@ -320,10 +379,10 @@ def _rk4(R: Callable, coeff: float, h: float, x: float, y: float, xd: float, yd:
     w = coeff * R(x4, y4, xd4, yd4)
     a4, b4 = w * yd4, -w * xd4
     sixth = h / 6.0
-    return (x + sixth * (xd + 2 * xd2 + 2 * xd3 + xd4),
-            y + sixth * (yd + 2 * yd2 + 2 * yd3 + yd4),
-            xd + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
-            yd + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
+    return (x + sixth * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4),
+            y + sixth * (yd + 2.0 * yd2 + 2.0 * yd3 + yd4),
+            xd + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            yd + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
 
 def step_minimal(st: CurveState, case: CaseSpec, h: float) -> CurveState:
@@ -528,7 +587,7 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
             if moved:
                 current = row(s, x, y, xd, yd, v,
                               (yd1 - ydp) / h2 * xd - (xd1 - xdp) / h2 * yd,
-                              (r1 - rp) / h2, (r1 - 2 * r + rp) / hh)
+                              (r1 - rp) / h2, (r1 - 2.0 * r + rp) / hh)
                 if v1 is None:  # the curve ends here, with an endpoint row
                     break
                 data.extend(current)

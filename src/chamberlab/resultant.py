@@ -80,9 +80,15 @@ IntPoly = list[int]
 
 
 def divide_exact(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact quotient p / d in Z[u]; raises ExactDivisionError otherwise."""
-    if not d:
-        raise ExactDivisionError("division by the zero polynomial")
+    """Exact quotient p / d in Z[u]; raises ExactDivisionError otherwise.
+
+    Zero entries at the top of d are dropped first, so the quotient's length
+    is len(p) minus the length of d without them, plus one.
+    """
+    if not d or not d[-1]:
+        d = subtract(d, [])
+        if not d:
+            raise ExactDivisionError("division by the zero polynomial")
     if not p:
         return []
     shift = len(p) - len(d)

@@ -1,12 +1,15 @@
 """Test oracle for the lab's compiled float polynomials: the plain term loop.
 
-This is the float evaluator the lab used before its polynomials were compiled
-to straight-line functions, written as an explicit left-to-right loop so that
-it does not depend on builtin ``sum`` (which compensates on Python 3.12+).
-Starting from the int 0 and adding ``c * x**a * y**b`` term by term in
-:func:`float_terms` order, it rounds exactly as the compiled function must.
+This is the float evaluator the lab's compiled straight-line functions must
+agree with bit for bit, written as an explicit left-to-right loop so that it
+does not depend on builtin ``sum`` (which compensates on Python 3.12+), and
+with products only, so that it does not depend on libm's ``pow``.  Each
+power is x**k = x**(k - k//2) * x**(k//2) (:func:`power`), each monomial
+the x power times the y power (:func:`monomial`), and starting from 0.0 the
+loop adds ``c * x**a * y**b`` term by term in :func:`float_terms` order.
 ``float_reduced_value`` evaluates a velocity form over a power of qd, such
-as a bundle's ``r_dot``, the same way, for derivative oracles.
+as a bundle's ``r_dot``, from these values, for derivative oracles, which
+compare approximately; its own powers of xd, yd and qd are ``**``.
 """
 
 import math
@@ -32,10 +35,32 @@ def float_terms(poly, q: int = 0) -> list[tuple[int, int, float]]:
     return out
 
 
+def power(x: float, k: int) -> float:
+    """x**k as products: 1.0 for k = 0, x for k = 1, and
+    x**(k - k//2) * x**(k//2) above.
+
+    Raises OverflowError when the power overflows from a finite x, as
+    ``x ** k`` does.
+    """
+    if k < 2:
+        return x if k else 1.0
+    p = power(x, k - k // 2) * power(x, k // 2)
+    if math.isinf(p) and math.isfinite(x):
+        raise OverflowError(f"{x!r}^{k} is out of range")
+    return p
+
+
+def monomial(x: float, y: float, a: int, b: int) -> float:
+    """x**a * y**b as the x power times the y power.  A factor x**0 or y**0
+    is 1.0, which changes no bit, so this equals the kernels' monomial,
+    which leaves that factor out."""
+    return power(x, a) * power(y, b)
+
+
 def float_poly_value(poly, x: float, y: float, q: int = 0) -> float:
-    total = 0
+    total = 0.0
     for a, b, c in float_terms(poly, q):
-        total += c * x**a * y**b
+        total += c * monomial(x, y, a, b)
     return total
 
 

@@ -2,8 +2,10 @@
 
 The per-row helpers ``wall_curvatures``, ``scalars``, ``cubic_form`` and
 ``ode_form`` compute the wall curvatures, f, |A|^2, res_poly and res_ode one
-value at a time, rounding as the lab's row kernel must; they are the
-reference the row kernel is compared with.
+value at a time, rounding as the lab's row kernel must: each power and
+monomial of xd, yd and q is a product by ``float_poly_oracle``'s rule, and
+each polynomial a sum from 0.0 left to right.  They are the reference the
+row kernel is compared with.
 
 ``integrate_two_pass`` is ``integrate_curve`` as it was before it became one
 pass: the RK4 loop tests each new state with the lab's ``inside`` kernel and
@@ -25,6 +27,7 @@ from chamberlab.numerics import (
     _rk4,
     get_lab,
 )
+from float_poly_oracle import monomial, power
 
 
 def wall_curvatures(trig, walls, xd: float, yd: float) -> list[float]:
@@ -43,17 +46,23 @@ def scalars(lab, kd: float, wall_ks: list[float]) -> tuple[float, float]:
 
 
 def cubic_form(a0, a1, a2, a3, xd: float, yd: float) -> float:
-    """A0 xd^3 + A1 xd^2 yd + A2 xd yd^2 + A3 yd^3, from 0.0 left to right."""
-    return 0.0 + a0 * xd**3 + a1 * xd**2 * yd + a2 * xd * yd**2 + a3 * yd**3
+    """A0 xd^3 + A1 xd^2 yd + A2 xd yd^2 + A3 yd^3, from 0.0 left to right,
+    each term the coefficient times the monomial."""
+    total = 0.0
+    for c, (a, b) in zip((a0, a1, a2, a3), ((3, 0), (2, 1), (1, 2), (0, 3))):
+        total += c * monomial(xd, yd, a, b)
+    return total
 
 
 def ode_form(q, t1, t2, t3, t4, t5, xd: float, yd: float, r_dot: float,
              r_ddot: float) -> float:
     """Denominator-cleared normal equation rebuilt from given values of R', R''."""
     vol_num = t1 * xd + t2 * yd
-    quad_num = t3 * xd**2 + t4 * xd * yd + t5 * yd**2
+    quad_num = 0.0
+    for c, (a, b) in zip((t3, t4, t5), ((2, 0), (1, 1), (0, 2))):
+        quad_num += c * monomial(xd, yd, a, b)
     r_num = -t2 * xd + t1 * yd
-    return q**3 * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
+    return power(q, 3) * r_ddot + q * vol_num * (q * r_dot) - quad_num * r_num
 
 
 def integrate_two_pass(init, cfg, case) -> tuple[Trajectory, float, float, list]:

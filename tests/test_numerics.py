@@ -33,7 +33,7 @@ from chamberlab.poly import Form
 from chamberlab.reduction import build_bundle
 from bundle_oracle import trig_pairs
 from field_oracle import exact_sign
-from float_poly_oracle import float_poly_value, float_reduced_value
+from float_poly_oracle import float_poly_value, float_reduced_value, float_terms
 from golden import (
     POINTWISE,
     TRAJECTORY_HASHES,
@@ -622,6 +622,80 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
             evaluate(1e-200, 1e200)
 
 
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def _exact_and_bound(terms, x, y):
+    """The exact value at the doubles x, y of the polynomial with float terms
+    ``(a, b, c)``, and a forward-error bound of any evaluation that forms
+    each term with at most a + b roundings and adds the n terms with at most
+    n - 1 more: (n + 2 deg) 2**-53 sum |c x**a y**b|, which covers
+    gamma_(n + deg - 1) = (n + deg - 1) u / (1 - (n + deg - 1) u), without
+    underflow."""
+    x, y = Fraction(x), Fraction(y)
+    values = [Fraction(c) * x**a * y**b for a, b, c in terms]
+    degree = max((a + b for a, b, _ in terms), default=0)
+    magnitude = sum(map(abs, values), Fraction(0))
+    return sum(values, Fraction(0)), (len(terms) + 2 * degree) * _UNIT_ROUNDOFF * magnitude
+
+
+def test_kernel_values_lie_within_a_forward_error_bound(all_cases):
+    # Every value of point and R of every default row, at random chamber
+    # points, is within a stated bound of the exact value computed in
+    # Fraction from the same doubles: a check that holds for any evaluation
+    # order, so it also catches a kernel and a term-loop oracle that are
+    # wrong in the same way.  R = N / qd with N = -t2 xd + t1 yd: with
+    # bounds E1, E2, Eq on t1, t2, qd, the computed N is within
+    # EN = |xd| E2 + |yd| E1 + 3u (|xd| (|t2| + E2) + |yd| (|t1| + E1)) of
+    # N, and the computed quotient within
+    # (EN |qd| + |N| Eq) / ((|qd| - Eq) |qd|) + u (|N| + EN) / (|qd| - Eq).
+    rng = random.Random(11)
+    u = _UNIT_ROUNDOFF
+    for case in all_cases:
+        lab, b = get_lab(case), build_bundle(case)
+        polys = [*b.walls, b.qd, b.t1, b.t2, b.t3, b.t4, b.t5, *b.a_coeffs]
+        for _ in range(20):
+            st = _random_interior_state(case, rng, radius=(0.2, 5.0))
+            walls, *values = lab.point(st.x, st.y)
+            for value, poly in zip([*walls, *values], polys):
+                exact, bound = _exact_and_bound(float_terms(poly), st.x, st.y)
+                assert abs(Fraction(value) - exact) <= bound, (case.label, st)
+            (t1, e1), (t2, e2), (q, eq) = (_exact_and_bound(float_terms(p), st.x, st.y)
+                                           for p in (b.t1, b.t2, b.qd))
+            xd, yd = Fraction(st.xd), Fraction(st.yd)
+            n = -t2 * xd + t1 * yd
+            en = abs(xd) * e2 + abs(yd) * e1 + 3 * u * (abs(xd) * (abs(t2) + e2)
+                                                        + abs(yd) * (abs(t1) + e1))
+            assert abs(q) > eq, (case.label, st)
+            bound = ((en * abs(q) + abs(n) * eq) / ((abs(q) - eq) * abs(q))
+                     + u * (abs(n) + en) / (abs(q) - eq))
+            r = lab.R(st.x, st.y, st.xd, st.yd)
+            assert abs(Fraction(r) - n / q) <= bound, (case.label, st)
+
+
+def test_kernels_take_no_powers_and_see_only_named_globals(all_cases, monkeypatch):
+    # Libm independence: no generated kernel of any registry row calls
+    # libm's pow through **, and each kernel reads no global but inf, nan
+    # and OverflowError, with no builtins, so it calls no other function.
+    allowed = {"inf", "nan", "OverflowError"}
+    define, built = numerics._define, {}
+
+    def record(source, name):
+        built[name] = source, define(source, name)
+        return built[name][1]
+
+    monkeypatch.setattr(numerics, "_define", record)
+    for case in all_cases:
+        built.clear()
+        CaseLab(case)
+        assert sorted(built) == ["R", "clear", "inside", "point", "row"], case.label
+        for name, (source, kernel) in built.items():
+            assert "**" not in source, (case.label, name)
+            assert set(kernel.__code__.co_names) <= allowed, (case.label, name)
+            assert kernel.__globals__["__builtins__"] == {}, (case.label, name)
+            assert set(kernel.__globals__) <= allowed | {"__builtins__", name}, (case.label, name)
+
+
 def _labs_by_d(all_cases):
     labs = {case.d: get_lab(case) for case in all_cases}
     assert sorted(labs) == [1, 2, 3, 4, 6]
@@ -646,7 +720,7 @@ def test_wall_floats_are_the_nearest_doubles(all_cases):
 def test_wall_kernels_read_the_wall_table(all_cases):
     # Wall i is x*sin_i - y*cos_i with the constants of lab.trig: its value
     # at (1, 0) is sin_i and at (0, 1) is -cos_i (a zero term is left out
-    # of the kernel, whose value is then the int 0, equal to 0.0).
+    # of the kernel, whose value is then 0.0 + 0.0, equal to -0.0).
     for d, lab in _labs_by_d(all_cases).items():
         assert lab.point(1.0, 0.0)[0] == tuple(s for s, _ in lab.trig), d
         assert lab.point(0.0, 1.0)[0] == tuple(-c for _, c in lab.trig), d

@@ -140,6 +140,19 @@ def test_exact_division():
         divide_exact(U, [])
 
 
+def test_exact_division_drops_the_divisors_top_zeros():
+    # A divisor list that ends in zeros divides as the list without them:
+    # u^2 / (-u) is -u, and a divisor of zeros alone is the zero polynomial.
+    assert divide_exact([0, 0, 1], [0, -1, 0]) == [0, -1]
+    assert resultant.quotient([0, 0, 1], [0, -1, 0]) == [0, -1]
+    assert divide_exact([2, 4], [1, 2, 0, 0]) == [2]
+    assert resultant.quotient([1, 0, 1], [1, 1, 0]) is None
+    for zero in ([0], [0, 0, 0]):
+        with pytest.raises(ExactDivisionError):
+            divide_exact(U, zero)
+        assert resultant.quotient(U, zero) is None
+
+
 def test_rejects_degenerate_degrees():
     for pa, pc in (([ONE], [ONE]), ([], [ONE, ONE]), ([ONE, ONE], []), ([], [])):
         with pytest.raises(ValueError):

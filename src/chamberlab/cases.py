@@ -1,10 +1,15 @@
 """Registry of the cohomogeneity-two actions and case instantiation.
 
-The registry ships as a versioned JSON document (``data/registry.json``) so
-hypothetical (d, multiplicities) combinations can be explored by editing data
-rather than code.  Parametric rows carry integer expressions in their
-parameters; each parameter's ``min`` is its bound, and the minimums are the
-only bounds a row has.
+The registry ships as a versioned JSON document (``data/registry.json``).
+Parametric rows carry integer expressions in their parameters; each
+parameter's ``min`` is its bound, and the minimums are the only bounds a row
+has.
+
+A valid case has multiplicities that an isometric action can have: the
+orbit space is a Weyl chamber of the dihedral group of order 2d, whose
+conjugate walls carry one multiplicity, m_i = m_(i+2 mod d) (Muenzner, Math.
+Ann. 251 (1980); Dadok, Trans. AMS 288 (1985)).  :func:`validate_case`
+checks this rule; :func:`load_registry` checks structure only.
 """
 
 from __future__ import annotations
@@ -242,16 +247,18 @@ def instantiate_case(template: CaseTemplate, params: dict[str, int] | None = Non
 
 def validate_case(case: CaseSpec) -> list[str]:
     """Consistency violations (empty list means the case is well formed)."""
-    violations = []
+    violations, mults = [], case.multiplicities
     if case.d not in ADMISSIBLE_D:
         violations.append(f"inadmissible chamber type d={case.d}")
-    if len(case.multiplicities) != case.d:
-        violations.append(f"expected {case.d} multiplicities, got {len(case.multiplicities)}")
-    if any(m < 1 for m in case.multiplicities):
+    if len(mults) != case.d:
+        violations.append(f"expected {case.d} multiplicities, got {len(mults)}")
+    elif any(m != mults[(i + 2) % case.d] for i, m in enumerate(mults)):
+        violations.append("multiplicities must alternate: m_i = m_(i+2 mod d)")
+    if any(m < 1 for m in mults):
         violations.append("multiplicities must be positive")
-    if 1 + sum(case.multiplicities) != case.n - 1:
+    if 1 + sum(mults) != case.n - 1:
         violations.append(
-            f"dimension identity fails: 1 + sum(m) = {1 + sum(case.multiplicities)} "
+            f"dimension identity fails: 1 + sum(m) = {1 + sum(mults)} "
             f"but n - 1 = {case.n - 1}")
     return violations
 

@@ -17,14 +17,13 @@ chamber and minimality are decided exactly, and floats only display them.
 Certifying builds no element of Q(sqrt2, sqrt3); a report's ``poly`` view,
 read by no code here, is parsed from the resultant's JSON rows.
 
-The scan works in w = u**s: s = 2 when the resultant, qd and M are each u**z
-times a polynomial in u**2, which the chamber's reflection x -> -x makes
-true of every alternating row, and s = 1 otherwise (the d = 4 rows with
-m1 != m3).  The chamber is then w > cot(pi/d)**s, a rational bound: 0, 1/3,
-1 or 3 for s = 2, and 1 at d = 4 for s = 1.  Each root found in w is
+The scan works in w = u**2: the resultant, qd and M are each u**z times a
+polynomial in u**2, which the chamber's reflection x -> -x makes true of
+every valid case, since its multiplicities alternate.  The chamber is then
+w > cot(pi/d)**2, a rational bound: 0, 1/3, 1 or 3.  Each root found in w is
 reported in u, on the dyadic cells that hold it, read off w with math.isqrt:
 the first cell above the wall whose ends round to one double, which is what
-bisection in u returns.  Each Yun factor F(w) is reported as F(u**s), with
+bisection in u returns.  Each Yun factor F(w) is reported as F(u**2), with
 u's own power joined to the factor of its multiplicity.  The minimal line
 is M's one chamber root, the root that a certificate marks
 ``line_is_minimal``; at d = 1 there is no scan, and M is a multiple of x.
@@ -144,24 +143,23 @@ class RootScan(NamedTuple):
 # cot(pi/d)**2 = (4 - k)/k, k = 4 sin(pi/d)**2 from wall 1's entry of the wall
 # table: sigma < pi/d exactly when u = cot(sigma) > cot(pi/d).
 _WALL_COT_SQ = {d: Fraction(4 - k, k) for d in (2, 3, 4, 6) for k in [wall_trig(d)[1][0]]}
-# (d, s) -> cot(pi/d)**s, the chamber's bound on w = u**s: rational for s = 2,
-# and for s = 1 where cot(pi/d) = cot(pi/d)**2 is 0 or 1 (d = 2, 4).
-_CHAMBER_BOUND = {(d, s): sq for d, sq in _WALL_COT_SQ.items() for s in (1, 2)
-                  if s == 2 or sq in (0, 1)}
 
 
-def _in_w(*polys: list[int]) -> tuple[int, list[tuple[int, list[int]]]]:
-    """(s, [(z, F)]) with each nonzero f = u**z * F(u**s), F(0) != 0: s = 2
-    when every f is u**z times a polynomial in u**2, else s = 1."""
-    stripped = [(z, f[z:]) for f in polys for z in [next(i for i, c in enumerate(f) if c)]]
-    s = 1 if any(any(f[1::2]) for _, f in stripped) else 2
-    return s, [(z, f[::s]) for z, f in stripped]
+def _in_w(label: str, f: list[int], name: str) -> tuple[int, list[int]]:
+    """(z, F) with the nonzero f = u**z * F(u**2), F(0) != 0.
+
+    A term of the other parity would be lost by the halving: PipelineError.
+    """
+    z = next(i for i, c in enumerate(f) if c)
+    if any(f[z + 1::2]):
+        raise PipelineError(f"{label}: {name} is not a power of u times a polynomial in u**2")
+    return z, f[z::2]
 
 
-def _in_u(f: list[int], s: int) -> list[int]:
-    """f(u**s) as a list in u."""
-    out = [0] * (s * len(f) - s + 1)
-    out[::s] = f
+def _in_u(f: list[int]) -> list[int]:
+    """f(u**2) as a list in u."""
+    out = [0] * (2 * len(f) - 1)
+    out[::2] = f
     return out
 
 
@@ -180,11 +178,11 @@ def _first_cell(floor_at, depth: int, ok) -> tuple[Fraction, Fraction]:
     return Fraction(a, 1 << holds), Fraction(a + 1, 1 << holds)
 
 
-def _chamber_roots(f: list[int], d: int, s: int) -> tuple[list[tuple[Fraction, Fraction]], int]:
-    """Roots u of a square-free f(u**s) in the chamber, largest first, and the
+def _chamber_roots(f: list[int], d: int) -> tuple[list[tuple[Fraction, Fraction]], int]:
+    """Roots u of a square-free f(u**2) in the chamber, largest first, and the
     Descartes tests spent.
 
-    The search runs in w = u**s, above the rational bound cot(pi/d)**s = p/q:
+    The search runs in w = u**2, above the rational bound cot(pi/d)**2 = p/q:
     on g(t) = q**n * f((p + t) / q) for t > 0, so a root at t = 0 lies on the
     wall and a dyadic u has a dyadic t.  Each root u is reported on its dyadic
     chain, the cells [a, a + 1] / 2**j that hold it, j = 0, 1, ...: the first
@@ -194,7 +192,7 @@ def _chamber_roots(f: list[int], d: int, s: int) -> tuple[list[tuple[Fraction, F
     that rule fails.  A t-interval is refined until the least dyadic u-cell
     that holds its image is such a cell; math.isqrt reads the u-cells off w.
     """
-    wall_sq, (p, q) = _WALL_COT_SQ[d], _CHAMBER_BOUND[d, s].as_integer_ratio()
+    p, q = _WALL_COT_SQ[d].as_integer_ratio()
     g = [c * q ** (len(f) - 1 - i) for i, c in enumerate(f)]
     for _ in range(p):
         g = taylor_shift(g)
@@ -203,11 +201,10 @@ def _chamber_roots(f: list[int], d: int, s: int) -> tuple[list[tuple[Fraction, F
     intervals, tests = positive_roots(g)
 
     def floor_u(num, den, j):  # floor(u * 2**j) at w = num / den
-        return math.isqrt((num << 2 * j) // den) if s == 2 else (num << j) // den
+        return math.isqrt((num << 2 * j) // den)
 
     def ok(a, j):  # the u-cell [a, a + 1] / 2**j, j >= 0, is above the wall and one double wide
-        return j >= 0 and a * a * wall_sq.denominator >= wall_sq.numerator << 2 * j and \
-            a / (1 << j) == (a + 1) / (1 << j)
+        return j >= 0 and a * a * q >= p << 2 * j and a / (1 << j) == (a + 1) / (1 << j)
 
     def u_cell(a, b, j):  # the least dyadic u-cell holding the image of [a, b] / 2**j
         den, lo, hi = q << j, (p << j) + a, (p << j) + b
@@ -224,8 +221,8 @@ def _chamber_roots(f: list[int], d: int, s: int) -> tuple[list[tuple[Fraction, F
         def floor_at(k):
             return floor_u(w.numerator, w.denominator, k)
 
-        depth = (w.denominator.bit_length() - 1) // s
-        if floor_at(depth) ** s * w.denominator == w.numerator << s * depth:  # u dyadic
+        depth = (w.denominator.bit_length() - 1) // 2
+        if floor_at(depth) ** 2 * w.denominator == w.numerator << 2 * depth:  # u dyadic
             if depth < 1 or not ok(floor_at(depth - 1), depth - 1):
                 return (Fraction(floor_at(depth), 1 << depth),) * 2
             depth -= 1  # u is the midpoint of its cell at depth - 1
@@ -262,12 +259,11 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
 
     a counts the trailing zero coefficients; qd and M (integer and primitive
     in u) divide out for as long as the division is exact, and b, c >= 1 are
-    required (so d >= 2).  When the rest of the resultant, qd and M are each
-    u**z times a polynomial in u**2, the scan runs in w = u**2 (s = 2), else
-    in w = u (s = 1), which needs a rational cot(pi/d): the divisions, Yun's
-    decomposition of Q, the gcds with M and the root search all run in w.
-    Q's factors are reported in u: each Q_k(w) as
-    Q_k(u**s), and u's power in Q joins the factor of that multiplicity.  A
+    required (so d >= 2).  The rest of the resultant, qd and M are each u**z
+    times a polynomial in u**2, else PipelineError, and the scan runs in
+    w = u**2: the divisions, Yun's decomposition of Q, the gcds with M and
+    the root search.  Q's factors are reported in u: each Q_k(w) as
+    Q_k(u**2), and u's power in Q joins the factor of that multiplicity.  A
     root of a square-free factor Q_k of Q is minimal only if gcd(Q_k, M)
     vanishes there; such a root is listed once, as M's, with multiplicity
     c + k.
@@ -278,10 +274,8 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
         res.pop()
         exponents["y"] += 1
     qd = subtract(bundle.dense_qd.lists[0], [])  # in Z[u], trailing zeros stripped
-    s, ((z, res), qd, (z_m, m)) = _in_w(res, primitive(qd), _minimal_form(bundle))
-    if (d, s) not in _CHAMBER_BOUND:
-        raise PipelineError(f"{label}: the resultant is not a polynomial in u**2, "
-                            f"and cot(pi/{d}) is irrational")
+    (z, res), qd, (z_m, m) = (_in_w(label, f, name) for f, name in (
+        (res, "the resultant"), (primitive(qd), "qd"), (_minimal_form(bundle), "M")))
     for name, (z_f, f) in (("qd", qd), ("M", (z_m, m))):
         exponents[name] = 0
         while (z_f or len(f) > 1) and z >= z_f and (q := quotient(res, f)) is not None:
@@ -289,19 +283,19 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
         if not exponents[name]:
             raise PipelineError(f"{label}: the resultant is not divisible by {name}")
     factors = squarefree(res) if len(res) > 1 else []
-    m_roots, tests = _chamber_roots(_squarefree_part(m), d, s)
+    m_roots, tests = _chamber_roots(_squarefree_part(m), d)
     if len(m_roots) != 1:
         raise PipelineError(f"{label}: M has {len(m_roots)} chamber roots, not one")
     roots, m_mult = [], exponents["M"]
     for k, f in factors:
         shared, f, _ = gcd_cofactors(f, m)
         if len(shared) > 1:
-            on_m, n = _chamber_roots(shared, d, s)
+            on_m, n = _chamber_roots(shared, d)
             m_mult, tests = m_mult + k * len(on_m), tests + n
-        found, n = _chamber_roots(f, d, s)
+        found, n = _chamber_roots(f, d)
         roots, tests = roots + [ChamberRoot(lo, hi, "Q", k) for lo, hi in found], tests + n
     roots += [ChamberRoot(lo, hi, "M", m_mult) for lo, hi in m_roots]
-    u_factors = [(k, [0] * (k == z) + _in_u(f, s)) for k, f in factors]
+    u_factors = [(k, [0] * (k == z) + _in_u(f)) for k, f in factors]
     if z and all(k != z for k, _ in factors):
         u_factors = sorted(u_factors + [(z, [0, 1])], key=lambda kf: kf[0])
     return RootScan(exponents, u_factors, sorted(roots, key=lambda r: -r.lo), tests)

@@ -20,10 +20,9 @@ themselves, with those coefficients in Q(sqrt2, sqrt3), enter no product:
 :func:`wall_rows` writes their JSON rows straight from the table, as text.
 :func:`wall_products` writes qd and, for each distinct multiplicity m, the
 product P_m of the walls of multiplicity m over its leading coefficient l_m,
-with l_m**2, straight from the table as one-list Forms; a case whose
-P_m / l_m is irrational raises PipelineError.  qd and these products
-depend only on d and on which walls share a multiplicity, so they are
-computed once per such class.  The orbit volume and the t's are then sums
+with l_m**2, straight from the table as one-list Forms.  qd and these
+products depend only on d and on which walls share a multiplicity, so they
+are computed once per such class.  The orbit volume and the t's are then sums
 and products of the P_m (see build_bundle).  From there the derivation runs
 on plain integer lists (:func:`~chamberlab.poly.mul`,
 :func:`~chamberlab.poly.add` and the velocity-form helpers beside them),
@@ -161,18 +160,15 @@ def wall_products(case: CaseSpec) -> tuple[Form, list[tuple[int, Fraction, Form]
     polynomial a one-list Form.
 
     P_m is the product of the walls of multiplicity m and l its leading
-    coefficient, so P_m / l has leading coefficient 1.  Raises PipelineError
-    naming the case unless every P_m / l is rational.  qd and the products
-    depend only on d and on the classes of wall indices with equal
-    multiplicities, and are computed once per such pair.
+    coefficient, so P_m / l has leading coefficient 1.  An invalid case
+    raises PipelineError, as in build_bundle.  qd and the products depend
+    only on d and on the classes of wall indices with equal multiplicities,
+    and are computed once per such pair.
     """
+    _require_valid(case)
     mults = case.multiplicities
     classes = {m: tuple(i for i, mi in enumerate(mults) if mi == m) for m in mults}
-    try:
-        qd, products = _wall_classes(case.d, tuple(classes.values()))
-    except ValueError as exc:
-        raise PipelineError(f"{case.label}: the walls are not rational per "
-                            f"multiplicity: {exc}") from None
+    qd, products = _wall_classes(case.d, tuple(classes.values()))
     return qd, [(m, *p) for m, p in zip(classes, products)]
 
 
@@ -186,8 +182,8 @@ def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
     x) gives y or x, l_f**2 = 1; one with k = 2, sqrt2/2 * (x - sign*y),
     gives x - sign*y, l_f**2 = 1/2; a mirror pair {i, d - i} with k = 1 or 3,
     (k/4) x**2 - ((4 - k)/4) y**2, gives x**2 - ((4 - k)/k) y**2,
-    l_f**2 = (k/4)**2.  A wall with k = 1 or 3 without its mirror leaves
-    sqrt3 in P / l: ValueError.
+    l_f**2 = (k/4)**2.  Alternating multiplicities put the mirror d - i of
+    each wall i in its class, so every P / l is rational.
     """
     trig = wall_trig(d)
     qd = reduced([[-math.comb(d, j) * (-1) ** (j // 2) if j % 2 else 0
@@ -198,9 +194,6 @@ def _wall_classes(d: int, classes: tuple[tuple[int, ...], ...]):
         for i in indices:
             k, sign = trig[i]
             if k in (1, 3):
-                if d - i not in indices:
-                    raise ValueError(f"wall {i} over its leading coefficient is not "
-                                     f"rational without wall {d - i}")
                 if 2 * i < d:
                     product = mul(product, [k - 4, 0, k])
                     den *= k
@@ -254,9 +247,9 @@ def build_bundle(case: CaseSpec) -> ReductionBundle:
     denominator per polynomial or form: every P~_m * Q_m, so t1 and t2, is
     over E = den(lam) * prod(den(P~_m)), and t3..t5 over 9 E**2.  Each
     stored field is reduced once, at the end.  Degrees hold by construction;
-    test_degree_table_over_the_multiplicity_grid pins them.
+    test_degree_table_over_the_multiplicity_grid pins them.  A case that
+    validate_case rejects raises PipelineError with its label.
     """
-    _require_valid(case)
     qd, groups = wall_products(case)
     ((qd_coeffs,), qd_den) = qd
     lam = Fraction(next(c for c in reversed(qd_coeffs) if c), qd_den)

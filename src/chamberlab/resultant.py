@@ -32,9 +32,9 @@ without content removal) finishes over Z, and every division it makes is
 checked to be exact.
 
 Reflection: the chamber's reflection x -> -x sends wall i to wall d - i, so
-it preserves a row with m_i = m_(d-i), as alternating multiplicities are.
-Then every exponent of u in u**j * pa[j] has one parity s_a, and every one
-in u**k * pc[k] one parity s_c (empty entries do not count).  Write
+it preserves every valid case, whose multiplicities alternate.  So every
+exponent of u in u**j * pa[j] has one parity s_a, and every one in
+u**k * pc[k] one parity s_c (empty entries do not count).  Write
 u**j * pa[j] = u**s_a * A~_j(u**2), and C~ likewise; the reduced lists hold
 the same coefficients, so the bound is unchanged.  With m = len(pa) - 1,
 n = len(pc) - 1 and t = u*tau, A(u*tau) = u**s_a * A~(u**2, tau).  Since
@@ -45,7 +45,7 @@ Res(F, G) for F of formal degree m,
 
 so the packed PRS runs on R~, at half the degree in u.  For e < 0 the low
 -e coefficients of R~(u**2) must vanish, else ExactDivisionError.  Lists
-with both parities on one side take the packed PRS in u.
+with both parities on one side are a ValueError.
 
 For real roots: the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
 Comput. 7, 1989) at xi = 2**s, packed and read back as above and checked by
@@ -62,9 +62,8 @@ roots", 2006) on integer cells, and the result is exactly the interval that
 plain bisection returns for the same monotone stop rule: the first cell on
 the root's chain where the rule holds, or the root where bisection meets it
 first.  :func:`chamberlab.certify.chamber_root_scan` runs all of this on
-half-degree lists in w = u**2 (w = u for the few resultants with both
-parities in u), shifted so that the chamber's rational bound on w sits at 0,
-and refines each root in w until its cell in u is known.
+half-degree lists in w = u**2, shifted so that the chamber's rational bound
+on w sits at 0, and refines each root in w until its cell in u is known.
 """
 
 from __future__ import annotations
@@ -163,14 +162,13 @@ def sylvester_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
 
     ``pa`` has formal degree len(pa)-1 and ``pc`` formal degree len(pc)-1;
     either may be 0, not both.  The pc block fills the first Sylvester rows.
-    Lists with the reflection symmetry are reduced to v = u**2 first.
+    Each side must have the reflection symmetry, one parity of the exponents
+    of u in u**j * p[j], else ValueError; both are reduced to v = u**2.
     """
     m, n = len(pa) - 1, len(pc) - 1
     if min(m, n) < 0 or m + n < 1:
         raise ValueError("formal degrees must be at least 0 and not both 0")
     s_a, s_c = _reflection_parity(pa), _reflection_parity(pc)
-    if s_a is None or s_c is None:
-        return _packed_resultant(pa, pc)
     reduced = _packed_resultant(_halve(pa, s_a), _halve(pc, s_c))
     if not reduced:
         return []
@@ -185,13 +183,15 @@ def sylvester_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
     return out[-e:]
 
 
-def _reflection_parity(p: list[IntPoly]) -> int | None:
-    """The one parity of every exponent in u**j * p[j], or None if there are two.
+def _reflection_parity(p: list[IntPoly]) -> int:
+    """The one parity of every exponent in u**j * p[j]; ValueError if there are two.
 
     A list with no nonzero coefficient has parity 0.
     """
     parities = {(i + j) & 1 for j, q in enumerate(p) for i, c in enumerate(q) if c}
-    return None if len(parities) > 1 else parities.pop() if parities else 0
+    if len(parities) > 1:
+        raise ValueError("the exponents of u in u**j * p[j] have both parities")
+    return parities.pop() if parities else 0
 
 
 def _halve(p: list[IntPoly], s: int) -> list[IntPoly]:
@@ -200,7 +200,7 @@ def _halve(p: list[IntPoly], s: int) -> list[IntPoly]:
 
 
 def _packed_resultant(pa: list[IntPoly], pc: list[IntPoly]) -> IntPoly:
-    """sylvester_resultant in u, on the packed integers."""
+    """The resultant of the lists at formal degrees, on the packed integers."""
     m, n = len(pa) - 1, len(pc) - 1
     bound = sum(map(abs, chain(*pc))) ** m * sum(map(abs, chain(*pa))) ** n
     k = bound.bit_length() + 2

@@ -1,5 +1,4 @@
-"""The 208-case multiplicity grid and the mixed d = 4 tuples that the tests
-and tests/golden.py share."""
+"""The 208-case multiplicity grid that the tests and tests/golden.py share."""
 
 from __future__ import annotations
 
@@ -21,16 +20,6 @@ def multiplicity_grid() -> list[CaseSpec]:
                 grid.append(CaseSpec(name="grid", group="", action="", n=2 + sum(mults),
                                      d=d, multiplicities=mults))
     return grid
-
-
-# d = 4 multiplicities that are not alternating: (1, 2, 3, 4) is the one input
-# whose stripped resultant has both parities in u.
-MIXED_D4 = ((4, 4, 5, 4), (1, 2, 3, 4))
-
-
-def mixed_d4_case(mults: tuple[int, ...]) -> CaseSpec:
-    """The d = 4 case with these wall multiplicities, named "T"."""
-    return CaseSpec(name="T", group="", action="", n=2 + sum(mults), d=4, multiplicities=mults)
 
 
 def grid_key(case: CaseSpec) -> str:

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -121,6 +122,59 @@ def test_validate_flags_bad_d_and_multiplicities():
     nonpos = CaseSpec(name="bad2", group="", action="", n=4, d=2,
                       multiplicities=(0, 2))
     assert any("positive" in v for v in validate_case(nonpos))
+
+
+ALTERNATION = "multiplicities must alternate: m_i = m_(i+2 mod d)"
+
+
+@pytest.mark.parametrize("mults", [(1, 2, 3), (3, 2, 1), (4, 4, 5, 4), (1, 2, 3, 4),
+                                   (1, 2, 1, 2, 1, 3)], ids=str)
+def test_validate_flags_multiplicities_that_do_not_alternate(mults):
+    # Walls that the dihedral group conjugates carry one multiplicity.
+    case = CaseSpec(name="T", group="", action="", n=2 + sum(mults), d=len(mults),
+                    multiplicities=mults)
+    assert validate_case(case) == [ALTERNATION]
+
+
+def test_every_row_and_grid_case_alternates(all_cases, registry, multiplicity_grid):
+    # The 14 rows, the 208 grid cases and the parametric rows drawn from
+    # their minimums to 40 at seeds 1, 7 and 13.
+    drawn = []
+    for seed in (1, 7, 13):
+        rng = random.Random(seed)
+        for template in registry:
+            if template.param_specs:
+                params = {name: rng.randint(low, 40) for name, low, _ in template.param_specs}
+                drawn.append(instantiate_case(template, params))
+    assert len(drawn) == 15
+    for case in [*all_cases, *multiplicity_grid, *drawn]:
+        assert validate_case(case) == [], (case.label, case.multiplicities)
+
+
+def test_wrong_multiplicity_count_is_the_only_violation():
+    # The rule is checked only on d multiplicities: no IndexError, and no
+    # second violation for a list of the wrong length.
+    for d, mults in ((4, (1, 2, 3)), (3, (1, 1, 1, 1)), (2, (5,))):
+        case = CaseSpec(name="T", group="", action="", n=2 + sum(mults), d=d,
+                        multiplicities=mults)
+        assert validate_case(case) == [f"expected {d} multiplicities, got {len(mults)}"]
+
+
+def test_registry_loads_a_row_that_breaks_the_rule(tmp_path):
+    # load_registry checks structure only; certifying the row rejects it
+    # by name.
+    from chamberlab.certify import certify_case
+    from chamberlab.errors import PipelineError
+
+    doc = {"cases": [{"name": "Mixed", "group": "g", "d": 4, "n": 12,
+                      "multiplicities": [1, 2, 3, 4]}]}
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(doc))
+    (template,) = load_registry(path)
+    case = instantiate_case(template)
+    assert case.multiplicities == (1, 2, 3, 4)
+    with pytest.raises(PipelineError, match="^Mixed: invalid case: .*must alternate"):
+        certify_case(case)
 
 
 def test_all_default_cases_validate(all_cases):

@@ -141,11 +141,34 @@ def _fake_bundle(case, a_lists, c_lists, den_a=1, den_c=1):
 
 def test_resultant_rejects_irrational_coefficients():
     # A bundle's lists are rational by construction: a class of walls whose
-    # product is irrational over its leading coefficient stops in
-    # wall_products, and there it names the case.
+    # product would be irrational over its leading coefficient breaks the
+    # alternation rule, which wall_products checks first, naming the case.
     irrational = CaseSpec(name="T", group="", action="", n=8, d=3, multiplicities=(1, 2, 3))
-    with pytest.raises(PipelineError, match="^T: .* not rational"):
+    with pytest.raises(PipelineError, match="^T: .*must alternate"):
         wall_products(irrational)
+
+
+def test_a_term_of_the_other_parity_stops_the_scan(monkeypatch, tmp_path, capsys):
+    # The scan halves the resultant, qd and M in w = u**2.  A resultant term
+    # of the other parity would be lost by the halving, so the scan raises
+    # PipelineError instead, and certify exits 3 with no certificate.
+    from chamberlab import certify
+    from chamberlab.cli import EXIT_PIPELINE_ERROR, main
+
+    exact = certify.sylvester_resultant
+
+    def with_odd_term(pa, pc):
+        res = exact(pa, pc)
+        z = next(i for i, c in enumerate(res) if c)
+        return res[:z + 1] + [res[z + 1] + 1] + res[z + 2:]
+
+    monkeypatch.setattr(certify, "sylvester_resultant", with_odd_term)
+    message = r"the resultant is not a power of u times a polynomial in u\*\*2"
+    with pytest.raises(PipelineError, match=f"^G2: {message}"):
+        certify_case(registry_case("G2"))
+    assert main(["certify", "--case", "SO5", "--out", str(tmp_path)]) == EXIT_PIPELINE_ERROR
+    assert "SO5: the resultant is not a power of u" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_resultant_rational_boundary_scales_back(u5):
@@ -153,7 +176,7 @@ def test_resultant_rational_boundary_scales_back(u5):
     # again: A over 2 and C over 3 scale the resultant by
     # (1/2)^5 * (1/3)^3 (five rows of A, three of C).
     a = [_lin(-1, 0), _lin(0, 1), _lin(2, 0), _lin(0, 3)]
-    c = [_lin(1, 0), _lin(0, 5), _lin(1, 0), _lin(0, -1), _ZERO, _lin(7, 0)]
+    c = [_lin(1, 0), _lin(0, 5), _lin(1, 0), _lin(0, -1), _ZERO, _lin(0, 7)]
     whole = compute_resultant(_fake_bundle(u5, a, c))
     scaled = compute_resultant(_fake_bundle(u5, a, c, 2, 3))
     assert scaled.scale == whole.scale * 2 ** 5 * 3 ** 3
@@ -169,13 +192,13 @@ def _scan(case):
 def test_root_scan_symmetric_quadratic():
     # u**2 - 1, searched as w - 1 in w = u**2: the root u = 1 (sigma = pi/4)
     # is a bisection point, hit exactly.
-    roots, tests = _chamber_roots([-1, 1], 2, 2)
+    roots, tests = _chamber_roots([-1, 1], 2)
     assert roots == [(1, 1)] and tests >= 1
 
 
 def test_root_scan_positive_definite_is_empty():
     # u**2 + 1, as w + 1
-    assert _chamber_roots([1, 1], 2, 2)[0] == []
+    assert _chamber_roots([1, 1], 2)[0] == []
 
 
 def test_root_scan_d2_matches_independent_run():

@@ -16,10 +16,8 @@ from chamberlab.reduction import ReductionBundle, build_bundle, build_walls, \
 from bundle_oracle import curvature_expr_pair, dense_form_value, field_wall_classes, \
     oracle_bundle, spatial, trig_pairs, walls_of
 from float_poly_oracle import float_poly_value
-from golden import BUNDLE_HASHES, GRID_BUNDLE_HASHES, MIXED_D4_CERTIFICATE_HASHES, \
-    PARAMETRIC_BUNDLE_HASHES, PARAMETRIC_ROWS, bundle_sha256, certificate_sha256, \
-    grid_bundle_hashes
-from grid import MIXED_D4, grid_key, mixed_d4_case
+from golden import BUNDLE_HASHES, GRID_BUNDLE_HASHES, PARAMETRIC_BUNDLE_HASHES, \
+    PARAMETRIC_ROWS, bundle_sha256, grid_bundle_hashes
 
 
 def _rat(p, q=1):
@@ -405,10 +403,10 @@ def test_reference_example_detects_tampering(monkeypatch, u5):
     from chamberlab import cases as cases_module
     from chamberlab.cases import CaseSpec
 
-    # One more on the third multiplicity, one less on n: a valid case whose
-    # cubic differs from the published one.
+    # One more on the first and third multiplicities, two more on n: a valid
+    # case whose cubic differs from the published one.
     tampered = CaseSpec(name="U5", group=u5.group, action=u5.action,
-                        n=u5.n - 1, d=u5.d, multiplicities=(4, 4, 5, 4))
+                        n=u5.n + 2, d=u5.d, multiplicities=(6, 4, 6, 4))
     monkeypatch.setattr(cases_module, "registry_case",
                         lambda name, params=None: tampered)
     report = verify_reference_example()
@@ -448,9 +446,9 @@ def test_mirror_symmetry_only_for_symmetric_multiplicities():
 
 def _oracle_rows():
     """The 14 default rows, every parametric row drawn from its minimum to 40
-    at seeds 1, 7 and 13 (in registry order), and every d = 4 tuple of
-    multiplicities in {1, 2, 3}^4."""
-    from chamberlab.cases import default_cases, load_registry
+    at seeds 1, 7 and 13 (in registry order), and the 9 alternating d = 4
+    tuples (m1, m2, m1, m2) over {1, 2, 3}."""
+    from chamberlab.cases import CaseSpec, default_cases, load_registry
 
     rows = list(default_cases())
     for seed in (1, 7, 13):
@@ -459,7 +457,9 @@ def _oracle_rows():
             if template.param_specs:
                 params = {name: rng.randint(low, 40) for name, low, _ in template.param_specs}
                 rows.append(registry_case(template.name, params))
-    return rows + [mixed_d4_case(m) for m in itertools.product((1, 2, 3), repeat=4)]
+    return rows + [CaseSpec(name="T", group="", action="", n=2 + 2 * (m1 + m2), d=4,
+                            multiplicities=(m1, m2, m1, m2))
+                   for m1, m2 in itertools.product((1, 2, 3), repeat=2)]
 
 
 def test_bundle_matches_sparse_oracle():
@@ -469,28 +469,32 @@ def test_bundle_matches_sparse_oracle():
             assert doc[key] == expected, (case.label, case.multiplicities, key)
 
 
+def _rejected(d, mults):
+    """Each entry point that takes a case raises PipelineError that starts
+    with its label and names the alternation rule."""
+    from chamberlab.cases import CaseSpec
+    from chamberlab.certify import certify_case
+    from chamberlab.reduction import wall_products
+
+    case = CaseSpec(name="T", group="", action="", n=2 + sum(mults), d=d,
+                    multiplicities=mults)
+    for stage in (build_bundle, wall_products, wall_rows, certify_case):
+        with pytest.raises(PipelineError, match=r"^T: invalid case: .*must alternate"):
+            stage(case)
+
+
 def test_irrational_wall_products_raise():
     # At d = 3 the walls x*sqrt3/2 -+ y/2 over their leading coefficient are
-    # irrational unless they share a multiplicity.
-    from chamberlab.cases import CaseSpec
-
-    case = CaseSpec(name="T", group="", action="", n=8, d=3, multiplicities=(1, 2, 3))
-    with pytest.raises(PipelineError, match="not rational"):
-        build_bundle(case)
+    # irrational unless they share a multiplicity, which every valid d = 3
+    # case does: unequal ones are rejected before any wall is multiplied.
+    for mults in ((1, 2, 3), (3, 2, 1)):
+        _rejected(3, mults)
 
 
-def test_mixed_d4_multiplicities_derive_and_certify():
-    from chamberlab.certify import certify_case
-
-    golden = json.loads(MIXED_D4_CERTIFICATE_HASHES.read_text())
-    assert len(golden) == len(MIXED_D4)
-    for mults in MIXED_D4:
-        case = mixed_d4_case(mults)
-        bundle = build_bundle(case)
-        assert bundle.dense_volume_sq.degree() == 2 * sum(mults)
-        cert = certify_case(case)
-        assert cert["conclusion"] == "nonexistence-certified", mults
-        assert certificate_sha256(cert) == golden[grid_key(case)], mults
+def test_mixed_d4_multiplicities_are_rejected():
+    # m0 != m2 or m1 != m3 breaks the rule, whatever the dimension.
+    for mults in ((4, 4, 5, 4), (1, 2, 3, 4)):
+        _rejected(4, mults)
 
 
 # -- dense bundles end to end ------------------------------------------------------
@@ -516,12 +520,11 @@ def test_every_stored_field_is_a_reduced_form(multiplicity_grid):
     # compute_resultant reads A's and C's lists with no degree check: each
     # field build_bundle stores, A and C included, is integer lists of one
     # length over a denominator coprime to all their entries, so no form can
-    # hold two degrees.  Over the 14 default rows, the 208 grid cases and
-    # both mixed d = 4 tuples.
+    # hold two degrees.  Over the 14 default rows and the 208 grid cases.
     from chamberlab.cases import default_cases
 
-    cases = [*default_cases(), *multiplicity_grid, *map(mixed_d4_case, MIXED_D4)]
-    assert len(cases) == 14 + 208 + 2
+    cases = [*default_cases(), *multiplicity_grid]
+    assert len(cases) == 14 + 208
     for case in cases:
         bundle = build_bundle(case)
         forms = _forms(bundle)
@@ -683,31 +686,14 @@ def test_derive_and_certify_run_in_q(monkeypatch, tmp_path, capsys):
         numerics.get_lab.cache_clear()
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [(first,)] + part
-        for j in range(len(part)):
-            yield part[:j] + [(first, *part[j])] + part[j + 1:]
-
-
 def test_wall_class_rule_matches_the_field_path():
-    # Every set partition of the wall indices at every d: the rule in Q
-    # raises exactly where the walls multiplied in Q(sqrt2, sqrt3) leave an
-    # irrational P / l, and otherwise gives the same qd, l**2 and P / l.
-    partitions = [(d, tuple(part)) for d in (1, 2, 3, 4, 6)
-                  for part in _set_partitions(tuple(range(d)))]
-    assert len(partitions) == 1 + 2 + 5 + 15 + 203
+    # Every partition of the wall indices that a valid case makes, one class
+    # at any d or the even and the odd walls at even d: the rule in Q gives
+    # the qd, l**2 and P / l of the walls multiplied in Q(sqrt2, sqrt3).
+    partitions = [(d, (tuple(range(d)),)) for d in (1, 2, 3, 4, 6)]
+    partitions += [(d, (tuple(range(0, d, 2)), tuple(range(1, d, 2)))) for d in (2, 4, 6)]
     for d, classes in partitions:
-        try:
-            expected = field_wall_classes(d, classes)
-        except ValueError:
-            with pytest.raises(ValueError, match="not rational"):
-                reduction._wall_classes(d, classes)
-            continue
+        expected = field_wall_classes(d, classes)
         qd, products = reduction._wall_classes(d, classes)
         assert spatial(qd) == expected[0], (d, classes)
         assert [(lead_sq, spatial(p)) for lead_sq, p in products] == expected[1], \
@@ -735,5 +721,5 @@ def test_failing_wall_class_names_each_caller():
 
     for name in ("first", "second"):
         case = CaseSpec(name=name, group="", action="", n=8, d=3, multiplicities=(3, 2, 1))
-        with pytest.raises(PipelineError, match=f"^{name}: .* not rational"):
+        with pytest.raises(PipelineError, match=f"^{name}: .*must alternate"):
             wall_products(case)

@@ -32,7 +32,6 @@ from chamberlab.resultant import (
     sign_variations,
     taylor_shift,
 )
-from grid import MIXED_D4, mixed_d4_case
 from refine_oracle import bisection_refine, fraction_rules, stop_rules, u_chamber_intervals
 from resultant_oracle import poly_mul
 from root_checks import fujiwara_exponent
@@ -140,13 +139,10 @@ def _scan_and_u_intervals(case):
 
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_refine_matches_bisection_on_chamber_polynomials(d, monkeypatch):
-    # Every chamber-root interval of the certificates at d, the mixed d = 4
-    # tuples included, recomputed in u by Descartes isolation and bisection:
-    # the search in w = u**2 (w = u for (1, 2, 3, 4)) lands on the same cells.
-    cases = [case for case in default_cases() if case.d == d]
-    if d == 4:
-        cases += [mixed_d4_case(m) for m in MIXED_D4]
-    for case in cases:
+    # Every chamber-root interval of the certificates at d, recomputed in u by
+    # Descartes isolation and bisection: the search in w = u**2 lands on the
+    # same cells.
+    for case in (case for case in default_cases() if case.d == d):
         scan, roots, _ = _scan_and_u_intervals(case)
         assert scan == roots, (case.label, case.multiplicities)
     if d == 4:
@@ -158,30 +154,33 @@ def test_refine_matches_bisection_on_chamber_polynomials(d, monkeypatch):
         assert any(hi - lo >= 16 for lo, hi in isolating)
 
 
-@pytest.mark.parametrize("d,s,f", [
-    (3, 2, [-1, 2]),  # w = 1/2 sits at the dyadic t = 1/2; u = 1/sqrt2 is irrational
-    (3, 2, [-4, 9]),  # u = 2/3, rational, not dyadic
-    (3, 2, [-25, 4]),  # u = 5/2, met as a midpoint
-    (2, 2, [-9, 1]), (4, 1, [-3, 1]),  # u = 3, an integer
-    (4, 2, [-(2 ** 70 + 1) ** 2, 2 ** 140]),  # u = 1 + 2**-70: one double first
-    (4, 1, [-(2 ** 70 + 1), 2 ** 70]),
-    (6, 2, [-4, 1]),  # u = 2, t = 1 above the bound w = 3
-    (6, 2, [-(2 ** 53 + 1) ** 2, 2 ** 104]),  # u = 2 + 2**-52, halfway between two doubles
-    (4, 1, [-(2 ** 53 + 1), 2 ** 52]),
-    (6, 2, poly_mul([-3, 1], [-13, 4])),  # on the wall w = 3, and just above it
+# (d, f, k): the test id is "<d>-2-f<k>", d and the power of u in w = u**2,
+# with the row number k kept when a row is added or deleted.
+W_SEARCH_ROWS = (
+    (3, [-1, 2], 0),  # w = 1/2 sits at the dyadic t = 1/2; u = 1/sqrt2 is irrational
+    (3, [-4, 9], 1),  # u = 2/3, rational, not dyadic
+    (3, [-25, 4], 2),  # u = 5/2, met as a midpoint
+    (2, [-9, 1], 3),  # u = 3, an integer
+    (4, [-(2 ** 70 + 1) ** 2, 2 ** 140], 5),  # u = 1 + 2**-70: one double first
+    (6, [-4, 1], 7),  # u = 2, t = 1 above the bound w = 3
+    (6, [-(2 ** 53 + 1) ** 2, 2 ** 104], 8),  # u = 2 + 2**-52, halfway between two doubles
+    (6, poly_mul([-3, 1], [-13, 4]), 10),  # on the wall w = 3, and just above it
     # u = ceil(2**60 * cot(pi/d)) / 2**60, less than a double's spacing above
     # the irrational wall: the cells whose ends round to one double still
     # cross it.
-    (6, 2, [-(math.isqrt(3 << 120) + 1) ** 2, 2 ** 120]),
-    (3, 2, [-(math.isqrt((1 << 120) // 3) + 1) ** 2, 2 ** 120]),
-    (3, 2, poly_mul([-1, 3], poly_mul([-1, 4], [-3, 8]))),  # on, below and above w = 1/3
-    (4, 2, poly_mul([-1, 1], [-5, 1])), (4, 1, poly_mul([-1, 1], [-2, 0, 1])),
-    (2, 1, poly_mul([1, 1], [-1, 0, 0, 7])),  # below the wall u = 0, and above it
-], ids=lambda v: str(v) if not isinstance(v, list) else None)
-def test_w_search_matches_the_u_search(d, s, f):
-    u_poly = [0] * (s * len(f) - s + 1)
-    u_poly[::s] = f
-    assert _chamber_roots(f, d, s)[0] == u_chamber_intervals(u_poly, d)[0]
+    (6, [-(math.isqrt(3 << 120) + 1) ** 2, 2 ** 120], 11),
+    (3, [-(math.isqrt((1 << 120) // 3) + 1) ** 2, 2 ** 120], 12),
+    (3, poly_mul([-1, 3], poly_mul([-1, 4], [-3, 8])), 13),  # on, below and above w = 1/3
+    (4, poly_mul([-1, 1], [-5, 1]), 14),
+)
+
+
+@pytest.mark.parametrize("d,f", [pytest.param(d, f, id=f"{d}-2-f{k}")
+                                 for d, f, k in W_SEARCH_ROWS])
+def test_w_search_matches_the_u_search(d, f):
+    u_poly = [0] * (2 * len(f) - 1)
+    u_poly[::2] = f
+    assert _chamber_roots(f, d)[0] == u_chamber_intervals(u_poly, d)[0]
 
 
 def test_refine_meets_a_dyadic_root_before_the_rule_holds():

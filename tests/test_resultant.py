@@ -13,6 +13,7 @@ from chamberlab.errors import ExactDivisionError
 from chamberlab.reduction import build_bundle
 from chamberlab.resultant import (
     _pack,
+    _packed_resultant,
     _reflection_parity,
     _unpack,
     divide_exact,
@@ -54,11 +55,19 @@ def _random_coeffs(rng, count):
             return coeffs
 
 
+# sylvester_resultant takes only lists with one parity of u per side.  The
+# tests of the sign convention, the formal-degree rules and the packed digits
+# on lists with both parities call _packed_resultant, the PRS at formal
+# degrees that it runs on the halved lists.
+
+
 def test_linear_resultant_sign_convention():
     # coefficient lists for t - u and t - 1, low-to-high
     pa = [[0, -1], ONE]
     pc = [[-1], ONE]
-    assert sylvester_resultant(pa, pc) == [1, -1]  # 1 - u
+    assert _packed_resultant(pa, pc) == [1, -1]  # 1 - u
+    with pytest.raises(ValueError, match="both parities"):
+        sylvester_resultant(pa, pc)
 
 
 def test_shared_linear_factor_gives_zero():
@@ -67,7 +76,7 @@ def test_shared_linear_factor_gives_zero():
         shared = [_stripped(_random_linear(rng)), ONE]  # t - l(u) shape
         pa = t_multiply(shared, _random_coeffs(rng, 3))
         pc = t_multiply(shared, _random_coeffs(rng, 5))
-        assert sylvester_resultant(pa, pc) == []
+        assert _packed_resultant(pa, pc) == []
 
 
 def test_sylvester_matrix_shape():
@@ -99,7 +108,7 @@ def test_resultant_of_coprime_constants():
     # pinned sign convention.
     pa = [[-2], ONE]
     pc = [[-5], ONE]
-    assert sylvester_resultant(pa, pc) == [3]
+    assert _packed_resultant(pa, pc) == [3]
 
 
 def test_formal_degree_zero_side_gives_power_of_constant():
@@ -111,7 +120,7 @@ def test_formal_degree_zero_side_gives_power_of_constant():
         k = rng.randint(1, 5)
         pc = [_stripped(_random_linear(rng)) for _ in range(k + 1)]
         for pair in (([[a0]], pc), (pc, [[a0]])):
-            res = sylvester_resultant(*pair)
+            res = _packed_resultant(*pair)
             assert res == [a0 ** k]
             assert res == determinant_cofactor(sylvester_matrix(*pair))
 
@@ -123,7 +132,7 @@ def test_resultant_homogeneous_for_homogeneous_inputs():
     # quintic's).  At y = 1, x = u that is the single monomial c * u^5.
     pa = [U, [], [], [0, 2]]
     pc = [ONE, [], [], [], [], [3]]
-    res = sylvester_resultant(pa, pc)
+    res = _packed_resultant(pa, pc)
     assert len(res) == 6 and res[:5] == [0] * 5 and res[5] != 0
 
 
@@ -204,8 +213,8 @@ def test_matches_bareiss_on_registry_resultants(monkeypatch):
     # Every pair compute_resultant hands to sylvester_resultant, checked
     # against the fraction-free determinant of the Sylvester matrix over Z[u].
     # Every registry row has alternating multiplicities, so every pair has
-    # the reflection symmetry and takes the reduced path; the u path gives
-    # the same list.
+    # the reflection symmetry and takes the reduced path; the packed PRS on
+    # the unhalved lists gives the same list.
     pairs = _resultant_pairs(_oracle_cases(), monkeypatch)
     assert len(pairs) == 14 + 38 + 2 * sum(1 for t in load_registry() if t.param_specs)
     calls = _halving_calls(monkeypatch)
@@ -219,20 +228,19 @@ def test_matches_bareiss_on_registry_resultants(monkeypatch):
 
 def test_d4_tuples_take_the_reduced_path_when_m1_equals_m3(monkeypatch):
     # x -> -x sends wall i to wall 4 - i: it fixes walls 0 and 2 and swaps
-    # walls 1 and 3.  The 27 tuples in {1, 2, 3}^4 with m1 = m3 take the
-    # reduced path, the other 54 the u path, and both paths agree on all 81.
-    tuples = list(itertools.product((1, 2, 3), repeat=4))
+    # walls 1 and 3, which alternating multiplicities give one multiplicity.
+    # All 9 alternating tuples over {1, 2, 3} take the reduced path, and the
+    # packed PRS on the unhalved lists agrees.
+    tuples = [(m1, m2, m1, m2) for m1, m2 in itertools.product((1, 2, 3), repeat=2)]
     cases = [CaseSpec(name="T", group="", action="", n=2 + sum(m), d=4, multiplicities=m)
              for m in tuples]
     pairs = _resultant_pairs(cases, monkeypatch)
-    calls, reduced = _halving_calls(monkeypatch), 0
+    calls = _halving_calls(monkeypatch)
     for mults, (pa, pc) in zip(tuples, pairs, strict=True):
         calls.clear()
         got = sylvester_resultant(pa, pc)
-        assert len(calls) == 2 * (mults[1] == mults[3]), mults
+        assert len(calls) == 2, mults
         assert got == resultant._packed_resultant(pa, pc), mults
-        reduced += bool(calls)
-    assert reduced == 27
 
 
 def _parity_entry(rng, j, s):
@@ -258,7 +266,7 @@ def test_reduced_path_matches_cofactor_on_symmetric_lists(monkeypatch):
     # entries, vanishing leading coefficients and all-zero sides: lists with
     # the symmetry take the reduced path and reach both signs of
     # e = s_a * n + s_c * m - m * n with a nonzero resultant.  One
-    # coefficient of the other parity sends the same lists down the u path.
+    # coefficient of the other parity makes the same lists a ValueError.
     rng = random.Random(31)
     calls, branches, mixed = _halving_calls(monkeypatch), {True: 0, False: 0}, 0
     for m, n in itertools.product(range(5), range(6)):
@@ -280,11 +288,12 @@ def test_reduced_path_matches_cofactor_on_symmetric_lists(monkeypatch):
                 side[j] = side[j] + [0] * (i + 2 - len(side[j]))
                 side[j][i] = side[j][i] or rng.randint(1, 6)
                 side[j][i + 1] = rng.choice([-1, 1]) * rng.randint(1, 6)
-                assert _reflection_parity(side) is None
+                with pytest.raises(ValueError, match="both parities"):
+                    _reflection_parity(side)
                 calls.clear()
-                got = sylvester_resultant(pa, pc)
+                with pytest.raises(ValueError, match="both parities"):
+                    sylvester_resultant(pa, pc)
                 assert not calls
-                assert got == determinant_cofactor(sylvester_matrix(pa, pc)), (pa, pc)
                 mixed += 1
     assert min(branches.values()) > 0, branches
     assert mixed == 29 * 4 * 8
@@ -332,7 +341,7 @@ def test_matches_cofactor_on_random_formal_degrees():
             for _ in range(40):
                 pa, pc = side(deg_a + 1), side(deg_c + 1)
                 expected = determinant_cofactor(sylvester_matrix(pa, pc))
-                assert sylvester_resultant(pa, pc) == expected, (pa, pc)
+                assert _packed_resultant(pa, pc) == expected, (pa, pc)
                 checked += 1
     assert checked == 29 * 40
 
@@ -342,14 +351,14 @@ def test_signed_digits_reach_the_bound():
     # is its 1-norm, so a coefficient of -B or a run of +-B digits must come
     # back from the packed integer unchanged.
     pa = [[0, 1], ONE]
-    assert sylvester_resultant(pa, [[0, 0, -9]]) == [0, 0, -9]
-    assert sylvester_resultant(pa, [[-9, 9, -9]]) == [-9, 9, -9]
-    assert sylvester_resultant(pa, [[9, -9, 9]]) == [9, -9, 9]
-    assert sylvester_resultant([[-1], [-1]], [[-1, 0, 0, 1]]) == [-1, 0, 0, 1]
+    assert _packed_resultant(pa, [[0, 0, -9]]) == [0, 0, -9]
+    assert _packed_resultant(pa, [[-9, 9, -9]]) == [-9, 9, -9]
+    assert _packed_resultant(pa, [[9, -9, 9]]) == [9, -9, 9]
+    assert _packed_resultant([[-1], [-1]], [[-1, 0, 0, 1]]) == [-1, 0, 0, 1]
     # At (1, 1) with one vanishing leading coefficient: det [[-3u, 0], [0, 3u^2]]
     # and det [[0, 3u^2], [-3u, 0]] are -+9u^3, and B = 3 * 3 = 9.
-    assert sylvester_resultant([[0, 0, 3], []], [[], [0, -3]]) == [0, 0, 0, -9]
-    assert sylvester_resultant([[], [0, -3]], [[0, 0, 3], []]) == [0, 0, 0, 9]
+    assert _packed_resultant([[0, 0, 3], []], [[], [0, -3]]) == [0, 0, 0, -9]
+    assert _packed_resultant([[], [0, -3]], [[0, 0, 3], []]) == [0, 0, 0, 9]
 
 
 def test_unpack_inverts_pack_at_the_digit_edges():
@@ -497,10 +506,11 @@ def test_matches_sympy_resultant():
         return sum(sympy.Rational(int(c.a.numerator), int(c.a.denominator)) * u ** a
                    for (a, _), c in poly.terms.items())
 
-    # The three rows take the reduced path; the d = 4 tuple with m1 != m3 the u path.
-    mixed = CaseSpec(name="T", group="", action="", n=9, d=4, multiplicities=(1, 2, 3, 1))
+    # Three rows and a d = 4 tuple with m0 != m1 off the registry.
+    alternating = CaseSpec(name="T", group="", action="", n=10, d=4,
+                           multiplicities=(1, 3, 1, 3))
     for case in (registry_case("G2"), registry_case("SO4"), registry_case("Sp2xSpm", {"m": 2}),
-                 mixed):
+                 alternating):
         bundle = build_bundle(case)
         report = compute_resultant(bundle)
         assert report.trimmed_pairs == 0 and not report.identically_zero

@@ -117,9 +117,10 @@ def _synthetic(name, extra):
 
 def test_double_root_inside_chamber_is_found():
     # (u - 3)**2 has no sign change: a scan for sign changes cannot see it.
-    # At d = 3 the factor must keep the resultant even, (u**2 - 9)**2, for a
-    # search in w = u**2; at d = 4 the odd one sends the search to w = u.
-    for name, extra in (("SU3", poly_mul([-9, 0, 1], [-9, 0, 1])), ("SO5", [9, -6, 1])):
+    # The factor must keep the resultant even, (u**2 - 9)**2, for the search
+    # in w = u**2.
+    double = poly_mul([-9, 0, 1], [-9, 0, 1])
+    for name, extra in (("SU3", double), ("SO5", double)):
         real, scan = _synthetic(name, extra)
         (double,) = [r for r in scan.roots if r.multiplicity == 2]
         assert (double.lo, double.hi, double.factor) == (3, 3, "Q")
@@ -128,27 +129,29 @@ def test_double_root_inside_chamber_is_found():
 
 def test_rational_root_is_hit_exactly():
     # 2u - 5 vanishes at the dyadic 5/2 inside the d = 3 chamber (u > 1/sqrt3)
-    # and the d = 4 one (u > 1): as 4u**2 - 25 at d = 3, as it is at d = 4.
-    for name, extra in (("SO3", [-25, 0, 4]), ("SO5", [-5, 2])):
+    # and the d = 4 one (u > 1), each time as 4u**2 - 25.
+    for name, extra in (("SO3", [-25, 0, 4]), ("SO5", [-25, 0, 4])):
         real, scan = _synthetic(name, extra)
         assert any(r.lo == r.hi == Fraction(5, 2) for r in scan.roots)
         assert len(scan.roots) == len(real.roots) + 1
 
 
 def test_odd_factor_at_an_irrational_wall_is_a_pipeline_error():
-    # With both parities in u the search runs in w = u, above cot(pi/d),
-    # which is irrational at d = 3: no alternating row reaches this.
-    bundle = build_bundle(registry_case("SO3"))
-    fake = _fake_report(compute_resultant(bundle), [-5, 2])
-    with pytest.raises(PipelineError, match="^SO3: .*cot\\(pi/3\\) is irrational"):
-        chamber_root_scan(fake, bundle)
+    # An odd factor leaves the resultant with both parities in u, which the
+    # search in w = u**2 cannot halve, at an irrational wall (d = 3) as at a
+    # rational one (d = 4): no valid case reaches this.
+    for name in ("SO3", "SO5"):
+        bundle = build_bundle(registry_case(name))
+        fake = _fake_report(compute_resultant(bundle), [-5, 2])
+        with pytest.raises(PipelineError, match=f"^{name}: the resultant is not a power of u"):
+            chamber_root_scan(fake, bundle)
 
 
-@pytest.mark.parametrize("name,extra", [("G2", [-3, 0, 1]), ("SO5", [-1, 1])],
+@pytest.mark.parametrize("name,extra", [("G2", [-3, 0, 1]), ("SO5", [-1, 0, 1])],
                          ids=["sqrt3-wall-d6", "unit-wall-d4"])
 def test_root_on_the_wall_is_excluded(name, extra):
-    # u**2 - 3 vanishes on the d = 6 wall u = cot(pi/6); u - 1 on the d = 4
-    # wall u = cot(pi/4).  Neither is the whole qd, so each stays in Q.
+    # u**2 - 3 vanishes on the d = 6 wall u = cot(pi/6); u**2 - 1 on the
+    # d = 4 wall u = cot(pi/4).  Neither is the whole qd, so each stays in Q.
     real, scan = _synthetic(name, extra)
     assert scan.exponents == real.exponents
     assert [(r.lo, r.hi, r.factor) for r in scan.roots] == \
@@ -156,9 +159,9 @@ def test_root_on_the_wall_is_excluded(name, extra):
 
 
 def test_q_root_on_the_minimal_line_merges_into_m():
-    # The p = q = 2 minimal line is u = 1 exactly; a factor u - 1 in Q makes
-    # it a double root of the resultant, listed once, as M's.
-    real, scan = _synthetic("SOpxSOq", [-1, 1])
+    # The p = q = 2 minimal line is u = 1 exactly; a factor u**2 - 1 in Q
+    # makes it a double root of the resultant, listed once, as M's.
+    real, scan = _synthetic("SOpxSOq", [-1, 0, 1])
     (m_root,) = [r for r in scan.roots if r.factor == "M"]
     assert (m_root.lo, m_root.hi, m_root.multiplicity) == (1, 1, 2)
     assert len(scan.roots) == len(real.roots)

@@ -21,13 +21,23 @@ from .certify import certify_case, chamber_root_scan, compute_resultant, \
     expected_resultant_degree
 from .errors import ChamberlabError
 from .field import Rat
-from .numerics import CurveState, IntegratorConfig, MODE_CANDIDATE, MODE_MINIMAL, \
-    geometric_scalars, integrate_curve, normal_residual, principal_curvatures, \
-    state_from_angle, step_candidate, step_minimal
 from .reduction import ReductionBundle, build_bundle, verify_reference_example
 from .resultant import sylvester_resultant
 
 __version__ = "0.1.0"
+
+# The float lab's names, imported from :mod:`.numerics` on first use
+# (PEP 562), so the commands that integrate no curve do not load it.
+_NUMERICS = ("CurveState", "IntegratorConfig", "MODE_CANDIDATE", "MODE_MINIMAL",
+             "geometric_scalars", "integrate_curve", "normal_residual",
+             "principal_curvatures", "state_from_angle", "step_candidate", "step_minimal")
+
+
+def __getattr__(name: str):
+    if name in _NUMERICS:
+        from . import numerics
+        return getattr(numerics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CaseSpec", "ChamberlabError", "CurveState",

@@ -102,7 +102,9 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     that the forms' denominators put on the Sylvester rows, at degree
     deg_a*DC + deg_c*DA; both are divided by their gcd.  Where the
     determinant is nonzero, a side whose lists are all zero has a formal
-    degree of 0, so its DA or DC counts for nothing.
+    degree of 0, so its DA or DC counts for nothing.  Lists that no valid
+    case has, as ones with both parities of u, raise PipelineError with the
+    case label.
     """
     (pa, den_a), (pc, den_c) = bundle.dense_a, bundle.dense_c
     hdeg_a, hdeg_c = len(pa[0]) - 1, len(pc[0]) - 1
@@ -111,7 +113,10 @@ def compute_resultant(bundle: ReductionBundle) -> ResultantReport:
     while len(pa) > 1 and len(pc) > 1 and not (pa[-1] or pc[-1]):
         pa, pc, trimmed = pa[:-1], pc[:-1], trimmed + 1
     formal = deg_a, deg_c = len(pa) - 1, len(pc) - 1
-    dense = sylvester_resultant(pa, pc)
+    try:
+        dense = sylvester_resultant(pa, pc)
+    except ValueError as exc:  # lists that a valid case cannot have, as two parities of u
+        raise PipelineError(f"{bundle.case.label}: {exc}") from exc
     if not dense:
         return ResultantReport([], 1, formal, trimmed, None)
     degree = deg_a * hdeg_c + deg_c * hdeg_a

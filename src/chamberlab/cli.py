@@ -19,7 +19,6 @@ from .cases import CaseSpec, _packaged_registry, default_cases, registry_case
 from .certify import certify_case, output_path, write_certificate, write_json_atomic
 from .errors import BoundaryError, BoundError, ExactDivisionError, PipelineError, \
     RegistryError
-from .numerics import MODES, IntegratorConfig, integrate_curve, state_from_angle
 from .poly import rows_text
 from .reduction import build_bundle, bundle_to_json, verify_reference_example
 
@@ -52,7 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("integrate", help="integrate one profile curve to CSV")
     _case_args(p_int, allow_all=False)
-    p_int.add_argument("--mode", choices=MODES, default="minimal")
+    # numerics.MODES, written out: the commands that integrate no curve do
+    # not import the lab.
+    p_int.add_argument("--mode", choices=("minimal", "biharmonic-candidate"),
+                       default="minimal")
     p_int.add_argument("--x0", type=float, required=True)
     p_int.add_argument("--y0", type=float, required=True)
     p_int.add_argument("--angle", type=float, required=True,
@@ -176,6 +178,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    from .numerics import IntegratorConfig, integrate_curve, state_from_angle
+
     (case,) = _select_cases(args.case, _parse_params(args.param), allow_all=False)
     try:
         cfg = IntegratorConfig(step=args.step_size, max_steps=args.steps, mode=args.mode)

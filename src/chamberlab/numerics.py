@@ -10,18 +10,22 @@ within WALL_EPSILON of a wall rather than continuing into garbage.
 
 Each case's polynomials are compiled once into straight-line kernels
 (:class:`CaseLab`): R, the interior test of a point and of its wall values,
-the per-state values (walls, qd, t1..t5, A0..A3), and a trajectory row built
-from those values.  The row kernel is the lab's one implementation of f,
-|A|^2 and the two residuals: the pointwise oracles :func:`normal_residual`
-and :func:`geometric_scalars` read them off a row at the state.  RK4 runs on
-plain floats through one function, :func:`_rk4`, that calls the R kernel for
-its stages.  :func:`integrate_curve` is one pass: each new state's values are
-computed once and serve its wall test, its R and its row, which is emitted
-one step behind the integration.  A :class:`Trajectory` holds the states,
-the rows and the stop reason; its summary values are read off them.  An
-integrated trajectory appends each row's 9 values to one array of doubles,
-and its ``states`` and ``rows`` are read-only list-like views of it: state i
-is ``CurveState(*data[9i:9i + 5])`` and row i the 9-tuple.  So ``states[0]``
+the per-state values (walls, qd, t1..t5, A0..A3), a trajectory row built
+from those values, and the whole step loop of :func:`integrate_curve`.  One
+source-line generator per formula writes both the standalone kernels and
+the blocks inlined in the loop, so they round alike.  The row kernel is the
+lab's one implementation of f, |A|^2 and the two residuals: the pointwise
+oracles :func:`normal_residual` and :func:`geometric_scalars` read them off
+a row at the state, and step on plain floats through :func:`_rk4`, which
+calls the R kernel for its stages.  :func:`integrate_curve` is one pass in
+the loop kernel, which inlines RK4's three R stages: each new state's
+values are computed once and serve its wall test, its R and its row, which
+is packed one step behind the integration straight into the trajectory's
+array.  A :class:`Trajectory` holds the states, the rows and the stop
+reason; its summary values are read off them.  An integrated trajectory
+keeps each row's 9 values in one array of doubles, and its ``states`` and
+``rows`` are read-only list-like views of it: state i is
+``CurveState(*data[9i:9i + 5])`` and row i the 9-tuple.  So ``states[0]``
 is rebuilt from the array rather than being the start state, and an int
 field of the start reads back as a float; the CSV text does not change,
 since ``%.17g`` prints 0 and 0.0 alike.
@@ -29,14 +33,17 @@ since ``%.17g`` prints 0 and 0.0 alike.
 Evaluation order is part of the output.  The kernels use only IEEE-754
 ``+``, ``-``, ``*`` and ``/``, each correctly rounded, and never ``**``,
 which calls the C maths library's ``pow`` (libm), whose rounding differs
-from one libm to the next.  Kernel contract (see :func:`_kernel`): each
+from one libm to the next.  Kernel contract (see :func:`_poly_lines`): each
 power is the product of two smaller ones, x**k = x**(k - k//2) * x**(k//2),
 and each monomial x**a * y**b the x power times the y power, each computed
 once per call and shared by every polynomial of the kernel; a polynomial's
 value is ``0.0 + c_0 * m_0 + c_1 * m_1 + ...`` over its terms in order
 (``Form.float_terms``, and for the walls the constants of
 :attr:`CaseLab.trig`), left to right.  A kernel raises OverflowError when
-one of its powers overflows from a finite value, as ``**`` does.  Every
+one of its powers overflows from a finite value, as ``**`` does.  The loop
+kernel keeps this contract and the order of every other operation, so its
+trajectories are byte for byte those of stepping with :func:`_rk4` and the
+per-state kernels.  Every
 other float sum here is an explicit left-to-right expression or loop rather
 than builtin ``sum``, which compensates on Python 3.12+.  So from a given
 start state a trajectory's CSV bytes are the same on every platform whose
@@ -123,30 +130,37 @@ def _kernel(name: str, args: tuple[str, ...], polys: dict[str, list], result: st
 
     ``polys`` maps a local name to the terms ``(a, b, c)``, c a float, of a
     polynomial in the first two of ``args``.  The function binds each
-    polynomial's value to its name and returns ``result``, an expression over
-    those names and ``args``.  Evaluation-order contract, with IEEE-754
-    ``+`` and ``*`` only, each correctly rounded: the powers and monomials
-    are those of :func:`_products`, each computed once per call and shared by
-    every polynomial, and with ``(a_k, b_k, c_k)`` the terms in order a
+    polynomial's value to its name (:func:`_poly_lines`) and returns
+    ``result``, an expression over those names and ``args``.
+    """
+    return _function(name, args, [*_poly_lines(args[0], args[1], polys), f"return {result}"])
+
+
+def _poly_lines(x: str, y: str, polys: dict[str, list], sfx: str = "") -> list[str]:
+    """Source lines that bind each polynomial of ``polys`` in (``x``, ``y``)
+    to its name followed by ``sfx``.
+
+    Evaluation-order contract, with IEEE-754 ``+`` and ``*`` only, each
+    correctly rounded: the powers and monomials are those of
+    :func:`_products`, each computed once per block and shared by every
+    polynomial, and with ``(a_k, b_k, c_k)`` the terms in order a
     polynomial's value is ``0.0 + c_0 * m_0 + c_1 * m_1 + ...`` left to
     right, ``m_k`` the monomial ``x**a_k * y**b_k`` (a constant term is
     ``c_k`` alone).  So it rounds as the plain left-to-right loop of these
     products does, on any Python version (builtin ``sum`` of floats
     compensates since 3.12) and any libm.  A zero polynomial's value is 0.0.
     Each coefficient enters the source as its ``repr``, which reads back as
-    the same float; ``inf`` is a global.  The function raises OverflowError
-    when a power of x or y overflows from a finite value, as ``**`` does.
+    the same float; ``inf`` is a global.  The lines raise OverflowError when
+    a power of x or y overflows from a finite value, as ``**`` does.
     """
-    lines, factor = _products(args[0], args[1],
-                              {(a, b) for terms in polys.values() for a, b, _ in terms})
-    lines.extend(f"{local} = {_sum(f'{c!r}{factor[a, b]}' for a, b, c in terms)}"
+    lines, factor = _products(x, y, {(a, b) for terms in polys.values() for a, b, _ in terms})
+    lines.extend(f"{local}{sfx} = {_sum(f'{c!r}{factor[a, b]}' for a, b, c in terms)}"
                  for local, terms in polys.items())
-    source = "\n    ".join([f"def {name}({', '.join(args)}):", *lines, f"return {result}"])
-    return _define(source, name)
+    return lines
 
 
 def _power_lines(var: str, top: int) -> list[str]:
-    """Source lines that bind ``var<k>`` to the power var**k for k = 2 ..
+    """Source lines that bind ``var_<k>`` to the power var**k for k = 2 ..
     ``top``, each the product of two smaller ones by one rule, x**k =
     x**(k - k//2) * x**(k//2) with x**1 the variable itself; then raise
     OverflowError when var**top overflows from a finite ``var``, as
@@ -157,29 +171,30 @@ def _power_lines(var: str, top: int) -> list[str]:
     """
     if top < 2:
         return []
-    return [*(f"{var}{k} = {_power(var, k - k // 2)} * {_power(var, k // 2)}"
+    return [*(f"{var}_{k} = {_power(var, k - k // 2)} * {_power(var, k // 2)}"
               for k in range(2, top + 1)),
-            f"if {var}{top} - {var}{top} != 0.0 and {var} - {var} == 0.0: "
+            f"if {var}_{top} - {var}_{top} != 0.0 and {var} - {var} == 0.0: "
             f"raise OverflowError('{var}^{top} is out of range')"]
 
 
 def _power(var: str, k: int) -> str:
-    return var if k == 1 else f"{var}{k}"
+    return var if k == 1 else f"{var}_{k}"
 
 
 def _products(x: str, y: str, monomials) -> tuple[list[str], dict]:
     """Source lines that bind the powers of ``x`` and ``y`` (see
     :func:`_power_lines`) and each monomial x**a * y**b with a, b > 0 of
-    ``monomials`` to ``m<a>_<b>``, the x power times the y power; and the
-    factor text of each monomial in a term, ``" * <name>"``, or ``""`` for
-    (0, 0)."""
+    ``monomials`` to ``<x>_<a>_<y>_<b>``, the x power times the y power; and
+    the factor text of each monomial in a term, ``" * <name>"``, or ``""``
+    for (0, 0).  The names derive from the variables' own, so blocks over
+    different variables share a function without clashing."""
     lines = (_power_lines(x, max((a for a, _ in monomials), default=0))
              + _power_lines(y, max((b for _, b in monomials), default=0)))
     factor = {}
     for a, b in sorted(monomials):
         if a and b:
-            lines.append(f"m{a}_{b} = {_power(x, a)} * {_power(y, b)}")
-            factor[a, b] = f" * m{a}_{b}"
+            lines.append(f"{x}_{a}_{y}_{b} = {_power(x, a)} * {_power(y, b)}")
+            factor[a, b] = f" * {x}_{a}_{y}_{b}"
         else:
             factor[a, b] = f" * {_power(x, a)}" if a else f" * {_power(y, b)}" if b else ""
     return lines, factor
@@ -189,6 +204,11 @@ def _sum(terms) -> str:
     """The text ``0.0 + term_0 + term_1 + ...`` of term texts, so a sum of
     floats starts from 0.0 and runs left to right."""
     return "0.0" + "".join(f" + {term}" for term in terms)
+
+
+def _function(name: str, args, body: list[str]) -> Callable:
+    """Compile ``def name(*args):`` over the body lines (see :func:`_define`)."""
+    return _define("\n    ".join([f"def {name}({', '.join(args)}):", *body]), name)
 
 
 def _define(source: str, name: str) -> Callable:
@@ -201,6 +221,12 @@ def _define(source: str, name: str) -> Callable:
                  "OverflowError": OverflowError}
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     return namespace[name]
+
+
+def _r_num(sfx: str, xd: str, yd: str) -> str:
+    """The text of the curvature sum's numerator -t2 xd + t1 yd at a state
+    whose t1, t2 are bound with suffix ``sfx``; R is it over qd."""
+    return f"-t2{sfx} * {xd} + t1{sfx} * {yd}"
 
 
 class CaseLab:
@@ -225,7 +251,15 @@ class CaseLab:
       with ``trig`` and the multiplicities baked in: f = kd + sum m_i k_i,
       |A|^2 = kd^2 + sum m_i k_i^2, res_poly = A0 xd^3 + ... + A3 yd^3 and
       res_ode the denominator-cleared normal equation from the given R',
-      R''.  This is the only code that computes them.
+      R'' (:func:`_row_lines`).  This is the only code that computes them;
+    - ``loop``: :func:`integrate_curve`'s whole step loop (:func:`_loop_lines`),
+      in which RK4's three R stages, ``point`` at each new state, the
+      interior rule and the row are the same lines as in the kernels above,
+      inlined with their own name suffixes.
+
+    Each is built from one source-line generator per formula, so the
+    standalone kernels, which the pointwise oracles call, and the blocks
+    inlined in ``loop`` round alike, bit for bit.
     """
 
     def __init__(self, case: CaseSpec):
@@ -238,52 +272,165 @@ class CaseLab:
         t = {name: poly.float_terms() for name, poly in
              zip(("qd", "t1", "t2", "t3", "t4", "t5"), (bundle.dense_qd, *bundle.dense_t))}
         a = {f"a{j}": bundle.dense_a.float_terms(j) for j in range(4)}
+        curvature = {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]}
+        values = {**walls, **t, **a}
         wall_names = ", ".join(walls) + ","
-        self.R = _kernel("R", ("x", "y", "xd", "yd"),
-                         {"t1": t["t1"], "t2": t["t2"], "qd": t["qd"]},
-                         "(-t2 * xd + t1 * yd) / qd")
-        rule = " and ".join([f"not w0 > -{WALL_EPSILON!r}"]
-                            + [f"w{i} > {WALL_EPSILON!r}" for i in range(1, case.d)])
+        self.R = _kernel("R", ("x", "y", "xd", "yd"), curvature,
+                         f"({_r_num('', 'xd', 'yd')}) / qd")
+        rule = _interior_rule(case.d)
         self.inside = _kernel("inside", ("x", "y"), walls, rule)
-        self.point = _kernel("point", ("x", "y"), {**walls, **t, **a},
+        self.point = _kernel("point", ("x", "y"), values,
                              f"(({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3)")
-        self.clear = _define(f"def clear(walls):\n    ({wall_names}) = walls\n"
-                             f"    return {rule}", "clear")
-        self.row = _row_kernel(self.trig, case.multiplicities)
+        self.clear = _function("clear", ("walls",), [f"({wall_names}) = walls", f"return {rule}"])
+        row = _row_lines(self.trig, case.multiplicities)
+        self.row = _function("row", _ROW_ARGS, [
+            f"({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3 = values",
+            f"rnum = {_r_num('', 'xd', 'yd')}",
+            *row("xd", "yd", ""),
+            f"if r_dot is None: return {_ROW_HEAD}, nan)",
+            *_RES_ODE_LINES,
+            f"return {_ROW_HEAD}, {_RES_ODE})"])
+        self.loop = _function("loop", _LOOP_ARGS,
+                              _loop_lines(curvature, values, _interior_rule(case.d, "n"), row))
+        # CPython 3.11 specializes a function's bytecode from its eighth call
+        # on, and a curve calls loop once: eight calls of no step let the
+        # first curve run specialized, 30% faster there.
+        for _ in range(8):
+            self.loop(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0, None, None)
 
 
-def _row_kernel(trig, multiplicities) -> Callable:
-    """Compile :attr:`CaseLab.row` from the wall table ``trig`` and the multiplicities.
+def _interior_rule(d: int, sfx: str = "") -> str:
+    """The strict interior test on the d wall values bound with suffix
+    ``sfx``: the zeroth below -WALL_EPSILON (or NaN), the others above it."""
+    return " and ".join([f"not w0{sfx} > -{WALL_EPSILON!r}"]
+                        + [f"w{i}{sfx} > {WALL_EPSILON!r}" for i in range(1, d)])
+
+
+def _row_lines(trig, multiplicities) -> Callable:
+    """The source-line generator of a row's state part, from the wall table
+    ``trig`` and the multiplicities: ``lines(xd, yd, sfx)`` binds, from the
+    values of ``point`` and ``rnum`` (:func:`_r_num`) bound with suffix
+    ``sfx`` at a state with tangent (xd, yd), ``f`` = sum m_i k_i, ``asq`` =
+    sum m_i k_i^2, ``poly`` = res_poly and the products ``qv`` = qd (t1 xd +
+    t2 yd) and ``qr`` = (t3 xd^2 + t4 xd yd + t5 yd^2) * rnum of res_ode,
+    each with that suffix.  The row is then :data:`_ROW_HEAD` and, at an
+    interior state, :data:`_RES_ODE` after :data:`_RES_ODE_LINES`.
 
     k_i keeps both terms, even one whose constant is 0.0.  The constants enter
     the source as ``repr`` text, which reads back as the same float; an int
     multiplicity m becomes float(m), with the same products.  The cubic
     A0 xd^3 + ... + A3 yd^3 and the quadratic t3 xd^2 + t4 xd yd + t5 yd^2
-    follow :func:`_kernel`'s rule in (xd, yd), with one set of monomials,
-    and q^3 is q^2 * q, computed for an interior row only; the row raises
-    OverflowError when xd^3, yd^3 or that q^3 overflows.
+    follow :func:`_poly_lines`'s rule in (xd, yd), with one set of monomials,
+    and qd^3 is qd^2 * qd, computed for an interior row only; the lines
+    raise OverflowError when xd^3, yd^3 or that qd^3 overflows.
     """
-    d = len(trig)
     multiplicities = [float(m) for m in multiplicities]
     cubic, quadratic = ((3, 0), (2, 1), (1, 2), (0, 3)), ((2, 0), (1, 1), (0, 2))
-    lines, factor = _products("xd", "yd", {*cubic, *quadratic})
-    head = "(s, x, y, xd, yd, kd + f, kd * kd + a_sq, res_poly"
-    source = "\n    ".join([
-        "def row(s, x, y, xd, yd, values, kd, r_dot, r_ddot):",
-        f"({', '.join(f'w{i}' for i in range(d))},), q, t1, t2, t3, t4, t5, a0, a1, a2, a3 = values",
-        *(f"k{i} = ({sin_i!r} * yd + {cos_i!r} * xd) / w{i}"
-          for i, (sin_i, cos_i) in enumerate(trig)),
-        f"f = {_sum(f'{m!r} * k{i}' for i, m in enumerate(multiplicities))}",
-        f"a_sq = {_sum(f'{m!r} * k{i} * k{i}' for i, m in enumerate(multiplicities))}",
-        *lines,
-        f"res_poly = {_sum(f'a{j}{factor[m]}' for j, m in enumerate(cubic))}",
-        f"if r_dot is None: return {head}, nan)",
-        *_power_lines("q", 3),
-        f"return {head}, q3 * r_ddot + q * (t1 * xd + t2 * yd) * (q * r_dot)"
-        f" - ({_sum(f't{3 + j}{factor[m]}' for j, m in enumerate(quadratic))})"
-        " * (-t2 * xd + t1 * yd))",
-    ])
-    return _define(source, "row")
+
+    def lines(xd: str, yd: str, sfx: str) -> list[str]:
+        products, factor = _products(xd, yd, {*cubic, *quadratic})
+        return [
+            *(f"k{i}{sfx} = ({sin_i!r} * {yd} + {cos_i!r} * {xd}) / w{i}{sfx}"
+              for i, (sin_i, cos_i) in enumerate(trig)),
+            f"f{sfx} = {_sum(f'{m!r} * k{i}{sfx}' for i, m in enumerate(multiplicities))}",
+            f"asq{sfx} = "
+            f"{_sum(f'{m!r} * k{i}{sfx} * k{i}{sfx}' for i, m in enumerate(multiplicities))}",
+            *products,
+            f"poly{sfx} = {_sum(f'a{j}{sfx}{factor[m]}' for j, m in enumerate(cubic))}",
+            f"qv{sfx} = qd{sfx} * (t1{sfx} * {xd} + t2{sfx} * {yd})",
+            f"qr{sfx} = ({_sum(f't{3 + j}{sfx}{factor[m]}' for j, m in enumerate(quadratic))})"
+            f" * rnum{sfx}",
+        ]
+    return lines
+
+
+# A row at the state (s, x, y, xd, yd) from its state part (see _row_lines)
+# and the planar curvature kd, less its last value; at an interior state
+# res_ode, from R' and R'' as r_dot and r_ddot, after its qd^3 lines.
+_ROW_ARGS = ("s", "x", "y", "xd", "yd", "values", "kd", "r_dot", "r_ddot")
+_ROW_HEAD = "(s, x, y, xd, yd, kd + f, kd * kd + asq, poly"
+_RES_ODE_LINES = _power_lines("qd", 3)
+_RES_ODE = "qd_3 * r_ddot + qv * (qd * r_dot) - qr"
+
+_LOOP_ARGS = ("s", "x", "y", "xd", "yd", "r", "h", "coeff", "steps", "put", "pack")
+# The values that the state part of a row binds at a new state, carried to
+# the current one.
+_CARRIED = ("x", "y", "xd", "yd", "r", "f", "asq", "poly", "qd", "qv", "qr")
+
+
+def _loop_lines(curvature: dict, values: dict, rule: str, row: Callable) -> list[str]:
+    """Body lines of :attr:`CaseLab.loop`, :func:`integrate_curve`'s step loop.
+
+    ``loop(s, x, y, xd, yd, r, h, coeff, steps, put, pack)`` runs up to
+    ``steps`` RK4 steps of size h from the start state, inside the chamber
+    with R there ``r``, whose row the caller has stored.  Each step is
+    :func:`_rk4`'s arithmetic with the three R stages inlined
+    (``_poly_lines`` with suffixes ``_k2``, ``_k3``, ``_k4``); then ``point``
+    at the new state (suffix ``n``), the interior ``rule`` and R there.  The
+    current state's interior row follows, packed as 9 doubles by ``pack``
+    and appended by ``put``, and then the new state's row state part, which
+    raises OverflowError before the state is taken as the current one.  So a
+    row that overflows escapes with the rows stored so far ending at the
+    state before it.  The state part raises only when xd^3 or yd^3
+    overflows, as the state's whole row, built one step later, would
+    whichever way the curve went on, so the curve ends where it would.
+    At max_steps, a wall or an RK4 overflow the loop
+    stores the current state's endpoint row and returns the stop reason.
+    When the new state's ``point`` overflows it returns the new state, the
+    current one, its R and, unless it is the start, ``(xd, yd, R)`` of the
+    state before, and stores nothing more.
+    """
+    def stage(k: int, step: str, prev: str) -> list[str]:
+        """RK4 stage k: the state moved by ``step`` along the velocities of
+        stage k - 1, whose variables end in ``prev``, and its R block."""
+        x, y, xd, yd = (f"{v}{k}" for v in ("x", "y", "xd", "yd"))
+        return [f"{x} = x + {step} * xd{prev}", f"{y} = y + {step} * yd{prev}",
+                f"{xd} = xd + {step} * a{k - 1}", f"{yd} = yd + {step} * b{k - 1}",
+                *_poly_lines(x, y, curvature, f"_k{k}"),
+                f"w = coeff * (({_r_num(f'_k{k}', xd, yd)}) / qd_k{k})",
+                f"a{k} = w * {yd}", f"b{k} = -w * {xd}"]
+
+    return [
+        "half = 0.5 * h", "sixth = h / 6.0", "h2 = 2 * h", "hh = h * h",
+        "moved = False", "stop = 'max_steps'",
+        "while steps > 0:",
+        "    steps -= 1",
+        "    try:",
+        *(f"        {line}" for line in [
+            "w = coeff * r", "a1 = w * yd", "b1 = -w * xd",
+            *stage(2, "half", ""), *stage(3, "half", "2"), *stage(4, "h", "3"),
+            "xn = x + sixth * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4)",
+            "yn = y + sixth * (yd + 2.0 * yd2 + 2.0 * yd3 + yd4)",
+            "xdn = xd + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)",
+            "ydn = yd + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)"]),
+        "    except OverflowError:",
+        "        stop = 'overflow'",
+        "        break",
+        "    try:",
+        *(f"        {line}" for line in _poly_lines("xn", "yn", values, "n")),
+        "    except OverflowError:",
+        "        return xn, yn, xdn, ydn, s, x, y, xd, yd, r, (xdp, ydp, rp) if moved else None",
+        f"    if not ({rule}):",
+        "        stop = 'boundary'",
+        "        break",
+        f"    rnumn = {_r_num('n', 'xdn', 'ydn')}",
+        "    rn = rnumn / qdn",
+        "    if moved:",
+        "        kd = (ydn - ydp) / h2 * xd - (xdn - xdp) / h2 * yd",
+        "        r_dot = (rn - rp) / h2",
+        "        r_ddot = (rn - 2.0 * r + rp) / hh",
+        *(f"        {line}" for line in _RES_ODE_LINES),
+        f"        put(pack{_ROW_HEAD}, {_RES_ODE}))",
+        *(f"    {line}" for line in row("xdn", "ydn", "n")),
+        "    s += h",
+        "    moved = True",
+        "    xdp = xd", "    ydp = yd", "    rp = r",
+        *(f"    {name} = {name}n" for name in _CARRIED),
+        "if moved:",
+        "    kd = -coeff * r",
+        f"    put(pack{_ROW_HEAD}, nan))",
+        "return stop",
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -526,84 +673,78 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     endpoints (no neighbors) the mode constraint value is used.  res_ode needs
     the same neighbors and is NaN at the endpoints.
 
-    One pass: each new state's ``point`` values decide whether it is inside
-    and give R there, which serves as the next step's k1 stage and as the
-    finite differences of R'.  A state's row is emitted by the ``row`` kernel
-    as soon as its successor exists, so on a curve that stays in float range
-    no kernel runs twice on a state.  The curve ends at the last state whose
-    row evaluates, as if every row were computed after the integration: a
-    state whose values overflow ends it, and so does a state whose row
-    overflows, which also turns the row before into an endpoint row.  A
-    start whose values overflow raises BoundaryError.
+    One pass, in the case's generated step loop (:attr:`CaseLab.loop`): each
+    new state's ``point`` values decide whether it is inside and give R
+    there, which serves as the next step's k1 stage and as the finite
+    differences of R'.  A state's row is packed as soon as its successor
+    exists, so on a curve that stays in float range no formula runs twice on
+    a state.  The curve ends at the last state whose row evaluates, as if
+    every row were computed after the integration: a state whose values
+    overflow ends it, and so does a state whose row overflows, which also
+    turns the row before into an endpoint row.  A start whose values
+    overflow raises BoundaryError.
     """
     # Imported here: the commands that never integrate a curve do not load
     # the array extension module, about 0.1 MB and 0.4 ms at start-up.
     from array import array
+    from struct import Struct
 
     lab = get_lab(case)
-    R, point, clear, row = lab.R, lab.point, lab.clear, lab.row
     coeff = _MODE_COEFF[cfg.mode]
-    h = cfg.step
-    h2, hh = 2 * h, h * h
     s, x, y, xd, yd = init.s, init.x, init.y, init.xd, init.yd
     try:
-        v = point(x, y)
-        if not clear(v[0]):
+        v = lab.point(x, y)
+        if not lab.clear(v[0]):
             raise BoundaryError(f"initial state ({x}, {y}) is not strictly inside the chamber")
         r = (-v[3] * xd + v[2] * yd) / v[1]
-        data = array("d", row(s, x, y, xd, yd, v, -coeff * r, None, None))
+        data = array("d", lab.row(s, x, y, xd, yd, v, -coeff * r, None, None))
     except OverflowError:
         raise BoundaryError(f"initial state ({x}, {y}) overflows the lab's float range") from None
-    stop_reason = "max_steps"
-    moved = False  # whether the current state (x, y, xd, yd) is a later one than init
     try:
-        for _ in range(cfg.max_steps):
-            try:
-                x1, y1, xd1, yd1 = _rk4(R, coeff, h, x, y, xd, yd, r)
-            except OverflowError:  # a coarse step flung the curve out of float range
-                stop_reason = "overflow"
-                break
-            try:
-                v1 = point(x1, y1)
-            except OverflowError:
-                # The new state has no row.  The inside kernel and R alone
-                # decide, as for any state: outside, it is a wall stop;
-                # inside, with R evaluating there, it is still the successor
-                # that makes the current state's row an interior one.
-                v1 = None
-                stop_reason = "overflow"
-                try:
-                    if not lab.inside(x1, y1):
-                        stop_reason = "boundary"
-                        break
-                    r1 = R(x1, y1, xd1, yd1)
-                except OverflowError:
-                    break
-            else:
-                if not clear(v1[0]):
-                    stop_reason = "boundary"
-                    break
-                r1 = (-v1[3] * xd1 + v1[2] * yd1) / v1[1]
-            if moved:
-                current = row(s, x, y, xd, yd, v,
-                              (yd1 - ydp) / h2 * xd - (xd1 - xdp) / h2 * yd,
-                              (r1 - rp) / h2, (r1 - 2.0 * r + rp) / hh)
-                if v1 is None:  # the curve ends here, with an endpoint row
-                    break
-                data.extend(current)
-            elif v1 is None:
-                break
-            s += h
-            moved = True
-            xdp, ydp, vp, rp = xd, yd, v, r
-            x, y, xd, yd, v, r = x1, y1, xd1, yd1, v1, r1
-        if moved:
-            data.extend(row(s, x, y, xd, yd, v, -coeff * r, None, None))
+        stop_reason = lab.loop(s, x, y, xd, yd, r, cfg.step, coeff, cfg.max_steps,
+                               data.frombytes, Struct(f"{_WIDTH}d").pack)
+        if type(stop_reason) is tuple:
+            stop_reason = _end_at_overflowing_state(lab, data, coeff, cfg.step, *stop_reason)
     except OverflowError:
-        # The current state's row overflows: end the curve at the state
-        # before it, the last one stored, whose row becomes an endpoint row.
+        # A row overflows: end the curve at the state before it, the last
+        # one stored, whose row becomes an endpoint row (its point values
+        # and R evaluated again).
         stop_reason = "overflow"
         if len(data) > _WIDTH:
-            data[-_WIDTH:] = array("d", row(*data[-_WIDTH:-4], vp, -coeff * rp, None, None))
+            s, x, y, xd, yd = data[-_WIDTH:-4]
+            v = lab.point(x, y)
+            data[-_WIDTH:] = array("d", lab.row(s, x, y, xd, yd, v, -coeff * (
+                (-v[3] * xd + v[2] * yd) / v[1]), None, None))
     return Trajectory(_Columns(data, 5, CurveState._make), _Columns(data, _WIDTH, tuple),
                       stop_reason)
+
+
+def _end_at_overflowing_state(lab: CaseLab, data, coeff: float, h: float,
+                              xn, yn, xdn, ydn, s, x, y, xd, yd, r, before) -> str:
+    """The stop reason of a curve whose new state (xn, yn, xdn, ydn) has no
+    row, since its ``point`` values overflow; store the current state's
+    endpoint row unless it is the start.
+
+    The inside kernel and R alone decide, as for any state: outside, it is a
+    wall stop; inside, with R evaluating there, it is still the successor
+    that makes the current state's row an interior one, which must evaluate:
+    one that overflows escapes as OverflowError.  ``before`` is ``(xd, yd,
+    R)`` of the state before the current one, None at the start.
+    """
+    stop_reason, rn = "overflow", None
+    try:
+        if lab.inside(xn, yn):
+            rn = lab.R(xn, yn, xdn, ydn)
+        else:
+            stop_reason = "boundary"
+    except OverflowError:
+        pass
+    if before is not None:
+        v = lab.point(x, y)
+        if rn is not None:
+            xdp, ydp, rp = before
+            h2 = 2 * h
+            lab.row(s, x, y, xd, yd, v, (ydn - ydp) / h2 * xd - (xdn - xdp) / h2 * yd,
+                    (rn - rp) / h2, (rn - 2.0 * r + rp) / (h * h))
+        data.extend(lab.row(s, x, y, xd, yd, v, -coeff * r, None, None))
+    return stop_reason

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -182,6 +183,27 @@ def test_resultant_rational_boundary_scales_back(u5):
     assert scaled.scale == whole.scale * 2 ** 5 * 3 ** 3
     assert whole.degree == scaled.degree == 3 * 1 + 5 * 1
     assert scaled.poly == whole.poly * FieldScalar.rational(1, 2 ** 5 * 3 ** 3)
+
+
+def test_lists_with_both_parities_of_u_stop_with_the_case_label(monkeypatch, u5, tmp_path,
+                                                                capsys):
+    # The lists of test_resultant_rational_boundary_scales_back, but C's top
+    # list is 7u, not 7: u**5 * C5 has the even power u**6 where every other
+    # term of C is odd.  No valid case has such lists, so the resultant
+    # stops with a PipelineError that names the case; certify exits 3 and
+    # writes nothing.
+    from chamberlab import certify
+    from chamberlab.cli import EXIT_PIPELINE_ERROR, main
+
+    a = [_lin(-1, 0), _lin(0, 1), _lin(2, 0), _lin(0, 3)]
+    c = [_lin(1, 0), _lin(0, 5), _lin(1, 0), _lin(0, -1), _ZERO, _lin(7, 0)]
+    message = "the exponents of u in u**j * p[j] have both parities"
+    with pytest.raises(PipelineError, match=f"^{re.escape(f'{u5.label}: {message}')}$"):
+        compute_resultant(_fake_bundle(u5, a, c))
+    monkeypatch.setattr(certify, "build_bundle", lambda case: _fake_bundle(case, a, c))
+    assert main(["certify", "--case", "SO5", "--out", str(tmp_path)]) == EXIT_PIPELINE_ERROR
+    assert f"pipeline invariant violated: SO5: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def _scan(case):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chamberlab
 from chamberlab import certify, cli
 from chamberlab.cases import registry_case
@@ -351,6 +353,30 @@ def test_cli_import_loads_no_process_pool():
                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_lab_unloaded():
+    # The front end and the package load chamberlab.numerics only when a
+    # curve is integrated, and every name of __all__, the lab's included,
+    # still resolves (PEP 562), by attribute and by from-import.
+    src = str(Path(chamberlab.__file__).parents[1])
+    code = ("import sys, chamberlab, chamberlab.cli; "
+            "print('chamberlab.numerics' in sys.modules); "
+            "from chamberlab import integrate_curve; "
+            "print(integrate_curve.__module__); "
+            "print(all(hasattr(chamberlab, name) for name in chamberlab.__all__))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "chamberlab.numerics", "True"]
+    with pytest.raises(AttributeError, match="has no attribute 'nonsense'"):
+        chamberlab.nonsense
+    # The integrate parser, which names the modes without the lab, offers
+    # the lab's modes.
+    from chamberlab.numerics import MODES
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    (mode,) = (a for a in commands["integrate"]._actions if a.dest == "mode")
+    assert tuple(mode.choices) == MODES and mode.default == MODES[0]
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

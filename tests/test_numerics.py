@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -479,6 +480,36 @@ def test_one_pass_matches_two_pass_oracle(all_cases):
     assert "SO5" in stops["overflow"]
 
 
+def test_step_loop_matches_two_pass_oracle_on_random_curves(all_cases):
+    # Seeded random starts anywhere inside each default row's chamber, from
+    # near the vertex to far out, with random step sizes, step budgets
+    # (0 included) and modes: the generated step loop returns the rows,
+    # states and stop reason of the two-pass oracle, every float compared by
+    # repr.  Steps up to about 3 radii fling some curves across a wall or
+    # out of float range: the draw reaches max_steps and the wall on every
+    # row, and an overflow on some.
+    rng = random.Random(1)
+    stops = {}
+    for case in all_cases:
+        for _ in range(30):
+            sigma = rng.uniform(0.02, 0.98) * math.pi / case.d
+            radius = 10 ** rng.uniform(-1.5, 1.0)
+            init = state_from_angle(radius * math.cos(sigma), radius * math.sin(sigma),
+                                    rng.uniform(0.0, 2 * math.pi))
+            cfg = IntegratorConfig(step=radius * 10 ** rng.uniform(-3.0, 0.5),
+                                   max_steps=rng.choice((0, 1, 2, rng.randint(3, 300))),
+                                   mode=rng.choice(MODES))
+            new = integrate_curve(init, cfg, case)
+            old = integrate_two_pass(init, cfg, case)[0]
+            where = (case.label, init, cfg)
+            assert [repr(row) for row in new.rows] == [repr(row) for row in old.rows], where
+            assert [repr(st) for st in new.states] == [repr(st) for st in old.states], where
+            assert new.stop_reason == old.stop_reason, where
+            stops.setdefault(new.stop_reason, set()).add(case.label)
+    labels = {case.label for case in all_cases}
+    assert stops["max_steps"] == stops["boundary"] == labels and stops["overflow"]
+
+
 def test_trajectory_diagnostics_read_interior_rows():
     # Hand-built rows (s, x, y, xd, yd, f, A2, res_poly, res_ode): the
     # endpoint rows, whose f is largest, are left out of max_abs_f and
@@ -676,7 +707,8 @@ def test_kernel_values_lie_within_a_forward_error_bound(all_cases):
 def test_kernels_take_no_powers_and_see_only_named_globals(all_cases, monkeypatch):
     # Libm independence: no generated kernel of any registry row calls
     # libm's pow through **, and each kernel reads no global but inf, nan
-    # and OverflowError, with no builtins, so it calls no other function.
+    # and OverflowError, with no builtins, so it calls no other function;
+    # the step loop calls only the two functions it is passed.
     allowed = {"inf", "nan", "OverflowError"}
     define, built = numerics._define, {}
 
@@ -688,7 +720,7 @@ def test_kernels_take_no_powers_and_see_only_named_globals(all_cases, monkeypatc
     for case in all_cases:
         built.clear()
         CaseLab(case)
-        assert sorted(built) == ["R", "clear", "inside", "point", "row"], case.label
+        assert sorted(built) == ["R", "clear", "inside", "loop", "point", "row"], case.label
         for name, (source, kernel) in built.items():
             assert "**" not in source, (case.label, name)
             assert set(kernel.__code__.co_names) <= allowed, (case.label, name)
@@ -737,12 +769,34 @@ def test_wall_table_pins_the_exact_halves(all_cases):
 
 
 def test_integration_evaluates_each_state_once(monkeypatch, su3):
-    # One pass: the point kernel runs once per stored state, plus once for a
-    # state that is rejected at a wall, and its values decide the wall test
-    # (clear) and give R at the state, which serves as the next step's k1
-    # stage.  RK4 evaluates R three times per step, at its other stages.  The
-    # row kernel runs once per stored state, and the inside kernel not at all.
+    # One pass, in the generated step loop: point runs once per stored
+    # state, plus once for a state that is rejected at a wall, and its
+    # values decide the wall test (the interior rule) and give R at the
+    # state, which serves as the next step's k1 stage.  RK4 evaluates R
+    # three times per step, at its other stages.  A row is built once per
+    # stored state, and the inside kernel runs not at all.  The start's
+    # point, rule and row are the standalone kernels'; the loop's inlined
+    # blocks are counted by tracing the lines of the generated source that
+    # bind each stage's qd, the new state's qd, test the rule and store a
+    # row.
+    define, sources = numerics._define, {}
+
+    def record(source, name):
+        sources[name] = source
+        return define(source, name)
+
+    monkeypatch.setattr(numerics, "_define", record)
     lab = CaseLab(su3)
+    lines = sources["loop"].split("\n")
+
+    def numbers(test):
+        return {i for i, line in enumerate(lines, 1) if test(line.strip())}
+
+    blocks = {"R": numbers(lambda line: line.startswith("qd_k")),
+              "point": numbers(lambda line: line.startswith("qdn =")),
+              "clear": numbers(lambda line: line.startswith("if not (")),
+              "row": numbers(lambda line: line.startswith("put(pack("))}
+    assert [len(blocks[name]) for name in ("R", "point", "clear", "row")] == [3, 1, 1, 2]
     counts = dict.fromkeys(("R", "point", "clear", "row", "inside"), 0)
 
     def counting(name):
@@ -756,20 +810,40 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
     for name in counts:
         setattr(lab, name, counting(name))
     monkeypatch.setattr(numerics, "get_lab", lambda case: lab)
+    hits = dict.fromkeys(range(1, len(lines) + 1), 0)
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != "<kernel loop>":
+            return None
+
+        def line(frame, event, arg):
+            if event == "line":
+                hits[frame.f_lineno] += 1
+            return line
+        return line
+
     sigma = math.pi / 6  # the bisector: heading for the vertex, the 200th step leaves
     for init, step, steps, stop in (
             ((1.0, 0.3, 0.7), 1e-4, 1000, "max_steps"),
             ((0.2 * math.cos(sigma), 0.2 * math.sin(sigma), sigma + math.pi), 1e-3, 200,
              "boundary")):
         counts.update(dict.fromkeys(counts, 0))
+        hits.update(dict.fromkeys(hits, 0))
         cfg = IntegratorConfig(step=step, max_steps=1000, mode=MODE_CANDIDATE)
-        trajectory = integrate_curve(state_from_angle(*init), cfg, su3)
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            trajectory = integrate_curve(state_from_angle(*init), cfg, su3)
+        finally:
+            sys.settrace(previous)
         assert trajectory.stop_reason == stop
         stored = len(trajectory.states)
         assert stored == (steps + 1 if stop == "max_steps" else steps)
         evaluated = stored + (stop == "boundary")
-        assert counts == {"R": 3 * steps, "point": evaluated, "clear": evaluated,
-                          "row": stored, "inside": 0}
+        assert counts == {"R": 0, "point": 1, "clear": 1, "row": 1, "inside": 0}
+        inlined = {name: sum(hits[i] for i in block) for name, block in blocks.items()}
+        assert inlined == {"R": 3 * steps, "point": evaluated - 1, "clear": evaluated - 1,
+                           "row": stored - 1}
 
 
 def test_csv_row_template_matches_format_spec():

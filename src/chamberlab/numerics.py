@@ -254,12 +254,9 @@ class CaseLab:
       R'' (:func:`_row_lines`).  This is the only code that computes them;
     - ``loop``: :func:`integrate_curve`'s whole step loop (:func:`_loop_lines`),
       in which RK4's three R stages, ``point`` at each new state, the
-      interior rule and the row are the same lines as in the kernels above,
-      inlined with their own name suffixes.
-
-    Each is built from one source-line generator per formula, so the
-    standalone kernels, which the pointwise oracles call, and the blocks
-    inlined in ``loop`` round alike, bit for bit.
+      interior rule and the row are inlined with their own name suffixes
+      from the source-line generators of the kernels above, one per
+      formula, so they round as those kernels do, bit for bit.
     """
 
     def __init__(self, case: CaseSpec):

@@ -797,6 +797,9 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
               "clear": numbers(lambda line: line.startswith("if not (")),
               "row": numbers(lambda line: line.startswith("put(pack("))}
     assert [len(blocks[name]) for name in ("R", "point", "clear", "row")] == [3, 1, 1, 2]
+    # qd is in both R and point, so no other line evaluates either.
+    assert numbers(lambda line: line.startswith("qd") and " = 0.0 + " in line) == \
+        blocks["R"] | blocks["point"]
     counts = dict.fromkeys(("R", "point", "clear", "row", "inside"), 0)
 
     def counting(name):

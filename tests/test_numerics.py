@@ -569,6 +569,19 @@ def test_long_curve_retains_under_100_bytes_per_state():
     cfg = IntegratorConfig(step=1e-4, max_steps=10000)
     start = state_from_angle(1.0, 0.2, 0.3)
     integrate_curve(start, cfg, case)  # the lab's kernels are built and cached
+    # Under tracemalloc CPython 3.11 looks up the line of each traced float
+    # by scanning the loop kernel's line table, unless a line-traced call has
+    # built its line array: one 1-step curve under a line tracer builds it,
+    # and this test then takes about 0.5 s instead of 11 s.
+    def trace_lines(frame, event, arg):
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(trace_lines)
+    try:
+        integrate_curve(start, cfg._replace(max_steps=1), case)
+    finally:
+        sys.settrace(previous)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -849,11 +862,38 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
                            "row": stored - 1}
 
 
-def test_csv_row_template_matches_format_spec():
+def test_csv_row_template_matches_format_spec(tmp_path):
     # One "%.17g" template per row must write what f"{v:.17g}" writes for
-    # every value a row can hold, the special ones included.
+    # every value a row can hold, the special ones included; so must the
+    # writer, which formats 64 rows per block from an array of doubles, for
+    # a full block, a partial one and both, to a path and to a text object.
     values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1, -7,
               10**20, 0.1, 1 / 3, -1e300, 2.0**-1074 * 3]
     for start in range(len(values)):
         row = tuple((values * 2)[start:start + 9])
         assert numerics._CSV_ROW % row == ",".join(f"{v:.17g}" for v in row) + "\n"
+    path = tmp_path / "rows.csv"
+    for count in (1, 64, 65, 130):
+        rows = [(values * 2)[i % len(values):i % len(values) + 9] for i in range(count)]
+        expected = CSV_HEADER + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+        trajectory = Trajectory([], rows, "max_steps")
+        buffer = io.StringIO()
+        trajectory.write_csv(buffer)
+        trajectory.write_csv(path)
+        assert buffer.getvalue() == expected
+        assert path.read_bytes() == expected.encode()
+    # An integrated curve of 151 rows writes the same bytes both ways.
+    cfg = IntegratorConfig(step=1e-4, max_steps=150)
+    curve = integrate_curve(state_from_angle(1.0, 0.2, 0.3), cfg, registry_case("G2"))
+    buffer = io.StringIO()
+    curve.write_csv(buffer)
+    curve.write_csv(path)
+    assert len(curve.rows) == 151
+    assert path.read_bytes() == buffer.getvalue().encode()
+    # A row of 8 or 10 values raises, as "%" does, rather than shifting the
+    # values of the rows after it: here 27 values in all, 3 rows' worth.
+    for width in (8, 10):
+        rows = [values[:9], values[:width], values[:18 - width]]
+        with pytest.raises(TypeError):
+            Trajectory([], rows, "max_steps").write_csv(io.StringIO())

@@ -21,7 +21,9 @@ calls the R kernel for its stages.  :func:`integrate_curve` is one pass in
 the loop kernel, which inlines RK4's three R stages: each new state's
 values are computed once and serve its wall test, its R and its row, which
 is packed one step behind the integration straight into the trajectory's
-array.  A :class:`Trajectory` holds the states, the rows and the stop
+array.  The loop decides how a curve ends and stores its endpoint row,
+except when a row overflows: then :func:`integrate_curve` rewrites the row
+before it as the endpoint row.  A :class:`Trajectory` holds the states, the rows and the stop
 reason; its summary values are read off them.  An integrated trajectory
 keeps each row's 9 values in one array of doubles, and its ``states`` and
 ``rows`` are read-only list-like views of it: state i is
@@ -216,11 +218,11 @@ def _function(name: str, args, body: list[str]) -> Callable:
 def _define(source: str, name: str) -> Callable:
     """Run source text that defines function ``name``; return the function.
 
-    The source sees no builtins, and as its globals only ``inf``, ``nan``
-    and ``OverflowError``.
+    The source sees no builtins, and as its globals only ``inf``, ``nan``,
+    ``OverflowError`` and ``ZeroDivisionError``.
     """
     namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
-                 "OverflowError": OverflowError}
+                 "OverflowError": OverflowError, "ZeroDivisionError": ZeroDivisionError}
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -289,8 +291,7 @@ class CaseLab:
             f"if r_dot is None: return {_ROW_HEAD}, nan)",
             *_RES_ODE_LINES,
             f"return {_ROW_HEAD}, {_RES_ODE})"])
-        self.loop = _function("loop", _LOOP_ARGS,
-                              _loop_lines(curvature, values, _interior_rule(case.d, "n"), row))
+        self.loop = _function("loop", _LOOP_ARGS, _loop_lines(walls, curvature, values, row))
         # CPython 3.11 specializes a function's bytecode from its eighth call
         # on, and a curve calls loop once: eight calls of no step let the
         # first curve run specialized, 30% faster there.
@@ -357,7 +358,7 @@ _LOOP_ARGS = ("s", "x", "y", "xd", "yd", "r", "h", "coeff", "steps", "put", "pac
 _CARRIED = ("x", "y", "xd", "yd", "r", "f", "asq", "poly", "qd", "qv", "qr")
 
 
-def _loop_lines(curvature: dict, values: dict, rule: str, row: Callable) -> list[str]:
+def _loop_lines(walls: dict, curvature: dict, values: dict, row: Callable) -> list[str]:
     """Body lines of :attr:`CaseLab.loop`, :func:`integrate_curve`'s step loop.
 
     ``loop(s, x, y, xd, yd, r, h, coeff, steps, put, pack)`` runs up to
@@ -365,7 +366,7 @@ def _loop_lines(curvature: dict, values: dict, rule: str, row: Callable) -> list
     with R there ``r``, whose row the caller has stored.  Each step is
     :func:`_rk4`'s arithmetic with the three R stages inlined
     (``_poly_lines`` with suffixes ``_k2``, ``_k3``, ``_k4``); then ``point``
-    at the new state (suffix ``n``), the interior ``rule`` and R there.  The
+    at the new state (suffix ``n``), the interior rule and R there.  The
     current state's interior row follows, packed as 9 doubles by ``pack``
     and appended by ``put``, and then the new state's row state part, which
     raises OverflowError before the state is taken as the current one.  So a
@@ -373,11 +374,16 @@ def _loop_lines(curvature: dict, values: dict, rule: str, row: Callable) -> list
     state before it.  The state part raises only when xd^3 or yd^3
     overflows, as the state's whole row, built one step later, would
     whichever way the curve went on, so the curve ends where it would.
-    At max_steps, a wall or an RK4 overflow the loop
-    stores the current state's endpoint row and returns the stop reason.
-    When the new state's ``point`` overflows it returns the new state, the
-    current one, its R and, unless it is the start, ``(xd, yd, R)`` of the
-    state before, and stores nothing more.
+
+    Every other ending leaves the loop, which stores the current state's
+    endpoint row unless it is the start and returns the stop reason:
+    max_steps; boundary when the new state is outside or an RK4 stage
+    divides by a qd of 0.0, as only a stage on a wall does; overflow when
+    RK4's stages overflow.  A new state whose ``point`` overflows is decided
+    by its own walls, rule, qd, t1, t2 and R (suffix ``o``): outside, it is
+    a wall stop; inside, an overflow, and if its R evaluates it still makes
+    the current state's row an interior one, whose qd^3 (:data:`_RES_ODE_LINES`)
+    escapes as a row overflow if it overflows.
     """
     def stage(k: int, step: str, prev: str) -> list[str]:
         """RK4 stage k: the state moved by ``step`` along the velocities of
@@ -405,11 +411,26 @@ def _loop_lines(curvature: dict, values: dict, rule: str, row: Callable) -> list
         "    except OverflowError:",
         "        stop = 'overflow'",
         "        break",
+        "    except ZeroDivisionError:",
+        "        stop = 'boundary'",
+        "        break",
         "    try:",
         *(f"        {line}" for line in _poly_lines("xn", "yn", values, "n")),
         "    except OverflowError:",
-        "        return xn, yn, xdn, ydn, s, x, y, xd, yd, r, (xdp, ydp, rp) if moved else None",
-        f"    if not ({rule}):",
+        *(f"        {line}" for line in _poly_lines("xn", "yn", walls, "o")),
+        f"        if not ({_interior_rule(len(walls), 'o')}):",
+        "            stop = 'boundary'",
+        "            break",
+        "        stop = 'overflow'",
+        "        try:",
+        *(f"            {line}" for line in _poly_lines("xn", "yn", curvature, "o")),
+        f"            ro = ({_r_num('o', 'xdn', 'ydn')}) / qdo",
+        "        except OverflowError:",
+        "            break",
+        "        if moved:",
+        *(f"            {line}" for line in _RES_ODE_LINES),
+        "        break",
+        f"    if not ({_interior_rule(len(walls), 'n')}):",
         "        stop = 'boundary'",
         "        break",
         f"    rnumn = {_r_num('n', 'xdn', 'ydn')}",
@@ -481,7 +502,9 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     f and |A|^2 are columns 5 and 6 of the row kernel at the state.  The
     laplacian is measured by central finite differences of f, column 5 with
     the mode's kd = -coeff * R, along the mode's flow, using
-    laplacian(f) = -f'' - (volume log-derivative) * f'.
+    laplacian(f) = -f'' - (volume log-derivative) * f'.  BoundaryError
+    unless the state and its two RK4 neighbours at +-h_fd lie strictly
+    inside the chamber, each stage off the walls (:func:`_step_inside`).
     """
     _check_step("h_fd", h_fd)
     _check_mode(mode)
@@ -494,8 +517,8 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
                        None, None)[5]
 
     f_mid = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, -coeff * r_mid, None, None)[5]
-    f_plus = f_at(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))
-    f_minus = f_at(*_rk4(lab.R, coeff, -h_fd, st.x, st.y, st.xd, st.yd, r_mid))
+    f_plus = f_at(*_step_inside(lab, coeff, h_fd, st, r_mid))
+    f_minus = f_at(*_step_inside(lab, coeff, -h_fd, st, r_mid))
     f_dot = (f_plus - f_minus) / (2 * h_fd)
     f_ddot = (f_plus - 2 * f_mid + f_minus) / (h_fd * h_fd)
     q, t1, t2 = values[1:4]
@@ -545,9 +568,19 @@ def _guarded_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveSta
     if not lab.inside(st.x, st.y):
         raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
     r0 = lab.R(st.x, st.y, st.xd, st.yd)
-    nxt = CurveState(st.s + h, *_rk4(lab.R, _MODE_COEFF[mode], h, st.x, st.y, st.xd, st.yd, r0))
-    if not lab.inside(nxt.x, nxt.y):
-        raise BoundaryError(f"step from s={st.s} crossed a chamber wall")
+    return CurveState(st.s + h, *_step_inside(lab, _MODE_COEFF[mode], h, st, r0))
+
+
+def _step_inside(lab: CaseLab, coeff: float, h: float, st: CurveState, r0: float) -> tuple:
+    """:func:`_rk4`'s step of size h from st, with R there r0; BoundaryError
+    when a stage lands on a wall, where qd is 0.0, or the new point is not
+    strictly inside the chamber."""
+    try:
+        nxt = _rk4(lab.R, coeff, h, st.x, st.y, st.xd, st.yd, r0)
+    except ZeroDivisionError:
+        raise BoundaryError(f"an RK4 stage from s={st.s} lies on a chamber wall") from None
+    if not lab.inside(nxt[0], nxt[1]):
+        raise BoundaryError(f"step of {h} from s={st.s} crossed a chamber wall")
     return nxt
 
 
@@ -560,12 +593,14 @@ def normal_residual(st: CurveState, case: CaseSpec,
     first and second arclength derivatives of R by central finite differences.
     Both are the row kernel's res_poly and res_ode (columns 7 and 8) at the
     state.  Agreement is limited by the finite differencing, not the algebra.
+    BoundaryError unless the state and its two RK4 neighbours at +-h_fd lie
+    strictly inside the chamber, each stage off the walls (:func:`_step_inside`).
     """
     _check_step("h_fd", h_fd)
     lab, values = _point_inside(st, case)
     coeff, r_mid = _MODE_COEFF[MODE_CANDIDATE], lab.R(st.x, st.y, st.xd, st.yd)
-    r_plus = lab.R(*_rk4(lab.R, coeff, h_fd, st.x, st.y, st.xd, st.yd, r_mid))
-    r_minus = lab.R(*_rk4(lab.R, coeff, -h_fd, st.x, st.y, st.xd, st.yd, r_mid))
+    r_plus = lab.R(*_step_inside(lab, coeff, h_fd, st, r_mid))
+    r_minus = lab.R(*_step_inside(lab, coeff, -h_fd, st, r_mid))
     r_dot = (r_plus - r_minus) / (2 * h_fd)
     r_ddot = (r_plus - 2 * r_mid + r_minus) / (h_fd * h_fd)
     row = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, -coeff * r_mid, r_dot, r_ddot)
@@ -709,8 +744,11 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     a state.  The curve ends at the last state whose row evaluates, as if
     every row were computed after the integration: a state whose values
     overflow ends it, and so does a state whose row overflows, which also
-    turns the row before into an endpoint row.  A start whose values
-    overflow raises BoundaryError.
+    turns the row before into an endpoint row.  The loop stores every
+    endpoint row but that one, which is rebuilt here, as is the start's
+    (:func:`_endpoint_row`).  An RK4 stage that lands on a wall, where qd is
+    0.0, ends the curve as a wall stop.  A start whose values overflow
+    raises BoundaryError.
     """
     # Imported here: the commands that never integrate a curve do not load
     # the array extension module, about 0.1 MB and 0.4 ms at start-up.
@@ -724,15 +762,13 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
         v = lab.point(x, y)
         if not lab.clear(v[0]):
             raise BoundaryError(f"initial state ({x}, {y}) is not strictly inside the chamber")
-        r = (-v[3] * xd + v[2] * yd) / v[1]
-        data = array("d", lab.row(s, x, y, xd, yd, v, -coeff * r, None, None))
+        r, row = _endpoint_row(lab, coeff, v, s, x, y, xd, yd)
     except OverflowError:
         raise BoundaryError(f"initial state ({x}, {y}) overflows the lab's float range") from None
+    data = array("d", row)
     try:
         stop_reason = lab.loop(s, x, y, xd, yd, r, cfg.step, coeff, cfg.max_steps,
                                data.frombytes, Struct(f"{_WIDTH}d").pack)
-        if type(stop_reason) is tuple:
-            stop_reason = _end_at_overflowing_state(lab, data, coeff, cfg.step, *stop_reason)
     except OverflowError:
         # A row overflows: end the curve at the state before it, the last
         # one stored, whose row becomes an endpoint row (its point values
@@ -740,39 +776,14 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
         stop_reason = "overflow"
         if len(data) > _WIDTH:
             s, x, y, xd, yd = data[-_WIDTH:-4]
-            v = lab.point(x, y)
-            data[-_WIDTH:] = array("d", lab.row(s, x, y, xd, yd, v, -coeff * (
-                (-v[3] * xd + v[2] * yd) / v[1]), None, None))
+            _, row = _endpoint_row(lab, coeff, lab.point(x, y), s, x, y, xd, yd)
+            data[-_WIDTH:] = array("d", row)
     return Trajectory(_Columns(data, 5, CurveState._make), _Columns(data, _WIDTH, tuple),
                       stop_reason)
 
 
-def _end_at_overflowing_state(lab: CaseLab, data, coeff: float, h: float,
-                              xn, yn, xdn, ydn, s, x, y, xd, yd, r, before) -> str:
-    """The stop reason of a curve whose new state (xn, yn, xdn, ydn) has no
-    row, since its ``point`` values overflow; store the current state's
-    endpoint row unless it is the start.
-
-    The inside kernel and R alone decide, as for any state: outside, it is a
-    wall stop; inside, with R evaluating there, it is still the successor
-    that makes the current state's row an interior one, which must evaluate:
-    one that overflows escapes as OverflowError.  ``before`` is ``(xd, yd,
-    R)`` of the state before the current one, None at the start.
-    """
-    stop_reason, rn = "overflow", None
-    try:
-        if lab.inside(xn, yn):
-            rn = lab.R(xn, yn, xdn, ydn)
-        else:
-            stop_reason = "boundary"
-    except OverflowError:
-        pass
-    if before is not None:
-        v = lab.point(x, y)
-        if rn is not None:
-            xdp, ydp, rp = before
-            h2 = 2 * h
-            lab.row(s, x, y, xd, yd, v, (ydn - ydp) / h2 * xd - (xdn - xdp) / h2 * yd,
-                    (rn - rp) / h2, (rn - 2.0 * r + rp) / (h * h))
-        data.extend(lab.row(s, x, y, xd, yd, v, -coeff * r, None, None))
-    return stop_reason
+def _endpoint_row(lab: CaseLab, coeff: float, v, s, x, y, xd, yd) -> tuple[float, tuple]:
+    """R at the state (s, x, y, xd, yd) from its ``point`` values ``v``, and
+    the state's endpoint row, whose kd is the mode constraint's -coeff * R."""
+    r = (-v[3] * xd + v[2] * yd) / v[1]
+    return r, lab.row(s, x, y, xd, yd, v, -coeff * r, None, None)

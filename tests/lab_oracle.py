@@ -11,10 +11,11 @@ row kernel is compared with.
 pass: the RK4 loop tests each new state with the lab's ``inside`` kernel and
 keeps the value of R at every state in a list; a post-pass then calls
 ``point`` once per state and builds each row from the per-row helpers.  A
-state whose R overflows ends the loop; a row that overflows ends the curve at
-the state before it, and the post-pass runs again.  The post-pass keeps its
-own diagnostics, max |f| and the (res_poly, res_ode) pairs over the interior
-rows and the speed drift over the states, by an incremental rule.  The
+state whose R overflows ends the loop, and an RK4 stage that divides by a qd
+of 0.0, on a wall, ends it as a wall stop; a row that overflows ends the
+curve at the state before it, and the post-pass runs again.  The post-pass
+keeps its own diagnostics, max |f| and the (res_poly, res_ode) pairs over the
+interior rows and the speed drift over the states, by an incremental rule.  The
 one-pass integrator must return the same rows, states and stop reason, and
 its trajectory's derived diagnostics must equal these, bit for bit.
 """
@@ -82,7 +83,11 @@ def integrate_two_pass(init, cfg, case) -> tuple[Trajectory, float, float, list]
         for _ in range(cfg.max_steps):
             r = R(x, y, xd, yd)
             r_values.append(r)
-            x, y, xd, yd = _rk4(R, coeff, h, x, y, xd, yd, r)
+            try:
+                x, y, xd, yd = _rk4(R, coeff, h, x, y, xd, yd, r)
+            except ZeroDivisionError:  # a stage on a wall, where qd is 0.0
+                stop_reason = "boundary"
+                break
             if not inside(x, y):
                 stop_reason = "boundary"
                 break

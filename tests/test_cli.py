@@ -260,6 +260,19 @@ def test_integrate_overflow_stops_the_curve(capsys):
     assert "steps=11 stop=overflow" in captured.err
 
 
+def test_integrate_stage_on_a_wall_stops_the_curve(capsys):
+    # From 2**-20 above SOpxSOq's wall y = 0, heading straight down with a
+    # step of 2**-19, RK4's second stage lands on the wall, where qd is 0.0:
+    # a wall stop at the start, exit 0, not an internal error.
+    code = main(["integrate", "--case", "SOpxSOq", "--x0", "1", "--y0", "9.5367431640625e-07",
+                 "--angle", "-1.5707963267948966", "--steps", "5",
+                 "--step-size", "1.9073486328125e-06", "--out", "-"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert "steps=0 stop=boundary" in captured.err
+
+
 def test_integrate_start_whose_values_overflow_is_user_error(capsys):
     # Starts inside the chamber but so far out that their own kernels
     # overflow: an error line, no CSV and no traceback, exit 2.

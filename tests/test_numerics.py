@@ -306,6 +306,44 @@ def test_steps_reject_an_outside_start_and_a_wall_crossing(su3):
             step(near_wall, su3, 1e-3)
 
 
+def test_an_rk4_stage_on_a_wall_is_a_wall_stop():
+    # Straight down onto the wall y = 0 in steps of 2**-19: an RK4 stage
+    # lands exactly on the wall, where qd is 0.0.  SOpxSOq's stage lands
+    # there in the first step, SOn-1's (whose vertical drop stays straight)
+    # in the third, after an interior row.  The curve ends with a wall stop
+    # and the two-pass oracle's rows; the step and pointwise functions raise
+    # BoundaryError from the same state.
+    h = 2.0**-19
+    for name, y0, stored in (("SOpxSOq", 2.0**-20, 1), ("SOn-1", 5 * 2.0**-20, 3)):
+        case = registry_case(name)
+        init = CurveState(0.0, 1.0 if name == "SOpxSOq" else 0.0, y0, 0.0, -1.0)
+        for mode in MODES:
+            cfg = IntegratorConfig(step=h, max_steps=5, mode=mode)
+            new = integrate_curve(init, cfg, case)
+            old = integrate_two_pass(init, cfg, case)[0]
+            assert new.stop_reason == old.stop_reason == "boundary", (name, mode)
+            assert len(new.states) == stored, (name, mode)
+            assert [repr(row) for row in new.rows] == [repr(row) for row in old.rows], (name, mode)
+    case, st = registry_case("SOpxSOq"), CurveState(0.0, 1.0, 2.0**-20, 0.0, -1.0)
+    for call in (lambda: step_minimal(st, case, h), lambda: step_candidate(st, case, h),
+                 lambda: normal_residual(st, case, h),
+                 lambda: geometric_scalars(st, case, 0.0, h_fd=h)):
+        with pytest.raises(BoundaryError, match="lies on a chamber wall"):
+            call()
+
+
+def test_pointwise_oracles_reject_a_neighbour_outside_the_chamber():
+    # 3e-6 above SOpxSOq's wall y = 0, heading down: the state is inside,
+    # but its RK4 neighbour a step of h_fd = 1e-5 ahead is below the wall,
+    # so neither oracle reads values there.
+    case, st = registry_case("SOpxSOq"), CurveState(0.0, 1.0, 3e-6, 0.0, -1.0)
+    for call in (lambda: normal_residual(st, case, 1e-5),
+                 lambda: geometric_scalars(st, case, 0.0, h_fd=1e-5),
+                 lambda: step_candidate(st, case, 1e-5)):
+        with pytest.raises(BoundaryError, match="crossed a chamber wall"):
+            call()
+
+
 def test_geometric_scalars_reject_wall_state(u5, su3):
     # Both pointwise oracles reject a state on a wall, (1, 0), and one
     # outside the chamber, (-1, 0.5), before they evaluate R there.
@@ -394,6 +432,22 @@ def test_rows_that_overflow_end_the_curve():
     assert trajectory.stop_reason == "overflow"
     assert len(trajectory.states) == len(trajectory.rows) == 3
     assert all(math.isfinite(v) for row in trajectory.rows for v in row[:5])
+
+
+def test_new_state_whose_r_overflows_keeps_the_current_row():
+    # A coarse minimal step on F4 flings the curve out twice: the third
+    # state is inside the chamber, but its point values and its R overflow
+    # (y^3).  So it makes no interior row of the second state, whose qd^3
+    # would overflow: the curve keeps the second state, with an endpoint row.
+    init = CurveState(0.0, 0.21069155393950986, 0.14697908772462936,
+                      -0.543682123508202, 0.8392912179795593)
+    cfg = IntegratorConfig(step=21.42861829125894, max_steps=5, mode=MODE_MINIMAL)
+    case = registry_case("F4")
+    trajectory = integrate_curve(init, cfg, case)
+    old = integrate_two_pass(init, cfg, case)[0]
+    assert trajectory.stop_reason == old.stop_reason == "overflow"
+    assert [repr(row) for row in trajectory.rows] == [repr(row) for row in old.rows]
+    assert len(trajectory.rows) == 3 and math.isnan(trajectory.rows[-1][8])
 
 
 def test_start_whose_values_overflow_is_rejected(su3):
@@ -720,9 +774,11 @@ def test_kernel_values_lie_within_a_forward_error_bound(all_cases):
 def test_kernels_take_no_powers_and_see_only_named_globals(all_cases, monkeypatch):
     # Libm independence: no generated kernel of any registry row calls
     # libm's pow through **, and each kernel reads no global but inf, nan
-    # and OverflowError, with no builtins, so it calls no other function;
-    # the step loop calls only the two functions it is passed.
-    allowed = {"inf", "nan", "OverflowError"}
+    # and the two exception classes that it raises or catches,
+    # OverflowError and ZeroDivisionError, with no builtins, so it calls no
+    # other function; the step loop calls only the two functions it is
+    # passed.
+    allowed = {"inf", "nan", "OverflowError", "ZeroDivisionError"}
     define, built = numerics._define, {}
 
     def record(source, name):
@@ -790,8 +846,10 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
     # stored state, and the inside kernel runs not at all.  The start's
     # point, rule and row are the standalone kernels'; the loop's inlined
     # blocks are counted by tracing the lines of the generated source that
-    # bind each stage's qd, the new state's qd, test the rule and store a
-    # row.
+    # bind each stage's qd, the new state's qd, test the new state's rule
+    # (suffix n) and store a row.  The ending for a new state whose values
+    # overflow evaluates its own walls, rule and qd (suffix o), which these
+    # curves never reach.
     define, sources = numerics._define, {}
 
     def record(source, name):
@@ -807,12 +865,16 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
 
     blocks = {"R": numbers(lambda line: line.startswith("qd_k")),
               "point": numbers(lambda line: line.startswith("qdn =")),
-              "clear": numbers(lambda line: line.startswith("if not (")),
+              "clear": numbers(lambda line: line.startswith("if not (not w0n ")),
               "row": numbers(lambda line: line.startswith("put(pack("))}
     assert [len(blocks[name]) for name in ("R", "point", "clear", "row")] == [3, 1, 1, 2]
-    # qd is in both R and point, so no other line evaluates either.
+    ending = {"clear": numbers(lambda line: line.startswith("if not (not w0o ")),
+              "qd": numbers(lambda line: line.startswith("qdo ="))}
+    assert [len(ending[name]) for name in ("clear", "qd")] == [1, 1]
+    assert numbers(lambda line: line.startswith("if not (")) == blocks["clear"] | ending["clear"]
+    # qd is in R, point and the ending, so no other line evaluates it.
     assert numbers(lambda line: line.startswith("qd") and " = 0.0 + " in line) == \
-        blocks["R"] | blocks["point"]
+        blocks["R"] | blocks["point"] | ending["qd"]
     counts = dict.fromkeys(("R", "point", "clear", "row", "inside"), 0)
 
     def counting(name):
@@ -860,6 +922,7 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
         inlined = {name: sum(hits[i] for i in block) for name, block in blocks.items()}
         assert inlined == {"R": 3 * steps, "point": evaluated - 1, "clear": evaluated - 1,
                            "row": stored - 1}
+        assert sum(hits[i] for block in ending.values() for i in block) == 0
 
 
 def test_csv_row_template_matches_format_spec(tmp_path):

@@ -13,7 +13,8 @@ they are, is a dense integer list in u = x/y over one denominator; on the
 unit arc u = cot(sigma), and the chamber sigma in (0, pi/d) is
 u > cot(pi/d).  Its chamber roots come from an exact factorization
 (chamber_root_scan) and rational isolating intervals; membership in the
-chamber and minimality are decided exactly, and floats only display them.
+chamber and minimality are decided exactly, and the certificate records them
+exactly: its one float is the run's duration_ms.
 Certifying builds no element of Q(sqrt2, sqrt3); a report's ``poly`` view,
 read by no code here, is parsed from the resultant's JSON rows.
 
@@ -47,7 +48,11 @@ from .reduction import ReductionBundle, build_bundle, wall_trig
 from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
     quotient, refine, squarefree, subtract, sylvester_resultant, taylor_shift
 
-# Bits of every float in a certificate (IEEE doubles); no decision uses one.
+# The certificate layout's version.  Schema 2 holds no libm value: every
+# datum is exact but duration_ms.
+CERTIFICATE_SCHEMA = 2
+# Bits of the run's floats (IEEE doubles).  A certificate's one float is
+# duration_ms, and no decision uses a float.
 DEFAULT_PRECISION_BITS = 53
 
 
@@ -307,11 +312,9 @@ def chamber_root_scan(report: ResultantReport, bundle: ReductionBundle) -> RootS
 
 
 def _root_entry(root: ChamberRoot) -> dict:
-    u = float(root.lo)
     return {"cot_interval": [format_rational(root.lo), format_rational(root.hi)],
             "factor": root.factor, "multiplicity": root.multiplicity,
-            "line_is_minimal": root.factor == "M",
-            "sigma": math.atan2(1.0, u), "z": 1.0 / u if u else None}
+            "line_is_minimal": root.factor == "M"}
 
 
 def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | None,
@@ -325,25 +328,13 @@ def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | N
     else:
         conclusion = "degree-mismatch"
 
-    samples = []
-    exact_samples = []
-    if not report.identically_zero:
-        # The resultant over its largest coefficient at (cos s, sin s), exact
-        # at the doubles' values, then rounded once: int true division rounds
-        # correctly.
-        for frac in (0.3, 0.5, 0.7):
-            sigma = frac * math.pi / case.d
-            x, y = Fraction(math.cos(sigma)), Fraction(math.sin(sigma))
-            den = max(x.denominator, y.denominator)
-            value = homogeneous(report.coeffs, int(x * den), int(y * den)) / (
-                max(map(abs, report.coeffs)) * den ** report.degree)
-            samples.append({"sigma": sigma, "z": math.tan(sigma), "value": value})
-        # Exact nonvanishing witnesses, machine checkable with no rounding.
-        for px, py in ((2, 1), (3, 2)):
-            exact_samples.append({"x": format_rational(px), "y": format_rational(py),
-                                  "value": rational_text(report.exact_value(px, py))})
+    # Exact nonvanishing witnesses, machine checkable with no rounding.
+    exact_samples = [] if report.identically_zero else [
+        {"x": format_rational(px), "y": format_rational(py),
+         "value": rational_text(report.exact_value(px, py))} for px, py in ((2, 1), (3, 2))]
 
     return {
+        "schema": CERTIFICATE_SCHEMA,
         "case": case.name,
         "label": case.label,
         "group": case.group,
@@ -359,7 +350,6 @@ def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | N
         "factorization": None if scan is None else {
             **scan.exponents, "Q": [[k, len(f) - 1] for k, f in scan.factors]},
         "roots": [] if scan is None else [_root_entry(r) for r in scan.roots],
-        "samples": samples,
         "exact_samples": exact_samples,
         "conclusion": conclusion,
         "precision_bits": DEFAULT_PRECISION_BITS,

@@ -15,7 +15,8 @@ alone that
 - exactly one root is minimal, and it is M's.
 
 :func:`line_cotangent_sum` is the float form of M on the unit arc, for
-checking a certificate's minimal ``sigma`` apart from the exact scan.
+checking the angle sigma of a certificate's minimal line
+(:func:`minimal_sigma`) apart from the exact scan.
 """
 
 import math
@@ -143,6 +144,7 @@ def line_cotangent_sum(case, sigma: float) -> float:
 
 
 def minimal_sigma(cert: dict) -> float:
-    """The ``sigma`` of the certificate's one root with ``line_is_minimal``."""
-    (sigma,) = [root["sigma"] for root in cert["roots"] if root["line_is_minimal"]]
-    return sigma
+    """sigma = atan2(1, u) at the lower end u of the ``cot_interval`` of the
+    certificate's one root with ``line_is_minimal``."""
+    (lo,) = [root["cot_interval"][0] for root in cert["roots"] if root["line_is_minimal"]]
+    return math.atan2(1.0, float(Fraction(lo)))

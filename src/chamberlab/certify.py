@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .cases import CaseSpec
 from .errors import PipelineError
-from .field import format_rational, rational_text
+from .field import field_text, format_rational
 from .poly import Form, SpatialPoly
 from .reduction import ReductionBundle, build_bundle, wall_trig
 from .resultant import derivative, gcd_cofactors, homogeneous, positive_roots, primitive, \
@@ -331,7 +331,7 @@ def emit_certificate(case: CaseSpec, report: ResultantReport, scan: RootScan | N
     # Exact nonvanishing witnesses, machine checkable with no rounding.
     exact_samples = [] if report.identically_zero else [
         {"x": format_rational(px), "y": format_rational(py),
-         "value": rational_text(report.exact_value(px, py))} for px, py in ((2, 1), (3, 2))]
+         "value": field_text(report.exact_value(px, py))} for px, py in ((2, 1), (3, 2))]
 
     return {
         "schema": CERTIFICATE_SCHEMA,

@@ -252,11 +252,6 @@ def field_text(a, b=0, c=0, e=0) -> str:
 _RATIONAL_TAIL = field_text(0)[len("0/1"):]
 
 
-def rational_text(q) -> str:
-    """``FieldScalar.rational(q).to_text()``, written without building the scalar."""
-    return field_text(q)
-
-
 def parse_rational(text: str) -> Rat:
     num, sep, den = text.partition("/")
     if not sep:

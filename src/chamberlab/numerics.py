@@ -9,9 +9,9 @@ diagnostics.  Curvatures blow up like 1/w near a wall, so integration stops
 within WALL_EPSILON of a wall rather than continuing into garbage.
 
 Each case's polynomials are compiled once into straight-line kernels
-(:class:`CaseLab`): R, the interior test of a point and of its wall values,
-the per-state values (walls, qd, t1..t5, A0..A3), a trajectory row built
-from those values, and the whole step loop of :func:`integrate_curve`.  One
+(:class:`CaseLab`): R, the per-state values (walls, qd, t1..t5, A0..A3),
+the ending rule of :func:`integrate_curve` and a trajectory row, both from
+those values, and the whole step loop of :func:`integrate_curve`.  One
 source-line generator per formula writes both the standalone kernels and
 the blocks inlined in the loop, so they round alike.  The row kernel is the
 lab's one implementation of f, |A|^2 and the two residuals: the pointwise
@@ -19,12 +19,11 @@ oracles :func:`normal_residual` and :func:`geometric_scalars` read them off
 a row at the state, and step on plain floats through :func:`_rk4`, which
 calls the R kernel for its stages.  :func:`integrate_curve` is one pass in
 the loop kernel, which inlines RK4's three R stages: each new state's
-values are computed once and serve its wall test, its R and its row, which
-is packed one step behind the integration straight into the trajectory's
-array.  The loop decides how a curve ends and stores its endpoint row,
-except when a row overflows: then :func:`integrate_curve` rewrites the row
-before it as the endpoint row.  A :class:`Trajectory` holds the states, the rows and the stop
-reason; its summary values are read off them.  An integrated trajectory
+values are computed once and serve its ending rule, its R and its row,
+which is packed one step behind the integration straight into the
+trajectory's array.  The loop decides how a curve ends and stores its
+endpoint row.  A :class:`Trajectory` holds the states, the rows and the
+stop reason; its summary values are read off them.  An integrated trajectory
 keeps each row's 9 values in one array of doubles, and its ``states`` and
 ``rows`` are read-only list-like views of it: state i is
 ``CurveState(*data[9i:9i + 5])`` and row i the 9-tuple.  So ``states[0]``
@@ -43,12 +42,12 @@ and each monomial x**a * y**b the x power times the y power, each computed
 once per call and shared by every polynomial of the kernel; a polynomial's
 value is ``0.0 + c_0 * m_0 + c_1 * m_1 + ...`` over its terms in order
 (``Form.float_terms``, and for the walls the constants of
-:attr:`CaseLab.trig`), left to right.  A kernel raises OverflowError when
-one of its powers overflows from a finite value, as ``**`` does.  The loop
-kernel keeps this contract and the order of every other operation, so its
-trajectories are byte for byte those of stepping with :func:`_rk4` and the
-per-state kernels.  Every
-other float sum here is an explicit left-to-right expression or loop rather
+:attr:`CaseLab.trig`), left to right.  A value out of float range is +-inf
+or NaN, as in any IEEE-754 expression, and no kernel raises but on a
+division by zero.  The loop kernel keeps this contract and the order of
+every other operation, so its trajectories are byte for byte those of
+stepping with :func:`_rk4` and the per-state kernels.  Every other float
+sum here is an explicit left-to-right expression or loop rather
 than builtin ``sum``, which compensates on Python 3.12+.  So from a given
 start state a trajectory's CSV bytes are the same on every platform whose
 floats are IEEE-754 binary64, whatever its libm and Python version: they
@@ -95,8 +94,9 @@ class CurveState(NamedTuple):
 
 
 def _check_step(name: str, h: float) -> None:
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"{name} must be positive and finite, got {h}")
+    # The finite differences divide by h * h, which is 0.0 below about 1e-162.
+    if not (math.isfinite(h) and h > 0 and h * h > 0):
+        raise ValueError(f"{name} must be positive and finite with a nonzero square, got {h}")
 
 
 def _check_mode(mode: str) -> None:
@@ -154,8 +154,8 @@ def _poly_lines(x: str, y: str, polys: dict[str, list], sfx: str = "") -> list[s
     products does, on any Python version (builtin ``sum`` of floats
     compensates since 3.12) and any libm.  A zero polynomial's value is 0.0.
     Each coefficient enters the source as its ``repr``, which reads back as
-    the same float; ``inf`` is a global.  The lines raise OverflowError when
-    a power of x or y overflows from a finite value, as ``**`` does.
+    the same float; ``inf`` is a global.  A value out of float range is
+    +-inf or NaN, as IEEE-754 arithmetic makes it; the lines raise nothing.
     """
     lines, factor = _products(x, y, {(a, b) for terms in polys.values() for a, b, _ in terms})
     lines.extend(f"{local}{sfx} = {_sum(f'{c!r}{factor[a, b]}' for a, b, c in terms)}"
@@ -166,19 +166,11 @@ def _poly_lines(x: str, y: str, polys: dict[str, list], sfx: str = "") -> list[s
 def _power_lines(var: str, top: int) -> list[str]:
     """Source lines that bind ``var_<k>`` to the power var**k for k = 2 ..
     ``top``, each the product of two smaller ones by one rule, x**k =
-    x**(k - k//2) * x**(k//2) with x**1 the variable itself; then raise
-    OverflowError when var**top overflows from a finite ``var``, as
-    ``var ** top`` does.  The factors' exponents do not decrease as k grows,
-    and rounding is monotone, so for |var| >= 1 the computed powers do not
-    shrink as k grows, and for |var| < 1 none overflows: var**top overflows
-    whenever any power does.
+    x**(k - k//2) * x**(k//2) with x**1 the variable itself.  A power out of
+    float range is +-inf, where ``**`` would raise OverflowError.
     """
-    if top < 2:
-        return []
-    return [*(f"{var}_{k} = {_power(var, k - k // 2)} * {_power(var, k // 2)}"
-              for k in range(2, top + 1)),
-            f"if {var}_{top} - {var}_{top} != 0.0 and {var} - {var} == 0.0: "
-            f"raise OverflowError('{var}^{top} is out of range')"]
+    return [f"{var}_{k} = {_power(var, k - k // 2)} * {_power(var, k // 2)}"
+            for k in range(2, top + 1)]
 
 
 def _power(var: str, k: int) -> str:
@@ -218,11 +210,11 @@ def _function(name: str, args, body: list[str]) -> Callable:
 def _define(source: str, name: str) -> Callable:
     """Run source text that defines function ``name``; return the function.
 
-    The source sees no builtins, and as its globals only ``inf``, ``nan``,
-    ``OverflowError`` and ``ZeroDivisionError``.
+    The source sees no builtins, and as its globals only ``inf``, ``nan`` and
+    ``ZeroDivisionError``.
     """
     namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
-                 "OverflowError": OverflowError, "ZeroDivisionError": ZeroDivisionError}
+                 "ZeroDivisionError": ZeroDivisionError}
     exec(compile(source, f"<kernel {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -241,12 +233,13 @@ class CaseLab:
       rounds correctly, halving is exact).  Wall i is ``x*sin_i - y*cos_i``;
       ``row`` and :func:`principal_curvatures` read its curvature constants here;
     - ``R(x, y, xd, yd)``: the curvature sum (-t2 xd + t1 yd) / qd;
-    - ``inside(x, y)``: the strict interior test, the canonical sign pattern
-      with the margin WALL_EPSILON (the zeroth wall negative, the others
-      positive);
     - ``point(x, y)``: ``((w_0, ..., w_{d-1}), qd, t1, ..., t5, A0, ..., A3)``;
-    - ``clear(walls)``: the interior test on the wall tuple that ``point``
-      returns, the same rule as ``inside``;
+    - ``ending(x, y, xd, yd, values)``: the ending rule of
+      :func:`integrate_curve` at a state with ``point``'s ``values`` there
+      (:func:`_ending_lines`): None when a curve takes the state, else the
+      stop reason, ``'overflow'`` or ``'boundary'``.  Its interior test is
+      the canonical sign pattern with the margin WALL_EPSILON (the zeroth
+      wall negative, the others positive);
     - ``row(s, x, y, xd, yd, values, kd, r_dot, r_ddot)``: a trajectory's CSV
       row ``(s, x, y, xd, yd, f, |A|^2, res_poly, res_ode)`` at a state from
       ``point``'s ``values`` there, the planar curvature kd and the arclength
@@ -258,7 +251,7 @@ class CaseLab:
       R'' (:func:`_row_lines`).  This is the only code that computes them;
     - ``loop``: :func:`integrate_curve`'s whole step loop (:func:`_loop_lines`),
       in which RK4's three R stages, ``point`` at each new state, the
-      interior rule and the row are inlined with their own name suffixes
+      ending rule and the row are inlined with their own name suffixes
       from the source-line generators of the kernels above, one per
       formula, so they round as those kernels do, bit for bit.
     """
@@ -278,20 +271,20 @@ class CaseLab:
         wall_names = ", ".join(walls) + ","
         self.R = _kernel("R", ("x", "y", "xd", "yd"), curvature,
                          f"({_r_num('', 'xd', 'yd')}) / qd")
-        rule = _interior_rule(case.d)
-        self.inside = _kernel("inside", ("x", "y"), walls, rule)
         self.point = _kernel("point", ("x", "y"), values,
                              f"(({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3)")
-        self.clear = _function("clear", ("walls",), [f"({wall_names}) = walls", f"return {rule}"])
+        unpack = f"({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3 = values"
         row = _row_lines(self.trig, case.multiplicities)
+        self.ending = _function("ending", ("x", "y", "xd", "yd", "values"), [
+            unpack, *_ending_lines(case.d, row, "x", "y", "xd", "yd", "",
+                                   lambda stop: [f"return {stop!r}"])])
         self.row = _function("row", _ROW_ARGS, [
-            f"({wall_names}), qd, t1, t2, t3, t4, t5, a0, a1, a2, a3 = values",
+            unpack,
             f"rnum = {_r_num('', 'xd', 'yd')}",
             *row("xd", "yd", ""),
             f"if r_dot is None: return {_ROW_HEAD}, nan)",
-            *_RES_ODE_LINES,
             f"return {_ROW_HEAD}, {_RES_ODE})"])
-        self.loop = _function("loop", _LOOP_ARGS, _loop_lines(walls, curvature, values, row))
+        self.loop = _function("loop", _LOOP_ARGS, _loop_lines(case.d, curvature, values, row))
         # CPython 3.11 specializes a function's bytecode from its eighth call
         # on, and a curve calls loop once: eight calls of no step let the
         # first curve run specialized, 30% faster there.
@@ -299,11 +292,43 @@ class CaseLab:
             self.loop(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0, None, None)
 
 
-def _interior_rule(d: int, sfx: str = "") -> str:
+def _interior_rule(d: int, sfx: str) -> str:
     """The strict interior test on the d wall values bound with suffix
     ``sfx``: the zeroth below -WALL_EPSILON (or NaN), the others above it."""
     return " and ".join([f"not w0{sfx} > -{WALL_EPSILON!r}"]
                         + [f"w{i}{sfx} > {WALL_EPSILON!r}" for i in range(1, d)])
+
+
+def _ending_lines(d: int, row: Callable, x: str, y: str, xd: str, yd: str, sfx: str,
+                  end: Callable[[str], list[str]]) -> list[str]:
+    """Source lines of the ending rule of :func:`integrate_curve` at the
+    state (x, y, xd, yd) of d walls, whose ``point`` values are bound with
+    suffix ``sfx``, in the rule's order: a coordinate that is not finite is
+    an overflow, a state outside the chamber (:func:`_interior_rule`) a
+    wall stop, and an R or a row state part (``row``, :func:`_row_lines`)
+    that is not finite an overflow.  The lines ``end(stop)`` run on each.
+    The lines bind ``rnum``, ``r`` = R and the state part, each with that
+    suffix.
+    """
+    def test(condition: str, stop: str) -> list[str]:
+        return [f"if {condition}:", *(f"    {line}" for line in end(stop))]
+
+    return [*test(f"{_residue((x, y, xd, yd))} != 0.0", "overflow"),
+            *test(f"not ({_interior_rule(d, sfx)})", "boundary"),
+            f"rnum{sfx} = {_r_num(sfx, xd, yd)}",
+            f"r{sfx} = rnum{sfx} / qd{sfx}",
+            *row(xd, yd, sfx),
+            *test(f"{_residue(f'{v}{sfx}' for v in _STATE_PART)} != 0.0", "overflow")]
+
+
+def _residue(names) -> str:
+    """The text of the sum of ``v - v`` over the named values: 0.0 when
+    every value is finite, NaN when one is +-inf or NaN."""
+    return " + ".join(f"({v} - {v})" for v in names)
+
+
+# R and the values of a row's state part (see _row_lines) at a state.
+_STATE_PART = ("r", "f", "asq", "poly", "qv", "qr")
 
 
 def _row_lines(trig, multiplicities) -> Callable:
@@ -314,15 +339,15 @@ def _row_lines(trig, multiplicities) -> Callable:
     sum m_i k_i^2, ``poly`` = res_poly and the products ``qv`` = qd (t1 xd +
     t2 yd) and ``qr`` = (t3 xd^2 + t4 xd yd + t5 yd^2) * rnum of res_ode,
     each with that suffix.  The row is then :data:`_ROW_HEAD` and, at an
-    interior state, :data:`_RES_ODE` after :data:`_RES_ODE_LINES`.
+    interior state, :data:`_RES_ODE`.
 
     k_i keeps both terms, even one whose constant is 0.0.  The constants enter
     the source as ``repr`` text, which reads back as the same float; an int
     multiplicity m becomes float(m), with the same products.  The cubic
     A0 xd^3 + ... + A3 yd^3 and the quadratic t3 xd^2 + t4 xd yd + t5 yd^2
     follow :func:`_poly_lines`'s rule in (xd, yd), with one set of monomials,
-    and qd^3 is qd^2 * qd, computed for an interior row only; the lines
-    raise OverflowError when xd^3, yd^3 or that qd^3 overflows.
+    and qd^3 in :data:`_RES_ODE` is qd * qd * qd, the product rule's
+    qd^2 * qd.
     """
     multiplicities = [float(m) for m in multiplicities]
     cubic, quadratic = ((3, 0), (2, 1), (1, 2), (0, 3)), ((2, 0), (1, 1), (0, 2))
@@ -346,11 +371,10 @@ def _row_lines(trig, multiplicities) -> Callable:
 
 # A row at the state (s, x, y, xd, yd) from its state part (see _row_lines)
 # and the planar curvature kd, less its last value; at an interior state
-# res_ode, from R' and R'' as r_dot and r_ddot, after its qd^3 lines.
+# res_ode, from R' and R'' as r_dot and r_ddot.
 _ROW_ARGS = ("s", "x", "y", "xd", "yd", "values", "kd", "r_dot", "r_ddot")
 _ROW_HEAD = "(s, x, y, xd, yd, kd + f, kd * kd + asq, poly"
-_RES_ODE_LINES = _power_lines("qd", 3)
-_RES_ODE = "qd_3 * r_ddot + qv * (qd * r_dot) - qr"
+_RES_ODE = "qd * qd * qd * r_ddot + qv * (qd * r_dot) - qr"
 
 _LOOP_ARGS = ("s", "x", "y", "xd", "yd", "r", "h", "coeff", "steps", "put", "pack")
 # The values that the state part of a row binds at a new state, carried to
@@ -358,32 +382,24 @@ _LOOP_ARGS = ("s", "x", "y", "xd", "yd", "r", "h", "coeff", "steps", "put", "pac
 _CARRIED = ("x", "y", "xd", "yd", "r", "f", "asq", "poly", "qd", "qv", "qr")
 
 
-def _loop_lines(walls: dict, curvature: dict, values: dict, row: Callable) -> list[str]:
+def _loop_lines(d: int, curvature: dict, values: dict, row: Callable) -> list[str]:
     """Body lines of :attr:`CaseLab.loop`, :func:`integrate_curve`'s step loop.
 
     ``loop(s, x, y, xd, yd, r, h, coeff, steps, put, pack)`` runs up to
-    ``steps`` RK4 steps of size h from the start state, inside the chamber
-    with R there ``r``, whose row the caller has stored.  Each step is
-    :func:`_rk4`'s arithmetic with the three R stages inlined
-    (``_poly_lines`` with suffixes ``_k2``, ``_k3``, ``_k4``); then ``point``
-    at the new state (suffix ``n``), the interior rule and R there.  The
-    current state's interior row follows, packed as 9 doubles by ``pack``
-    and appended by ``put``, and then the new state's row state part, which
-    raises OverflowError before the state is taken as the current one.  So a
-    row that overflows escapes with the rows stored so far ending at the
-    state before it.  The state part raises only when xd^3 or yd^3
-    overflows, as the state's whole row, built one step later, would
-    whichever way the curve went on, so the curve ends where it would.
+    ``steps`` RK4 steps of size h from a start state that the ending rule
+    takes, with R there ``r``, whose row the caller has stored.  Each step
+    is :func:`_rk4`'s arithmetic with the three R stages inlined
+    (``_poly_lines`` with suffixes ``_k2``, ``_k3``, ``_k4``); then
+    ``point`` at the new state and the ending rule there
+    (:func:`_ending_lines`, suffix ``n``), which binds its R and row state
+    part.  Once the rule takes the new state, the current state's interior
+    row is packed as 9 doubles by ``pack`` and appended by ``put``, and the
+    new state becomes the current one, so no stored row changes.
 
-    Every other ending leaves the loop, which stores the current state's
-    endpoint row unless it is the start and returns the stop reason:
-    max_steps; boundary when the new state is outside or an RK4 stage
-    divides by a qd of 0.0, as only a stage on a wall does; overflow when
-    RK4's stages overflow.  A new state whose ``point`` overflows is decided
-    by its own walls, rule, qd, t1, t2 and R (suffix ``o``): outside, it is
-    a wall stop; inside, an overflow, and if its R evaluates it still makes
-    the current state's row an interior one, whose qd^3 (:data:`_RES_ODE_LINES`)
-    escapes as a row overflow if it overflows.
+    Every ending leaves the loop, which stores the current state's endpoint
+    row unless it is the start and returns the stop reason: max_steps, the
+    rule's, or boundary when an RK4 stage divides by a qd of 0.0, as only a
+    stage on a wall does.
     """
     def stage(k: int, step: str, prev: str) -> list[str]:
         """RK4 stage k: the state moved by ``step`` along the velocities of
@@ -408,40 +424,18 @@ def _loop_lines(walls: dict, curvature: dict, values: dict, row: Callable) -> li
             "yn = y + sixth * (yd + 2.0 * yd2 + 2.0 * yd3 + yd4)",
             "xdn = xd + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)",
             "ydn = yd + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)"]),
-        "    except OverflowError:",
-        "        stop = 'overflow'",
-        "        break",
         "    except ZeroDivisionError:",
         "        stop = 'boundary'",
         "        break",
-        "    try:",
-        *(f"        {line}" for line in _poly_lines("xn", "yn", values, "n")),
-        "    except OverflowError:",
-        *(f"        {line}" for line in _poly_lines("xn", "yn", walls, "o")),
-        f"        if not ({_interior_rule(len(walls), 'o')}):",
-        "            stop = 'boundary'",
-        "            break",
-        "        stop = 'overflow'",
-        "        try:",
-        *(f"            {line}" for line in _poly_lines("xn", "yn", curvature, "o")),
-        f"            ro = ({_r_num('o', 'xdn', 'ydn')}) / qdo",
-        "        except OverflowError:",
-        "            break",
-        "        if moved:",
-        *(f"            {line}" for line in _RES_ODE_LINES),
-        "        break",
-        f"    if not ({_interior_rule(len(walls), 'n')}):",
-        "        stop = 'boundary'",
-        "        break",
-        f"    rnumn = {_r_num('n', 'xdn', 'ydn')}",
-        "    rn = rnumn / qdn",
+        *(f"    {line}" for line in [
+            *_poly_lines("xn", "yn", values, "n"),
+            *_ending_lines(d, row, "xn", "yn", "xdn", "ydn", "n",
+                           lambda stop: [f"stop = {stop!r}", "break"])]),
         "    if moved:",
         "        kd = (ydn - ydp) / h2 * xd - (xdn - xdp) / h2 * yd",
         "        r_dot = (rn - rp) / h2",
         "        r_ddot = (rn - 2.0 * r + rp) / hh",
-        *(f"        {line}" for line in _RES_ODE_LINES),
         f"        put(pack{_ROW_HEAD}, {_RES_ODE}))",
-        *(f"    {line}" for line in row("xdn", "ydn", "n")),
         "    s += h",
         "    moved = True",
         "    xdp = xd", "    ydp = yd", "    rp = r",
@@ -470,18 +464,24 @@ def state_from_angle(x0: float, y0: float, angle: float) -> CurveState:
 # ---------------------------------------------------------------------------
 
 
-def _point_inside(st: CurveState, case: CaseSpec) -> tuple[CaseLab, tuple]:
-    """The case's lab and its ``point`` values at the state; BoundaryError
-    unless they evaluate and ``clear`` finds the state's walls strictly
-    inside the chamber."""
-    lab = get_lab(case)
-    try:
-        values = lab.point(st.x, st.y)
-    except OverflowError:
-        raise BoundaryError(f"state ({st.x}, {st.y}) overflows the lab's float range") from None
-    if not lab.clear(values[0]):
-        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
-    return lab, values
+def _taken(lab: CaseLab, x, y, xd, yd, where: str,
+           outside: str = "is not strictly inside the chamber") -> tuple:
+    """``point``'s values at the state (x, y, xd, yd) if the ending rule of
+    :func:`integrate_curve` takes it; else BoundaryError, whose message is
+    ``where`` and the point, then ``outside`` for a state outside the
+    chamber, or else that it overflows the lab's float range."""
+    values = lab.point(x, y)
+    stop = lab.ending(x, y, xd, yd, values)
+    if stop:
+        reason = outside if stop == "boundary" else "overflows the lab's float range"
+        raise BoundaryError(f"{where} ({x}, {y}) {reason}")
+    return values
+
+
+def _r(values, xd: float, yd: float) -> float:
+    """R at a state with tangent (xd, yd) from ``point``'s values there,
+    bit for bit the R kernel's value."""
+    return (-values[3] * xd + values[2] * yd) / values[1]
 
 
 def principal_curvatures(st: CurveState, case: CaseSpec, kd: float) -> list[float]:
@@ -489,8 +489,10 @@ def principal_curvatures(st: CurveState, case: CaseSpec, kd: float) -> list[floa
     supplied planar curvature kd.
 
     Multiplicity m_i attaches to entry i; the final entry has multiplicity 1.
+    BoundaryError unless the ending rule takes the state.
     """
-    lab, values = _point_inside(st, case)
+    lab = get_lab(case)
+    values = _taken(lab, st.x, st.y, st.xd, st.yd, "state")
     return [(s * st.yd + c * st.xd) / w for (s, c), w in zip(lab.trig, values[0])] + [kd]
 
 
@@ -503,18 +505,19 @@ def geometric_scalars(st: CurveState, case: CaseSpec, kd: float,
     laplacian is measured by central finite differences of f, column 5 with
     the mode's kd = -coeff * R, along the mode's flow, using
     laplacian(f) = -f'' - (volume log-derivative) * f'.  BoundaryError
-    unless the state and its two RK4 neighbours at +-h_fd lie strictly
-    inside the chamber, each stage off the walls (:func:`_step_inside`).
+    unless the ending rule takes the state and its two RK4 neighbours at
+    +-h_fd, each stage off the walls (:func:`_step_inside`).
     """
     _check_step("h_fd", h_fd)
     _check_mode(mode)
-    lab, values = _point_inside(st, case)
+    lab = get_lab(case)
+    values = _taken(lab, st.x, st.y, st.xd, st.yd, "state")
     f, a2 = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, kd, None, None)[5:7]
     coeff, r_mid = _MODE_COEFF[mode], lab.R(st.x, st.y, st.xd, st.yd)
 
-    def f_at(x, y, xd, yd):
-        return lab.row(st.s, x, y, xd, yd, lab.point(x, y), -coeff * lab.R(x, y, xd, yd),
-                       None, None)[5]
+    def f_at(state, v):
+        x, y, xd, yd = state
+        return lab.row(st.s, x, y, xd, yd, v, -coeff * _r(v, xd, yd), None, None)[5]
 
     f_mid = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, -coeff * r_mid, None, None)[5]
     f_plus = f_at(*_step_inside(lab, coeff, h_fd, st, r_mid))
@@ -565,23 +568,23 @@ def step_candidate(st: CurveState, case: CaseSpec, h: float) -> CurveState:
 
 
 def _guarded_step(lab: CaseLab, mode: str, st: CurveState, h: float) -> CurveState:
-    if not lab.inside(st.x, st.y):
-        raise BoundaryError(f"state ({st.x}, {st.y}) is not strictly inside the chamber")
-    r0 = lab.R(st.x, st.y, st.xd, st.yd)
-    return CurveState(st.s + h, *_step_inside(lab, _MODE_COEFF[mode], h, st, r0))
+    """The step of :func:`_step_inside` from a state that the ending rule
+    takes; BoundaryError as there, or when the rule does not take st."""
+    values = _taken(lab, st.x, st.y, st.xd, st.yd, "state")
+    nxt, _ = _step_inside(lab, _MODE_COEFF[mode], h, st, _r(values, st.xd, st.yd))
+    return CurveState(st.s + h, *nxt)
 
 
-def _step_inside(lab: CaseLab, coeff: float, h: float, st: CurveState, r0: float) -> tuple:
-    """:func:`_rk4`'s step of size h from st, with R there r0; BoundaryError
-    when a stage lands on a wall, where qd is 0.0, or the new point is not
-    strictly inside the chamber."""
+def _step_inside(lab: CaseLab, coeff: float, h: float, st: CurveState,
+                 r0: float) -> tuple[tuple, tuple]:
+    """:func:`_rk4`'s step of size h from st, with R there r0, and ``point``'s
+    values at the new state; BoundaryError when a stage lands on a wall,
+    where qd is 0.0, or the ending rule does not take the new state."""
     try:
         nxt = _rk4(lab.R, coeff, h, st.x, st.y, st.xd, st.yd, r0)
     except ZeroDivisionError:
         raise BoundaryError(f"an RK4 stage from s={st.s} lies on a chamber wall") from None
-    if not lab.inside(nxt[0], nxt[1]):
-        raise BoundaryError(f"step of {h} from s={st.s} crossed a chamber wall")
-    return nxt
+    return nxt, _taken(lab, *nxt, f"step of {h} from s={st.s} to", "crossed a chamber wall")
 
 
 def normal_residual(st: CurveState, case: CaseSpec,
@@ -593,14 +596,18 @@ def normal_residual(st: CurveState, case: CaseSpec,
     first and second arclength derivatives of R by central finite differences.
     Both are the row kernel's res_poly and res_ode (columns 7 and 8) at the
     state.  Agreement is limited by the finite differencing, not the algebra.
-    BoundaryError unless the state and its two RK4 neighbours at +-h_fd lie
-    strictly inside the chamber, each stage off the walls (:func:`_step_inside`).
+    BoundaryError unless the ending rule takes the state and its two RK4
+    neighbours at +-h_fd, each stage off the walls (:func:`_step_inside`).
     """
     _check_step("h_fd", h_fd)
-    lab, values = _point_inside(st, case)
+    lab = get_lab(case)
+    values = _taken(lab, st.x, st.y, st.xd, st.yd, "state")
     coeff, r_mid = _MODE_COEFF[MODE_CANDIDATE], lab.R(st.x, st.y, st.xd, st.yd)
-    r_plus = lab.R(*_step_inside(lab, coeff, h_fd, st, r_mid))
-    r_minus = lab.R(*_step_inside(lab, coeff, -h_fd, st, r_mid))
+    def r_at(state, v):
+        return _r(v, state[2], state[3])
+
+    r_plus = r_at(*_step_inside(lab, coeff, h_fd, st, r_mid))
+    r_minus = r_at(*_step_inside(lab, coeff, -h_fd, st, r_mid))
     r_dot = (r_plus - r_minus) / (2 * h_fd)
     r_ddot = (r_plus - 2 * r_mid + r_minus) / (h_fd * h_fd)
     row = lab.row(st.s, st.x, st.y, st.xd, st.yd, values, -coeff * r_mid, r_dot, r_ddot)
@@ -736,19 +743,26 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     endpoints (no neighbors) the mode constraint value is used.  res_ode needs
     the same neighbors and is NaN at the endpoints.
 
+    The ending rule.  The kernels compute in plain IEEE-754 arithmetic, so a
+    value out of float range is +-inf or NaN.  Each step is tested once, in
+    this order:
+
+    1. an RK4 stage on a wall, where qd is 0.0, ends the curve as boundary;
+    2. a new state with a non-finite x, y, xd or yd ends it as overflow;
+    3. a new state outside the chamber ends it as boundary;
+    4. a new state whose R or row state part (f, |A|^2, res_poly and the
+       res_ode products qv and qr, see :func:`_row_lines`) is not finite
+       ends it as overflow.
+
+    The curve then ends at the current state, with its endpoint row; else
+    the new state is taken.  So every stored state and its R are finite.  A
+    start that fails test 2, 3 or 4 raises BoundaryError.
+
     One pass, in the case's generated step loop (:attr:`CaseLab.loop`): each
-    new state's ``point`` values decide whether it is inside and give R
-    there, which serves as the next step's k1 stage and as the finite
-    differences of R'.  A state's row is packed as soon as its successor
-    exists, so on a curve that stays in float range no formula runs twice on
-    a state.  The curve ends at the last state whose row evaluates, as if
-    every row were computed after the integration: a state whose values
-    overflow ends it, and so does a state whose row overflows, which also
-    turns the row before into an endpoint row.  The loop stores every
-    endpoint row but that one, which is rebuilt here, as is the start's
-    (:func:`_endpoint_row`).  An RK4 stage that lands on a wall, where qd is
-    0.0, ends the curve as a wall stop.  A start whose values overflow
-    raises BoundaryError.
+    new state's ``point`` values serve its tests and give R there, which
+    serves as the next step's k1 stage and as the finite differences of R'.
+    A state's interior row is packed once its successor is taken, so no
+    formula runs twice on a state and no stored row is rewritten.
     """
     # Imported here: the commands that never integrate a curve do not load
     # the array extension module, about 0.1 MB and 0.4 ms at start-up.
@@ -758,32 +772,10 @@ def integrate_curve(init: CurveState, cfg: IntegratorConfig,
     lab = get_lab(case)
     coeff = _MODE_COEFF[cfg.mode]
     s, x, y, xd, yd = init.s, init.x, init.y, init.xd, init.yd
-    try:
-        v = lab.point(x, y)
-        if not lab.clear(v[0]):
-            raise BoundaryError(f"initial state ({x}, {y}) is not strictly inside the chamber")
-        r, row = _endpoint_row(lab, coeff, v, s, x, y, xd, yd)
-    except OverflowError:
-        raise BoundaryError(f"initial state ({x}, {y}) overflows the lab's float range") from None
-    data = array("d", row)
-    try:
-        stop_reason = lab.loop(s, x, y, xd, yd, r, cfg.step, coeff, cfg.max_steps,
-                               data.frombytes, Struct(f"{_WIDTH}d").pack)
-    except OverflowError:
-        # A row overflows: end the curve at the state before it, the last
-        # one stored, whose row becomes an endpoint row (its point values
-        # and R evaluated again).
-        stop_reason = "overflow"
-        if len(data) > _WIDTH:
-            s, x, y, xd, yd = data[-_WIDTH:-4]
-            _, row = _endpoint_row(lab, coeff, lab.point(x, y), s, x, y, xd, yd)
-            data[-_WIDTH:] = array("d", row)
+    v = _taken(lab, x, y, xd, yd, "initial state")
+    r = _r(v, xd, yd)
+    data = array("d", lab.row(s, x, y, xd, yd, v, -coeff * r, None, None))
+    stop_reason = lab.loop(s, x, y, xd, yd, r, cfg.step, coeff, cfg.max_steps,
+                           data.frombytes, Struct(f"{_WIDTH}d").pack)
     return Trajectory(_Columns(data, 5, CurveState._make), _Columns(data, _WIDTH, tuple),
                       stop_reason)
-
-
-def _endpoint_row(lab: CaseLab, coeff: float, v, s, x, y, xd, yd) -> tuple[float, tuple]:
-    """R at the state (s, x, y, xd, yd) from its ``point`` values ``v``, and
-    the state's endpoint row, whose kd is the mode constraint's -coeff * R."""
-    r = (-v[3] * xd + v[2] * yd) / v[1]
-    return r, lab.row(s, x, y, xd, yd, v, -coeff * r, None, None)

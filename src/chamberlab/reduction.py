@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .cases import CaseSpec, validate_case
 from .errors import PipelineError
-from .field import field_text, power, rational_text
+from .field import field_text, power
 from .poly import Form, SpatialPoly, add, arc_derivative, dx, dy, form_flow, form_product, \
     mul, reduced, scale
 
@@ -335,7 +335,7 @@ def verify_reference_example() -> dict:
         report["diffs"].append("anchor monomial x^9 missing from A0")
         return report
     scale = a[0][9] / _REFERENCE[0][9]
-    report["scale"] = rational_text(scale)
+    report["scale"] = field_text(scale)
 
     for j, (ours, expected) in enumerate(zip(a, _REFERENCE)):
         for i, (lhs, rhs) in enumerate(zip(ours, expected)):
@@ -343,8 +343,8 @@ def verify_reference_example() -> dict:
             if lhs != rhs:
                 report["diffs"].append(
                     f"A{j} x^{i} y^{9 - i}: derived "
-                    f"{rational_text(lhs) if lhs else '0'} vs reference*scale "
-                    f"{rational_text(rhs) if rhs else '0'}")
+                    f"{field_text(lhs) if lhs else '0'} vs reference*scale "
+                    f"{field_text(rhs) if rhs else '0'}")
     if a[0] != a[3][::-1]:
         report["diffs"].append("mirror identity A0(x,y) == A3(y,x) fails")
     if a[1] != a[2][::-1]:

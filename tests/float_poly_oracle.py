@@ -7,6 +7,8 @@ with products only, so that it does not depend on libm's ``pow``.  Each
 power is x**k = x**(k - k//2) * x**(k//2) (:func:`power`), each monomial
 the x power times the y power (:func:`monomial`), and starting from 0.0 the
 loop adds ``c * x**a * y**b`` term by term in :func:`float_terms` order.
+A value out of float range is +-inf or NaN, as in the kernels; nothing
+raises.
 ``float_reduced_value`` evaluates a velocity form over a power of qd, such
 as a bundle's ``r_dot``, from these values, for derivative oracles, which
 compare approximately; its own powers of xd, yd and qd are ``**``.
@@ -37,17 +39,12 @@ def float_terms(poly, q: int = 0) -> list[tuple[int, int, float]]:
 
 def power(x: float, k: int) -> float:
     """x**k as products: 1.0 for k = 0, x for k = 1, and
-    x**(k - k//2) * x**(k//2) above.
-
-    Raises OverflowError when the power overflows from a finite x, as
-    ``x ** k`` does.
+    x**(k - k//2) * x**(k//2) above.  A power out of float range is +-inf,
+    as an IEEE-754 product is, where ``x ** k`` would raise OverflowError.
     """
     if k < 2:
         return x if k else 1.0
-    p = power(x, k - k // 2) * power(x, k // 2)
-    if math.isinf(p) and math.isfinite(x):
-        raise OverflowError(f"{x!r}^{k} is out of range")
-    return p
+    return power(x, k - k // 2) * power(x, k // 2)
 
 
 def monomial(x: float, y: float, a: int, b: int) -> float:

@@ -246,8 +246,8 @@ def test_integrate_csv_to_stdout_keeps_summary_on_stderr(capsys):
 
 def test_integrate_overflow_stops_the_curve(capsys):
     # A coarse step near G2's zeroth wall flings the curve out: after state 11
-    # (|x| ~ 1e12) the next state's kernels overflow.  The curve stops at the
-    # last state that still evaluates, with its own stop reason, exit 0.
+    # (|x| ~ 1e12) the next state's res_poly is not finite.  The curve stops
+    # at state 11, with its own stop reason, exit 0.
     code = main(["integrate", "--case", "G2", "--mode", "biharmonic-candidate",
                  "--step-size", "3e-3", "--steps", "500",
                  "--x0", "0.9996573249755573", "--y0", "0.02617694830787315",
@@ -307,6 +307,7 @@ def test_integrate_bad_setting_is_user_error(tmp_path, capsys):
     # A rejected integrator setting or non-finite start value is reported,
     # not raised: exit 2, no CSV.
     for flag, value in (("--step-size", "0"), ("--step-size", "nan"),
+                        ("--step-size", "1e-170"),  # its square is 0.0
                         ("--steps", "-3"),
                         ("--angle", "inf"), ("--angle", "nan"),
                         ("--x0", "inf"), ("--y0", "nan")):

@@ -43,7 +43,14 @@ from golden import (
     trajectory_hashes,
     wall_stop_curves,
 )
-from lab_oracle import cubic_form, integrate_two_pass, ode_form, scalars, wall_curvatures
+from lab_oracle import (
+    cubic_form,
+    integrate_two_pass,
+    ode_form,
+    refusal,
+    scalars,
+    wall_curvatures,
+)
 from root_checks import minimal_sigma
 
 
@@ -76,15 +83,25 @@ def test_principal_curvatures_reject_wall_state(u5):
 
 @pytest.mark.parametrize("y", [1e199, -1e199])
 def test_pointwise_oracles_reject_a_state_whose_values_overflow(y):
-    # G2's point values overflow at x = 1e200, inside the chamber (y > 0)
-    # and outside it alike: each pointwise oracle raises BoundaryError.
-    case = registry_case("G2")
-    st = state_from_angle(1e200, y, 0.3)
-    for oracle in (lambda: normal_residual(st, case),
-                   lambda: geometric_scalars(st, case, 0.0),
-                   lambda: principal_curvatures(st, case, 0.0)):
-        with pytest.raises(BoundaryError, match="overflows the lab's float range"):
-            oracle()
+    # G2's point values overflow at x = 1e200.  Inside the chamber (y > 0)
+    # each pointwise oracle and each step raises BoundaryError for the
+    # overflow; outside it (y < 0) for the wall, which the ending rule tests
+    # before the values.  On SOn-1, whose one wall is -y, a NaN x or an
+    # infinite y is an overflow on either side, before the wall test.
+    son = registry_case("SOn-1")
+    overflow = "overflows the lab's float range"
+    for case, st, message in (
+            (registry_case("G2"), state_from_angle(1e200, y, 0.3),
+             overflow if y > 0 else "not strictly inside"),
+            (son, CurveState(0.0, math.nan, 1.0, 1.0, 0.0), overflow),
+            (son, CurveState(0.0, 0.0, math.copysign(math.inf, y), 1.0, 0.0), overflow)):
+        for oracle in (lambda: normal_residual(st, case),
+                       lambda: geometric_scalars(st, case, 0.0),
+                       lambda: principal_curvatures(st, case, 0.0),
+                       lambda: step_minimal(st, case, 1e-3),
+                       lambda: step_candidate(st, case, 1e-3)):
+            with pytest.raises(BoundaryError, match=message):
+                oracle()
 
 
 def test_directional_log_derivative_matches_ratio_formula(all_cases):
@@ -358,7 +375,7 @@ def test_geometric_scalars_reject_wall_state(u5, su3):
 
 def test_finite_difference_step_must_be_positive_and_finite(su3):
     st = state_from_angle(1.0, 0.3, 0.7)
-    for h_fd in (0.0, -1e-5, math.nan, math.inf):
+    for h_fd in (0.0, -1e-5, math.nan, math.inf, 1e-170):  # 1e-170 squares to 0.0
         with pytest.raises(ValueError, match="h_fd"):
             normal_residual(st, su3, h_fd)
         with pytest.raises(ValueError, match="h_fd"):
@@ -394,7 +411,7 @@ def test_integrator_config_validation():
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(mode="fancy")
-    for bad in ({"step": math.nan}, {"step": math.inf}, {"step": -math.inf},
+    for bad in ({"step": math.nan}, {"step": math.inf}, {"step": -math.inf}, {"step": 1e-170},
                 {"max_steps": -3}, {"max_steps": -1}, {"max_steps": 2.5},
                 {"max_steps": 10.0}, {"max_steps": "10"}, {"max_steps": True},
                 {"max_steps": False}):
@@ -422,9 +439,9 @@ def test_wall_stop_curves_match_golden():
 
 def test_rows_that_overflow_end_the_curve():
     # A coarse minimal step near SO5's vertex flings the curve out: the fourth
-    # state is still inside the chamber but so far out that its kernels
-    # overflow.  The loop stops at that state; the curve ends at the last
-    # state whose row evaluates.
+    # state is still inside the chamber but so far out that its res_poly is
+    # not finite.  The ending rule refuses it; the curve ends at the third
+    # state, with its endpoint row.
     init = CurveState(0.0, 0.035873814107106994, 0.03482914672237509,
                       -0.3452472235234991, 0.9385117765107239)
     cfg = IntegratorConfig(step=0.01, max_steps=400, mode=MODE_MINIMAL)
@@ -432,13 +449,15 @@ def test_rows_that_overflow_end_the_curve():
     assert trajectory.stop_reason == "overflow"
     assert len(trajectory.states) == len(trajectory.rows) == 3
     assert all(math.isfinite(v) for row in trajectory.rows for v in row[:5])
+    assert math.isnan(trajectory.rows[-1][8])
 
 
 def test_new_state_whose_r_overflows_keeps_the_current_row():
     # A coarse minimal step on F4 flings the curve out twice: the third
-    # state is inside the chamber, but its point values and its R overflow
-    # (y^3).  So it makes no interior row of the second state, whose qd^3
-    # would overflow: the curve keeps the second state, with an endpoint row.
+    # state is inside the chamber with a finite R, but res_poly and the
+    # res_ode products of its row state part are not finite.  The rule
+    # refuses it, so the curve ends at the second state, whose row is an
+    # endpoint row, built once.
     init = CurveState(0.0, 0.21069155393950986, 0.14697908772462936,
                       -0.543682123508202, 0.8392912179795593)
     cfg = IntegratorConfig(step=21.42861829125894, max_steps=5, mode=MODE_MINIMAL)
@@ -447,31 +466,81 @@ def test_new_state_whose_r_overflows_keeps_the_current_row():
     old = integrate_two_pass(init, cfg, case)[0]
     assert trajectory.stop_reason == old.stop_reason == "overflow"
     assert [repr(row) for row in trajectory.rows] == [repr(row) for row in old.rows]
-    assert len(trajectory.rows) == 3 and math.isnan(trajectory.rows[-1][8])
+    assert len(trajectory.rows) == 2 and math.isnan(trajectory.rows[-1][8])
 
 
 def test_start_whose_values_overflow_is_rejected(su3):
-    # Both starts are inside SU3's chamber, but so far out that their own
-    # kernels overflow: there is no curve to integrate.
+    # Both starts are inside SU3's chamber, but so far out that their R or
+    # row values overflow; on SOn-1 a start with a NaN x or an infinite y
+    # fails the rule's first test: there is no curve to integrate.
     cfg = IntegratorConfig(step=1e-4, max_steps=10, mode=MODE_MINIMAL)
-    for x0, y0 in ((1e200, 3e199), (1e60, 3e59)):
-        with pytest.raises(BoundaryError, match="overflow"):
-            integrate_curve(state_from_angle(x0, y0, 0.5), cfg, su3)
+    son = registry_case("SOn-1")
+    for init, case in ((state_from_angle(1e200, 3e199, 0.5), su3),
+                       (state_from_angle(1e60, 3e59, 0.5), su3),
+                       (CurveState(0.0, math.nan, 1.0, 1.0, 0.0), son),
+                       (CurveState(0.0, 0.0, math.inf, 1.0, 0.0), son),
+                       (CurveState(0.0, 0.0, -math.inf, 1.0, 0.0), son)):
+        with pytest.raises(BoundaryError, match="initial state .* overflows"):
+            integrate_curve(init, cfg, case)
 
 
 # (row, polar angle as a fraction of pi/d, tangent angle, step, max_steps,
-# mode) of coarse curves from radius 1.  Each takes a step far out of range
-# and ends in its own way.
+# mode, stop reason, stored states) of coarse curves from radius 1.  Each
+# takes a step far out of range and ends by one test of the ending rule
+# (see integrate_curve).
 _FAR_STEPS = (
-    ("SO4", 0.7, 4.8, 1e107, 1, MODE_CANDIDATE),  # RK4's stages overflow
-    ("SU3", 0.6, 4.5, 1e16, 2, MODE_MINIMAL),  # the new state overflows, outside
-    ("SOpxSOq", 0.2, 5.7, 1e84, 10, MODE_MINIMAL),  # the new state is outside
-    ("SO4", 0.9, 1.6, 1e15, 1, MODE_MINIMAL),  # the new state and its R overflow
-    ("SOpxSOq", 0.6, 5.3, 1e29, 1, MODE_MINIMAL),  # the new state overflows, not its R
-    ("SU3", 0.4, 1.8, 10.0, 10, MODE_MINIMAL),  # the same, after interior rows
-    ("SOn-1", 0.2, 4.0, 1e48, 1, MODE_CANDIDATE),  # the last endpoint row overflows
-    ("SOn-1", 0.7, 0.0, 1e25, 10, MODE_CANDIDATE),  # an interior row overflows
+    # RK4's stages make NaN coordinates
+    ("SO4", 0.7, 4.8, 1e107, 1, MODE_CANDIDATE, "overflow", 1),
+    ("SU3", 0.6, 4.5, 1e16, 2, MODE_MINIMAL, "boundary", 1),  # the new state is outside
+    # NaN coordinates, whose walls would read outside
+    ("SOpxSOq", 0.2, 5.7, 1e84, 10, MODE_MINIMAL, "overflow", 1),
+    ("SO4", 0.9, 1.6, 1e15, 1, MODE_MINIMAL, "overflow", 1),  # the new state's R is not finite
+    # its R is finite, its row state part not
+    ("SOpxSOq", 0.6, 5.3, 1e29, 1, MODE_MINIMAL, "overflow", 1),
+    ("SU3", 0.4, 1.8, 10.0, 10, MODE_MINIMAL, "overflow", 3),  # the same, after interior rows
+    ("SOn-1", 0.2, 4.0, 1e48, 1, MODE_CANDIDATE, "overflow", 1),  # the same, on one wall
+    # the same, after an interior row
+    ("SOn-1", 0.7, 0.0, 1e25, 10, MODE_CANDIDATE, "overflow", 2),
 )
+
+
+def _far_curve(name, frac, angle, step, steps, mode):
+    """(case, init, cfg) of a _FAR_STEPS curve."""
+    case = registry_case(name)
+    sigma = frac * math.pi / case.d
+    return (case, state_from_angle(math.cos(sigma), math.sin(sigma), angle),
+            IntegratorConfig(step=step, max_steps=steps, mode=mode))
+
+
+def test_far_steps_end_by_the_ending_rule():
+    # Each coarse far step ends as its _FAR_STEPS entry says, and every
+    # stored state and its R are finite.
+    for *curve, stop, stored in _FAR_STEPS:
+        case, init, cfg = _far_curve(*curve)
+        trajectory = integrate_curve(init, cfg, case)
+        assert (trajectory.stop_reason, len(trajectory.states)) == (stop, stored), curve
+        lab = get_lab(case)
+        assert all(math.isfinite(v) for st in trajectory.states
+                   for v in (*st, lab.R(st.x, st.y, st.xd, st.yd))), curve
+
+
+def test_ending_rule_tests_in_order(all_cases):
+    # The ending rule's kernel and the two-pass oracle's rule agree and test
+    # in order: a NaN or infinite coordinate is an overflow, even where the
+    # walls read outside; a state outside the chamber is a wall stop, even
+    # where its values overflow (G2 at x = 1e200, below the wall y = 0); a
+    # state inside whose R or row state part is not finite is an overflow.
+    g2 = get_lab(registry_case("G2"))
+    for x, y, stop in ((1e200, 1e199, "overflow"), (1e200, -1e199, "boundary"),
+                       (1.0, 0.2, None)):
+        assert g2.ending(x, y, 0.6, 0.8, g2.point(x, y)) == stop, (x, y)
+        assert refusal(g2, x, y, 0.6, 0.8) == stop, (x, y)
+    for case in all_cases:
+        lab = get_lab(case)
+        for x, y, xd, yd in ((math.nan, -1.0, 1.0, 0.0), (1.0, -math.inf, 1.0, 0.0),
+                             (1.0, 0.01, math.inf, 0.0), (-1.0, 0.5, 0.0, math.nan)):
+            assert lab.ending(x, y, xd, yd, lab.point(x, y)) == "overflow", (case.label, x, y)
+            assert refusal(lab, x, y, xd, yd) == "overflow", (case.label, x, y)
 
 
 def _oracle_curves(all_cases):
@@ -485,11 +554,8 @@ def _oracle_curves(all_cases):
                 sigma = frac * math.pi / case.d
                 init = state_from_angle(radius * math.cos(sigma), radius * math.sin(sigma), angle)
                 yield case, init, IntegratorConfig(step=step, max_steps=steps, mode=mode)
-    for name, frac, angle, step, steps, mode in _FAR_STEPS:
-        case = registry_case(name)
-        sigma = frac * math.pi / case.d
-        yield (case, state_from_angle(math.cos(sigma), math.sin(sigma), angle),
-               IntegratorConfig(step=step, max_steps=steps, mode=mode))
+    for *curve, _, _ in _FAR_STEPS:
+        yield _far_curve(*curve)
 
 
 def _assert_list_like(view):
@@ -515,7 +581,7 @@ def test_one_pass_matches_two_pass_oracle(all_cases):
     # curves through every way a curve can end: the one-pass integrator
     # returns what the two-pass one did, every float compared by repr.
     # The trajectory's derived diagnostics equal the ones the oracle keeps
-    # step by step, on the curves whose interior or last row overflows too.
+    # step by step, on the curves that end in an overflow too.
     stops = {}
     for case, init, cfg in _oracle_curves(all_cases):
         new = integrate_curve(init, cfg, case)
@@ -556,6 +622,7 @@ def test_step_loop_matches_two_pass_oracle_on_random_curves(all_cases):
             new = integrate_curve(init, cfg, case)
             old = integrate_two_pass(init, cfg, case)[0]
             where = (case.label, init, cfg)
+            assert all(math.isfinite(v) for st in new.states for v in st), where
             assert [repr(row) for row in new.rows] == [repr(row) for row in old.rows], where
             assert [repr(st) for st in new.states] == [repr(st) for st in old.states], where
             assert new.stop_reason == old.stop_reason, where
@@ -605,8 +672,8 @@ def test_trajectory_views_read_one_array_of_doubles():
     for view in trajectory.states, trajectory.rows:
         with pytest.raises(TypeError):
             view[0] = view[1]
-    # A curve of one state, and one whose last row was rewritten when the
-    # row after it overflowed (see test_rows_that_overflow_end_the_curve).
+    # A curve of one state, and one that ends in an overflow (see
+    # test_rows_that_overflow_end_the_curve).
     so5_start = CurveState(0.0, 0.035873814107106994, 0.03482914672237509,
                            -0.3452472235234991, 0.9385117765107239)
     for curve in (trajectory, integrate_curve(start, cfg._replace(max_steps=0), case),
@@ -681,9 +748,9 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
     # bit for bit (compared by repr): the walls, qd, t1..t5 and A0..A3 of
     # point and R with t1, t2 and qd inlined, at random chamber points; the
     # row kernel, endpoint and interior rows, against the per-row helpers on
-    # those values; and the interior tests inside (of a point) and clear (of
-    # its wall values), against the sign rule on the loop's wall values,
-    # there and at random points of the plane.
+    # those values; and the ending rule's kernel, against the sign rule on
+    # the term loop's wall values and the two-pass oracle's rule, there and
+    # at random points of the plane.
     rng = random.Random(6)
     for case in all_cases:
         lab = get_lab(case)
@@ -702,22 +769,22 @@ def test_compiled_polynomials_match_term_loop_bitwise(all_cases):
             for x, y in ((st.x, st.y), (rng.uniform(-5, 5), rng.uniform(-5, 5))):
                 walls = [float_poly_value(w, x, y) for w in build_bundle(case).walls]
                 expected = not walls[0] > -1e-9 and all(v > 1e-9 for v in walls[1:])
-                assert lab.inside(x, y) is expected, case.label
-                assert lab.clear(tuple(walls)) is expected, case.label
+                stop = lab.ending(x, y, st.xd, st.yd, lab.point(x, y))
+                assert stop == (None if expected else "boundary"), case.label
+                assert stop == refusal(lab, x, y, st.xd, st.yd), case.label
     zero_form = Form([[0, 0]], 1)
     zero = numerics._kernel("zero", ("x", "y"), {"z": zero_form.float_terms()}, "z")
     assert zero(1.5, -0.25) == 0 and float_poly_value(zero_form, 1.5, -0.25) == 0
     # Coefficients beyond the float range: the terms are 0.0, -inf, 0.0,
     # -0.0 and 0.0, and the kernel rounds, overflows and makes nan as the
-    # term loop does.
+    # term loop does: at (1e-200, 1e200), where y^4 is inf and x^4 is 0.0,
+    # both give NaN and neither raises.
     wide = Form([[1, -1, 3, -10**800, 5]], 10**400)
     assert [repr(c) for _, _, c in wide.float_terms()] == ["0.0", "-inf", "0.0", "-0.0", "0.0"]
     kernel = numerics._kernel("wide", ("x", "y"), {"z": wide.float_terms()}, "z")
-    for x, y in ((1.5, -0.25), (0, 2), (-3, 0)):
+    for x, y in ((1.5, -0.25), (0, 2), (-3, 0), (1e-200, 1e200)):
         assert repr(kernel(x, y)) == repr(float_poly_value(wide, x, y)), (x, y)
-    for evaluate in (kernel, lambda x, y: float_poly_value(wide, x, y)):
-        with pytest.raises(OverflowError):
-            evaluate(1e-200, 1e200)
+    assert math.isnan(kernel(1e-200, 1e200))
 
 
 _UNIT_ROUNDOFF = Fraction(1, 2**53)
@@ -774,11 +841,11 @@ def test_kernel_values_lie_within_a_forward_error_bound(all_cases):
 def test_kernels_take_no_powers_and_see_only_named_globals(all_cases, monkeypatch):
     # Libm independence: no generated kernel of any registry row calls
     # libm's pow through **, and each kernel reads no global but inf, nan
-    # and the two exception classes that it raises or catches,
-    # OverflowError and ZeroDivisionError, with no builtins, so it calls no
-    # other function; the step loop calls only the two functions it is
-    # passed.
-    allowed = {"inf", "nan", "OverflowError", "ZeroDivisionError"}
+    # and the one exception class that the step loop catches,
+    # ZeroDivisionError, with no builtins, so it calls no other function;
+    # the step loop calls only the two functions it is passed.  No kernel
+    # raises: a value out of float range is +-inf or NaN.
+    allowed = {"inf", "nan", "ZeroDivisionError"}
     define, built = numerics._define, {}
 
     def record(source, name):
@@ -789,9 +856,9 @@ def test_kernels_take_no_powers_and_see_only_named_globals(all_cases, monkeypatc
     for case in all_cases:
         built.clear()
         CaseLab(case)
-        assert sorted(built) == ["R", "clear", "inside", "loop", "point", "row"], case.label
+        assert sorted(built) == ["R", "ending", "loop", "point", "row"], case.label
         for name, (source, kernel) in built.items():
-            assert "**" not in source, (case.label, name)
+            assert "**" not in source and "raise" not in source, (case.label, name)
             assert set(kernel.__code__.co_names) <= allowed, (case.label, name)
             assert kernel.__globals__["__builtins__"] == {}, (case.label, name)
             assert set(kernel.__globals__) <= allowed | {"__builtins__", name}, (case.label, name)
@@ -840,16 +907,14 @@ def test_wall_table_pins_the_exact_halves(all_cases):
 def test_integration_evaluates_each_state_once(monkeypatch, su3):
     # One pass, in the generated step loop: point runs once per stored
     # state, plus once for a state that is rejected at a wall, and its
-    # values decide the wall test (the interior rule) and give R at the
-    # state, which serves as the next step's k1 stage.  RK4 evaluates R
-    # three times per step, at its other stages.  A row is built once per
-    # stored state, and the inside kernel runs not at all.  The start's
-    # point, rule and row are the standalone kernels'; the loop's inlined
-    # blocks are counted by tracing the lines of the generated source that
-    # bind each stage's qd, the new state's qd, test the new state's rule
-    # (suffix n) and store a row.  The ending for a new state whose values
-    # overflow evaluates its own walls, rule and qd (suffix o), which these
-    # curves never reach.
+    # values decide the ending rule's tests and give R at the state, which
+    # serves as the next step's k1 stage.  RK4 evaluates R three times per
+    # step, at its other stages.  A row is built once per stored state.  The
+    # start's point, ending rule and row are the standalone kernels'; the
+    # loop's inlined blocks are counted by tracing the lines of the
+    # generated source that bind each stage's qd, the new state's qd, test
+    # the new state's coordinates, its interior rule (suffix n) and its R
+    # and row state part, and store a row.
     define, sources = numerics._define, {}
 
     def record(source, name):
@@ -865,17 +930,19 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
 
     blocks = {"R": numbers(lambda line: line.startswith("qd_k")),
               "point": numbers(lambda line: line.startswith("qdn =")),
-              "clear": numbers(lambda line: line.startswith("if not (not w0n ")),
+              "finite": numbers(lambda line: line.startswith("if (xn - xn) + ")),
+              "rule": numbers(lambda line: line.startswith("if not (not w0n ")),
+              "part": numbers(lambda line: line.startswith("if (rn - rn) + ")),
               "row": numbers(lambda line: line.startswith("put(pack("))}
-    assert [len(blocks[name]) for name in ("R", "point", "clear", "row")] == [3, 1, 1, 2]
-    ending = {"clear": numbers(lambda line: line.startswith("if not (not w0o ")),
-              "qd": numbers(lambda line: line.startswith("qdo ="))}
-    assert [len(ending[name]) for name in ("clear", "qd")] == [1, 1]
-    assert numbers(lambda line: line.startswith("if not (")) == blocks["clear"] | ending["clear"]
-    # qd is in R, point and the ending, so no other line evaluates it.
+    assert [len(blocks[name]) for name in ("R", "point", "finite", "rule", "part", "row")] \
+        == [3, 1, 1, 1, 1, 2]
+    # The step loop tests nothing else but whether it has moved.
+    assert numbers(lambda line: line.startswith("if ") and line != "if moved:") == \
+        blocks["finite"] | blocks["rule"] | blocks["part"]
+    # qd is in R and point, so no other line evaluates it.
     assert numbers(lambda line: line.startswith("qd") and " = 0.0 + " in line) == \
-        blocks["R"] | blocks["point"] | ending["qd"]
-    counts = dict.fromkeys(("R", "point", "clear", "row", "inside"), 0)
+        blocks["R"] | blocks["point"]
+    counts = dict.fromkeys(("R", "point", "ending", "row"), 0)
 
     def counting(name):
         fn = getattr(lab, name)
@@ -918,11 +985,10 @@ def test_integration_evaluates_each_state_once(monkeypatch, su3):
         stored = len(trajectory.states)
         assert stored == (steps + 1 if stop == "max_steps" else steps)
         evaluated = stored + (stop == "boundary")
-        assert counts == {"R": 0, "point": 1, "clear": 1, "row": 1, "inside": 0}
+        assert counts == {"R": 0, "point": 1, "ending": 1, "row": 1}
         inlined = {name: sum(hits[i] for i in block) for name, block in blocks.items()}
-        assert inlined == {"R": 3 * steps, "point": evaluated - 1, "clear": evaluated - 1,
-                           "row": stored - 1}
-        assert sum(hits[i] for block in ending.values() for i in block) == 0
+        assert inlined == {"R": 3 * steps, "point": evaluated - 1, "finite": evaluated - 1,
+                           "rule": evaluated - 1, "part": stored - 1, "row": stored - 1}
 
 
 def test_csv_row_template_matches_format_spec(tmp_path):
